@@ -37,4 +37,35 @@ from .wpoly import (DeltaReport, RhoSequence, WFunction, build_w_family,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # backend
+    "BACKEND", "USING_NUMBA",
+    # boundary
+    "RegularisedBoundary", "gamma_columns", "gamma_r", "gamma_s", "gamma_vec",
+    "interface_residual", "neville_limit", "solve_from_gamma",
+    # errors
+    "CanonsysError", "ConditioningError", "ConfigError", "DomainError",
+    "EvaluationError", "IndeterminateError", "IntegrationError", "LimitError",
+    "PoleError", "SingularityProximityError", "UnsupportedSpecError",
+    # example
+    "ExampleConfig", "closed_N", "closed_Uminus", "closed_Uplus",
+    "closed_Uplus_inv", "closed_W", "closed_p", "closed_w1", "example_problem",
+    "example_problem_dict", "reference_W", "run_validation",
+    # hamiltonian
+    "ConditionReport", "Hamiltonian", "IndefHamiltonianA", "IndivisibleReport",
+    "build_p", "build_R", "check_HS", "check_I", "check_psd", "eval_H",
+    "eval_p", "hamiltonian_from_spec", "identity_hamiltonian",
+    "indef_hamiltonian", "indivisible_type", "problem_from_dict",
+    "symplectic_j",
+    # monodromy
+    "KernelSignature", "MonodromyFactorisation", "assemble_W",
+    "compare_discrete", "default_v", "factorisation", "kernel_gram",
+    "m_matrix", "monodromy_matrix", "u_minus", "u_plus", "weyl_intermediate",
+    # solver
+    "ClosedFormSampler", "CombinedSampler", "MatrixSolution",
+    "SolutionSampler", "fundamental", "greens_residual", "solve_row",
+    # wpoly
+    "DeltaReport", "RhoSequence", "WFunction", "build_w_family",
+    "delta_diagnostic", "omega_sequence", "rho_sequence", "volterra",
+    "volterra_transform", "w_family_for", "w_n_diagonal", "w_n_general",
+]

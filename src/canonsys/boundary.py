@@ -11,6 +11,17 @@ smallest self-consistency error wins and that error is reported.
 On an indivisible side no limits are needed: the boundary value is plain
 endpoint evaluation at the regular end (exact, by the closed form of
 solutions there).
+
+Per side and z, two results are computed once and kept in the problem's
+cache (``IndefHamiltonianA.memo``): ``basis_solution``, the fundamental
+solution anchored to the identity at the regular endpoint, under the key
+``("fundamental", side, z, rtol, atol)``, and ``basis_boundary``, the
+boundary pairs of its two rows, under ``("boundary", side, z, rtol, atol)``.
+Shooting (``solve_from_gamma``) and the assembly in
+:mod:`canonsys.monodromy` read both from there.  The cache keeps at most
+``hamiltonian.PER_Z_CAP`` such entries (32 z with both kinds on both
+sides), least recently used evicted first.  ``gamma_columns`` and
+``gamma_vec`` with other anchors always integrate.
 """
 
 from __future__ import annotations
@@ -90,6 +101,13 @@ def neville_limit(hs, vals):
     return best, float(best_err)
 
 
+def node_distances(length: float, span: float, eps0: Optional[float] = None,
+                   k_nodes: int = K_NODES) -> np.ndarray:
+    """Distances of the extrapolation nodes to sigma, largest first."""
+    e0 = min(EPS0_FRAC * length if eps0 is None else float(eps0), 0.5 * span)
+    return e0 * 0.5 ** np.arange(k_nodes + 1)
+
+
 def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
                        w_funcs, xs: np.ndarray) -> np.ndarray:
     """sum over n <= Delta-1, Delta+1 <= j <= 2 Delta - n of z^(n+j) w_n^T J w_j."""
@@ -130,7 +148,7 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     functionals.  Returns a list of m RegularisedBoundary objects.
     """
     h = ih.side(side)
-    z = complex(z)
+    z = sv.finite_z(z)
     y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
     m = y_cols.shape[1]
     rep = ih.indivisible(side)
@@ -153,8 +171,7 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     span = abs(t_anchor - sing)
     if span <= 0:
         raise DomainError("anchor coincides with the singularity")
-    e0 = min(EPS0_FRAC * h.length if eps0 is None else float(eps0), 0.5 * span)
-    hs = e0 * 0.5 ** np.arange(k_nodes + 1)
+    hs = node_distances(h.length, span, eps0, k_nodes)
     direction = 1.0 if sing > t_anchor else -1.0
     xs = sing - direction * hs
     t_end = float(xs[-1])
@@ -233,20 +250,50 @@ def gamma_s(fhat, ih: IndefHamiltonianA, side: Side, w_funcs=None, **opts):
     return rb.gamma_s, rb.err_est
 
 
+def basis_solution(ih: IndefHamiltonianA, side: Side, z: complex,
+                   rtol: float = GAMMA_RTOL,
+                   atol: float = GAMMA_ATOL) -> sv.MatrixSolution:
+    """Fundamental solution of one side, identity at its regular endpoint.
+
+    Computed once per (side, z, rtol, atol) and cached on the problem.
+    """
+    z = sv.finite_z(z)
+    h = ih.side(side)
+    return ih.memo(("fundamental", side, z, rtol, atol),
+                   lambda: sv.fundamental(h, z, init=np.eye(2),
+                                          t0=h.regular_endpoint(side),
+                                          side=side, rtol=rtol, atol=atol))
+
+
+def basis_boundary(ih: IndefHamiltonianA, side: Side, z: complex,
+                   rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
+    """Boundary pairs of the rows of ``basis_solution``, with their samples.
+
+    A tuple of two RegularisedBoundary, computed once per
+    (side, z, rtol, atol) and cached on the problem.
+    """
+    z = sv.finite_z(z)
+    reg = ih.side(side).regular_endpoint(side)
+    return ih.memo(("boundary", side, z, rtol, atol),
+                   lambda: tuple(gamma_columns(ih, side, z, reg, np.eye(2),
+                                               rtol=rtol, atol=atol)))
+
+
 def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
                      rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
     """The unique solution whose boundary pair equals c (shooting).
 
-    Basis solutions anchored at the regular endpoint have their boundary
-    pairs computed jointly; the 2x2 system they form is solved for the
-    coefficients.  A singular basis matrix would contradict bijectivity of
-    the boundary map and raises instead.
+    The basis solutions anchored at the regular endpoint and their boundary
+    pairs depend only on (side, z) and come from the problem's cache; the
+    2x2 system they form is solved for the coefficients.  A singular basis
+    matrix would contradict bijectivity of the boundary map and raises
+    instead.
     """
     c = np.asarray(c, dtype=np.complex128)
     if c.shape != (2,):
         raise DomainError("c must be a 2-vector")
     h = ih.side(side)
-    z = complex(z)
+    z = sv.finite_z(z)
     reg = h.regular_endpoint(side)
     rep = ih.indivisible(side)
     if rep is not None and rep.is_indivisible:
@@ -258,10 +305,9 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
 
         return sv.ClosedFormSampler(fn, z, h, h.interval, reg)
 
-    basis = sv.fundamental(h, z, init=np.eye(2), t0=reg, side=side,
-                           rtol=rtol, atol=atol)
+    basis = basis_solution(ih, side, z, rtol, atol)
     cols = [basis.row_sampler(0), basis.row_sampler(1)]
-    pairs = gamma_columns(ih, side, z, reg, np.eye(2), rtol=rtol, atol=atol)
+    pairs = basis_boundary(ih, side, z, rtol, atol)
     g = np.column_stack([p.vec for p in pairs])
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > COND_LIMIT:

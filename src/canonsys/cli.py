@@ -9,7 +9,9 @@ are dispatched to a bounded thread pool but collected in input order.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,29 +35,60 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _parse_complex_list(text: str):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip().replace("i", "j")
-        if not tok:
-            continue
-        try:
-            out.append(complex(tok))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse complex number {tok!r}") from exc
+def _finite_complex(value, what: str) -> complex:
+    """One z value from the command line or a config; ConfigError names it."""
+    try:
+        if isinstance(value, (list, tuple)) and len(value) == 2:
+            z = complex(float(value[0]), float(value[1]))
+        elif isinstance(value, str):
+            z = complex(value.strip().replace("i", "j"))
+        else:
+            z = complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse complex number {value!r} in {what}") from exc
+    if not cmath.isfinite(z):
+        raise ConfigError(f"non-finite complex number {value!r} in {what}")
+    return z
+
+
+def _finite_float(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse number {value!r} in {what}") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number {value!r} in {what}")
+    return x
+
+
+def _count(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or value != int(value) or value < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _parse_complex_list(text: str, what: str):
+    out = [_finite_complex(tok, what) for tok in text.split(",") if tok.strip()]
     if not out:
-        raise ConfigError("empty z list")
+        raise ConfigError(f"empty {what}")
     return out
 
 
-def _rect_grid(spec: dict):
+def _parse_float_list(text: str, what: str):
+    return [_finite_float(tok, what) for tok in text.split(",") if tok.strip()]
+
+
+def _rect_grid(spec):
     try:
         a, b, n = spec["re"]
         c, d, m = spec["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError('rectangle z_grid needs {"re": [a,b,n], "im": [c,d,m]}') from exc
-    re = np.linspace(float(a), float(b), int(n))
-    im = np.linspace(float(c), float(d), int(m))
+    re = np.linspace(_finite_float(a, "z_grid re"), _finite_float(b, "z_grid re"),
+                     _count(n, "z_grid re count"))
+    im = np.linspace(_finite_float(c, "z_grid im"), _finite_float(d, "z_grid im"),
+                     _count(m, "z_grid im count"))
     return [complex(r, i) for i in im for r in re]
 
 
@@ -63,23 +96,30 @@ def _z_grid_from(args, cfg):
     if getattr(args, "z_grid", None):
         text = args.z_grid
         if text.startswith("{"):
-            return _rect_grid(json.loads(text))
-        return _parse_complex_list(text)
+            try:
+                spec = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"malformed rectangle --z-grid: {exc.msg}") from exc
+            return _rect_grid(spec)
+        return _parse_complex_list(text, "--z-grid")
     zg = cfg.get("z_grid")
     if zg is None:
         return [complex(z) for z in ex.DEFAULT_Z_GRID]
     if isinstance(zg, dict):
         return _rect_grid(zg)
-    return [complex(z[0], z[1]) if isinstance(z, (list, tuple)) else complex(z)
-            for z in zg]
+    if not isinstance(zg, list):
+        raise ConfigError("z_grid must be a list or a rectangle object")
+    return [_finite_complex(z, "z_grid") for z in zg]
 
 
 def _t_grid_from(args, cfg, default):
     if getattr(args, "t_grid", None):
-        return [float(t) for t in args.t_grid.split(",") if t.strip()]
+        return _parse_float_list(args.t_grid, "--t-grid")
     tg = cfg.get("t_grid")
     if tg is not None:
-        return [float(t) for t in tg]
+        if not isinstance(tg, list):
+            raise ConfigError("t_grid must be a list of numbers")
+        return [_finite_float(t, "t_grid") for t in tg]
     return list(default)
 
 
@@ -136,7 +176,12 @@ def _jobs(args) -> int:
     if getattr(args, "jobs", None):
         return max(1, int(args.jobs))
     envv = os.environ.get("CANON_JOBS")
-    return max(1, int(envv)) if envv else 1
+    if not envv:
+        return 1
+    try:
+        return max(1, int(envv))
+    except ValueError as exc:
+        raise ConfigError(f"CANON_JOBS must be an integer, got {envv!r}") from exc
 
 
 def _map_ordered(fn, items, jobs):
@@ -220,7 +265,7 @@ def _cmd_regbv(args):
     rtol, atol = _tols(cfg)
     zs = _z_grid_from(args, cfg)
     side = args.side
-    y0 = _parse_complex_list(args.init)
+    y0 = _parse_complex_list(args.init, "--init")
     if len(y0) != 2:
         raise ConfigError("--init must give two complex components")
     reg = ih.side(side).regular_endpoint(side)
@@ -280,7 +325,7 @@ def _cmd_kernel_signature(args):
     ih = _problem_from(cfg)
     rtol, atol = _tols(cfg)
     if args.points:
-        pts = _parse_complex_list(args.points)
+        pts = _parse_complex_list(args.points, "--points")
     else:
         rng = np.random.default_rng(args.seed)
         n = args.random_grid or 8
@@ -300,7 +345,7 @@ def _cmd_weyl(args):
     cfg = _load_config(args)
     ih = _problem_from(cfg)
     rtol, atol = _tols(cfg)
-    zs = _parse_complex_list(args.z)
+    zs = _parse_complex_list(args.z, "--z")
     out = []
     for z in zs:
         q = mo.weyl_intermediate(ih, z, rtol=rtol, atol=atol)
@@ -314,16 +359,12 @@ def _cmd_validate_example(args):
         s_plus=args.s_plus,
         d0=args.d0,
         d1=args.d1,
-        oe=0 if args.b is None else len(_parse_float_list(args.b)),
-        b=() if args.b is None else tuple(_parse_float_list(args.b)),
+        oe=0 if args.b is None else len(_parse_float_list(args.b, "--b")),
+        b=() if args.b is None else tuple(_parse_float_list(args.b, "--b")),
     )
     report = ex.run_validation(cfg_obj, threshold=args.threshold)
     _emit_json(args, report)
     return 0 if report["pass"] else 1
-
-
-def _parse_float_list(text: str):
-    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def check_conditions(ih: IndefHamiltonianA) -> dict:

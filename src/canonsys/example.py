@@ -226,10 +226,7 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
         err["det_minus_one"] = max(err["det_minus_one"],
                                    abs(np.linalg.det(wmono) - 1.0))
         fac = mo.factorisation(ih, z)
-        wm = ih.memo(("w_minus", z, mo.PIPE_RTOL, mo.PIPE_ATOL),
-                     lambda: sv.fundamental(ih.h_minus, z, init=np.eye(2),
-                                            t0=S_MINUS, side="minus",
-                                            rtol=mo.PIPE_RTOL, atol=mo.PIPE_ATOL))
+        wm = bd.basis_solution(ih, "minus", z, mo.PIPE_RTOL, mo.PIPE_ATOL)
         for i in (0, 1):
             fp = sv.CombinedSampler(fac.prefactor[i, :],
                                     [fac.v.row_sampler(0), fac.v.row_sampler(1)])

@@ -15,6 +15,8 @@ unitriangular interface matrix R(z) = [[1, p(z)], [0, 1]].
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Literal, Optional, Sequence
 
@@ -32,6 +34,11 @@ Endpoint = Literal["lo", "hi"]
 TOL_PSD = 1e-10     # relative PSD slack
 TOL_INDIV = 1e-8    # indivisibility residual
 TOL_TAIL = 1e-8     # tail smallness in the integrability diagnostics
+
+# Per-z results a problem keeps, least recently used evicted first: room for
+# 32 z, each with both kinds on both sides (see ProblemCache).
+PER_Z_KINDS = ("fundamental", "boundary")
+PER_Z_CAP = 32 * 2 * len(PER_Z_KINDS)
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -400,6 +407,45 @@ def detect_limit_circle(h: Hamiltonian, end: Endpoint) -> bool:
 # ---------------------------------------------------------------------------
 # the indefinite problem tuple
 
+class ProblemCache:
+    """Results computed once per problem, shared by every caller and thread.
+
+    Keys whose first element is one of ``PER_Z_KINDS`` are per-z results,
+    ``(kind, side, z, rtol, atol)``; at most ``PER_Z_CAP`` of them are kept,
+    the least recently used evicted first.  Every other key (the z-independent
+    w-families) is kept for the life of the problem.  One lock guards both
+    stores; ``build`` runs outside it, so a slow build never blocks other
+    lookups, and when two threads build the same key the first result stored
+    is the one every caller gets.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._per_z: OrderedDict = OrderedDict()
+        self._fixed: dict = {}
+
+    def lookup(self, key, build):
+        per_z = key[0] in PER_Z_KINDS
+        store = self._per_z if per_z else self._fixed
+        with self._lock:
+            if key in store:
+                if per_z:
+                    store.move_to_end(key)
+                return store[key]
+        value = build()
+        with self._lock:
+            value = store.setdefault(key, value)
+            if per_z:
+                store.move_to_end(key)
+                while len(store) > PER_Z_CAP:
+                    store.popitem(last=False)
+        return value
+
+    def per_z_size(self) -> int:
+        with self._lock:
+            return len(self._per_z)
+
+
 @dataclass(frozen=True)
 class IndefHamiltonianA:
     """Two Hamiltonians joined at an inner singularity plus discrete data.
@@ -449,7 +495,7 @@ class IndefHamiltonianA:
                     "the monodromy matrix is simply the transpose of the "
                     "interface matrix, W(s_+, z) = R(z)^T, and no numerical "
                     "pipeline is needed")
-        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "cache", ProblemCache())
 
     @property
     def sigma(self) -> float:
@@ -473,10 +519,8 @@ class IndefHamiltonianA:
         return self.omega_minus if side == "minus" else self.omega_plus
 
     def memo(self, key, build):
-        cache = getattr(self, "_memo")
-        if key not in cache:
-            cache[key] = build()
-        return cache[key]
+        """The cached value under ``key``, computed by ``build()`` once."""
+        return self.cache.lookup(key, build)
 
 
 def indef_hamiltonian(h_minus: Hamiltonian, h_plus: Hamiltonian, delta: int,

@@ -15,6 +15,16 @@ Also here: the rank-one comparison matrix M(z) tying together assemblies
 that differ only in the discrete parameters, the intermediate Weyl
 coefficient, and a Gram-matrix estimator for the number of negative squares
 of the kernel (W(z) J W(w)* - J)/(z - conj(w)).
+
+Per side and z, the fundamental solution anchored to the identity at the
+regular endpoint and the boundary pairs of its rows are each integrated once
+and cached on the problem, under ``("fundamental", side, z, rtol, atol)`` and
+``("boundary", side, z, rtol, atol)`` (:func:`canonsys.boundary.basis_solution`,
+:func:`canonsys.boundary.basis_boundary`; at most ``hamiltonian.PER_Z_CAP``
+entries, least recently used evicted first).  W left of sigma and the default
+V are those fundamental solutions; U_minus, U_plus of the default V, the entry
+limits behind M(z) and the Weyl coefficient are read off those boundary pairs.
+Only ``u_plus`` of a V with another anchor integrates boundary pairs itself.
 """
 
 from __future__ import annotations
@@ -65,54 +75,40 @@ class KernelSignature:
 def u_minus(ih: IndefHamiltonianA, z: complex,
             rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
     """Boundary-value matrix of the left fundamental solution (det = 1)."""
-    z = complex(z)
-
-    def build():
-        pairs = bd.gamma_columns(ih, "minus", z, ih.s_minus, np.eye(2),
-                                 rtol=rtol, atol=atol)
-        return np.array([p.vec for p in pairs])
-
-    return ih.memo(("u_minus", z, rtol, atol), build).copy()
+    pairs = bd.basis_boundary(ih, "minus", z, rtol, atol)
+    return np.array([p.vec for p in pairs])
 
 
 def default_v(ih: IndefHamiltonianA, z: complex,
               rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> sv.MatrixSolution:
     """Matrix solution on the right piece anchored to I at s_plus."""
-    z = complex(z)
-    return ih.memo(("v", z, rtol, atol),
-                   lambda: sv.fundamental(ih.h_plus, z, init=np.eye(2),
-                                          t0=ih.s_plus, side="plus",
-                                          rtol=rtol, atol=atol))
+    return bd.basis_solution(ih, "plus", z, rtol, atol)
 
 
 def u_plus(ih: IndefHamiltonianA, z: complex,
            v: Optional[sv.MatrixSolution] = None,
            rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
-    """Boundary-value matrix of V on the right piece (det = det V)."""
-    z = complex(z)
-    if v is None:
-        v = default_v(ih, z, rtol, atol)
-        key = ("u_plus", z, rtol, atol)
-    else:
-        key = None
-    if abs(np.linalg.det(v.init)) < 1e-12:
-        raise DomainError("V must be non-singular on the right piece")
+    """Boundary-value matrix of V on the right piece (det = det V).
 
-    def build():
+    The boundary pairs depend on V only through its anchor; a V anchored to
+    the identity at s_plus (the default one) reads the cached pairs.
+    """
+    z = sv.finite_z(z)
+    if v is None or (v.t0 == ih.s_plus and np.array_equal(v.init, np.eye(2))):
+        pairs = bd.basis_boundary(ih, "plus", z, rtol, atol)
+    else:
+        if abs(np.linalg.det(v.init)) < 1e-12:
+            raise DomainError("V must be non-singular on the right piece")
         pairs = bd.gamma_columns(ih, "plus", z, v.t0, v.init.T,
                                  rtol=rtol, atol=atol)
-        return np.array([p.vec for p in pairs])
-
-    if key is None:
-        return build()
-    return ih.memo(key, build).copy()
+    return np.array([p.vec for p in pairs])
 
 
 def factorisation(ih: IndefHamiltonianA, z: complex,
                   v: Optional[sv.MatrixSolution] = None,
                   rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL
                   ) -> MonodromyFactorisation:
-    z = complex(z)
+    z = sv.finite_z(z)
     vv = default_v(ih, z, rtol, atol) if v is None else v
     um = u_minus(ih, z, rtol, atol)
     up = u_plus(ih, z, vv, rtol, atol)
@@ -131,15 +127,11 @@ def assemble_W(ih: IndefHamiltonianA, z: complex, t: float,
                v: Optional[sv.MatrixSolution] = None,
                rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
     """The assembled matrix at one point (direct solution left of sigma)."""
-    z = complex(z)
+    z = sv.finite_z(z)
     if not (ih.s_minus <= t <= ih.s_plus):
         raise DomainError(f"t={t} outside [{ih.s_minus}, {ih.s_plus}]")
     if t < ih.sigma:
-        key = ("w_minus", z, rtol, atol)
-        wm = ih.memo(key, lambda: sv.fundamental(
-            ih.h_minus, z, init=np.eye(2), t0=ih.s_minus, side="minus",
-            rtol=rtol, atol=atol))
-        return wm.eval(t)
+        return bd.basis_solution(ih, "minus", z, rtol, atol).eval(t)
     if t == ih.sigma:
         raise DomainError("the assembled matrix is not defined at sigma itself")
     fac = factorisation(ih, z, v, rtol, atol)
@@ -155,34 +147,16 @@ def monodromy_matrix(ih: IndefHamiltonianA, z: complex,
 # ---------------------------------------------------------------------------
 # comparison of discrete parameters and the Weyl coefficient
 
-def _entry_limits(ih: IndefHamiltonianA, z: complex,
-                  rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL):
-    """Extrapolated limits of (w12, w22) of the left solution at sigma."""
-    z = complex(z)
-
-    def build():
-        h = ih.h_minus
-        e0 = bd.EPS0_FRAC * h.length
-        hs = e0 * 0.5 ** np.arange(bd.K_NODES + 1)
-        xs = ih.sigma - hs
-        dense = sv.integrate_dense(h, z, ih.s_minus,
-                                   np.eye(2, dtype=complex).reshape(-1),
-                                   [float(xs[-1])], ncols=2,
-                                   rtol=rtol, atol=atol)
-        st = dense.eval_state(xs)
-        w12, e1 = bd.neville_limit(hs, st[:, 1])
-        w22, e2 = bd.neville_limit(hs, st[:, 3])
-        return (w12, w22, max(e1, e2))
-
-    return ih.memo(("entry_limits", z, rtol, atol), build)
-
-
 def m_matrix(ih: IndefHamiltonianA, z: complex,
              rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
-    """Rank-one matrix of entry limits driving the comparison identity."""
-    w12, w22, _ = _entry_limits(ih, z, rtol, atol)
-    col = np.array([w12, w22], dtype=complex)
-    row = np.array([w22, -w12], dtype=complex)
+    """Rank-one matrix of entry limits driving the comparison identity.
+
+    The limits of (w12, w22) of the left solution at sigma are the second
+    column of U_minus.
+    """
+    um = u_minus(ih, z, rtol, atol)
+    col = um[:, 1]
+    row = np.array([um[1, 1], -um[0, 1]], dtype=complex)
     return np.outer(col, row)
 
 
@@ -207,7 +181,7 @@ def compare_discrete(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA,
         raise DomainError("the two problems must share the same Hamiltonian")
     if not (ih1.sigma < t <= ih1.s_plus):
         raise DomainError("comparison only applies right of sigma")
-    z = complex(z)
+    z = sv.finite_z(z)
     w1 = assemble_W(ih1, z, t, rtol=rtol, atol=atol)
     w2 = assemble_W(ih2, z, t, rtol=rtol, atol=atol)
     from .hamiltonian import eval_p
@@ -217,19 +191,23 @@ def compare_discrete(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA,
 
 def weyl_intermediate(ih: IndefHamiltonianA, z: complex,
                       rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> complex:
-    """Limit of w12/w22 of the left solution at sigma (Im z != 0)."""
-    z = complex(z)
+    """Limit of w12/w22 of the left solution at sigma (Im z != 0).
+
+    Extrapolated from the ratio of the second components sampled with the
+    boundary pairs of the left fundamental solution's rows.
+    """
+    z = sv.finite_z(z)
     if z.imag == 0.0:
         raise DomainError("the intermediate Weyl coefficient needs Im z != 0")
+    p12, p22 = bd.basis_boundary(ih, "minus", z, rtol, atol)
+    if not p12.samples:
+        # indivisible side: second components are constant up to sigma
+        return complex(p12.gamma_r / p22.gamma_r)
+    xs = np.array([x for x, _, _ in p12.samples])
+    ratio = (np.array([y2 for _, y2, _ in p12.samples])
+             / np.array([y2 for _, y2, _ in p22.samples]))
     h = ih.h_minus
-    e0 = bd.EPS0_FRAC * h.length
-    hs = e0 * 0.5 ** np.arange(bd.K_NODES + 1)
-    xs = ih.sigma - hs
-    dense = sv.integrate_dense(h, z, ih.s_minus,
-                               np.eye(2, dtype=complex).reshape(-1),
-                               [float(xs[-1])], ncols=2, rtol=rtol, atol=atol)
-    st = dense.eval_state(xs)
-    ratio = st[:, 1] / st[:, 3]
+    hs = bd.node_distances(h.length, h.length)
     val, err = bd.neville_limit(hs, ratio)
     if err > bd.TOL_LIMIT * max(1.0, abs(val)):
         raise bd.LimitError(f"Weyl coefficient limit did not converge at z={z}",

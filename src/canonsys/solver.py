@@ -14,6 +14,7 @@ cancel catastrophically, integrating it does not.
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Optional, Sequence
 
@@ -32,6 +33,18 @@ MAX_STEPS = 30000
 DET_TOL = 1e-9        # |det W - det init| <= DET_TOL * (1+|z|) * length
 
 _J = symplectic_j()
+
+
+def finite_z(z) -> complex:
+    """``z`` as a complex number; DomainError when it is not finite.
+
+    Checked before any integration or cache lookup: a NaN never equals
+    itself, so it would miss every cache entry and add a new one.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"z={z} is not finite")
+    return z
 
 
 def _pack_entries(h: Hamiltonian):
@@ -261,6 +274,7 @@ def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
     (default 1e-6 of the interval length).  Without a side both endpoints are
     treated as regular and the whole closed interval is covered.
     """
+    z = finite_z(z)
     lo, hi = h.interval
     if not (lo <= t0 <= hi):
         raise DomainError(f"t0={t0} outside [{lo}, {hi}]")
@@ -325,6 +339,7 @@ def fundamental(h: Hamiltonian, z: complex, t_grid=None, init=None,
                 atol: float = RK_ATOL) -> MatrixSolution:
     """Matrix solution with W(t0) = init (identity at the left endpoint by
     default); ``t_grid`` is validated to lie inside the covered range."""
+    z = finite_z(z)
     lo, hi = h.interval
     if t0 is None:
         t0 = lo if side in (None, "minus") else hi

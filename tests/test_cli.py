@@ -51,6 +51,35 @@ class TestExitCodes:
         assert "DomainError" in err
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("argv, token", [
+        (["monodromy", "--z-grid", "1,nan"], "nan"),
+        (["monodromy", "--z-grid", "1,abc"], "abc"),
+        (["monodromy", "--z-grid", '{"re": [-1, 1, -3], "im": [0, 1, 2]}'], "-3"),
+        (["monodromy", "--z-grid", '{"re": [-1, 1'], "--z-grid"),
+        (["fundamental", "--z-grid", "1", "--t-grid", "abc"], "abc"),
+        (["fundamental", "--z-grid", "1", "--t-grid", "inf"], "inf"),
+        (["regbv", "--z-grid", "1", "--init", "0,nan"], "nan"),
+        (["validate-example", "--b", "x"], "'x'"),
+    ])
+    def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert token in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("z_grid, token", [
+        ([[1.0, float("nan")]], "nan"),
+        (["1+1j", "x"], "'x'"),
+        ({"re": [0, 1, 2], "im": [0, float("inf"), 2]}, "inf"),
+    ])
+    def test_bad_config_z_grid_exits_two(self, z_grid, token, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z_grid": z_grid}))
+        code, _, err = run_cli(["--config", str(cfg), "monodromy"], capsys)
+        assert code == 2
+        assert token in err
+
+
 class TestSubcommands:
     def test_validate_example_passes(self, capsys):
         code, out, _ = run_cli(["validate-example"], capsys)
