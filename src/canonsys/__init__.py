@@ -6,7 +6,6 @@ solution across it, validated end-to-end against a built-in closed-form
 problem.  See the README for the CLI and the JSON problem schema.
 """
 
-from ._backend import BACKEND, USING_NUMBA
 from .boundary import (RegularisedBoundary, gamma_columns, gamma_r, gamma_s,
                        gamma_vec, interface_residual, neville_limit,
                        solve_from_gamma)
@@ -37,9 +36,12 @@ from .wpoly import (DeltaReport, RhoSequence, WFunction, build_w_family,
 
 __version__ = "0.1.0"
 
+# The one integration path is numpy's; the name stays for callers that record it.
+BACKEND = "numpy"
+
 __all__ = [
     # backend
-    "BACKEND", "USING_NUMBA",
+    "BACKEND",
     # boundary
     "RegularisedBoundary", "gamma_columns", "gamma_r", "gamma_s", "gamma_vec",
     "interface_residual", "neville_limit", "solve_from_gamma",

@@ -26,6 +26,15 @@ _NODES = np.cos(np.pi * (2 * np.arange(DEGREE + 1) + 1) / (2 * (DEGREE + 1)))
 _VANDER = _cheb.chebvander(_NODES, DEGREE)
 _VALS_TO_COEFS = np.linalg.inv(_VANDER)
 
+# Spectral integration on [-1, 1]: node values of f map to the DEGREE + 2
+# Chebyshev coefficients of its interpolant's antiderivative from -1
+# (CUMINT_COEFS), to that antiderivative at the nodes (CUMINT, the matrix Q of
+# the collocation solve) and at x = 1 (END_WEIGHTS, Fejer's first rule).
+CUMINT_COEFS = np.stack([_cheb.chebint(e, lbnd=-1)
+                         for e in np.eye(DEGREE + 1)], axis=1) @ _VALS_TO_COEFS
+CUMINT = _cheb.chebvander(_NODES, DEGREE + 1) @ CUMINT_COEFS
+END_WEIGHTS = np.ones(DEGREE + 2) @ CUMINT_COEFS
+
 
 def fit_panel(fn, a: float, b: float) -> np.ndarray:
     """Chebyshev coefficients of ``fn`` on [a, b] (fn maps array -> array)."""
@@ -66,8 +75,11 @@ def geometric_panels(reg: float, sing: float, inner_breaks=(),
 
 
 class PanelFunction:
-    """A real function stored as Chebyshev series on a chain of panels.
+    """A function stored as Chebyshev series on a chain of panels.
 
+    ``coefs`` has one row of series coefficients per panel, optionally
+    followed by trailing dimensions (a vector- or complex-valued function);
+    values have the shape of ``t`` followed by those dimensions.
     ``breaks`` is monotone (either direction); evaluation clamps to the
     covered range, which for antiderivatives anchored inside the chain is the
     documented behaviour (the chain always extends far beyond any point the
@@ -78,34 +90,23 @@ class PanelFunction:
 
     def __init__(self, breaks: np.ndarray, coefs: np.ndarray):
         self.breaks = np.asarray(breaks, dtype=np.float64)
-        self.coefs = np.asarray(coefs, dtype=np.float64)
+        self.coefs = np.asarray(coefs)
         self._asc = self.breaks[-1] >= self.breaks[0]
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        scalar = t.ndim == 0
         tt = np.atleast_1d(t)
+        n = len(self.breaks) - 1
         br = self.breaks if self._asc else self.breaks[::-1]
-        idx = np.clip(np.searchsorted(br, tt, side="right") - 1,
-                      0, len(self.breaks) - 2)
+        k = np.clip(np.searchsorted(br, tt, side="right") - 1, 0, n - 1)
         if not self._asc:
-            idx = len(self.breaks) - 2 - idx
-        out = np.empty_like(tt)
-        for k in np.unique(idx):
-            m = idx == k
-            a, b = self.breaks[k], self.breaks[k + 1]
-            x = np.clip(2.0 * (tt[m] - a) / (b - a) - 1.0, -1.0, 1.0)
-            out[m] = _cheb.chebval(x, self.coefs[k])
-        return out[0] if scalar else out
-
-    def packed(self):
-        """(breaks, coefs) with breaks ascending, for the jitted evaluator."""
-        if self._asc:
-            return self.breaks, self.coefs
-        # reversing a panel mirrors its local coordinate: T_k(-x) = (-1)^k T_k(x)
-        coefs = self.coefs[::-1].copy()
-        coefs[:, 1::2] *= -1.0
-        return self.breaks[::-1].copy(), coefs
+            k = n - 1 - k
+        a, b = self.breaks[k], self.breaks[k + 1]
+        x = np.clip((2.0 * tt - a - b) / (b - a), -1.0, 1.0)
+        vander = _cheb.chebvander(x, self.coefs.shape[1] - 1)
+        c = self.coefs[k].reshape(tt.shape + (self.coefs.shape[1], -1))
+        out = np.einsum("...j,...jm->...m", vander, c)
+        return out.reshape(t.shape + self.coefs.shape[2:])[()]
 
 
 def _panel_integrals(fn, breaks):
@@ -188,15 +189,6 @@ def cumulative_from_singular(fn, breaks) -> PanelFunction:
         out[k, :len(ci)] = ci
         out[k, 0] += -suffix[k] - end_val
     return PanelFunction(breaks, out)
-
-
-def materialize(fn, breaks) -> PanelFunction:
-    """Fit an evaluable real function onto a panel chain (no integration)."""
-    n = len(breaks) - 1
-    coefs = np.zeros((n, DEGREE + 1))
-    for k in range(n):
-        coefs[k] = fit_panel(fn, breaks[k], breaks[k + 1])
-    return PanelFunction(breaks, coefs)
 
 
 def panel_quad(fn, a: float, b: float, n_panels: int = 16) -> float:

@@ -2,11 +2,12 @@
 
 The second solution component has a plain limit at sigma; the first is
 replaced by the weighted functional S(x) = sum_{n<=Delta} z^n w_n(x)^T J y(x)
-minus a correction proportional to that limit.  S is integrated as an
-auxiliary ODE component (see :mod:`canonsys.solver`) and both quantities are
-extrapolated to sigma by a Neville tableau on the geometric nodes
-x_k = sigma -+ eps0 * 2^-k, Ridders-style: the tableau entry with the
-smallest self-consistency error wins and that error is reported.
+minus a correction proportional to that limit.  S is accumulated from its
+derivative -z^(Delta+1) w_Delta^T H y by the solver's panel quadrature, with
+w_Delta evaluated at the collocation nodes (see :mod:`canonsys.solver`), and
+both quantities are extrapolated to sigma by a Neville tableau on the
+geometric nodes x_k = sigma -+ eps0 * 2^-k, Ridders-style: the tableau entry
+with the smallest self-consistency error wins and that error is reported.
 
 On an indivisible side no limits are needed: the boundary value is plain
 endpoint evaluation at the regular end (exact, by the closed form of
@@ -144,7 +145,7 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     """Boundary pairs of the solutions with given values at the anchor.
 
     ``y_cols`` is a (2, m) matrix whose columns anchor m solutions at
-    ``t_anchor``; all m are integrated together with their regularised
+    ``t_anchor``; all m are solved together with their regularised
     functionals.  Returns a list of m RegularisedBoundary objects.
     """
     h = ih.side(side)
@@ -178,10 +179,9 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
 
     state0 = np.concatenate([y_cols.T.reshape(-1),
                              _initial_functional(z, w_funcs, delta, t_anchor, y_cols)])
-    wd = sv.pack_wfunction(w_funcs[delta], h.panels(side))
     dense = sv.integrate_dense(h, z, t_anchor, state0, [t_end], ncols=m,
-                               wd=wd, zdelta=z ** (delta + 1),
-                               rtol=rtol, atol=atol)
+                               wd=w_funcs[delta], zdelta=z ** (delta + 1),
+                               rtol=rtol, atol=atol, sing=sing)
     states = dense.eval_state(xs)                      # (k+1, 3m)
     corr = _correction_values(ih, side, z, w_funcs, xs)
     out = []

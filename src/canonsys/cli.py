@@ -246,6 +246,8 @@ def _cmd_fundamental(args):
 def _cmd_wpoly(args):
     cfg = _load_config(args)
     ih = _problem_from(cfg)
+    if args.n < 0:
+        raise ConfigError(f"--n must be a non-negative integer, got {args.n}")
     side = args.side
     h = ih.side(side)
     w = wp.w_family_for(ih, side, max(args.n, 1))[args.n]

@@ -30,7 +30,7 @@ class IntegrationError(CanonsysError):
 
 
 class SingularityProximityError(IntegrationError):
-    """Step size underflow while approaching the singular endpoint."""
+    """Non-finite values or panel-width underflow near a singular endpoint."""
 
     def __init__(self, message, t_reached):
         super().__init__(message)

@@ -4,7 +4,7 @@ A Hamiltonian here is a real, positive semi-definite 2x2 matrix function
 H(t) = [[h1, h3], [h3, h2]] on an interval, stored in one of three
 serialisable forms (named builtin, piecewise power/polynomial entries,
 sampled table with piecewise-linear interpolation) and compiled to packed
-arrays the jitted kernels can evaluate.
+arrays of power and polynomial pieces, evaluated vectorised.
 
 The indefinite problem couples two such Hamiltonians across an inner
 singularity sigma together with finitely many real parameters; those
@@ -24,7 +24,6 @@ import numpy as np
 from numpy.polynomial import polynomial as _poly
 
 from . import _chebpanels as cp
-from ._kernels import KIND_POLY, KIND_POWER, PARAM_WIDTH, _entry_eval
 from .errors import (ConfigError, DomainError, EvaluationError,
                      IndeterminateError, UnsupportedSpecError)
 
@@ -34,6 +33,11 @@ Endpoint = Literal["lo", "hi"]
 TOL_PSD = 1e-10     # relative PSD slack
 TOL_INDIV = 1e-8    # indivisibility residual
 TOL_TAIL = 1e-8     # tail smallness in the integrability diagnostics
+
+# Hamiltonian entry piece kinds
+KIND_POWER = 0  # c * |t - center| ** exponent
+KIND_POLY = 1   # c0 + c1 t + ... + c7 t^7  (padded with zeros)
+PARAM_WIDTH = 8
 
 # Per-z results a problem keeps, least recently used evicted first: room for
 # 32 z, each with both kinds on both sides (see ProblemCache).
@@ -51,7 +55,7 @@ def symplectic_j() -> np.ndarray:
 # entry packing
 
 class PackedEntry:
-    """One scalar entry as (breaks, kinds, params) arrays for the kernels."""
+    """One scalar entry as (breaks, kinds, params) arrays."""
 
     __slots__ = ("breaks", "kinds", "params")
 
@@ -63,7 +67,7 @@ class PackedEntry:
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
-            return _entry_eval(self.breaks, self.kinds, self.params, float(t))
+            return float(self(t[None])[0])
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1,
                       0, len(self.kinds) - 1)
         out = np.empty_like(t)
@@ -75,9 +79,8 @@ class PackedEntry:
                     out[m] = 0.0
                 else:
                     with np.errstate(divide="ignore"):
-                        # |t-a|^p is inf at the singular point for p < 0,
-                        # matching the scalar kernel; callers treat non-finite
-                        # entries as evaluation errors
+                        # |t-a|^p is inf at the singular point for p < 0;
+                        # callers treat non-finite entries as errors
                         out[m] = c * np.abs(t[m] - a) ** p
             else:
                 out[m] = _poly.polyval(t[m], self.params[k])
@@ -238,6 +241,9 @@ def hamiltonian_from_spec(spec: dict, interval, singular: float | None = None,
     if kind == "named":
         if singular is None:
             raise ConfigError("named Hamiltonian specs need the singular endpoint")
+        if "name" not in spec:
+            raise ConfigError("named Hamiltonian spec needs the key 'name' "
+                              f"(one of {', '.join(_NAMED_SPECS)})")
         e1, e2, e3 = _named_entries(spec["name"], lo, hi, float(singular))
         return Hamiltonian((lo, hi), _pack_pieces(e1, lo, hi),
                            _pack_pieces(e2, lo, hi), _pack_pieces(e3, lo, hi),
@@ -555,8 +561,15 @@ def problem_from_dict(cfg: dict) -> IndefHamiltonianA:
     missing = {"interval", "sigma", "h_minus", "h_plus", "delta", "d"} - set(cfg)
     if missing:
         raise ConfigError(f"missing problem keys {sorted(missing)}")
-    s_lo, s_hi = (float(x) for x in cfg["interval"])
-    sigma = float(cfg["sigma"])
+    try:
+        s_lo, s_hi = (float(x) for x in cfg["interval"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"interval must be two numbers, got "
+                          f"{cfg['interval']!r}") from exc
+    try:
+        sigma = float(cfg["sigma"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sigma must be a number, got {cfg['sigma']!r}") from exc
     hm = hamiltonian_from_spec(cfg["h_minus"], (s_lo, sigma), singular=sigma)
     hp = hamiltonian_from_spec(cfg["h_plus"], (sigma, s_hi), singular=sigma)
     return indef_hamiltonian(

@@ -1,15 +1,25 @@
-"""Adaptive integration of the canonical system at fixed complex z.
+"""Integration of the canonical system at fixed complex z.
 
 The vector equation is y' = z J H(t) y; the matrix form is solved for
 Y = W^T column-wise (the transposes of the rows of W solve the vector
-equation), so one kernel covers both.  Dense output comes from the quartic
-interpolant of the embedded Dormand-Prince pair; integrations never step into
-the singular endpoint, they stop at a configurable cutoff.
+equation), so one path covers both.  It is solved by Chebyshev-panel
+collocation (spectral integration): on each panel the Volterra form
+Y = y_a + z Q (J H Y), with Q the cumulative-integration matrix at the
+DEGREE + 1 first-kind Chebyshev nodes, gives a 2x2 propagator basis; all
+panels are solved in one batched linear solve and chained by 2x2 products.
+The nodes are interior, so H is never evaluated at a panel end, and
+integrations stop at a configurable cutoff before a singular endpoint,
+toward which the panels are halved geometrically.  A panel is split while
+the trailing Chebyshev coefficients of its basis exceed rtol, or the noise
+floor of its float nodes, times the basis's overall size; the number of
+splits is bounded (``MAX_SPLITS``).
+Dense output evaluates each panel's Chebyshev series.
 
-An internal augmented channel integrates the regularised boundary functional
-S = sum_n z^n w_n(t)^T J y(t) alongside y; module :mod:`canonsys.boundary`
-extrapolates it to the singularity.  Forming S from y after the fact would
-cancel catastrophically, integrating it does not.
+The regularised boundary functional S = sum_n z^n w_n(t)^T J y(t) used by
+module :mod:`canonsys.boundary` is obtained from its derivative
+-z^(Delta+1) w_Delta^T H y, known at the nodes once y is, by the same
+cumulative integration.  Forming S from y pointwise would cancel
+catastrophically, integrating its derivative does not.
 """
 
 from __future__ import annotations
@@ -21,16 +31,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _chebpanels as cp
-from . import _kernels as _k
-from .errors import (DomainError, EvaluationError, IntegrationError,
-                     SingularityProximityError)
+from .errors import DomainError, IntegrationError, SingularityProximityError
 from .hamiltonian import Hamiltonian, Side, symplectic_j
 
 RK_RTOL = 1e-10
 RK_ATOL = 1e-10
 EPS_CUT_FRAC = 1e-6   # default cutoff distance to sigma, relative to length
-MAX_STEPS = 30000
-DET_TOL = 1e-9        # |det W - det init| <= DET_TOL * (1+|z|) * length
+MAX_SPLITS = 2000     # panel splits per integration before IntegrationError
+TAIL_COEFS = 3        # trailing Chebyshev coefficients in the resolution test
+
+_EPS = np.finfo(np.float64).eps
+_TOL_FLOOR = 64.0 * _EPS     # below this rtol is rounding noise
+_NODE_NOISE = 1e-2           # tail noise per relative node displacement
+_WIDTH_FLOOR = 64.0 * _EPS   # narrowest panel, relative to |t|
 
 _J = symplectic_j()
 
@@ -47,77 +60,34 @@ def finite_z(z) -> complex:
     return z
 
 
-def _pack_entries(h: Hamiltonian):
-    return (h.h1.breaks, h.h1.kinds, h.h1.params,
-            h.h2.breaks, h.h2.kinds, h.h2.params,
-            h.h3.breaks, h.h3.kinds, h.h3.params)
+class PanelChain(cp.PanelFunction):
+    """One integration as Chebyshev series on a chain of panels.
 
+    ``ts`` (``breaks``) holds the panel breaks in integration order, ``ys``
+    the state at every collocation node, panel after panel, and ``coefs``
+    per panel the DEGREE + 2 Chebyshev coefficients of the state.
+    """
 
-_EMPTY_WD = (np.zeros(2), np.zeros((1, 2)), np.zeros((1, 2)))
+    __slots__ = ("ys", "lo", "hi")
 
-
-def pack_wfunction(w, breaks) -> tuple:
-    """(breaks, c1, c2) arrays for the kernel's evaluation of one w_n."""
-    comps = []
-    for comp in (w.comp1, w.comp2):
-        if isinstance(comp, cp.PanelFunction):
-            pb, pc = comp.packed()
-            comps.append((pb, pc))
-        else:
-            pf = cp.materialize(lambda ts, c=comp: np.broadcast_to(
-                np.asarray(c(ts), dtype=np.float64), np.shape(ts)), breaks)
-            comps.append(pf.packed())
-    (b1, c1), (b2, c2) = comps
-    if len(b1) != len(b2) or not np.allclose(b1, b2):
-        # re-fit the narrower one onto the common chain
-        base = b1 if len(b1) >= len(b2) else b2
-        return pack_wfunction(
-            type(w)(w.side, w.index, w.omega,
-                    cp.PanelFunction(b1, c1) if not np.array_equal(b1, base) else w.comp1,
-                    cp.PanelFunction(b2, c2) if not np.array_equal(b2, base) else w.comp2),
-            base)
-    return b1, np.ascontiguousarray(c1), np.ascontiguousarray(c2)
-
-
-class _Segment:
-    """Accepted steps of one kernel run with vectorised dense evaluation."""
-
-    __slots__ = ("ts", "ys", "qs", "edges", "order", "lo", "hi")
-
-    def __init__(self, ts, ys, qs):
-        self.ts = ts
+    def __init__(self, breaks, ys, coefs):
+        super().__init__(breaks, coefs)
         self.ys = ys
-        self.qs = qs
-        n = len(ts) - 1
-        if n <= 0 or ts[-1] >= ts[0]:
-            self.edges = ts
-            self.order = np.arange(max(n, 0))
-        else:
-            self.edges = ts[::-1]
-            self.order = np.arange(n)[::-1]
-        self.lo = float(self.edges[0])
-        self.hi = float(self.edges[-1])
+        self.lo = float(min(breaks[0], breaks[-1]))
+        self.hi = float(max(breaks[0], breaks[-1]))
 
-    def eval(self, tq):
-        tq = np.asarray(tq, dtype=np.float64)
-        if len(self.ts) == 1:
-            return np.broadcast_to(self.ys[0], tq.shape + self.ys[0].shape).copy()
-        k_asc = np.clip(np.searchsorted(self.edges, tq, side="right") - 1,
-                        0, len(self.order) - 1)
-        k = self.order[k_asc]
-        t_old = self.ts[k]
-        h = self.ts[k + 1] - self.ts[k]
-        x = (tq - t_old) / h
-        xp = x[..., None] ** np.arange(1, 5)
-        return self.ys[k] + h[..., None] * np.einsum("...ij,...j->...i",
-                                                     self.qs[k], xp)
+    @property
+    def ts(self):
+        return self.breaks
+
+    eval = cp.PanelFunction.__call__
 
 
 class DenseSolution:
     """Dense output over one or two segments sharing the anchor point."""
 
     def __init__(self, segments, z, h, anchor_t, anchor_y):
-        self.segments = [s for s in segments if s is not None]
+        self.segments = list(segments)
         self.z = z
         self.h = h
         self.anchor_t = anchor_t
@@ -209,59 +179,166 @@ class ClosedFormSampler:
     __call__ = eval
 
 
-def _raise_for_status(status, t_reached, context):
-    if status == _k.OK:
-        return
-    if status == _k.STEP_UNDERFLOW:
+def _initial_breaks(h: Hamiltonian, t0: float, t1: float,
+                    sing: Optional[float]) -> np.ndarray:
+    """Breaks from t0 to t1: the Hamiltonian's inner breaks, and geometric
+    halvings toward ``sing`` when t1 is its cutoff (closer to it than t0)."""
+    direction = 1.0 if t1 > t0 else -1.0
+    pts = [t for t in h.inner_breaks()
+           if direction * (t - t0) > 0.0 and direction * (t1 - t) > 0.0]
+    if sing is not None and abs(sing - t1) < abs(sing - t0):
+        cut = abs(sing - t1)
+        floor = max(1.5 * cut, _WIDTH_FLOOR * max(1.0, abs(sing)))
+        d = 0.5 * abs(sing - t0)
+        while d > floor:
+            pts.append(sing - direction * d)
+            d *= 0.5
+    gap = _WIDTH_FLOOR * max(1.0, abs(t0), abs(t1))
+    out = [t0]
+    for t in sorted(pts, key=lambda t: direction * t):
+        if abs(t - out[-1]) > gap and abs(t1 - t) > gap:
+            out.append(t)
+    return np.array(out + [t1])
+
+
+def _panel_bases(z: complex, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
+    """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
+
+    ``hm`` is H at the panels' nodes, (P, n, 2, 2).  Returns the propagator
+    basis ``phi`` (P, n, 2, 2), the node values for start values e1, e2 as
+    columns, and the integrand ``z J H phi`` at the nodes.
+    """
+    n = cp.DEGREE + 1
+    jh = _J @ hm
+    zq = (0.5 * z * (b - a))[:, None, None] * cp.CUMINT
+    # rows (i, c), columns (j, d): delta - z hw Q_ij (J H_j)_cd
+    m = -(zq[:, :, None, :, None] * jh.transpose(0, 2, 1, 3)[:, None])
+    m = m.reshape(len(a), 2 * n, 2 * n) + np.eye(2 * n)
+    with np.errstate(all="ignore"):
+        phi = np.linalg.solve(m, np.tile(np.eye(2), (n, 1))).reshape(hm.shape)
+        return phi, z * (jh @ phi)
+
+
+def _resolved(a, b, phi, rtol, atol):
+    """Per panel: do the trailing Chebyshev coefficients of the basis sit
+    below the tolerance times its overall size (all components and columns)?
+
+    The tolerance is rtol, raised to the panel's noise floor: its nodes are
+    floats, off their ideal positions by up to eps |t| relative to the panel
+    width, which no split lowers below ``_NODE_NOISE`` times that.
+    """
+    c = np.abs(np.einsum("kj,pjab->pkab", cp._VALS_TO_COEFS, phi))
+    scale = c.reshape(len(c), -1).max(axis=1)
+    tail = c[:, -TAIL_COEFS:].reshape(len(c), -1).max(axis=1)
+    noise = _NODE_NOISE * _EPS * np.maximum(np.abs(a), np.abs(b)) / np.abs(b - a)
+    return tail <= np.maximum(max(rtol, _TOL_FLOOR), noise) * scale + atol
+
+
+def _collocate(h, z, t0, t1, state0, ncols, wd, zdelta, rtol, atol, sing):
+    """One direction of ``integrate_dense`` as a PanelChain."""
+    context = f"integration on [{t0}, {t1}] at z={z}"
+    direction = 1.0 if t1 > t0 else -1.0
+    pending = _initial_breaks(h, t0, t1, sing)
+    pending = list(zip(pending[:-1], pending[1:]))
+    done = []
+    splits = 0
+    while pending:
+        a, b = np.array(pending).T
+        t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * cp._NODES
+        hm = h.matrix(t.ravel()).reshape(t.shape + (2, 2))
+        bad = ~np.isfinite(hm).all(axis=(1, 2, 3))
+        if not bad.any():
+            phi, f = _panel_bases(z, a, b, hm)
+            bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
+        if bad.any():
+            t_bad = float(a[bad][np.argmin(direction * a[bad])])
+            raise SingularityProximityError(
+                f"{context}: non-finite Hamiltonian entries or propagator "
+                f"on the panel from t={t_bad}", t_bad)
+        ok = _resolved(a, b, phi, rtol, atol)
+        done.extend(zip(a[ok], b[ok], t[ok], hm[ok], phi[ok], f[ok]))
+        pending = []
+        for ak, bk in zip(a[~ok], b[~ok]):
+            if abs(bk - ak) < 2.0 * _WIDTH_FLOOR * max(1.0, abs(ak), abs(bk)):
+                raise SingularityProximityError(
+                    f"{context}: panel width underflow at t={ak}", float(ak))
+            splits += 1
+            if splits > MAX_SPLITS:
+                raise IntegrationError(
+                    f"{context}: {MAX_SPLITS} panel splits did not resolve "
+                    f"the solution near t={ak}")
+            mid = 0.5 * (ak + bk)
+            pending += [(ak, mid), (mid, bk)]
+    done.sort(key=lambda p: direction * p[0])
+    a, b, t, hm, phi, f = (np.array(col) for col in zip(*done))
+    hw = 0.5 * (b - a)
+
+    # chain the 2x2 propagators: start values of every panel
+    prop = np.eye(2) + hw[:, None, None] * np.einsum("j,pjab->pab", cp.END_WEIGHTS, f)
+    starts = np.empty((len(a) + 1, 2, ncols), dtype=np.complex128)
+    starts[0] = state0[:2 * ncols].reshape(ncols, 2).T
+    for k in range(len(a)):
+        starts[k + 1] = prop[k] @ starts[k]
+    finite = np.isfinite(starts).all(axis=(1, 2))
+    if not finite.all():
+        k = max(int(np.argmin(finite)) - 1, 0)
         raise SingularityProximityError(
-            f"{context}: step size underflow at t={t_reached}", t_reached)
-    if status == _k.MAX_STEPS:
-        raise IntegrationError(f"{context}: step budget exhausted at t={t_reached}")
-    raise IntegrationError(
-        f"{context}: repeated step rejections near t={t_reached} "
-        f"(non-finite Hamiltonian entries or blow-up)")
-
-
-def _run(h, z, t0, t1, state0, ncols, wd, zdelta, rtol, atol, max_steps):
-    use_aux = wd is not None
-    wb, wc1, wc2 = wd if use_aux else _EMPTY_WD
-    status, nacc, ts, ys, qs, t_reached = _k.rk45_integrate(
-        *_pack_entries(h), wb, wc1, wc2, use_aux, complex(zdelta),
-        complex(z), float(t0), float(t1),
-        np.ascontiguousarray(state0, dtype=np.complex128), ncols,
-        float(rtol), float(atol), int(max_steps))
-    _raise_for_status(status, t_reached, f"integration on [{t0}, {t1}] at z={z}")
-    return _Segment(ts[:nacc + 1].copy(), ys[:nacc + 1].copy(), qs[:nacc].copy())
+            f"{context}: solution overflow on the panel from t={a[k]}", float(a[k]))
+    y = phi @ starts[:-1, None]                     # (P, n, 2, ncols)
+    fy = f @ starts[:-1, None]
+    nodes = [y.transpose(0, 1, 3, 2).reshape(len(a), -1, 2 * ncols)]
+    first = [starts[:-1].transpose(0, 2, 1).reshape(len(a), 2 * ncols)]
+    slopes = [fy.transpose(0, 1, 3, 2).reshape(len(a), -1, 2 * ncols)]
+    if wd is not None:
+        # S' = -z^(Delta+1) w_Delta^T H y, integrated by the same rule
+        w = np.asarray(wd(t.ravel()), dtype=np.float64).reshape(t.shape + (2,))
+        g = -zdelta * np.einsum("pja,pjab,pjbc->pjc", w, hm, y)
+        s_start = state0[2 * ncols:] + np.concatenate([
+            np.zeros((1, ncols)),
+            np.cumsum(hw[:, None] * np.einsum("j,pjc->pc", cp.END_WEIGHTS, g), axis=0)])
+        nodes.append(s_start[:-1, None] + hw[:, None, None]
+                     * np.einsum("ij,pjc->pic", cp.CUMINT, g))
+        first.append(s_start[:-1])
+        slopes.append(g)
+    nodes, first, slopes = (np.concatenate(x, axis=-1) for x in (nodes, first, slopes))
+    coefs = hw[:, None, None] * np.einsum("ij,pjd->pid", cp.CUMINT_COEFS, slopes)
+    coefs[:, 0] += first
+    breaks = np.append(a, b[-1])
+    return PanelChain(breaks, nodes.reshape(-1, nodes.shape[-1]), coefs)
 
 
 def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,
                     targets: Sequence[float], ncols: int = 1,
                     wd=None, zdelta=0j, rtol=RK_RTOL, atol=RK_ATOL,
-                    max_steps=MAX_STEPS) -> DenseSolution:
-    """Integrate from t0 toward each target (at most one per direction)."""
+                    sing: Optional[float] = None) -> DenseSolution:
+    """Solve from t0 toward each target (at most one per direction).
+
+    ``state0`` stacks ``ncols`` start vectors, followed by one start value
+    per column of the functional S when ``wd`` (w_Delta, an evaluable
+    t -> R^2) is given; S' = -zdelta w_Delta^T H y.  ``sing`` is a singular
+    endpoint a target may approach; panels are refined toward it.
+    """
+    z = complex(z)
     state0 = np.asarray(state0, dtype=np.complex128)
-    segs = []
-    for t1 in targets:
-        if t1 == t0:
-            continue
-        segs.append(_run(h, z, t0, t1, state0, ncols, wd, zdelta,
-                         rtol, atol, max_steps))
-    if not segs:
-        segs = [_Segment(np.array([t0]), state0[None, :].copy(),
-                         np.zeros((0, len(state0), 4), np.complex128))]
-    return DenseSolution(segs, z, h, t0, state0)
+    chains = [_collocate(h, z, float(t0), float(t1), state0, ncols, wd,
+                         complex(zdelta), rtol, atol, sing)
+              for t1 in targets if t1 != t0]
+    if not chains:
+        raise DomainError(f"no target other than t0={t0} to integrate to")
+    return DenseSolution(chains, z, h, t0, state0)
 
 
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
                  cutoff: Optional[float]):
+    """(targets, singular endpoint or None) of a solve over one side."""
     lo, hi = h.interval
     if side is None:
-        return [t for t in (lo, hi) if t != t0]
+        return [t for t in (lo, hi) if t != t0], None
     sing = h.singular_endpoint(side)
     reg = h.regular_endpoint(side)
     eps_cut = EPS_CUT_FRAC * h.length if cutoff is None else float(cutoff)
     stop = sing - math.copysign(eps_cut, sing - reg)
-    return [t for t in (reg, stop) if t != t0]
+    return [t for t in (reg, stop) if t != t0], sing
 
 
 def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
@@ -281,8 +358,9 @@ def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
     y0 = np.asarray(y0, dtype=np.complex128)
     if y0.shape != (2,):
         raise DomainError("y0 must be a 2-vector")
-    dense = integrate_dense(h, z, t0, y0, _targets_for(h, t0, side, cutoff),
-                            ncols=1, rtol=rtol, atol=atol)
+    targets, sing = _targets_for(h, t0, side, cutoff)
+    dense = integrate_dense(h, z, t0, y0, targets, ncols=1, rtol=rtol,
+                            atol=atol, sing=sing)
     return SolutionSampler(dense, 0, (rtol, atol))
 
 
@@ -311,7 +389,7 @@ class MatrixSolution:
         return SolutionSampler(self._dense, i, (RK_RTOL, RK_ATOL))
 
     def det_error(self, raw: bool = False) -> float:
-        """max |det W - det init| over the accepted grid.
+        """max |det W - det init| over the collocation nodes.
 
         Near a singular endpoint the entries grow like the inverse distance
         and the determinant's two products cancel below what float64 can
@@ -349,8 +427,9 @@ def fundamental(h: Hamiltonian, z: complex, t_grid=None, init=None,
     if abs(np.linalg.det(init)) < 1e-14:
         raise DomainError("init must be non-singular")
     state0 = init.reshape(-1)  # row-major entries of W = column-stacked W^T
-    dense = integrate_dense(h, z, t0, state0, _targets_for(h, t0, side, cutoff),
-                            ncols=2, rtol=rtol, atol=atol)
+    targets, sing = _targets_for(h, t0, side, cutoff)
+    dense = integrate_dense(h, z, t0, state0, targets, ncols=2, rtol=rtol,
+                            atol=atol, sing=sing)
     sol = MatrixSolution(dense, init, t0)
     if t_grid is not None:
         for t in np.atleast_1d(t_grid):

@@ -61,6 +61,7 @@ class TestInputValidation:
         (["fundamental", "--z-grid", "1", "--t-grid", "inf"], "inf"),
         (["regbv", "--z-grid", "1", "--init", "0,nan"], "nan"),
         (["validate-example", "--b", "x"], "'x'"),
+        (["wpoly", "--n", "-1"], "--n"),
     ])
     def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -78,6 +79,22 @@ class TestInputValidation:
         code, _, err = run_cli(["--config", str(cfg), "monodromy"], capsys)
         assert code == 2
         assert token in err
+
+    @pytest.mark.parametrize("key, value, token", [
+        ("interval", "xy", "interval"),
+        ("sigma", "one", "sigma"),
+        ("h_minus", {"kind": "named"}, "'name'"),
+    ])
+    def test_bad_problem_value_exits_two_naming_key(self, key, value, token,
+                                                    tmp_path, capsys):
+        problem = cs.example_problem_dict()
+        problem[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": problem}))
+        code, _, err = run_cli(["--config", str(cfg), "monodromy",
+                                "--z-grid", "0"], capsys)
+        assert code == 2
+        assert token in err and "Traceback" not in err
 
 
 class TestSubcommands:

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import canonsys as cs
+from canonsys import solver as sv
 from conftest import random_piecewise_psd
 
 J = cs.symplectic_j()
@@ -119,6 +120,37 @@ class TestFundamental:
             w1 = cs.fundamental(hc, z, rtol=1e-12, atol=1e-12)
             w2 = cs.fundamental(h, c * z, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(w1.eval(0.7), w2.eval(0.7), atol=1e-9)
+
+
+def _panels(w):
+    return sum(len(seg.ts) - 1 for seg in w._dense.segments)
+
+
+class TestCollocation:
+    def test_identity_large_z_splits_against_expm(self):
+        # one initial panel cannot hold 40/(2 pi) ~ 6 periods to 1e-12
+        h = cs.identity_hamiltonian((0.0, 1.0))
+        z = 40.0
+        w = cs.fundamental(h, z, rtol=1e-12, atol=1e-12)
+        assert _panels(w) > 1
+        for t in np.linspace(0.0, 1.0, 9):
+            np.testing.assert_allclose(w.eval(t), expm(z * t * J).T, rtol=0,
+                                       atol=1e-10)
+
+    def test_split_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(sv, "MAX_SPLITS", 2)
+        h = cs.identity_hamiltonian((0.0, 1.0))
+        with pytest.raises(cs.IntegrationError):
+            cs.fundamental(h, 40.0, rtol=1e-12, atol=1e-12)
+
+    def test_panel_count_bounded_off_axis(self, hm):
+        # a tail test scaled per component cascades into thousands of
+        # panels here; scaled by the panel's overall size it stays small
+        w = cs.fundamental(hm, -5.14 + 4.64j, side="minus", rtol=1e-12,
+                           atol=1e-12)
+        assert _panels(w) <= 40
+        np.testing.assert_allclose(w.eval(0.5), cs.closed_W(0.5, -5.14 + 4.64j),
+                                   rtol=1e-9)
 
 
 class TestGreens:
