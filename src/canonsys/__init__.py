@@ -29,10 +29,9 @@ from .monodromy import (KernelSignature, MonodromyFactorisation, assemble_W,
                         u_plus, weyl_intermediate)
 from .solver import (ClosedFormSampler, CombinedSampler, MatrixSolution,
                      SolutionSampler, fundamental, greens_residual, solve_row)
-from .wpoly import (DeltaReport, RhoSequence, WFunction, build_w_family,
-                    delta_diagnostic, omega_sequence, rho_sequence, volterra,
-                    volterra_transform, w_family_for, w_n_diagonal,
-                    w_n_general)
+from .wpoly import (DeltaReport, WFunction, build_w_family, delta_diagnostic,
+                    omega_sequence, volterra, volterra_transform, w_family_for,
+                    w_n_diagonal, w_n_general)
 
 __version__ = "0.1.0"
 
@@ -67,7 +66,7 @@ __all__ = [
     "ClosedFormSampler", "CombinedSampler", "MatrixSolution",
     "SolutionSampler", "fundamental", "greens_residual", "solve_row",
     # wpoly
-    "DeltaReport", "RhoSequence", "WFunction", "build_w_family",
-    "delta_diagnostic", "omega_sequence", "rho_sequence", "volterra",
-    "volterra_transform", "w_family_for", "w_n_diagonal", "w_n_general",
+    "DeltaReport", "WFunction", "build_w_family", "delta_diagnostic",
+    "omega_sequence", "volterra", "volterra_transform", "w_family_for",
+    "w_n_diagonal", "w_n_general",
 ]

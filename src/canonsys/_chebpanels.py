@@ -23,8 +23,7 @@ N_GEOMETRIC = 45     # geometric halvings toward the singular endpoint; the
 # first-kind Chebyshev points (strictly interior: integrands are never
 # evaluated at panel endpoints, where entries may be infinite)
 _NODES = np.cos(np.pi * (2 * np.arange(DEGREE + 1) + 1) / (2 * (DEGREE + 1)))
-_VANDER = _cheb.chebvander(_NODES, DEGREE)
-_VALS_TO_COEFS = np.linalg.inv(_VANDER)
+_VALS_TO_COEFS = np.linalg.inv(_cheb.chebvander(_NODES, DEGREE))
 
 # Spectral integration on [-1, 1]: node values of f map to the DEGREE + 2
 # Chebyshev coefficients of its interpolant's antiderivative from -1
@@ -34,13 +33,6 @@ CUMINT_COEFS = np.stack([_cheb.chebint(e, lbnd=-1)
                          for e in np.eye(DEGREE + 1)], axis=1) @ _VALS_TO_COEFS
 CUMINT = _cheb.chebvander(_NODES, DEGREE + 1) @ CUMINT_COEFS
 END_WEIGHTS = np.ones(DEGREE + 2) @ CUMINT_COEFS
-
-
-def fit_panel(fn, a: float, b: float) -> np.ndarray:
-    """Chebyshev coefficients of ``fn`` on [a, b] (fn maps array -> array)."""
-    t = 0.5 * (a + b) + 0.5 * (b - a) * _NODES
-    vals = np.asarray(fn(t), dtype=np.float64)
-    return _VALS_TO_COEFS @ vals
 
 
 def geometric_panels(reg: float, sing: float, inner_breaks=(),
@@ -110,16 +102,22 @@ class PanelFunction:
 
 
 def _panel_integrals(fn, breaks):
-    """Per-panel coefficient arrays and definite integrals of ``fn``."""
-    n = len(breaks) - 1
-    coef = np.empty((n, DEGREE + 1))
-    integrals = np.empty(n)
-    for k in range(n):
-        a, b = breaks[k], breaks[k + 1]
-        c = fit_panel(fn, a, b)
-        coef[k] = c
-        ci = _cheb.chebint(c, lbnd=-1, scl=0.5 * (b - a))
-        integrals[k] = _cheb.chebval(1.0, ci)
+    """Antiderivatives and definite integrals of ``fn`` on every panel.
+
+    ``fn`` is called once, on the nodes of all panels together (a flat
+    array); its values may be real or complex and may carry trailing
+    dimensions.  Returns the DEGREE + 2 Chebyshev coefficients of each
+    panel's antiderivative from its first break, shape (P, DEGREE + 2, ...),
+    and the panel integrals, shape (P, ...).
+    """
+    breaks = np.asarray(breaks, dtype=np.float64)
+    a, b = breaks[:-1], breaks[1:]
+    t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * _NODES
+    vals = np.asarray(fn(t.ravel()))
+    vals = vals.reshape(t.shape + vals.shape[1:])
+    hw = (0.5 * (b - a)).reshape((-1,) + (1,) * (vals.ndim - 2))
+    coef = np.einsum("ij,pj...->pi...", CUMINT_COEFS, vals) * hw[:, None]
+    integrals = np.einsum("j,pj...->p...", END_WEIGHTS, vals) * hw
     return coef, integrals
 
 
@@ -144,15 +142,8 @@ def _geometric_ratio(integrals, rel_floor=1e-280):
 def cumulative_from_start(fn, breaks) -> PanelFunction:
     """F(t) = integral of fn from breaks[0] to t, on the whole chain."""
     coef, integrals = _panel_integrals(fn, breaks)
-    out = np.zeros((coef.shape[0], DEGREE + 2))
-    acc = 0.0
-    for k in range(coef.shape[0]):
-        a, b = breaks[k], breaks[k + 1]
-        ci = _cheb.chebint(coef[k], lbnd=-1, scl=0.5 * (b - a))
-        out[k, :len(ci)] = ci
-        out[k, 0] += acc
-        acc += integrals[k]
-    return PanelFunction(breaks, out)
+    coef[1:, 0] += np.cumsum(integrals[:-1], axis=0)
+    return PanelFunction(breaks, coef)
 
 
 def cumulative_from_singular(fn, breaks) -> PanelFunction:
@@ -175,30 +166,14 @@ def cumulative_from_singular(fn, breaks) -> PanelFunction:
     r = _geometric_ratio(integrals[:k0 + 1])
     tail_k0 = integrals[k0] * r / (1.0 - r)  # sum of model panels beyond k0
     # suffix[k] = integral from breaks[k+1] to the singular point
-    suffix = np.empty(n)
-    for k in range(n):
-        if k <= k0:
-            suffix[k] = np.sum(integrals[k + 1:k0 + 1]) + tail_k0
-        else:
-            suffix[k] = tail_k0 * r ** (k - k0)
-    out = np.zeros((coef.shape[0], DEGREE + 2))
-    for k in range(coef.shape[0]):
-        a, b = breaks[k], breaks[k + 1]
-        ci = _cheb.chebint(coef[k], lbnd=-1, scl=0.5 * (b - a))
-        end_val = _cheb.chebval(1.0, ci)
-        out[k, :len(ci)] = ci
-        out[k, 0] += -suffix[k] - end_val
-    return PanelFunction(breaks, out)
-
-
-def panel_quad(fn, a: float, b: float, n_panels: int = 16) -> float:
-    """Definite integral of a smooth real function by fixed Chebyshev panels."""
-    breaks = np.linspace(a, b, n_panels + 1)
-    _, integrals = _panel_integrals(fn, breaks)
-    return float(np.sum(integrals))
+    inner = integrals[1:k0 + 1][::-1]
+    suffix = np.concatenate([np.cumsum(inner)[::-1], [0.0]]) + tail_k0
+    suffix = np.concatenate([suffix, tail_k0 * r ** np.arange(1, n - k0)])
+    coef[:, 0] -= suffix + integrals
+    return PanelFunction(breaks, coef)
 
 
 def panel_quad_complex(fn, a: float, b: float, n_panels: int = 16) -> complex:
-    re = panel_quad(lambda t: np.real(fn(t)), a, b, n_panels)
-    im = panel_quad(lambda t: np.imag(fn(t)), a, b, n_panels)
-    return re + 1j * im
+    """Definite integral of a smooth function by fixed Chebyshev panels."""
+    _, integrals = _panel_integrals(fn, np.linspace(a, b, n_panels + 1))
+    return complex(np.sum(integrals))

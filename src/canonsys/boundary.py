@@ -65,41 +65,39 @@ class RegularisedBoundary:
 def neville_limit(hs, vals):
     """Extrapolate vals(h) to h = 0; returns (value, err_est).
 
-    Polynomial extrapolation through (h_k, val_k) evaluated at zero, tracking
-    the entry with the smallest Ridders error (max difference to its two
-    parents) and aborting a row once errors grow well past the best seen.
+    Polynomial extrapolation through (h_k, val_k) evaluated at zero, one
+    tableau column at a time, tracking the entry with the smallest Ridders
+    error (max difference to its two parents; the first such entry when
+    several tie) and aborting once a column's errors grow well past the best
+    seen.
     """
     hs = np.asarray(hs, dtype=np.float64)
-    vals = [complex(v) for v in vals]
-    n = len(vals)
-    best = vals[0]
-    best_err = abs(vals[1] - vals[0]) if n > 1 else 0.0
-    prev = list(vals)
+    prev = np.asarray(vals, dtype=np.complex128).reshape(-1)
+    n = len(prev)
+    best = prev[0]
+    best_err = abs(prev[1] - prev[0]) if n > 1 else 0.0
     first_col = None
     for m in range(1, n):
-        cur = []
-        row_best = np.inf
-        for i in range(n - m):
-            denom = hs[i] - hs[i + m]
-            val = (hs[i] * prev[i + 1] - hs[i + m] * prev[i]) / denom
-            err = max(abs(val - prev[i + 1]), abs(val - prev[i]))
-            cur.append(val)
-            row_best = min(row_best, err)
-            if err < best_err:
-                best_err = err
-                best = val
+        h_i, h_im = hs[:n - m], hs[m:]
+        cur = (h_i * prev[1:] - h_im * prev[:-1]) / (h_i - h_im)
+        err = np.maximum(np.abs(cur - prev[1:]), np.abs(cur - prev[:-1]))
+        err[np.isnan(err)] = np.inf  # a NaN entry never wins
+        i = int(np.argmin(err))
+        if err[i] < best_err:
+            best_err = float(err[i])
+            best = cur[i]
         if m == 1:
             first_col = cur
-        if row_best > 8.0 * best_err and m > 2:
+        if err[i] > 8.0 * best_err and m > 2:
             break
         prev = cur
     if first_col is not None and len(first_col) >= 4:
         # scatter of the deepest linear extrapolants: ~0 for smooth
         # sequences, ~ the sample noise when that dominates; keeps err_est
         # honest when tableau entries agree by chance
-        tail = np.abs(np.diff(np.asarray(first_col[-4:])))
+        tail = np.abs(np.diff(first_col[-4:]))
         best_err = max(best_err, 0.5 * float(np.median(tail)))
-    return best, float(best_err)
+    return complex(best), float(best_err)
 
 
 def node_distances(length: float, span: float, eps0: Optional[float] = None,

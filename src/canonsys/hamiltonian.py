@@ -169,7 +169,6 @@ class Hamiltonian:
     h1: PackedEntry
     h2: PackedEntry
     h3: PackedEntry
-    lc_flags: tuple[str, str] = ("auto", "auto")  # limit circle|point at lo, hi
     spec: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -222,9 +221,13 @@ def eval_H(h: Hamiltonian, t: float) -> np.ndarray:
     return m
 
 
-def hamiltonian_from_spec(spec: dict, interval, singular: float | None = None,
-                          lc_flags=("auto", "auto")) -> Hamiltonian:
-    """Compile a serialisable side spec into a Hamiltonian on ``interval``."""
+def hamiltonian_from_spec(spec: dict, interval,
+                          singular: float | None = None) -> Hamiltonian:
+    """Compile a serialisable side spec into a Hamiltonian on ``interval``.
+
+    The optional key ``"lc"`` (a pair from auto|circle|point) is validated so
+    that configs carrying it still load; nothing reads it.
+    """
     lo, hi = float(interval[0]), float(interval[1])
     if not isinstance(spec, dict):
         raise ConfigError("Hamiltonian spec must be an object")
@@ -234,8 +237,8 @@ def hamiltonian_from_spec(spec: dict, interval, singular: float | None = None,
     if unknown:
         raise ConfigError(f"unknown Hamiltonian spec keys {sorted(unknown)}")
     if "lc" in spec:
-        lc_flags = tuple(spec["lc"])
-        if len(lc_flags) != 2 or any(f not in ("auto", "circle", "point") for f in lc_flags):
+        lc = tuple(spec["lc"])
+        if len(lc) != 2 or any(f not in ("auto", "circle", "point") for f in lc):
             raise ConfigError("lc must be a pair from {auto, circle, point}")
 
     if kind == "named":
@@ -247,7 +250,7 @@ def hamiltonian_from_spec(spec: dict, interval, singular: float | None = None,
         e1, e2, e3 = _named_entries(spec["name"], lo, hi, float(singular))
         return Hamiltonian((lo, hi), _pack_pieces(e1, lo, hi),
                            _pack_pieces(e2, lo, hi), _pack_pieces(e3, lo, hi),
-                           lc_flags, spec)
+                           spec)
     if kind == "piecewise":
         pieces = spec.get("pieces")
         if not pieces:
@@ -264,8 +267,7 @@ def hamiltonian_from_spec(spec: dict, interval, singular: float | None = None,
         return Hamiltonian((lo, hi),
                            _pack_pieces(rows["h1"], lo, hi),
                            _pack_pieces(rows["h2"], lo, hi),
-                           _pack_pieces(rows["h3"], lo, hi),
-                           lc_flags, spec)
+                           _pack_pieces(rows["h3"], lo, hi), spec)
     if kind == "table":
         ts = np.asarray(spec["t"], dtype=np.float64)
         if len(ts) < 2 or np.any(np.diff(ts) <= 0):
@@ -283,7 +285,7 @@ def hamiltonian_from_spec(spec: dict, interval, singular: float | None = None,
                 c0 = vals[k] - c1 * ts[k]
                 pieces.append((ts[k], ts[k + 1], KIND_POLY, [c0, c1]))
             packed.append(_pack_pieces(pieces, lo, hi))
-        return Hamiltonian((lo, hi), *packed, lc_flags, spec)
+        return Hamiltonian((lo, hi), *packed, spec)
     raise ConfigError(f"unknown Hamiltonian kind {kind!r} (expected named|piecewise|table)")
 
 
@@ -397,17 +399,6 @@ def check_HS(h: Hamiltonian, singular_end: Endpoint) -> ConditionReport:
     inner = cp.cumulative_from_start(h.h2, breaks)  # from the regular endpoint
     _, integrals = cp._panel_integrals(lambda t: inner(t) * h.h1(t), breaks)
     return _tail_diagnostic(np.abs(integrals))
-
-
-def detect_limit_circle(h: Hamiltonian, end: Endpoint) -> bool:
-    """True when trace H is integrable at the endpoint (limit circle case)."""
-    flag = h.lc_flags[0 if end == "lo" else 1]
-    if flag != "auto":
-        return flag == "circle"
-    side = "minus" if end == "hi" else "plus"
-    breaks = h.panels(side)
-    _, integrals = cp._panel_integrals(lambda t: h.h1(t) + h.h2(t), breaks)
-    return _tail_diagnostic(np.abs(integrals)).converges
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,7 @@ the regular endpoint and one pinned at the singularity:
     w_{n+1}(t) = -int_t^sing h1 w_n  (n odd),
 
 with the vector function carrying w_n in the second component for even n and
-in the first for odd n.  The companion sequence rho_n (exposed for
-completeness, nothing downstream consumes it) mirrors this with the roles of
-h1 and h2 exchanged.
+in the first for odd n.
 """
 
 from __future__ import annotations
@@ -70,18 +68,16 @@ class WFunction:
         return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-@dataclass(frozen=True)
-class RhoSequence:
-    side: Side
-    values: tuple  # rho_0 .. rho_N, rho_0 = 0
-
-
-def _check_finite(integrals, breaks, what):
-    if not np.all(np.isfinite(integrals)):
-        k = int(np.nonzero(~np.isfinite(integrals))[0][0])
+def _check_finite(F, what):
+    """The antiderivative ``F``; IntegrationError naming the first panel on
+    which it is not finite."""
+    bad = ~np.isfinite(F.coefs).reshape(len(F.coefs), -1).all(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise IntegrationError(
             f"{what} is not integrable on panel "
-            f"[{breaks[k]}, {breaks[k + 1]}]")
+            f"[{F.breaks[k]}, {F.breaks[k + 1]}]")
+    return F
 
 
 def volterra_transform(h: Hamiltonian, f, side: Side):
@@ -90,45 +86,14 @@ def volterra_transform(h: Hamiltonian, f, side: Side):
     Returns an evaluable t -> C^2.  f must map a float array to an array with
     trailing dimension 2.
     """
-    breaks = h.panels(side)
+    def integrand(ts):  # J H f = (-(h3 f1 + h2 f2), h1 f1 + h3 f2)
+        v = np.asarray(f(ts))
+        h1, h2, h3 = h.h1(ts), h.h2(ts), h.h3(ts)
+        return np.stack([-(h3 * v[..., 0] + h2 * v[..., 1]),
+                         h1 * v[..., 0] + h3 * v[..., 1]], axis=-1)
 
-    def comp(fn):
-        coef, integrals = cp._panel_integrals(fn, breaks)
-        _check_finite(integrals, breaks, "J H f")
-        return cp.cumulative_from_start(fn, breaks)
-
-    def f1(ts):
-        return np.asarray(f(ts))[..., 0]
-
-    def f2(ts):
-        return np.asarray(f(ts))[..., 1]
-
-    def integrand1(ts):  # (J H f)_1 = -(h3 f1 + h2 f2)
-        return -(h.h3(ts) * f1(ts) + h.h2(ts) * f2(ts))
-
-    def integrand2(ts):  # (J H f)_2 = h1 f1 + h3 f2
-        return h.h1(ts) * f1(ts) + h.h3(ts) * f2(ts)
-
-    probe = np.asarray(f(np.atleast_1d(breaks[:1])))
-    if np.iscomplexobj(probe):
-        parts = [comp(lambda ts, g=g, p=p: p(g(ts)))
-                 for g in (integrand1, integrand2) for p in (np.real, np.imag)]
-
-        def eval_c(ts):
-            ts = np.asarray(ts, dtype=np.float64)
-            return np.stack([parts[0](ts) + 1j * parts[1](ts),
-                             parts[2](ts) + 1j * parts[3](ts)], axis=-1)
-
-        return eval_c
-    g1 = comp(integrand1)
-    g2 = comp(integrand2)
-
-    def eval_r(ts):
-        ts = np.asarray(ts, dtype=np.float64)
-        return np.stack([np.broadcast_to(g1(ts), ts.shape),
-                         np.broadcast_to(g2(ts), ts.shape)], axis=-1)
-
-    return eval_r
+    return _check_finite(cp.cumulative_from_start(integrand, h.panels(side)),
+                         "J H f")
 
 
 def volterra(h: Hamiltonian, f, t: float, side: Side):
@@ -147,9 +112,8 @@ def _diagonal_scalars(h: Hamiltonian, side: Side, n_max: int):
         prev = ws[-1]
         if (n - 1) % 2 == 0:
             fn = (lambda ts, p=prev: -h.h2(ts) * np.asarray(p(ts)))
-            coef, integrals = cp._panel_integrals(fn, breaks)
-            _check_finite(integrals, breaks, f"h2*w_{n - 1}")
-            ws.append(cp.cumulative_from_start(fn, breaks))
+            ws.append(_check_finite(cp.cumulative_from_start(fn, breaks),
+                                    f"h2*w_{n - 1}"))
         else:
             fn = (lambda ts, p=prev: h.h1(ts) * np.asarray(p(ts)))
             ws.append(cp.cumulative_from_singular(fn, breaks))
@@ -286,35 +250,3 @@ def delta_diagnostic(h: Hamiltonian, side: Side, delta: int,
     consistent = rep_d.converges and not rep_dm1.converges
     return DeltaReport(rep_d.converges, rep_dm1.converges, consistent,
                        [rep_dm1.tail_estimates, rep_d.tail_estimates])
-
-
-def rho_sequence(h: Hamiltonian, side: Side, n_max: int) -> RhoSequence:
-    """Correction coefficients for iterates started from (1, 0)^T.
-
-    Diagonal Hamiltonians only: the recursion mirrors the w-recursion with
-    h1 and h2 exchanged.  rho_0 = 0 by definition; even-index values vanish.
-    """
-    if not h.is_diagonal:
-        raise UnsupportedSpecError("rho_sequence requires a diagonal Hamiltonian")
-    from .hamiltonian import detect_limit_circle
-    sing_end = "hi" if side == "minus" else "lo"
-    if detect_limit_circle(h, sing_end):
-        # no singularity: every iterate is already square-integrable and no
-        # correction is pinned down; the zero choice is canonical
-        return RhoSequence(side, (0.0,) * (n_max + 1))
-    breaks = h.panels(side)
-    reg = h.regular_endpoint(side)
-    vals = [0.0]
-    v = _Const(1.0)
-    for n in range(1, n_max + 1):
-        if (n - 1) % 2 == 0:
-            v = cp.cumulative_from_singular(
-                lambda ts, p=v: h.h1(ts) * np.asarray(p(ts)), breaks)
-            vals.append(float(v(reg)))
-        else:
-            fn = (lambda ts, p=v: -h.h2(ts) * np.asarray(p(ts)))
-            coef, integrals = cp._panel_integrals(fn, breaks)
-            _check_finite(integrals, breaks, f"h2*v_{n - 1}")
-            v = cp.cumulative_from_start(fn, breaks)
-            vals.append(0.0)
-    return RhoSequence(side, tuple(vals))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import canonsys as cs
+from canonsys import boundary
 
 
 def closed_row_sampler(i, z, ih, side):
@@ -28,6 +29,79 @@ class TestNeville:
         val, err = cs.neville_limit(hs, vals)
         assert abs(val - 1.0) < 1e-6
         assert err > 1e-10  # noise is not hidden by the estimate
+
+
+def neville_reference(hs, vals):
+    """Entry-by-entry Neville tableau: the reference for ``neville_limit``."""
+    hs = np.asarray(hs, dtype=np.float64)
+    vals = [complex(v) for v in vals]
+    n = len(vals)
+    best = vals[0]
+    best_err = abs(vals[1] - vals[0]) if n > 1 else 0.0
+    prev = list(vals)
+    first_col = None
+    for m in range(1, n):
+        cur = []
+        row_best = np.inf
+        for i in range(n - m):
+            denom = hs[i] - hs[i + m]
+            val = (hs[i] * prev[i + 1] - hs[i + m] * prev[i]) / denom
+            err = max(abs(val - prev[i + 1]), abs(val - prev[i]))
+            cur.append(val)
+            row_best = min(row_best, err)
+            if err < best_err:
+                best_err = err
+                best = val
+        if m == 1:
+            first_col = cur
+        if row_best > 8.0 * best_err and m > 2:
+            break
+        prev = cur
+    if first_col is not None and len(first_col) >= 4:
+        tail = np.abs(np.diff(np.asarray(first_col[-4:])))
+        best_err = max(best_err, 0.5 * float(np.median(tail)))
+    return best, float(best_err)
+
+
+class TestNevilleMatchesReference:
+    """The column-vectorised tableau returns exactly what the loop did."""
+
+    def assert_same(self, hs, vals):
+        val, err = cs.neville_limit(hs, vals)
+        ref_val, ref_err = neville_reference(hs, vals)
+        assert val == ref_val and err == ref_err
+
+    def test_sequences_recorded_from_monodromy(self, example_ih, monkeypatch):
+        seen = []
+        original = boundary.neville_limit
+
+        def record(hs, vals):
+            seen.append((np.array(hs), np.array(vals)))
+            return original(hs, vals)
+
+        monkeypatch.setattr(boundary, "neville_limit", record)
+        ih = cs.problem_from_dict(cs.example_problem_dict())
+        for z in (0.7 + 0.2j, -2.5 + 1.5j):
+            cs.monodromy_matrix(ih, z)
+        assert len(seen) == 16
+        for hs, vals in seen:
+            self.assert_same(hs, vals)
+
+    def test_geometric_sequences_with_noise(self, rng):
+        hs = boundary.node_distances(1.0, 1.0)
+        for _ in range(40):
+            a = rng.normal(size=4) + 1j * rng.normal(size=4)
+            noise = 10.0 ** rng.uniform(-15, -8)
+            vals = (a[0] + a[1] * hs + a[2] * hs ** 2 + a[3] / (1.0 + hs)
+                    + noise * rng.normal(size=len(hs)))
+            self.assert_same(hs, vals)
+
+    def test_random_sequences(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            hs = np.sort(rng.uniform(1e-6, 1.0, n))[::-1]
+            vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+            self.assert_same(hs, vals)
 
 
 class TestGammaR:

@@ -192,6 +192,14 @@ class TestProblemConfig:
         with pytest.raises(cs.ConfigError, match="extra"):
             cs.problem_from_dict(cfg)
 
+    def test_lc_key_still_loads(self):
+        cfg = cs.example_problem_dict()
+        cfg["h_minus"] = dict(cfg["h_minus"], lc=["auto", "point"])
+        assert cs.problem_from_dict(cfg).sigma == 1.0
+        cfg["h_minus"]["lc"] = ["auto", "nearby"]
+        with pytest.raises(cs.ConfigError, match="lc"):
+            cs.problem_from_dict(cfg)
+
     def test_d_length_checked(self, hm, hp):
         with pytest.raises(cs.ConfigError, match="2\\*delta"):
             cs.indef_hamiltonian(hm, hp, delta=1, d=(1.0,))

@@ -155,29 +155,3 @@ class TestDeltaDiagnostic:
     def test_delta_two_case(self, delta2_ih):
         rep = cs.delta_diagnostic(delta2_ih.h_minus, "minus", 2)
         assert rep.consistent
-
-
-class TestRhoSequence:
-    def test_rho0_always_zero(self, hm):
-        assert cs.rho_sequence(hm, "minus", 0).values == (0.0,)
-
-    def test_rho1_against_quadrature_oracle(self, hm, hp):
-        # mirrored recursion: rho_1 = v_1(reg) with v_1 = -int_t^sigma h1
-        oracle_minus = -quad(lambda s: (s - 1) ** 2, 0.0, 1.0)[0]
-        got = cs.rho_sequence(hm, "minus", 1).values[1]
-        assert abs(got - oracle_minus) < 1e-12
-        oracle_plus = quad(lambda s: (s - 1) ** 2, 1.0, 2.0)[0]
-        assert abs(cs.rho_sequence(hp, "plus", 1).values[1] - oracle_plus) < 1e-12
-
-    def test_even_indices_vanish(self, hm):
-        vals = cs.rho_sequence(hm, "minus", 4).values
-        assert vals[0] == 0.0 and vals[2] == 0.0 and vals[4] == 0.0
-
-    def test_regular_interval_all_zero(self):
-        h = cs.identity_hamiltonian((0.0, 1.0))
-        assert cs.rho_sequence(h, "minus", 3).values == (0.0,) * 4
-
-    def test_nondiagonal_unsupported(self, rng):
-        from conftest import random_piecewise_psd
-        with pytest.raises(cs.UnsupportedSpecError):
-            cs.rho_sequence(random_piecewise_psd(rng), "minus", 1)
