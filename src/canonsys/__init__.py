@@ -6,9 +6,8 @@ solution across it, validated end-to-end against a built-in closed-form
 problem.  See the README for the CLI and the JSON problem schema.
 """
 
-from .boundary import (RegularisedBoundary, gamma_columns, gamma_r, gamma_s,
-                       gamma_vec, interface_residual, neville_limit,
-                       solve_from_gamma)
+from .boundary import (RegularisedBoundary, gamma_columns, gamma_vec,
+                       interface_residual, neville_limit, solve_from_gamma)
 from .errors import (CanonsysError, ConditioningError, ConfigError,
                      DomainError, EvaluationError, IndeterminateError,
                      IntegrationError, LimitError, PoleError,
@@ -30,7 +29,7 @@ from .monodromy import (KernelSignature, MonodromyFactorisation, assemble_W,
 from .solver import (ClosedFormSampler, CombinedSampler, MatrixSolution,
                      SolutionSampler, fundamental, greens_residual, solve_row)
 from .wpoly import (DeltaReport, WFunction, build_w_family, delta_diagnostic,
-                    omega_sequence, volterra, volterra_transform, w_family_for,
+                    omega_sequence, volterra_transform, w_family_for,
                     w_n_diagonal, w_n_general)
 
 __version__ = "0.1.0"
@@ -42,8 +41,8 @@ __all__ = [
     # backend
     "BACKEND",
     # boundary
-    "RegularisedBoundary", "gamma_columns", "gamma_r", "gamma_s", "gamma_vec",
-    "interface_residual", "neville_limit", "solve_from_gamma",
+    "RegularisedBoundary", "gamma_columns", "gamma_vec", "interface_residual",
+    "neville_limit", "solve_from_gamma",
     # errors
     "CanonsysError", "ConditioningError", "ConfigError", "DomainError",
     "EvaluationError", "IndeterminateError", "IntegrationError", "LimitError",
@@ -67,6 +66,6 @@ __all__ = [
     "SolutionSampler", "fundamental", "greens_residual", "solve_row",
     # wpoly
     "DeltaReport", "WFunction", "build_w_family", "delta_diagnostic",
-    "omega_sequence", "volterra", "volterra_transform", "w_family_for",
-    "w_n_diagonal", "w_n_general",
+    "omega_sequence", "volterra_transform", "w_family_for", "w_n_diagonal",
+    "w_n_general",
 ]

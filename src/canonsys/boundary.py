@@ -13,16 +13,16 @@ On an indivisible side no limits are needed: the boundary value is plain
 endpoint evaluation at the regular end (exact, by the closed form of
 solutions there).
 
-Per side and z, two results are computed once and kept in the problem's
-cache (``IndefHamiltonianA.memo``): ``basis_solution``, the fundamental
-solution anchored to the identity at the regular endpoint, under the key
-``("fundamental", side, z, rtol, atol)``, and ``basis_boundary``, the
-boundary pairs of its two rows, under ``("boundary", side, z, rtol, atol)``.
+Per side and z, one integration is computed once and kept in the problem's
+cache (``IndefHamiltonianA.memo``) under ``("basis", side, z, rtol, atol)``:
+``side_basis``, the fundamental solution anchored to the identity at the
+regular endpoint, integrated with its functionals out to the last
+extrapolation node, together with the boundary pairs of its two rows.
 Shooting (``solve_from_gamma``) and the assembly in
 :mod:`canonsys.monodromy` read both from there.  The cache keeps at most
-``hamiltonian.PER_Z_CAP`` such entries (32 z with both kinds on both
-sides), least recently used evicted first.  ``gamma_columns`` and
-``gamma_vec`` with other anchors always integrate.
+``hamiltonian.PER_Z_CAP`` such entries (32 z on both sides), least recently
+used evicted first.  ``gamma_columns`` and ``gamma_vec`` with other anchors
+always integrate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from . import _chebpanels as cp
 from . import solver as sv
 from . import wpoly as wp
 from .errors import ConditioningError, DomainError, LimitError
-from .hamiltonian import IndefHamiltonianA, Side, build_R
+from .hamiltonian import PER_Z_KIND, IndefHamiltonianA, Side, build_R
 
 EPS0_FRAC = 0.1      # first extrapolation node distance, relative to side length
 K_NODES = 20         # geometric halvings of the node distance
@@ -115,72 +115,46 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
     diagonal = ih.side(side).is_diagonal
     for n in range(0, delta):
         for j in range(delta + 1, 2 * delta - n + 1):
+            if diagonal and n % 2 == j % 2:
+                continue  # pairs of equal parity vanish identically
             if j >= len(w_funcs):
-                if diagonal and n % 2 == j % 2:
-                    continue  # pairs of equal parity vanish identically
                 raise DomainError(
                     f"w-family too short: need index {j} for the boundary sum")
-            if diagonal and n % 2 == j % 2:
-                continue
             out += z ** (n + j) * w_funcs[n].j_pair(w_funcs[j], xs)
     return out
 
 
-def _initial_functional(z, w_funcs, delta, t_a, y_cols):
-    """S(t_a) per column: sum_n z^n w_n(t_a)^T J y."""
-    out = np.zeros(y_cols.shape[1], dtype=complex)
-    for n in range(delta + 1):
-        w = w_funcs[n](t_a)
-        out += z ** n * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
-    return out
+def _integrate_columns(ih: IndefHamiltonianA, side: Side, z: complex,
+                       t_anchor: float, y_cols, w_funcs,
+                       eps0: Optional[float] = None, k_nodes: int = K_NODES,
+                       rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
+    """Solutions anchored by the columns of ``y_cols`` and their functionals,
+    integrated from the anchor to the last extrapolation node.
 
-
-def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
-                  t_anchor: float, y_cols, w_funcs=None,
-                  eps0: Optional[float] = None, k_nodes: int = K_NODES,
-                  rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL,
-                  tol_limit: float = TOL_LIMIT):
-    """Boundary pairs of the solutions with given values at the anchor.
-
-    ``y_cols`` is a (2, m) matrix whose columns anchor m solutions at
-    ``t_anchor``; all m are solved together with their regularised
-    functionals.  Returns a list of m RegularisedBoundary objects.
+    Returns (dense solution, node distances to sigma, nodes).
     """
-    h = ih.side(side)
-    z = sv.finite_z(z)
-    y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
-    m = y_cols.shape[1]
-    rep = ih.indivisible(side)
-    reg = h.regular_endpoint(side)
-    sing = ih.sigma
-
-    if rep is not None and rep.is_indivisible:
-        # endpoint evaluation is exact there; move the anchor value to reg
-        if abs(t_anchor - reg) > 1e-12 * (h.length + 1.0):
-            samp = _indivisible_transport(ih, side, z, t_anchor, y_cols)
-        else:
-            samp = y_cols
-        return [RegularisedBoundary(side, z, complex(samp[0, i]),
-                                    complex(samp[1, i]), 0.0, ())
-                for i in range(m)]
-
-    if w_funcs is None:
-        w_funcs = wp.w_family_for(ih, side)
-    delta = ih.delta
+    h, delta, sing = ih.side(side), ih.delta, ih.sigma
     span = abs(t_anchor - sing)
     if span <= 0:
         raise DomainError("anchor coincides with the singularity")
     hs = node_distances(h.length, span, eps0, k_nodes)
-    direction = 1.0 if sing > t_anchor else -1.0
-    xs = sing - direction * hs
-    t_end = float(xs[-1])
+    xs = sing - np.sign(sing - t_anchor) * hs
+    # S at the anchor per column: sum_n z^n w_n^T J y
+    s0 = sum(z ** n * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
+             for n, w in enumerate(f(t_anchor) for f in w_funcs[:delta + 1]))
+    state0 = np.concatenate([y_cols.T.reshape(-1), s0])
+    dense = sv.integrate_dense(h, z, t_anchor, state0, [float(xs[-1])],
+                               ncols=y_cols.shape[1], wd=w_funcs[delta],
+                               zdelta=z ** (delta + 1), rtol=rtol, atol=atol,
+                               sing=sing)
+    return dense, hs, xs
 
-    state0 = np.concatenate([y_cols.T.reshape(-1),
-                             _initial_functional(z, w_funcs, delta, t_anchor, y_cols)])
-    dense = sv.integrate_dense(h, z, t_anchor, state0, [t_end], ncols=m,
-                               wd=w_funcs[delta], zdelta=z ** (delta + 1),
-                               rtol=rtol, atol=atol, sing=sing)
+
+def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
+                 dense: sv.DenseSolution, hs, xs, tol_limit: float = TOL_LIMIT):
+    """Boundary pair of every column of a ``_integrate_columns`` run."""
     states = dense.eval_state(xs)                      # (k+1, 3m)
+    m = states.shape[1] // 3
     corr = _correction_values(ih, side, z, w_funcs, xs)
     out = []
     for i in range(m):
@@ -202,6 +176,38 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     return out
 
 
+def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
+                  t_anchor: float, y_cols, w_funcs=None,
+                  eps0: Optional[float] = None, k_nodes: int = K_NODES,
+                  rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL,
+                  tol_limit: float = TOL_LIMIT):
+    """Boundary pairs of the solutions with given values at the anchor.
+
+    ``y_cols`` is a (2, m) matrix whose columns anchor m solutions at
+    ``t_anchor``; all m are solved together with their regularised
+    functionals.  Returns a list of m RegularisedBoundary objects.
+    """
+    h = ih.side(side)
+    z = sv.finite_z(z)
+    y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
+    rep = ih.indivisible(side)
+    reg = h.regular_endpoint(side)
+
+    if rep is not None and rep.is_indivisible:
+        # endpoint evaluation is exact there; move the anchor value to reg
+        samp = (y_cols if abs(t_anchor - reg) <= 1e-12 * (h.length + 1.0)
+                else _indivisible_transport(ih, side, z, t_anchor, y_cols))
+        return [RegularisedBoundary(side, z, complex(samp[0, i]),
+                                    complex(samp[1, i]), 0.0, ())
+                for i in range(y_cols.shape[1])]
+
+    if w_funcs is None:
+        w_funcs = wp.w_family_for(ih, side)
+    run = _integrate_columns(ih, side, z, t_anchor, y_cols, w_funcs, eps0,
+                             k_nodes, rtol, atol)
+    return _limit_pairs(ih, side, z, w_funcs, *run, tol_limit=tol_limit)
+
+
 def _indivisible_transport(ih, side, z, t_from, y_cols):
     """Values at the regular endpoint of solutions known at t_from.
 
@@ -209,8 +215,7 @@ def _indivisible_transport(ih, side, z, t_from, y_cols):
     second components are constant, first ones shift by -z y2 int h2.
     """
     h = ih.side(side)
-    breaks = h.panels(side)
-    a2 = cp.cumulative_from_start(h.h2, breaks)  # int_reg^t h2
+    a2 = cp.cumulative_from_start(h.h2, h.panels(side))  # int_reg^t h2
     out = y_cols.copy()
     out[0, :] = y_cols[0, :] + z * y_cols[1, :] * float(a2(t_from))
     return out
@@ -236,45 +241,45 @@ def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side, w_funcs=None,
                          w_funcs=w_funcs, **opts)[0]
 
 
-def gamma_r(fhat, ih: IndefHamiltonianA, side: Side, **opts):
-    """Limit of the second solution component at sigma, with err estimate."""
-    rb = gamma_vec(fhat, ih, side, **opts)
-    return rb.gamma_r, rb.err_est
+@dataclass(frozen=True)
+class SideBasis:
+    """Fundamental solution of one side, identity at its regular endpoint,
+    and the boundary pairs of its two rows (rows of the boundary matrix)."""
+
+    solution: sv.MatrixSolution
+    pairs: tuple
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return np.array([p.vec for p in self.pairs])
 
 
-def gamma_s(fhat, ih: IndefHamiltonianA, side: Side, w_funcs=None, **opts):
-    """Limit of the regularised first-component functional, with err estimate."""
-    rb = gamma_vec(fhat, ih, side, w_funcs=w_funcs, **opts)
-    return rb.gamma_s, rb.err_est
+def side_basis(ih: IndefHamiltonianA, side: Side, z: complex,
+               rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> SideBasis:
+    """The basis of one side, cached on the problem per (side, z, rtol, atol).
 
-
-def basis_solution(ih: IndefHamiltonianA, side: Side, z: complex,
-                   rtol: float = GAMMA_RTOL,
-                   atol: float = GAMMA_ATOL) -> sv.MatrixSolution:
-    """Fundamental solution of one side, identity at its regular endpoint.
-
-    Computed once per (side, z, rtol, atol) and cached on the problem.
+    One integration gives both: the solution is the dense output of the
+    pairs' run, up to the last extrapolation node.  An indivisible side takes
+    endpoint values and a plain ``fundamental`` run.
     """
     z = sv.finite_z(z)
-    h = ih.side(side)
-    return ih.memo(("fundamental", side, z, rtol, atol),
-                   lambda: sv.fundamental(h, z, init=np.eye(2),
-                                          t0=h.regular_endpoint(side),
-                                          side=side, rtol=rtol, atol=atol))
 
+    def build():
+        h = ih.side(side)
+        reg = h.regular_endpoint(side)
+        eye = np.eye(2, dtype=np.complex128)
+        rep = ih.indivisible(side)
+        if rep is not None and rep.is_indivisible:
+            return SideBasis(sv.fundamental(h, z, init=eye, t0=reg, side=side,
+                                            rtol=rtol, atol=atol),
+                             tuple(gamma_columns(ih, side, z, reg, eye)))
+        w_funcs = wp.w_family_for(ih, side)
+        run = _integrate_columns(ih, side, z, reg, eye, w_funcs, rtol=rtol,
+                                 atol=atol)
+        return SideBasis(sv.MatrixSolution(run[0], eye, reg),
+                         tuple(_limit_pairs(ih, side, z, w_funcs, *run)))
 
-def basis_boundary(ih: IndefHamiltonianA, side: Side, z: complex,
-                   rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
-    """Boundary pairs of the rows of ``basis_solution``, with their samples.
-
-    A tuple of two RegularisedBoundary, computed once per
-    (side, z, rtol, atol) and cached on the problem.
-    """
-    z = sv.finite_z(z)
-    reg = ih.side(side).regular_endpoint(side)
-    return ih.memo(("boundary", side, z, rtol, atol),
-                   lambda: tuple(gamma_columns(ih, side, z, reg, np.eye(2),
-                                               rtol=rtol, atol=atol)))
+    return ih.memo((PER_Z_KIND, side, z, rtol, atol), build)
 
 
 def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
@@ -282,10 +287,10 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
     """The unique solution whose boundary pair equals c (shooting).
 
     The basis solutions anchored at the regular endpoint and their boundary
-    pairs depend only on (side, z) and come from the problem's cache; the
-    2x2 system they form is solved for the coefficients.  A singular basis
-    matrix would contradict bijectivity of the boundary map and raises
-    instead.
+    pairs depend only on (side, z) and come from the problem's cache
+    (``side_basis``); the 2x2 system they form is solved for the
+    coefficients.  A singular basis matrix would contradict bijectivity of
+    the boundary map and raises instead.
     """
     c = np.asarray(c, dtype=np.complex128)
     if c.shape != (2,):
@@ -295,18 +300,16 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
     reg = h.regular_endpoint(side)
     rep = ih.indivisible(side)
     if rep is not None and rep.is_indivisible:
-        breaks = h.panels(side)
-        a2 = cp.cumulative_from_start(h.h2, breaks)
+        a2 = cp.cumulative_from_start(h.h2, h.panels(side))
 
         def fn(t, c=c):
             return np.array([c[0] - z * c[1] * a2(t), c[1]], dtype=complex)
 
         return sv.ClosedFormSampler(fn, z, h, h.interval, reg)
 
-    basis = basis_solution(ih, side, z, rtol, atol)
-    cols = [basis.row_sampler(0), basis.row_sampler(1)]
-    pairs = basis_boundary(ih, side, z, rtol, atol)
-    g = np.column_stack([p.vec for p in pairs])
+    basis = side_basis(ih, side, z, rtol, atol)
+    cols = [basis.solution.row_sampler(0), basis.solution.row_sampler(1)]
+    g = basis.matrix.T
     cond = np.linalg.cond(g)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ConditioningError(

@@ -28,7 +28,7 @@ from .hamiltonian import (IndefHamiltonianA, check_HS, check_I, check_psd,
                           indivisible_type, problem_from_dict)
 
 _RUN_KEYS = {"problem", "z_grid", "t_grid", "tolerances", "output"}
-_TOL_KEYS = {"rk_rtol", "rk_atol", "eps_cut", "eps0", "k_nodes", "tol_limit"}
+_TOL_KEYS = {"rk_rtol", "rk_atol"}
 
 
 def _fmt(x: float) -> str:
@@ -44,7 +44,7 @@ def _finite_complex(value, what: str) -> complex:
             z = complex(value.strip().replace("i", "j"))
         else:
             z = complex(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse complex number {value!r} in {what}") from exc
     if not cmath.isfinite(z):
         raise ConfigError(f"non-finite complex number {value!r} in {what}")
@@ -54,7 +54,7 @@ def _finite_complex(value, what: str) -> complex:
 def _finite_float(value, what: str) -> float:
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse number {value!r} in {what}") from exc
     if not math.isfinite(x):
         raise ConfigError(f"non-finite number {value!r} in {what}")
@@ -140,12 +140,10 @@ def _load_config(args) -> dict:
     unknown = set(cfg) - _RUN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    tol = cfg.get("tolerances", {})
-    unknown = set(tol) - _TOL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys {sorted(unknown)} "
-                          f"(allowed: {sorted(_TOL_KEYS)})")
+    _tols(cfg)
     out = cfg.get("output", {})
+    if not isinstance(out, dict):
+        raise ConfigError("output must be an object")
     unknown = set(out) - {"format", "path"}
     if unknown:
         raise ConfigError(f"unknown output keys {sorted(unknown)}")
@@ -167,21 +165,41 @@ def _problem_from(cfg: dict) -> IndefHamiltonianA:
 
 
 def _tols(cfg: dict):
+    """(rk_rtol, rk_atol) of the config: finite numbers, rtol > 0, atol >= 0."""
     tol = cfg.get("tolerances", {})
-    return (float(tol.get("rk_rtol", mo.PIPE_RTOL)),
-            float(tol.get("rk_atol", mo.PIPE_ATOL)))
+    if not isinstance(tol, dict):
+        raise ConfigError("tolerances must be an object")
+    unknown = set(tol) - _TOL_KEYS
+    if unknown:
+        raise ConfigError(f"unknown tolerance keys {sorted(unknown)} "
+                          f"(allowed: {sorted(_TOL_KEYS)})")
+    vals = []
+    for key, default in (("rk_rtol", mo.PIPE_RTOL), ("rk_atol", mo.PIPE_ATOL)):
+        x = tol.get(key, default)
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"tolerances {key} must be a number, got {x!r}")
+        vals.append(_finite_float(x, f"tolerances {key}"))
+    rtol, atol = vals
+    if rtol <= 0:
+        raise ConfigError(f"tolerances rk_rtol must be > 0, got {rtol!r}")
+    if atol < 0:
+        raise ConfigError(f"tolerances rk_atol must be >= 0, got {atol!r}")
+    return rtol, atol
 
 
 def _jobs(args) -> int:
-    if getattr(args, "jobs", None):
-        return max(1, int(args.jobs))
-    envv = os.environ.get("CANON_JOBS")
-    if not envv:
-        return 1
+    """Worker threads: --jobs, else CANON_JOBS, else 1; each must be >= 1."""
+    if args.jobs is not None:
+        what, text = "--jobs", str(args.jobs)
+    else:
+        what, text = "CANON_JOBS", os.environ.get("CANON_JOBS") or "1"
     try:
-        return max(1, int(envv))
-    except ValueError as exc:
-        raise ConfigError(f"CANON_JOBS must be an integer, got {envv!r}") from exc
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ConfigError(f"{what} must be a positive integer, got {text!r}")
+    return jobs
 
 
 def _map_ordered(fn, items, jobs):
@@ -202,6 +220,16 @@ def _emit(args, text: str):
 
 def _emit_json(args, obj):
     _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+_W_HEADER = ["t", "z_re", "z_im", "W11_re", "W11_im", "W12_re", "W12_im",
+             "W21_re", "W21_im", "W22_re", "W22_im", "det_err"]
+
+
+def _w_row(t, z, w, det_err):
+    """One CSV row of a 2x2 matrix at (t, z): real and imaginary parts."""
+    parts = np.stack([w.real, w.imag], axis=-1).ravel()
+    return [float(t), z.real, z.imag, *map(float, parts), det_err]
 
 
 def _csv(rows, header) -> str:
@@ -227,19 +255,10 @@ def _cmd_fundamental(args):
     def work(z):
         w = sv.fundamental(h, z, side=side, rtol=rtol, atol=atol,
                            t0=h.regular_endpoint(side))
-        rows = []
-        for t in ts:
-            m = w.eval(t)
-            rows.append([float(t), z.real, z.imag,
-                         m[0, 0].real, m[0, 0].imag, m[0, 1].real, m[0, 1].imag,
-                         m[1, 0].real, m[1, 0].imag, m[1, 1].real, m[1, 1].imag,
-                         w.det_error()])
-        return rows
+        return [_w_row(t, z, w.eval(t), w.det_error()) for t in ts]
 
     rows = [r for chunk in _map_ordered(work, zs, _jobs(args)) for r in chunk]
-    _emit(args, _csv(rows, ["t", "z_re", "z_im",
-                            "W11_re", "W11_im", "W12_re", "W12_im",
-                            "W21_re", "W21_im", "W22_re", "W22_im", "det_err"]))
+    _emit(args, _csv(rows, _W_HEADER))
     return 0
 
 
@@ -310,15 +329,9 @@ def _cmd_monodromy(args):
             "det": [np.linalg.det(w).real, np.linalg.det(w).imag],
         } for z, w in results])
     else:
-        rows = [[t, z.real, z.imag,
-                 w[0, 0].real, w[0, 0].imag, w[0, 1].real, w[0, 1].imag,
-                 w[1, 0].real, w[1, 0].imag, w[1, 1].real, w[1, 1].imag,
-                 abs(np.linalg.det(w) - 1.0)]
+        rows = [_w_row(t, z, w, abs(np.linalg.det(w) - 1.0))
                 for z, w in results]
-        _emit(args, _csv(rows, ["t", "z_re", "z_im",
-                                "W11_re", "W11_im", "W12_re", "W12_im",
-                                "W21_re", "W21_im", "W22_re", "W22_im",
-                                "det_err"]))
+        _emit(args, _csv(rows, _W_HEADER))
     return 0
 
 

@@ -226,7 +226,7 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
         err["det_minus_one"] = max(err["det_minus_one"],
                                    abs(np.linalg.det(wmono) - 1.0))
         fac = mo.factorisation(ih, z)
-        wm = bd.basis_solution(ih, "minus", z, mo.PIPE_RTOL, mo.PIPE_ATOL)
+        wm = bd.side_basis(ih, "minus", z, mo.PIPE_RTOL, mo.PIPE_ATOL).solution
         for i in (0, 1):
             fp = sv.CombinedSampler(fac.prefactor[i, :],
                                     [fac.v.row_sampler(0), fac.v.row_sampler(1)])

@@ -40,9 +40,9 @@ KIND_POLY = 1   # c0 + c1 t + ... + c7 t^7  (padded with zeros)
 PARAM_WIDTH = 8
 
 # Per-z results a problem keeps, least recently used evicted first: room for
-# 32 z, each with both kinds on both sides (see ProblemCache).
-PER_Z_KINDS = ("fundamental", "boundary")
-PER_Z_CAP = 32 * 2 * len(PER_Z_KINDS)
+# 32 z on both sides (see ProblemCache).
+PER_Z_KIND = "basis"
+PER_Z_CAP = 32 * 2
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -407,13 +407,13 @@ def check_HS(h: Hamiltonian, singular_end: Endpoint) -> ConditionReport:
 class ProblemCache:
     """Results computed once per problem, shared by every caller and thread.
 
-    Keys whose first element is one of ``PER_Z_KINDS`` are per-z results,
-    ``(kind, side, z, rtol, atol)``; at most ``PER_Z_CAP`` of them are kept,
-    the least recently used evicted first.  Every other key (the z-independent
-    w-families) is kept for the life of the problem.  One lock guards both
-    stores; ``build`` runs outside it, so a slow build never blocks other
-    lookups, and when two threads build the same key the first result stored
-    is the one every caller gets.
+    Keys whose first element is ``PER_Z_KIND`` are the per-z side bases
+    (``boundary.side_basis``), ``(PER_Z_KIND, side, z, rtol, atol)``; at most
+    ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
+    Every other key (the z-independent w-families) is kept for the life of
+    the problem.  One lock guards both stores; ``build`` runs outside it, so
+    a slow build never blocks other lookups, and when two threads build the
+    same key the first result stored is the one every caller gets.
     """
 
     def __init__(self):
@@ -422,7 +422,7 @@ class ProblemCache:
         self._fixed: dict = {}
 
     def lookup(self, key, build):
-        per_z = key[0] in PER_Z_KINDS
+        per_z = key[0] == PER_Z_KIND
         store = self._per_z if per_z else self._fixed
         with self._lock:
             if key in store:

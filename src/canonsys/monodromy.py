@@ -17,10 +17,9 @@ coefficient, and a Gram-matrix estimator for the number of negative squares
 of the kernel (W(z) J W(w)* - J)/(z - conj(w)).
 
 Per side and z, the fundamental solution anchored to the identity at the
-regular endpoint and the boundary pairs of its rows are each integrated once
-and cached on the problem, under ``("fundamental", side, z, rtol, atol)`` and
-``("boundary", side, z, rtol, atol)`` (:func:`canonsys.boundary.basis_solution`,
-:func:`canonsys.boundary.basis_boundary`; at most ``hamiltonian.PER_Z_CAP``
+regular endpoint and the boundary pairs of its rows come from one
+integration, cached on the problem under ``("basis", side, z, rtol, atol)``
+(:func:`canonsys.boundary.side_basis`; at most ``hamiltonian.PER_Z_CAP``
 entries, least recently used evicted first).  W left of sigma and the default
 V are those fundamental solutions; U_minus, U_plus of the default V, the entry
 limits behind M(z) and the Weyl coefficient are read off those boundary pairs.
@@ -37,7 +36,7 @@ import numpy as np
 from . import boundary as bd
 from . import solver as sv
 from .errors import ConditioningError, DomainError
-from .hamiltonian import IndefHamiltonianA, build_R, symplectic_j
+from .hamiltonian import IndefHamiltonianA, build_R, eval_p, symplectic_j
 
 PIPE_RTOL = 1e-12
 PIPE_ATOL = 1e-12
@@ -75,14 +74,13 @@ class KernelSignature:
 def u_minus(ih: IndefHamiltonianA, z: complex,
             rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
     """Boundary-value matrix of the left fundamental solution (det = 1)."""
-    pairs = bd.basis_boundary(ih, "minus", z, rtol, atol)
-    return np.array([p.vec for p in pairs])
+    return bd.side_basis(ih, "minus", z, rtol, atol).matrix
 
 
 def default_v(ih: IndefHamiltonianA, z: complex,
               rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> sv.MatrixSolution:
     """Matrix solution on the right piece anchored to I at s_plus."""
-    return bd.basis_solution(ih, "plus", z, rtol, atol)
+    return bd.side_basis(ih, "plus", z, rtol, atol).solution
 
 
 def u_plus(ih: IndefHamiltonianA, z: complex,
@@ -95,12 +93,11 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
     """
     z = sv.finite_z(z)
     if v is None or (v.t0 == ih.s_plus and np.array_equal(v.init, np.eye(2))):
-        pairs = bd.basis_boundary(ih, "plus", z, rtol, atol)
-    else:
-        if abs(np.linalg.det(v.init)) < 1e-12:
-            raise DomainError("V must be non-singular on the right piece")
-        pairs = bd.gamma_columns(ih, "plus", z, v.t0, v.init.T,
-                                 rtol=rtol, atol=atol)
+        return bd.side_basis(ih, "plus", z, rtol, atol).matrix
+    if abs(np.linalg.det(v.init)) < 1e-12:
+        raise DomainError("V must be non-singular on the right piece")
+    pairs = bd.gamma_columns(ih, "plus", z, v.t0, v.init.T,
+                             rtol=rtol, atol=atol)
     return np.array([p.vec for p in pairs])
 
 
@@ -131,7 +128,7 @@ def assemble_W(ih: IndefHamiltonianA, z: complex, t: float,
     if not (ih.s_minus <= t <= ih.s_plus):
         raise DomainError(f"t={t} outside [{ih.s_minus}, {ih.s_plus}]")
     if t < ih.sigma:
-        return bd.basis_solution(ih, "minus", z, rtol, atol).eval(t)
+        return bd.side_basis(ih, "minus", z, rtol, atol).solution.eval(t)
     if t == ih.sigma:
         raise DomainError("the assembled matrix is not defined at sigma itself")
     fac = factorisation(ih, z, v, rtol, atol)
@@ -184,7 +181,6 @@ def compare_discrete(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA,
     z = sv.finite_z(z)
     w1 = assemble_W(ih1, z, t, rtol=rtol, atol=atol)
     w2 = assemble_W(ih2, z, t, rtol=rtol, atol=atol)
-    from .hamiltonian import eval_p
     dp = eval_p(ih2, z) - eval_p(ih1, z)
     return w2 - w1 - dp * m_matrix(ih1, z, rtol, atol) @ w1
 
@@ -199,7 +195,7 @@ def weyl_intermediate(ih: IndefHamiltonianA, z: complex,
     z = sv.finite_z(z)
     if z.imag == 0.0:
         raise DomainError("the intermediate Weyl coefficient needs Im z != 0")
-    p12, p22 = bd.basis_boundary(ih, "minus", z, rtol, atol)
+    p12, p22 = bd.side_basis(ih, "minus", z, rtol, atol).pairs
     if not p12.samples:
         # indivisible side: second components are constant up to sigma
         return complex(p12.gamma_r / p22.gamma_r)

@@ -96,11 +96,6 @@ def volterra_transform(h: Hamiltonian, f, side: Side):
                          "J H f")
 
 
-def volterra(h: Hamiltonian, f, t: float, side: Side):
-    """Value of the integral operator at one point."""
-    return volterra_transform(h, f, side)(np.float64(t))
-
-
 # ---------------------------------------------------------------------------
 # diagonal construction
 

@@ -109,7 +109,8 @@ class TestGammaR:
         # lim of the second component of (w21, w22)^T is sin(z)/z
         for z in (np.pi, 1.0 + 1.0j, 2.0 - 0.5j):
             f = closed_row_sampler(1, z, example_ih, "minus")
-            val, err = cs.gamma_r(f, example_ih, "minus")
+            rb = cs.gamma_vec(f, example_ih, "minus")
+            val, err = rb.gamma_r, rb.err_est
             want = np.sin(z) / z
             assert abs(val - want) < 1e-9
             assert err < 1e-6
@@ -118,7 +119,8 @@ class TestGammaR:
         z = 1.5 + 0.5j
         c = np.array([0.3, 0.8 - 0.1j])
         f = cs.solve_from_gamma(surgery_ih, "plus", z, c)
-        val, err = cs.gamma_r(f, surgery_ih, "plus")
+        rb = cs.gamma_vec(f, surgery_ih, "plus")
+        val, err = rb.gamma_r, rb.err_est
         assert val == pytest.approx(c[1], abs=1e-12)
         assert err == 0.0
 
@@ -134,12 +136,12 @@ class TestGammaS:
         # first row of W transposed at z=pi gives the (1,1) entry of the
         # closed-form boundary matrix, which equals -2
         f = closed_row_sampler(0, np.pi, example_ih, "minus")
-        val, err = cs.gamma_s(f, example_ih, "minus")
+        val = cs.gamma_vec(f, example_ih, "minus").gamma_s
         assert abs(val - (-2.0)) < 1e-9
 
     def test_zero_solution(self, example_ih):
         f = cs.solve_from_gamma(example_ih, "minus", 2.0, (0.0, 0.0))
-        val, _ = cs.gamma_s(f, example_ih, "minus")
+        val = cs.gamma_vec(f, example_ih, "minus").gamma_s
         assert abs(val) < 1e-12
 
     def test_bad_w_family_fails_to_converge(self, example_ih, hm):
@@ -149,7 +151,7 @@ class TestGammaS:
         w1_bad = cs.w_n_general(hm, "minus", 1, [1.0, 0.5])
         f = closed_row_sampler(0, 1.0, example_ih, "minus")
         with pytest.raises(cs.LimitError) as exc:
-            cs.gamma_s(f, example_ih, "minus", w_funcs=[w0, w1_bad])
+            cs.gamma_vec(f, example_ih, "minus", w_funcs=[w0, w1_bad])
         assert exc.value.samples is not None
 
 

@@ -1,4 +1,5 @@
-"""The per-problem cache: each side's basis and boundary map integrated once.
+"""The per-problem cache: each side's basis and its boundary pairs come from
+one integration per z.
 
 Integrations are counted by wrapping ``solver.integrate_dense``; a boundary
 integration is one that carries the regularised functional (``wd``).
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import canonsys as cs
+from canonsys import boundary as bd
 from canonsys import hamiltonian as hm_mod
 from canonsys import solver as sv
 from canonsys.cli import main
@@ -33,19 +35,24 @@ def integrations(monkeypatch):
     return calls
 
 
+def test_monodromy_at_fresh_z_integrates_each_side_once(integrations):
+    cs.monodromy_matrix(cs.example_problem(), 0.3 - 1.1j)
+    assert sorted(integrations) == [("minus", "boundary"), ("plus", "boundary")]
+
+
 def test_factorisation_twice_integrates_plus_boundary_once(integrations):
     ih = cs.example_problem()
     z = 0.7 + 0.4j
     a = cs.factorisation(ih, z)
     b = cs.factorisation(ih, z)
-    assert integrations.count(("plus", "boundary")) == 1
-    assert sorted(integrations) == [("minus", "boundary"), ("plus", "boundary"),
-                                    ("plus", "fundamental")]
+    assert sorted(integrations) == [("minus", "boundary"), ("plus", "boundary")]
     np.testing.assert_array_equal(a.prefactor, b.prefactor)
-    # assembly right of sigma and the monodromy matrix read the same entries
+    # assembly on both sides of sigma and the monodromy matrix read the same
+    # entries
     cs.assemble_W(ih, z, 1.5)
+    cs.assemble_W(ih, z, 0.5)
     cs.monodromy_matrix(ih, z)
-    assert len(integrations) == 3
+    assert len(integrations) == 2
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
@@ -56,7 +63,24 @@ def test_shooting_shares_one_basis(integrations, side):
     for _ in range(3):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
         cs.solve_from_gamma(ih, side, z, c)
-    assert sorted(integrations) == [(side, "boundary"), (side, "fundamental")]
+    assert integrations == [(side, "boundary")]
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_cached_basis_matches_fundamental(side):
+    # the basis comes from the boundary pairs' integration, which runs closer
+    # to sigma; on the fundamental solution's range the two agree
+    ih = cs.example_problem()
+    h = ih.side(side)
+    reg, sing = h.regular_endpoint(side), h.singular_endpoint(side)
+    frac = np.concatenate([np.linspace(0.0, 0.999, 25), [1 - 1e-4, 1 - 1e-5]])
+    ts = reg + (sing - reg) * frac
+    for z in (0.0, 1.0, -2.5 + 0.3j, 0.7 + 4.0j, 8.0j):
+        want = sv.fundamental(h, z, init=np.eye(2), t0=reg, side=side,
+                              rtol=1e-12, atol=1e-12).eval(ts)
+        got = bd.side_basis(ih, side, z).solution.eval(ts)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-10 * scale), z
 
 
 def test_m_matrix_and_weyl_read_u_minus(integrations):
@@ -74,16 +98,16 @@ def test_per_z_entries_bounded_and_w_family_kept():
     fam = cs.w_family_for(ih, "minus")
     built = []
     for k in range(hm_mod.PER_Z_CAP + 10):
-        key = ("fundamental", "minus", complex(k), 1e-12, 1e-12)
+        key = (hm_mod.PER_Z_KIND, "minus", complex(k), 1e-12, 1e-12)
         ih.memo(key, lambda: built.append(1) or object())
     assert len(built) == hm_mod.PER_Z_CAP + 10
     assert ih.cache.per_z_size() == hm_mod.PER_Z_CAP
     assert cs.w_family_for(ih, "minus") is fam
     # the oldest entry was evicted, the newest is still there
-    ih.memo(("fundamental", "minus", complex(hm_mod.PER_Z_CAP + 9), 1e-12, 1e-12),
+    ih.memo((hm_mod.PER_Z_KIND, "minus", complex(hm_mod.PER_Z_CAP + 9), 1e-12, 1e-12),
             lambda: built.append(1) or object())
     assert len(built) == hm_mod.PER_Z_CAP + 10
-    ih.memo(("fundamental", "minus", 0j, 1e-12, 1e-12),
+    ih.memo((hm_mod.PER_Z_KIND, "minus", 0j, 1e-12, 1e-12),
             lambda: built.append(1) or object())
     assert len(built) == hm_mod.PER_Z_CAP + 11
     assert ih.cache.per_z_size() == hm_mod.PER_Z_CAP
@@ -92,7 +116,7 @@ def test_per_z_entries_bounded_and_w_family_kept():
 def test_concurrent_lookups_agree_and_stay_bounded():
     ih = cs.example_problem()
     n_threads = 8
-    shared = [("boundary", "plus", complex(k), 1e-12, 1e-12) for k in range(40)]
+    shared = [(hm_mod.PER_Z_KIND, "plus", complex(k), 1e-12, 1e-12) for k in range(40)]
     seen = [dict() for _ in range(n_threads)]
     errors = []
     barrier = threading.Barrier(n_threads, timeout=60)
@@ -109,7 +133,7 @@ def test_concurrent_lookups_agree_and_stay_bounded():
             barrier.wait()
             # then overflow the cap from every thread at once
             for k in range(hm_mod.PER_Z_CAP):
-                ih.memo(("fundamental", "minus", complex(i, k), 1e-12, 1e-12),
+                ih.memo((hm_mod.PER_Z_KIND, "minus", complex(i, k), 1e-12, 1e-12),
                         object)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import canonsys as cs
 from canonsys.cli import check_conditions, main
@@ -95,6 +101,101 @@ class TestInputValidation:
                                 "--z-grid", "0"], capsys)
         assert code == 2
         assert token in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tolerances, token", [
+        ({"tol_limit": 1e-30}, "tol_limit"),
+        ({"eps0": 0.1}, "eps0"),
+        ({"rk_rtol": "abc"}, "rk_rtol"),
+        ({"rk_rtol": -1}, "rk_rtol"),
+        ({"rk_rtol": 0}, "rk_rtol"),
+        ({"rk_atol": -1e-3}, "rk_atol"),
+        ({"rk_atol": float("inf")}, "rk_atol"),
+        ({"rk_rtol": True}, "rk_rtol"),
+        ([1e-10], "tolerances"),
+    ])
+    def test_bad_tolerances_exit_two_naming_key(self, tolerances, token,
+                                                 tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": tolerances}))
+        code, _, err = run_cli(["--config", str(cfg), "monodromy",
+                                "--z-grid", "0"], capsys)
+        assert code == 2
+        assert token in err and "Traceback" not in err
+
+    def test_tolerances_reach_the_pipeline(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": {"rk_rtol": 1e-10,
+                                                  "rk_atol": 0}}))
+        code, out, _ = run_cli(["--config", str(cfg), "monodromy",
+                                "--z-grid", "1+1j"], capsys)
+        assert code == 0
+        row = [float(x) for x in out.strip().splitlines()[1].split(",")]
+        want = cs.monodromy_matrix(cs.example_problem(), 1 + 1j, rtol=1e-10,
+                                   atol=0.0)
+        np.testing.assert_array_equal(row[3:11], np.stack(
+            [want.real, want.imag], axis=-1).ravel())
+
+    @pytest.mark.parametrize("flag, env, token", [
+        ("0", "abc", "--jobs"),
+        ("-4", None, "--jobs"),
+        (None, "-2", "CANON_JOBS"),
+        (None, "0", "CANON_JOBS"),
+        (None, "two", "CANON_JOBS"),
+    ])
+    def test_jobs_below_one_exit_two(self, flag, env, token, monkeypatch,
+                                     capsys):
+        if env is None:
+            monkeypatch.delenv("CANON_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("CANON_JOBS", env)
+        argv = [] if flag is None else ["--jobs", flag]
+        code, _, err = run_cli(argv + ["monodromy", "--z-grid", "0"], capsys)
+        assert code == 2
+        assert token in err and "Traceback" not in err
+
+
+def run_quiet(argv, env_jobs=None):
+    """Exit code of the CLI with its output discarded and CANON_JOBS set."""
+    env = {k: v for k, v in os.environ.items() if k != "CANON_JOBS"}
+    if env_jobs is not None:
+        env["CANON_JOBS"] = env_jobs
+    sink = io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        return main(argv)
+
+
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-10**30, max_value=10**400),
+    st.floats(), st.text(max_size=6), st.lists(st.floats(), max_size=2))
+_tokens = st.one_of(
+    st.integers(min_value=-3, max_value=4).map(str),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\x00"), max_size=6))
+
+
+class TestFuzz:
+    """Any config value or job count exits 0, 1 or 2, never with an exception."""
+
+    @given(tolerances=st.one_of(
+        _values, st.dictionaries(st.sampled_from(
+            ["rk_rtol", "rk_atol", "eps0", "tol_limit"]), _values, max_size=2)))
+    @example(tolerances={"rk_rtol": 1e308, "rk_atol": 1e308})
+    @example(tolerances={"rk_rtol": 5e-324, "rk_atol": 0})
+    @settings(max_examples=40, deadline=None)
+    def test_tolerances(self, tolerances, tmp_path_factory):
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": tolerances}))
+        code = run_quiet(["--config", str(cfg), "monodromy",
+                          "--z-grid", "0.5+0.5j"])
+        assert code in (0, 1, 2)
+
+    @given(flag=st.none() | _tokens, env=st.none() | _tokens)
+    @settings(max_examples=40, deadline=None)
+    def test_jobs_tokens(self, flag, env):
+        argv = [] if flag is None else ["--jobs", flag]
+        code = run_quiet(argv + ["monodromy", "--z-grid", "0.5+0.5j,1j"], env)
+        assert code in (0, 1, 2)
 
 
 class TestSubcommands:

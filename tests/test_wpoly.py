@@ -17,22 +17,22 @@ def vec_const(a, b):
 class TestVolterra:
     def test_example_value(self, hm):
         # analytic antiderivative oracle: -int_0^t (s-1)^-2 ds = 1/(t-1) + 1
-        got = cs.volterra(hm, vec_const(0.0, 1.0), 0.5, "minus")
+        got = cs.volterra_transform(hm, vec_const(0.0, 1.0), "minus")(0.5)
         oracle = np.array([1.0 / (0.5 - 1.0) + 1.0, 0.0])
         np.testing.assert_allclose(got, oracle, atol=1e-13)
         np.testing.assert_allclose(got, [-1.0, 0.0], atol=1e-13)
 
     def test_linearity_zero(self, hm):
-        got = cs.volterra(hm, vec_const(0.0, 0.0), 0.7, "minus")
+        got = cs.volterra_transform(hm, vec_const(0.0, 0.0), "minus")(0.7)
         np.testing.assert_allclose(got, [0.0, 0.0], atol=1e-15)
 
     def test_constant_identity(self):
         h = cs.identity_hamiltonian((0.5, 2.0))
-        got = cs.volterra(h, vec_const(1.0, 0.0), 1.3, "minus")
+        got = cs.volterra_transform(h, vec_const(1.0, 0.0), "minus")(1.3)
         np.testing.assert_allclose(got, [0.0, 1.3 - 0.5], atol=1e-13)
 
     def test_complex_input(self, hm):
-        got = cs.volterra(hm, vec_const(0.0, 1.0 + 2.0j), 0.5, "minus")
+        got = cs.volterra_transform(hm, vec_const(0.0, 1.0 + 2.0j), "minus")(0.5)
         np.testing.assert_allclose(got, [(1 + 2j) * -1.0, 0.0], atol=1e-12)
 
 
@@ -86,7 +86,7 @@ class TestGeneralConstruction:
 
     def test_zero_omegas_single_application(self, hm):
         w1 = cs.w_n_general(hm, "minus", 1, [1.0, 0.0])
-        got = cs.volterra(hm, vec_const(0.0, 1.0), 0.6, "minus")
+        got = cs.volterra_transform(hm, vec_const(0.0, 1.0), "minus")(0.6)
         np.testing.assert_allclose(w1(0.6), got, atol=1e-13)
 
     def test_missing_omegas(self, hm):
