@@ -2,10 +2,12 @@
 
 The second solution component has a plain limit at sigma; the first is
 replaced by the weighted functional S(x) = sum_{n<=Delta} z^n w_n(x)^T J y(x)
-minus a correction proportional to that limit.  S is accumulated from its
-derivative -z^(Delta+1) w_Delta^T H y by the solver's panel quadrature, with
-w_Delta evaluated at the collocation nodes (see :mod:`canonsys.solver`), and
-both quantities are extrapolated to sigma by a Neville tableau on the
+minus a correction proportional to that limit.  Forming S from y pointwise
+would cancel catastrophically; instead its derivative
+-z^(Delta+1) w_Delta^T H y is formed at the collocation nodes of the
+solver's panels from the stored node values of y and integrated by the same
+spectral rule (``_chebpanels.cumulative_from_values``) from S at the anchor.
+Both quantities are extrapolated to sigma by a Neville tableau on the
 geometric nodes x_k = sigma -+ eps0 * 2^-k, Ridders-style: the tableau entry
 with the smallest self-consistency error wins and that error is reported.
 
@@ -16,19 +18,17 @@ solutions there).
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z, rtol, atol)``:
 ``side_basis``, the fundamental solution anchored to the identity at the
-regular endpoint, integrated with its functionals out to the last
-extrapolation node, together with the boundary pairs of its two rows.
-Shooting (``solve_from_gamma``) and the assembly in
-:mod:`canonsys.monodromy` read both from there.  The cache keeps at most
-``hamiltonian.PER_Z_CAP`` such entries (32 z on both sides), least recently
-used evicted first.  ``gamma_columns`` and ``gamma_vec`` with other anchors
-always integrate.
+regular endpoint, integrated out to the last extrapolation node, together
+with the boundary pairs of its two rows.  Shooting (``solve_from_gamma``)
+and the assembly in :mod:`canonsys.monodromy` read both from there.  The
+cache keeps at most ``hamiltonian.PER_Z_CAP`` such entries (32 z on both
+sides), least recently used evicted first.  ``gamma_columns`` and
+``gamma_vec`` with other anchors always integrate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -100,11 +100,9 @@ def neville_limit(hs, vals):
     return complex(best), float(best_err)
 
 
-def node_distances(length: float, span: float, eps0: Optional[float] = None,
-                   k_nodes: int = K_NODES) -> np.ndarray:
+def node_distances(length: float, span: float) -> np.ndarray:
     """Distances of the extrapolation nodes to sigma, largest first."""
-    e0 = min(EPS0_FRAC * length if eps0 is None else float(eps0), 0.5 * span)
-    return e0 * 0.5 ** np.arange(k_nodes + 1)
+    return min(EPS0_FRAC * length, 0.5 * span) * 0.5 ** np.arange(K_NODES + 1)
 
 
 def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -126,46 +124,47 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
 
 def _integrate_columns(ih: IndefHamiltonianA, side: Side, z: complex,
                        t_anchor: float, y_cols, w_funcs,
-                       eps0: Optional[float] = None, k_nodes: int = K_NODES,
                        rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
-    """Solutions anchored by the columns of ``y_cols`` and their functionals,
-    integrated from the anchor to the last extrapolation node.
+    """Solutions anchored by the columns of ``y_cols``, integrated from the
+    anchor to the last extrapolation node, and their functionals there.
 
-    Returns (dense solution, node distances to sigma, nodes).
+    Returns (dense solution, node distances to sigma, nodes, S at the nodes
+    with one column per solution).
     """
     h, delta, sing = ih.side(side), ih.delta, ih.sigma
     span = abs(t_anchor - sing)
     if span <= 0:
         raise DomainError("anchor coincides with the singularity")
-    hs = node_distances(h.length, span, eps0, k_nodes)
+    hs = node_distances(h.length, span)
     xs = sing - np.sign(sing - t_anchor) * hs
+    dense = sv.integrate_dense(h, z, t_anchor, y_cols.T.reshape(-1),
+                               [float(xs[-1])], rtol=rtol, atol=atol, sing=sing)
     # S at the anchor per column: sum_n z^n w_n^T J y
     s0 = sum(z ** n * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
              for n, w in enumerate(f(t_anchor) for f in w_funcs[:delta + 1]))
-    state0 = np.concatenate([y_cols.T.reshape(-1), s0])
-    dense = sv.integrate_dense(h, z, t_anchor, state0, [float(xs[-1])],
-                               ncols=y_cols.shape[1], wd=w_funcs[delta],
-                               zdelta=z ** (delta + 1), rtol=rtol, atol=atol,
-                               sing=sing)
-    return dense, hs, xs
+    # S' = -z^(Delta+1) w_Delta^T H y at the chain's nodes
+    chain = dense.segments[0]
+    t = cp.panel_nodes(chain.breaks).ravel()
+    y = chain.ys.reshape(len(t), -1, 2)
+    ds = -z ** (delta + 1) * np.einsum("na,nab,nmb->nm", w_funcs[delta](t),
+                                       h.matrix(t), y)
+    s_vals = s0 + cp.cumulative_from_values(ds, chain.breaks)(xs)
+    return dense, hs, xs, s_vals
 
 
 def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
-                 dense: sv.DenseSolution, hs, xs, tol_limit: float = TOL_LIMIT):
+                 dense: sv.DenseSolution, hs, xs, s_vals):
     """Boundary pair of every column of a ``_integrate_columns`` run."""
-    states = dense.eval_state(xs)                      # (k+1, 3m)
-    m = states.shape[1] // 3
+    y2s = dense.eval_state(xs)[:, 1::2]
     corr = _correction_values(ih, side, z, w_funcs, xs)
     out = []
-    for i in range(m):
-        y2 = states[:, 2 * i + 1]
-        s_vals = states[:, 2 * m + i]
+    for y2, s in zip(y2s.T, s_vals.T):
         gr, err_r = neville_limit(hs, y2)
-        g_vals = s_vals - gr * corr
+        g_vals = s - gr * corr
         gs, err_s = neville_limit(hs, g_vals)
         err = max(err_r, err_s)
         scale = max(1.0, abs(gs), abs(gr))
-        if not np.isfinite(err) or err > tol_limit * scale:
+        if not np.isfinite(err) or err > TOL_LIMIT * scale:
             raise LimitError(
                 f"boundary limit did not converge on side {side} at z={z} "
                 f"(err_est={err:.3e})",
@@ -178,14 +177,12 @@ def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
                   t_anchor: float, y_cols, w_funcs=None,
-                  eps0: Optional[float] = None, k_nodes: int = K_NODES,
-                  rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL,
-                  tol_limit: float = TOL_LIMIT):
+                  rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
     """Boundary pairs of the solutions with given values at the anchor.
 
     ``y_cols`` is a (2, m) matrix whose columns anchor m solutions at
-    ``t_anchor``; all m are solved together with their regularised
-    functionals.  Returns a list of m RegularisedBoundary objects.
+    ``t_anchor``; all m are solved together.  Returns a list of m
+    RegularisedBoundary objects.
     """
     h = ih.side(side)
     z = sv.finite_z(z)
@@ -203,9 +200,8 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
 
     if w_funcs is None:
         w_funcs = wp.w_family_for(ih, side)
-    run = _integrate_columns(ih, side, z, t_anchor, y_cols, w_funcs, eps0,
-                             k_nodes, rtol, atol)
-    return _limit_pairs(ih, side, z, w_funcs, *run, tol_limit=tol_limit)
+    run = _integrate_columns(ih, side, z, t_anchor, y_cols, w_funcs, rtol, atol)
+    return _limit_pairs(ih, side, z, w_funcs, *run)
 
 
 def _indivisible_transport(ih, side, z, t_from, y_cols):
@@ -233,12 +229,12 @@ def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
     return float(t_a), np.asarray(fhat.eval(t_a), dtype=np.complex128)
 
 
-def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side, w_funcs=None,
-              **opts) -> RegularisedBoundary:
+def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side,
+              w_funcs=None) -> RegularisedBoundary:
     """Stacked boundary pair (gamma_s, gamma_r) of one solution sampler."""
     t_a, y_a = _anchor_of(fhat, ih, side)
     return gamma_columns(ih, side, fhat.z, t_a, y_a.reshape(2, 1),
-                         w_funcs=w_funcs, **opts)[0]
+                         w_funcs=w_funcs)[0]
 
 
 @dataclass(frozen=True)

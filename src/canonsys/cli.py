@@ -24,8 +24,8 @@ from . import monodromy as mo
 from . import solver as sv
 from . import wpoly as wp
 from .errors import CanonsysError, ConfigError
-from .hamiltonian import (IndefHamiltonianA, check_HS, check_I, check_psd,
-                          indivisible_type, problem_from_dict)
+from .hamiltonian import (IndefHamiltonianA, _number, check_HS, check_I,
+                          check_psd, problem_from_dict)
 
 _RUN_KEYS = {"problem", "z_grid", "t_grid", "tolerances", "output"}
 _TOL_KEYS = {"rk_rtol", "rk_atol"}
@@ -62,10 +62,10 @@ def _finite_float(value, what: str) -> float:
 
 
 def _count(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) or value != int(value) or value < 1:
+    n = _number(value, what, integer=True)
+    if n < 1:
         raise ConfigError(f"{what} must be a positive integer, got {value!r}")
-    return int(value)
+    return n
 
 
 def _parse_complex_list(text: str, what: str):
@@ -140,7 +140,6 @@ def _load_config(args) -> dict:
     unknown = set(cfg) - _RUN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys {sorted(unknown)}")
-    _tols(cfg)
     out = cfg.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("output must be an object")
@@ -157,11 +156,13 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _problem_from(cfg: dict) -> IndefHamiltonianA:
+def _setup(args):
+    """Config, problem (the example by default) and checked tolerances."""
+    cfg = _load_config(args)
+    rtol, atol = _tols(cfg)
     problem = cfg.get("problem")
-    if problem is None:
-        return ex.example_problem()
-    return problem_from_dict(problem)
+    ih = ex.example_problem() if problem is None else problem_from_dict(problem)
+    return cfg, ih, rtol, atol
 
 
 def _tols(cfg: dict):
@@ -173,13 +174,8 @@ def _tols(cfg: dict):
     if unknown:
         raise ConfigError(f"unknown tolerance keys {sorted(unknown)} "
                           f"(allowed: {sorted(_TOL_KEYS)})")
-    vals = []
-    for key, default in (("rk_rtol", mo.PIPE_RTOL), ("rk_atol", mo.PIPE_ATOL)):
-        x = tol.get(key, default)
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"tolerances {key} must be a number, got {x!r}")
-        vals.append(_finite_float(x, f"tolerances {key}"))
-    rtol, atol = vals
+    defaults = (("rk_rtol", mo.PIPE_RTOL), ("rk_atol", mo.PIPE_ATOL))
+    rtol, atol = (_number(tol.get(k, d), f"tolerances {k}") for k, d in defaults)
     if rtol <= 0:
         raise ConfigError(f"tolerances rk_rtol must be > 0, got {rtol!r}")
     if atol < 0:
@@ -244,9 +240,7 @@ def _csv(rows, header) -> str:
 # subcommands
 
 def _cmd_fundamental(args):
-    cfg = _load_config(args)
-    ih = _problem_from(cfg)
-    rtol, atol = _tols(cfg)
+    cfg, ih, rtol, atol = _setup(args)
     zs = _z_grid_from(args, cfg)
     side = args.side
     h = ih.side(side)
@@ -263,8 +257,7 @@ def _cmd_fundamental(args):
 
 
 def _cmd_wpoly(args):
-    cfg = _load_config(args)
-    ih = _problem_from(cfg)
+    cfg, ih, _, _ = _setup(args)
     if args.n < 0:
         raise ConfigError(f"--n must be a non-negative integer, got {args.n}")
     side = args.side
@@ -281,9 +274,7 @@ def _cmd_wpoly(args):
 
 
 def _cmd_regbv(args):
-    cfg = _load_config(args)
-    ih = _problem_from(cfg)
-    rtol, atol = _tols(cfg)
+    cfg, ih, rtol, atol = _setup(args)
     zs = _z_grid_from(args, cfg)
     side = args.side
     y0 = _parse_complex_list(args.init, "--init")
@@ -311,9 +302,7 @@ def _cmd_regbv(args):
 
 
 def _cmd_monodromy(args):
-    cfg = _load_config(args)
-    ih = _problem_from(cfg)
-    rtol, atol = _tols(cfg)
+    cfg, ih, rtol, atol = _setup(args)
     zs = _z_grid_from(args, cfg)
     t = float(args.t) if args.t is not None else ih.s_plus
 
@@ -322,23 +311,23 @@ def _cmd_monodromy(args):
         return z, w
 
     results = _map_ordered(work, zs, _jobs(args))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf when W overflows
+        dets = [np.linalg.det(w) for _, w in results]
     if (args.emit or "csv") == "json":
         _emit_json(args, [{
             "z": [z.real, z.imag], "t": t,
             "W": [[[w[i, j].real, w[i, j].imag] for j in (0, 1)] for i in (0, 1)],
-            "det": [np.linalg.det(w).real, np.linalg.det(w).imag],
-        } for z, w in results])
+            "det": [det.real, det.imag],
+        } for (z, w), det in zip(results, dets)])
     else:
-        rows = [_w_row(t, z, w, abs(np.linalg.det(w) - 1.0))
-                for z, w in results]
+        rows = [_w_row(t, z, w, abs(det - 1.0))
+                for (z, w), det in zip(results, dets)]
         _emit(args, _csv(rows, _W_HEADER))
     return 0
 
 
 def _cmd_kernel_signature(args):
-    cfg = _load_config(args)
-    ih = _problem_from(cfg)
-    rtol, atol = _tols(cfg)
+    _, ih, rtol, atol = _setup(args)
     if args.points:
         pts = _parse_complex_list(args.points, "--points")
     else:
@@ -357,9 +346,7 @@ def _cmd_kernel_signature(args):
 
 
 def _cmd_weyl(args):
-    cfg = _load_config(args)
-    ih = _problem_from(cfg)
-    rtol, atol = _tols(cfg)
+    _, ih, rtol, atol = _setup(args)
     zs = _parse_complex_list(args.z, "--z")
     out = []
     for z in zs:
@@ -370,13 +357,9 @@ def _cmd_weyl(args):
 
 
 def _cmd_validate_example(args):
-    cfg_obj = ex.ExampleConfig(
-        s_plus=args.s_plus,
-        d0=args.d0,
-        d1=args.d1,
-        oe=0 if args.b is None else len(_parse_float_list(args.b, "--b")),
-        b=() if args.b is None else tuple(_parse_float_list(args.b, "--b")),
-    )
+    b = () if args.b is None else tuple(_parse_float_list(args.b, "--b"))
+    cfg_obj = ex.ExampleConfig(s_plus=args.s_plus, d0=args.d0, d1=args.d1,
+                               oe=len(b), b=b)
     report = ex.run_validation(cfg_obj, threshold=args.threshold)
     _emit_json(args, report)
     return 0 if report["pass"] else 1
@@ -413,8 +396,7 @@ def check_conditions(ih: IndefHamiltonianA) -> dict:
 
 
 def _cmd_check_conditions(args):
-    cfg = _load_config(args)
-    ih = _problem_from(cfg)
+    _, ih, _, _ = _setup(args)
     report = check_conditions(ih)
     width = 13
     head = ("side", "psd_worst", "cond_I", "cond_HS", "indivisible", "delta_ok")

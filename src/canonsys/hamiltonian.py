@@ -15,6 +15,7 @@ unitriangular interface matrix R(z) = [[1, p(z)], [0, 1]].
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -47,6 +48,28 @@ PER_Z_CAP = 32 * 2
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def _number(value, key: str, integer: bool = False) -> float:
+    """A finite real number (an integral one if ``integer``) read from a
+    config; ConfigError names the key."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        raise ConfigError(f"{key} must be a finite "
+                          f"{'integer' if integer else 'number'}, got {value!r}")
+    return int(x) if integer else x
+
+
+def _numbers(value, key: str, size: Optional[int] = None) -> list:
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        raise ConfigError(f"{key} must be a list of {size or ''} numbers, "
+                          f"got {value!r}")
+    return [_number(x, key) for x in value]
+
+
 def symplectic_j() -> np.ndarray:
     return _J.copy()
 
@@ -71,19 +94,16 @@ class PackedEntry:
         idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1,
                       0, len(self.kinds) - 1)
         out = np.empty_like(t)
-        for k in np.unique(idx):
-            m = idx == k
-            if self.kinds[k] == KIND_POWER:
-                c, a, p = self.params[k, :3]
-                if c == 0.0:
-                    out[m] = 0.0
+        # |t-a|^p is inf at the singular point for p < 0, and large
+        # parameters overflow; callers treat non-finite entries as errors
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in np.unique(idx):
+                m = idx == k
+                if self.kinds[k] == KIND_POWER:
+                    c, a, p = self.params[k, :3]
+                    out[m] = 0.0 if c == 0.0 else c * np.abs(t[m] - a) ** p
                 else:
-                    with np.errstate(divide="ignore"):
-                        # |t-a|^p is inf at the singular point for p < 0;
-                        # callers treat non-finite entries as errors
-                        out[m] = c * np.abs(t[m] - a) ** p
-            else:
-                out[m] = _poly.polyval(t[m], self.params[k])
+                    out[m] = _poly.polyval(t[m], self.params[k])
         return out
 
     @property
@@ -106,7 +126,7 @@ def _pack_pieces(pieces, lo, hi):
     breaks = [lo]
     kinds, params = [], []
     for a, b, kind, row in pieces:
-        if abs(a - breaks[-1]) > 1e-12 * (abs(hi - lo) + 1.0):
+        if not a < b or abs(a - breaks[-1]) > 1e-12 * (abs(hi - lo) + 1.0):
             raise ConfigError(f"entry pieces do not tile the interval at t={a}")
         breaks.append(b)
         kinds.append(kind)
@@ -119,23 +139,30 @@ def _pack_pieces(pieces, lo, hi):
     return PackedEntry(np.array(breaks), np.array(kinds), np.array(params))
 
 
-def _entry_pieces_from_dict(e: dict, a: float, b: float):
-    allowed = {"type", "value", "coeffs", "c", "center", "exponent"}
-    unknown = set(e) - allowed
+def _entry_pieces_from_dict(e, a: float, b: float, key: str):
+    if not isinstance(e, dict):
+        raise ConfigError(f"{key} must be an object, got {e!r}")
+    unknown = set(e) - {"type", "value", "coeffs", "c", "center", "exponent"}
     if unknown:
-        raise ConfigError(f"unknown entry keys {sorted(unknown)}")
+        raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
     typ = e.get("type")
+
+    def get(name, read=_number):
+        if name not in e:
+            raise ConfigError(f"{key}: a {typ} entry needs the key {name!r}")
+        return read(e[name], f"{key}.{name}")
+
     if typ == "const":
-        return (a, b, KIND_POLY, [float(e["value"])])
+        return (a, b, KIND_POLY, [get("value")])
     if typ == "poly":
-        coeffs = [float(c) for c in e["coeffs"]]
+        coeffs = get("coeffs", _numbers)
         if len(coeffs) > PARAM_WIDTH:
-            raise ConfigError(f"poly entries support at most {PARAM_WIDTH} coefficients")
+            raise ConfigError(f"{key}: poly entries support at most "
+                              f"{PARAM_WIDTH} coefficients")
         return (a, b, KIND_POLY, coeffs)
     if typ == "power":
-        return (a, b, KIND_POWER,
-                [float(e["c"]), float(e["center"]), float(e["exponent"])])
-    raise ConfigError(f"unknown entry type {typ!r} (expected const|poly|power)")
+        return (a, b, KIND_POWER, [get("c"), get("center"), get("exponent")])
+    raise ConfigError(f"unknown {key} type {typ!r} (expected const|poly|power)")
 
 
 _NAMED_SPECS = ("inverse-square", "indivisible-inverse-square", "identity")
@@ -237,7 +264,7 @@ def hamiltonian_from_spec(spec: dict, interval,
     if unknown:
         raise ConfigError(f"unknown Hamiltonian spec keys {sorted(unknown)}")
     if "lc" in spec:
-        lc = tuple(spec["lc"])
+        lc = spec["lc"] if isinstance(spec["lc"], (list, tuple)) else ()
         if len(lc) != 2 or any(f not in ("auto", "circle", "point") for f in lc):
             raise ConfigError("lc must be a pair from {auto, circle, point}")
 
@@ -253,38 +280,40 @@ def hamiltonian_from_spec(spec: dict, interval,
                            spec)
     if kind == "piecewise":
         pieces = spec.get("pieces")
-        if not pieces:
+        if not pieces or not isinstance(pieces, list):
             raise ConfigError("piecewise spec needs a non-empty pieces list")
         rows = {"h1": [], "h2": [], "h3": []}
-        for p in pieces:
+        for k, p in enumerate(pieces):
+            key = f"pieces[{k}]"
+            if not isinstance(p, dict):
+                raise ConfigError(f"{key} must be an object, got {p!r}")
             unknown = set(p) - {"interval", "h1", "h2", "h3"}
             if unknown:
-                raise ConfigError(f"unknown piece keys {sorted(unknown)}")
-            a, b = float(p["interval"][0]), float(p["interval"][1])
+                raise ConfigError(f"unknown {key} keys {sorted(unknown)}")
+            ab = _numbers(p.get("interval"), f"{key}.interval", 2)
             for name in rows:
                 entry = p.get(name, {"type": "const", "value": 0.0})
-                rows[name].append(_entry_pieces_from_dict(entry, a, b))
+                rows[name].append(_entry_pieces_from_dict(
+                    entry, *ab, f"{key}.{name}"))
         return Hamiltonian((lo, hi),
                            _pack_pieces(rows["h1"], lo, hi),
                            _pack_pieces(rows["h2"], lo, hi),
                            _pack_pieces(rows["h3"], lo, hi), spec)
     if kind == "table":
-        ts = np.asarray(spec["t"], dtype=np.float64)
+        ts = np.array(_numbers(spec.get("t"), "t"))
         if len(ts) < 2 or np.any(np.diff(ts) <= 0):
             raise ConfigError("table nodes must be strictly increasing, >= 2 of them")
         if abs(ts[0] - lo) > 1e-12 or abs(ts[-1] - hi) > 1e-12:
             raise ConfigError("table nodes must span the interval")
         packed = []
         for name in ("h1", "h2", "h3"):
-            vals = np.asarray(spec.get(name, np.zeros_like(ts)), dtype=np.float64)
+            vals = np.array(_numbers(spec.get(name, [0.0] * len(ts)), name))
             if len(vals) != len(ts):
                 raise ConfigError(f"table {name} needs one value per node")
-            pieces = []
-            for k in range(len(ts) - 1):
-                c1 = (vals[k + 1] - vals[k]) / (ts[k + 1] - ts[k])
-                c0 = vals[k] - c1 * ts[k]
-                pieces.append((ts[k], ts[k + 1], KIND_POLY, [c0, c1]))
-            packed.append(_pack_pieces(pieces, lo, hi))
+            c1 = np.diff(vals) / np.diff(ts)   # one linear piece per gap
+            rows = zip(vals[:-1] - c1 * ts[:-1], c1)
+            packed.append(_pack_pieces([(a, b, KIND_POLY, row) for a, b, row
+                                        in zip(ts[:-1], ts[1:], rows)], lo, hi))
         return Hamiltonian((lo, hi), *packed, spec)
     raise ConfigError(f"unknown Hamiltonian kind {kind!r} (expected named|piecewise|table)")
 
@@ -337,10 +366,12 @@ def indivisible_type(h: Hamiltonian, a: float, b: float,
         raise DomainError(f"need {lo} <= a < b <= {hi}, got ({a}, {b})")
     ts = _interior_samples(a, b)
     ms = h.matrix(ts)
-    norms = np.linalg.norm(ms, axis=(1, 2))
-    if norms.max() <= 1e-300:
+    peak = np.abs(ms).max()
+    if peak <= 1e-300:
         raise IndeterminateError(
             "H vanishes at every sample point; the set {H=0} must be null")
+    ms = ms / peak  # the test is scale-free; this keeps the squares finite
+    norms = np.linalg.norm(ms, axis=(1, 2))
     keep = norms > 1e-14 * norms.max()
     # average of trace-normalised samples; rank one iff all ranges align
     avg = (ms[keep] / norms[keep, None, None]).mean(axis=0)
@@ -552,20 +583,20 @@ def problem_from_dict(cfg: dict) -> IndefHamiltonianA:
     missing = {"interval", "sigma", "h_minus", "h_plus", "delta", "d"} - set(cfg)
     if missing:
         raise ConfigError(f"missing problem keys {sorted(missing)}")
-    try:
-        s_lo, s_hi = (float(x) for x in cfg["interval"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"interval must be two numbers, got "
-                          f"{cfg['interval']!r}") from exc
-    try:
-        sigma = float(cfg["sigma"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sigma must be a number, got {cfg['sigma']!r}") from exc
-    hm = hamiltonian_from_spec(cfg["h_minus"], (s_lo, sigma), singular=sigma)
-    hp = hamiltonian_from_spec(cfg["h_plus"], (sigma, s_hi), singular=sigma)
+    s_lo, s_hi = _numbers(cfg["interval"], "interval", 2)
+    sigma = _number(cfg["sigma"], "sigma")
+    sides = []
+    for key, iv in (("h_minus", (s_lo, sigma)), ("h_plus", (sigma, s_hi))):
+        try:
+            sides.append(hamiltonian_from_spec(cfg[key], iv, singular=sigma))
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    omegas = [None if cfg.get(key) is None else _numbers(cfg[key], key)
+              for key in ("omega_minus", "omega_plus")]
     return indef_hamiltonian(
-        hm, hp, cfg["delta"], cfg["d"], cfg.get("oe", 0), cfg.get("b", ()),
-        cfg.get("omega_minus"), cfg.get("omega_plus"))
+        *sides, _number(cfg["delta"], "delta", True), _numbers(cfg["d"], "d"),
+        _number(cfg.get("oe", 0), "oe", True), _numbers(cfg.get("b", []), "b"),
+        *omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +614,11 @@ def build_p(ih: IndefHamiltonianA) -> np.ndarray:
 
 
 def eval_p(ih: IndefHamiltonianA, z) -> complex:
-    return _poly.polyval(z, build_p(ih))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _poly.polyval(z, build_p(ih))
+    if not np.isfinite(p):
+        raise DomainError(f"p(z) overflows at z={z}: d or b too large")
+    return p
 
 
 def build_R(ih: IndefHamiltonianA, z) -> np.ndarray:

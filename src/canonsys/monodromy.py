@@ -41,7 +41,6 @@ from .hamiltonian import IndefHamiltonianA, build_R, eval_p, symplectic_j
 PIPE_RTOL = 1e-12
 PIPE_ATOL = 1e-12
 COND_LIMIT = 1e12
-TOL_DET = 1e-9
 TOL_EIG_REL = 1e-8   # negative-squares threshold relative to the Gram norm
 
 _J = symplectic_j()

@@ -13,13 +13,9 @@ toward which the panels are halved geometrically.  A panel is split while
 the trailing Chebyshev coefficients of its basis exceed rtol, or the noise
 floor of its float nodes, times the basis's overall size; the number of
 splits is bounded (``MAX_SPLITS``).
-Dense output evaluates each panel's Chebyshev series.
-
-The regularised boundary functional S = sum_n z^n w_n(t)^T J y(t) used by
-module :mod:`canonsys.boundary` is obtained from its derivative
--z^(Delta+1) w_Delta^T H y, known at the nodes once y is, by the same
-cumulative integration.  Forming S from y pointwise would cancel
-catastrophically, integrating its derivative does not.
+Dense output evaluates each panel's Chebyshev series; each chain also keeps
+the state at its nodes (``PanelChain.ys``), from which :mod:`canonsys.boundary`
+forms the regularised boundary functional.
 """
 
 from __future__ import annotations
@@ -80,8 +76,6 @@ class PanelChain(cp.PanelFunction):
     def ts(self):
         return self.breaks
 
-    eval = cp.PanelFunction.__call__
-
 
 class DenseSolution:
     """Dense output over one or two segments sharing the anchor point."""
@@ -104,7 +98,7 @@ class DenseSolution:
             pad = 1e-12 * (abs(seg.hi) + abs(seg.lo) + 1.0)
             m = (~done) & (ts >= seg.lo - pad) & (ts <= seg.hi + pad)
             if np.any(m):
-                out[m] = seg.eval(np.clip(ts[m], seg.lo, seg.hi))
+                out[m] = seg(np.clip(ts[m], seg.lo, seg.hi))
                 done[m] = True
         if not np.all(done):
             bad = ts[~done]
@@ -230,17 +224,19 @@ def _resolved(a, b, phi, rtol, atol):
         return tail <= np.maximum(max(rtol, _TOL_FLOOR), noise) * scale + atol
 
 
-def _collocate(h, z, t0, t1, state0, ncols, wd, zdelta, rtol, atol, sing):
+def _collocate(h, z, t0, t1, state0, rtol, atol, sing):
     """One direction of ``integrate_dense`` as a PanelChain."""
     context = f"integration on [{t0}, {t1}] at z={z}"
     direction = 1.0 if t1 > t0 else -1.0
+    ncols = len(state0) // 2
     pending = _initial_breaks(h, t0, t1, sing)
     pending = list(zip(pending[:-1], pending[1:]))
     done = []
     splits = 0
     while pending:
-        a, b = np.array(pending).T
-        t = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * cp._NODES
+        panels = np.array(pending)
+        a, b = panels.T
+        t = cp.panel_nodes(panels)[:, 0]
         hm = h.matrix(t.ravel()).reshape(t.shape + (2, 2))
         bad = ~np.isfinite(hm).all(axis=(1, 2, 3))
         if not bad.any():
@@ -252,7 +248,7 @@ def _collocate(h, z, t0, t1, state0, ncols, wd, zdelta, rtol, atol, sing):
                 f"{context}: non-finite Hamiltonian entries or propagator "
                 f"on the panel from t={t_bad}", t_bad)
         ok = _resolved(a, b, phi, rtol, atol)
-        done.extend(zip(a[ok], b[ok], t[ok], hm[ok], phi[ok], f[ok]))
+        done.extend(zip(a[ok], b[ok], phi[ok], f[ok]))
         pending = []
         for ak, bk in zip(a[~ok], b[~ok]):
             if abs(bk - ak) < 2.0 * _WIDTH_FLOOR * max(1.0, abs(ak), abs(bk)):
@@ -266,13 +262,14 @@ def _collocate(h, z, t0, t1, state0, ncols, wd, zdelta, rtol, atol, sing):
             mid = 0.5 * (ak + bk)
             pending += [(ak, mid), (mid, bk)]
     done.sort(key=lambda p: direction * p[0])
-    a, b, t, hm, phi, f = (np.array(col) for col in zip(*done))
-    hw = 0.5 * (b - a)
+    a, b, phi, f = (np.array(col) for col in zip(*done))
+    breaks = np.append(a, b[-1])
 
     # chain the 2x2 propagators: start values of every panel
+    hw = 0.5 * (b - a)
     prop = np.eye(2) + hw[:, None, None] * np.einsum("j,pjab->pab", cp.END_WEIGHTS, f)
     starts = np.empty((len(a) + 1, 2, ncols), dtype=np.complex128)
-    starts[0] = state0[:2 * ncols].reshape(ncols, 2).T
+    starts[0] = state0.reshape(ncols, 2).T
     for k in range(len(a)):
         starts[k + 1] = prop[k] @ starts[k]
     finite = np.isfinite(starts).all(axis=(1, 2))
@@ -280,44 +277,26 @@ def _collocate(h, z, t0, t1, state0, ncols, wd, zdelta, rtol, atol, sing):
         k = max(int(np.argmin(finite)) - 1, 0)
         raise SingularityProximityError(
             f"{context}: solution overflow on the panel from t={a[k]}", float(a[k]))
-    y = phi @ starts[:-1, None]                     # (P, n, 2, ncols)
-    fy = f @ starts[:-1, None]
-    nodes = [y.transpose(0, 1, 3, 2).reshape(len(a), -1, 2 * ncols)]
-    first = [starts[:-1].transpose(0, 2, 1).reshape(len(a), 2 * ncols)]
-    slopes = [fy.transpose(0, 1, 3, 2).reshape(len(a), -1, 2 * ncols)]
-    if wd is not None:
-        # S' = -z^(Delta+1) w_Delta^T H y, integrated by the same rule
-        w = np.asarray(wd(t.ravel()), dtype=np.float64).reshape(t.shape + (2,))
-        g = -zdelta * np.einsum("pja,pjab,pjbc->pjc", w, hm, y)
-        s_start = state0[2 * ncols:] + np.concatenate([
-            np.zeros((1, ncols)),
-            np.cumsum(hw[:, None] * np.einsum("j,pjc->pc", cp.END_WEIGHTS, g), axis=0)])
-        nodes.append(s_start[:-1, None] + hw[:, None, None]
-                     * np.einsum("ij,pjc->pic", cp.CUMINT, g))
-        first.append(s_start[:-1])
-        slopes.append(g)
-    nodes, first, slopes = (np.concatenate(x, axis=-1) for x in (nodes, first, slopes))
-    coefs = hw[:, None, None] * np.einsum("ij,pjd->pid", cp.CUMINT_COEFS, slopes)
-    coefs[:, 0] += first
-    breaks = np.append(a, b[-1])
-    return PanelChain(breaks, nodes.reshape(-1, nodes.shape[-1]), coefs)
+    # node values and slopes, columns stacked as in state0
+    y = (phi @ starts[:-1, None]).transpose(0, 1, 3, 2).reshape(-1, 2 * ncols)
+    slopes = (f @ starts[:-1, None]).transpose(0, 1, 3, 2).reshape(-1, 2 * ncols)
+    coefs, _ = cp._node_integrals(slopes, breaks)
+    coefs[:, 0] += starts[:-1].transpose(0, 2, 1).reshape(len(a), 2 * ncols)
+    return PanelChain(breaks, y, coefs)
 
 
 def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,
-                    targets: Sequence[float], ncols: int = 1,
-                    wd=None, zdelta=0j, rtol=RK_RTOL, atol=RK_ATOL,
+                    targets: Sequence[float], rtol=RK_RTOL, atol=RK_ATOL,
                     sing: Optional[float] = None) -> DenseSolution:
-    """Solve from t0 toward each target (at most one per direction).
+    """Solve Y' = z J H Y from t0 toward each target (at most one per
+    direction).
 
-    ``state0`` stacks ``ncols`` start vectors, followed by one start value
-    per column of the functional S when ``wd`` (w_Delta, an evaluable
-    t -> R^2) is given; S' = -zdelta w_Delta^T H y.  ``sing`` is a singular
-    endpoint a target may approach; panels are refined toward it.
+    ``state0`` stacks the start vectors of the solved columns.  ``sing`` is
+    a singular endpoint a target may approach; panels are refined toward it.
     """
     z = complex(z)
     state0 = np.asarray(state0, dtype=np.complex128)
-    chains = [_collocate(h, z, float(t0), float(t1), state0, ncols, wd,
-                         complex(zdelta), rtol, atol, sing)
+    chains = [_collocate(h, z, float(t0), float(t1), state0, rtol, atol, sing)
               for t1 in targets if t1 != t0]
     if not chains:
         raise DomainError(f"no target other than t0={t0} to integrate to")
@@ -355,8 +334,8 @@ def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
     if y0.shape != (2,):
         raise DomainError("y0 must be a 2-vector")
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense = integrate_dense(h, z, t0, y0, targets, ncols=1, rtol=rtol,
-                            atol=atol, sing=sing)
+    dense = integrate_dense(h, z, t0, y0, targets, rtol=rtol, atol=atol,
+                            sing=sing)
     return SolutionSampler(dense, 0)
 
 
@@ -375,7 +354,7 @@ class MatrixSolution:
     def eval(self, ts):
         st = self._dense.eval_state(ts)
         # state is Y = W^T column-stacked, i.e. the row-major entries of W
-        w = st[..., :4].reshape(st.shape[:-1] + (2, 2))
+        w = st.reshape(st.shape[:-1] + (2, 2))
         return w[0] if np.ndim(ts) == 0 else w
 
     __call__ = eval
@@ -396,7 +375,7 @@ class MatrixSolution:
         eps = np.finfo(np.float64).eps
         worst = 0.0
         for seg in self._dense.segments:
-            y = seg.ys[:, :4].reshape(-1, 2, 2)
+            y = seg.ys.reshape(-1, 2, 2)
             det = y[:, 0, 0] * y[:, 1, 1] - y[:, 0, 1] * y[:, 1, 0]
             err = np.abs(det - self.det_init)
             if not raw:
@@ -424,8 +403,8 @@ def fundamental(h: Hamiltonian, z: complex, init=None,
         raise DomainError("init must be non-singular")
     state0 = init.reshape(-1)  # row-major entries of W = column-stacked W^T
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense = integrate_dense(h, z, t0, state0, targets, ncols=2, rtol=rtol,
-                            atol=atol, sing=sing)
+    dense = integrate_dense(h, z, t0, state0, targets, rtol=rtol, atol=atol,
+                            sing=sing)
     return MatrixSolution(dense, init, t0)
 
 
@@ -450,12 +429,8 @@ def greens_residual(u, f, x1: float, x2: float, n_panels: int = 24) -> complex:
     w = u.z
 
     def integrand(ts):
-        uu = u.eval(ts)
-        ff = f.eval(ts)
-        m = h.matrix(ts)
-        hf1 = m[:, 0, 0] * ff[:, 0] + m[:, 0, 1] * ff[:, 1]
-        hf2 = m[:, 1, 0] * ff[:, 0] + m[:, 1, 1] * ff[:, 1]
-        return np.conj(uu[:, 0]) * hf1 + np.conj(uu[:, 1]) * hf2
+        return np.einsum("na,nab,nb->n", np.conj(u.eval(ts)), h.matrix(ts),
+                         f.eval(ts))
 
     inner = np.unique(np.concatenate([
         [x1, x2], h.inner_breaks()[(h.inner_breaks() > x1) & (h.inner_breaks() < x2)]]))

@@ -27,9 +27,6 @@ from . import _chebpanels as cp
 from .errors import ConfigError, IntegrationError, UnsupportedSpecError
 from .hamiltonian import Hamiltonian, IndefHamiltonianA, Side
 
-DERIV_TOL = 1e-6     # finite-difference check of w_n' = J H w_{n-1}
-MATCH_TOL = 1e-8     # diagonal vs general construction agreement
-
 
 class _Const:
     """Constant function compatible with PanelFunction evaluation."""

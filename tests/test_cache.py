@@ -1,8 +1,10 @@
 """The per-problem cache: each side's basis and its boundary pairs come from
 one integration per z.
 
-Integrations are counted by wrapping ``solver.integrate_dense``; a boundary
-integration is one that carries the regularised functional (``wd``).
+Integrations are counted by wrapping ``solver.integrate_dense`` and told
+apart by their target: a boundary integration stops at the last Neville node,
+about 9.5e-8 of the side's length from sigma, a fundamental one at the 1e-6
+cutoff.
 """
 
 import sys
@@ -25,11 +27,12 @@ def integrations(monkeypatch):
     calls = []
     orig = sv.integrate_dense
 
-    def counted(h, *args, **kwargs):
+    def counted(h, z, t0, state0, targets, **kwargs):
         side = "minus" if h.interval[0] == 0.0 else "plus"
-        kind = "boundary" if kwargs.get("wd") is not None else "fundamental"
-        calls.append((side, kind))
-        return orig(h, *args, **kwargs)
+        sing = h.singular_endpoint(side)
+        near = min(abs(t - sing) for t in targets) < 3e-7 * h.length
+        calls.append((side, "boundary" if near else "fundamental"))
+        return orig(h, z, t0, state0, targets, **kwargs)
 
     monkeypatch.setattr(sv, "integrate_dense", counted)
     return calls
@@ -81,6 +84,15 @@ def test_cached_basis_matches_fundamental(side):
         got = bd.side_basis(ih, side, z).solution.eval(ts)
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-10 * scale), z
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_cached_basis_holds_only_solution_columns(side):
+    # the functionals are formed in boundary and not kept with the solution
+    basis = bd.side_basis(cs.example_problem(), side, 0.4 + 0.9j)
+    for chain in basis.solution._dense.segments:
+        assert chain.ys.shape[1:] == (4,)
+        assert chain.coefs.shape[2:] == (4,)
 
 
 def test_m_matrix_and_weyl_read_u_minus(integrations):

@@ -15,8 +15,14 @@ from canonsys import wpoly
 def test_cumulative_from_start_polynomial():
     breaks = cp.geometric_panels(0.0, 1.0)
     ts = np.linspace(0.0, 1.0, 1001)[:-1]
-    F = cp.cumulative_from_start(lambda t: 3 * t ** 2 - 2 * t + 1, breaks)
-    np.testing.assert_allclose(F(ts), ts ** 3 - ts ** 2 + ts, rtol=0, atol=5e-15)
+
+    def fn(t):
+        return 3 * t ** 2 - 2 * t + 1
+
+    for F in (cp.cumulative_from_start(fn, breaks),
+              cp.cumulative_from_values(fn(cp.panel_nodes(breaks).ravel()), breaks)):
+        np.testing.assert_allclose(F(ts), ts ** 3 - ts ** 2 + ts, rtol=0,
+                                   atol=5e-15)
 
 
 def test_cumulative_from_start_piecewise_entry():
@@ -70,13 +76,13 @@ def test_panel_integrals_evaluates_once_per_chain():
 
 def test_w_family_fits_each_function_once(example_ih, monkeypatch):
     calls = []
-    original = cp._panel_integrals
+    original = cp._node_integrals
 
-    def counting(fn, breaks):
+    def counting(vals, breaks):
         calls.append(len(breaks))
-        return original(fn, breaks)
+        return original(vals, breaks)
 
-    monkeypatch.setattr(cp, "_panel_integrals", counting)
+    monkeypatch.setattr(cp, "_node_integrals", counting)
     for side in ("minus", "plus"):
         calls.clear()
         fam = wpoly.build_w_family(example_ih.side(side), side, 4)

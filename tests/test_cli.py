@@ -68,6 +68,8 @@ class TestInputValidation:
         (["regbv", "--z-grid", "1", "--init", "0,nan"], "nan"),
         (["validate-example", "--b", "x"], "'x'"),
         (["wpoly", "--n", "-1"], "--n"),
+        (["monodromy", "--z-grid", '{"re": [0, 1, 1%s], "im": [0, 1, 2]}'
+          % ("0" * 400)], "z_grid re count"),
     ])
     def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -90,6 +92,16 @@ class TestInputValidation:
         ("interval", "xy", "interval"),
         ("sigma", "one", "sigma"),
         ("h_minus", {"kind": "named"}, "'name'"),
+        ("oe", "x", "oe"),
+        ("omega_minus", "abc", "omega_minus"),
+        ("delta", 1.5, "delta"),
+        ("delta", "1", "delta"),
+        ("d", [float("nan"), 0.0], "d"),
+        ("h_minus", {"kind": "piecewise", "pieces": [{
+            "interval": [0.0, 1.0], "h1": {"type": "const"}}]}, "'value'"),
+        ("h_plus", {"kind": "piecewise", "pieces": [{
+            "interval": [1.0, 2.0],
+            "h2": {"type": "power", "center": 1.0, "exponent": -2}}]}, "'c'"),
     ])
     def test_bad_problem_value_exits_two_naming_key(self, key, value, token,
                                                     tmp_path, capsys):
@@ -174,6 +186,20 @@ _tokens = st.one_of(
                           blacklist_characters="\x00"), max_size=6))
 
 
+_PROBLEM_KEYS = ["interval", "sigma", "h_minus", "h_plus", "delta", "d", "oe",
+                 "b", "omega_minus", "omega_plus", "extra"]
+_entry = st.fixed_dictionaries({}, optional={
+    "type": st.sampled_from(["const", "poly", "power"]) | _values,
+    **{k: _values for k in ("value", "coeffs", "c", "center", "exponent")}})
+_piece = st.fixed_dictionaries({"interval": st.just([0.0, 1.0]) | _values},
+                               optional={"h1": _entry | _values, "h2": _entry})
+_spec = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["named", "piecewise", "table"]) | _values},
+    optional={"name": st.just("inverse-square") | _values,
+              "pieces": st.lists(_piece, max_size=2) | _values,
+              "t": _values, "h1": _values, "lc": _values})
+
+
 class TestFuzz:
     """Any config value or job count exits 0, 1 or 2, never with an exception."""
 
@@ -186,6 +212,25 @@ class TestFuzz:
     def test_tolerances(self, tolerances, tmp_path_factory):
         cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
         cfg.write_text(json.dumps({"tolerances": tolerances}))
+        code = run_quiet(["--config", str(cfg), "monodromy",
+                          "--z-grid", "0.5+0.5j"])
+        assert code in (0, 1, 2)
+
+    @given(key=st.sampled_from(_PROBLEM_KEYS), drop=st.booleans(),
+           value=st.one_of(_values, _spec))
+    @example(key="d", drop=False, value=[1.7e-110, -4.5e203])  # W overflows
+    @example(key="d", drop=False, value=[1.7e308, 1.7e308])  # p(z) overflows
+    @example(key="sigma", drop=False, value=5e-324)  # H overflows
+    @example(key="sigma", drop=False, value=3.3e-107)  # |H|^2 overflows
+    @settings(max_examples=60, deadline=None)
+    def test_problem_dict(self, key, drop, value, tmp_path_factory):
+        problem = cs.example_problem_dict()
+        if drop:
+            problem.pop(key, None)
+        else:
+            problem[key] = value
+        cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.write_text(json.dumps({"problem": problem}))
         code = run_quiet(["--config", str(cfg), "monodromy",
                           "--z-grid", "0.5+0.5j"])
         assert code in (0, 1, 2)
