@@ -17,13 +17,21 @@ solutions there).
 
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z, rtol, atol)``:
-``side_basis``, the fundamental solution anchored to the identity at the
+``side_basis``, the fundamental solution Phi anchored to the identity at the
 regular endpoint, integrated out to the last extrapolation node, together
-with the boundary pairs of its two rows.  Shooting (``solve_from_gamma``)
-and the assembly in :mod:`canonsys.monodromy` read both from there.  The
-cache keeps at most ``hamiltonian.PER_Z_CAP`` such entries (32 z on both
-sides), least recently used evicted first.  ``gamma_columns`` and
-``gamma_vec`` with other anchors always integrate.
+with the boundary pairs of its two rows (the rows of the boundary matrix U).
+The cache keeps at most ``hamiltonian.PER_Z_CAP`` such entries (32 z on both
+sides), least recently used evicted first.
+
+The boundary map is linear and the solutions of a side are y = Phi^T c, so
+every pair is read off that basis: ``SideBasis.pair(c)`` is U^T c, with
+c = Phi(t)^(-T) y(t) = adj(Phi(t))^T y(t) from the value at any t in the
+basis's range (det Phi = 1).  Shooting (``solve_from_gamma``), ``gamma_vec``
+and the assembly in :mod:`canonsys.monodromy` read it there and integrate
+nothing of their own.  ``gamma_columns`` is the one path that integrates
+from a given anchor: ``gamma_vec`` takes it with explicit ``w_funcs`` or an
+anchor outside the basis's range, and it serves as an independent check of
+the cached pairs.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ K_NODES = 20         # geometric halvings of the node distance
 TOL_LIMIT = 1e-6     # err_est above this (relative) raises LimitError
 GAMMA_RTOL = 1e-12   # internal integrations run tighter than the public solver
 GAMMA_ATOL = 1e-12
-COND_LIMIT = 1e12
+DET_RESIDUAL_TOL = 1e-8  # normalised |det U - d| above this raises ConditioningError
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,34 @@ def neville_limit(hs, vals):
         tail = np.abs(np.diff(first_col[-4:]))
         best_err = max(best_err, 0.5 * float(np.median(tail)))
     return complex(best), float(best_err)
+
+
+def adj(m: np.ndarray) -> np.ndarray:
+    """Adjugate of a 2x2 matrix: adj(m) m = det(m) I.
+
+    Every matrix inverted in the pipeline has a known determinant, so its
+    inverse is the adjugate over that constant; dividing by a computed
+    determinant instead cancels once the entries grow like e^(|Im z| len).
+    """
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+
+
+def check_det(m: np.ndarray, d: complex, what: str) -> np.ndarray:
+    """``m`` itself when its entries are finite and det m = d up to rounding.
+
+    The residual |det m - d| is taken relative to |m11 m22| + |m12 m21|, the
+    size of the two products that cancel in det m; above
+    ``DET_RESIDUAL_TOL`` the factor cannot be trusted and ConditioningError
+    is raised.
+    """
+    with np.errstate(all="ignore"):
+        prods = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
+        res = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - d) / prods
+    if not (np.isfinite(m).all() and res <= DET_RESIDUAL_TOL):
+        raise ConditioningError(
+            f"{what}: det residual {res:.3e} against det {complex(d):.6g} "
+            f"(tolerance {DET_RESIDUAL_TOL:.0e})", matrix=m)
+    return m
 
 
 def node_distances(length: float, span: float) -> np.ndarray:
@@ -175,10 +211,16 @@ def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
     return out
 
 
+def _indivisible(ih: IndefHamiltonianA, side: Side) -> bool:
+    rep = ih.indivisible(side)
+    return rep is not None and rep.is_indivisible
+
+
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
                   t_anchor: float, y_cols, w_funcs=None,
                   rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
-    """Boundary pairs of the solutions with given values at the anchor.
+    """Boundary pairs of the solutions with given values at the anchor,
+    integrated from there.
 
     ``y_cols`` is a (2, m) matrix whose columns anchor m solutions at
     ``t_anchor``; all m are solved together.  Returns a list of m
@@ -187,10 +229,9 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     h = ih.side(side)
     z = sv.finite_z(z)
     y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
-    rep = ih.indivisible(side)
     reg = h.regular_endpoint(side)
 
-    if rep is not None and rep.is_indivisible:
+    if _indivisible(ih, side):
         # endpoint evaluation is exact there; move the anchor value to reg
         samp = (y_cols if abs(t_anchor - reg) <= 1e-12 * (h.length + 1.0)
                 else _indivisible_transport(ih, side, z, t_anchor, y_cols))
@@ -218,29 +259,38 @@ def _indivisible_transport(ih, side, z, t_from, y_cols):
 
 
 def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
-    h = ih.side(side)
-    reg = h.regular_endpoint(side)
-    sing = ih.sigma
-    t_a, _ = fhat.anchor
-    if abs(t_a - sing) < 0.25 * h.length:
-        lo, hi = fhat.interval
-        if lo - 1e-12 <= reg <= hi + 1e-12:
-            t_a = reg
-    return float(t_a), np.asarray(fhat.eval(t_a), dtype=np.complex128)
+    """(t, y(t)) of a sampler: the regular endpoint when the sampler covers
+    it, else the sampler's own anchor."""
+    reg = ih.side(side).regular_endpoint(side)
+    lo, hi = fhat.interval
+    t_a = reg if lo - 1e-12 <= reg <= hi + 1e-12 else float(fhat.anchor[0])
+    return t_a, np.asarray(fhat.eval(t_a), dtype=np.complex128)
 
 
 def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side,
               w_funcs=None) -> RegularisedBoundary:
-    """Stacked boundary pair (gamma_s, gamma_r) of one solution sampler."""
+    """Stacked boundary pair (gamma_s, gamma_r) of one solution sampler.
+
+    Read off the side's cached basis (``SideBasis.pair``) from the
+    sampler's value at the regular endpoint, or at its anchor when it does
+    not reach that endpoint.  Explicit ``w_funcs``, an anchor outside the
+    basis's range and indivisible sides (exact without integration) go
+    through ``gamma_columns``.
+    """
     t_a, y_a = _anchor_of(fhat, ih, side)
+    if w_funcs is None and not _indivisible(ih, side):
+        basis = side_basis(ih, side, fhat.z)
+        if basis.covers(t_a):
+            return basis.pair(basis.inverse_at(t_a).T @ y_a)
     return gamma_columns(ih, side, fhat.z, t_a, y_a.reshape(2, 1),
                          w_funcs=w_funcs)[0]
 
 
 @dataclass(frozen=True)
 class SideBasis:
-    """Fundamental solution of one side, identity at its regular endpoint,
-    and the boundary pairs of its two rows (rows of the boundary matrix)."""
+    """Fundamental solution Phi of one side, identity at its regular
+    endpoint, and the boundary pairs of its two rows (rows of the boundary
+    matrix U)."""
 
     solution: sv.MatrixSolution
     pairs: tuple
@@ -248,6 +298,30 @@ class SideBasis:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([p.vec for p in self.pairs])
+
+    def covers(self, t: float) -> bool:
+        lo, hi = self.solution.interval
+        return lo <= t <= hi
+
+    def inverse_at(self, t: float) -> np.ndarray:
+        """Phi(t)^(-1) = adj Phi(t) (det Phi = 1); the identity at the anchor."""
+        if t == self.solution.t0:
+            return np.eye(2, dtype=np.complex128)
+        return adj(self.solution.eval(t))
+
+    def pair(self, c) -> RegularisedBoundary:
+        """Boundary pair of the solution y = Phi^T c, whose value at the
+        regular endpoint is c: U^T c, with samples and error estimate
+        combined from the rows' ones."""
+        c0, c1 = np.asarray(c, dtype=np.complex128)
+        p0, p1 = self.pairs
+        samples = tuple((x, c0 * y0 + c1 * y1, c0 * g0 + c1 * g1)
+                        for (x, y0, g0), (_, y1, g1)
+                        in zip(p0.samples, p1.samples))
+        return RegularisedBoundary(
+            p0.side, p0.z, complex(c0 * p0.gamma_s + c1 * p1.gamma_s),
+            complex(c0 * p0.gamma_r + c1 * p1.gamma_r),
+            float(abs(c0) * p0.err_est + abs(c1) * p1.err_est), samples)
 
 
 def side_basis(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -264,8 +338,7 @@ def side_basis(ih: IndefHamiltonianA, side: Side, z: complex,
         h = ih.side(side)
         reg = h.regular_endpoint(side)
         eye = np.eye(2, dtype=np.complex128)
-        rep = ih.indivisible(side)
-        if rep is not None and rep.is_indivisible:
+        if _indivisible(ih, side):
             return SideBasis(sv.fundamental(h, z, init=eye, t0=reg, side=side,
                                             rtol=rtol, atol=atol),
                              tuple(gamma_columns(ih, side, z, reg, eye)))
@@ -284,9 +357,9 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
 
     The basis solutions anchored at the regular endpoint and their boundary
     pairs depend only on (side, z) and come from the problem's cache
-    (``side_basis``); the 2x2 system they form is solved for the
-    coefficients.  A singular basis matrix would contradict bijectivity of
-    the boundary map and raises instead.
+    (``side_basis``); the 2x2 system they form has det 1 and is solved by
+    its adjugate.  A basis matrix whose determinant is not 1 up to rounding
+    would contradict bijectivity of the boundary map and raises instead.
     """
     c = np.asarray(c, dtype=np.complex128)
     if c.shape != (2,):
@@ -294,8 +367,7 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
     h = ih.side(side)
     z = sv.finite_z(z)
     reg = h.regular_endpoint(side)
-    rep = ih.indivisible(side)
-    if rep is not None and rep.is_indivisible:
+    if _indivisible(ih, side):
         a2 = cp.cumulative_from_start(h.h2, h.panels(side))
 
         def fn(t, c=c):
@@ -305,19 +377,20 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
 
     basis = side_basis(ih, side, z, rtol, atol)
     cols = [basis.solution.row_sampler(0), basis.solution.row_sampler(1)]
-    g = basis.matrix.T
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(
-            f"boundary matrix of the basis is numerically singular "
-            f"(cond={cond:.3e}), contradicting bijectivity", matrix=g)
-    coeffs = np.linalg.solve(g, c)
-    return sv.CombinedSampler(coeffs, cols)
+    g = check_det(basis.matrix.T, 1.0, "boundary matrix of the basis "
+                  "(contradicting bijectivity)")
+    return sv.CombinedSampler(adj(g) @ c, cols)
 
 
 def interface_residual(ih: IndefHamiltonianA, fhat_minus, fhat_plus,
                        z: complex) -> np.ndarray:
-    """Gamma_plus(f+) - R(z) Gamma_minus(f-); small iff the pair matches."""
+    """Gamma_plus(f+) - R(z) Gamma_minus(f-); small iff the pair matches.
+
+    Both pairs are read off the cached bases (``gamma_vec``); for samplers
+    built from those bases the residual is then an algebraic identity and
+    checks the assembly, not the extrapolation.  ``run_validation`` checks
+    the interface with pairs integrated from the sides' midpoints instead.
+    """
     gm = gamma_vec(fhat_minus, ih, "minus")
     gp = gamma_vec(fhat_plus, ih, "plus")
     return gp.vec - build_R(ih, z) @ gm.vec

@@ -36,15 +36,18 @@ def _fmt(x: float) -> str:
 
 
 def _finite_complex(value, what: str) -> complex:
-    """One z value from the command line or a config; ConfigError names it."""
+    """One z value from the command line or a config; ConfigError names it.
+
+    A string is parsed as a complex literal ("1+2j", "1+2i"); anything else
+    must be a JSON number or an [re, im] pair of them.
+    """
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_number(value[0], what), _number(value[1], what))
+    if not isinstance(value, str):
+        return complex(_number(value, what))
     try:
-        if isinstance(value, (list, tuple)) and len(value) == 2:
-            z = complex(float(value[0]), float(value[1]))
-        elif isinstance(value, str):
-            z = complex(value.strip().replace("i", "j"))
-        else:
-            z = complex(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+        z = complex(value.strip().replace("i", "j"))
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse complex number {value!r} in {what}") from exc
     if not cmath.isfinite(z):
         raise ConfigError(f"non-finite complex number {value!r} in {what}")
@@ -85,9 +88,9 @@ def _rect_grid(spec):
         c, d, m = spec["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError('rectangle z_grid needs {"re": [a,b,n], "im": [c,d,m]}') from exc
-    re = np.linspace(_finite_float(a, "z_grid re"), _finite_float(b, "z_grid re"),
+    re = np.linspace(_number(a, "z_grid re"), _number(b, "z_grid re"),
                      _count(n, "z_grid re count"))
-    im = np.linspace(_finite_float(c, "z_grid im"), _finite_float(d, "z_grid im"),
+    im = np.linspace(_number(c, "z_grid im"), _number(d, "z_grid im"),
                      _count(m, "z_grid im count"))
     return [complex(r, i) for i in im for r in re]
 
@@ -119,7 +122,7 @@ def _t_grid_from(args, cfg, default):
     if tg is not None:
         if not isinstance(tg, list):
             raise ConfigError("t_grid must be a list of numbers")
-        return [_finite_float(t, "t_grid") for t in tg]
+        return [_number(t, "t_grid") for t in tg]
     return list(default)
 
 
@@ -280,12 +283,10 @@ def _cmd_regbv(args):
     y0 = _parse_complex_list(args.init, "--init")
     if len(y0) != 2:
         raise ConfigError("--init must give two complex components")
-    reg = ih.side(side).regular_endpoint(side)
 
     def work(z):
-        rb = bd.gamma_columns(ih, side, z, reg,
-                              np.array(y0).reshape(2, 1),
-                              rtol=rtol, atol=atol)[0]
+        # y0 is the value at the regular endpoint: the pair is U^T y0
+        rb = bd.side_basis(ih, side, z, rtol, atol).pair(y0)
         entry = {
             "z": [z.real, z.imag],
             "gamma_s": [rb.gamma_s.real, rb.gamma_s.imag],

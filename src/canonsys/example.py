@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleError
-from .hamiltonian import IndefHamiltonianA, hamiltonian_from_spec, indef_hamiltonian
+from .hamiltonian import (IndefHamiltonianA, build_R, hamiltonian_from_spec,
+                          indef_hamiltonian)
 
 SIGMA = 1.0
 S_MINUS = 0.0
@@ -225,13 +226,21 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
         wmono = mo.monodromy_matrix(ih, z)
         err["det_minus_one"] = max(err["det_minus_one"],
                                    abs(np.linalg.det(wmono) - 1.0))
+        # interface: Gamma_plus of the rows of W right of sigma against
+        # R Gamma_minus of its rows left of it.  Both sides are integrated
+        # afresh from their midpoints, on panels the cached bases do not
+        # share; read off those bases, the residual would be the identity
+        # prefactor U_plus = U_minus R^T.
         fac = mo.factorisation(ih, z)
         wm = bd.side_basis(ih, "minus", z, mo.PIPE_RTOL, mo.PIPE_ATOL).solution
-        for i in (0, 1):
-            fp = sv.CombinedSampler(fac.prefactor[i, :],
-                                    [fac.v.row_sampler(0), fac.v.row_sampler(1)])
-            res = bd.interface_residual(ih, wm.row_sampler(i), fp, z)
-            err["interface"] = max(err["interface"], float(np.abs(res).max()))
+        gam = {}
+        for side, w_at in (("minus", wm.eval), ("plus", fac.w)):
+            mid = 0.5 * sum(ih.side(side).interval)
+            pairs = bd.gamma_columns(ih, side, z, mid, w_at(mid).T,
+                                     rtol=mo.PIPE_RTOL, atol=mo.PIPE_ATOL)
+            gam[side] = np.array([p.vec for p in pairs])
+        res = gam["plus"] - gam["minus"] @ build_R(ih, z).T
+        err["interface"] = max(err["interface"], float(np.abs(res).max()))
         if z.imag != 0.0:
             q = mo.weyl_intermediate(ih, z)
             observed["q_sigma"][str(z)] = [q.real, q.imag]

@@ -9,7 +9,10 @@ interface matrix R(z):
 where V is any non-singular matrix solution on the right piece (anchored to
 the identity at s_plus by default, which keeps U_plus well conditioned and
 makes det V = 1).  The factor U_minus R^T U_plus^{-1} V is invariant under
-V -> V C for constant non-singular C.
+V -> V C for constant non-singular C.  Since tr(z J H) = 0, det U_plus(V) =
+det V, so U_plus^{-1} is the adjugate over det V.init: no computed
+determinant is divided by, which keeps W accurate where its entries grow
+like e^(|Im z| len).
 
 Also here: the rank-one comparison matrix M(z) tying together assemblies
 that differ only in the discrete parameters, the intermediate Weyl
@@ -21,9 +24,11 @@ regular endpoint and the boundary pairs of its rows come from one
 integration, cached on the problem under ``("basis", side, z, rtol, atol)``
 (:func:`canonsys.boundary.side_basis`; at most ``hamiltonian.PER_Z_CAP``
 entries, least recently used evicted first).  W left of sigma and the default
-V are those fundamental solutions; U_minus, U_plus of the default V, the entry
-limits behind M(z) and the Weyl coefficient are read off those boundary pairs.
-Only ``u_plus`` of a V with another anchor integrates boundary pairs itself.
+V are those fundamental solutions; U_minus, U_plus, the entry limits behind
+M(z) and the Weyl coefficient are read off those boundary pairs.  For a V
+with another anchor, U_plus(V) = V.init adj(Phi(V.t0)) U_plus by linearity
+(Phi the cached basis, det Phi = 1); only an anchor outside the basis's
+range integrates boundary pairs of its own.
 """
 
 from __future__ import annotations
@@ -35,12 +40,11 @@ import numpy as np
 
 from . import boundary as bd
 from . import solver as sv
-from .errors import ConditioningError, DomainError
+from .errors import DomainError
 from .hamiltonian import IndefHamiltonianA, build_R, eval_p, symplectic_j
 
 PIPE_RTOL = 1e-12
 PIPE_ATOL = 1e-12
-COND_LIMIT = 1e12
 TOL_EIG_REL = 1e-8   # negative-squares threshold relative to the Gram norm
 
 _J = symplectic_j()
@@ -55,7 +59,7 @@ class MonodromyFactorisation:
     u_plus: np.ndarray
     r: np.ndarray
     v: sv.MatrixSolution
-    prefactor: np.ndarray        # U^- R^T (U^+)^{-1}
+    prefactor: np.ndarray        # U^- R^T adj(U^+) / det V.init
     det_report: tuple            # (det u_minus, det u_plus, det v at s_plus)
 
     def w(self, t: float) -> np.ndarray:
@@ -87,14 +91,18 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
            rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
     """Boundary-value matrix of V on the right piece (det = det V).
 
-    The boundary pairs depend on V only through its anchor; a V anchored to
-    the identity at s_plus (the default one) reads the cached pairs.
+    The boundary pairs depend on V only through its anchor: the rows of V
+    are V.init Phi(V.t0)^(-1) times the rows of the cached basis Phi, so
+    U_plus(V) = V.init adj(Phi(V.t0)) U_plus.
     """
     z = sv.finite_z(z)
-    if v is None or (v.t0 == ih.s_plus and np.array_equal(v.init, np.eye(2))):
-        return bd.side_basis(ih, "plus", z, rtol, atol).matrix
-    if abs(np.linalg.det(v.init)) < 1e-12:
+    if v is not None and abs(v.det_init) < 1e-12:
         raise DomainError("V must be non-singular on the right piece")
+    basis = bd.side_basis(ih, "plus", z, rtol, atol)
+    if v is None:
+        return basis.matrix
+    if basis.covers(v.t0):
+        return v.init @ basis.inverse_at(v.t0) @ basis.matrix
     pairs = bd.gamma_columns(ih, "plus", z, v.t0, v.init.T,
                              rtol=rtol, atol=atol)
     return np.array([p.vec for p in pairs])
@@ -107,13 +115,9 @@ def factorisation(ih: IndefHamiltonianA, z: complex,
     z = sv.finite_z(z)
     vv = default_v(ih, z, rtol, atol) if v is None else v
     um = u_minus(ih, z, rtol, atol)
-    up = u_plus(ih, z, vv, rtol, atol)
-    cond = np.linalg.cond(up)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConditioningError(
-            f"U^+ too ill-conditioned to invert (cond={cond:.3e})", matrix=up)
+    up = bd.check_det(u_plus(ih, z, vv, rtol, atol), vv.det_init, "U^+")
     r = build_R(ih, z)
-    pre = um @ r.T @ np.linalg.inv(up)
+    pre = um @ r.T @ bd.adj(up) / vv.det_init
     dets = (complex(np.linalg.det(um)), complex(np.linalg.det(up)),
             complex(np.linalg.det(vv.eval(ih.s_plus))))
     return MonodromyFactorisation(z, um, up, r, vv, pre, dets)

@@ -216,7 +216,7 @@ def _resolved(a, b, phi, rtol, atol):
     floats, off their ideal positions by up to eps |t| relative to the panel
     width, which no split lowers below ``_NODE_NOISE`` times that.
     """
-    c = np.abs(np.einsum("kj,pjab->pkab", cp._VALS_TO_COEFS, phi))
+    c = np.abs(cp._VALS_TO_COEFS @ phi.reshape(len(phi), cp.DEGREE + 1, 4))
     scale = c.reshape(len(c), -1).max(axis=1)
     tail = c[:, -TAIL_COEFS:].reshape(len(c), -1).max(axis=1)
     noise = _NODE_NOISE * _EPS * np.maximum(np.abs(a), np.abs(b)) / np.abs(b - a)

@@ -258,3 +258,61 @@ class TestInterface:
         res = cs.interface_residual(ih2, fm, fp, z)
         dp = cs.eval_p(example_ih, z) - cs.eval_p(ih2, z)
         np.testing.assert_allclose(res, [dp * 0.7, 0.0], atol=1e-8)
+
+
+class TestLinearPairs:
+    """Every boundary pair is read off the cached side basis by linearity."""
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_pair_matches_midpoint_anchored_run(self, example_ih, side, rng):
+        # the run from the midpoint uses panels the basis does not share
+        mid = 0.5 * sum(example_ih.side(side).interval)
+        for z in (0.0, 1.0, -2.5 + 0.3j, 0.7 + 4.0j, 3.0j):
+            basis = boundary.side_basis(example_ih, side, z)
+            coeffs = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            y_mid = basis.solution.eval(mid).T @ coeffs
+            runs = cs.gamma_columns(example_ih, side, z, mid, y_mid)
+            for c, run in zip(coeffs.T, runs):
+                got = basis.pair(c)
+                scale = max(1.0, np.abs(run.vec).max())
+                assert np.abs(got.vec - run.vec).max() <= 1e-9 * scale, z
+                assert [x for x, _, _ in got.samples] == [
+                    x for x, _, _ in run.samples]
+                assert got.err_est < 1e-6 * scale
+
+    def test_sampler_away_from_the_regular_endpoint(self, example_ih):
+        # a sampler that does not reach t = 0 is anchored at its own anchor,
+        # where c = adj(Phi(t_a))^T y(t_a)
+        z = 1.5 - 0.7j
+        h = example_ih.h_minus
+        for i in (0, 1):
+            fn = lambda t, i=i: cs.closed_W(t, z)[i, :]
+            f = cs.ClosedFormSampler(fn, z, h, (0.3, 0.9), 0.6)
+            got = cs.gamma_vec(f, example_ih, "minus").vec
+            np.testing.assert_allclose(got, cs.closed_Uminus(z)[i, :],
+                                       atol=1e-9)
+
+    def test_err_est_combines_the_rows(self, example_ih):
+        basis = boundary.side_basis(example_ih, "plus", 0.4 + 0.2j)
+        p0, p1 = basis.pairs
+        c = np.array([2.0 - 1.0j, -0.5j])
+        assert basis.pair(c).err_est == pytest.approx(
+            abs(c[0]) * p0.err_est + abs(c[1]) * p1.err_est, rel=1e-15)
+        np.testing.assert_allclose(basis.pair([1.0, 0.0]).vec, p0.vec,
+                                   rtol=1e-15)
+
+
+class TestCheckDet:
+    def test_accepts_the_known_determinant(self):
+        m = np.array([[2.0e8, 1.0], [4.0e8 - 1.0, 2.0]], dtype=complex)
+        assert boundary.check_det(m, 1.0, "m") is m
+
+    @pytest.mark.parametrize("m, d", [
+        ([[1.0, 0.0], [0.0, 1.0]], 2.0),
+        ([[1.0, np.nan], [0.0, 1.0]], 1.0),
+        ([[np.inf, 0.0], [0.0, 1.0]], 1.0),
+        ([[0.0, 0.0], [0.0, 0.0]], 1.0),
+    ])
+    def test_rejects_a_wrong_or_non_finite_factor(self, m, d):
+        with pytest.raises(cs.ConditioningError):
+            boundary.check_det(np.array(m, dtype=complex), d, "m")

@@ -70,6 +70,36 @@ def test_shooting_shares_one_basis(integrations, side):
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
+def test_round_trips_share_one_basis(integrations, side):
+    # gamma_vec of a shot reads its pair off the basis the shot came from
+    ih = cs.example_problem()
+    rng = np.random.default_rng(4)
+    z = 0.9 - 0.5j
+    for _ in range(3):
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        f = cs.solve_from_gamma(ih, side, z, c)
+        np.testing.assert_allclose(cs.gamma_vec(f, ih, side).vec, c,
+                                   atol=1e-12)
+    assert integrations == [(side, "boundary")]
+
+
+def test_u_plus_of_any_v_reads_the_basis(integrations):
+    # U_plus(V) = V.init adj(Phi(V.t0)) U_plus for V anchored anywhere
+    ih = cs.example_problem()
+    z = 1.0 + 2.0j
+    cs.monodromy_matrix(ih, z)
+    vs = [sv.fundamental(ih.h_plus, z, init=cs.closed_W(t0, z), t0=t0,
+                         side="plus", rtol=1e-12, atol=1e-12)
+          for t0 in (ih.s_plus, 1.5)]
+    del integrations[:]
+    want = cs.closed_Uplus(z)
+    for v in vs:
+        got = cs.u_plus(ih, z, v)
+        assert np.abs(got - want).max() < 1e-9 * np.abs(want).max()
+    assert integrations == []
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
 def test_cached_basis_matches_fundamental(side):
     # the basis comes from the boundary pairs' integration, which runs closer
     # to sigma; on the fundamental solution's range the two agree

@@ -80,6 +80,11 @@ class TestInputValidation:
         ([[1.0, float("nan")]], "nan"),
         (["1+1j", "x"], "'x'"),
         ({"re": [0, 1, 2], "im": [0, float("inf"), 2]}, "inf"),
+        ([[True, "1"]], "z_grid"),
+        ([[0.5, "1"]], "z_grid"),
+        ([True], "z_grid"),
+        ({"re": ["0", 1, 2], "im": [0, 1, 2]}, "z_grid re"),
+        ({"re": [0, 1, 2], "im": [0, False, 2]}, "z_grid im"),
     ])
     def test_bad_config_z_grid_exits_two(self, z_grid, token, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -87,6 +92,27 @@ class TestInputValidation:
         code, _, err = run_cli(["--config", str(cfg), "monodromy"], capsys)
         assert code == 2
         assert token in err
+
+    @pytest.mark.parametrize("t_grid", [["0.5", True], [0.5, True], [0.5, None]])
+    def test_bad_config_t_grid_exits_two(self, t_grid, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z_grid": [1.0], "t_grid": t_grid}))
+        code, _, err = run_cli(["--config", str(cfg), "fundamental"], capsys)
+        assert code == 2
+        assert "t_grid" in err and "Traceback" not in err
+
+    def test_config_grid_entries_of_every_accepted_form(self, tmp_path, capsys):
+        # complex literals as strings, [re, im] pairs and plain numbers
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"z_grid": ["1+2j", [0.5, -1], 2],
+                                   "t_grid": [0.25, 0]}))
+        code, out, _ = run_cli(["--config", str(cfg), "fundamental"], capsys)
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.strip().splitlines()[1:]]
+        assert [(r[0], r[1], r[2]) for r in rows] == [
+            (0.25, 1.0, 2.0), (0.0, 1.0, 2.0), (0.25, 0.5, -1.0),
+            (0.0, 0.5, -1.0), (0.25, 2.0, 0.0), (0.0, 2.0, 0.0)]
 
     @pytest.mark.parametrize("key, value, token", [
         ("interval", "xy", "interval"),
@@ -280,6 +306,21 @@ class TestSubcommands:
         assert rec["gamma_s"][0] == pytest.approx(-2.0, abs=1e-8)
         assert rec["gamma_r"][0] == pytest.approx(1.0 / np.pi, abs=1e-8)
         assert "samples" in rec
+
+    def test_regbv_matches_a_run_from_the_regular_endpoint(self, capsys):
+        # regbv reads U^T y0 off the cached basis; gamma_columns integrates
+        code, out, _ = run_cli(["regbv", "--side", "plus", "--z-grid",
+                                "0.5-1.5j", "--init", "0.3-1j,2",
+                                "--verbose"], capsys)
+        assert code == 0
+        rec = json.loads(out)[0]
+        ih = cs.example_problem()
+        want = cs.gamma_columns(ih, "plus", 0.5 - 1.5j, ih.s_plus,
+                                [[0.3 - 1j], [2.0]])[0]
+        got = [complex(*rec["gamma_s"]), complex(*rec["gamma_r"])]
+        np.testing.assert_allclose(got, want.vec, rtol=1e-10)
+        assert [x for x, _, _ in rec["samples"]] == [x for x, _, _ in want.samples]
+        assert 0.0 < rec["err_est"] < 1e-6
 
     def test_weyl_json(self, capsys):
         code, out, _ = run_cli(["weyl", "--z", "1j"], capsys)

@@ -60,6 +60,15 @@ class TestUPlus:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("r", [20.0, 50.0])
+    def test_far_from_the_origin(self, example_ih, r):
+        # the entries grow like e^(2 |Im z|); the adjugate keeps W accurate
+        for theta in np.linspace(0.0, np.pi, 5):
+            z = r * np.exp(1j * theta)
+            want = cs.closed_W(2.0, z)
+            got = cs.monodromy_matrix(example_ih, z)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), z
+
     def test_distinguished_parameters_reproduce_closed_form(self, example_ih):
         for z in Z_SET:
             for t in (0.25, 0.5, 1.5, 2.0):
