@@ -33,6 +33,11 @@ CUMINT_COEFS = np.stack([_cheb.chebint(e, lbnd=-1)
                          for e in np.eye(DEGREE + 1)], axis=1) @ _VALS_TO_COEFS
 CUMINT = _cheb.chebvander(_NODES, DEGREE + 1) @ CUMINT_COEFS
 END_WEIGHTS = np.ones(DEGREE + 2) @ CUMINT_COEFS
+# shared by every thread that integrates: a stray in-place write would
+# corrupt all later results, so it raises instead
+for _table in (_NODES, _VALS_TO_COEFS, CUMINT_COEFS, CUMINT, END_WEIGHTS):
+    _table.setflags(write=False)
+del _table
 
 
 def geometric_panels(reg: float, sing: float, inner_breaks=(),

@@ -118,17 +118,26 @@ def adj(m: np.ndarray) -> np.ndarray:
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
-def check_det(m: np.ndarray, d: complex, what: str) -> np.ndarray:
-    """``m`` itself when its entries are finite and det m = d up to rounding.
+def det_residual(m: np.ndarray, d: complex) -> float:
+    """|det m - d| relative to |m11 m22| + |m12 m21|.
 
-    The residual |det m - d| is taken relative to |m11 m22| + |m12 m21|, the
-    size of the two products that cancel in det m; above
-    ``DET_RESIDUAL_TOL`` the factor cannot be trusted and ConditioningError
-    is raised.
+    That sum is the size of the two products that cancel in det m, so the
+    residual measures how far det m is from d in units of its own rounding;
+    the raw |det m - d| grows with the entries even when they are accurate.
+    NaN or inf when an entry or product is not finite.
     """
     with np.errstate(all="ignore"):
         prods = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
-        res = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - d) / prods
+        return float(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - d) / prods)
+
+
+def check_det(m: np.ndarray, d: complex, what: str) -> np.ndarray:
+    """``m`` itself when its entries are finite and det m = d up to rounding.
+
+    Above ``DET_RESIDUAL_TOL`` the normalised residual (``det_residual``)
+    says the factor cannot be trusted and ConditioningError is raised.
+    """
+    res = det_residual(m, d)
     if not (np.isfinite(m).all() and res <= DET_RESIDUAL_TOL):
         raise ConditioningError(
             f"{what}: det residual {res:.3e} against det {complex(d):.6g} "

@@ -312,17 +312,17 @@ def _cmd_monodromy(args):
         return z, w
 
     results = _map_ordered(work, zs, _jobs(args))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf when W overflows
-        dets = [np.linalg.det(w) for _, w in results]
     if (args.emit or "csv") == "json":
+        with np.errstate(over="ignore", invalid="ignore"):  # inf when W overflows
+            dets = [np.linalg.det(w) for _, w in results]
         _emit_json(args, [{
             "z": [z.real, z.imag], "t": t,
             "W": [[[w[i, j].real, w[i, j].imag] for j in (0, 1)] for i in (0, 1)],
             "det": [det.real, det.imag],
         } for (z, w), det in zip(results, dets)])
     else:
-        rows = [_w_row(t, z, w, abs(det - 1.0))
-                for (z, w), det in zip(results, dets)]
+        # det_err: |det W - 1| in units of the products that cancel in det W
+        rows = [_w_row(t, z, w, bd.det_residual(w, 1.0)) for z, w in results]
         _emit(args, _csv(rows, _W_HEADER))
     return 0
 

@@ -7,6 +7,11 @@ collocation (spectral integration): on each panel the Volterra form
 Y = y_a + z Q (J H Y), with Q the cumulative-integration matrix at the
 DEGREE + 1 first-kind Chebyshev nodes, gives a 2x2 propagator basis; all
 panels are solved in one batched linear solve and chained by 2x2 products.
+A panel's unknowns are ordered by component, then node, so its matrix is
+four contiguous n x n blocks, each a scaled copy of Q with its columns
+weighted by one entry of J H.  Each block is one broadcast product written
+in place into the batch's matrix, with no complex temporary of its size, so
+assembling the systems costs a fraction of solving them.
 The nodes are interior, so H is never evaluated at a panel end, and
 integrations stop at a configurable cutoff before a singular endpoint,
 toward which the panels are halved geometrically.  A panel is split while
@@ -42,6 +47,10 @@ _NODE_NOISE = 1e-2           # tail noise per relative node displacement
 _WIDTH_FLOOR = 64.0 * _EPS   # narrowest panel, relative to |t|
 
 _J = symplectic_j()
+# right-hand side of every panel solve, unknowns ordered (component, node):
+# start values e1 and e2 as columns
+_UNIT_STARTS = np.repeat(np.eye(2), cp.DEGREE + 1, axis=0)
+_UNIT_STARTS.setflags(write=False)
 
 
 def finite_z(z) -> complex:
@@ -196,16 +205,30 @@ def _panel_bases(z: complex, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
     ``hm`` is H at the panels' nodes, (P, n, 2, 2).  Returns the propagator
     basis ``phi`` (P, n, 2, 2), the node values for start values e1, e2 as
     columns, and the integrand ``z J H phi`` at the nodes.
+
+    Each panel's 2n unknowns are ordered by component, then node, so its
+    matrix I - z hw Q (J H) is four contiguous n x n blocks: block (c, d)
+    is delta_cd I - z hw Q diag((J H)_cd at the nodes), one broadcast
+    product written in place; the right-hand side is the same for every
+    panel (``_UNIT_STARTS``).
     """
-    n = cp.DEGREE + 1
+    p, n = len(a), cp.DEGREE + 1
     jh = _J @ hm
-    zq = (0.5 * z * (b - a))[:, None, None] * cp.CUMINT
-    # rows (i, c), columns (j, d): delta - z hw Q_ij (J H_j)_cd
-    m = -(zq[:, :, None, :, None] * jh.transpose(0, 2, 1, 3)[:, None])
-    m = m.reshape(len(a), 2 * n, 2 * n) + np.eye(2 * n)
+    zq = (-0.5 * z * (b - a))[:, None, None] * cp.CUMINT
+    m = np.empty((p, 2, n, 2, n), dtype=np.complex128)
+    for c in range(2):
+        for d in range(2):
+            np.multiply(zq, jh[:, None, :, c, d], out=m[:, c, :, d, :])
+    m.reshape(p, -1)[:, ::2 * n + 1] += 1.0
     with np.errstate(all="ignore"):
-        phi = np.linalg.solve(m, np.tile(np.eye(2), (n, 1))).reshape(hm.shape)
-        return phi, z * (jh @ phi)
+        phi = np.linalg.solve(m.reshape(p, 2 * n, 2 * n), _UNIT_STARTS)
+        phi = phi.reshape(p, 2, n, 2).transpose(0, 2, 1, 3)
+        zjh = z * jh
+        f = np.empty_like(phi)
+        for c in range(2):
+            f[:, :, c] = (zjh[:, :, c, 0, None] * phi[:, :, 0]
+                          + zjh[:, :, c, 1, None] * phi[:, :, 1])
+        return phi, f
 
 
 def _resolved(a, b, phi, rtol, atol):

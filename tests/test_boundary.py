@@ -239,6 +239,20 @@ class TestInterface:
             res = cs.interface_residual(example_ih, wm.row_sampler(i), fp, z)
             assert np.abs(res).max() < 1e-6
 
+    @pytest.mark.parametrize("z", [1.0, -1.0, 1.0j, -1.0j, np.pi, 2.0 + 3.0j,
+                                   5.0j])
+    def test_midpoint_anchored_rows_satisfy_interface(self, example_ih, z):
+        # pairs integrated afresh from each side's midpoint, on panels the
+        # cached bases do not share, so the extrapolation is tested too
+        gam = {}
+        for side in ("minus", "plus"):
+            mid = 0.5 * sum(example_ih.side(side).interval)
+            w_mid = cs.assemble_W(example_ih, z, mid)
+            pairs = cs.gamma_columns(example_ih, side, z, mid, w_mid.T)
+            gam[side] = np.array([p.vec for p in pairs])
+        res = gam["plus"] - gam["minus"] @ cs.build_R(example_ih, z).T
+        assert np.abs(res).max() <= 1e-6
+
     def test_zero_pair(self, example_ih):
         z = 1.0
         fm = cs.solve_from_gamma(example_ih, "minus", z, (0.0, 0.0))

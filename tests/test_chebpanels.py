@@ -9,6 +9,7 @@ import pytest
 
 import canonsys as cs
 from canonsys import _chebpanels as cp
+from canonsys import solver as sv
 from canonsys import wpoly
 
 
@@ -87,3 +88,13 @@ def test_w_family_fits_each_function_once(example_ih, monkeypatch):
         calls.clear()
         fam = wpoly.build_w_family(example_ih.side(side), side, 4)
         assert len(calls) == len(fam) - 1  # w_0 = 1 needs no fit
+
+
+@pytest.mark.parametrize("module, name", [
+    (cp, "_NODES"), (cp, "_VALS_TO_COEFS"), (cp, "CUMINT_COEFS"),
+    (cp, "CUMINT"), (cp, "END_WEIGHTS"), (sv, "_UNIT_STARTS")])
+def test_shared_tables_are_read_only(module, name):
+    # every integrating thread reads these; a write would corrupt them all
+    table = getattr(module, name)
+    with pytest.raises(ValueError):
+        table[0] = 0.0

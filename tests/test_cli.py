@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canonsys as cs
+from canonsys.boundary import det_residual
 from canonsys.cli import check_conditions, main
 
 
@@ -321,6 +322,20 @@ class TestSubcommands:
         np.testing.assert_allclose(got, want.vec, rtol=1e-10)
         assert [x for x, _, _ in rec["samples"]] == [x for x, _, _ in want.samples]
         assert 0.0 < rec["err_est"] < 1e-6
+
+    def test_monodromy_det_err_is_normalised(self, capsys):
+        # W's entries reach 1e43 here: a raw |det W - 1| is pure cancellation
+        code, out, _ = run_cli(["monodromy", "--z-grid", "50j,35+20j,8j"],
+                               capsys)
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 3
+        assert max(abs(v) for v in rows[0][3:11]) > 1e40
+        for row in rows:
+            w = np.array(row[3:11:2]) + 1j * np.array(row[4:11:2])
+            assert row[-1] == det_residual(w.reshape(2, 2), 1.0)
+            assert row[-1] <= 1e-12
 
     def test_weyl_json(self, capsys):
         code, out, _ = run_cli(["weyl", "--z", "1j"], capsys)

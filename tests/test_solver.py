@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import canonsys as cs
+from canonsys import _chebpanels as cp
 from canonsys import solver as sv
 from conftest import random_piecewise_psd
 
@@ -126,7 +127,53 @@ def _panels(w):
     return sum(len(seg.ts) - 1 for seg in w._dense.segments)
 
 
+def _panel_bases_interleaved(z, a, b, hm):
+    """Reference for ``sv._panel_bases``: each panel's system built in the
+    node-major order, unknowns (node, component), and solved one panel at a
+    time; returns ``phi`` and ``z J H phi`` as (P, n, 2, 2)."""
+    n = cp.DEGREE + 1
+    phi = np.empty(hm.shape, dtype=complex)
+    f = np.empty(hm.shape, dtype=complex)
+    for k in range(len(a)):
+        jh = J @ hm[k]
+        # entry (2i + c, 2j + d) is Q_ij (J H_j)_cd
+        op = np.kron(cp.CUMINT, np.ones((2, 2))) * np.tile(np.hstack(jh), (n, 1))
+        m = np.eye(2 * n) - 0.5 * z * (b[k] - a[k]) * op
+        phi[k] = np.linalg.solve(m, np.tile(np.eye(2), (n, 1))).reshape(n, 2, 2)
+        f[k] = z * (jh @ phi[k])
+    return phi, f
+
+
 class TestCollocation:
+    @pytest.mark.parametrize("n_panels", [1, 5, 23])
+    @pytest.mark.parametrize("z", [0.0, 2.5, -1.3 + 4.1j])
+    def test_block_layout_matches_interleaved_reference(self, n_panels, z):
+        # a non-zero off-diagonal fills all four blocks (J H)_cd
+        rng = np.random.default_rng(n_panels)
+        a = np.sort(rng.uniform(0.0, 1.0, n_panels))
+        b = a + rng.uniform(0.05, 0.3, n_panels)
+        x = rng.normal(size=(n_panels, cp.DEGREE + 1, 2, 2))
+        hm = x + x.transpose(0, 1, 3, 2)
+        assert np.abs(hm[..., 0, 1]).min() > 0.0
+        phi, f = sv._panel_bases(complex(z), a, b, hm)
+        phi_ref, f_ref = _panel_bases_interleaved(complex(z), a, b, hm)
+        assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
+        assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+
+    def test_constant_coupled_hamiltonian_against_expm(self):
+        hc = np.array([[2.0, 0.7], [0.7, 1.0]])
+        h = cs.hamiltonian_from_spec(
+            {"kind": "piecewise", "pieces": [{
+                "interval": [0.0, 1.0],
+                "h1": {"type": "const", "value": hc[0, 0]},
+                "h2": {"type": "const", "value": hc[1, 1]},
+                "h3": {"type": "const", "value": hc[0, 1]}}]}, (0.0, 1.0))
+        z = 3.0 + 2.0j
+        w = cs.fundamental(h, z, rtol=1e-12, atol=1e-12)
+        for t in np.linspace(0.0, 1.0, 9):
+            np.testing.assert_allclose(w.eval(t), expm(z * t * J @ hc).T,
+                                       rtol=0, atol=1e-10)
+
     def test_identity_large_z_splits_against_expm(self):
         # one initial panel cannot hold 40/(2 pi) ~ 6 periods to 1e-12
         h = cs.identity_hamiltonian((0.0, 1.0))
