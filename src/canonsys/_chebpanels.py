@@ -40,8 +40,7 @@ for _table in (_NODES, _VALS_TO_COEFS, CUMINT_COEFS, CUMINT, END_WEIGHTS):
 del _table
 
 
-def geometric_panels(reg: float, sing: float, inner_breaks=(),
-                     n_geo: int = N_GEOMETRIC) -> np.ndarray:
+def geometric_panels(reg: float, sing: float, inner_breaks=()) -> np.ndarray:
     """Panel breakpoints from the regular endpoint toward the singular one.
 
     Breaks sit at ``sing -+ L * 2**-k`` plus any ``inner_breaks`` (piece
@@ -57,7 +56,7 @@ def geometric_panels(reg: float, sing: float, inner_breaks=(),
     for b in inner_breaks:
         if direction * (b - reg) > 1e-13 * length and direction * (sing - b) > 1e-13 * length:
             pts.append(float(b))
-    for k in range(1, n_geo + 1):
+    for k in range(1, N_GEOMETRIC + 1):
         d = length * 0.5 ** k
         if d < eps_floor:
             break
@@ -136,21 +135,24 @@ def _panel_integrals(fn, breaks):
     return _node_integrals(fn(panel_nodes(breaks).ravel()), breaks)
 
 
-def _geometric_ratio(integrals, rel_floor=1e-280):
-    """Common ratio of the innermost panel integrals (0 when they vanish)."""
+def tail_ratio(integrals) -> float:
+    """Median ratio of consecutive panel integrals among the last four, over
+    the pairs whose first integral is not below 1e-300 in magnitude; 0 when
+    there is no such pair (the integrals vanish)."""
     last = integrals[-4:]
-    if np.max(np.abs(last)) < rel_floor:
-        return 0.0
     ratios = [last[i + 1] / last[i]
-              for i in range(len(last) - 1) if abs(last[i]) > rel_floor]
-    if not ratios:
-        return 0.0
-    r = float(np.median(ratios))
+              for i in range(len(last) - 1) if abs(last[i]) > 1e-300]
+    return float(np.median(ratios)) if ratios else 0.0
+
+
+def _geometric_ratio(integrals):
+    """Common ratio of the innermost panel integrals (0 when they vanish)."""
+    r = tail_ratio(integrals)
     if abs(r) >= 0.999:
         raise IntegrationError(
             f"integral does not converge at the singular endpoint "
-            f"(panel ratio {r:.6f}); innermost panel integrals {last.tolist()}"
-        )
+            f"(panel ratio {r:.6f}); innermost panel integrals "
+            f"{integrals[-4:].tolist()}")
     return r
 
 
@@ -193,7 +195,7 @@ def cumulative_from_singular(fn, breaks) -> PanelFunction:
     return PanelFunction(breaks, coef)
 
 
-def panel_quad_complex(fn, a: float, b: float, n_panels: int = 16) -> complex:
-    """Definite integral of a smooth function by fixed Chebyshev panels."""
-    _, integrals = _panel_integrals(fn, np.linspace(a, b, n_panels + 1))
+def panel_quad_complex(fn, a: float, b: float) -> complex:
+    """Definite integral of a smooth function by 24 fixed Chebyshev panels."""
+    _, integrals = _panel_integrals(fn, np.linspace(a, b, 25))
     return complex(np.sum(integrals))

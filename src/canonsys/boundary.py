@@ -29,9 +29,8 @@ c = Phi(t)^(-T) y(t) = adj(Phi(t))^T y(t) from the value at any t in the
 basis's range (det Phi = 1).  Shooting (``solve_from_gamma``), ``gamma_vec``
 and the assembly in :mod:`canonsys.monodromy` read it there and integrate
 nothing of their own.  ``gamma_columns`` is the one path that integrates
-from a given anchor: ``gamma_vec`` takes it with explicit ``w_funcs`` or an
-anchor outside the basis's range, and it serves as an independent check of
-the cached pairs.
+from a given anchor: ``gamma_vec`` takes it for an anchor outside the
+basis's range, and it serves as an independent check of the cached pairs.
 """
 
 from __future__ import annotations
@@ -160,9 +159,6 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
         for j in range(delta + 1, 2 * delta - n + 1):
             if diagonal and n % 2 == j % 2:
                 continue  # pairs of equal parity vanish identically
-            if j >= len(w_funcs):
-                raise DomainError(
-                    f"w-family too short: need index {j} for the boundary sum")
             out += z ** (n + j) * w_funcs[n].j_pair(w_funcs[j], xs)
     return out
 
@@ -226,7 +222,7 @@ def _indivisible(ih: IndefHamiltonianA, side: Side) -> bool:
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
-                  t_anchor: float, y_cols, w_funcs=None,
+                  t_anchor: float, y_cols,
                   rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
     """Boundary pairs of the solutions with given values at the anchor,
     integrated from there.
@@ -248,8 +244,7 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
                                     complex(samp[1, i]), 0.0, ())
                 for i in range(y_cols.shape[1])]
 
-    if w_funcs is None:
-        w_funcs = wp.w_family_for(ih, side)
+    w_funcs = wp.w_family_for(ih, side)
     run = _integrate_columns(ih, side, z, t_anchor, y_cols, w_funcs, rtol, atol)
     return _limit_pairs(ih, side, z, w_funcs, *run)
 
@@ -272,27 +267,25 @@ def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
     it, else the sampler's own anchor."""
     reg = ih.side(side).regular_endpoint(side)
     lo, hi = fhat.interval
-    t_a = reg if lo - 1e-12 <= reg <= hi + 1e-12 else float(fhat.anchor[0])
+    t_a = reg if lo - 1e-12 <= reg <= hi + 1e-12 else float(fhat.anchor_t)
     return t_a, np.asarray(fhat.eval(t_a), dtype=np.complex128)
 
 
-def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side,
-              w_funcs=None) -> RegularisedBoundary:
+def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
     """Stacked boundary pair (gamma_s, gamma_r) of one solution sampler.
 
     Read off the side's cached basis (``SideBasis.pair``) from the
     sampler's value at the regular endpoint, or at its anchor when it does
-    not reach that endpoint.  Explicit ``w_funcs``, an anchor outside the
-    basis's range and indivisible sides (exact without integration) go
-    through ``gamma_columns``.
+    not reach that endpoint.  An anchor outside the basis's range and
+    indivisible sides (exact without integration) go through
+    ``gamma_columns``.
     """
     t_a, y_a = _anchor_of(fhat, ih, side)
-    if w_funcs is None and not _indivisible(ih, side):
+    if not _indivisible(ih, side):
         basis = side_basis(ih, side, fhat.z)
         if basis.covers(t_a):
             return basis.pair(basis.inverse_at(t_a).T @ y_a)
-    return gamma_columns(ih, side, fhat.z, t_a, y_a.reshape(2, 1),
-                         w_funcs=w_funcs)[0]
+    return gamma_columns(ih, side, fhat.z, t_a, y_a.reshape(2, 1))[0]
 
 
 @dataclass(frozen=True)
@@ -370,9 +363,7 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
     its adjugate.  A basis matrix whose determinant is not 1 up to rounding
     would contradict bijectivity of the boundary map and raises instead.
     """
-    c = np.asarray(c, dtype=np.complex128)
-    if c.shape != (2,):
-        raise DomainError("c must be a 2-vector")
+    c = sv.finite_start(c, (2,), "c")
     h = ih.side(side)
     z = sv.finite_z(z)
     reg = h.regular_endpoint(side)

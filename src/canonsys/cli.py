@@ -12,7 +12,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -177,28 +176,13 @@ def _tols(cfg: dict):
     if unknown:
         raise ConfigError(f"unknown tolerance keys {sorted(unknown)} "
                           f"(allowed: {sorted(_TOL_KEYS)})")
-    defaults = (("rk_rtol", mo.PIPE_RTOL), ("rk_atol", mo.PIPE_ATOL))
+    defaults = (("rk_rtol", bd.GAMMA_RTOL), ("rk_atol", bd.GAMMA_ATOL))
     rtol, atol = (_number(tol.get(k, d), f"tolerances {k}") for k, d in defaults)
     if rtol <= 0:
         raise ConfigError(f"tolerances rk_rtol must be > 0, got {rtol!r}")
     if atol < 0:
         raise ConfigError(f"tolerances rk_atol must be >= 0, got {atol!r}")
     return rtol, atol
-
-
-def _jobs(args) -> int:
-    """Worker threads: --jobs, else CANON_JOBS, else 1; each must be >= 1."""
-    if args.jobs is not None:
-        what, text = "--jobs", str(args.jobs)
-    else:
-        what, text = "CANON_JOBS", os.environ.get("CANON_JOBS") or "1"
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ConfigError(f"{what} must be a positive integer, got {text!r}")
-    return jobs
 
 
 def _map_ordered(fn, items, jobs):
@@ -254,7 +238,7 @@ def _cmd_fundamental(args):
                            t0=h.regular_endpoint(side))
         return [_w_row(t, z, w.eval(t), w.det_error()) for t in ts]
 
-    rows = [r for chunk in _map_ordered(work, zs, _jobs(args)) for r in chunk]
+    rows = [r for chunk in _map_ordered(work, zs, args.jobs) for r in chunk]
     _emit(args, _csv(rows, _W_HEADER))
     return 0
 
@@ -298,20 +282,23 @@ def _cmd_regbv(args):
                                 for x, v, g in rb.samples]
         return entry
 
-    _emit_json(args, _map_ordered(work, zs, _jobs(args)))
+    _emit_json(args, _map_ordered(work, zs, args.jobs))
     return 0
 
 
 def _cmd_monodromy(args):
     cfg, ih, rtol, atol = _setup(args)
     zs = _z_grid_from(args, cfg)
-    t = float(args.t) if args.t is not None else ih.s_plus
+    t = ih.s_plus if args.t is None else _finite_float(args.t, "--t")
+    if not ih.s_minus <= t <= ih.s_plus or t == ih.sigma:
+        raise ConfigError(f"--t must lie in [{ih.s_minus}, {ih.s_plus}] and "
+                          f"differ from sigma = {ih.sigma}, got {t!r}")
 
     def work(z):
         w = mo.assemble_W(ih, z, t, rtol=rtol, atol=atol)
         return z, w
 
-    results = _map_ordered(work, zs, _jobs(args))
+    results = _map_ordered(work, zs, args.jobs)
     if (args.emit or "csv") == "json":
         with np.errstate(over="ignore", invalid="ignore"):  # inf when W overflows
             dets = [np.linalg.det(w) for _, w in results]
@@ -332,8 +319,10 @@ def _cmd_kernel_signature(args):
     if args.points:
         pts = _parse_complex_list(args.points, "--points")
     else:
+        n = _count(args.random_grid, "--random-grid")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
-        n = args.random_grid or 8
         pts = list(rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 2.5, n))
     sig = mo.kernel_gram(lambda z: mo.monodromy_matrix(ih, z, rtol=rtol, atol=atol),
                          pts)
@@ -358,10 +347,16 @@ def _cmd_weyl(args):
 
 
 def _cmd_validate_example(args):
+    s_plus = _finite_float(args.s_plus, "--s-plus")
+    if s_plus <= ex.SIGMA:
+        raise ConfigError(f"--s-plus must exceed sigma = {ex.SIGMA}, "
+                          f"got {s_plus!r}")
+    d0 = None if args.d0 is None else _finite_float(args.d0, "--d0")
     b = () if args.b is None else tuple(_parse_float_list(args.b, "--b"))
-    cfg_obj = ex.ExampleConfig(s_plus=args.s_plus, d0=args.d0, d1=args.d1,
-                               oe=len(b), b=b)
-    report = ex.run_validation(cfg_obj, threshold=args.threshold)
+    cfg_obj = ex.ExampleConfig(s_plus=s_plus, d0=d0,
+                               d1=_finite_float(args.d1, "--d1"), oe=len(b), b=b)
+    report = ex.run_validation(
+        cfg_obj, threshold=_finite_float(args.threshold, "--threshold"))
     _emit_json(args, report)
     return 0 if report["pass"] else 1
 
@@ -376,10 +371,9 @@ def check_conditions(ih: IndefHamiltonianA) -> dict:
     report = {}
     for side in ("minus", "plus"):
         h = ih.side(side)
-        end = "hi" if side == "minus" else "lo"
         psd = check_psd(h)
-        ci = check_I(h, end)
-        chs = check_HS(h, end)
+        ci = check_I(h, side)
+        chs = check_HS(h, side)
         indiv = ih.indivisible(side)
         dd = None
         if h.is_diagonal or ih.omegas(side):
@@ -419,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "canonical systems with one inner singularity")
     p.add_argument("--config", help="JSON run config (problem, grids, tolerances)")
     p.add_argument("--output", help="write output to this file instead of stdout")
-    p.add_argument("--jobs", type=int, help="worker threads for z grids "
-                                            "(default: CANON_JOBS or 1)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker threads for z grids (default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("fundamental", help="fundamental solution on one side")
@@ -453,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("kernel-signature", help="negative squares estimate")
     q.add_argument("--points", help="comma list of complex grid points")
-    q.add_argument("--random-grid", type=int, help="number of random points")
+    q.add_argument("--random-grid", type=int, default=8,
+                   help="number of random points (default 8)")
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=_cmd_kernel_signature)
 
@@ -483,6 +478,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _count(args.jobs, "--jobs")
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error [canonsys]: {exc}\n")

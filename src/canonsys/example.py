@@ -216,7 +216,7 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
                              float(np.abs(um - closed_Uminus(z)).max()))
         v_closed = sv.fundamental(ih.h_plus, z, init=closed_W(cfg.s_plus, z, cfg.s_plus),
                                   t0=cfg.s_plus, side="plus",
-                                  rtol=mo.PIPE_RTOL, atol=mo.PIPE_ATOL)
+                                  rtol=bd.GAMMA_RTOL, atol=bd.GAMMA_ATOL)
         up = mo.u_plus(ih, z, v_closed)
         err["u_plus"] = max(err["u_plus"],
                             float(np.abs(up - closed_Uplus(z, cfg.s_plus)).max()))
@@ -232,12 +232,11 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
         # share; read off those bases, the residual would be the identity
         # prefactor U_plus = U_minus R^T.
         fac = mo.factorisation(ih, z)
-        wm = bd.side_basis(ih, "minus", z, mo.PIPE_RTOL, mo.PIPE_ATOL).solution
+        wm = bd.side_basis(ih, "minus", z).solution
         gam = {}
         for side, w_at in (("minus", wm.eval), ("plus", fac.w)):
             mid = 0.5 * sum(ih.side(side).interval)
-            pairs = bd.gamma_columns(ih, side, z, mid, w_at(mid).T,
-                                     rtol=mo.PIPE_RTOL, atol=mo.PIPE_ATOL)
+            pairs = bd.gamma_columns(ih, side, z, mid, w_at(mid).T)
             gam[side] = np.array([p.vec for p in pairs])
         res = gam["plus"] - gam["minus"] @ build_R(ih, z).T
         err["interface"] = max(err["interface"], float(np.abs(res).max()))

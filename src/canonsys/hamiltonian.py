@@ -29,7 +29,6 @@ from .errors import (ConfigError, DomainError, EvaluationError,
                      IndeterminateError, UnsupportedSpecError)
 
 Side = Literal["minus", "plus"]
-Endpoint = Literal["lo", "hi"]
 
 TOL_PSD = 1e-10     # relative PSD slack
 TOL_INDIV = 1e-8    # indivisibility residual
@@ -250,23 +249,15 @@ def eval_H(h: Hamiltonian, t: float) -> np.ndarray:
 
 def hamiltonian_from_spec(spec: dict, interval,
                           singular: float | None = None) -> Hamiltonian:
-    """Compile a serialisable side spec into a Hamiltonian on ``interval``.
-
-    The optional key ``"lc"`` (a pair from auto|circle|point) is validated so
-    that configs carrying it still load; nothing reads it.
-    """
+    """Compile a serialisable side spec into a Hamiltonian on ``interval``."""
     lo, hi = float(interval[0]), float(interval[1])
     if not isinstance(spec, dict):
         raise ConfigError("Hamiltonian spec must be an object")
     kind = spec.get("kind")
-    allowed_top = {"kind", "name", "pieces", "t", "h1", "h2", "h3", "lc"}
+    allowed_top = {"kind", "name", "pieces", "t", "h1", "h2", "h3"}
     unknown = set(spec) - allowed_top
     if unknown:
         raise ConfigError(f"unknown Hamiltonian spec keys {sorted(unknown)}")
-    if "lc" in spec:
-        lc = spec["lc"] if isinstance(spec["lc"], (list, tuple)) else ()
-        if len(lc) != 2 or any(f not in ("auto", "circle", "point") for f in lc):
-            raise ConfigError("lc must be a pair from {auto, circle, point}")
 
     if kind == "named":
         if singular is None:
@@ -326,16 +317,19 @@ def identity_hamiltonian(interval=(0.0, 1.0)) -> Hamiltonian:
 # ---------------------------------------------------------------------------
 # structural diagnostics
 
-def _interior_samples(a: float, b: float, n: int = 241) -> np.ndarray:
-    # Chebyshev-distributed, strictly interior (entries may blow up at ends)
+def _interior_samples(a: float, b: float) -> np.ndarray:
+    # 241 Chebyshev-distributed points, strictly interior (entries may blow
+    # up at the ends)
+    n = 241
     k = np.arange(1, n + 1)
     x = np.cos(np.pi * (2 * k - 1) / (2 * n))
     return 0.5 * (a + b) + 0.5 * (b - a) * x
 
 
-def check_psd(h: Hamiltonian, n_samples: int = 241, tol: float = TOL_PSD):
-    """Max relative negative eigenvalue over sampled points (should be <= tol)."""
-    ts = _interior_samples(*h.interval, n_samples)
+def check_psd(h: Hamiltonian):
+    """Max relative negative eigenvalue over sampled points; ConfigError
+    above ``TOL_PSD``."""
+    ts = _interior_samples(*h.interval)
     ms = h.matrix(ts)
     if not np.all(np.isfinite(ms)):
         bad = ts[~np.all(np.isfinite(ms.reshape(len(ts), 4)), axis=1)]
@@ -343,7 +337,7 @@ def check_psd(h: Hamiltonian, n_samples: int = 241, tol: float = TOL_PSD):
     eig = np.linalg.eigvalsh(ms)
     scale = np.maximum(np.abs(eig).max(axis=1), 1e-300)
     worst = float((-eig[:, 0] / scale).max())
-    if worst > tol:
+    if worst > TOL_PSD:
         t_bad = ts[int((-eig[:, 0] / scale).argmax())]
         raise ConfigError(
             f"Hamiltonian not positive semi-definite: relative eigenvalue "
@@ -358,8 +352,7 @@ class IndivisibleReport:
     residual: float           # max off-line part of H(t), relative
 
 
-def indivisible_type(h: Hamiltonian, a: float, b: float,
-                     tol: float = TOL_INDIV) -> IndivisibleReport:
+def indivisible_type(h: Hamiltonian, a: float, b: float) -> IndivisibleReport:
     """Detect Ran H(t) = span{xi_phi} a.e. on (a, b) by sampling."""
     lo, hi = h.interval
     if not (lo <= a < b <= hi):
@@ -380,7 +373,7 @@ def indivisible_type(h: Hamiltonian, a: float, b: float,
     proj = np.eye(2) - np.outer(xi, xi)
     off = proj @ ms[keep] @ proj
     residual = float((np.linalg.norm(off, axis=(1, 2)) / norms[keep]).max())
-    if residual <= tol:
+    if residual <= TOL_INDIV:
         phi = math.atan2(xi[1], xi[0]) % math.pi
         return IndivisibleReport(True, phi, residual)
     return IndivisibleReport(False, None, residual)
@@ -393,39 +386,30 @@ class ConditionReport:
     total: Optional[float]    # estimated integral when convergent
 
 
-def _tail_diagnostic(panel_integrals, tol: float = TOL_TAIL) -> ConditionReport:
+def _tail_diagnostic(panel_integrals) -> ConditionReport:
+    """Convergent when the panel integrals decay geometrically (ratio below
+    0.999), or when the last one is below ``TOL_TAIL`` relative to the sum
+    with a ratio below 1; the total adds the geometric tail."""
     P = np.asarray(panel_integrals, dtype=np.float64)
     S = float(np.sum(P))
-    scale = max(1.0, abs(S))
-    last = P[-4:]
-    ratios = [last[i + 1] / last[i] for i in range(len(last) - 1)
-              if abs(last[i]) > 1e-300]
-    r = float(np.median(ratios)) if ratios else 0.0
-    if abs(last[-1]) <= tol * scale and (not ratios or r < 1.0):
-        return ConditionReport(True, P.tolist(), S + (last[-1] * r / (1 - r) if r < 1 else 0.0))
-    if 0.0 <= r < 0.999:
-        tail = float(last[-1] * r / (1.0 - r))
-        return ConditionReport(True, P.tolist(), S + tail)
+    r = cp.tail_ratio(P)
+    small = abs(P[-1]) <= TOL_TAIL * max(1.0, abs(S))
+    if (small and r < 1.0) or 0.0 <= r < 0.999:
+        return ConditionReport(True, P.tolist(), S + float(P[-1] * r / (1.0 - r)))
     return ConditionReport(False, P.tolist(), None)
 
 
-def _side_from_end(h: Hamiltonian, singular_end: Endpoint) -> Side:
-    return "minus" if singular_end == "hi" else "plus"
-
-
-def check_I(h: Hamiltonian, singular_end: Endpoint) -> ConditionReport:
-    """Integrability of h1 toward the singular endpoint (condition on the
-    (1,1) channel); a diagnostic, never an error."""
-    side = _side_from_end(h, singular_end)
+def check_I(h: Hamiltonian, side: Side) -> ConditionReport:
+    """Integrability of h1 toward the side's singular endpoint (condition on
+    the (1,1) channel); a diagnostic, never an error."""
     breaks = h.panels(side)
     _, integrals = cp._panel_integrals(h.h1, breaks)
     return _tail_diagnostic(np.abs(integrals))
 
 
-def check_HS(h: Hamiltonian, singular_end: Endpoint) -> ConditionReport:
+def check_HS(h: Hamiltonian, side: Side) -> ConditionReport:
     """Nested-integral condition: integral of (integral of h2 from the regular
-    endpoint) times h1 toward the singular endpoint."""
-    side = _side_from_end(h, singular_end)
+    endpoint) times h1 toward the side's singular endpoint."""
     breaks = h.panels(side)
     inner = cp.cumulative_from_start(h.h2, breaks)  # from the regular endpoint
     _, integrals = cp._panel_integrals(lambda t: inner(t) * h.h1(t), breaks)

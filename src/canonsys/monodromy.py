@@ -40,11 +40,10 @@ import numpy as np
 
 from . import boundary as bd
 from . import solver as sv
+from .boundary import GAMMA_ATOL, GAMMA_RTOL
 from .errors import DomainError
 from .hamiltonian import IndefHamiltonianA, build_R, eval_p, symplectic_j
 
-PIPE_RTOL = 1e-12
-PIPE_ATOL = 1e-12
 TOL_EIG_REL = 1e-8   # negative-squares threshold relative to the Gram norm
 
 _J = symplectic_j()
@@ -60,7 +59,6 @@ class MonodromyFactorisation:
     r: np.ndarray
     v: sv.MatrixSolution
     prefactor: np.ndarray        # U^- R^T adj(U^+) / det V.init
-    det_report: tuple            # (det u_minus, det u_plus, det v at s_plus)
 
     def w(self, t: float) -> np.ndarray:
         return self.prefactor @ self.v.eval(t)
@@ -75,20 +73,20 @@ class KernelSignature:
 
 
 def u_minus(ih: IndefHamiltonianA, z: complex,
-            rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
+            rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
     """Boundary-value matrix of the left fundamental solution (det = 1)."""
     return bd.side_basis(ih, "minus", z, rtol, atol).matrix
 
 
 def default_v(ih: IndefHamiltonianA, z: complex,
-              rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> sv.MatrixSolution:
+              rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> sv.MatrixSolution:
     """Matrix solution on the right piece anchored to I at s_plus."""
     return bd.side_basis(ih, "plus", z, rtol, atol).solution
 
 
 def u_plus(ih: IndefHamiltonianA, z: complex,
            v: Optional[sv.MatrixSolution] = None,
-           rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
+           rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
     """Boundary-value matrix of V on the right piece (det = det V).
 
     The boundary pairs depend on V only through its anchor: the rows of V
@@ -110,7 +108,7 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
 
 def factorisation(ih: IndefHamiltonianA, z: complex,
                   v: Optional[sv.MatrixSolution] = None,
-                  rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL
+                  rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL
                   ) -> MonodromyFactorisation:
     z = sv.finite_z(z)
     vv = default_v(ih, z, rtol, atol) if v is None else v
@@ -118,14 +116,12 @@ def factorisation(ih: IndefHamiltonianA, z: complex,
     up = bd.check_det(u_plus(ih, z, vv, rtol, atol), vv.det_init, "U^+")
     r = build_R(ih, z)
     pre = um @ r.T @ bd.adj(up) / vv.det_init
-    dets = (complex(np.linalg.det(um)), complex(np.linalg.det(up)),
-            complex(np.linalg.det(vv.eval(ih.s_plus))))
-    return MonodromyFactorisation(z, um, up, r, vv, pre, dets)
+    return MonodromyFactorisation(z, um, up, r, vv, pre)
 
 
 def assemble_W(ih: IndefHamiltonianA, z: complex, t: float,
                v: Optional[sv.MatrixSolution] = None,
-               rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
+               rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
     """The assembled matrix at one point (direct solution left of sigma)."""
     z = sv.finite_z(z)
     if not (ih.s_minus <= t <= ih.s_plus):
@@ -139,7 +135,7 @@ def assemble_W(ih: IndefHamiltonianA, z: complex, t: float,
 
 
 def monodromy_matrix(ih: IndefHamiltonianA, z: complex,
-                     rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
+                     rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
     """The assembled matrix at s_plus."""
     return assemble_W(ih, z, ih.s_plus, rtol=rtol, atol=atol)
 
@@ -148,7 +144,7 @@ def monodromy_matrix(ih: IndefHamiltonianA, z: complex,
 # comparison of discrete parameters and the Weyl coefficient
 
 def m_matrix(ih: IndefHamiltonianA, z: complex,
-             rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
+             rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
     """Rank-one matrix of entry limits driving the comparison identity.
 
     The limits of (w12, w22) of the left solution at sigma are the second
@@ -175,7 +171,7 @@ def _same_hamiltonian(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA) -> bool:
 
 def compare_discrete(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA,
                      z: complex, t: float,
-                     rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> np.ndarray:
+                     rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
     """Residual of W2 - W1 = (p2 - p1) M(z) W1 at one point right of sigma."""
     if not _same_hamiltonian(ih1, ih2):
         raise DomainError("the two problems must share the same Hamiltonian")
@@ -189,7 +185,7 @@ def compare_discrete(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA,
 
 
 def weyl_intermediate(ih: IndefHamiltonianA, z: complex,
-                      rtol: float = PIPE_RTOL, atol: float = PIPE_ATOL) -> complex:
+                      rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> complex:
     """Limit of w12/w22 of the left solution at sigma (Im z != 0).
 
     Extrapolated from the ratio of the second components sampled with the
@@ -218,8 +214,7 @@ def weyl_intermediate(ih: IndefHamiltonianA, z: complex,
 # kernel signature
 
 def kernel_gram(w_fun: Callable[[complex], np.ndarray],
-                points: Sequence[complex],
-                tol_eig_rel: float = TOL_EIG_REL) -> KernelSignature:
+                points: Sequence[complex]) -> KernelSignature:
     """Eigenvalue count of the block Gram matrix of the J-form kernel.
 
     ``points`` must be pairwise distinct with no point equal to another's
@@ -245,5 +240,5 @@ def kernel_gram(w_fun: Callable[[complex], np.ndarray],
     gram = 0.5 * (gram + gram.conj().T)
     eig = np.linalg.eigvalsh(gram)
     scale = float(np.abs(eig).max()) if eig.size else 0.0
-    neg = int(np.sum(eig < -tol_eig_rel * max(scale, 1e-300)))
+    neg = int(np.sum(eig < -TOL_EIG_REL * max(scale, 1e-300)))
     return KernelSignature(tuple(pts), gram, neg, float(eig.min()))

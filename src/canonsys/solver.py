@@ -65,6 +65,17 @@ def finite_z(z) -> complex:
     return z
 
 
+def finite_start(value, shape, what: str) -> np.ndarray:
+    """``value`` as a complex array of ``shape``; DomainError when its shape
+    differs or an entry is not finite, before any integration starts."""
+    arr = np.asarray(value, dtype=np.complex128)
+    if arr.shape != shape:
+        raise DomainError(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} has non-finite entries: {arr.tolist()}")
+    return arr
+
+
 class PanelChain(cp.PanelFunction):
     """One integration as Chebyshev series on a chain of panels.
 
@@ -89,12 +100,11 @@ class PanelChain(cp.PanelFunction):
 class DenseSolution:
     """Dense output over one or two segments sharing the anchor point."""
 
-    def __init__(self, segments, z, h, anchor_t, anchor_y):
+    def __init__(self, segments, z, h, anchor_t):
         self.segments = list(segments)
         self.z = z
         self.h = h
         self.anchor_t = anchor_t
-        self.anchor_y = anchor_y
         self.lo = min(s.lo for s in self.segments)
         self.hi = max(s.hi for s in self.segments)
 
@@ -123,8 +133,7 @@ class SolutionSampler:
         self._col = column
         self.z = dense.z
         self.h = dense.h
-        self.anchor = (dense.anchor_t,
-                       dense.anchor_y[2 * column:2 * column + 2].copy())
+        self.anchor_t = dense.anchor_t
         self.interval = (dense.lo, dense.hi)
 
     def eval(self, ts):
@@ -141,12 +150,10 @@ class CombinedSampler:
     def __init__(self, coeffs, samplers):
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         self.samplers = list(samplers)
-        self.z = self.samplers[0].z
-        self.h = self.samplers[0].h
         s0 = self.samplers[0]
-        self.anchor = (s0.anchor[0],
-                       sum(c * s.eval(s0.anchor[0])
-                           for c, s in zip(self.coeffs, self.samplers)))
+        self.z = s0.z
+        self.h = s0.h
+        self.anchor_t = s0.anchor_t
         self.interval = s0.interval
 
     def eval(self, ts):
@@ -166,7 +173,7 @@ class ClosedFormSampler:
         self.z = z
         self.h = h
         self.interval = interval
-        self.anchor = (anchor_t, np.asarray(fn(anchor_t), dtype=np.complex128))
+        self.anchor_t = anchor_t
 
     def eval(self, ts):
         ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
@@ -323,13 +330,16 @@ def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,
               for t1 in targets if t1 != t0]
     if not chains:
         raise DomainError(f"no target other than t0={t0} to integrate to")
-    return DenseSolution(chains, z, h, t0, state0)
+    return DenseSolution(chains, z, h, t0)
 
 
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
                  cutoff: Optional[float]):
-    """(targets, singular endpoint or None) of a solve over one side."""
+    """(targets, singular endpoint or None) of a solve over one side from
+    t0, which must lie in the closed interval."""
     lo, hi = h.interval
+    if not (lo <= t0 <= hi):
+        raise DomainError(f"t0={t0} outside [{lo}, {hi}]")
     if side is None:
         return [t for t in (lo, hi) if t != t0], None
     sing = h.singular_endpoint(side)
@@ -350,12 +360,7 @@ def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
     treated as regular and the whole closed interval is covered.
     """
     z = finite_z(z)
-    lo, hi = h.interval
-    if not (lo <= t0 <= hi):
-        raise DomainError(f"t0={t0} outside [{lo}, {hi}]")
-    y0 = np.asarray(y0, dtype=np.complex128)
-    if y0.shape != (2,):
-        raise DomainError("y0 must be a 2-vector")
+    y0 = finite_start(y0, (2,), "y0")
     targets, sing = _targets_for(h, t0, side, cutoff)
     dense = integrate_dense(h, z, t0, y0, targets, rtol=rtol, atol=atol,
                             sing=sing)
@@ -386,14 +391,14 @@ class MatrixSolution:
         """Transposed i-th row of W as a vector solution sampler."""
         return SolutionSampler(self._dense, i)
 
-    def det_error(self, raw: bool = False) -> float:
+    def det_error(self) -> float:
         """max |det W - det init| over the collocation nodes.
 
         Near a singular endpoint the entries grow like the inverse distance
         and the determinant's two products cancel below what float64 can
-        resolve; unless ``raw`` is set, nodes whose deviation sits inside
-        that representation floor (16 eps times the product magnitudes) are
-        reported as zero, so the result measures genuine integrator drift.
+        resolve; nodes whose deviation sits inside that representation floor
+        (16 eps times the product magnitudes) are reported as zero, so the
+        result measures genuine integrator drift.
         """
         eps = np.finfo(np.float64).eps
         worst = 0.0
@@ -401,10 +406,9 @@ class MatrixSolution:
             y = seg.ys.reshape(-1, 2, 2)
             det = y[:, 0, 0] * y[:, 1, 1] - y[:, 0, 1] * y[:, 1, 0]
             err = np.abs(det - self.det_init)
-            if not raw:
-                floor = 16.0 * eps * (np.abs(y[:, 0, 0] * y[:, 1, 1])
-                                      + np.abs(y[:, 0, 1] * y[:, 1, 0]))
-                err = np.where(err <= floor, 0.0, err)
+            floor = 16.0 * eps * (np.abs(y[:, 0, 0] * y[:, 1, 1])
+                                  + np.abs(y[:, 0, 1] * y[:, 1, 0]))
+            err = np.where(err <= floor, 0.0, err)
             worst = max(worst, float(err.max()))
         return worst
 
@@ -419,9 +423,7 @@ def fundamental(h: Hamiltonian, z: complex, init=None,
     lo, hi = h.interval
     if t0 is None:
         t0 = lo if side in (None, "minus") else hi
-    if init is None:
-        init = np.eye(2, dtype=np.complex128)
-    init = np.asarray(init, dtype=np.complex128)
+    init = finite_start(np.eye(2) if init is None else init, (2, 2), "init")
     if abs(np.linalg.det(init)) < 1e-14:
         raise DomainError("init must be non-singular")
     state0 = init.reshape(-1)  # row-major entries of W = column-stacked W^T
@@ -431,7 +433,7 @@ def fundamental(h: Hamiltonian, z: complex, init=None,
     return MatrixSolution(dense, init, t0)
 
 
-def greens_residual(u, f, x1: float, x2: float, n_panels: int = 24) -> complex:
+def greens_residual(u, f, x1: float, x2: float) -> complex:
     """Defect of the bilinear identity tying two solutions at parameters w, z.
 
     Returns (z - conj(w)) * int_{x1}^{x2} u^* H f  minus the boundary pairing
@@ -459,7 +461,7 @@ def greens_residual(u, f, x1: float, x2: float, n_panels: int = 24) -> complex:
         [x1, x2], h.inner_breaks()[(h.inner_breaks() > x1) & (h.inner_breaks() < x2)]]))
     total = 0j
     for a, b in zip(inner[:-1], inner[1:]):
-        total += cp.panel_quad_complex(integrand, a, b, n_panels)
+        total += cp.panel_quad_complex(integrand, a, b)
     u1 = u.eval(x1)
     u2 = u.eval(x2)
     f1 = f.eval(x1)

@@ -144,14 +144,14 @@ class TestGammaS:
         val = cs.gamma_vec(f, example_ih, "minus").gamma_s
         assert abs(val) < 1e-12
 
-    def test_bad_w_family_fails_to_converge(self, example_ih, hm):
-        # a wrong omega_1 shifts w_1 by (0, delta), injecting a term that
+    def test_bad_w_family_fails_to_converge(self, example_ih, hm, hp):
+        # a wrong omega_1 shifts w_1 by (0, 0.5), injecting a term that
         # blows up like the first solution component: the limit must fail
-        w0 = cs.w_n_general(hm, "minus", 0, [1.0])
-        w1_bad = cs.w_n_general(hm, "minus", 1, [1.0, 0.5])
-        f = closed_row_sampler(0, 1.0, example_ih, "minus")
+        ih = cs.indef_hamiltonian(hm, hp, delta=1, d=example_ih.d,
+                                  omega_minus=[1.0, 0.5, 0.0])
+        f = closed_row_sampler(0, 1.0, ih, "minus")
         with pytest.raises(cs.LimitError) as exc:
-            cs.gamma_vec(f, example_ih, "minus", w_funcs=[w0, w1_bad])
+            cs.gamma_vec(f, ih, "minus")
         assert exc.value.samples is not None
 
 

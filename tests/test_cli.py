@@ -1,8 +1,6 @@
 import contextlib
 import io
 import json
-import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,6 +69,16 @@ class TestInputValidation:
         (["wpoly", "--n", "-1"], "--n"),
         (["monodromy", "--z-grid", '{"re": [0, 1, 1%s], "im": [0, 1, 2]}'
           % ("0" * 400)], "z_grid re count"),
+        (["validate-example", "--s-plus", "0.5"], "--s-plus"),
+        (["validate-example", "--s-plus", "nan"], "--s-plus"),
+        (["validate-example", "--d0", "nan"], "--d0"),
+        (["validate-example", "--threshold", "nan"], "--threshold"),
+        (["kernel-signature", "--random-grid", "-1"], "--random-grid"),
+        (["kernel-signature", "--random-grid", "0"], "--random-grid"),
+        (["kernel-signature", "--seed", "-1"], "--seed"),
+        (["monodromy", "--z-grid", "1", "--t", "5"], "--t"),
+        (["monodromy", "--z-grid", "1", "--t", "nan"], "--t"),
+        (["monodromy", "--z-grid", "1", "--t", "1"], "--t"),
     ])
     def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -129,6 +137,8 @@ class TestInputValidation:
         ("h_plus", {"kind": "piecewise", "pieces": [{
             "interval": [1.0, 2.0],
             "h2": {"type": "power", "center": 1.0, "exponent": -2}}]}, "'c'"),
+        ("h_minus", {"kind": "named", "name": "inverse-square",
+                     "lc": ["auto", "point"]}, "'lc'"),
     ])
     def test_bad_problem_value_exits_two_naming_key(self, key, value, token,
                                                     tmp_path, capsys):
@@ -174,33 +184,18 @@ class TestInputValidation:
         np.testing.assert_array_equal(row[3:11], np.stack(
             [want.real, want.imag], axis=-1).ravel())
 
-    @pytest.mark.parametrize("flag, env, token", [
-        ("0", "abc", "--jobs"),
-        ("-4", None, "--jobs"),
-        (None, "-2", "CANON_JOBS"),
-        (None, "0", "CANON_JOBS"),
-        (None, "two", "CANON_JOBS"),
-    ])
-    def test_jobs_below_one_exit_two(self, flag, env, token, monkeypatch,
-                                     capsys):
-        if env is None:
-            monkeypatch.delenv("CANON_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("CANON_JOBS", env)
-        argv = [] if flag is None else ["--jobs", flag]
-        code, _, err = run_cli(argv + ["monodromy", "--z-grid", "0"], capsys)
+    @pytest.mark.parametrize("flag", ["0", "-4"])
+    def test_jobs_below_one_exit_two(self, flag, capsys):
+        code, _, err = run_cli(["--jobs", flag, "monodromy", "--z-grid", "0"],
+                               capsys)
         assert code == 2
-        assert token in err and "Traceback" not in err
+        assert "--jobs" in err and "Traceback" not in err
 
 
-def run_quiet(argv, env_jobs=None):
-    """Exit code of the CLI with its output discarded and CANON_JOBS set."""
-    env = {k: v for k, v in os.environ.items() if k != "CANON_JOBS"}
-    if env_jobs is not None:
-        env["CANON_JOBS"] = env_jobs
+def run_quiet(argv):
+    """Exit code of the CLI with its output discarded."""
     sink = io.StringIO()
-    with mock.patch.dict(os.environ, env, clear=True), \
-            contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         return main(argv)
 
 
@@ -262,11 +257,11 @@ class TestFuzz:
                           "--z-grid", "0.5+0.5j"])
         assert code in (0, 1, 2)
 
-    @given(flag=st.none() | _tokens, env=st.none() | _tokens)
+    @given(flag=st.none() | _tokens)
     @settings(max_examples=40, deadline=None)
-    def test_jobs_tokens(self, flag, env):
+    def test_jobs_tokens(self, flag):
         argv = [] if flag is None else ["--jobs", flag]
-        code = run_quiet(argv + ["monodromy", "--z-grid", "0.5+0.5j,1j"], env)
+        code = run_quiet(argv + ["monodromy", "--z-grid", "0.5+0.5j,1j"])
         assert code in (0, 1, 2)
 
 

@@ -105,7 +105,7 @@ class TestIndivisible:
 
 class TestConditions:
     def test_example_converges(self, hm):
-        rep = cs.check_I(hm, "hi")
+        rep = cs.check_I(hm, "minus")
         assert rep.converges
         assert abs(rep.total - 1.0 / 3.0) < 1e-10  # int_0^1 (t-1)^2 dt
 
@@ -115,16 +115,16 @@ class TestConditions:
                 "interval": [0.0, 1.0],
                 "h1": {"type": "power", "c": 1.0, "center": 1.0, "exponent": -2},
                 "h2": {"type": "const", "value": 1.0}}]}, (0.0, 1.0))
-        assert not cs.check_I(h, "hi").converges
+        assert not cs.check_I(h, "minus").converges
 
     def test_identity_converges(self):
         h = cs.identity_hamiltonian((0.0, 1.0))
-        assert cs.check_I(h, "hi").converges
-        assert cs.check_HS(h, "hi").converges
+        assert cs.check_I(h, "minus").converges
+        assert cs.check_HS(h, "minus").converges
 
     def test_example_hs_converges(self, hm, hp):
-        assert cs.check_HS(hm, "hi").converges
-        assert cs.check_HS(hp, "lo").converges
+        assert cs.check_HS(hm, "minus").converges
+        assert cs.check_HS(hp, "plus").converges
 
     def test_hs_divergent_nested(self):
         # h1 = 1, h2 = |t-1|^-3: the inner integral grows like (1-t)^-2,
@@ -140,8 +140,8 @@ class TestConditions:
         inner = lambda t: 0.5 * ((1 - t) ** -2 - 1.0)
         parts = [quad(inner, 0, 1 - d, limit=200)[0] for d in (1e-2, 1e-4, 1e-6)]
         assert parts[2] > 100 * parts[0]  # oracle confirms divergence
-        assert cs.check_I(h, "hi").converges
-        assert not cs.check_HS(h, "hi").converges
+        assert cs.check_I(h, "minus").converges
+        assert not cs.check_HS(h, "minus").converges
 
 
 class TestDiscreteData:
@@ -192,12 +192,10 @@ class TestProblemConfig:
         with pytest.raises(cs.ConfigError, match="extra"):
             cs.problem_from_dict(cfg)
 
-    def test_lc_key_still_loads(self):
+    def test_lc_key_rejected(self):
         cfg = cs.example_problem_dict()
         cfg["h_minus"] = dict(cfg["h_minus"], lc=["auto", "point"])
-        assert cs.problem_from_dict(cfg).sigma == 1.0
-        cfg["h_minus"]["lc"] = ["auto", "nearby"]
-        with pytest.raises(cs.ConfigError, match="lc"):
+        with pytest.raises(cs.ConfigError, match="'lc'"):
             cs.problem_from_dict(cfg)
 
     def test_d_length_checked(self, hm, hp):

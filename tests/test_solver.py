@@ -81,6 +81,28 @@ class TestFundamental:
         with pytest.raises(cs.DomainError):
             cs.fundamental(hm, 1.0, init=np.zeros((2, 2)), side="minus")
 
+    @pytest.mark.parametrize("call", [
+        lambda ih: cs.fundamental(ih.h_minus, 1.0, init=[[np.nan, 0], [0, 1]]),
+        lambda ih: cs.fundamental(ih.h_minus, 1.0, init=[[1, 0], [np.inf, 1]]),
+        lambda ih: cs.fundamental(ih.h_minus, 1.0, t0=5.0, side="minus"),
+        lambda ih: cs.fundamental(ih.h_minus, 1.0, t0=np.nan),
+        lambda ih: cs.solve_row(ih.h_minus, 1.0, 0.0, [np.nan, 1.0]),
+        lambda ih: cs.solve_row(ih.h_plus, 1.0, 2.0, [1.0, -np.inf], "plus"),
+        lambda ih: cs.solve_row(ih.h_minus, 1.0, np.nan, [0.0, 1.0]),
+        lambda ih: cs.solve_from_gamma(ih, "minus", 1.0, (np.nan, 1.0)),
+        lambda ih: cs.solve_from_gamma(ih, "plus", 1j, (1.0, np.inf)),
+    ], ids=["init-nan", "init-inf", "t0-outside", "t0-nan", "y0-nan",
+            "y0-inf", "row-t0-nan", "c-nan", "c-inf"])
+    def test_bad_start_data_fails_before_integrating(self, call, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated despite bad start data")
+
+        monkeypatch.setattr(sv, "integrate_dense", integrate)
+        ih = cs.example_problem()
+        with pytest.raises(cs.DomainError):
+            call(ih)
+        assert ih.cache.per_z_size() == 0
+
     def test_det_preservation(self, hm, rng):
         hs = {"example": (hm, "minus"),
               "identity": (cs.identity_hamiltonian((0.0, 1.0)), None),
