@@ -5,15 +5,19 @@ replaced by the weighted functional S(x) = sum_{n<=Delta} z^n w_n(x)^T J y(x)
 minus a correction proportional to that limit.  Forming S from y pointwise
 would cancel catastrophically; instead its derivative
 -z^(Delta+1) w_Delta^T H y is formed at the collocation nodes of the
-solver's panels from the stored node values of y and integrated by the same
-spectral rule (``_chebpanels.cumulative_from_values``) from S at the anchor.
-Both quantities are extrapolated to sigma by a Neville tableau on the
-geometric nodes x_k = sigma -+ eps0 * 2^-k, Ridders-style: the tableau entry
-with the smallest self-consistency error wins and that error is reported.
+solver's panels from the node values of y and H the solver stored there and
+integrated by the same spectral rule (``_chebpanels.cumulative_from_values``)
+from S at the anchor.  Both quantities are extrapolated to sigma by a Neville
+tableau on the geometric nodes x_k = sigma -+ eps0 * 2^-k, Ridders-style:
+the tableau entry with the smallest self-consistency error wins and that
+error is reported.
 
-On an indivisible side no limits are needed: the boundary value is plain
-endpoint evaluation at the regular end (exact, by the closed form of
-solutions there).
+On an indivisible side, H = h xi_phi xi_phi^T of rank one with a fixed
+angle phi, no limit is taken: the boundary pair of a solution is its value
+at the regular endpoint, for every phi.  The same run (``_run``) serves all
+sides: it integrates the anchored solutions out to the last extrapolation
+node and, on an indivisible side with an interior anchor, also back to the
+regular endpoint, where it reads the pairs (``err_est`` 0, no samples).
 
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z, rtol, atol)``:
@@ -62,7 +66,9 @@ class RegularisedBoundary:
     gamma_s: complex
     gamma_r: complex
     err_est: float
-    samples: tuple  # (x_k, second component, regularised functional) triples
+    # (x_k, second component, regularised functional) triples; none on an
+    # indivisible side, whose pair is the value at the regular endpoint
+    samples: tuple
 
     @property
     def vec(self) -> np.ndarray:
@@ -163,39 +169,26 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
     return out
 
 
-def _integrate_columns(ih: IndefHamiltonianA, side: Side, z: complex,
-                       t_anchor: float, y_cols, w_funcs,
-                       rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
-    """Solutions anchored by the columns of ``y_cols``, integrated from the
-    anchor to the last extrapolation node, and their functionals there.
-
-    Returns (dense solution, node distances to sigma, nodes, S at the nodes
-    with one column per solution).
-    """
-    h, delta, sing = ih.side(side), ih.delta, ih.sigma
-    span = abs(t_anchor - sing)
-    if span <= 0:
-        raise DomainError("anchor coincides with the singularity")
-    hs = node_distances(h.length, span)
-    xs = sing - np.sign(sing - t_anchor) * hs
-    dense = sv.integrate_dense(h, z, t_anchor, y_cols.T.reshape(-1),
-                               [float(xs[-1])], rtol=rtol, atol=atol, sing=sing)
+def _functional(ih: IndefHamiltonianA, z: complex, t_anchor: float, y_cols,
+                w_funcs, chain: sv.PanelChain, xs) -> np.ndarray:
+    """S at the nodes ``xs``, one column per solution, of the solutions
+    anchored by the columns of ``y_cols`` and integrated along ``chain``."""
+    delta = ih.delta
     # S at the anchor per column: sum_n z^n w_n^T J y
     s0 = sum(z ** n * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
              for n, w in enumerate(f(t_anchor) for f in w_funcs[:delta + 1]))
     # S' = -z^(Delta+1) w_Delta^T H y at the chain's nodes
-    chain = dense.segments[0]
     t = cp.panel_nodes(chain.breaks).ravel()
     y = chain.ys.reshape(len(t), -1, 2)
     ds = -z ** (delta + 1) * np.einsum("na,nab,nmb->nm", w_funcs[delta](t),
-                                       h.matrix(t), y)
-    s_vals = s0 + cp.cumulative_from_values(ds, chain.breaks)(xs)
-    return dense, hs, xs, s_vals
+                                       chain.hm, y)
+    return s0 + cp.cumulative_from_values(ds, chain.breaks)(xs)
 
 
 def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
                  dense: sv.DenseSolution, hs, xs, s_vals):
-    """Boundary pair of every column of a ``_integrate_columns`` run."""
+    """Boundary pair of every column of a run on a side that is not
+    indivisible: the Neville limits of y2 and of the corrected S."""
     y2s = dense.eval_state(xs)[:, 1::2]
     corr = _correction_values(ih, side, z, w_funcs, xs)
     out = []
@@ -216,9 +209,40 @@ def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
     return out
 
 
-def _indivisible(ih: IndefHamiltonianA, side: Side) -> bool:
+def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
+         y_cols, rtol: float, atol: float):
+    """Solutions anchored by the columns of ``y_cols`` at ``t_anchor``,
+    integrated to the last extrapolation node, and their boundary pairs.
+
+    On an indivisible side the pairs are the values at the regular endpoint,
+    to which the run also integrates from an interior anchor; on any other
+    side they are the limits at sigma.  Returns (dense solution, one
+    RegularisedBoundary per column).
+    """
+    h, sing = ih.side(side), ih.sigma
+    reg = h.regular_endpoint(side)
+    span = abs(t_anchor - sing)
+    if span <= 0:
+        raise DomainError("anchor coincides with the singularity")
+    hs = node_distances(h.length, span)
+    xs = sing - np.sign(sing - t_anchor) * hs
     rep = ih.indivisible(side)
-    return rep is not None and rep.is_indivisible
+    indivisible = rep is not None and rep.is_indivisible
+    targets = [float(xs[-1])]
+    if indivisible and t_anchor != reg:
+        targets.append(reg)
+    dense = sv.integrate_dense(h, z, t_anchor, y_cols.T.reshape(-1), targets,
+                               rtol=rtol, atol=atol, sing=sing)
+    if indivisible:
+        ends = (y_cols if t_anchor == reg
+                else dense.eval_state(reg).reshape(-1, 2).T)
+        return dense, [RegularisedBoundary(side, z, complex(gs), complex(gr),
+                                           0.0, ())
+                       for gs, gr in ends.T]
+    w_funcs = wp.w_family_for(ih, side)
+    s_vals = _functional(ih, z, t_anchor, y_cols, w_funcs, dense.segments[0],
+                         xs)
+    return dense, _limit_pairs(ih, side, z, w_funcs, dense, hs, xs, s_vals)
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -231,35 +255,9 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     ``t_anchor``; all m are solved together.  Returns a list of m
     RegularisedBoundary objects.
     """
-    h = ih.side(side)
     z = sv.finite_z(z)
     y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
-    reg = h.regular_endpoint(side)
-
-    if _indivisible(ih, side):
-        # endpoint evaluation is exact there; move the anchor value to reg
-        samp = (y_cols if abs(t_anchor - reg) <= 1e-12 * (h.length + 1.0)
-                else _indivisible_transport(ih, side, z, t_anchor, y_cols))
-        return [RegularisedBoundary(side, z, complex(samp[0, i]),
-                                    complex(samp[1, i]), 0.0, ())
-                for i in range(y_cols.shape[1])]
-
-    w_funcs = wp.w_family_for(ih, side)
-    run = _integrate_columns(ih, side, z, t_anchor, y_cols, w_funcs, rtol, atol)
-    return _limit_pairs(ih, side, z, w_funcs, *run)
-
-
-def _indivisible_transport(ih, side, z, t_from, y_cols):
-    """Values at the regular endpoint of solutions known at t_from.
-
-    On an indivisible side of type pi/2 the closed form moves values along:
-    second components are constant, first ones shift by -z y2 int h2.
-    """
-    h = ih.side(side)
-    a2 = cp.cumulative_from_start(h.h2, h.panels(side))  # int_reg^t h2
-    out = y_cols.copy()
-    out[0, :] = y_cols[0, :] + z * y_cols[1, :] * float(a2(t_from))
-    return out
+    return _run(ih, side, z, t_anchor, y_cols, rtol, atol)[1]
 
 
 def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
@@ -276,15 +274,13 @@ def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
 
     Read off the side's cached basis (``SideBasis.pair``) from the
     sampler's value at the regular endpoint, or at its anchor when it does
-    not reach that endpoint.  An anchor outside the basis's range and
-    indivisible sides (exact without integration) go through
-    ``gamma_columns``.
+    not reach that endpoint.  An anchor outside the basis's range goes
+    through ``gamma_columns``.
     """
     t_a, y_a = _anchor_of(fhat, ih, side)
-    if not _indivisible(ih, side):
-        basis = side_basis(ih, side, fhat.z)
-        if basis.covers(t_a):
-            return basis.pair(basis.inverse_at(t_a).T @ y_a)
+    basis = side_basis(ih, side, fhat.z)
+    if basis.covers(t_a):
+        return basis.pair(basis.inverse_at(t_a).T @ y_a)
     return gamma_columns(ih, side, fhat.z, t_a, y_a.reshape(2, 1))[0]
 
 
@@ -331,24 +327,15 @@ def side_basis(ih: IndefHamiltonianA, side: Side, z: complex,
     """The basis of one side, cached on the problem per (side, z, rtol, atol).
 
     One integration gives both: the solution is the dense output of the
-    pairs' run, up to the last extrapolation node.  An indivisible side takes
-    endpoint values and a plain ``fundamental`` run.
+    pairs' run, from the regular endpoint to the last extrapolation node.
     """
     z = sv.finite_z(z)
 
     def build():
-        h = ih.side(side)
-        reg = h.regular_endpoint(side)
+        reg = ih.side(side).regular_endpoint(side)
         eye = np.eye(2, dtype=np.complex128)
-        if _indivisible(ih, side):
-            return SideBasis(sv.fundamental(h, z, init=eye, t0=reg, side=side,
-                                            rtol=rtol, atol=atol),
-                             tuple(gamma_columns(ih, side, z, reg, eye)))
-        w_funcs = wp.w_family_for(ih, side)
-        run = _integrate_columns(ih, side, z, reg, eye, w_funcs, rtol=rtol,
-                                 atol=atol)
-        return SideBasis(sv.MatrixSolution(run[0], eye, reg),
-                         tuple(_limit_pairs(ih, side, z, w_funcs, *run)))
+        dense, pairs = _run(ih, side, z, reg, eye, rtol, atol)
+        return SideBasis(sv.MatrixSolution(dense, eye, reg), tuple(pairs))
 
     return ih.memo((PER_Z_KIND, side, z, rtol, atol), build)
 
@@ -362,19 +349,12 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
     (``side_basis``); the 2x2 system they form has det 1 and is solved by
     its adjugate.  A basis matrix whose determinant is not 1 up to rounding
     would contradict bijectivity of the boundary map and raises instead.
+    The sampler covers the basis's range, from the regular endpoint to the
+    last extrapolation node; on an indivisible side U = I and its value at
+    the regular endpoint is c.
     """
     c = sv.finite_start(c, (2,), "c")
-    h = ih.side(side)
     z = sv.finite_z(z)
-    reg = h.regular_endpoint(side)
-    if _indivisible(ih, side):
-        a2 = cp.cumulative_from_start(h.h2, h.panels(side))
-
-        def fn(t, c=c):
-            return np.array([c[0] - z * c[1] * a2(t), c[1]], dtype=complex)
-
-        return sv.ClosedFormSampler(fn, z, h, h.interval, reg)
-
     basis = side_basis(ih, side, z, rtol, atol)
     cols = [basis.solution.row_sampler(0), basis.solution.row_sampler(1)]
     g = check_det(basis.matrix.T, 1.0, "boundary matrix of the basis "

@@ -47,6 +47,14 @@ PER_Z_CAP = 32 * 2
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
+def is_minus(side) -> bool:
+    """Whether ``side`` is "minus"; DomainError naming it when it is neither
+    side, before anything is computed or cached under it."""
+    if side not in ("minus", "plus"):
+        raise DomainError(f"side must be 'minus' or 'plus', got {side!r}")
+    return side == "minus"
+
+
 def _number(value, key: str, integer: bool = False) -> float:
     """A finite real number (an integral one if ``integer``) read from a
     config; ConfigError names the key."""
@@ -225,10 +233,10 @@ class Hamiltonian:
         return np.unique(b)
 
     def singular_endpoint(self, side: Side) -> float:
-        return self.interval[1] if side == "minus" else self.interval[0]
+        return self.interval[1] if is_minus(side) else self.interval[0]
 
     def regular_endpoint(self, side: Side) -> float:
-        return self.interval[0] if side == "minus" else self.interval[1]
+        return self.interval[0] if is_minus(side) else self.interval[1]
 
     def panels(self, side: Side) -> np.ndarray:
         return cp.geometric_panels(self.regular_endpoint(side),
@@ -522,13 +530,13 @@ class IndefHamiltonianA:
         return self.h_plus.interval[1]
 
     def side(self, side: Side) -> Hamiltonian:
-        return self.h_minus if side == "minus" else self.h_plus
+        return self.h_minus if is_minus(side) else self.h_plus
 
     def indivisible(self, side: Side) -> IndivisibleReport:
-        return self.indiv_minus if side == "minus" else self.indiv_plus
+        return self.indiv_minus if is_minus(side) else self.indiv_plus
 
     def omegas(self, side: Side):
-        return self.omega_minus if side == "minus" else self.omega_plus
+        return self.omega_minus if is_minus(side) else self.omega_plus
 
     def memo(self, key, build):
         """The cached value under ``key``, computed by ``build()`` once."""

@@ -24,8 +24,9 @@ regular endpoint and the boundary pairs of its rows come from one
 integration, cached on the problem under ``("basis", side, z, rtol, atol)``
 (:func:`canonsys.boundary.side_basis`; at most ``hamiltonian.PER_Z_CAP``
 entries, least recently used evicted first).  W left of sigma and the default
-V are those fundamental solutions; U_minus, U_plus, the entry limits behind
-M(z) and the Weyl coefficient are read off those boundary pairs.  For a V
+V are those fundamental solutions; U_minus, U_plus and the entry limits
+behind M(z) are read off those boundary pairs, and the Weyl coefficient off
+the left one at the extrapolation nodes.  For a V
 with another anchor, U_plus(V) = V.init adj(Phi(V.t0)) U_plus by linearity
 (Phi the cached basis, det Phi = 1); only an anchor outside the basis's
 range integrates boundary pairs of its own.
@@ -188,21 +189,17 @@ def weyl_intermediate(ih: IndefHamiltonianA, z: complex,
                       rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> complex:
     """Limit of w12/w22 of the left solution at sigma (Im z != 0).
 
-    Extrapolated from the ratio of the second components sampled with the
-    boundary pairs of the left fundamental solution's rows.
+    Extrapolated from w12/w22 of the cached left fundamental solution at
+    the extrapolation nodes, on every side alike.
     """
     z = sv.finite_z(z)
     if z.imag == 0.0:
         raise DomainError("the intermediate Weyl coefficient needs Im z != 0")
-    p12, p22 = bd.side_basis(ih, "minus", z, rtol, atol).pairs
-    if not p12.samples:
-        # indivisible side: second components are constant up to sigma
-        return complex(p12.gamma_r / p22.gamma_r)
-    xs = np.array([x for x, _, _ in p12.samples])
-    ratio = (np.array([y2 for _, y2, _ in p12.samples])
-             / np.array([y2 for _, y2, _ in p22.samples]))
     h = ih.h_minus
     hs = bd.node_distances(h.length, h.length)
+    xs = ih.sigma - hs
+    w = bd.side_basis(ih, "minus", z, rtol, atol).solution.eval(xs)
+    ratio = w[:, 0, 1] / w[:, 1, 1]
     val, err = bd.neville_limit(hs, ratio)
     if err > bd.TOL_LIMIT * max(1.0, abs(val)):
         raise bd.LimitError(f"Weyl coefficient limit did not converge at z={z}",

@@ -19,8 +19,9 @@ the trailing Chebyshev coefficients of its basis exceed rtol, or the noise
 floor of its float nodes, times the basis's overall size; the number of
 splits is bounded (``MAX_SPLITS``).
 Dense output evaluates each panel's Chebyshev series; each chain also keeps
-the state at its nodes (``PanelChain.ys``), from which :mod:`canonsys.boundary`
-forms the regularised boundary functional.
+the state at its nodes (``PanelChain.ys``) and the H values the collocation
+evaluated there (``PanelChain.hm``), from which :mod:`canonsys.boundary`
+forms the regularised boundary functional without evaluating H again.
 """
 
 from __future__ import annotations
@@ -80,15 +81,16 @@ class PanelChain(cp.PanelFunction):
     """One integration as Chebyshev series on a chain of panels.
 
     ``ts`` (``breaks``) holds the panel breaks in integration order, ``ys``
-    the state at every collocation node, panel after panel, and ``coefs``
-    per panel the DEGREE + 2 Chebyshev coefficients of the state.
+    the state and ``hm`` H at every collocation node, panel after panel, and
+    ``coefs`` per panel the DEGREE + 2 Chebyshev coefficients of the state.
     """
 
-    __slots__ = ("ys", "lo", "hi")
+    __slots__ = ("ys", "hm", "lo", "hi")
 
-    def __init__(self, breaks, ys, coefs):
+    def __init__(self, breaks, ys, hm, coefs):
         super().__init__(breaks, coefs)
         self.ys = ys
+        self.hm = hm
         self.lo = float(min(breaks[0], breaks[-1]))
         self.hi = float(max(breaks[0], breaks[-1]))
 
@@ -278,7 +280,7 @@ def _collocate(h, z, t0, t1, state0, rtol, atol, sing):
                 f"{context}: non-finite Hamiltonian entries or propagator "
                 f"on the panel from t={t_bad}", t_bad)
         ok = _resolved(a, b, phi, rtol, atol)
-        done.extend(zip(a[ok], b[ok], phi[ok], f[ok]))
+        done.extend(zip(a[ok], b[ok], hm[ok], phi[ok], f[ok]))
         pending = []
         for ak, bk in zip(a[~ok], b[~ok]):
             if abs(bk - ak) < 2.0 * _WIDTH_FLOOR * max(1.0, abs(ak), abs(bk)):
@@ -292,7 +294,7 @@ def _collocate(h, z, t0, t1, state0, rtol, atol, sing):
             mid = 0.5 * (ak + bk)
             pending += [(ak, mid), (mid, bk)]
     done.sort(key=lambda p: direction * p[0])
-    a, b, phi, f = (np.array(col) for col in zip(*done))
+    a, b, hm, phi, f = (np.array(col) for col in zip(*done))
     breaks = np.append(a, b[-1])
 
     # chain the 2x2 propagators: start values of every panel
@@ -312,7 +314,7 @@ def _collocate(h, z, t0, t1, state0, rtol, atol, sing):
     slopes = (f @ starts[:-1, None]).transpose(0, 1, 3, 2).reshape(-1, 2 * ncols)
     coefs, _ = cp._node_integrals(slopes, breaks)
     coefs[:, 0] += starts[:-1].transpose(0, 2, 1).reshape(len(a), 2 * ncols)
-    return PanelChain(breaks, y, coefs)
+    return PanelChain(breaks, y, hm.reshape(-1, 2, 2), coefs)
 
 
 def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,

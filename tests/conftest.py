@@ -70,3 +70,21 @@ def surgery_ih():
         {"kind": "named", "name": "indivisible-inverse-square"},
         (1.0, 2.0), singular=1.0)
     return cs.indef_hamiltonian(hm1, hp0, delta=1, d=(0.0, 0.0))
+
+
+def indivisible_problem_dict(phi, side, c=1.5):
+    """The example with one side replaced by c |t - 1|^-2 xi_phi xi_phi^T,
+    xi_phi = (cos phi, sin phi): indivisible of type phi."""
+    def entry(v):
+        if abs(v) < 1e-12:
+            return {"type": "const", "value": 0.0}
+        return {"type": "power", "c": v, "center": 1.0, "exponent": -2}
+
+    cp, sp = np.cos(phi), np.sin(phi)
+    interval = [0.0, 1.0] if side == "minus" else [1.0, 2.0]
+    indiv = {"kind": "piecewise", "pieces": [{
+        "interval": interval, "h1": entry(c * cp * cp),
+        "h2": entry(c * sp * sp), "h3": entry(c * cp * sp)}]}
+    problem = cs.example_problem_dict()
+    problem["h_" + side] = indiv
+    return problem

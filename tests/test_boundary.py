@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import canonsys as cs
-from canonsys import boundary
+from canonsys import boundary, solver
+from conftest import indivisible_problem_dict
 
 
 def closed_row_sampler(i, z, ih, side):
@@ -330,3 +331,81 @@ class TestCheckDet:
     def test_rejects_a_wrong_or_non_finite_factor(self, m, d):
         with pytest.raises(cs.ConditioningError):
             boundary.check_det(np.array(m, dtype=complex), d, "m")
+
+
+PHIS = (0.0, np.pi / 4, np.pi / 3, np.pi / 2)
+
+
+class TestIndivisibleAngles:
+    """A side c |t - 1|^-2 xi_phi xi_phi^T: its boundary pair is the value at
+    the regular endpoint for every angle phi, read off the integrated basis."""
+
+    Z = 0.8 + 0.6j
+    C = np.array([0.4 - 0.3j, 1.1 + 0.2j])
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    @pytest.mark.parametrize("phi", PHIS)
+    def test_pairs_are_regular_end_values(self, side, phi):
+        ih = cs.problem_from_dict(indivisible_problem_dict(phi, side))
+        assert ih.indivisible(side).is_indivisible
+        h = ih.side(side)
+        reg, sing = h.regular_endpoint(side), h.singular_endpoint(side)
+        f = cs.solve_from_gamma(ih, side, self.Z, self.C)
+        np.testing.assert_allclose(f.eval(reg), self.C, atol=1e-14)
+        # y(t) = (I + z A(t) J xi xi^T) c with A(t) = int_reg^t h
+        g = cs.solve_row(h, self.Z, reg, f.eval(reg), side=side,
+                         rtol=1e-12, atol=1e-12)
+        ts = sing + (reg - sing) * np.array([1.0, 0.7, 0.3, 0.1, 0.01])
+        xi = np.array([np.cos(phi), np.sin(phi)])
+        jxx = np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.outer(xi, xi)
+        area = 1.5 * np.sign(ts - reg) * (1.0 / np.abs(ts - sing) - 1.0)
+        closed = self.C + self.Z * area[:, None] * (jxx @ self.C)
+        for want in (g.eval(ts), closed):
+            rel = (np.linalg.norm(f.eval(ts) - want, axis=1)
+                   / np.linalg.norm(want, axis=1))
+            assert rel.max() <= 1e-10
+        mid = 0.5 * (reg + sing)
+        run = cs.gamma_columns(ih, side, self.Z, mid,
+                               f.eval(mid).reshape(2, 1))[0]
+        np.testing.assert_allclose(run.vec, self.C, atol=1e-12)
+        assert run.err_est == 0.0 and run.samples == ()
+        np.testing.assert_allclose(cs.gamma_vec(f, ih, side).vec, self.C,
+                                   atol=1e-12)
+        u = (cs.u_minus(ih, self.Z) if side == "minus"
+             else cs.u_plus(ih, self.Z))
+        np.testing.assert_array_equal(u, np.eye(2))
+
+    def test_weyl_coefficient_at_the_vertical_angle(self):
+        ih = cs.problem_from_dict(indivisible_problem_dict(np.pi / 2, "minus"))
+        assert abs(cs.weyl_intermediate(ih, 0.5 + 1.0j)) <= 1e-12
+
+    def test_weyl_coefficient_diverges_at_angle_zero(self):
+        # w12/w22 grows like z int h1: the limit is cot(0) = infinity
+        ih = cs.problem_from_dict(indivisible_problem_dict(0.0, "minus"))
+        with pytest.raises(cs.LimitError):
+            cs.weyl_intermediate(ih, 0.5 + 1.0j)
+
+
+def test_side_basis_evaluates_h_only_inside_the_integrator(monkeypatch):
+    # the functional reads H at the chain's nodes from the chain itself
+    ih = cs.example_problem()
+    cs.w_family_for(ih, "minus")
+    depth, outside, inside = [0], [0], [0]
+    integrate, matrix = solver.integrate_dense, cs.Hamiltonian.matrix
+
+    def counted_integrate(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def counted_matrix(self, ts):
+        (inside if depth[0] else outside)[0] += 1
+        return matrix(self, ts)
+
+    monkeypatch.setattr(solver, "integrate_dense", counted_integrate)
+    monkeypatch.setattr(cs.Hamiltonian, "matrix", counted_matrix)
+    boundary.side_basis(ih, "minus", 1.3 - 0.4j)
+    assert inside[0] > 0
+    assert outside[0] == 0

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import canonsys as cs
 from canonsys.boundary import det_residual
 from canonsys.cli import check_conditions, main
+from conftest import indivisible_problem_dict
 
 
 def run_cli(args, capsys):
@@ -381,6 +382,36 @@ class TestSubcommands:
                                capsys)
         assert code == 0
         assert json.loads(out)["minus"]["condition_I"] is False
+
+
+class TestIndivisibleConfig:
+    """Problems with an indivisible side of type phi, loaded by --config."""
+
+    def write(self, tmp_path, phi, side):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"problem": indivisible_problem_dict(phi, side)}))
+        return str(cfg)
+
+    def test_regbv_returns_the_regular_end_value(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, np.pi / 4, "plus")
+        code, out, _ = run_cli(["--config", cfg, "regbv", "--side", "plus",
+                                "--z-grid", "0.7+0.2j", "--init", "0.3-1j,2"],
+                               capsys)
+        assert code == 0
+        rec = json.loads(out)[0]
+        got = [complex(*rec["gamma_s"]), complex(*rec["gamma_r"])]
+        np.testing.assert_allclose(got, [0.3 - 1j, 2.0], atol=1e-14)
+        assert rec["err_est"] == 0.0
+
+    def test_weyl_without_a_limit_exits_one(self, tmp_path, capsys):
+        # at phi = 0, w12/w22 grows like z int h1 toward sigma
+        cfg = self.write(tmp_path, 0.0, "minus")
+        code, out, err = run_cli(["--config", cfg, "weyl", "--z", "0.5+1j"],
+                                 capsys)
+        assert code == 1
+        assert "LimitError" in err
+        assert out == ""
 
 
 class TestOutputBlock:

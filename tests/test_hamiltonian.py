@@ -178,6 +178,30 @@ class TestDiscreteData:
         assert np.linalg.det(r1) == pytest.approx(1.0, abs=0)
 
 
+SIDE_CALLS = {
+    "check_I": lambda ih, side: cs.check_I(ih.h_minus, side),
+    "check_HS": lambda ih, side: cs.check_HS(ih.h_plus, side),
+    "singular_endpoint": lambda ih, side: ih.h_minus.singular_endpoint(side),
+    "side": lambda ih, side: ih.side(side),
+    "indivisible": lambda ih, side: ih.indivisible(side),
+    "omegas": lambda ih, side: ih.omegas(side),
+    "fundamental": lambda ih, side: cs.fundamental(ih.h_plus, 1.0, side=side),
+    "solve_from_gamma": lambda ih, side: cs.solve_from_gamma(ih, side, 1.0,
+                                                             (1.0, 0.0)),
+    "gamma_columns": lambda ih, side: cs.gamma_columns(ih, side, 1.0, 0.5,
+                                                       [[1.0], [0.0]]),
+}
+
+
+@pytest.mark.parametrize("side", ["lo", "hi", "bogus"])
+@pytest.mark.parametrize("call", sorted(SIDE_CALLS))
+def test_unknown_side_is_refused_before_any_work(side, call):
+    ih = cs.example_problem()
+    with pytest.raises(cs.DomainError, match=repr(side)):
+        SIDE_CALLS[call](ih, side)
+    assert ih.cache.per_z_size() == 0
+
+
 class TestProblemConfig:
     def test_round_trip(self):
         cfg = cs.example_problem_dict()
