@@ -10,7 +10,9 @@ integrated by the same spectral rule (``_chebpanels.cumulative_from_values``)
 from S at the anchor.  Both quantities are extrapolated to sigma by a Neville
 tableau on the geometric nodes x_k = sigma -+ eps0 * 2^-k, Ridders-style:
 the tableau entry with the smallest self-consistency error wins and that
-error is reported.
+error is reported.  The limits are taken per quantity per side: one tableau
+call extrapolates y2 of every column of a run, and one the corrected S of
+every column, each column keeping its own winning entry.
 
 On an indivisible side, H = h xi_phi xi_phi^T of rank one with a fixed
 angle phi, no limit is taken: the boundary pair of a solution is its value
@@ -78,39 +80,74 @@ class RegularisedBoundary:
 def neville_limit(hs, vals):
     """Extrapolate vals(h) to h = 0; returns (value, err_est).
 
-    Polynomial extrapolation through (h_k, val_k) evaluated at zero, one
-    tableau column at a time, tracking the entry with the smallest Ridders
-    error (max difference to its two parents; the first such entry when
-    several tie) and aborting once a column's errors grow well past the best
-    seen.
+    Polynomial extrapolation through (h_k, val_k) evaluated at zero.  The
+    whole tableau is formed first, one column at a time; then the entry with
+    the smallest Ridders error (max difference to its two parents; the first
+    such entry when several tie) wins, among the columns up to and including
+    the first column m > 2 whose smallest error exceeds 8 times the best
+    seen before it.
+
+    ``hs`` must be 1-D, finite and pairwise distinct.  ``vals`` of shape
+    (n,) gives one sequence and returns (complex, float); of shape (n, k) it
+    gives k sequences on the same ``hs`` and returns (values, errs) arrays of
+    length k, column c exactly ``neville_limit(hs, vals[:, c])``.
     """
     hs = np.asarray(hs, dtype=np.float64)
-    prev = np.asarray(vals, dtype=np.complex128).reshape(-1)
-    n = len(prev)
-    best = prev[0]
-    best_err = abs(prev[1] - prev[0]) if n > 1 else 0.0
-    first_col = None
-    for m in range(1, n):
-        h_i, h_im = hs[:n - m], hs[m:]
-        cur = (h_i * prev[1:] - h_im * prev[:-1]) / (h_i - h_im)
-        err = np.maximum(np.abs(cur - prev[1:]), np.abs(cur - prev[:-1]))
+    vals = np.asarray(vals, dtype=np.complex128)
+    if hs.ndim != 1 or not np.isfinite(hs).all():
+        raise DomainError(f"nodes must be a finite 1-D sequence, got {hs!r}")
+    if vals.ndim not in (1, 2) or len(vals) != len(hs) or len(hs) == 0:
+        raise DomainError(f"need as many values as nodes, at least one: "
+                          f"nodes {hs.shape}, values {vals.shape}")
+    if len(np.unique(hs)) != len(hs):
+        raise DomainError(f"nodes must be pairwise distinct, got {hs!r}")
+    n = len(vals)
+    k = vals.size // n
+    cols = np.arange(k)
+    # h as complex, one copy per sequence: the products below would cast
+    # and broadcast it at every step
+    hc = np.repeat(hs.astype(np.complex128)[:, None], k, axis=1)
+    with np.errstate(all="ignore"):  # non-finite samples give inf/NaN errors
+        # tableau column m in tab[m, :n - m], its errors in err[m, :n - m]
+        tab = np.zeros((n, n, k), dtype=np.complex128)
+        tab[0] = vals.reshape(n, k)
+        err = np.full((n, n, k), np.inf)
+        for m in range(1, n):
+            prev = tab[m - 1, :n - m + 1]
+            cur = tab[m, :n - m]
+            np.subtract(hc[:n - m] * prev[1:], hc[m:] * prev[:-1], out=cur)
+            cur /= hs[:n - m, None] - hs[m:, None]
+            err[m, :n - m] = np.maximum(np.abs(cur - prev[1:]),
+                                        np.abs(cur - prev[:-1]))
         err[np.isnan(err)] = np.inf  # a NaN entry never wins
-        i = int(np.argmin(err))
-        if err[i] < best_err:
-            best_err = float(err[i])
-            best = cur[i]
-        if m == 1:
-            first_col = cur
-        if err[i] > 8.0 * best_err and m > 2:
-            break
-        prev = cur
-    if first_col is not None and len(first_col) >= 4:
-        # scatter of the deepest linear extrapolants: ~0 for smooth
-        # sequences, ~ the sample noise when that dominates; keeps err_est
-        # honest when tableau entries agree by chance
-        tail = np.abs(np.diff(first_col[-4:]))
-        best_err = max(best_err, 0.5 * float(np.median(tail)))
-    return complex(best), float(best_err)
+        win = err.argmin(axis=1)  # first smallest error per column
+        # cand[m]: the smallest error of column m; cand[0] that of the start
+        cand = err[np.arange(n)[:, None], win, cols]
+        # (scalar abs: np.abs of an array can differ from it in the last bit)
+        cand[0] = [abs(d) for d in tab[0, 1] - tab[0, 0]] if n > 1 else 0.0
+        # the first column m > 2 that grows past 8x the running best ends
+        # the search; it still counts
+        grown = cand > 8.0 * np.minimum.accumulate(cand, axis=0)
+        grown[:3] = False
+        last = np.where(grown.any(axis=0), grown.argmax(axis=0), n - 1)
+        cand[np.arange(n)[:, None] > last] = np.inf
+        # strict improvement over the running best: the first minimum wins,
+        # and a NaN start error (argmin takes the first NaN) is never
+        # improved on
+        pick = cand.argmin(axis=0)
+        best = tab[pick, win[pick, cols], cols]
+        best_err = cand[pick, cols]
+        if n >= 5:
+            # scatter of the deepest linear extrapolants: ~0 for smooth
+            # sequences, ~ the sample noise when that dominates; keeps
+            # err_est honest when tableau entries agree by chance
+            tail = np.abs(np.diff(tab[1, n - 5:n - 1], axis=0))
+            floor = 0.5 * np.median(tail, axis=0)
+            # max(best_err, floor) as Python takes it: a NaN best_err stays
+            best_err = np.where(floor > best_err, floor, best_err)
+    if vals.ndim == 1:
+        return complex(best[0]), float(best_err[0])
+    return best, best_err
 
 
 def adj(m: np.ndarray) -> np.ndarray:
@@ -191,11 +228,13 @@ def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
     indivisible: the Neville limits of y2 and of the corrected S."""
     y2s = dense.eval_state(xs)[:, 1::2]
     corr = _correction_values(ih, side, z, w_funcs, xs)
+    grs, errs_r = neville_limit(hs, y2s)
+    g_cols = s_vals - grs * corr[:, None]
+    gss, errs_s = neville_limit(hs, g_cols)
     out = []
-    for y2, s in zip(y2s.T, s_vals.T):
-        gr, err_r = neville_limit(hs, y2)
-        g_vals = s - gr * corr
-        gs, err_s = neville_limit(hs, g_vals)
+    for y2, g_vals, gs, gr, err_r, err_s in zip(
+            y2s.T, g_cols.T, gss.tolist(), grs.tolist(), errs_r.tolist(),
+            errs_s.tolist()):
         err = max(err_r, err_s)
         scale = max(1.0, abs(gs), abs(gr))
         if not np.isfinite(err) or err > TOL_LIMIT * scale:

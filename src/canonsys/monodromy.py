@@ -221,6 +221,8 @@ def kernel_gram(w_fun: Callable[[complex], np.ndarray],
     """
     pts = [complex(p) for p in points]
     m = len(pts)
+    if m == 0:
+        raise DomainError("kernel grid is empty")
     for i in range(m):
         for j in range(m):
             if i != j and pts[i] == pts[j]:
@@ -236,6 +238,6 @@ def kernel_gram(w_fun: Callable[[complex], np.ndarray],
             gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
     gram = 0.5 * (gram + gram.conj().T)
     eig = np.linalg.eigvalsh(gram)
-    scale = float(np.abs(eig).max()) if eig.size else 0.0
+    scale = float(np.abs(eig).max())
     neg = int(np.sum(eig < -TOL_EIG_REL * max(scale, 1e-300)))
     return KernelSignature(tuple(pts), gram, neg, float(eig.min()))

@@ -138,30 +138,62 @@ class SolutionSampler:
         self.anchor_t = dense.anchor_t
         self.interval = (dense.lo, dense.hi)
 
-    def eval(self, ts):
-        st = self._dense.eval_state(ts)
+    def _pick(self, st, ts):
+        """This sampler's column of the dense state ``st`` at ``ts``."""
         out = st[..., 2 * self._col:2 * self._col + 2]
         return out[0] if np.ndim(ts) == 0 else out
+
+    def eval(self, ts):
+        return self._pick(self._dense.eval_state(ts), ts)
 
     __call__ = eval
 
 
 class CombinedSampler:
-    """Linear combination of samplers solving the same system at the same z."""
+    """Linear combination of samplers solving the same system at the same z.
+
+    ``eval`` evaluates each distinct dense solution among the
+    ``SolutionSampler`` terms once per call and takes every such term's
+    column from that one state; other samplers (closed-form, nested
+    combinations) are evaluated as they are.  The terms c_i * value_i are
+    summed in the order of ``samplers``.
+    """
 
     def __init__(self, coeffs, samplers):
         self.coeffs = np.asarray(coeffs, dtype=np.complex128)
         self.samplers = list(samplers)
+        if not self.samplers:
+            raise DomainError("a combination needs at least one sampler")
+        if self.coeffs.shape != (len(self.samplers),):
+            raise DomainError(
+                f"{len(self.samplers)} samplers need as many coefficients, "
+                f"got shape {self.coeffs.shape}")
+        if not np.isfinite(self.coeffs).all():
+            raise DomainError(
+                f"non-finite coefficients: {self.coeffs.tolist()}")
         s0 = self.samplers[0]
+        for s in self.samplers[1:]:
+            if s.z != s0.z:
+                raise DomainError(f"samplers at different z: {s0.z} and {s.z}")
+            if s.h is not s0.h:
+                raise DomainError("samplers solve different Hamiltonians")
         self.z = s0.z
         self.h = s0.h
         self.anchor_t = s0.anchor_t
         self.interval = s0.interval
 
     def eval(self, ts):
-        acc = self.coeffs[0] * self.samplers[0].eval(ts)
-        for c, s in zip(self.coeffs[1:], self.samplers[1:]):
-            acc = acc + c * s.eval(ts)
+        states = {}
+        acc = None
+        for c, s in zip(self.coeffs, self.samplers):
+            if isinstance(s, SolutionSampler):
+                st = states.get(s._dense)
+                if st is None:
+                    st = states[s._dense] = s._dense.eval_state(ts)
+                term = c * s._pick(st, ts)
+            else:
+                term = c * s.eval(ts)
+            acc = term if acc is None else acc + term
         return acc
 
     __call__ = eval

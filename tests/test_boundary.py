@@ -31,6 +31,18 @@ class TestNeville:
         assert abs(val - 1.0) < 1e-6
         assert err > 1e-10  # noise is not hidden by the estimate
 
+    @pytest.mark.parametrize("hs, vals", [
+        ([0.1, 0.05, 0.025], [1.0, 2.0]),          # lengths differ
+        ([0.1, 0.1, 0.05], [1.0, 2.0, 3.0]),       # repeated node
+        ([0.1, np.nan, 0.05], [1.0, 2.0, 3.0]),    # non-finite node
+        ([[0.1, 0.05]], [[1.0, 2.0]]),             # nodes not 1-D
+        ([], []),                                  # no sample
+        ([0.1, 0.05], np.ones((2, 2, 2))),         # values beyond 2-D
+    ])
+    def test_malformed_grid_rejected(self, hs, vals):
+        with pytest.raises(cs.DomainError):
+            cs.neville_limit(hs, vals)
+
 
 def neville_reference(hs, vals):
     """Entry-by-entry Neville tableau: the reference for ``neville_limit``."""
@@ -84,9 +96,14 @@ class TestNevilleMatchesReference:
         ih = cs.problem_from_dict(cs.example_problem_dict())
         for z in (0.7 + 0.2j, -2.5 + 1.5j):
             cs.monodromy_matrix(ih, z)
-        assert len(seen) == 16
+        # per side and z: one call on y2 of both rows, one on their S
+        assert len(seen) == 8
         for hs, vals in seen:
-            self.assert_same(hs, vals)
+            assert vals.shape == (len(hs), 2)
+            got_vals, got_errs = original(hs, vals)
+            for c in range(vals.shape[1]):
+                ref_val, ref_err = neville_reference(hs, vals[:, c])
+                assert got_vals[c] == ref_val and got_errs[c] == ref_err
 
     def test_geometric_sequences_with_noise(self, rng):
         hs = boundary.node_distances(1.0, 1.0)
@@ -103,6 +120,25 @@ class TestNevilleMatchesReference:
             hs = np.sort(rng.uniform(1e-6, 1.0, n))[::-1]
             vals = rng.normal(size=n) + 1j * rng.normal(size=n)
             self.assert_same(hs, vals)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.inf)])
+    def test_columns_equal_one_dimensional_calls(self, rng, bad):
+        # k sequences in one call give what k calls give, bit for bit; a
+        # non-finite sample in one column leaves the others unchanged
+        hs = boundary.node_distances(1.0, 1.0)
+        n, k = len(hs), 4
+        vals = (rng.normal(size=(n, k)) * hs[:, None]
+                + 1j * rng.normal(size=(n, k)) * hs[:, None] ** 2
+                + rng.normal(size=k))
+        vals[7, 2] = bad
+        got_vals, got_errs = cs.neville_limit(hs, vals)
+        assert got_vals.shape == got_errs.shape == (k,)
+        for c in range(k):
+            val, err = cs.neville_limit(hs, vals[:, c])
+            assert np.array_equal(got_vals[c], val, equal_nan=True)
+            assert np.array_equal(got_errs[c], err, equal_nan=True)
+            if c != 2:
+                assert (val, err) == neville_reference(hs, vals[:, c])
 
 
 class TestGammaR:
@@ -226,6 +262,89 @@ class TestSolveFromGamma:
     def test_zero_gives_zero(self, example_ih):
         f = cs.solve_from_gamma(example_ih, "plus", 1.7, (0.0, 0.0))
         assert np.abs(f.eval(1.5)).max() < 1e-12
+
+
+class TestCombinedSampler:
+    """A shot combines the rows of one cached basis; one dense evaluation
+    serves both, and every value is the sum of the terms in order."""
+
+    def count_dense_evals(self, monkeypatch):
+        calls = []
+        original = solver.DenseSolution.eval_state
+
+        def counted(dense, ts):
+            calls.append(ts)
+            return original(dense, ts)
+
+        monkeypatch.setattr(solver.DenseSolution, "eval_state", counted)
+        return calls
+
+    def test_one_dense_evaluation_per_call(self, example_ih, monkeypatch):
+        f = cs.solve_from_gamma(example_ih, "minus", 1.0 + 0.5j, (0.3, 1.0j))
+        calls = self.count_dense_evals(monkeypatch)
+        f.eval(np.linspace(0.1, 0.9, 7))
+        assert len(calls) == 1
+        f.eval(0.5)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_values_equal_the_sum_of_rows(self, example_ih, side, rng):
+        z = 1.3 - 0.8j
+        c = rng.normal(size=2) + 1j * rng.normal(size=2)
+        f = cs.solve_from_gamma(example_ih, side, z, c)
+        basis = boundary.side_basis(example_ih, side, z)
+        rows = [basis.solution.row_sampler(i) for i in (0, 1)]
+        lo, hi = f.interval
+        for ts in (0.5 * (lo + hi), np.linspace(lo, hi, 9)):
+            want = f.coeffs[0] * rows[0].eval(ts) + f.coeffs[1] * rows[1].eval(ts)
+            assert np.array_equal(f.eval(ts), want)
+
+    def test_closed_form_and_rows_mixed(self, example_ih, monkeypatch):
+        z = 0.9 + 0.4j
+        basis = boundary.side_basis(example_ih, "minus", z)
+        row0, row1 = (basis.solution.row_sampler(i) for i in (0, 1))
+        closed = closed_row_sampler(1, z, example_ih, "minus")
+        coeffs = [0.5 - 1.0j, 2.0, -0.25j]
+        comb = cs.CombinedSampler(coeffs, [row0, closed, row1])
+        ts = np.linspace(0.1, 0.9, 5)
+        want = coeffs[0] * row0.eval(ts) + coeffs[1] * closed.eval(ts)
+        want = want + coeffs[2] * row1.eval(ts)
+        calls = self.count_dense_evals(monkeypatch)
+        assert np.array_equal(comb.eval(ts), want)
+        assert len(calls) == 1
+        # the closed form is the second row, so the combination is close to
+        # (0.5 - 1j) row0 + (2 - 0.25j) row1
+        close = (coeffs[0] * row0.eval(ts)
+                 + (coeffs[1] + coeffs[2]) * row1.eval(ts))
+        assert np.abs(comb.eval(ts) - close).max() < 1e-8
+
+    def test_nested_combination(self, example_ih):
+        z = 1.3 + 0.4j
+        f = cs.solve_from_gamma(example_ih, "minus", z, (1.0, 0.0))
+        g = cs.solve_from_gamma(example_ih, "minus", z, (0.0, 1.0))
+        a, b = 0.7 - 0.2j, 1.5 + 1.0j
+        comb = cs.CombinedSampler([a, b], [f, g])
+        ts = np.linspace(0.2, 0.8, 4)
+        assert np.array_equal(comb.eval(ts), a * f.eval(ts) + b * g.eval(ts))
+        direct = cs.solve_from_gamma(example_ih, "minus", z, (a, b))
+        assert np.abs(comb.eval(ts) - direct.eval(ts)).max() < 1e-10
+
+    def test_malformed_combinations_rejected(self, example_ih):
+        z = 1.0 + 1.0j
+        rows = [boundary.side_basis(example_ih, "minus", z).solution
+                .row_sampler(i) for i in (0, 1)]
+        other_z = boundary.side_basis(example_ih, "minus", 2.0).solution
+        other_h = boundary.side_basis(example_ih, "plus", z).solution
+        for coeffs, samplers in (
+                ([], []),                                   # no sampler
+                ([1.0], rows),                              # too few coeffs
+                ([1.0, 2.0, 3.0], rows),                    # too many
+                ([1.0, np.nan], rows),                      # non-finite
+                ([1.0, np.inf * 1j], rows),
+                ([1.0, 1.0], [rows[0], other_z.row_sampler(1)]),
+                ([1.0, 1.0], [rows[0], other_h.row_sampler(1)])):
+            with pytest.raises(cs.DomainError):
+                cs.CombinedSampler(coeffs, samplers)
 
 
 class TestInterface:

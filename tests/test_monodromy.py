@@ -241,3 +241,5 @@ class TestKernelSignature:
             cs.kernel_gram(w, [1.0 + 1.0j, 1.0 - 1.0j])
         with pytest.raises(cs.DomainError):
             cs.kernel_gram(w, [2.0 + 0.0j, 1.0 + 1.0j])
+        with pytest.raises(cs.DomainError):
+            cs.kernel_gram(w, [])
