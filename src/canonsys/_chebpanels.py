@@ -94,11 +94,12 @@ class PanelFunction:
         tt = np.atleast_1d(t)
         n = len(self.breaks) - 1
         br = self.breaks if self._asc else self.breaks[::-1]
-        k = np.clip(np.searchsorted(br, tt, side="right") - 1, 0, n - 1)
+        k = np.minimum(np.maximum(np.searchsorted(br, tt, side="right") - 1,
+                                  0), n - 1)
         if not self._asc:
             k = n - 1 - k
         a, b = self.breaks[k], self.breaks[k + 1]
-        x = np.clip((2.0 * tt - a - b) / (b - a), -1.0, 1.0)
+        x = np.minimum(np.maximum((2.0 * tt - a - b) / (b - a), -1.0), 1.0)
         vander = _cheb.chebvander(x, self.coefs.shape[1] - 1)
         c = self.coefs[k].reshape(tt.shape + (self.coefs.shape[1], -1))
         out = np.einsum("...j,...jm->...m", vander, c)
@@ -108,7 +109,13 @@ class PanelFunction:
 def panel_nodes(breaks) -> np.ndarray:
     """Nodes (..., P, DEGREE + 1) of the panels between breaks (last axis)."""
     breaks = np.asarray(breaks, dtype=np.float64)
-    a, b = breaks[..., :-1, None], breaks[..., 1:, None]
+    return nodes_between(breaks[..., :-1], breaks[..., 1:])
+
+
+def nodes_between(a, b) -> np.ndarray:
+    """Nodes (..., P, DEGREE + 1) of the panels [a_k, b_k], which need not
+    be adjacent."""
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
     return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
 
 

@@ -21,6 +21,17 @@ sides: it integrates the anchored solutions out to the last extrapolation
 node and, on an indivisible side with an interior anchor, also back to the
 regular endpoint, where it reads the pairs (``err_est`` 0, no samples).
 
+What of a run from the regular endpoint does not depend on z is computed
+once per side and kept in the problem's fixed store
+(``IndefHamiltonianA.memo``) under ``("plan", side)``, beside the
+w-families: the ``SidePlan`` holds the first round of the run's chain (its
+panels and H at their nodes), w_Delta^T H at those nodes and w_n at the
+regular endpoint for n <= Delta, all read-only.  The integrator starts from it (its ``start`` lookup, so H is
+still evaluated only inside the integrator), so a fresh z evaluates H and
+w_Delta only on the panels split off in later rounds.  Runs from any other
+anchor keep nothing.  y2 and S at the extrapolation nodes come from one
+evaluation on the chain's panels.
+
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z, rtol, atol)``:
 ``side_basis``, the fundamental solution Phi anchored to the identity at the
@@ -41,7 +52,9 @@ basis's range, and it serves as an independent check of the cached pairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -111,14 +124,20 @@ def neville_limit(hs, vals):
         # tableau column m in tab[m, :n - m], its errors in err[m, :n - m]
         tab = np.zeros((n, n, k), dtype=np.complex128)
         tab[0] = vals.reshape(n, k)
-        err = np.full((n, n, k), np.inf)
         for m in range(1, n):
             prev = tab[m - 1, :n - m + 1]
             cur = tab[m, :n - m]
             np.subtract(hc[:n - m] * prev[1:], hc[m:] * prev[:-1], out=cur)
             cur /= hs[:n - m, None] - hs[m:, None]
-            err[m, :n - m] = np.maximum(np.abs(cur - prev[1:]),
-                                        np.abs(cur - prev[:-1]))
+        # every entry's distance to its two parents, all columns at once;
+        # the padding beyond each column's n - m entries never wins
+        err = np.full((n, n, k), np.inf)
+        cur, prev = tab[1:, :n - 1], tab[:-1]
+        inside = np.arange(n - 1) < np.arange(n - 1, 0, -1)[:, None]
+        err[1:, :n - 1] = np.where(
+            inside[..., None],
+            np.maximum(np.abs(cur - prev[:, 1:]), np.abs(cur - prev[:, :-1])),
+            np.inf)
         err[np.isnan(err)] = np.inf  # a NaN entry never wins
         win = err.argmin(axis=1)  # first smallest error per column
         # cand[m]: the smallest error of column m; cand[0] that of the start
@@ -206,27 +225,85 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
     return out
 
 
+@dataclass(frozen=True)
+class SidePlan(sv.FirstRound):
+    """The z-independent part of a side's run from its regular endpoint:
+    the first round of its chain (panels and H at their nodes), and, on a
+    side that is not indivisible, w_Delta^T H at those nodes,
+    (P, DEGREE + 1, 2), and w_n at the regular endpoint for n <= Delta,
+    (Delta + 1, 2).  Read-only, kept on the problem under
+    ``("plan", side)``."""
+
+    wh: Optional[np.ndarray]
+    w_reg: Optional[np.ndarray]
+
+
+def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
+    """The side's plan, built from the chain t0 -> t1 on first use.
+
+    Passed to the integrator as ``start`` by runs from the regular endpoint,
+    which all end at the same last extrapolation node, so the plan needs no
+    key beyond the side; H is evaluated inside the integrator.
+    """
+    def build():
+        rnd = sv.first_round(h, t0, t1, sing)
+        rep = ih.indivisible(side)
+        if rep is not None and rep.is_indivisible:
+            return SidePlan(rnd.a, rnd.b, rnd.hm, None, None)
+        w_funcs = wp.w_family_for(ih, side)
+        t = cp.nodes_between(rnd.a, rnd.b)
+        wh = np.einsum("pja,pjab->pjb", w_funcs[ih.delta](t), rnd.hm)
+        w_reg = np.array([f(t0) for f in w_funcs[:ih.delta + 1]])
+        for arr in (wh, w_reg):
+            arr.setflags(write=False)
+        return SidePlan(rnd.a, rnd.b, rnd.hm, wh, w_reg)
+
+    return ih.memo(("plan", side), build)
+
+
 def _functional(ih: IndefHamiltonianA, z: complex, t_anchor: float, y_cols,
-                w_funcs, chain: sv.PanelChain, xs) -> np.ndarray:
-    """S at the nodes ``xs``, one column per solution, of the solutions
-    anchored by the columns of ``y_cols`` and integrated along ``chain``."""
+                w_funcs, chain: sv.PanelChain, plan: Optional[SidePlan]):
+    """S of the solutions anchored by the columns of ``y_cols`` and
+    integrated along ``chain``: (S at the anchor, one entry per column,
+    Chebyshev coefficients of its change from the anchor on every panel of
+    the chain).  ``plan``, when the chain started from it, gives w at the
+    anchor and w_Delta^T H on the panels it holds; only split panels
+    evaluate w_Delta."""
     delta = ih.delta
     # S at the anchor per column: sum_n z^n w_n^T J y
+    w_anchor = (plan.w_reg if plan is not None
+                else [f(t_anchor) for f in w_funcs[:delta + 1]])
     s0 = sum(z ** n * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
-             for n, w in enumerate(f(t_anchor) for f in w_funcs[:delta + 1]))
+             for n, w in enumerate(w_anchor))
     # S' = -z^(Delta+1) w_Delta^T H y at the chain's nodes
-    t = cp.panel_nodes(chain.breaks).ravel()
-    y = chain.ys.reshape(len(t), -1, 2)
-    ds = -z ** (delta + 1) * np.einsum("na,nab,nmb->nm", w_funcs[delta](t),
-                                       chain.hm, y)
-    return s0 + cp.cumulative_from_values(ds, chain.breaks)(xs)
+    n = cp.DEGREE + 1
+    a, b = chain.breaks[:-1], chain.breaks[1:]
+    wh = np.empty((len(a), n, 2))
+    if plan is None:
+        fresh = np.ones(len(a), dtype=bool)
+    else:
+        fresh = chain.origin < 0
+        wh[~fresh] = plan.wh[chain.origin[~fresh]]
+    if fresh.any():
+        t = cp.nodes_between(a[fresh], b[fresh])
+        wh[fresh] = np.einsum("pja,pjab->pjb", w_funcs[delta](t),
+                              chain.hm.reshape(len(a), n, 2, 2)[fresh])
+    y = chain.ys.reshape(len(a) * n, -1, 2)
+    ds = -z ** (delta + 1) * np.einsum("nb,nmb->nm", wh.reshape(-1, 2), y)
+    return s0, cp.cumulative_from_values(ds, chain.breaks).coefs
 
 
 def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
-                 dense: sv.DenseSolution, hs, xs, s_vals):
+                 chain: sv.PanelChain, hs, xs, s0, s_coefs):
     """Boundary pair of every column of a run on a side that is not
-    indivisible: the Neville limits of y2 and of the corrected S."""
-    y2s = dense.eval_state(xs)[:, 1::2]
+    indivisible: the Neville limits of y2 and of the corrected S.
+
+    y2 and S at the nodes come from one evaluation on the chain's panels:
+    the state's second components and S's coefficients side by side."""
+    k = s_coefs.shape[-1]
+    both = cp.PanelFunction(chain.breaks, np.concatenate(
+        [chain.coefs[..., 1::2], s_coefs], axis=-1))(xs)
+    y2s, s_vals = both[:, :k], s0 + both[:, k:]
     corr = _correction_values(ih, side, z, w_funcs, xs)
     grs, errs_r = neville_limit(hs, y2s)
     g_cols = s_vals - grs * corr[:, None]
@@ -255,11 +332,16 @@ def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
 
     On an indivisible side the pairs are the values at the regular endpoint,
     to which the run also integrates from an interior anchor; on any other
-    side they are the limits at sigma.  Returns (dense solution, one
-    RegularisedBoundary per column).
+    side they are the limits at sigma.  A run from the regular endpoint
+    starts from the side's plan (``_side_plan``).  Returns (dense solution,
+    one RegularisedBoundary per column).
     """
     h, sing = ih.side(side), ih.sigma
     reg = h.regular_endpoint(side)
+    lo, hi = h.interval
+    if not (lo <= t_anchor <= hi):  # NaN fails too
+        raise DomainError(f"anchor t={t_anchor} outside side {side}'s "
+                          f"interval [{lo}, {hi}]")
     span = abs(t_anchor - sing)
     if span <= 0:
         raise DomainError("anchor coincides with the singularity")
@@ -270,18 +352,23 @@ def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
     targets = [float(xs[-1])]
     if indivisible and t_anchor != reg:
         targets.append(reg)
+    from_reg = t_anchor == reg
+    start = (functools.partial(_side_plan, ih, side) if from_reg
+             else sv.first_round)
     dense = sv.integrate_dense(h, z, t_anchor, y_cols.T.reshape(-1), targets,
-                               rtol=rtol, atol=atol, sing=sing)
+                               rtol=rtol, atol=atol, sing=sing, start=start)
     if indivisible:
-        ends = (y_cols if t_anchor == reg
+        ends = (y_cols if from_reg
                 else dense.eval_state(reg).reshape(-1, 2).T)
         return dense, [RegularisedBoundary(side, z, complex(gs), complex(gr),
                                            0.0, ())
                        for gs, gr in ends.T]
+    chain = dense.segments[0]
     w_funcs = wp.w_family_for(ih, side)
-    s_vals = _functional(ih, z, t_anchor, y_cols, w_funcs, dense.segments[0],
-                         xs)
-    return dense, _limit_pairs(ih, side, z, w_funcs, dense, hs, xs, s_vals)
+    s0, s_coefs = _functional(ih, z, t_anchor, y_cols, w_funcs, chain,
+                              chain.first if from_reg else None)
+    return dense, _limit_pairs(ih, side, z, w_funcs, chain, hs, xs, s0,
+                               s_coefs)
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -369,6 +456,7 @@ def side_basis(ih: IndefHamiltonianA, side: Side, z: complex,
     pairs' run, from the regular endpoint to the last extrapolation node.
     """
     z = sv.finite_z(z)
+    sv.check_tolerances(rtol, atol)
 
     def build():
         reg = ih.side(side).regular_endpoint(side)

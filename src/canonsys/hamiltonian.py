@@ -433,10 +433,11 @@ class ProblemCache:
     Keys whose first element is ``PER_Z_KIND`` are the per-z side bases
     (``boundary.side_basis``), ``(PER_Z_KIND, side, z, rtol, atol)``; at most
     ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
-    Every other key (the z-independent w-families) is kept for the life of
-    the problem.  One lock guards both stores; ``build`` runs outside it, so
-    a slow build never blocks other lookups, and when two threads build the
-    same key the first result stored is the one every caller gets.
+    Every other key (the z-independent w-families and side plans,
+    ``boundary.SidePlan``) is kept for the life of the problem.  One lock
+    guards both stores; ``build`` runs outside it, so a slow build never
+    blocks other lookups, and when two threads build the same key the first
+    result stored is the one every caller gets.
     """
 
     def __init__(self):

@@ -18,17 +18,26 @@ toward which the panels are halved geometrically.  A panel is split while
 the trailing Chebyshev coefficients of its basis exceed rtol, or the noise
 floor of its float nodes, times the basis's overall size; the number of
 splits is bounded (``MAX_SPLITS``).
+A chain starts from its first round (``FirstRound``): the panels of
+``_initial_breaks`` and H at their nodes, which do not depend on z.
+``integrate_dense`` builds it per chain unless the caller passes a lookup
+(``start``) that returns a kept one; :mod:`canonsys.boundary` keeps one per
+side of a problem, so a fresh z evaluates H only on the panels split off in
+later rounds.  Node values and slopes of the state take one batched matmul
+each, its Chebyshev coefficients one more.
 Dense output evaluates each panel's Chebyshev series; each chain also keeps
-the state at its nodes (``PanelChain.ys``) and the H values the collocation
-evaluated there (``PanelChain.hm``), from which :mod:`canonsys.boundary`
-forms the regularised boundary functional without evaluating H again.
+the state at its nodes (``PanelChain.ys``), the H values the collocation
+used there (``PanelChain.hm``) and per panel its index in the first round
+(``PanelChain.origin``), from which :mod:`canonsys.boundary` forms the
+regularised boundary functional without evaluating H again.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -83,14 +92,18 @@ class PanelChain(cp.PanelFunction):
     ``ts`` (``breaks``) holds the panel breaks in integration order, ``ys``
     the state and ``hm`` H at every collocation node, panel after panel, and
     ``coefs`` per panel the DEGREE + 2 Chebyshev coefficients of the state.
+    ``first`` is the FirstRound the chain started from and ``origin`` per
+    panel its index there, -1 for a panel split off in a later round.
     """
 
-    __slots__ = ("ys", "hm", "lo", "hi")
+    __slots__ = ("ys", "hm", "origin", "first", "lo", "hi")
 
-    def __init__(self, breaks, ys, hm, coefs):
+    def __init__(self, breaks, ys, hm, coefs, origin, first):
         super().__init__(breaks, coefs)
         self.ys = ys
         self.hm = hm
+        self.origin = origin
+        self.first = first
         self.lo = float(min(breaks[0], breaks[-1]))
         self.hi = float(max(breaks[0], breaks[-1]))
 
@@ -240,35 +253,67 @@ def _initial_breaks(h: Hamiltonian, t0: float, t1: float,
     return np.array(out + [t1])
 
 
+@dataclass(frozen=True)
+class FirstRound:
+    """The z-independent start of one chain: the panels [a_k, b_k] of its
+    first collocation round, in integration order, and H at their nodes,
+    (P, DEGREE + 1, 2, 2).  The arrays are read-only, so one round can be
+    kept and shared by every thread that integrates."""
+
+    a: np.ndarray
+    b: np.ndarray
+    hm: np.ndarray
+
+
+def _h_at_nodes(h: Hamiltonian, a, b) -> np.ndarray:
+    """H at the nodes of the panels [a_k, b_k], (P, DEGREE + 1, 2, 2)."""
+    t = cp.nodes_between(a, b)
+    return h.matrix(t.ravel()).reshape(t.shape + (2, 2))
+
+
+def first_round(h: Hamiltonian, t0: float, t1: float,
+                sing: Optional[float]) -> FirstRound:
+    """The first round of the chain from t0 to t1 (``_initial_breaks``)."""
+    breaks = _initial_breaks(h, t0, t1, sing)
+    a, b = breaks[:-1].copy(), breaks[1:].copy()
+    hm = _h_at_nodes(h, a, b)
+    for arr in (a, b, hm):
+        arr.setflags(write=False)
+    return FirstRound(a, b, hm)
+
+
 def _panel_bases(z: complex, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
     """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
 
     ``hm`` is H at the panels' nodes, (P, n, 2, 2).  Returns the propagator
-    basis ``phi`` (P, n, 2, 2), the node values for start values e1, e2 as
-    columns, and the integrand ``z J H phi`` at the nodes.
+    basis ``phi``, the node values for start values e1, e2 as columns, and
+    the integrand ``z J H phi`` at the nodes, both laid out (P, 2, n, 2):
+    component, node, column, as the solve returns them.
 
     Each panel's 2n unknowns are ordered by component, then node, so its
     matrix I - z hw Q (J H) is four contiguous n x n blocks: block (c, d)
     is delta_cd I - z hw Q diag((J H)_cd at the nodes), one broadcast
     product written in place; the right-hand side is the same for every
-    panel (``_UNIT_STARTS``).
+    panel (``_UNIT_STARTS``).  J H is read off H with the sign folded in:
+    (J H)_0d = -H_1d and (J H)_1d = H_0d.
     """
     p, n = len(a), cp.DEGREE + 1
-    jh = _J @ hm
     zq = (-0.5 * z * (b - a))[:, None, None] * cp.CUMINT
     m = np.empty((p, 2, n, 2, n), dtype=np.complex128)
-    for c in range(2):
+    for c, sign in ((0, -1.0), (1, 1.0)):
         for d in range(2):
-            np.multiply(zq, jh[:, None, :, c, d], out=m[:, c, :, d, :])
+            np.multiply(zq, sign * hm[:, None, :, 1 - c, d],
+                        out=m[:, c, :, d, :])
     m.reshape(p, -1)[:, ::2 * n + 1] += 1.0
     with np.errstate(all="ignore"):
         phi = np.linalg.solve(m.reshape(p, 2 * n, 2 * n), _UNIT_STARTS)
-        phi = phi.reshape(p, 2, n, 2).transpose(0, 2, 1, 3)
-        zjh = z * jh
+        phi = phi.reshape(p, 2, n, 2)
+        zh = z * hm
         f = np.empty_like(phi)
         for c in range(2):
-            f[:, :, c] = (zjh[:, :, c, 0, None] * phi[:, :, 0]
-                          + zjh[:, :, c, 1, None] * phi[:, :, 1])
+            np.multiply(zh[:, :, 1 - c, 0, None], phi[:, 0], out=f[:, c])
+            f[:, c] += zh[:, :, 1 - c, 1, None] * phi[:, 1]
+        np.negative(f[:, 0], out=f[:, 0])
         return phi, f
 
 
@@ -276,32 +321,31 @@ def _resolved(a, b, phi, rtol, atol):
     """Per panel: do the trailing Chebyshev coefficients of the basis sit
     below the tolerance times its overall size (all components and columns)?
 
-    The tolerance is rtol, raised to the panel's noise floor: its nodes are
-    floats, off their ideal positions by up to eps |t| relative to the panel
-    width, which no split lowers below ``_NODE_NOISE`` times that.
+    ``phi`` is laid out as ``_panel_bases`` returns it.  The tolerance is
+    rtol, raised to the panel's noise floor: its nodes are floats, off
+    their ideal positions by up to eps |t| relative to the panel width,
+    which no split lowers below ``_NODE_NOISE`` times that.
     """
-    c = np.abs(cp._VALS_TO_COEFS @ phi.reshape(len(phi), cp.DEGREE + 1, 4))
+    c = np.abs(cp._VALS_TO_COEFS @ phi)
     scale = c.reshape(len(c), -1).max(axis=1)
-    tail = c[:, -TAIL_COEFS:].reshape(len(c), -1).max(axis=1)
+    tail = c[:, :, -TAIL_COEFS:].reshape(len(c), -1).max(axis=1)
     noise = _NODE_NOISE * _EPS * np.maximum(np.abs(a), np.abs(b)) / np.abs(b - a)
     with np.errstate(over="ignore"):  # a bound that overflows accepts
         return tail <= np.maximum(max(rtol, _TOL_FLOOR), noise) * scale + atol
 
 
-def _collocate(h, z, t0, t1, state0, rtol, atol, sing):
-    """One direction of ``integrate_dense`` as a PanelChain."""
+def _collocate(h, z, first: FirstRound, state0, rtol, atol):
+    """One direction of ``integrate_dense`` as a PanelChain, from its first
+    round; only panels split off in later rounds evaluate H."""
+    t0, t1 = float(first.a[0]), float(first.b[-1])
     context = f"integration on [{t0}, {t1}] at z={z}"
     direction = 1.0 if t1 > t0 else -1.0
     ncols = len(state0) // 2
-    pending = _initial_breaks(h, t0, t1, sing)
-    pending = list(zip(pending[:-1], pending[1:]))
-    done = []
+    a, b, hm = first.a, first.b, first.hm
+    origin = np.arange(len(a))
+    done = []  # per round: the arrays of its resolved panels
     splits = 0
-    while pending:
-        panels = np.array(pending)
-        a, b = panels.T
-        t = cp.panel_nodes(panels)[:, 0]
-        hm = h.matrix(t.ravel()).reshape(t.shape + (2, 2))
+    while True:
         bad = ~np.isfinite(hm).all(axis=(1, 2, 3))
         if not bad.any():
             phi, f = _panel_bases(z, a, b, hm)
@@ -312,55 +356,94 @@ def _collocate(h, z, t0, t1, state0, rtol, atol, sing):
                 f"{context}: non-finite Hamiltonian entries or propagator "
                 f"on the panel from t={t_bad}", t_bad)
         ok = _resolved(a, b, phi, rtol, atol)
-        done.extend(zip(a[ok], b[ok], hm[ok], phi[ok], f[ok]))
-        pending = []
-        for ak, bk in zip(a[~ok], b[~ok]):
-            if abs(bk - ak) < 2.0 * _WIDTH_FLOOR * max(1.0, abs(ak), abs(bk)):
-                raise SingularityProximityError(
-                    f"{context}: panel width underflow at t={ak}", float(ak))
-            splits += 1
-            if splits > MAX_SPLITS:
-                raise IntegrationError(
-                    f"{context}: {MAX_SPLITS} panel splits did not resolve "
-                    f"the solution near t={ak}")
-            mid = 0.5 * (ak + bk)
-            pending += [(ak, mid), (mid, bk)]
-    done.sort(key=lambda p: direction * p[0])
-    a, b, hm, phi, f = (np.array(col) for col in zip(*done))
+        if ok.all():
+            done.append((a, b, origin, hm, phi, f))
+            break
+        done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok], f[ok]))
+        a, b = a[~ok], b[~ok]
+        # the first panel that is too narrow to split, or whose split
+        # exceeds MAX_SPLITS, ends the integration
+        narrow = np.abs(b - a) < 2.0 * _WIDTH_FLOOR * np.maximum(
+            1.0, np.maximum(np.abs(a), np.abs(b)))
+        k_narrow = int(np.argmax(narrow)) if narrow.any() else len(a)
+        k_over = MAX_SPLITS - splits
+        if k_narrow < len(a) and k_narrow <= k_over:
+            ak = float(a[k_narrow])
+            raise SingularityProximityError(
+                f"{context}: panel width underflow at t={ak}", ak)
+        if k_over < len(a):
+            raise IntegrationError(
+                f"{context}: {MAX_SPLITS} panel splits did not resolve "
+                f"the solution near t={a[k_over]}")
+        splits += len(a)
+        mid = 0.5 * (a + b)
+        a = np.stack([a, mid], axis=1).ravel()
+        b = np.stack([mid, b], axis=1).ravel()
+        origin = np.full(len(a), -1)
+        hm = _h_at_nodes(h, a, b)
+    if len(done) > 1:
+        a, b, origin, hm, phi, f = (np.concatenate(col) for col in zip(*done))
+        order = np.argsort(direction * a, kind="stable")
+        a, b, origin, hm, phi, f = (col[order]
+                                    for col in (a, b, origin, hm, phi, f))
     breaks = np.append(a, b[-1])
 
     # chain the 2x2 propagators: start values of every panel
+    p, n = len(a), cp.DEGREE + 1
     hw = 0.5 * (b - a)
-    prop = np.eye(2) + hw[:, None, None] * np.einsum("j,pjab->pab", cp.END_WEIGHTS, f)
-    starts = np.empty((len(a) + 1, 2, ncols), dtype=np.complex128)
+    prop = np.eye(2) + hw[:, None, None] * np.einsum("j,pajb->pab",
+                                                     cp.END_WEIGHTS, f)
+    starts = np.empty((p + 1, 2, ncols), dtype=np.complex128)
     starts[0] = state0.reshape(ncols, 2).T
-    for k in range(len(a)):
+    for k in range(p):
         starts[k + 1] = prop[k] @ starts[k]
     finite = np.isfinite(starts).all(axis=(1, 2))
     if not finite.all():
         k = max(int(np.argmin(finite)) - 1, 0)
         raise SingularityProximityError(
             f"{context}: solution overflow on the panel from t={a[k]}", float(a[k]))
-    # node values and slopes, columns stacked as in state0
-    y = (phi @ starts[:-1, None]).transpose(0, 1, 3, 2).reshape(-1, 2 * ncols)
-    slopes = (f @ starts[:-1, None]).transpose(0, 1, 3, 2).reshape(-1, 2 * ncols)
-    coefs, _ = cp._node_integrals(slopes, breaks)
-    coefs[:, 0] += starts[:-1].transpose(0, 2, 1).reshape(len(a), 2 * ncols)
-    return PanelChain(breaks, y, hm.reshape(-1, 2, 2), coefs)
+    # node values and slopes, (P, 2, n, ncols); the state's columns are
+    # stacked as in state0, so a node's row is (column, component)
+    y = (phi.reshape(p, 2 * n, 2) @ starts[:-1]).reshape(p, 2, n, ncols)
+    slopes = (f.reshape(p, 2 * n, 2) @ starts[:-1]).reshape(p, 2, n, ncols)
+    coefs = (cp.CUMINT_COEFS @ slopes) * hw[:, None, None, None]
+    coefs[:, :, 0] += starts[:-1]
+    return PanelChain(breaks, y.transpose(0, 2, 3, 1).reshape(-1, 2 * ncols),
+                      hm.reshape(-1, 2, 2),
+                      coefs.transpose(0, 2, 3, 1).reshape(p, n + 1, 2 * ncols),
+                      origin, first)
+
+
+def check_tolerances(rtol, atol) -> None:
+    """DomainError naming ``rtol`` or ``atol`` when it is not a finite,
+    non-negative number.  0 is valid: the rounding floor applies."""
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not (math.isfinite(x) and x >= 0.0):
+            raise DomainError(f"{name}={value!r} must be a finite number >= 0")
 
 
 def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,
                     targets: Sequence[float], rtol=RK_RTOL, atol=RK_ATOL,
-                    sing: Optional[float] = None) -> DenseSolution:
+                    sing: Optional[float] = None,
+                    start: Callable[..., FirstRound] = first_round
+                    ) -> DenseSolution:
     """Solve Y' = z J H Y from t0 toward each target (at most one per
     direction).
 
     ``state0`` stacks the start vectors of the solved columns.  ``sing`` is
     a singular endpoint a target may approach; panels are refined toward it.
+    ``start(h, t0, t1, sing)`` gives the first round of the chain toward t1;
+    a caller that keeps that z-independent round passes its own lookup.
     """
+    check_tolerances(rtol, atol)
     z = complex(z)
     state0 = np.asarray(state0, dtype=np.complex128)
-    chains = [_collocate(h, z, float(t0), float(t1), state0, rtol, atol, sing)
+    chains = [_collocate(h, z, start(h, float(t0), float(t1), sing), state0,
+                         rtol, atol)
               for t1 in targets if t1 != t0]
     if not chains:
         raise DomainError(f"no target other than t0={t0} to integrate to")
@@ -379,6 +462,9 @@ def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
     sing = h.singular_endpoint(side)
     reg = h.regular_endpoint(side)
     eps_cut = EPS_CUT_FRAC * h.length if cutoff is None else float(cutoff)
+    if not (0.0 <= eps_cut < h.length):  # NaN fails too
+        raise DomainError(f"cutoff={cutoff!r} must be finite, >= 0 and below "
+                          f"the side's length {h.length}")
     stop = sing - math.copysign(eps_cut, sing - reg)
     return [t for t in (reg, stop) if t != t0], sing
 

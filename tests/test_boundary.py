@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -528,3 +530,27 @@ def test_side_basis_evaluates_h_only_inside_the_integrator(monkeypatch):
     boundary.side_basis(ih, "minus", 1.3 - 0.4j)
     assert inside[0] > 0
     assert outside[0] == 0
+
+
+@pytest.mark.parametrize("side, t_anchor", [
+    ("minus", 1.5), ("minus", -0.25), ("plus", 0.5), ("plus", 2.5),
+    ("minus", float("nan")), ("plus", float("inf"))])
+def test_anchor_off_the_side_rejected_before_integrating(side, t_anchor,
+                                                         monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated from an anchor off the side")
+
+    monkeypatch.setattr(solver, "integrate_dense", integrate)
+    ih = cs.example_problem()
+    lo, hi = ih.side(side).interval
+    with pytest.raises(cs.DomainError,
+                       match=re.escape(f"t={t_anchor}") + ".*"
+                       + re.escape(f"[{lo}, {hi}]")):
+        cs.gamma_columns(ih, side, 1j, t_anchor, [1.0, 0.0])
+
+
+def test_gamma_vec_of_a_solution_on_the_other_side_rejected(example_ih):
+    # the plus sampler's anchor, s_plus = 2, lies outside the minus side
+    f = cs.solve_from_gamma(example_ih, "plus", 1j, [1.0, 0.5])
+    with pytest.raises(cs.DomainError, match=re.escape("t=2.0")):
+        cs.gamma_vec(f, example_ih, "minus")

@@ -7,6 +7,7 @@ about 9.5e-8 of the side's length from sigma, a fundamental one at the 1e-6
 cutoff.
 """
 
+import gc
 import sys
 import threading
 import time
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import canonsys as cs
+from canonsys import _chebpanels as cp
 from canonsys import boundary as bd
 from canonsys import hamiltonian as hm_mod
 from canonsys import solver as sv
@@ -225,3 +227,217 @@ def test_non_finite_z_rejected_before_lookup(integrations, z):
         cs.solve_row(ih.h_minus, z, 0.0, [1.0, 0.0], side="minus")
     assert ih.cache.per_z_size() == 0
     assert integrations == []
+
+
+# ---------------------------------------------------------------------------
+# side plans: the z-independent part of a run from the regular endpoint
+
+# monodromy_matrix of the example, recorded while every z still evaluated H,
+# the w-functions and the first panels afresh
+RECORDED_W = [
+    ((-2.2645851311472676-0.6240297126376619j),
+     [(-0.450253192496927-1.4813670606574671j), (-1.464684049772099+0.9496841357285812j),
+      (1.8537629844396568+0.291195088215749j), (-0.45025319249692475-1.481367060657468j)]),
+    ((-0.264926685992954+1.9725116871985726j),
+     [(-10.33156325857101-8.039211801360171j), (4.742590482730783-4.624549949188266j),
+      (-13.06398221169636+22.287442413844563j), (-10.331563258571016-8.039211801360167j)]),
+    ((-2.301879964037429+1.2291907348627271j),
+     [(-1.4532681767796707+4.922365136706032j), (-3.6461344902222836-2.8370740412592395j),
+      (5.8510353501095755-0.6288268568000837j), (-1.4532681767796722+4.922365136706032j)]),
+    ((-1.8499147432245122-2.396900452918679j),
+     [(31.37321885241678-33.951545427412846j), (-31.412418849398232-16.311116465321195j),
+      (31.984832889159364+51.210007210122505j), (31.373218852416812-33.951545427412796j)]),
+    ((0.049709212231411115+0.0591891765199386j),
+     [(0.9993251961201542+0.003927844602854489j), (0.033033019303856645+0.039521456216446864j),
+      (0.09995099205563425+0.11806911635781298j), (0.9993251961201547+0.003927844602854491j)]),
+    ((1.3949173185246435-0.20985703290321167j),
+     [(1.2430155373695915+0.17508424370597442j), (1.2101926659825595-0.14837566042504127j),
+      (0.37534467225830587+0.40568489463204405j), (1.2430155373695913+0.17508424370597434j)]),
+    ((-1.6896459888398345-2.328046751019579j),
+     [(34.22287211112989-19.341642009178553j), (-20.892830110110445-20.63361183931301j),
+      (12.389548554617901+51.128159298127564j), (34.22287211112987-19.34164200917857j)]),
+    ((3.415874503203998-2.347870360513368j),
+     [(-34.65382455535213-33.92701041352575j), (-36.18748563768512+23.164822276093876j),
+      (28.547189639691734-46.70428820482593j), (-34.653824555352145-33.92701041352574j)]),
+    ((0.15492226199747972-2.584783117117074j),
+     [(-50.838485275722206-18.406746479327975j), (-12.488198111203+30.80775834023733j),
+      (26.808382799031254-83.72993698933854j), (-50.83848527572222-18.40674647932798j)]),
+    ((3.466536824307692+2.324267747569154j),
+     [(-29.740738638392234+35.648936009496744j), (-36.818945937308435-18.6704628816334j),
+      (31.59864836270572+41.568001116346586j), (-29.74073863839225+35.64893600949675j)]),
+    ((1.75+0j),
+     [(0.7360091286110102+0j), (1.3064779796335098+0j),
+      (-0.3507832276896235+0j), (0.7360091286110104+0j)]),
+    ((-2.5+0j),
+     [(-0.6672318953284843+0j), (-0.5785666423464523+0j),
+      (0.9589242746631382+0j), (-0.6672318953284831+0j)]),
+]
+
+
+def _plan(ih, side):
+    return ih.memo(("plan", side), lambda: pytest.fail("plan not kept"))
+
+
+def test_fresh_z_evaluates_h_only_on_split_panels(monkeypatch):
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, 0.3 - 1.1j)
+    sizes = []
+    matrix = cs.Hamiltonian.matrix
+
+    def counted(self, ts):
+        sizes.append(np.size(ts))
+        return matrix(self, ts)
+
+    monkeypatch.setattr(cs.Hamiltonian, "matrix", counted)
+    cs.monodromy_matrix(ih, -1.7 + 0.8j)
+    # the plus side splits one first-round panel in two
+    assert sizes == [2 * (cp.DEGREE + 1)]
+
+
+def test_plan_built_once_per_side(monkeypatch):
+    built = []
+    first_round = sv.first_round
+
+    def counted(h, t0, t1, sing):
+        built.append(t0)
+        return first_round(h, t0, t1, sing)
+
+    monkeypatch.setattr(sv, "first_round", counted)
+    ih = cs.example_problem()
+    for z in (0.5, 1.0 - 2.0j, -3.0 + 0.5j):
+        cs.monodromy_matrix(ih, z)
+    assert sorted(built) == [ih.s_minus, ih.s_plus]
+    for side in ("minus", "plus"):
+        plan = _plan(ih, side)
+        assert isinstance(plan, bd.SidePlan)
+        for z in (0.5, 1.0 - 2.0j, -3.0 + 0.5j):
+            chain = bd.side_basis(ih, side, z).solution._dense.segments[0]
+            assert chain.first is plan
+        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 0.0
+
+
+def test_runs_from_other_anchors_keep_no_plan():
+    ih = cs.example_problem()
+    cs.gamma_columns(ih, "minus", 0.5j, 0.5, np.eye(2))
+    cs.fundamental(ih.h_plus, 0.5j, side="plus")
+    cs.solve_row(ih.h_minus, 0.5j, 0.0, [1.0, 0.0], side="minus")
+    for side in ("minus", "plus"):
+        assert ih.memo(("plan", side), lambda: None) is None
+
+
+def _scaled_problem_dict():
+    def side(interval):
+        return {"kind": "piecewise", "pieces": [{
+            "interval": interval,
+            "h1": {"type": "power", "c": 2.0, "center": 1.0, "exponent": 2},
+            "h2": {"type": "power", "c": 0.5, "center": 1.0, "exponent": -2}}]}
+
+    problem = cs.example_problem_dict()
+    problem["h_minus"], problem["h_plus"] = side([0.0, 1.0]), side([1.0, 2.0])
+    return problem
+
+
+@pytest.mark.parametrize("free_first", [False, True])
+def test_problems_never_share_a_plan(free_first):
+    z = 0.9 - 1.3j
+    first = cs.example_problem()
+    cs.monodromy_matrix(first, z)
+    first_plans = [_plan(first, side) for side in ("minus", "plus")]
+    if free_first:
+        del first, first_plans
+        gc.collect()
+    second = cs.problem_from_dict(_scaled_problem_dict())
+    got = cs.monodromy_matrix(second, z)
+    for side in ("minus", "plus"):
+        plan = _plan(second, side)
+        if not free_first:
+            assert all(plan is not p for p in first_plans)
+        h = second.side(side)
+        t = cp.nodes_between(plan.a, plan.b)
+        np.testing.assert_array_equal(
+            plan.hm, h.matrix(t.ravel()).reshape(t.shape + (2, 2)))
+    want = cs.monodromy_matrix(cs.problem_from_dict(_scaled_problem_dict()), z)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_monodromy_matches_recorded_values():
+    ih = cs.example_problem()
+    for z, w in RECORDED_W:
+        want = np.array(w).reshape(2, 2)
+        got = cs.monodromy_matrix(ih, z)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), z
+
+
+def test_threads_building_one_fresh_problem_match_serial():
+    zs = [complex(0.4 * k - 1.5, 0.3 * k - 1.0) for k in range(8)]
+
+    def bases(ih, z):
+        out = []
+        for side in ("minus", "plus"):
+            basis = bd.side_basis(ih, side, z)
+            out += [basis.matrix, basis.solution.eval(ih.side(side).interval[0] + 0.3)]
+        return out
+
+    serial_ih = cs.example_problem()
+    serial = [bases(serial_ih, z) for z in zs]
+    ih = cs.example_problem()
+    got = [None] * len(zs)
+    errors = []
+    barrier = threading.Barrier(len(zs), timeout=60)
+
+    def worker(i):
+        try:
+            barrier.wait()
+            got[i] = bases(ih, zs[i])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(zs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+    for want, have in zip(serial, got):
+        for a, b in zip(want, have):
+            np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# tolerances are checked before any integration or cache entry
+
+@pytest.mark.parametrize("kwargs", [
+    {"rtol": float("nan")}, {"atol": float("nan")}, {"rtol": -1.0, "atol": -1.0},
+    {"rtol": float("inf")}, {"atol": -1e-12}])
+def test_bad_tolerances_rejected_before_lookup(integrations, kwargs):
+    ih = cs.example_problem()
+    for fn in (cs.monodromy_matrix, cs.u_minus, cs.default_v):
+        with pytest.raises(cs.DomainError, match="tol="):
+            fn(ih, 0.3j, **kwargs)
+    with pytest.raises(cs.DomainError, match="tol="):
+        cs.solve_from_gamma(ih, "plus", 0.3j, [1.0, 0.0], **kwargs)
+    assert integrations == []
+    # the other paths reach the integrator, which checks before it starts
+    with pytest.raises(cs.DomainError, match="tol="):
+        cs.gamma_columns(ih, "minus", 0.3j, 0.5, np.eye(2), **kwargs)
+    with pytest.raises(cs.DomainError, match="tol="):
+        cs.fundamental(ih.h_minus, 0.3j, side="minus", **kwargs)
+    with pytest.raises(cs.DomainError, match="tol="):
+        cs.solve_row(ih.h_plus, 0.3j, 2.0, [1.0, 0.0], side="plus", **kwargs)
+    assert ih.cache.per_z_size() == 0
+
+
+def test_zero_tolerances_accepted():
+    ih = cs.example_problem()
+    z = 0.3j
+    np.testing.assert_allclose(cs.monodromy_matrix(ih, z, rtol=0.0, atol=0.0),
+                               cs.closed_W(2.0, z), rtol=0, atol=1e-12)

@@ -50,6 +50,21 @@ class TestSolveRow:
             cs.solve_row(hm, 1.0, 0.0, (1, 0), side="minus", cutoff=0.0)
         assert 0.99 < exc.value.t_reached <= 1.0
 
+    @pytest.mark.parametrize("cutoff", [5.0, 1.5, 1.0, -0.1, np.nan, np.inf])
+    def test_cutoff_off_the_side_rejected(self, hm, hp, cutoff, monkeypatch):
+        # a cutoff of at least the side's length would stop at or beyond the
+        # regular endpoint; a negative one was taken as its magnitude
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated despite a bad cutoff")
+
+        monkeypatch.setattr(sv, "integrate_dense", integrate)
+        with pytest.raises(cs.DomainError, match="cutoff"):
+            cs.fundamental(hm, 1j, side="minus", cutoff=cutoff)
+        with pytest.raises(cs.DomainError, match="cutoff"):
+            cs.solve_row(hm, 1j, 0.5, [1.0, 0.0], side="minus", cutoff=cutoff)
+        with pytest.raises(cs.DomainError, match="cutoff"):
+            cs.fundamental(hp, 1j, side="plus", cutoff=cutoff)
+
 
 class TestFundamental:
     def test_zero_parameter(self, hm):
@@ -177,7 +192,8 @@ class TestCollocation:
         x = rng.normal(size=(n_panels, cp.DEGREE + 1, 2, 2))
         hm = x + x.transpose(0, 1, 3, 2)
         assert np.abs(hm[..., 0, 1]).min() > 0.0
-        phi, f = sv._panel_bases(complex(z), a, b, hm)
+        phi, f = (x.transpose(0, 2, 1, 3)  # to (P, n, 2, 2)
+                  for x in sv._panel_bases(complex(z), a, b, hm))
         phi_ref, f_ref = _panel_bases_interleaved(complex(z), a, b, hm)
         assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
         assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
