@@ -45,9 +45,10 @@ every pair is read off that basis: ``SideBasis.pair(c)`` is U^T c, with
 c = Phi(t)^(-T) y(t) = adj(Phi(t))^T y(t) from the value at any t in the
 basis's range (det Phi = 1).  Shooting (``solve_from_gamma``), ``gamma_vec``
 and the assembly in :mod:`canonsys.monodromy` read it there and integrate
-nothing of their own.  ``gamma_columns`` is the one path that integrates
-from a given anchor: ``gamma_vec`` takes it for an anchor outside the
-basis's range, and it serves as an independent check of the cached pairs.
+nothing of their own; a point outside the basis's range (within about 9.5e-8
+of the side's length from sigma, or off the side) raises DomainError, as any
+evaluation there does.  ``gamma_columns`` is the one path that integrates
+from a given anchor, an independent check of the cached pairs.
 """
 
 from __future__ import annotations
@@ -247,8 +248,7 @@ def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
     """
     def build():
         rnd = sv.first_round(h, t0, t1, sing)
-        rep = ih.indivisible(side)
-        if rep is not None and rep.is_indivisible:
+        if ih.indivisible(side).is_indivisible:
             return SidePlan(rnd.a, rnd.b, rnd.hm, None, None)
         w_funcs = wp.w_family_for(ih, side)
         t = cp.nodes_between(rnd.a, rnd.b)
@@ -347,22 +347,20 @@ def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
         raise DomainError("anchor coincides with the singularity")
     hs = node_distances(h.length, span)
     xs = sing - np.sign(sing - t_anchor) * hs
-    rep = ih.indivisible(side)
-    indivisible = rep is not None and rep.is_indivisible
-    targets = [float(xs[-1])]
-    if indivisible and t_anchor != reg:
-        targets.append(reg)
+    indivisible = ih.indivisible(side).is_indivisible
     from_reg = t_anchor == reg
+    targets = [float(xs[-1])]
+    if indivisible and not from_reg:
+        targets.append(reg)
     start = (functools.partial(_side_plan, ih, side) if from_reg
              else sv.first_round)
     dense = sv.integrate_dense(h, z, t_anchor, y_cols.T.reshape(-1), targets,
                                rtol=rtol, atol=atol, sing=sing, start=start)
     if indivisible:
-        ends = (y_cols if from_reg
-                else dense.eval_state(reg).reshape(-1, 2).T)
+        ends = dense.eval_state(reg).reshape(-1, 2)
         return dense, [RegularisedBoundary(side, z, complex(gs), complex(gr),
                                            0.0, ())
-                       for gs, gr in ends.T]
+                       for gs, gr in ends]
     chain = dense.segments[0]
     w_funcs = wp.w_family_for(ih, side)
     s0, s_coefs = _functional(ih, z, t_anchor, y_cols, w_funcs, chain,
@@ -390,8 +388,7 @@ def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
     """(t, y(t)) of a sampler: the regular endpoint when the sampler covers
     it, else the sampler's own anchor."""
     reg = ih.side(side).regular_endpoint(side)
-    lo, hi = fhat.interval
-    t_a = reg if lo - 1e-12 <= reg <= hi + 1e-12 else float(fhat.anchor_t)
+    t_a = reg if sv.in_range(reg, *fhat.interval) else float(fhat.anchor_t)
     return t_a, np.asarray(fhat.eval(t_a), dtype=np.complex128)
 
 
@@ -400,14 +397,11 @@ def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
 
     Read off the side's cached basis (``SideBasis.pair``) from the
     sampler's value at the regular endpoint, or at its anchor when it does
-    not reach that endpoint.  An anchor outside the basis's range goes
-    through ``gamma_columns``.
+    not reach that endpoint (DomainError outside the basis's range).
     """
     t_a, y_a = _anchor_of(fhat, ih, side)
     basis = side_basis(ih, side, fhat.z)
-    if basis.covers(t_a):
-        return basis.pair(basis.inverse_at(t_a).T @ y_a)
-    return gamma_columns(ih, side, fhat.z, t_a, y_a.reshape(2, 1))[0]
+    return basis.pair(adj(basis.solution.eval(t_a)).T @ y_a)
 
 
 @dataclass(frozen=True)
@@ -422,16 +416,6 @@ class SideBasis:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([p.vec for p in self.pairs])
-
-    def covers(self, t: float) -> bool:
-        lo, hi = self.solution.interval
-        return lo <= t <= hi
-
-    def inverse_at(self, t: float) -> np.ndarray:
-        """Phi(t)^(-1) = adj Phi(t) (det Phi = 1); the identity at the anchor."""
-        if t == self.solution.t0:
-            return np.eye(2, dtype=np.complex128)
-        return adj(self.solution.eval(t))
 
     def pair(self, c) -> RegularisedBoundary:
         """Boundary pair of the solution y = Phi^T c, whose value at the

@@ -193,7 +193,6 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
     artifact against its closed form; returns max abs errors per artifact."""
     from . import boundary as bd
     from . import monodromy as mo
-    from . import solver as sv
     from . import wpoly as wp
 
     ih = example_problem(cfg)
@@ -214,10 +213,8 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
         um = mo.u_minus(ih, z)
         err["u_minus"] = max(err["u_minus"],
                              float(np.abs(um - closed_Uminus(z)).max()))
-        v_closed = sv.fundamental(ih.h_plus, z, init=closed_W(cfg.s_plus, z, cfg.s_plus),
-                                  t0=cfg.s_plus, side="plus",
-                                  rtol=bd.GAMMA_RTOL, atol=bd.GAMMA_ATOL)
-        up = mo.u_plus(ih, z, v_closed)
+        # U_plus of the V anchored at the closed form at s_plus
+        up = closed_W(cfg.s_plus, z, cfg.s_plus) @ mo.u_plus(ih, z)
         err["u_plus"] = max(err["u_plus"],
                             float(np.abs(up - closed_Uplus(z, cfg.s_plus)).max()))
         err["comparison_matrix"] = max(

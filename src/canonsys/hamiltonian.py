@@ -434,32 +434,33 @@ class ProblemCache:
     (``boundary.side_basis``), ``(PER_Z_KIND, side, z, rtol, atol)``; at most
     ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
     Every other key (the z-independent w-families and side plans,
-    ``boundary.SidePlan``) is kept for the life of the problem.  One lock
-    guards both stores; ``build`` runs outside it, so a slow build never
-    blocks other lookups, and when two threads build the same key the first
-    result stored is the one every caller gets.
+    ``boundary.SidePlan``) is kept for the life of the problem and built
+    once, under the lock that guards both stores (reentrant: a plan's build
+    looks up its w-family).  A per-z ``build`` runs outside it, so an
+    integration never blocks other lookups; when two threads build the same
+    per-z key, the first result stored is the one every caller gets.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._per_z: OrderedDict = OrderedDict()
         self._fixed: dict = {}
 
     def lookup(self, key, build):
-        per_z = key[0] == PER_Z_KIND
-        store = self._per_z if per_z else self._fixed
         with self._lock:
-            if key in store:
-                if per_z:
-                    store.move_to_end(key)
-                return store[key]
+            if key[0] != PER_Z_KIND:
+                if key not in self._fixed:
+                    self._fixed[key] = build()
+                return self._fixed[key]
+            if key in self._per_z:
+                self._per_z.move_to_end(key)
+                return self._per_z[key]
         value = build()
         with self._lock:
-            value = store.setdefault(key, value)
-            if per_z:
-                store.move_to_end(key)
-                while len(store) > PER_Z_CAP:
-                    store.popitem(last=False)
+            value = self._per_z.setdefault(key, value)
+            self._per_z.move_to_end(key)
+            while len(self._per_z) > PER_Z_CAP:
+                self._per_z.popitem(last=False)
         return value
 
     def per_z_size(self) -> int:
@@ -474,6 +475,8 @@ class IndefHamiltonianA:
     ``d`` has length 2*delta; ``b`` has length oe with b[0] != 0 when oe > 0.
     ``omega_minus``/``omega_plus`` override the regularising coefficient
     sequences (required for non-diagonal sides, computed otherwise).
+    ``indiv_minus``/``indiv_plus``, the sides' indivisibility reports, are
+    computed on construction.
     """
 
     h_minus: Hamiltonian
@@ -484,8 +487,8 @@ class IndefHamiltonianA:
     b: tuple = ()
     omega_minus: Optional[tuple] = None
     omega_plus: Optional[tuple] = None
-    indiv_minus: IndivisibleReport = None
-    indiv_plus: IndivisibleReport = None
+    indiv_minus: IndivisibleReport = field(init=False)
+    indiv_plus: IndivisibleReport = field(init=False)
 
     def __post_init__(self):
         s_lo, sig = self.h_minus.interval
@@ -509,13 +512,15 @@ class IndefHamiltonianA:
                     raise ConfigError(f"{nm} needs at least 2*delta+1 entries")
                 if om[0] != 1.0:
                     raise ConfigError(f"{nm}[0] must equal 1")
-        if self.indiv_minus is not None and self.indiv_plus is not None:
-            if self.indiv_minus.is_indivisible and self.indiv_plus.is_indivisible:
-                raise UnsupportedSpecError(
-                    "both intervals are indivisible (kind (B)/(C)); for those "
-                    "the monodromy matrix is simply the transpose of the "
-                    "interface matrix, W(s_+, z) = R(z)^T, and no numerical "
-                    "pipeline is needed")
+        for name, h in (("indiv_minus", self.h_minus),
+                        ("indiv_plus", self.h_plus)):
+            object.__setattr__(self, name, indivisible_type(h, *h.interval))
+        if self.indiv_minus.is_indivisible and self.indiv_plus.is_indivisible:
+            raise UnsupportedSpecError(
+                "both intervals are indivisible (kind (B)/(C)); for those "
+                "the monodromy matrix is simply the transpose of the "
+                "interface matrix, W(s_+, z) = R(z)^T, and no numerical "
+                "pipeline is needed")
         object.__setattr__(self, "cache", ProblemCache())
 
     @property
@@ -552,14 +557,11 @@ def indef_hamiltonian(h_minus: Hamiltonian, h_plus: Hamiltonian, delta: int,
     if validate_psd:
         check_psd(h_minus)
         check_psd(h_plus)
-    rep_m = indivisible_type(h_minus, *h_minus.interval)
-    rep_p = indivisible_type(h_plus, *h_plus.interval)
     return IndefHamiltonianA(
         h_minus, h_plus, int(delta), tuple(float(x) for x in d),
         int(oe), tuple(float(x) for x in b),
         None if omega_minus is None else tuple(map(float, omega_minus)),
-        None if omega_plus is None else tuple(map(float, omega_plus)),
-        rep_m, rep_p)
+        None if omega_plus is None else tuple(map(float, omega_plus)))
 
 
 _PROBLEM_KEYS = {"interval", "sigma", "h_minus", "h_plus", "delta", "d",

@@ -28,8 +28,8 @@ V are those fundamental solutions; U_minus, U_plus and the entry limits
 behind M(z) are read off those boundary pairs, and the Weyl coefficient off
 the left one at the extrapolation nodes.  For a V
 with another anchor, U_plus(V) = V.init adj(Phi(V.t0)) U_plus by linearity
-(Phi the cached basis, det Phi = 1); only an anchor outside the basis's
-range integrates boundary pairs of its own.
+(Phi the cached basis, det Phi = 1); an anchor outside the basis's range
+raises DomainError, and nothing integrates boundary pairs of its own.
 """
 
 from __future__ import annotations
@@ -92,7 +92,8 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
 
     The boundary pairs depend on V only through its anchor: the rows of V
     are V.init Phi(V.t0)^(-1) times the rows of the cached basis Phi, so
-    U_plus(V) = V.init adj(Phi(V.t0)) U_plus.
+    U_plus(V) = V.init adj(Phi(V.t0)) U_plus (DomainError for a V.t0
+    outside the basis's range).
     """
     z = sv.finite_z(z)
     if v is not None and abs(v.det_init) < 1e-12:
@@ -100,11 +101,7 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
     basis = bd.side_basis(ih, "plus", z, rtol, atol)
     if v is None:
         return basis.matrix
-    if basis.covers(v.t0):
-        return v.init @ basis.inverse_at(v.t0) @ basis.matrix
-    pairs = bd.gamma_columns(ih, "plus", z, v.t0, v.init.T,
-                             rtol=rtol, atol=atol)
-    return np.array([p.vec for p in pairs])
+    return v.init @ bd.adj(basis.solution.eval(v.t0)) @ basis.matrix
 
 
 def factorisation(ih: IndefHamiltonianA, z: complex,
@@ -121,7 +118,6 @@ def factorisation(ih: IndefHamiltonianA, z: complex,
 
 
 def assemble_W(ih: IndefHamiltonianA, z: complex, t: float,
-               v: Optional[sv.MatrixSolution] = None,
                rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
     """The assembled matrix at one point (direct solution left of sigma)."""
     z = sv.finite_z(z)
@@ -131,8 +127,7 @@ def assemble_W(ih: IndefHamiltonianA, z: complex, t: float,
         return bd.side_basis(ih, "minus", z, rtol, atol).solution.eval(t)
     if t == ih.sigma:
         raise DomainError("the assembled matrix is not defined at sigma itself")
-    fac = factorisation(ih, z, v, rtol, atol)
-    return fac.w(t)
+    return factorisation(ih, z, rtol=rtol, atol=atol).w(t)
 
 
 def monodromy_matrix(ih: IndefHamiltonianA, z: complex,

@@ -25,7 +25,9 @@ A chain starts from its first round (``FirstRound``): the panels of
 side of a problem, so a fresh z evaluates H only on the panels split off in
 later rounds.  Node values and slopes of the state take one batched matmul
 each, its Chebyshev coefficients one more.
-Dense output evaluates each panel's Chebyshev series; each chain also keeps
+Dense output is the start state itself at the anchor, exactly, and each
+panel's Chebyshev series elsewhere (``in_range`` decides, here and for the
+callers, whether a point lies in a solution's range); each chain also keeps
 the state at its nodes (``PanelChain.ys``), the H values the collocation
 used there (``PanelChain.hm``) and per panel its index in the first round
 (``PanelChain.origin``), from which :mod:`canonsys.boundary` forms the
@@ -112,31 +114,39 @@ class PanelChain(cp.PanelFunction):
         return self.breaks
 
 
-class DenseSolution:
-    """Dense output over one or two segments sharing the anchor point."""
+def in_range(t, lo: float, hi: float):
+    """Whether ``t`` (a number or an array) lies in [lo, hi], widened by
+    1e-12 (|lo| + |hi| + 1) for rounding in the ends; NaN never does."""
+    pad = 1e-12 * (abs(lo) + abs(hi) + 1.0)
+    return (t >= lo - pad) & (t <= hi + pad)
 
-    def __init__(self, segments, z, h, anchor_t):
+
+class DenseSolution:
+    """Dense output over one or two segments from the anchor, where
+    ``eval_state`` returns ``state0`` exactly and evaluates no chain."""
+
+    def __init__(self, segments, z, h, anchor_t, state0):
         self.segments = list(segments)
         self.z = z
         self.h = h
         self.anchor_t = anchor_t
+        self.state0 = state0
         self.lo = min(s.lo for s in self.segments)
         self.hi = max(s.hi for s in self.segments)
 
     def eval_state(self, ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        dim = self.segments[0].ys.shape[1]
-        out = np.empty(ts.shape + (dim,), dtype=np.complex128)
-        done = np.zeros(ts.shape, dtype=bool)
+        out = np.empty(ts.shape + self.state0.shape, dtype=np.complex128)
+        done = ts == self.anchor_t
+        out[done] = self.state0
         for seg in self.segments:
-            pad = 1e-12 * (abs(seg.hi) + abs(seg.lo) + 1.0)
-            m = (~done) & (ts >= seg.lo - pad) & (ts <= seg.hi + pad)
+            m = (~done) & in_range(ts, seg.lo, seg.hi)
             if np.any(m):
                 out[m] = seg(np.clip(ts[m], seg.lo, seg.hi))
                 done[m] = True
         if not np.all(done):
-            bad = ts[~done]
-            raise DomainError(f"evaluation outside the integrated range: {bad[:3]}")
+            raise DomainError(f"t={float(ts[~done][0])} outside the integrated "
+                              f"range [{self.lo}, {self.hi}]")
         return out
 
 
@@ -441,13 +451,13 @@ def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,
     """
     check_tolerances(rtol, atol)
     z = complex(z)
-    state0 = np.asarray(state0, dtype=np.complex128)
+    state0 = np.array(state0, dtype=np.complex128)  # kept as the anchor state
     chains = [_collocate(h, z, start(h, float(t0), float(t1), sing), state0,
                          rtol, atol)
               for t1 in targets if t1 != t0]
     if not chains:
         raise DomainError(f"no target other than t0={t0} to integrate to")
-    return DenseSolution(chains, z, h, t0)
+    return DenseSolution(chains, z, h, t0, state0)
 
 
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
@@ -564,7 +574,7 @@ def greens_residual(u, f, x1: float, x2: float) -> complex:
         raise DomainError("need x1 < x2")
     for s in (u, f):
         lo, hi = s.interval
-        if not (lo - 1e-12 <= x1 and x2 <= hi + 1e-12):
+        if not (in_range(x1, lo, hi) and in_range(x2, lo, hi)):
             raise DomainError(
                 f"sampler covers [{lo}, {hi}], requested [{x1}, {x2}]")
     if u.h is not f.h:

@@ -4,7 +4,11 @@ A traced benchmark run wraps library functions by name
 (``perfbench/tracer.py``) and ends with one JSON line of per-layer metrics,
 which ``perfbench/run.py`` parses.  A renamed function, a changed result
 layout or a non-finite metric (``json.dumps`` writes ``NaN``, which is not
-JSON) breaks that line.  This test reads ``perfbench/`` and changes nothing
+JSON) breaks that line.  An untraced run calls each workload's operations
+(``perfbench/workloads.py``) through options and names of the library, such
+as ``--jobs`` and ``wpoly.w_family_for``, and counts an operation that raises
+``CanonsysError`` as failed (``perfbench/worker.py``); losing one of them
+fails every operation.  These tests read ``perfbench/`` and change nothing
 there.
 """
 
@@ -13,22 +17,35 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 import canonsys as cs
 import canonsys.cli  # noqa: F401  (the tracer wraps canonsys.cli.main)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tracer():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.mark.parametrize("name", ["grid-serial", "grid-jobs2", "validate",
+                                  "shoot"])
+def test_untraced_workload_operation_passes_its_check(name):
+    wl = _load("workloads")
+    workload = wl.WORKLOADS[name](cs, 3101)
+    workload.setup()
+    inp = workload.next_input()
+    assert workload.check(inp, workload.call(inp)) <= wl.TOL
+    assert issubclass(cs.CanonsysError, Exception)
+
+
 def test_traced_operations_give_strict_json_metrics():
-    tr = _load_tracer()
+    tr = _load("tracer")
     tracer = tr.Tracer()
     tracer.install(cs)
     try:

@@ -237,6 +237,15 @@ class TestGammaVec:
 
 class TestSolveFromGamma:
     @pytest.mark.parametrize("side", ["minus", "plus"])
+    def test_value_at_the_regular_endpoint_is_c(self, example_ih, side, rng):
+        # the basis is the identity there exactly, so the shot is c there
+        reg = example_ih.side(side).regular_endpoint(side)
+        for z in (0.7 - 1.9j, -3.2 + 0.4j, 2.5 + 2.5j):
+            c = rng.normal(size=2) + 1j * rng.normal(size=2)
+            f = cs.solve_from_gamma(example_ih, side, z, c)
+            np.testing.assert_array_equal(f.eval(reg), f.coeffs)
+
+    @pytest.mark.parametrize("side", ["minus", "plus"])
     def test_round_trip_gamma_of_solve(self, example_ih, side, rng):
         for z in (1.0, 1.0j, 2.0 + 3.0j):
             c = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -553,4 +562,23 @@ def test_gamma_vec_of_a_solution_on_the_other_side_rejected(example_ih):
     # the plus sampler's anchor, s_plus = 2, lies outside the minus side
     f = cs.solve_from_gamma(example_ih, "plus", 1j, [1.0, 0.5])
     with pytest.raises(cs.DomainError, match=re.escape("t=2.0")):
+        cs.gamma_vec(f, example_ih, "minus")
+
+
+def test_gamma_vec_past_the_basis_rejected_before_integrating(example_ih,
+                                                              monkeypatch):
+    # between the last extrapolation node and sigma the cached basis has no
+    # value, and no run of the sampler's own is integrated instead
+    z = 0.4 + 0.8j
+    lo, hi = boundary.side_basis(example_ih, "minus", z).solution.interval
+    t_a = 1.0 - 5e-8
+    f = cs.ClosedFormSampler(lambda t: cs.closed_W(t, z)[0, :], z,
+                             example_ih.h_minus, (0.5, t_a), t_a)
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrated from an anchor past the basis")
+
+    monkeypatch.setattr(solver, "integrate_dense", integrate)
+    with pytest.raises(cs.DomainError, match=re.escape(f"t={t_a}") + ".*"
+                       + re.escape(f"[{lo}, {hi}]")):
         cs.gamma_vec(f, example_ih, "minus")

@@ -127,6 +127,35 @@ def test_cached_basis_holds_only_solution_columns(side):
         assert chain.coefs.shape[2:] == (4,)
 
 
+def test_monodromy_evaluates_no_chain_at_the_anchor(monkeypatch):
+    # W(s_plus) is the prefactor times V(s_plus) = I, V's start value
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, 0.2 + 0.1j)  # builds the plans and w-families
+    calls = []
+    call = cp.PanelFunction.__call__
+
+    def counted(self, ts):
+        calls.append(np.size(ts))
+        return call(self, ts)
+
+    monkeypatch.setattr(cp.PanelFunction, "__call__", counted)
+    z = 0.7 + 0.3j
+    cs.monodromy_matrix(ih, z)
+    # per side the limits at the extrapolation nodes, and one side's
+    # functional, which spans a panel split off in a second round
+    assert len(calls) == 3
+    del calls[:]
+    cs.monodromy_matrix(ih, z)
+    assert calls == []
+
+
+def test_validation_integrations(integrations):
+    # per grid z: both bases and both midpoint runs of the interface check;
+    # z = 0 and the kernel's 8 points: both bases each
+    assert cs.run_validation()["pass"]
+    assert len(integrations) == 6 * 4 + 2 + 8 * 2
+
+
 def test_m_matrix_and_weyl_read_u_minus(integrations):
     ih = cs.example_problem()
     z = 1.0 + 1.0j
@@ -316,6 +345,44 @@ def test_plan_built_once_per_side(monkeypatch):
         for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
+
+
+def test_threads_on_a_fresh_problem_build_each_plan_once(monkeypatch):
+    built = []
+    first_round = sv.first_round
+
+    def counted(h, t0, t1, sing):
+        built.append(t0)
+        return first_round(h, t0, t1, sing)
+
+    monkeypatch.setattr(sv, "first_round", counted)
+    zs = [complex(0.5 * k - 2.0, 0.3 * k - 1.2) for k in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            ih = cs.example_problem()
+            del built[:]
+            errors = []
+            barrier = threading.Barrier(len(zs), timeout=60)
+
+            def worker(z):
+                try:
+                    barrier.wait()
+                    cs.monodromy_matrix(ih, z)
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(z,)) for z in zs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert sorted(built) == [ih.s_minus, ih.s_plus], trial
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_runs_from_other_anchors_keep_no_plan():

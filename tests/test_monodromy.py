@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import canonsys as cs
+from canonsys import boundary as bd
+from canonsys import solver as sv
 
 Z_SET = (1.0, -1.0, 1.0j, -1.0j, np.pi, 2.0 + 3.0j)
 
@@ -52,6 +56,21 @@ class TestUPlus:
     def test_indivisible_plus_side_gives_identity(self, surgery_ih):
         np.testing.assert_allclose(cs.u_plus(surgery_ih, 0.9 + 0.3j),
                                    np.eye(2), atol=1e-12)
+
+    def test_v_anchored_past_the_basis_rejected_before_integrating(
+            self, example_ih, monkeypatch):
+        z = 0.4 + 0.8j
+        v = cs.fundamental(example_ih.h_plus, z, t0=1.0 + 5e-8, side="plus",
+                           cutoff=1e-8)
+        lo, hi = bd.side_basis(example_ih, "plus", z).solution.interval
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated from an anchor past the basis")
+
+        monkeypatch.setattr(sv, "integrate_dense", integrate)
+        with pytest.raises(cs.DomainError, match=re.escape(f"t={v.t0}") + ".*"
+                           + re.escape(f"[{lo}, {hi}]")):
+            cs.u_plus(example_ih, z, v)
 
     def test_singular_v_rejected(self, example_ih):
         with pytest.raises(cs.DomainError):

@@ -92,6 +92,17 @@ class TestFundamental:
         row0 = w.row_sampler(0)
         np.testing.assert_allclose(row0.eval(0.7), w.eval(0.7)[0, :], atol=1e-13)
 
+    @pytest.mark.parametrize("side, t0", [
+        ("minus", 0.0), ("minus", 0.5), ("plus", 2.0), ("plus", 1.5)])
+    def test_value_at_the_anchor_is_init(self, example_ih, side, t0):
+        # the start value itself, not a Chebyshev series summed there
+        init = np.array([[1.0 + 0.5j, 0.25], [-0.75, 2.0 - 1.0j]])
+        for z in (0.3 + 0.2j, -2.1 + 1.7j, 3.9 - 2.8j):
+            w = cs.fundamental(example_ih.side(side), z, init=init, t0=t0,
+                               side=side, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(w.eval(t0), init)
+            np.testing.assert_array_equal(w.eval([t0, t0]), [init, init])
+
     def test_singular_init_rejected(self, hm):
         with pytest.raises(cs.DomainError):
             cs.fundamental(hm, 1.0, init=np.zeros((2, 2)), side="minus")
