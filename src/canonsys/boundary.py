@@ -33,7 +33,7 @@ anchor keep nothing.  y2 and S at the extrapolation nodes come from one
 evaluation on the chain's panels.
 
 Per side and z, one integration is computed once and kept in the problem's
-cache (``IndefHamiltonianA.memo``) under ``("basis", side, z, rtol, atol)``:
+cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
 ``side_basis``, the fundamental solution Phi anchored to the identity at the
 regular endpoint, integrated out to the last extrapolation node, together
 with the boundary pairs of its two rows (the rows of the boundary matrix U).
@@ -68,8 +68,6 @@ from .hamiltonian import PER_Z_KIND, IndefHamiltonianA, Side, build_R
 EPS0_FRAC = 0.1      # first extrapolation node distance, relative to side length
 K_NODES = 20         # geometric halvings of the node distance
 TOL_LIMIT = 1e-6     # err_est above this (relative) raises LimitError
-GAMMA_RTOL = 1e-12   # internal integrations run tighter than the public solver
-GAMMA_ATOL = 1e-12
 DET_RESIDUAL_TOL = 1e-8  # normalised |det U - d| above this raises ConditioningError
 
 
@@ -326,7 +324,7 @@ def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
 
 
 def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
-         y_cols, rtol: float, atol: float):
+         y_cols):
     """Solutions anchored by the columns of ``y_cols`` at ``t_anchor``,
     integrated to the last extrapolation node, and their boundary pairs.
 
@@ -355,7 +353,7 @@ def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
     start = (functools.partial(_side_plan, ih, side) if from_reg
              else sv.first_round)
     dense = sv.integrate_dense(h, z, t_anchor, y_cols.T.reshape(-1), targets,
-                               rtol=rtol, atol=atol, sing=sing, start=start)
+                               sing=sing, start=start)
     if indivisible:
         ends = dense.eval_state(reg).reshape(-1, 2)
         return dense, [RegularisedBoundary(side, z, complex(gs), complex(gr),
@@ -370,8 +368,7 @@ def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
-                  t_anchor: float, y_cols,
-                  rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
+                  t_anchor: float, y_cols):
     """Boundary pairs of the solutions with given values at the anchor,
     integrated from there.
 
@@ -381,7 +378,7 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     """
     z = sv.finite_z(z)
     y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
-    return _run(ih, side, z, t_anchor, y_cols, rtol, atol)[1]
+    return _run(ih, side, z, t_anchor, y_cols)[1]
 
 
 def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
@@ -432,27 +429,24 @@ class SideBasis:
             float(abs(c0) * p0.err_est + abs(c1) * p1.err_est), samples)
 
 
-def side_basis(ih: IndefHamiltonianA, side: Side, z: complex,
-               rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> SideBasis:
-    """The basis of one side, cached on the problem per (side, z, rtol, atol).
+def side_basis(ih: IndefHamiltonianA, side: Side, z: complex) -> SideBasis:
+    """The basis of one side, cached on the problem per (side, z).
 
     One integration gives both: the solution is the dense output of the
     pairs' run, from the regular endpoint to the last extrapolation node.
     """
     z = sv.finite_z(z)
-    sv.check_tolerances(rtol, atol)
 
     def build():
         reg = ih.side(side).regular_endpoint(side)
         eye = np.eye(2, dtype=np.complex128)
-        dense, pairs = _run(ih, side, z, reg, eye, rtol, atol)
+        dense, pairs = _run(ih, side, z, reg, eye)
         return SideBasis(sv.MatrixSolution(dense, eye, reg), tuple(pairs))
 
-    return ih.memo((PER_Z_KIND, side, z, rtol, atol), build)
+    return ih.memo((PER_Z_KIND, side, z), build)
 
 
-def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
-                     rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL):
+def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c):
     """The unique solution whose boundary pair equals c (shooting).
 
     The basis solutions anchored at the regular endpoint and their boundary
@@ -466,7 +460,7 @@ def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c,
     """
     c = sv.finite_start(c, (2,), "c")
     z = sv.finite_z(z)
-    basis = side_basis(ih, side, z, rtol, atol)
+    basis = side_basis(ih, side, z)
     cols = [basis.solution.row_sampler(0), basis.solution.row_sampler(1)]
     g = check_det(basis.matrix.T, 1.0, "boundary matrix of the basis "
                   "(contradicting bijectivity)")

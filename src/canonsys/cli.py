@@ -26,8 +26,7 @@ from .errors import CanonsysError, ConfigError
 from .hamiltonian import (IndefHamiltonianA, _number, check_HS, check_I,
                           check_psd, problem_from_dict)
 
-_RUN_KEYS = {"problem", "z_grid", "t_grid", "tolerances", "output"}
-_TOL_KEYS = {"rk_rtol", "rk_atol"}
+_RUN_KEYS = {"problem", "z_grid", "t_grid", "output"}
 
 
 def _fmt(x: float) -> str:
@@ -159,30 +158,11 @@ def _load_config(args) -> dict:
 
 
 def _setup(args):
-    """Config, problem (the example by default) and checked tolerances."""
+    """Config and problem (the example by default)."""
     cfg = _load_config(args)
-    rtol, atol = _tols(cfg)
     problem = cfg.get("problem")
     ih = ex.example_problem() if problem is None else problem_from_dict(problem)
-    return cfg, ih, rtol, atol
-
-
-def _tols(cfg: dict):
-    """(rk_rtol, rk_atol) of the config: finite numbers, rtol > 0, atol >= 0."""
-    tol = cfg.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances must be an object")
-    unknown = set(tol) - _TOL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown tolerance keys {sorted(unknown)} "
-                          f"(allowed: {sorted(_TOL_KEYS)})")
-    defaults = (("rk_rtol", bd.GAMMA_RTOL), ("rk_atol", bd.GAMMA_ATOL))
-    rtol, atol = (_number(tol.get(k, d), f"tolerances {k}") for k, d in defaults)
-    if rtol <= 0:
-        raise ConfigError(f"tolerances rk_rtol must be > 0, got {rtol!r}")
-    if atol < 0:
-        raise ConfigError(f"tolerances rk_atol must be >= 0, got {atol!r}")
-    return rtol, atol
+    return cfg, ih
 
 
 def _map_ordered(fn, items, jobs):
@@ -227,15 +207,14 @@ def _csv(rows, header) -> str:
 # subcommands
 
 def _cmd_fundamental(args):
-    cfg, ih, rtol, atol = _setup(args)
+    cfg, ih = _setup(args)
     zs = _z_grid_from(args, cfg)
     side = args.side
     h = ih.side(side)
     ts = _t_grid_from(args, cfg, np.linspace(*h.interval, 9)[1:-1])
 
     def work(z):
-        w = sv.fundamental(h, z, side=side, rtol=rtol, atol=atol,
-                           t0=h.regular_endpoint(side))
+        w = sv.fundamental(h, z, side=side, t0=h.regular_endpoint(side))
         return [_w_row(t, z, w.eval(t), w.det_error()) for t in ts]
 
     rows = [r for chunk in _map_ordered(work, zs, args.jobs) for r in chunk]
@@ -244,7 +223,7 @@ def _cmd_fundamental(args):
 
 
 def _cmd_wpoly(args):
-    cfg, ih, _, _ = _setup(args)
+    cfg, ih = _setup(args)
     if args.n < 0:
         raise ConfigError(f"--n must be a non-negative integer, got {args.n}")
     side = args.side
@@ -261,7 +240,7 @@ def _cmd_wpoly(args):
 
 
 def _cmd_regbv(args):
-    cfg, ih, rtol, atol = _setup(args)
+    cfg, ih = _setup(args)
     zs = _z_grid_from(args, cfg)
     side = args.side
     y0 = _parse_complex_list(args.init, "--init")
@@ -270,7 +249,7 @@ def _cmd_regbv(args):
 
     def work(z):
         # y0 is the value at the regular endpoint: the pair is U^T y0
-        rb = bd.side_basis(ih, side, z, rtol, atol).pair(y0)
+        rb = bd.side_basis(ih, side, z).pair(y0)
         entry = {
             "z": [z.real, z.imag],
             "gamma_s": [rb.gamma_s.real, rb.gamma_s.imag],
@@ -287,7 +266,7 @@ def _cmd_regbv(args):
 
 
 def _cmd_monodromy(args):
-    cfg, ih, rtol, atol = _setup(args)
+    cfg, ih = _setup(args)
     zs = _z_grid_from(args, cfg)
     t = ih.s_plus if args.t is None else _finite_float(args.t, "--t")
     if not ih.s_minus <= t <= ih.s_plus or t == ih.sigma:
@@ -295,8 +274,7 @@ def _cmd_monodromy(args):
                           f"differ from sigma = {ih.sigma}, got {t!r}")
 
     def work(z):
-        w = mo.assemble_W(ih, z, t, rtol=rtol, atol=atol)
-        return z, w
+        return z, mo.assemble_W(ih, z, t)
 
     results = _map_ordered(work, zs, args.jobs)
     if (args.emit or "csv") == "json":
@@ -315,7 +293,7 @@ def _cmd_monodromy(args):
 
 
 def _cmd_kernel_signature(args):
-    _, ih, rtol, atol = _setup(args)
+    _, ih = _setup(args)
     if args.points:
         pts = _parse_complex_list(args.points, "--points")
     else:
@@ -324,8 +302,7 @@ def _cmd_kernel_signature(args):
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         pts = list(rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 2.5, n))
-    sig = mo.kernel_gram(lambda z: mo.monodromy_matrix(ih, z, rtol=rtol, atol=atol),
-                         pts)
+    sig = mo.kernel_gram(lambda z: mo.monodromy_matrix(ih, z), pts)
     _emit_json(args, {
         "points": [[p.real, p.imag] for p in sig.grid],
         "neg_count": sig.neg_count,
@@ -336,11 +313,11 @@ def _cmd_kernel_signature(args):
 
 
 def _cmd_weyl(args):
-    _, ih, rtol, atol = _setup(args)
+    _, ih = _setup(args)
     zs = _parse_complex_list(args.z, "--z")
     out = []
     for z in zs:
-        q = mo.weyl_intermediate(ih, z, rtol=rtol, atol=atol)
+        q = mo.weyl_intermediate(ih, z)
         out.append({"z": [z.real, z.imag], "q_sigma": [q.real, q.imag]})
     _emit_json(args, out)
     return 0
@@ -391,7 +368,7 @@ def check_conditions(ih: IndefHamiltonianA) -> dict:
 
 
 def _cmd_check_conditions(args):
-    _, ih, _, _ = _setup(args)
+    _, ih = _setup(args)
     report = check_conditions(ih)
     width = 13
     head = ("side", "psd_worst", "cond_I", "cond_HS", "indivisible", "delta_ok")
@@ -411,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="canonsys",
         description="Fundamental solutions and monodromy matrices of 2x2 "
                     "canonical systems with one inner singularity")
-    p.add_argument("--config", help="JSON run config (problem, grids, tolerances)")
+    p.add_argument("--config", help="JSON run config (problem, grids, output)")
     p.add_argument("--output", help="write output to this file instead of stdout")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker threads for z grids (default 1)")

@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import boundary as bd
+from . import monodromy as mo
+from . import wpoly as wp
 from .errors import PoleError
 from .hamiltonian import (IndefHamiltonianA, build_R, hamiltonian_from_spec,
                           indef_hamiltonian)
@@ -150,7 +153,7 @@ def example_problem(cfg: ExampleConfig = ExampleConfig()) -> IndefHamiltonianA:
     hp = hamiltonian_from_spec({"kind": "named", "name": "inverse-square"},
                                (SIGMA, cfg.s_plus), singular=SIGMA)
     return indef_hamiltonian(hm, hp, delta=1, d=(cfg.d0_value, cfg.d1),
-                             oe=cfg.oe, b=cfg.b, validate_psd=False)
+                             oe=cfg.oe, b=cfg.b)
 
 
 def example_problem_dict(cfg: ExampleConfig = ExampleConfig()) -> dict:
@@ -191,10 +194,6 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
                    threshold: float = 1e-6) -> dict:
     """Run the numeric pipeline on the built-in problem and diff every
     artifact against its closed form; returns max abs errors per artifact."""
-    from . import boundary as bd
-    from . import monodromy as mo
-    from . import wpoly as wp
-
     ih = example_problem(cfg)
     zs = [complex(z) for z in z_grid]
     ts = [float(t) for t in t_grid]

@@ -431,7 +431,7 @@ class ProblemCache:
     """Results computed once per problem, shared by every caller and thread.
 
     Keys whose first element is ``PER_Z_KIND`` are the per-z side bases
-    (``boundary.side_basis``), ``(PER_Z_KIND, side, z, rtol, atol)``; at most
+    (``boundary.side_basis``), ``(PER_Z_KIND, side, z)``; at most
     ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
     Every other key (the z-independent w-families and side plans,
     ``boundary.SidePlan``) is kept for the life of the problem and built
@@ -551,12 +551,10 @@ class IndefHamiltonianA:
 
 def indef_hamiltonian(h_minus: Hamiltonian, h_plus: Hamiltonian, delta: int,
                       d: Sequence[float], oe: int = 0, b: Sequence[float] = (),
-                      omega_minus=None, omega_plus=None,
-                      validate_psd: bool = True) -> IndefHamiltonianA:
+                      omega_minus=None, omega_plus=None) -> IndefHamiltonianA:
     """Validate and assemble the problem tuple; runs structural checks."""
-    if validate_psd:
-        check_psd(h_minus)
-        check_psd(h_plus)
+    check_psd(h_minus)
+    check_psd(h_plus)
     return IndefHamiltonianA(
         h_minus, h_plus, int(delta), tuple(float(x) for x in d),
         int(oe), tuple(float(x) for x in b),

@@ -21,7 +21,7 @@ of the kernel (W(z) J W(w)* - J)/(z - conj(w)).
 
 Per side and z, the fundamental solution anchored to the identity at the
 regular endpoint and the boundary pairs of its rows come from one
-integration, cached on the problem under ``("basis", side, z, rtol, atol)``
+integration, cached on the problem under ``("basis", side, z)``
 (:func:`canonsys.boundary.side_basis`; at most ``hamiltonian.PER_Z_CAP``
 entries, least recently used evicted first).  W left of sigma and the default
 V are those fundamental solutions; U_minus, U_plus and the entry limits
@@ -41,7 +41,6 @@ import numpy as np
 
 from . import boundary as bd
 from . import solver as sv
-from .boundary import GAMMA_ATOL, GAMMA_RTOL
 from .errors import DomainError
 from .hamiltonian import IndefHamiltonianA, build_R, eval_p, symplectic_j
 
@@ -73,21 +72,18 @@ class KernelSignature:
     min_eig: float
 
 
-def u_minus(ih: IndefHamiltonianA, z: complex,
-            rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
+def u_minus(ih: IndefHamiltonianA, z: complex) -> np.ndarray:
     """Boundary-value matrix of the left fundamental solution (det = 1)."""
-    return bd.side_basis(ih, "minus", z, rtol, atol).matrix
+    return bd.side_basis(ih, "minus", z).matrix
 
 
-def default_v(ih: IndefHamiltonianA, z: complex,
-              rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> sv.MatrixSolution:
+def default_v(ih: IndefHamiltonianA, z: complex) -> sv.MatrixSolution:
     """Matrix solution on the right piece anchored to I at s_plus."""
-    return bd.side_basis(ih, "plus", z, rtol, atol).solution
+    return bd.side_basis(ih, "plus", z).solution
 
 
 def u_plus(ih: IndefHamiltonianA, z: complex,
-           v: Optional[sv.MatrixSolution] = None,
-           rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
+           v: Optional[sv.MatrixSolution] = None) -> np.ndarray:
     """Boundary-value matrix of V on the right piece (det = det V).
 
     The boundary pairs depend on V only through its anchor: the rows of V
@@ -98,55 +94,51 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
     z = sv.finite_z(z)
     if v is not None and abs(v.det_init) < 1e-12:
         raise DomainError("V must be non-singular on the right piece")
-    basis = bd.side_basis(ih, "plus", z, rtol, atol)
+    basis = bd.side_basis(ih, "plus", z)
     if v is None:
         return basis.matrix
     return v.init @ bd.adj(basis.solution.eval(v.t0)) @ basis.matrix
 
 
 def factorisation(ih: IndefHamiltonianA, z: complex,
-                  v: Optional[sv.MatrixSolution] = None,
-                  rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL
+                  v: Optional[sv.MatrixSolution] = None
                   ) -> MonodromyFactorisation:
     z = sv.finite_z(z)
-    vv = default_v(ih, z, rtol, atol) if v is None else v
-    um = u_minus(ih, z, rtol, atol)
-    up = bd.check_det(u_plus(ih, z, vv, rtol, atol), vv.det_init, "U^+")
+    vv = default_v(ih, z) if v is None else v
+    um = u_minus(ih, z)
+    up = bd.check_det(u_plus(ih, z, vv), vv.det_init, "U^+")
     r = build_R(ih, z)
     pre = um @ r.T @ bd.adj(up) / vv.det_init
     return MonodromyFactorisation(z, um, up, r, vv, pre)
 
 
-def assemble_W(ih: IndefHamiltonianA, z: complex, t: float,
-               rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
+def assemble_W(ih: IndefHamiltonianA, z: complex, t: float) -> np.ndarray:
     """The assembled matrix at one point (direct solution left of sigma)."""
     z = sv.finite_z(z)
     if not (ih.s_minus <= t <= ih.s_plus):
         raise DomainError(f"t={t} outside [{ih.s_minus}, {ih.s_plus}]")
     if t < ih.sigma:
-        return bd.side_basis(ih, "minus", z, rtol, atol).solution.eval(t)
+        return bd.side_basis(ih, "minus", z).solution.eval(t)
     if t == ih.sigma:
         raise DomainError("the assembled matrix is not defined at sigma itself")
-    return factorisation(ih, z, rtol=rtol, atol=atol).w(t)
+    return factorisation(ih, z).w(t)
 
 
-def monodromy_matrix(ih: IndefHamiltonianA, z: complex,
-                     rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
+def monodromy_matrix(ih: IndefHamiltonianA, z: complex) -> np.ndarray:
     """The assembled matrix at s_plus."""
-    return assemble_W(ih, z, ih.s_plus, rtol=rtol, atol=atol)
+    return assemble_W(ih, z, ih.s_plus)
 
 
 # ---------------------------------------------------------------------------
 # comparison of discrete parameters and the Weyl coefficient
 
-def m_matrix(ih: IndefHamiltonianA, z: complex,
-             rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
+def m_matrix(ih: IndefHamiltonianA, z: complex) -> np.ndarray:
     """Rank-one matrix of entry limits driving the comparison identity.
 
     The limits of (w12, w22) of the left solution at sigma are the second
     column of U_minus.
     """
-    um = u_minus(ih, z, rtol, atol)
+    um = u_minus(ih, z)
     col = um[:, 1]
     row = np.array([um[1, 1], -um[0, 1]], dtype=complex)
     return np.outer(col, row)
@@ -166,22 +158,20 @@ def _same_hamiltonian(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA) -> bool:
 
 
 def compare_discrete(ih1: IndefHamiltonianA, ih2: IndefHamiltonianA,
-                     z: complex, t: float,
-                     rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> np.ndarray:
+                     z: complex, t: float) -> np.ndarray:
     """Residual of W2 - W1 = (p2 - p1) M(z) W1 at one point right of sigma."""
     if not _same_hamiltonian(ih1, ih2):
         raise DomainError("the two problems must share the same Hamiltonian")
     if not (ih1.sigma < t <= ih1.s_plus):
         raise DomainError("comparison only applies right of sigma")
     z = sv.finite_z(z)
-    w1 = assemble_W(ih1, z, t, rtol=rtol, atol=atol)
-    w2 = assemble_W(ih2, z, t, rtol=rtol, atol=atol)
+    w1 = assemble_W(ih1, z, t)
+    w2 = assemble_W(ih2, z, t)
     dp = eval_p(ih2, z) - eval_p(ih1, z)
-    return w2 - w1 - dp * m_matrix(ih1, z, rtol, atol) @ w1
+    return w2 - w1 - dp * m_matrix(ih1, z) @ w1
 
 
-def weyl_intermediate(ih: IndefHamiltonianA, z: complex,
-                      rtol: float = GAMMA_RTOL, atol: float = GAMMA_ATOL) -> complex:
+def weyl_intermediate(ih: IndefHamiltonianA, z: complex) -> complex:
     """Limit of w12/w22 of the left solution at sigma (Im z != 0).
 
     Extrapolated from w12/w22 of the cached left fundamental solution at
@@ -193,7 +183,7 @@ def weyl_intermediate(ih: IndefHamiltonianA, z: complex,
     h = ih.h_minus
     hs = bd.node_distances(h.length, h.length)
     xs = ih.sigma - hs
-    w = bd.side_basis(ih, "minus", z, rtol, atol).solution.eval(xs)
+    w = bd.side_basis(ih, "minus", z).solution.eval(xs)
     ratio = w[:, 0, 1] / w[:, 1, 1]
     val, err = bd.neville_limit(hs, ratio)
     if err > bd.TOL_LIMIT * max(1.0, abs(val)):

@@ -47,8 +47,8 @@ from . import _chebpanels as cp
 from .errors import DomainError, IntegrationError, SingularityProximityError
 from .hamiltonian import Hamiltonian, Side, symplectic_j
 
-RK_RTOL = 1e-10
-RK_ATOL = 1e-10
+RK_RTOL = 1e-12   # the one tolerance of every pipeline integration
+RK_ATOL = 1e-12
 EPS_CUT_FRAC = 1e-6   # default cutoff distance to sigma, relative to length
 MAX_SPLITS = 2000     # panel splits per integration before IntegrationError
 TAIL_COEFS = 3        # trailing Chebyshev coefficients in the resolution test
@@ -463,7 +463,8 @@ def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
                  cutoff: Optional[float]):
     """(targets, singular endpoint or None) of a solve over one side from
-    t0, which must lie in the closed interval."""
+    t0, which must lie in the closed interval and, on a side with a
+    singular endpoint, no closer to it than the cutoff."""
     lo, hi = h.interval
     if not (lo <= t0 <= hi):
         raise DomainError(f"t0={t0} outside [{lo}, {hi}]")
@@ -475,6 +476,9 @@ def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
     if not (0.0 <= eps_cut < h.length):  # NaN fails too
         raise DomainError(f"cutoff={cutoff!r} must be finite, >= 0 and below "
                           f"the side's length {h.length}")
+    if abs(sing - t0) < eps_cut:
+        raise DomainError(f"t0={t0} lies within the cutoff {eps_cut} of the "
+                          f"singular endpoint {sing}")
     stop = sing - math.copysign(eps_cut, sing - reg)
     return [t for t in (reg, stop) if t != t0], sing
 

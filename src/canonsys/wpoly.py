@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _chebpanels as cp
 from .errors import ConfigError, IntegrationError, UnsupportedSpecError
-from .hamiltonian import Hamiltonian, IndefHamiltonianA, Side
+from .hamiltonian import Hamiltonian, IndefHamiltonianA, Side, _tail_diagnostic
 
 
 class _Const:
@@ -227,7 +227,6 @@ def _l2_tail(h: Hamiltonian, side: Side, w: WFunction):
                 + h.h2(ts) * v[..., 1] ** 2)
 
     _, integrals = cp._panel_integrals(integrand, breaks)
-    from .hamiltonian import _tail_diagnostic
     return _tail_diagnostic(np.abs(integrals))
 
 

@@ -65,6 +65,24 @@ class TestSolveRow:
         with pytest.raises(cs.DomainError, match="cutoff"):
             cs.fundamental(hp, 1j, side="plus", cutoff=cutoff)
 
+    @pytest.mark.parametrize("side, t0", [
+        ("minus", 1.0 - 5e-8), ("minus", 1.0), ("plus", 1.0 + 5e-8),
+        ("plus", 1.0)])
+    def test_anchor_within_the_cutoff_rejected(self, example_ih, side, t0,
+                                               monkeypatch):
+        # such a solve would integrate away from sigma toward the cutoff and
+        # never reach sigma's side of the anchor
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated from an anchor inside the cutoff")
+
+        monkeypatch.setattr(sv, "integrate_dense", integrate)
+        h = example_ih.side(side)
+        with pytest.raises(cs.DomainError,
+                           match=f"t0={t0!r}.*cutoff 1e-06"):
+            cs.fundamental(h, 0.5j, t0=t0, side=side)
+        with pytest.raises(cs.DomainError, match="cutoff 1e-07"):
+            cs.solve_row(h, 0.5j, t0, [1.0, 0.0], side=side, cutoff=1e-7)
+
 
 class TestFundamental:
     def test_zero_parameter(self, hm):
