@@ -47,15 +47,6 @@ class TestExitCodes:
         assert code == 2
         assert "typo" in err
 
-    def test_unknown_tolerances_key(self, tmp_path, capsys):
-        # the pipeline integrates at one fixed tolerance; none is configured
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerances": {"rk_rtol": 1e-10}}))
-        code, _, err = run_cli(["--config", str(cfg), "monodromy",
-                                "--z-grid", "0"], capsys)
-        assert code == 2
-        assert "tolerances" in err and "Traceback" not in err
-
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
 
@@ -160,6 +151,31 @@ class TestInputValidation:
                                 "--z-grid", "0"], capsys)
         assert code == 2
         assert token in err and "Traceback" not in err
+
+    # the pipeline integrates at one fixed tolerance, so a "tolerances" key
+    # is an unknown config key whatever it holds; the nested key (second
+    # column) is never read, and the error names only the top-level key
+    @pytest.mark.parametrize("tolerances, nested", [
+        ({"tol_limit": 1e-30}, "tol_limit"),
+        ({"eps0": 0.1}, "eps0"),
+        ({"rk_rtol": "abc"}, "rk_rtol"),
+        ({"rk_rtol": -1}, "rk_rtol"),
+        ({"rk_rtol": 0}, "rk_rtol"),
+        ({"rk_atol": -1e-3}, "rk_atol"),
+        ({"rk_atol": float("inf")}, "rk_atol"),
+        ({"rk_rtol": True}, "rk_rtol"),
+        ([1e-10], "tolerances"),
+    ])
+    def test_bad_tolerances_exit_two_naming_key(self, tolerances, nested,
+                                                 tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": tolerances}))
+        code, _, err = run_cli(["--config", str(cfg), "monodromy",
+                                "--z-grid", "0"], capsys)
+        assert code == 2
+        assert "unknown config keys ['tolerances']" in err
+        assert "Traceback" not in err
+        assert nested == "tolerances" or nested not in err
 
     @pytest.mark.parametrize("flag", ["0", "-4"])
     def test_jobs_below_one_exit_two(self, flag, capsys):
