@@ -92,18 +92,46 @@ class PanelFunction:
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
         tt = np.atleast_1d(t)
+        k = self.locate(tt)
+        out = series_values(self.coefs[k], self.breaks[k],
+                            self.breaks[k + 1], tt)
+        return out.reshape(t.shape + self.coefs.shape[2:])[()]
+
+    def locate(self, t) -> np.ndarray:
+        """Index of the panel of every point of ``t``, clamped to the chain."""
         n = len(self.breaks) - 1
         br = self.breaks if self._asc else self.breaks[::-1]
-        k = np.minimum(np.maximum(np.searchsorted(br, tt, side="right") - 1,
+        k = np.minimum(np.maximum(np.searchsorted(br, t, side="right") - 1,
                                   0), n - 1)
-        if not self._asc:
-            k = n - 1 - k
-        a, b = self.breaks[k], self.breaks[k + 1]
-        x = np.minimum(np.maximum((2.0 * tt - a - b) / (b - a), -1.0), 1.0)
-        vander = _cheb.chebvander(x, self.coefs.shape[1] - 1)
-        c = self.coefs[k].reshape(tt.shape + (self.coefs.shape[1], -1))
-        out = np.einsum("...j,...jm->...m", vander, c)
-        return out.reshape(t.shape + self.coefs.shape[2:])[()]
+        return k if self._asc else n - 1 - k
+
+
+def series_values(coefs, a, b, t) -> np.ndarray:
+    """Values at the points ``t`` (at least 1-D) of Chebyshev series on
+    panels, point by point: ``coefs`` holds one series per point,
+    (t.shape, degree + 1, ...), on the panel [a, b] of that point (clamped
+    to it).
+
+    The basis is built in place by the three-term recurrence T_i =
+    T_(i-1) 2x - T_(i-2), in the same operations and layout as
+    ``numpy.polynomial.chebyshev.chebvander``, so the values are the same
+    bits, without its per-call overhead.
+    """
+    x = np.minimum(np.maximum((2.0 * t - a - b) / (b - a), -1.0), 1.0)
+    deg = coefs.shape[t.ndim] - 1
+    v = np.empty((deg + 1,) + x.shape)
+    rows = list(v)
+    np.multiply(x, 0.0, out=rows[0])
+    rows[0] += 1.0  # x * 0 + 1 as chebvander forms it: NaN stays NaN
+    if deg > 0:
+        rows[1][...] = x
+        x2 = 2.0 * x
+        for i in range(2, deg + 1):
+            np.multiply(rows[i - 1], x2, out=rows[i])
+            np.subtract(rows[i], rows[i - 2], out=rows[i])
+    c = coefs.reshape(t.shape + (deg + 1, -1))
+    out = np.einsum("...j,...jm->...m", np.moveaxis(v, 0, -1), c)
+    return out.reshape(t.shape + coefs.shape[t.ndim + 1:])
 
 
 def panel_nodes(breaks) -> np.ndarray:
@@ -119,27 +147,36 @@ def nodes_between(a, b) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * _NODES
 
 
-def _node_integrals(vals, breaks):
-    """Antiderivatives and definite integrals on every panel of the integrand
-    whose values at ``panel_nodes(breaks)`` are ``vals``, panel after panel;
-    values may be real or complex and carry trailing dimensions.  Returns the
-    DEGREE + 2 Chebyshev coefficients of each panel's antiderivative from its
-    first break, (P, DEGREE + 2, ...), and the panel integrals, (P, ...).
+def _node_integrals(vals, hw):
+    """Antiderivatives and definite integrals on every panel, of half-width
+    ``hw``, of the integrand whose values at the panels' nodes are ``vals``,
+    panel after panel; values may be real or complex and carry trailing
+    dimensions.  Returns the DEGREE + 2 Chebyshev coefficients of each
+    panel's antiderivative from its first break, (P, DEGREE + 2, ...), and
+    the panel integrals, (P, ...).  Each panel is one product with the
+    constant tables, so a panel's result does not depend on the others.
     """
-    breaks = np.asarray(breaks, dtype=np.float64)
     vals = np.asarray(vals)
-    p, rest = len(breaks) - 1, vals.shape[1:]
-    # node axis last and contiguous: einsum is several times faster there
-    vals = vals.reshape(p, DEGREE + 1, -1).transpose(0, 2, 1).copy()
-    hw = 0.5 * np.diff(breaks)[:, None]
-    coef = np.einsum("ij,pkj->pik", CUMINT_COEFS, vals) * hw[:, None]
-    integrals = np.einsum("j,pkj->pk", END_WEIGHTS, vals) * hw
+    p, rest = len(hw), vals.shape[1:]
+    v = np.ascontiguousarray(vals.reshape(p, DEGREE + 1, -1))
+    if np.iscomplexobj(v):
+        v = v.view(np.float64)  # real and imaginary parts as columns
+    coef = (CUMINT_COEFS @ v) * hw[:, None, None]
+    integrals = (END_WEIGHTS @ v) * hw[:, None]
+    if np.iscomplexobj(vals):
+        coef, integrals = coef.view(vals.dtype), integrals.view(vals.dtype)
     return coef.reshape((p, DEGREE + 2) + rest), integrals.reshape((p,) + rest)
 
 
+def _half_widths(breaks) -> np.ndarray:
+    return 0.5 * np.diff(np.asarray(breaks, dtype=np.float64))
+
+
 def _panel_integrals(fn, breaks):
-    """``_node_integrals`` of ``fn``, called once on all nodes (flat)."""
-    return _node_integrals(fn(panel_nodes(breaks).ravel()), breaks)
+    """``_node_integrals`` of ``fn`` on the chain ``breaks``, called once on
+    all nodes (flat)."""
+    return _node_integrals(fn(panel_nodes(breaks).ravel()),
+                           _half_widths(breaks))
 
 
 def tail_ratio(integrals) -> float:
@@ -164,10 +201,28 @@ def _geometric_ratio(integrals):
 
 
 def cumulative_from_values(vals, breaks) -> PanelFunction:
-    """F(t) = integral from breaks[0] to t of ``vals`` as in ``_node_integrals``."""
-    coef, integrals = _node_integrals(vals, breaks)
-    coef[1:, 0] += np.cumsum(integrals[:-1], axis=0)
-    return PanelFunction(breaks, coef)
+    """F(t) = integral from breaks[0] to t of the integrand whose values at
+    ``panel_nodes(breaks)`` are ``vals``."""
+    return PanelFunction(breaks, cumulative_coefs(vals, [breaks])[0])
+
+
+def cumulative_coefs(vals, chains) -> list:
+    """Per chain of breaks in ``chains``, the coefficients (P, DEGREE + 2,
+    ...) of F(t) = integral from its first break to t of the integrand
+    whose values at the nodes of all chains, chain after chain, are
+    ``vals``.  The panels of all chains are integrated in one pass; the
+    running sum is taken per chain, so a chain's coefficients do not depend
+    on the others."""
+    hws = [_half_widths(br) for br in chains]
+    coef, integrals = _node_integrals(vals, np.concatenate(hws))
+    out, lo = [], 0
+    for hw in hws:
+        hi = lo + len(hw)
+        c = coef[lo:hi]
+        c[1:, 0] += np.cumsum(integrals[lo:hi - 1], axis=0)
+        out.append(c)
+        lo = hi
+    return out
 
 
 def cumulative_from_start(fn, breaks) -> PanelFunction:

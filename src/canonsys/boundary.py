@@ -6,13 +6,20 @@ minus a correction proportional to that limit.  Forming S from y pointwise
 would cancel catastrophically; instead its derivative
 -z^(Delta+1) w_Delta^T H y is formed at the collocation nodes of the
 solver's panels from the node values of y and H the solver stored there and
-integrated by the same spectral rule (``_chebpanels.cumulative_from_values``)
+integrated by the same spectral rule (``_chebpanels.cumulative_coefs``)
 from S at the anchor.  Both quantities are extrapolated to sigma by a Neville
 tableau on the geometric nodes x_k = sigma -+ eps0 * 2^-k, Ridders-style:
 the tableau entry with the smallest self-consistency error wins and that
-error is reported.  The limits are taken per quantity per side: one tableau
-call extrapolates y2 of every column of a run, and one the corrected S of
-every column, each column keeping its own winning entry.
+error is reported.
+
+Runs are taken in batches (``_runs``): the runs of a batch are integrated
+in one ``solver.integrate_dense`` call, S' is formed and integrated at the
+nodes of all their chains in one pass, y2 and S at every run's
+extrapolation nodes take one evaluation, and the limits take two tableau
+calls, one on y2 of every column of every run and one on the corrected S,
+each column keeping its own nodes and winning entry.  A caller that reads
+both sides of a z asks for both bases at once (``side_bases``); one that
+reads one side builds only that side, a batch of one.
 
 On an indivisible side, H = h xi_phi xi_phi^T of rank one with a fixed
 angle phi, no limit is taken: the boundary pair of a solution is its value
@@ -36,7 +43,8 @@ Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
 ``side_basis``, the fundamental solution Phi anchored to the identity at the
 regular endpoint, integrated out to the last extrapolation node, together
-with the boundary pairs of its two rows (the rows of the boundary matrix U).
+with the boundary pairs of its two rows (the rows of the boundary matrix U);
+``side_bases`` builds the missing ones of several sides in one batch.
 The cache keeps at most ``hamiltonian.PER_Z_CAP`` such entries (32 z on both
 sides), least recently used evicted first.
 
@@ -55,7 +63,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -99,48 +107,62 @@ def neville_limit(hs, vals):
     the first column m > 2 whose smallest error exceeds 8 times the best
     seen before it.
 
-    ``hs`` must be 1-D, finite and pairwise distinct.  ``vals`` of shape
-    (n,) gives one sequence and returns (complex, float); of shape (n, k) it
-    gives k sequences on the same ``hs`` and returns (values, errs) arrays of
-    length k, column c exactly ``neville_limit(hs, vals[:, c])``.
+    ``hs`` must be finite, and pairwise distinct per sequence.  ``vals`` of
+    shape (n,) gives one sequence on the 1-D ``hs`` and returns (complex,
+    float); of shape (n, k) it gives k sequences and returns (values, errs)
+    arrays of length k.  Their nodes are the 1-D ``hs``, shared, or the
+    columns of an (n, k) ``hs``, one per sequence (sides of different
+    length).  Column c is exactly ``neville_limit(hs[:, c], vals[:, c])``
+    (``hs`` itself when shared).
     """
     hs = np.asarray(hs, dtype=np.float64)
     vals = np.asarray(vals, dtype=np.complex128)
-    if hs.ndim != 1 or not np.isfinite(hs).all():
-        raise DomainError(f"nodes must be a finite 1-D sequence, got {hs!r}")
+    if (not (hs.ndim == 1 or hs.shape == vals.shape)
+            or not np.isfinite(hs).all()):
+        raise DomainError(f"nodes must be a finite 1-D sequence or one per "
+                          f"column of the values {vals.shape}, got {hs!r}")
     if vals.ndim not in (1, 2) or len(vals) != len(hs) or len(hs) == 0:
         raise DomainError(f"need as many values as nodes, at least one: "
                           f"nodes {hs.shape}, values {vals.shape}")
-    if len(np.unique(hs)) != len(hs):
-        raise DomainError(f"nodes must be pairwise distinct, got {hs!r}")
     n = len(vals)
     k = vals.size // n
+    h = hs.reshape(n, -1)  # (n, 1) shared or (n, k)
+    # diff[i, j] = h_i - h_j, as complex, the type the tableau divides in;
+    # the denominators h_i - h_(i+m) of column m are its diagonal m, rows
+    # i (n + 1) + m of the flat ``dens``
+    diff = (h[:, None] - h[None, :]).astype(np.complex128)
+    if np.count_nonzero(diff) != diff.size - h.size:
+        raise DomainError(f"nodes must be pairwise distinct, got {hs!r}")
+    dens = diff.reshape(n * n, -1)
     cols = np.arange(k)
+    idx = np.arange(n)
     # h as complex, one copy per sequence: the products below would cast
     # and broadcast it at every step
-    hc = np.repeat(hs.astype(np.complex128)[:, None], k, axis=1)
+    hc = np.empty((n, k), dtype=np.complex128)
+    hc[...] = h
     with np.errstate(all="ignore"):  # non-finite samples give inf/NaN errors
-        # tableau column m in tab[m, :n - m], its errors in err[m, :n - m]
-        tab = np.zeros((n, n, k), dtype=np.complex128)
+        # tableau column m in tab[m, :n - m]; the NaN beyond gives errors
+        # that never win
+        tab = np.full((n, n, k), np.nan, dtype=np.complex128)
         tab[0] = vals.reshape(n, k)
+        left = np.empty((n, k), dtype=np.complex128)
         for m in range(1, n):
             prev = tab[m - 1, :n - m + 1]
             cur = tab[m, :n - m]
-            np.subtract(hc[:n - m] * prev[1:], hc[m:] * prev[:-1], out=cur)
-            cur /= hs[:n - m, None] - hs[m:, None]
-        # every entry's distance to its two parents, all columns at once;
-        # the padding beyond each column's n - m entries never wins
-        err = np.full((n, n, k), np.inf)
+            np.multiply(hc[:n - m], prev[1:], out=left[:n - m])
+            np.multiply(hc[m:], prev[:-1], out=cur)
+            np.subtract(left[:n - m], cur, out=cur)
+            cur /= dens[m::n + 1][:n - m]
+        # every entry's distance to its two parents, all columns at once
+        err = np.empty((n, n, k))
+        err[0] = err[:, n - 1] = np.inf
         cur, prev = tab[1:, :n - 1], tab[:-1]
-        inside = np.arange(n - 1) < np.arange(n - 1, 0, -1)[:, None]
-        err[1:, :n - 1] = np.where(
-            inside[..., None],
-            np.maximum(np.abs(cur - prev[:, 1:]), np.abs(cur - prev[:, :-1])),
-            np.inf)
+        np.maximum(np.abs(cur - prev[:, 1:]), np.abs(cur - prev[:, :-1]),
+                   out=err[1:, :n - 1])
         err[np.isnan(err)] = np.inf  # a NaN entry never wins
         win = err.argmin(axis=1)  # first smallest error per column
         # cand[m]: the smallest error of column m; cand[0] that of the start
-        cand = err[np.arange(n)[:, None], win, cols]
+        cand = err[idx[:, None], win, cols]
         # (scalar abs: np.abs of an array can differ from it in the last bit)
         cand[0] = [abs(d) for d in tab[0, 1] - tab[0, 0]] if n > 1 else 0.0
         # the first column m > 2 that grows past 8x the running best ends
@@ -148,7 +170,7 @@ def neville_limit(hs, vals):
         grown = cand > 8.0 * np.minimum.accumulate(cand, axis=0)
         grown[:3] = False
         last = np.where(grown.any(axis=0), grown.argmax(axis=0), n - 1)
-        cand[np.arange(n)[:, None] > last] = np.inf
+        cand[idx[:, None] > last] = np.inf
         # strict improvement over the running best: the first minimum wins,
         # and a NaN start error (argmin takes the first NaN) is never
         # improved on
@@ -158,9 +180,13 @@ def neville_limit(hs, vals):
         if n >= 5:
             # scatter of the deepest linear extrapolants: ~0 for smooth
             # sequences, ~ the sample noise when that dominates; keeps
-            # err_est honest when tableau entries agree by chance
-            tail = np.abs(np.diff(tab[1, n - 5:n - 1], axis=0))
-            floor = 0.5 * np.median(tail, axis=0)
+            # err_est honest when tableau entries agree by chance.  The
+            # median of the three is the largest of the pairwise minima
+            # (NaN when one is, as np.median gives it)
+            d0, d1, d2 = np.abs(np.diff(tab[1, n - 5:n - 1], axis=0))
+            mid = np.maximum(np.minimum(d0, d1),
+                             np.minimum(np.maximum(d0, d1), d2))
+            floor = 0.5 * mid
             # max(best_err, floor) as Python takes it: a NaN best_err stays
             best_err = np.where(floor > best_err, floor, best_err)
     if vals.ndim == 1:
@@ -178,17 +204,7 @@ def adj(m: np.ndarray) -> np.ndarray:
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
 
 
-def det_residual(m: np.ndarray, d: complex) -> float:
-    """|det m - d| relative to |m11 m22| + |m12 m21|.
-
-    That sum is the size of the two products that cancel in det m, so the
-    residual measures how far det m is from d in units of its own rounding;
-    the raw |det m - d| grows with the entries even when they are accurate.
-    NaN or inf when an entry or product is not finite.
-    """
-    with np.errstate(all="ignore"):
-        prods = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
-        return float(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - d) / prods)
+det_residual = sv.det_residual
 
 
 def check_det(m: np.ndarray, d: complex, what: str) -> np.ndarray:
@@ -259,112 +275,166 @@ def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
     return ih.memo(("plan", side), build)
 
 
-def _functional(ih: IndefHamiltonianA, z: complex, t_anchor: float, y_cols,
-                w_funcs, chain: sv.PanelChain, plan: Optional[SidePlan]):
-    """S of the solutions anchored by the columns of ``y_cols`` and
-    integrated along ``chain``: (S at the anchor, one entry per column,
-    Chebyshev coefficients of its change from the anchor on every panel of
-    the chain).  ``plan``, when the chain started from it, gives w at the
+class _Limited(NamedTuple):
+    """A run whose boundary pairs are limits at sigma: its anchor and
+    anchored columns, its side's w-family, its chain, the side plan the
+    chain started from (None from any other anchor), and the distances
+    ``hs`` of its extrapolation nodes ``xs`` to sigma."""
+
+    side: Side
+    t_anchor: float
+    y_cols: np.ndarray
+    w_funcs: list
+    chain: sv.PanelChain
+    plan: Optional[SidePlan]
+    hs: np.ndarray
+    xs: np.ndarray
+
+
+def _functional(ih: IndefHamiltonianA, z: complex, runs):
+    """S of the solutions of every run: per run S at the anchor, one entry
+    per anchored column, and the Chebyshev coefficients of S's change from
+    the anchor on every panel of the run's chain.  A plan gives w at the
     anchor and w_Delta^T H on the panels it holds; only split panels
-    evaluate w_Delta."""
+    evaluate w_Delta.  S' = -z^(Delta+1) w_Delta^T H y is formed at the
+    nodes of all chains and integrated panel by panel in one pass."""
     delta = ih.delta
-    # S at the anchor per column: sum_n z^n w_n^T J y
-    w_anchor = (plan.w_reg if plan is not None
-                else [f(t_anchor) for f in w_funcs[:delta + 1]])
-    s0 = sum(z ** n * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
-             for n, w in enumerate(w_anchor))
-    # S' = -z^(Delta+1) w_Delta^T H y at the chain's nodes
     n = cp.DEGREE + 1
-    a, b = chain.breaks[:-1], chain.breaks[1:]
-    wh = np.empty((len(a), n, 2))
-    if plan is None:
-        fresh = np.ones(len(a), dtype=bool)
-    else:
-        fresh = chain.origin < 0
-        wh[~fresh] = plan.wh[chain.origin[~fresh]]
-    if fresh.any():
-        t = cp.nodes_between(a[fresh], b[fresh])
-        wh[fresh] = np.einsum("pja,pjab->pjb", w_funcs[delta](t),
-                              chain.hm.reshape(len(a), n, 2, 2)[fresh])
-    y = chain.ys.reshape(len(a) * n, -1, 2)
-    ds = -z ** (delta + 1) * np.einsum("nb,nmb->nm", wh.reshape(-1, 2), y)
-    return s0, cp.cumulative_from_values(ds, chain.breaks).coefs
+    s0s, whs = [], []
+    for run in runs:
+        chain, plan, y_cols = run.chain, run.plan, run.y_cols
+        # S at the anchor per column: sum_n z^n w_n^T J y
+        w_anchor = (plan.w_reg if plan is not None
+                    else [f(run.t_anchor) for f in run.w_funcs[:delta + 1]])
+        s0s.append(sum(z ** k * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
+                       for k, w in enumerate(w_anchor)))
+        a, b = chain.breaks[:-1], chain.breaks[1:]
+        wh = np.empty((len(a), n, 2))
+        if plan is None:
+            fresh = np.ones(len(a), dtype=bool)
+        else:
+            fresh = chain.origin < 0
+            wh[~fresh] = plan.wh[chain.origin[~fresh]]
+        if fresh.any():
+            t = cp.nodes_between(a[fresh], b[fresh])
+            wh[fresh] = np.einsum("pja,pjab->pjb", run.w_funcs[delta](t),
+                                  chain.hm.reshape(len(a), n, 2, 2)[fresh])
+        whs.append(wh.reshape(-1, 2))
+    wh = np.concatenate(whs)[:, None, :, None]
+    # y at every node in real numbers: (node, column, component, re/im)
+    y = np.concatenate([run.chain.ys for run in runs]).view(np.float64)
+    y = y.reshape(len(wh), -1, 2, 2)
+    ds = wh[:, :, 0] * y[:, :, 0] + wh[:, :, 1] * y[:, :, 1]
+    ds = -z ** (delta + 1) * ds.view(np.complex128)[..., 0]
+    return s0s, cp.cumulative_coefs(ds, [run.chain.breaks for run in runs])
 
 
-def _limit_pairs(ih: IndefHamiltonianA, side: Side, z: complex, w_funcs,
-                 chain: sv.PanelChain, hs, xs, s0, s_coefs):
-    """Boundary pair of every column of a run on a side that is not
-    indivisible: the Neville limits of y2 and of the corrected S.
+def _limit_pairs(ih: IndefHamiltonianA, z: complex, runs):
+    """Boundary pairs of every column of every run: the Neville limits of
+    y2 and of the corrected S, one list per run.
 
-    y2 and S at the nodes come from one evaluation on the chain's panels:
-    the state's second components and S's coefficients side by side."""
-    k = s_coefs.shape[-1]
-    both = cp.PanelFunction(chain.breaks, np.concatenate(
-        [chain.coefs[..., 1::2], s_coefs], axis=-1))(xs)
-    y2s, s_vals = both[:, :k], s0 + both[:, k:]
-    corr = _correction_values(ih, side, z, w_funcs, xs)
+    y2 and S at the extrapolation nodes of all runs come from one
+    evaluation on the chains' panels, the state's second components and
+    S's coefficients side by side; the limits of y2 of all columns take one
+    tableau, and those of S one more."""
+    s0s, s_coefs = _functional(ih, z, runs)
+    rows, lo, hi, corr = [], [], [], []
+    for run, sc in zip(runs, s_coefs):
+        k = run.chain.locate(run.xs)
+        rows.append(np.concatenate([run.chain.coefs[k][..., 1::2], sc[k]],
+                                   axis=-1))
+        lo.append(run.chain.breaks[k])
+        hi.append(run.chain.breaks[k + 1])
+        corr.append(_correction_values(ih, run.side, z, run.w_funcs, run.xs))
+    m = s_coefs[0].shape[-1]
+    both = cp.series_values(np.concatenate(rows), np.concatenate(lo),
+                            np.concatenate(hi),
+                            np.concatenate([run.xs for run in runs]))
+    both = both.reshape(len(runs), -1, 2 * m)
+    # one column per solution, run after run: (nodes, runs * m)
+    y2s = np.concatenate(list(both[..., :m]), axis=1)
+    s_vals = np.concatenate([s0 + b for s0, b in zip(s0s, both[..., m:])],
+                            axis=1)
+    hs = np.repeat(np.stack([run.hs for run in runs], axis=1), m, axis=1)
     grs, errs_r = neville_limit(hs, y2s)
-    g_cols = s_vals - grs * corr[:, None]
+    g_cols = s_vals - grs * np.repeat(np.stack(corr, axis=1), m, axis=1)
     gss, errs_s = neville_limit(hs, g_cols)
+    grs, gss = grs.tolist(), gss.tolist()
+    errs_r, errs_s = errs_r.tolist(), errs_s.tolist()
     out = []
-    for y2, g_vals, gs, gr, err_r, err_s in zip(
-            y2s.T, g_cols.T, gss.tolist(), grs.tolist(), errs_r.tolist(),
-            errs_s.tolist()):
-        err = max(err_r, err_s)
-        scale = max(1.0, abs(gs), abs(gr))
-        if not np.isfinite(err) or err > TOL_LIMIT * scale:
-            raise LimitError(
-                f"boundary limit did not converge on side {side} at z={z} "
-                f"(err_est={err:.3e})",
-                samples=list(zip(xs, y2, g_vals)), err_est=err)
-        out.append(RegularisedBoundary(side, z, complex(gs), complex(gr),
-                                       float(err),
-                                       tuple(zip(xs.tolist(), y2, g_vals))))
+    for r, run in enumerate(runs):
+        pairs = []
+        for c in range(r * m, (r + 1) * m):
+            y2, g_vals, gs, gr = y2s[:, c], g_cols[:, c], gss[c], grs[c]
+            err = max(errs_r[c], errs_s[c])
+            scale = max(1.0, abs(gs), abs(gr))
+            if not np.isfinite(err) or err > TOL_LIMIT * scale:
+                raise LimitError(
+                    f"boundary limit did not converge on side {run.side} at "
+                    f"z={z} (err_est={err:.3e})",
+                    samples=list(zip(run.xs, y2, g_vals)), err_est=err)
+            pairs.append(RegularisedBoundary(
+                run.side, z, complex(gs), complex(gr), float(err),
+                tuple(zip(run.xs.tolist(), y2, g_vals))))
+        out.append(pairs)
     return out
 
 
-def _run(ih: IndefHamiltonianA, side: Side, z: complex, t_anchor: float,
-         y_cols):
-    """Solutions anchored by the columns of ``y_cols`` at ``t_anchor``,
-    integrated to the last extrapolation node, and their boundary pairs.
+def _runs(ih: IndefHamiltonianA, z: complex, requests):
+    """For each (side, t_anchor, y_cols) of ``requests``: the solutions
+    anchored by the columns of ``y_cols`` at ``t_anchor``, integrated to
+    the side's last extrapolation node, and their boundary pairs.  All
+    runs are integrated in one batch (``solver.integrate_dense``), and the
+    limits of all runs on sides that are not indivisible are taken together
+    (``_limit_pairs``).
 
     On an indivisible side the pairs are the values at the regular endpoint,
     to which the run also integrates from an interior anchor; on any other
     side they are the limits at sigma.  A run from the regular endpoint
-    starts from the side's plan (``_side_plan``).  Returns (dense solution,
-    one RegularisedBoundary per column).
+    starts from the side's plan (``_side_plan``).  Returns per request
+    (dense solution, one RegularisedBoundary per column).
     """
-    h, sing = ih.side(side), ih.sigma
-    reg = h.regular_endpoint(side)
-    lo, hi = h.interval
-    if not (lo <= t_anchor <= hi):  # NaN fails too
-        raise DomainError(f"anchor t={t_anchor} outside side {side}'s "
-                          f"interval [{lo}, {hi}]")
-    span = abs(t_anchor - sing)
-    if span <= 0:
-        raise DomainError("anchor coincides with the singularity")
-    hs = node_distances(h.length, span)
-    xs = sing - np.sign(sing - t_anchor) * hs
-    indivisible = ih.indivisible(side).is_indivisible
-    from_reg = t_anchor == reg
-    targets = [float(xs[-1])]
-    if indivisible and not from_reg:
-        targets.append(reg)
-    start = (functools.partial(_side_plan, ih, side) if from_reg
-             else sv.first_round)
-    dense = sv.integrate_dense(h, z, t_anchor, y_cols.T.reshape(-1), targets,
-                               sing=sing, start=start)
-    if indivisible:
-        ends = dense.eval_state(reg).reshape(-1, 2)
-        return dense, [RegularisedBoundary(side, z, complex(gs), complex(gr),
-                                           0.0, ())
-                       for gs, gr in ends]
-    chain = dense.segments[0]
-    w_funcs = wp.w_family_for(ih, side)
-    s0, s_coefs = _functional(ih, z, t_anchor, y_cols, w_funcs, chain,
-                              chain.first if from_reg else None)
-    return dense, _limit_pairs(ih, side, z, w_funcs, chain, hs, xs, s0,
-                               s_coefs)
+    runs, grids = [], []
+    for side, t_anchor, y_cols in requests:
+        h, sing = ih.side(side), ih.sigma
+        reg = h.regular_endpoint(side)
+        lo, hi = h.interval
+        if not (lo <= t_anchor <= hi):  # NaN fails too
+            raise DomainError(f"anchor t={t_anchor} outside side {side}'s "
+                              f"interval [{lo}, {hi}]")
+        span = abs(t_anchor - sing)
+        if span <= 0:
+            raise DomainError("anchor coincides with the singularity")
+        hs = node_distances(h.length, span)
+        xs = sing - np.sign(sing - t_anchor) * hs
+        indivisible = ih.indivisible(side).is_indivisible
+        targets = [float(xs[-1])]
+        if indivisible and t_anchor != reg:
+            targets.append(reg)
+        start = (functools.partial(_side_plan, ih, side) if t_anchor == reg
+                 else sv.first_round)
+        runs.append(sv.Run(h, t_anchor, y_cols.T.reshape(-1), targets,
+                           sing, start))
+        grids.append((indivisible, reg, hs, xs))
+    denses = sv.integrate_dense(z, runs)
+    pairs, limited = [], []
+    for (side, t_anchor, y_cols), dense, (indivisible, reg, hs, xs) in zip(
+            requests, denses, grids):
+        if indivisible:
+            pairs.append([RegularisedBoundary(side, z, complex(gs),
+                                              complex(gr), 0.0, ())
+                          for gs, gr in dense.eval_state(reg).reshape(-1, 2)])
+            continue
+        chain = dense.segments[0]
+        limited.append(_Limited(side, t_anchor, y_cols,
+                                wp.w_family_for(ih, side), chain,
+                                chain.first if t_anchor == reg else None, hs,
+                                xs))
+        pairs.append(None)
+    if limited:
+        found = iter(_limit_pairs(ih, z, limited))
+        pairs = [next(found) if p is None else p for p in pairs]
+    return list(zip(denses, pairs))
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -378,7 +448,7 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     """
     z = sv.finite_z(z)
     y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
-    return _run(ih, side, z, t_anchor, y_cols)[1]
+    return _runs(ih, z, [(side, t_anchor, y_cols)])[0][1]
 
 
 def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
@@ -429,21 +499,40 @@ class SideBasis:
             float(abs(c0) * p0.err_est + abs(c1) * p1.err_est), samples)
 
 
-def side_basis(ih: IndefHamiltonianA, side: Side, z: complex) -> SideBasis:
-    """The basis of one side, cached on the problem per (side, z).
+def side_bases(ih: IndefHamiltonianA, z: complex,
+               sides=("minus", "plus")) -> tuple:
+    """The bases of ``sides`` at z, each cached on the problem per
+    (side, z).  The first side found missing is built in one batch
+    (``_runs``) with every other side asked for that is not cached yet.
 
-    One integration gives both: the solution is the dense output of the
-    pairs' run, from the regular endpoint to the last extrapolation node.
+    One integration gives each basis: the solution is the dense output of
+    the pairs' run, from the regular endpoint to the last extrapolation
+    node.  A caller that reads both sides asks for both at once.
     """
     z = sv.finite_z(z)
+    keys = {side: (PER_Z_KIND, side, z) for side in sides}
+    built = {}
 
-    def build():
-        reg = ih.side(side).regular_endpoint(side)
-        eye = np.eye(2, dtype=np.complex128)
-        dense, pairs = _run(ih, side, z, reg, eye)
-        return SideBasis(sv.MatrixSolution(dense, eye, reg), tuple(pairs))
+    def build(side):
+        if side not in built:
+            todo = [s for s in sides if s not in built
+                    and (s == side or keys[s] not in ih.cache)]
+            eye = np.eye(2, dtype=np.complex128)
+            regs = [ih.side(s).regular_endpoint(s) for s in todo]
+            runs = _runs(ih, z, [(s, reg, eye) for s, reg in zip(todo, regs)])
+            for s, reg, (dense, pairs) in zip(todo, regs, runs):
+                built[s] = SideBasis(sv.MatrixSolution(dense, eye, reg),
+                                     tuple(pairs))
+        return built[side]
 
-    return ih.memo((PER_Z_KIND, side, z), build)
+    return tuple(ih.memo(keys[side], functools.partial(build, side))
+                 for side in sides)
+
+
+def side_basis(ih: IndefHamiltonianA, side: Side, z: complex) -> SideBasis:
+    """The basis of one side, cached on the problem per (side, z); only
+    that side is integrated when it is missing (``side_bases``)."""
+    return side_bases(ih, z, (side,))[0]
 
 
 def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c):

@@ -204,6 +204,7 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
     observed = {"q_sigma": {}, "neg_count": None}
 
     for z in zs:
+        bd.side_bases(ih, z)  # both sides in one batch, read below
         for t in ts:
             got = mo.assemble_W(ih, z, t)
             want = reference_W(cfg, t, z)

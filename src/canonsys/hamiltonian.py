@@ -431,7 +431,7 @@ class ProblemCache:
     """Results computed once per problem, shared by every caller and thread.
 
     Keys whose first element is ``PER_Z_KIND`` are the per-z side bases
-    (``boundary.side_basis``), ``(PER_Z_KIND, side, z)``; at most
+    (``boundary.side_bases``), ``(PER_Z_KIND, side, z)``; at most
     ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
     Every other key (the z-independent w-families and side plans,
     ``boundary.SidePlan``) is kept for the life of the problem and built
@@ -462,6 +462,11 @@ class ProblemCache:
             while len(self._per_z) > PER_Z_CAP:
                 self._per_z.popitem(last=False)
         return value
+
+    def __contains__(self, key) -> bool:
+        """Whether a value is stored under ``key``; no entry is touched."""
+        with self._lock:
+            return key in self._per_z or key in self._fixed
 
     def per_z_size(self) -> int:
         with self._lock:

@@ -23,10 +23,14 @@ Per side and z, the fundamental solution anchored to the identity at the
 regular endpoint and the boundary pairs of its rows come from one
 integration, cached on the problem under ``("basis", side, z)``
 (:func:`canonsys.boundary.side_basis`; at most ``hamiltonian.PER_Z_CAP``
-entries, least recently used evicted first).  W left of sigma and the default
-V are those fundamental solutions; U_minus, U_plus and the entry limits
-behind M(z) are read off those boundary pairs, and the Weyl coefficient off
-the left one at the extrapolation nodes.  For a V
+entries, least recently used evicted first).  ``factorisation``, and with
+it the assembly right of sigma and ``monodromy_matrix``, reads both sides
+and asks for both bases at once (``boundary.side_bases``), so a fresh z
+integrates them in one batch; the readers of one side build only it.  W
+left of sigma and the default V are those fundamental solutions; U_minus,
+U_plus and the entry limits behind M(z) are read off those boundary pairs,
+and the Weyl coefficient off the left one at the extrapolation nodes.  For
+a V
 with another anchor, U_plus(V) = V.init adj(Phi(V.t0)) U_plus by linearity
 (Phi the cached basis, det Phi = 1); an anchor outside the basis's range
 raises DomainError, and nothing integrates boundary pairs of its own.
@@ -92,8 +96,8 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
     outside the basis's range).
     """
     z = sv.finite_z(z)
-    if v is not None and abs(v.det_init) < 1e-12:
-        raise DomainError("V must be non-singular on the right piece")
+    if v is not None:
+        sv.check_nonsingular(v.init, "V on the right piece")
     basis = bd.side_basis(ih, "plus", z)
     if v is None:
         return basis.matrix
@@ -104,6 +108,7 @@ def factorisation(ih: IndefHamiltonianA, z: complex,
                   v: Optional[sv.MatrixSolution] = None
                   ) -> MonodromyFactorisation:
     z = sv.finite_z(z)
+    bd.side_bases(ih, z)  # the sides not cached yet, in one batch
     vv = default_v(ih, z) if v is None else v
     um = u_minus(ih, z)
     up = bd.check_det(u_plus(ih, z, vv), vv.det_init, "U^+")

@@ -20,11 +20,20 @@ floor of its float nodes, times the basis's overall size; the number of
 splits is bounded (``MAX_SPLITS``).
 A chain starts from its first round (``FirstRound``): the panels of
 ``_initial_breaks`` and H at their nodes, which do not depend on z.
-``integrate_dense`` builds it per chain unless the caller passes a lookup
-(``start``) that returns a kept one; :mod:`canonsys.boundary` keeps one per
-side of a problem, so a fresh z evaluates H only on the panels split off in
-later rounds.  Node values and slopes of the state take one batched matmul
-each, its Chebyshev coefficients one more.
+``integrate_dense`` builds it per chain unless the run passes a lookup
+(``Run.start``) that returns a kept one; :mod:`canonsys.boundary` keeps one
+per side of a problem, so a fresh z evaluates H only on the panels split off
+in later rounds.
+``integrate_dense`` is the one entry for every integration.  It takes one z
+and a sequence of runs (``Run``: Hamiltonian, anchor, start state, targets,
+singular endpoint, first-round lookup) and collocates the chains of all
+runs as one batch: each round solves and tests the pending panels of every
+chain in one ``_panel_bases`` and one ``_resolved`` call, and one loop
+chains the 2x2 propagators of all.  Each chain keeps its own first round,
+splits and chain, and every batched step treats a panel alike whatever else
+is in the batch, so a run's arrays are the same bits alone or with others.
+Node values and slopes of the states take one batched matmul each, their
+Chebyshev coefficients one more.
 Dense output is the start state itself at the anchor, exactly, and each
 panel's Chebyshev series elsewhere (``in_range`` decides, here and for the
 callers, whether a point lies in a solution's range); each chain also keeps
@@ -52,6 +61,7 @@ RK_ATOL = 1e-12
 EPS_CUT_FRAC = 1e-6   # default cutoff distance to sigma, relative to length
 MAX_SPLITS = 2000     # panel splits per integration before IntegrationError
 TAIL_COEFS = 3        # trailing Chebyshev coefficients in the resolution test
+SINGULAR_DET = 1e-12  # relative |det| of a singular start matrix, at most
 
 _EPS = np.finfo(np.float64).eps
 _TOL_FLOOR = 64.0 * _EPS     # below this rtol is rounding noise
@@ -75,6 +85,32 @@ def finite_z(z) -> complex:
     if not cmath.isfinite(z):
         raise DomainError(f"z={z} is not finite")
     return z
+
+
+def det_residual(m: np.ndarray, d: complex) -> float:
+    """|det m - d| relative to |m11 m22| + |m12 m21|.
+
+    That sum is the size of the two products that cancel in det m, so the
+    residual measures how far det m is from d in units of its own rounding;
+    the raw |det m - d| grows with the entries even when they are accurate.
+    NaN or inf when an entry or product is not finite.
+    """
+    with np.errstate(all="ignore"):
+        prods = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
+        return float(abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] - d) / prods)
+
+
+def check_nonsingular(m: np.ndarray, what: str) -> None:
+    """DomainError unless the 2x2 matrix ``m`` is non-singular beyond
+    rounding: |det m| must exceed ``SINGULAR_DET`` relative to the products
+    that cancel in it (``det_residual`` against 0).  The test does not
+    depend on the scale of m, only on how much of its determinant cancels.
+    """
+    res = det_residual(m, 0.0)
+    if not res > SINGULAR_DET:  # NaN for the zero matrix fails too
+        raise DomainError(f"{what} must be non-singular: |det| is {res:.3e} "
+                          f"of the products it cancels from (at most "
+                          f"{SINGULAR_DET:.0e} is singular)")
 
 
 def finite_start(value, shape, what: str) -> np.ndarray:
@@ -336,7 +372,7 @@ def _resolved(a, b, phi, rtol, atol):
     their ideal positions by up to eps |t| relative to the panel width,
     which no split lowers below ``_NODE_NOISE`` times that.
     """
-    c = np.abs(cp._VALS_TO_COEFS @ phi)
+    c = np.abs((cp._VALS_TO_COEFS @ phi.view(np.float64)).view(np.complex128))
     scale = c.reshape(len(c), -1).max(axis=1)
     tail = c[:, :, -TAIL_COEFS:].reshape(len(c), -1).max(axis=1)
     noise = _NODE_NOISE * _EPS * np.maximum(np.abs(a), np.abs(b)) / np.abs(b - a)
@@ -344,84 +380,171 @@ def _resolved(a, b, phi, rtol, atol):
         return tail <= np.maximum(max(rtol, _TOL_FLOOR), noise) * scale + atol
 
 
-def _collocate(h, z, first: FirstRound, state0, rtol, atol):
-    """One direction of ``integrate_dense`` as a PanelChain, from its first
-    round; only panels split off in later rounds evaluate H."""
-    t0, t1 = float(first.a[0]), float(first.b[-1])
-    context = f"integration on [{t0}, {t1}] at z={z}"
-    direction = 1.0 if t1 > t0 else -1.0
-    ncols = len(state0) // 2
-    a, b, hm = first.a, first.b, first.hm
-    origin = np.arange(len(a))
-    done = []  # per round: the arrays of its resolved panels
-    splits = 0
-    while True:
-        bad = ~np.isfinite(hm).all(axis=(1, 2, 3))
-        if not bad.any():
-            phi, f = _panel_bases(z, a, b, hm)
-            bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
-        if bad.any():
-            t_bad = float(a[bad][np.argmin(direction * a[bad])])
-            raise SingularityProximityError(
-                f"{context}: non-finite Hamiltonian entries or propagator "
-                f"on the panel from t={t_bad}", t_bad)
-        ok = _resolved(a, b, phi, rtol, atol)
+class _Chain:
+    """One chain of a batch while it is collocated: the panels of its
+    pending round (``a``, ``b``, their index in the first round and H at
+    their nodes), the arrays of its resolved panels per round, and the
+    error that ended it, if any."""
+
+    def __init__(self, h, z, first: FirstRound, state0):
+        self.h, self.first, self.state0 = h, first, state0
+        t0, t1 = float(first.a[0]), float(first.b[-1])
+        self.context = f"integration on [{t0}, {t1}] at z={z}"
+        self.direction = 1.0 if t1 > t0 else -1.0
+        self.a, self.b, self.hm = first.a, first.b, first.hm
+        self.origin = np.arange(len(first.a))
+        self.done = []
+        self.splits = 0
+        self.error = None
+        self.chain = None  # the PanelChain, once chained
+
+    def fail_at(self, bad) -> None:
+        """End the chain at the first pending panel, in its direction, that
+        ``bad`` marks: its H or its propagator is not finite."""
+        a = self.a[bad]
+        t_bad = float(a[np.argmin(self.direction * a)])
+        self.error = SingularityProximityError(
+            f"{self.context}: non-finite Hamiltonian entries or propagator "
+            f"on the panel from t={t_bad}", t_bad)
+
+    def settle(self, phi, f, ok) -> bool:
+        """Keep the panels of this round that ``ok`` marks resolved and
+        split the others; whether a next round is pending."""
+        a, b, origin, hm = self.a, self.b, self.origin, self.hm
         if ok.all():
-            done.append((a, b, origin, hm, phi, f))
-            break
-        done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok], f[ok]))
+            self.done.append((a, b, origin, hm, phi, f))
+            return False
+        self.done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok], f[ok]))
         a, b = a[~ok], b[~ok]
         # the first panel that is too narrow to split, or whose split
         # exceeds MAX_SPLITS, ends the integration
         narrow = np.abs(b - a) < 2.0 * _WIDTH_FLOOR * np.maximum(
             1.0, np.maximum(np.abs(a), np.abs(b)))
         k_narrow = int(np.argmax(narrow)) if narrow.any() else len(a)
-        k_over = MAX_SPLITS - splits
+        k_over = MAX_SPLITS - self.splits
         if k_narrow < len(a) and k_narrow <= k_over:
             ak = float(a[k_narrow])
-            raise SingularityProximityError(
-                f"{context}: panel width underflow at t={ak}", ak)
+            self.error = SingularityProximityError(
+                f"{self.context}: panel width underflow at t={ak}", ak)
+            return False
         if k_over < len(a):
-            raise IntegrationError(
-                f"{context}: {MAX_SPLITS} panel splits did not resolve "
+            self.error = IntegrationError(
+                f"{self.context}: {MAX_SPLITS} panel splits did not resolve "
                 f"the solution near t={a[k_over]}")
-        splits += len(a)
+            return False
+        self.splits += len(a)
         mid = 0.5 * (a + b)
-        a = np.stack([a, mid], axis=1).ravel()
-        b = np.stack([mid, b], axis=1).ravel()
-        origin = np.full(len(a), -1)
-        hm = _h_at_nodes(h, a, b)
-    if len(done) > 1:
-        a, b, origin, hm, phi, f = (np.concatenate(col) for col in zip(*done))
-        order = np.argsort(direction * a, kind="stable")
-        a, b, origin, hm, phi, f = (col[order]
-                                    for col in (a, b, origin, hm, phi, f))
-    breaks = np.append(a, b[-1])
+        self.a = np.stack([a, mid], axis=1).ravel()
+        self.b = np.stack([mid, b], axis=1).ravel()
+        self.origin = np.full(len(self.a), -1)
+        self.hm = _h_at_nodes(self.h, self.a, self.b)
+        return True
 
-    # chain the 2x2 propagators: start values of every panel
-    p, n = len(a), cp.DEGREE + 1
+    def panels(self):
+        """(a, b, origin, hm, phi, f) of every resolved panel, in
+        integration order."""
+        if len(self.done) == 1:
+            return self.done[0]
+        cols = [np.concatenate(col) for col in zip(*self.done)]
+        order = np.argsort(self.direction * cols[0], kind="stable")
+        return [col[order] for col in cols]
+
+
+def _cat(parts):
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _collocate(z, starts, rtol, atol):
+    """The PanelChain of every (h, first round, start state) of ``starts``,
+    collocated as one batch: each round solves and tests the pending panels
+    of all chains at once, and one loop chains the propagators of all.
+    Only panels split off in later rounds evaluate H.  Every step treats a
+    chain's panels alike whatever else is in the batch, so a chain's arrays
+    do not depend on it.  When chains fail, the error of the first, in the
+    order of ``starts``, is raised."""
+    chains = [_Chain(h, z, first, state0) for h, first, state0 in starts]
+    pending = chains
+    while pending:
+        for c in pending:
+            bad = ~np.isfinite(c.hm).all(axis=(1, 2, 3))
+            if bad.any():
+                c.fail_at(bad)
+        pending = [c for c in pending if c.error is None]
+        if not pending:
+            break
+        a, b = _cat([c.a for c in pending]), _cat([c.b for c in pending])
+        phi, f = _panel_bases(z, a, b, _cat([c.hm for c in pending]))
+        ok = _resolved(a, b, phi, rtol, atol)
+        bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
+        nxt, lo = [], 0
+        for c in pending:
+            sl = slice(lo, lo + len(c.a))
+            lo = sl.stop
+            if bad[sl].any():
+                c.fail_at(bad[sl])
+            elif c.settle(phi[sl], f[sl], ok[sl]):
+                nxt.append(c)
+        pending = nxt
+    live = [c for c in chains if c.error is None]
+    if live:
+        _chain_all(live)
+    for c in chains:
+        if c.error is not None:
+            raise c.error
+    return [c.chain for c in chains]
+
+
+def _chain_all(chains) -> None:
+    """Set the PanelChain of every collocated chain, or its overflow error;
+    their start values have one size.  One loop chains the 2x2 propagators
+    of all, padded with the identity past a chain's end, and the node
+    values, slopes and coefficients take one batched product each."""
+    parts = [c.panels() for c in chains]
+    a, b, origin, hm, phi, f = (_cat(list(col)) for col in zip(*parts))
+    sizes = [len(part[0]) for part in parts]
+    offsets = np.cumsum([0] + sizes)
+    n, ncols = cp.DEGREE + 1, len(chains[0].state0) // 2
     hw = 0.5 * (b - a)
-    prop = np.eye(2) + hw[:, None, None] * np.einsum("j,pajb->pab",
-                                                     cp.END_WEIGHTS, f)
-    starts = np.empty((p + 1, 2, ncols), dtype=np.complex128)
-    starts[0] = state0.reshape(ncols, 2).T
-    for k in range(p):
-        starts[k + 1] = prop[k] @ starts[k]
-    finite = np.isfinite(starts).all(axis=(1, 2))
-    if not finite.all():
-        k = max(int(np.argmin(finite)) - 1, 0)
-        raise SingularityProximityError(
-            f"{context}: solution overflow on the panel from t={a[k]}", float(a[k]))
+    ends = (cp.END_WEIGHTS @ f.view(np.float64)).view(np.complex128)
+    prop = np.eye(2) + hw[:, None, None] * ends
+    # step k of every chain at once: props[k] and starts[k] hold one 2x2
+    # block per chain, the identity past a chain's end
+    props = np.zeros((max(sizes), len(chains), 2, 2), dtype=np.complex128)
+    props[..., 0, 0] = props[..., 1, 1] = 1.0
+    starts = np.empty((max(sizes) + 1, len(chains), 2, ncols),
+                      dtype=np.complex128)
+    for i, c in enumerate(chains):
+        props[:sizes[i], i] = prop[offsets[i]:offsets[i + 1]]
+        starts[0, i] = c.state0.reshape(ncols, 2).T
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        for k in range(max(sizes)):
+            np.matmul(props[k], starts[k], out=starts[k + 1])
+    for i, c in enumerate(chains):
+        finite = np.isfinite(starts[:sizes[i] + 1, i]).all(axis=(1, 2))
+        if not finite.all():
+            k = offsets[i] + max(int(np.argmin(finite)) - 1, 0)
+            c.error = SingularityProximityError(
+                f"{c.context}: solution overflow on the panel from "
+                f"t={a[k]}", float(a[k]))
+    if any(c.error is not None for c in chains):
+        return
+    s0 = _cat([starts[:sizes[i], i] for i in range(len(chains))])
     # node values and slopes, (P, 2, n, ncols); the state's columns are
     # stacked as in state0, so a node's row is (column, component)
-    y = (phi.reshape(p, 2 * n, 2) @ starts[:-1]).reshape(p, 2, n, ncols)
-    slopes = (f.reshape(p, 2 * n, 2) @ starts[:-1]).reshape(p, 2, n, ncols)
-    coefs = (cp.CUMINT_COEFS @ slopes) * hw[:, None, None, None]
-    coefs[:, :, 0] += starts[:-1]
-    return PanelChain(breaks, y.transpose(0, 2, 3, 1).reshape(-1, 2 * ncols),
-                      hm.reshape(-1, 2, 2),
-                      coefs.transpose(0, 2, 3, 1).reshape(p, n + 1, 2 * ncols),
-                      origin, first)
+    p = len(a)
+    y = (phi.reshape(p, 2 * n, 2) @ s0).reshape(p, 2, n, ncols)
+    slopes = (f.reshape(p, 2 * n, 2) @ s0).reshape(p, 2, n, ncols)
+    coefs = (cp.CUMINT_COEFS @ slopes.view(np.float64)).view(np.complex128)
+    coefs *= hw[:, None, None, None]
+    coefs[:, :, 0] += s0
+    ys = y.transpose(0, 2, 3, 1).reshape(p, n, 2 * ncols)
+    coefs = coefs.transpose(0, 2, 3, 1).reshape(p, n + 1, 2 * ncols)
+    for i, c in enumerate(chains):
+        sl = slice(offsets[i], offsets[i + 1])
+        c.chain = PanelChain(np.append(a[sl], b[sl][-1]),
+                             ys[sl].reshape(-1, 2 * ncols),
+                             hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl],
+                             c.first)
 
 
 def check_tolerances(rtol, atol) -> None:
@@ -436,28 +559,61 @@ def check_tolerances(rtol, atol) -> None:
             raise DomainError(f"{name}={value!r} must be a finite number >= 0")
 
 
-def integrate_dense(h: Hamiltonian, z: complex, t0: float, state0,
-                    targets: Sequence[float], rtol=RK_RTOL, atol=RK_ATOL,
-                    sing: Optional[float] = None,
-                    start: Callable[..., FirstRound] = first_round
-                    ) -> DenseSolution:
-    """Solve Y' = z J H Y from t0 toward each target (at most one per
-    direction).
+@dataclass(frozen=True)
+class Run:
+    """One solve of ``integrate_dense``: Y' = z J H Y from ``t0``, where
+    ``state0`` stacks the start vectors of the solved columns, toward each
+    target (at most one per direction).  ``sing`` is a singular endpoint a
+    target may approach; panels are refined toward it.  ``start(h, t0, t1,
+    sing)`` gives the first round of the chain toward t1; a caller that
+    keeps that z-independent round passes its own lookup."""
 
-    ``state0`` stacks the start vectors of the solved columns.  ``sing`` is
-    a singular endpoint a target may approach; panels are refined toward it.
-    ``start(h, t0, t1, sing)`` gives the first round of the chain toward t1;
-    a caller that keeps that z-independent round passes its own lookup.
+    h: Hamiltonian
+    t0: float
+    state0: object
+    targets: Sequence[float]
+    sing: Optional[float] = None
+    start: Callable[..., FirstRound] = first_round
+
+
+class Integration(tuple):
+    """The DenseSolution of every run of one ``integrate_dense`` call, in
+    the order of the runs; ``segments`` lists the chains of all."""
+
+    __slots__ = ()
+
+    @property
+    def segments(self):
+        return [seg for dense in self for seg in dense.segments]
+
+
+def integrate_dense(z: complex, runs: Sequence[Run], rtol=RK_RTOL,
+                    atol=RK_ATOL) -> Integration:
+    """Solve every run at one z in one batch (``_collocate``): the chains
+    of all runs go through each collocation round and the chaining loop
+    together, each keeping its own first round, splits and chain, so a
+    run's arrays are the same bits alone or with others.  The start states
+    of the runs must have one size.
     """
     check_tolerances(rtol, atol)
     z = complex(z)
-    state0 = np.array(state0, dtype=np.complex128)  # kept as the anchor state
-    chains = [_collocate(h, z, start(h, float(t0), float(t1), sing), state0,
-                         rtol, atol)
-              for t1 in targets if t1 != t0]
-    if not chains:
-        raise DomainError(f"no target other than t0={t0} to integrate to")
-    return DenseSolution(chains, z, h, t0, state0)
+    jobs = []
+    for run in runs:
+        state0 = np.array(run.state0, dtype=np.complex128)  # the anchor state
+        ends = [t1 for t1 in run.targets if t1 != run.t0]
+        if not ends:
+            raise DomainError(f"no target other than t0={run.t0} to "
+                              f"integrate to")
+        jobs.append((run, state0, ends))
+    if len({state0.shape for _, state0, _ in jobs}) > 1:
+        raise DomainError("the runs of one integration need start states "
+                          "of one size")
+    chains = iter(_collocate(z, [
+        (run.h, run.start(run.h, float(run.t0), float(t1), run.sing), state0)
+        for run, state0, ends in jobs for t1 in ends], rtol, atol))
+    return Integration(
+        DenseSolution([next(chains) for _ in ends], z, run.h, run.t0, state0)
+        for run, state0, ends in jobs)
 
 
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
@@ -496,8 +652,8 @@ def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
     z = finite_z(z)
     y0 = finite_start(y0, (2,), "y0")
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense = integrate_dense(h, z, t0, y0, targets, rtol=rtol, atol=atol,
-                            sing=sing)
+    dense, = integrate_dense(z, [Run(h, t0, y0, targets, sing)], rtol=rtol,
+                             atol=atol)
     return SolutionSampler(dense, 0)
 
 
@@ -558,12 +714,11 @@ def fundamental(h: Hamiltonian, z: complex, init=None,
     if t0 is None:
         t0 = lo if side in (None, "minus") else hi
     init = finite_start(np.eye(2) if init is None else init, (2, 2), "init")
-    if abs(np.linalg.det(init)) < 1e-14:
-        raise DomainError("init must be non-singular")
+    check_nonsingular(init, "init")
     state0 = init.reshape(-1)  # row-major entries of W = column-stacked W^T
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense = integrate_dense(h, z, t0, state0, targets, rtol=rtol, atol=atol,
-                            sing=sing)
+    dense, = integrate_dense(z, [Run(h, t0, state0, targets, sing)],
+                             rtol=rtol, atol=atol)
     return MatrixSolution(dense, init, t0)
 
 

@@ -54,8 +54,9 @@ class WFunction:
 
     def __call__(self, ts):
         ts = np.asarray(ts, dtype=np.float64)
-        out = np.stack([np.broadcast_to(self.comp1(ts), ts.shape),
-                        np.broadcast_to(self.comp2(ts), ts.shape)], axis=-1)
+        out = np.empty(ts.shape + (2,))
+        out[..., 0] = self.comp1(ts)
+        out[..., 1] = self.comp2(ts)
         return out
 
     def j_pair(self, other: "WFunction", ts):

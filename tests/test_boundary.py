@@ -37,9 +37,11 @@ class TestNeville:
         ([0.1, 0.05, 0.025], [1.0, 2.0]),          # lengths differ
         ([0.1, 0.1, 0.05], [1.0, 2.0, 3.0]),       # repeated node
         ([0.1, np.nan, 0.05], [1.0, 2.0, 3.0]),    # non-finite node
-        ([[0.1, 0.05]], [[1.0, 2.0]]),             # nodes not 1-D
+        ([[0.1, 0.05]], [1.0]),                    # 2-D nodes, 1-D values
         ([], []),                                  # no sample
         ([0.1, 0.05], np.ones((2, 2, 2))),         # values beyond 2-D
+        ([[0.1], [0.05]], np.ones((2, 2))),        # one node column, two
+        ([[0.1, 0.2], [0.05, 0.2]], np.ones((2, 2))),  # repeat in a column
     ])
     def test_malformed_grid_rejected(self, hs, vals):
         with pytest.raises(cs.DomainError):
@@ -98,13 +100,13 @@ class TestNevilleMatchesReference:
         ih = cs.problem_from_dict(cs.example_problem_dict())
         for z in (0.7 + 0.2j, -2.5 + 1.5j):
             cs.monodromy_matrix(ih, z)
-        # per side and z: one call on y2 of both rows, one on their S
-        assert len(seen) == 8
+        # per z: one call on y2 of both rows of both sides, one on their S
+        assert len(seen) == 4
         for hs, vals in seen:
-            assert vals.shape == (len(hs), 2)
+            assert hs.shape == vals.shape == (len(hs), 4)
             got_vals, got_errs = original(hs, vals)
             for c in range(vals.shape[1]):
-                ref_val, ref_err = neville_reference(hs, vals[:, c])
+                ref_val, ref_err = neville_reference(hs[:, c], vals[:, c])
                 assert got_vals[c] == ref_val and got_errs[c] == ref_err
 
     def test_geometric_sequences_with_noise(self, rng):
@@ -141,6 +143,65 @@ class TestNevilleMatchesReference:
             assert np.array_equal(got_errs[c], err, equal_nan=True)
             if c != 2:
                 assert (val, err) == neville_reference(hs, vals[:, c])
+
+
+class TestNevilleLean:
+    """The tableau's lean internals (one outer difference for the
+    denominators, reused product buffers, the median of three without
+    np.median) and its per-column nodes, against the reference loop."""
+
+    @staticmethod
+    def same(a, b):
+        return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+    def test_per_column_nodes_equal_one_dimensional_calls(self, rng):
+        # sides of different length: one node sequence per column
+        hs = np.stack([boundary.node_distances(length, length)
+                       for length in (1.0, 0.5, 2.0, 1.0)], axis=1)
+        n, k = hs.shape
+        vals = (rng.normal(size=(n, k)) * hs + 1j * rng.normal(size=(n, k))
+                * hs ** 2 + rng.normal(size=k))
+        got_vals, got_errs = cs.neville_limit(hs, vals)
+        for c in range(k):
+            val, err = cs.neville_limit(hs[:, c], vals[:, c])
+            assert got_vals[c] == val and got_errs[c] == err
+            assert (val, err) == neville_reference(hs[:, c], vals[:, c])
+        # shared nodes given once or per column: the same
+        shared = np.repeat(hs[:, :1], k, axis=1)
+        a, b = cs.neville_limit(hs[:, 0], vals), cs.neville_limit(shared, vals)
+        assert self.same(a[0], b[0]) and self.same(a[1], b[1])
+
+    def test_fuzz_against_reference(self, rng):
+        # lengths 1-24, widths 1-4, shared or per-column nodes, smooth and
+        # random sequences, NaN and inf samples
+        bad = [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
+               complex(np.nan, 1.0)]
+        for trial in range(300):
+            n, k = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+            if trial % 2:
+                hs = np.stack([np.sort(rng.uniform(1e-6, 1.0, n))[::-1]
+                               for _ in range(k)], axis=1)
+            else:
+                hs = 0.1 * 0.5 ** np.arange(n)
+            vals = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
+            if trial % 3 == 0:  # smooth sequences, where the search stops
+                h2 = hs if hs.ndim == 2 else hs[:, None]
+                vals = vals[0] + vals[-1] * h2 + 1e-9 * vals
+            for _ in range(int(rng.integers(0, 3))):
+                vals[rng.integers(n), rng.integers(k)] = bad[rng.integers(5)]
+            got_vals, got_errs = cs.neville_limit(hs, vals)
+            for c in range(k):
+                h_c = hs[:, c] if hs.ndim == 2 else hs
+                with np.errstate(all="ignore"):  # the loop on inf samples
+                    val, err = neville_reference(h_c, vals[:, c])
+                assert self.same(got_vals[c], val), (trial, c)
+                # the loop takes |.| of scalars (hypot), the tableau of
+                # arrays, which can round the last bit differently
+                assert (self.same(got_errs[c], err) or abs(got_errs[c] - err)
+                        <= np.spacing(err)), (trial, c)
+                one_val, one_err = cs.neville_limit(h_c, vals[:, c])
+                assert self.same(got_vals[c], one_val)
+                assert self.same(got_errs[c], one_err)
 
 
 class TestGammaR:

@@ -1,10 +1,10 @@
 """The per-problem cache: each side's basis and its boundary pairs come from
 one integration per z.
 
-Integrations are counted by wrapping ``solver.integrate_dense`` and told
-apart by their target: a boundary integration stops at the last Neville node,
-about 9.5e-8 of the side's length from sigma, a fundamental one at the 1e-6
-cutoff.
+Integrations are counted per run of ``solver.integrate_dense`` (one call may
+integrate several runs) and told apart by their target: a boundary
+integration stops at the last Neville node, about 9.5e-8 of the side's
+length from sigma, a fundamental one at the 1e-6 cutoff.
 """
 
 import gc
@@ -23,18 +23,38 @@ from canonsys import solver as sv
 from canonsys.cli import main
 
 
+def _kind(run):
+    """(side, kind) of one run, kind 'boundary' or 'fundamental'."""
+    h = run.h
+    side = "minus" if h.interval[0] == 0.0 else "plus"
+    sing = h.singular_endpoint(side)
+    near = min(abs(t - sing) for t in run.targets) < 3e-7 * h.length
+    return side, "boundary" if near else "fundamental"
+
+
 @pytest.fixture()
-def integrations(monkeypatch):
-    """List of (side, kind) per integration, kind 'boundary' or 'fundamental'."""
+def batches(monkeypatch):
+    """List of the (side, kind) of the runs of each integrate_dense call."""
     calls = []
     orig = sv.integrate_dense
 
-    def counted(h, z, t0, state0, targets, **kwargs):
-        side = "minus" if h.interval[0] == 0.0 else "plus"
-        sing = h.singular_endpoint(side)
-        near = min(abs(t - sing) for t in targets) < 3e-7 * h.length
-        calls.append((side, "boundary" if near else "fundamental"))
-        return orig(h, z, t0, state0, targets, **kwargs)
+    def counted(z, runs, **kwargs):
+        calls.append([_kind(run) for run in runs])
+        return orig(z, runs, **kwargs)
+
+    monkeypatch.setattr(sv, "integrate_dense", counted)
+    return calls
+
+
+@pytest.fixture()
+def integrations(monkeypatch):
+    """List of (side, kind) per integrated run, over all calls."""
+    calls = []
+    orig = sv.integrate_dense
+
+    def counted(z, runs, **kwargs):
+        calls.extend(_kind(run) for run in runs)
+        return orig(z, runs, **kwargs)
 
     monkeypatch.setattr(sv, "integrate_dense", counted)
     return calls
@@ -131,19 +151,21 @@ def test_monodromy_evaluates_no_chain_at_the_anchor(monkeypatch):
     # W(s_plus) is the prefactor times V(s_plus) = I, V's start value
     ih = cs.example_problem()
     cs.monodromy_matrix(ih, 0.2 + 0.1j)  # builds the plans and w-families
+    # every Chebyshev evaluation, of a PanelFunction or of the rows the
+    # limits read, sums its series in cp.series_values
     calls = []
-    call = cp.PanelFunction.__call__
+    series_values = cp.series_values
 
-    def counted(self, ts):
+    def counted(coefs, a, b, ts):
         calls.append(np.size(ts))
-        return call(self, ts)
+        return series_values(coefs, a, b, ts)
 
-    monkeypatch.setattr(cp.PanelFunction, "__call__", counted)
+    monkeypatch.setattr(cp, "series_values", counted)
     z = 0.7 + 0.3j
     cs.monodromy_matrix(ih, z)
-    # per side the limits at the extrapolation nodes, and one side's
+    # the limits at both sides' extrapolation nodes, and one side's
     # functional, which spans a panel split off in a second round
-    assert len(calls) == 3
+    assert len(calls) == 2
     del calls[:]
     cs.monodromy_matrix(ih, z)
     assert calls == []
@@ -477,6 +499,116 @@ def test_threads_building_one_fresh_problem_match_serial():
     for want, have in zip(serial, got):
         for a, b in zip(want, have):
             np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# both sides of a z in one batch: a side's basis is the same bits built
+# alone or with the other side, in any order and from any thread
+
+_rng = np.random.default_rng(1719)
+BATCH_ZS = ([complex(x, y) for x, y in zip(_rng.uniform(-4, 4, 6),
+                                           _rng.uniform(-3, 3, 6))]
+            + [0.0, 1.5, -3.25]  # real z
+            + [complex(x, y) for x in (-4, 4) for y in (-3, 3)])  # corners
+
+
+def _basis_arrays(basis):
+    """Every array a cached basis holds: its chains and its pairs."""
+    out = []
+    for seg in basis.solution._dense.segments:
+        out += [seg.breaks, seg.ys, seg.hm, seg.coefs, seg.origin]
+    for p in basis.pairs:
+        out += [np.array([p.gamma_s, p.gamma_r, p.err_est]),
+                np.array(p.samples, dtype=complex).reshape(-1)]
+    return out
+
+
+def _assert_same_bits(want, have):
+    assert len(want) == len(have)
+    for a, b in zip(want, have):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_joint_and_single_side_builds_give_identical_arrays():
+    joint, single = cs.example_problem(), cs.example_problem()
+    split = 0
+    for i, z in enumerate(BATCH_ZS):
+        both = bd.side_bases(joint, z)
+        sides = ("minus", "plus") if i % 2 else ("plus", "minus")
+        alone = {side: bd.side_basis(single, side, z) for side in sides}
+        for side, basis in zip(("minus", "plus"), both):
+            _assert_same_bits(_basis_arrays(alone[side]), _basis_arrays(basis))
+        split += int((both[1].solution._dense.segments[0].origin < 0).any())
+    # the plus side's panel next to its deepest extrapolation node is split
+    # at every z but 0, where the basis is constant: second rounds are covered
+    assert split == len(BATCH_ZS) - 1
+
+
+def test_threads_asking_for_one_or_both_sides_match_serial():
+    z = 0.35 - 1.4j
+    serial = cs.example_problem()
+    want = {side: _basis_arrays(basis) for side, basis
+            in zip(("minus", "plus"), bd.side_bases(serial, z))}
+    ih = cs.example_problem()
+    cs.w_family_for(ih, "minus")
+    cs.w_family_for(ih, "plus")
+    asks = [("minus", "plus"), ("minus",), ("plus",), ("plus", "minus")] * 2
+    got = [None] * len(asks)
+    errors = []
+    barrier = threading.Barrier(len(asks), timeout=60)
+
+    def worker(i):
+        try:
+            barrier.wait()
+            got[i] = bd.side_bases(ih, z, asks[i])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(asks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+    for sides, bases in zip(asks, got):
+        for side, basis in zip(sides, bases):
+            _assert_same_bits(want[side], _basis_arrays(basis))
+    assert ih.cache.per_z_size() == 2
+
+
+def test_fresh_monodromy_z_integrates_both_sides_in_one_call(batches):
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, 0.6 + 0.9j)
+    assert batches == [[("minus", "boundary"), ("plus", "boundary")]]
+    del batches[:]
+    cs.u_minus(ih, -1.1 + 0.2j)
+    assert batches == [[("minus", "boundary")]]
+    # the other side of that z alone, then both of it from the cache
+    cs.monodromy_matrix(ih, -1.1 + 0.2j)
+    assert batches == [[("minus", "boundary")], [("plus", "boundary")]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda ih, z: cs.solve_from_gamma(ih, "plus", z, [1.0, 0.5j]),
+    lambda ih, z: cs.gamma_vec(cs.solve_from_gamma(ih, "minus", z, [1.0, 0.0]),
+                               ih, "minus"),
+    lambda ih, z: cs.m_matrix(ih, z),
+    lambda ih, z: cs.weyl_intermediate(ih, z),
+    lambda ih, z: cs.assemble_W(ih, z, 0.5),
+], ids=["solve_from_gamma", "gamma_vec", "m_matrix", "weyl", "assemble_left"])
+def test_single_side_readers_integrate_only_their_side(call, batches):
+    ih = cs.example_problem()
+    call(ih, 0.8 + 0.7j)
+    assert len(batches) == 1 and len(batches[0]) == 1
+    assert ih.cache.per_z_size() == 1
 
 
 # ---------------------------------------------------------------------------

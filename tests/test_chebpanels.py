@@ -98,3 +98,47 @@ def test_shared_tables_are_read_only(module, name):
     table = getattr(module, name)
     with pytest.raises(ValueError):
         table[0] = 0.0
+
+
+def _chebvander_values(f, t):
+    """PanelFunction values as the chebvander formulation forms them: the
+    reference for the basis built in place by the recurrence."""
+    from numpy.polynomial import chebyshev
+
+    t = np.asarray(t, dtype=np.float64)
+    tt = np.atleast_1d(t)
+    n = len(f.breaks) - 1
+    asc = f.breaks[-1] >= f.breaks[0]
+    br = f.breaks if asc else f.breaks[::-1]
+    k = np.clip(np.searchsorted(br, tt, side="right") - 1, 0, n - 1)
+    if not asc:
+        k = n - 1 - k
+    a, b = f.breaks[k], f.breaks[k + 1]
+    x = np.minimum(np.maximum((2.0 * tt - a - b) / (b - a), -1.0), 1.0)
+    vander = chebyshev.chebvander(x, f.coefs.shape[1] - 1)
+    c = f.coefs[k].reshape(tt.shape + (f.coefs.shape[1], -1))
+    out = np.einsum("...j,...jm->...m", vander, c)
+    return out.reshape(t.shape + f.coefs.shape[2:])[()]
+
+
+@pytest.mark.parametrize("trailing", [(), (2,), (3, 2)])
+@pytest.mark.parametrize("descending", [False, True])
+def test_panel_function_equals_chebvander_formulation(trailing, descending):
+    rng = np.random.default_rng(len(trailing) + 3 * descending)
+    breaks = np.sort(rng.uniform(-1.0, 3.0, 9))
+    if descending:
+        breaks = breaks[::-1]
+    shape = (len(breaks) - 1, cp.DEGREE + 2) + trailing
+    for dtype in (float, complex):
+        coefs = rng.normal(size=shape)
+        if dtype is complex:
+            coefs = coefs + 1j * rng.normal(size=shape)
+        f = cp.PanelFunction(breaks, coefs)
+        lo, hi = min(breaks), max(breaks)
+        for t in (lo + 0.3 * (hi - lo), breaks[3], hi + 1.0,  # scalars
+                  rng.uniform(lo - 0.5, hi + 0.5, 17),        # 1-D
+                  rng.uniform(lo, hi, (4, 5)),                 # 2-D
+                  np.array([np.nan, lo])):
+            got, want = f(t), _chebvander_values(f, t)
+            assert np.shape(got) == np.shape(want) == np.shape(t) + trailing
+            assert np.array_equal(got, want, equal_nan=True)

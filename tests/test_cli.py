@@ -225,11 +225,15 @@ class TestFuzz:
     @example(tolerances={"rk_rtol": 5e-324, "rk_atol": 0})
     @settings(max_examples=40, deadline=None)
     def test_tolerances(self, tolerances, tmp_path_factory):
+        # the pipeline takes no tolerances: every value is an unknown key
         cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
         cfg.write_text(json.dumps({"tolerances": tolerances}))
-        code = run_quiet(["--config", str(cfg), "monodromy",
-                          "--z-grid", "0.5+0.5j"])
-        assert code in (0, 1, 2)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(["--config", str(cfg), "monodromy",
+                         "--z-grid", "0.5+0.5j"])
+        assert code == 2
+        assert "unknown config keys ['tolerances']" in out.getvalue()
 
     @given(key=st.sampled_from(_PROBLEM_KEYS), drop=st.booleans(),
            value=st.one_of(_values, _spec))

@@ -77,6 +77,30 @@ class TestUPlus:
             cs.fundamental(example_ih.h_plus, 1.0, init=np.zeros((2, 2)),
                            t0=2.0, side="plus")
 
+    def test_scaled_v_accepted_at_any_scale(self, example_ih):
+        # V -> c V scales U_plus by c and leaves W unchanged, down to c = 1e-8
+        z = 0.9 - 0.6j
+        want = cs.monodromy_matrix(example_ih, z)
+        for c in (1e-8, 1e6):
+            v = cs.fundamental(example_ih.h_plus, z,
+                               init=c * cs.closed_W(2.0, z), t0=2.0,
+                               side="plus")
+            np.testing.assert_allclose(cs.u_plus(example_ih, z, v),
+                                       c * cs.closed_Uplus(z), rtol=1e-9)
+            got = cs.factorisation(example_ih, z, v).w(2.0)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_ill_conditioned_v_rejected(self, example_ih):
+        # |det V.init| = 10, but it cancels to 5e-14 of its products
+        z = 0.9 - 0.6j
+        dense = cs.fundamental(example_ih.h_plus, z, t0=2.0,
+                               side="plus")._dense
+        v = sv.MatrixSolution(dense, [[1e7, 1e7], [1e7, 1e7 + 1e-6]], 2.0)
+        with pytest.raises(cs.DomainError, match="V on the right piece must "
+                           "be non-singular"):
+            cs.u_plus(example_ih, z, v)
+
 
 class TestAssembly:
     @pytest.mark.parametrize("r", [20.0, 50.0])

@@ -267,6 +267,98 @@ class TestCollocation:
                                    rtol=1e-9)
 
 
+def _chain_arrays(dense):
+    out = []
+    for seg in dense.segments:
+        out += [seg.breaks, seg.ys, seg.hm, seg.coefs, seg.origin]
+    return out
+
+
+class TestBatch:
+    """integrate_dense solves several runs at one z together; each run's
+    arrays are the same bits as when it is solved alone."""
+
+    def runs(self, example_ih):
+        hm, hp = example_ih.h_minus, example_ih.h_plus
+        rng = np.random.default_rng(11)
+        state = rng.normal(size=4) + 1j * rng.normal(size=4)
+        return [
+            sv.Run(hm, 0.0, np.eye(2).reshape(-1), [1.0 - 1e-6], 1.0),
+            sv.Run(hp, 1.5, state, [2.0, 1.0 + 1e-7], 1.0),  # two chains
+            sv.Run(cs.identity_hamiltonian((0.0, 3.0)), 1.0, state,
+                   [0.0, 3.0]),
+            sv.Run(hp, 2.0, np.eye(2).reshape(-1), [1.0 + 1e-6], 1.0),
+        ]
+
+    @pytest.mark.parametrize("z", [0.0, 2.5, -1.3 + 4.1j, 3.7 - 2.2j])
+    def test_runs_alone_and_together_are_identical(self, example_ih, z):
+        runs = self.runs(example_ih)
+        together = sv.integrate_dense(z, runs)
+        assert len(together) == len(runs)
+        assert together.segments == [seg for d in together
+                                      for seg in d.segments]
+        assert [len(d.segments) for d in together] == [1, 2, 2, 1]
+        for run, dense in zip(runs, together):
+            alone, = sv.integrate_dense(z, [run])
+            assert dense.anchor_t == alone.anchor_t == run.t0
+            for a, b in zip(_chain_arrays(alone), _chain_arrays(dense)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        # a run of the batch in another order and company: the same bits
+        again = sv.integrate_dense(z, runs[::-1][:2])
+        for a, b in zip(_chain_arrays(again[1]), _chain_arrays(together[2])):
+            assert np.array_equal(a, b)
+
+    def test_start_states_of_one_size(self, hm):
+        runs = [sv.Run(hm, 0.0, [1.0, 0.0], [0.5]),
+                sv.Run(hm, 0.0, np.eye(2).reshape(-1), [0.5])]
+        with pytest.raises(cs.DomainError, match="one size"):
+            sv.integrate_dense(1j, runs)
+        with pytest.raises(cs.DomainError, match="no target"):
+            sv.integrate_dense(1j, [sv.Run(hm, 0.5, [1.0, 0.0], [0.5])])
+
+    def test_first_failing_run_raises(self, hm, hp):
+        # integrated up to sigma itself, each of these fails next to it
+        to_sigma_left = sv.Run(hm, 0.0, [1.0, 0.0], [1.0], 1.0)
+        to_sigma_right = sv.Run(hp, 2.0, [1.0, 0.0], [1.0], 1.0)
+        fine = sv.Run(hm, 0.0, [1.0, 0.0], [0.5], 1.0)
+        for runs, left in (([fine, to_sigma_left], True),
+                           ([to_sigma_right, to_sigma_left], False),
+                           ([to_sigma_left, fine, to_sigma_right], True)):
+            with pytest.raises(cs.SingularityProximityError) as exc:
+                sv.integrate_dense(1.0, runs)
+            assert (exc.value.t_reached < 1.0) == left
+            alone = to_sigma_left if left else to_sigma_right
+            with pytest.raises(cs.SingularityProximityError) as ref:
+                sv.integrate_dense(1.0, [alone])
+            assert str(exc.value) == str(ref.value)
+
+
+class TestSingularStart:
+    """A start matrix is singular when its determinant cancels to rounding,
+    at any scale."""
+
+    def test_scaled_identity_accepted(self, hp):
+        z = 0.5j
+        w = cs.fundamental(hp, z, init=1e-8 * np.eye(2), t0=2.0, side="plus")
+        ref = cs.fundamental(hp, z, t0=2.0, side="plus")
+        ts = np.linspace(1.1, 2.0, 7)
+        np.testing.assert_allclose(w.eval(ts), 1e-8 * ref.eval(ts),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("init", [
+        [[1e7, 1e7], [1e7, 1e7 + 1e-6]],      # cond 4e13, |det| = 10
+        [[1e-9, 2e-9], [2e-9, 4e-9]],         # exactly rank one
+        [[1.0, 1.0], [1.0, 1.0 + 1e-13]],
+        np.zeros((2, 2))])
+    def test_numerically_singular_rejected(self, hp, init, monkeypatch):
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated from a singular start")
+
+        monkeypatch.setattr(sv, "integrate_dense", integrate)
+        with pytest.raises(cs.DomainError, match="init must be non-singular"):
+            cs.fundamental(hp, 0.5j, init=init, t0=2.0, side="plus")
+
+
 class TestGreens:
     def test_same_solution_real_parameter(self):
         h = cs.identity_hamiltonian((0.0, 1.0))
