@@ -77,7 +77,10 @@ def _parse_complex_list(text: str, what: str):
 
 
 def _parse_float_list(text: str, what: str):
-    return [_finite_float(tok, what) for tok in text.split(",") if tok.strip()]
+    out = [_finite_float(tok, what) for tok in text.split(",") if tok.strip()]
+    if not out:
+        raise ConfigError(f"empty {what}")
+    return out
 
 
 def _rect_grid(spec):
@@ -94,7 +97,7 @@ def _rect_grid(spec):
 
 
 def _z_grid_from(args, cfg):
-    if getattr(args, "z_grid", None):
+    if getattr(args, "z_grid", None) is not None:
         text = args.z_grid
         if text.startswith("{"):
             try:
@@ -110,16 +113,20 @@ def _z_grid_from(args, cfg):
         return _rect_grid(zg)
     if not isinstance(zg, list):
         raise ConfigError("z_grid must be a list or a rectangle object")
+    if not zg:
+        raise ConfigError("empty z_grid")
     return [_finite_complex(z, "z_grid") for z in zg]
 
 
 def _t_grid_from(args, cfg, default):
-    if getattr(args, "t_grid", None):
+    if getattr(args, "t_grid", None) is not None:
         return _parse_float_list(args.t_grid, "--t-grid")
     tg = cfg.get("t_grid")
     if tg is not None:
         if not isinstance(tg, list):
             raise ConfigError("t_grid must be a list of numbers")
+        if not tg:
+            raise ConfigError("empty t_grid")
         return [_number(t, "t_grid") for t in tg]
     return list(default)
 
@@ -294,8 +301,11 @@ def _cmd_monodromy(args):
 
 def _cmd_kernel_signature(args):
     _, ih = _setup(args)
-    if args.points:
+    if args.points is not None:
         pts = _parse_complex_list(args.points, "--points")
+        fault = mo.kernel_grid_fault(pts)
+        if fault is not None:
+            raise ConfigError(f"--points: {fault}")
     else:
         n = _count(args.random_grid, "--random-grid")
         if args.seed < 0:
@@ -423,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_monodromy)
 
     q = sub.add_parser("kernel-signature", help="negative squares estimate")
-    q.add_argument("--points", help="comma list of complex grid points")
+    q.add_argument("--points",
+                   help="comma list of complex grid points: pairwise "
+                        "distinct, none real and no conjugate pair")
     q.add_argument("--random-grid", type=int, default=8,
                    help="number of random points (default 8)")
     q.add_argument("--seed", type=int, default=0)

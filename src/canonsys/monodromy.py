@@ -200,6 +200,21 @@ def weyl_intermediate(ih: IndefHamiltonianA, z: complex) -> complex:
 # ---------------------------------------------------------------------------
 # kernel signature
 
+def kernel_grid_fault(points: Sequence[complex]) -> Optional[str]:
+    """Why ``points`` cannot be the grid of ``kernel_gram``, or None: it
+    is empty, repeats a point, or holds a point and its conjugate (a real
+    point is its own)."""
+    if not points:
+        return "kernel grid is empty"
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            if i != j and p == q:
+                return "kernel grid points must be pairwise distinct"
+            if p == q.conjugate():
+                return "kernel grid must avoid conjugate pairs (and real points)"
+    return None
+
+
 def kernel_gram(w_fun: Callable[[complex], np.ndarray],
                 points: Sequence[complex]) -> KernelSignature:
     """Eigenvalue count of the block Gram matrix of the J-form kernel.
@@ -210,16 +225,10 @@ def kernel_gram(w_fun: Callable[[complex], np.ndarray],
     of negative squares of the kernel.
     """
     pts = [complex(p) for p in points]
+    fault = kernel_grid_fault(pts)
+    if fault is not None:
+        raise DomainError(fault)
     m = len(pts)
-    if m == 0:
-        raise DomainError("kernel grid is empty")
-    for i in range(m):
-        for j in range(m):
-            if i != j and pts[i] == pts[j]:
-                raise DomainError("kernel grid points must be pairwise distinct")
-            if pts[i] == np.conj(pts[j]):
-                raise DomainError(
-                    "kernel grid must avoid conjugate pairs (and real points)")
     ws = [np.asarray(w_fun(p), dtype=complex) for p in pts]
     gram = np.empty((2 * m, 2 * m), dtype=complex)
     for i in range(m):

@@ -5,13 +5,15 @@ Y = W^T column-wise (the transposes of the rows of W solve the vector
 equation), so one path covers both.  It is solved by Chebyshev-panel
 collocation (spectral integration): on each panel the Volterra form
 Y = y_a + z Q (J H Y), with Q the cumulative-integration matrix at the
-DEGREE + 1 first-kind Chebyshev nodes, gives a 2x2 propagator basis; all
-panels are solved in one batched linear solve and chained by 2x2 products.
-A panel's unknowns are ordered by component, then node, so its matrix is
-four contiguous n x n blocks, each a scaled copy of Q with its columns
-weighted by one entry of J H.  Each block is one broadcast product written
-in place into the batch's matrix, with no complex temporary of its size, so
-assembling the systems costs a fraction of solving them.
+DEGREE + 1 first-kind Chebyshev nodes, gives a 2x2 propagator basis; the
+panels of a round are solved in batched linear solves and chained by 2x2
+products.  A panel's unknowns are ordered by component, then node, so its
+matrix is four contiguous n x n blocks, each a scaled copy of Q with its
+columns weighted by one entry of J H.  Where H has a zero off-diagonal at
+all of a panel's nodes (a diagonal H, as in Krein strings), the diagonal
+blocks are the identity and one n x n Schur complement, I + z^2 G with G
+real, is solved in place of the 2n x 2n system; every other panel solves
+the 2n x 2n system, whose blocks are broadcast products written in place.
 The nodes are interior, so H is never evaluated at a panel end, and
 integrations stop at a configurable cutoff before a singular endpoint,
 toward which the panels are halved geometrically.  A panel is split while
@@ -328,32 +330,81 @@ def first_round(h: Hamiltonian, t0: float, t1: float,
     return FirstRound(a, b, hm)
 
 
-def _panel_bases(z: complex, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
-    """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
+def _coupled_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
+    """``phi`` of panels with half-widths ``hw`` from the full 2n x 2n
+    system I - z hw Q (J H), (P, 2, n, 2).
 
-    ``hm`` is H at the panels' nodes, (P, n, 2, 2).  Returns the propagator
-    basis ``phi``, the node values for start values e1, e2 as columns, and
-    the integrand ``z J H phi`` at the nodes, both laid out (P, 2, n, 2):
-    component, node, column, as the solve returns them.
-
-    Each panel's 2n unknowns are ordered by component, then node, so its
-    matrix I - z hw Q (J H) is four contiguous n x n blocks: block (c, d)
-    is delta_cd I - z hw Q diag((J H)_cd at the nodes), one broadcast
-    product written in place; the right-hand side is the same for every
-    panel (``_UNIT_STARTS``).  J H is read off H with the sign folded in:
-    (J H)_0d = -H_1d and (J H)_1d = H_0d.
+    The unknowns are ordered by component, then node, so the matrix is four
+    contiguous n x n blocks: block (c, d) is delta_cd I - z hw Q diag((J H)_cd
+    at the nodes), one broadcast product written in place; the right-hand
+    side is the same for every panel (``_UNIT_STARTS``).  J H is read off H
+    with the sign folded in: (J H)_0d = -H_1d and (J H)_1d = H_0d.
     """
-    p, n = len(a), cp.DEGREE + 1
-    zq = (-0.5 * z * (b - a))[:, None, None] * cp.CUMINT
+    p, n = len(hw), cp.DEGREE + 1
+    zq = (-z * hw)[:, None, None] * cp.CUMINT
     m = np.empty((p, 2, n, 2, n), dtype=np.complex128)
     for c, sign in ((0, -1.0), (1, 1.0)):
         for d in range(2):
             np.multiply(zq, sign * hm[:, None, :, 1 - c, d],
                         out=m[:, c, :, d, :])
     m.reshape(p, -1)[:, ::2 * n + 1] += 1.0
+    return np.linalg.solve(m.reshape(p, 2 * n, 2 * n),
+                           _UNIT_STARTS).reshape(p, 2, n, 2)
+
+
+def _diagonal_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
+    """``phi`` of panels whose H is diagonal at every node, from an n x n
+    Schur complement, (P, 2, n, 2).
+
+    With A_c = hw Q diag(H_cc) (real), the system is [[I, z A_1],
+    [-z A_0, I]] (y0, y1) = (r0, r1).  Eliminating y0 leaves
+    (I + z^2 A_0 A_1) y1 = r1 + z A_0 r0, then y0 = r0 - z A_1 y1; the
+    start values r are 1 in one component and 0 in the other, so A_0 r0 is
+    A_0's row sums.  The products of real tables stay real: only the n x n
+    matrix and the right-hand side carry z.
+    """
+    p, n = len(hw), cp.DEGREE + 1
+    a0 = cp.CUMINT * (hw[:, None] * hm[:, :, 0, 0])[:, None, :]
+    a1 = cp.CUMINT * (hw[:, None] * hm[:, :, 1, 1])[:, None, :]
+    m = (z * z) * (a0 @ a1)
+    m.reshape(p, -1)[:, ::n + 1] += 1.0
+    rhs = np.empty((p, n, 2), dtype=np.complex128)
+    rhs[:, :, 0] = z * a0.sum(axis=2)
+    rhs[:, :, 1] = 1.0
+    y1 = np.linalg.solve(m, rhs)
+    phi = np.empty((p, 2, n, 2), dtype=np.complex128)
+    phi[:, 1] = y1
+    phi[:, 0] = (a1 @ y1.view(np.float64)).view(np.complex128)
+    phi[:, 0] *= -z
+    phi[:, 0, :, 0] += 1.0
+    return phi
+
+
+def _panel_bases(z: complex, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
+    """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
+
+    ``hm`` is H at the panels' nodes, (P, n, 2, 2).  Returns the propagator
+    basis ``phi``, the node values for start values e1, e2 as columns, and
+    the integrand ``z J H phi`` at the nodes, both laid out (P, 2, n, 2):
+    component, node, column.
+
+    A panel whose H has zero off-diagonal entries at all of its nodes is
+    solved through the n x n Schur complement of its system
+    (``_diagonal_bases``); any other panel through the full 2n x 2n system
+    (``_coupled_bases``).  Each solve treats a panel alone, so its ``phi``
+    and ``f`` are the same bits whatever else is in the batch.
+    """
+    hw = 0.5 * (b - a)
+    diag = ~(hm[:, :, 0, 1].any(axis=1) | hm[:, :, 1, 0].any(axis=1))
     with np.errstate(all="ignore"):
-        phi = np.linalg.solve(m.reshape(p, 2 * n, 2 * n), _UNIT_STARTS)
-        phi = phi.reshape(p, 2, n, 2)
+        if diag.all():
+            phi = _diagonal_bases(z, hw, hm)
+        elif not diag.any():
+            phi = _coupled_bases(z, hw, hm)
+        else:
+            phi = np.empty((len(a), 2, cp.DEGREE + 1, 2), dtype=np.complex128)
+            phi[diag] = _diagonal_bases(z, hw[diag], hm[diag])
+            phi[~diag] = _coupled_bases(z, hw[~diag], hm[~diag])
         zh = z * hm
         f = np.empty_like(phi)
         for c in range(2):

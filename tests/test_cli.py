@@ -80,6 +80,17 @@ class TestInputValidation:
         (["monodromy", "--z-grid", "1", "--t", "5"], "--t"),
         (["monodromy", "--z-grid", "1", "--t", "nan"], "--t"),
         (["monodromy", "--z-grid", "1", "--t", "1"], "--t"),
+        # an empty flag was read as absent and replaced by the default
+        (["monodromy", "--z-grid", ""], "--z-grid"),
+        (["fundamental", "--z-grid", "1", "--t-grid", ""], "--t-grid"),
+        (["fundamental", "--z-grid", "1", "--t-grid", ","], "--t-grid"),
+        (["kernel-signature", "--points", ""], "--points"),
+        (["validate-example", "--b", ""], "--b"),
+        # kernel grids that break the flag's precondition, checked before
+        # any integration
+        (["kernel-signature", "--points", "1j,1j"], "--points"),
+        (["kernel-signature", "--points", "1,2j"], "--points"),
+        (["kernel-signature", "--points", "1j,-1j"], "--points"),
     ])
     def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -95,6 +106,7 @@ class TestInputValidation:
         ([True], "z_grid"),
         ({"re": ["0", 1, 2], "im": [0, 1, 2]}, "z_grid re"),
         ({"re": [0, 1, 2], "im": [0, False, 2]}, "z_grid im"),
+        ([], "empty z_grid"),
     ])
     def test_bad_config_z_grid_exits_two(self, z_grid, token, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -103,7 +115,8 @@ class TestInputValidation:
         assert code == 2
         assert token in err
 
-    @pytest.mark.parametrize("t_grid", [["0.5", True], [0.5, True], [0.5, None]])
+    @pytest.mark.parametrize("t_grid", [["0.5", True], [0.5, True], [0.5, None],
+                                        []])
     def test_bad_config_t_grid_exits_two(self, t_grid, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"z_grid": [1.0], "t_grid": t_grid}))

@@ -196,7 +196,14 @@ def _panels(w):
 def _panel_bases_interleaved(z, a, b, hm):
     """Reference for ``sv._panel_bases``: each panel's system built in the
     node-major order, unknowns (node, component), and solved one panel at a
-    time; returns ``phi`` and ``z J H phi`` as (P, n, 2, 2)."""
+    time; returns ``phi`` and ``z J H phi`` as (P, n, 2, 2).
+
+    The components are balanced first: unknowns of component 0 scaled by
+    2^e and of component 1 by 2^-e, with 4^e near sqrt(max |H_11| /
+    max |H_00|).  A power of 2 scales exactly, so the system is the same;
+    without it, plain LU in this order loses up to 1e-9 of the basis (40
+    digit reference) when H's diagonal entries are 1e16 apart.
+    """
     n = cp.DEGREE + 1
     phi = np.empty(hm.shape, dtype=complex)
     f = np.empty(hm.shape, dtype=complex)
@@ -205,27 +212,113 @@ def _panel_bases_interleaved(z, a, b, hm):
         # entry (2i + c, 2j + d) is Q_ij (J H_j)_cd
         op = np.kron(cp.CUMINT, np.ones((2, 2))) * np.tile(np.hstack(jh), (n, 1))
         m = np.eye(2 * n) - 0.5 * z * (b[k] - a[k]) * op
-        phi[k] = np.linalg.solve(m, np.tile(np.eye(2), (n, 1))).reshape(n, 2, 2)
+        e = np.round(0.25 * np.log2(np.abs(hm[k, :, 1, 1]).max()
+                                    / np.abs(hm[k, :, 0, 0]).max()))
+        s = np.tile([2.0 ** e, 2.0 ** -e], n)
+        x = np.linalg.solve(m * (s / s[:, None]),
+                            np.tile(np.eye(2), (n, 1)) / s[:, None])
+        phi[k] = (s[:, None] * x).reshape(n, 2, 2)
         f[k] = z * (jh @ phi[k])
     return phi, f
 
 
+def _collocation_panels(kind, n_panels):
+    """Panels (a, b, hm) of one kind for the collocation tests.
+
+    ``coupled``: random symmetric H, every off-diagonal entry non-zero;
+    ``diagonal``: the same with the off-diagonal zeroed; ``mixed``: every
+    second panel diagonal; ``large-h00``/``large-h11``: diagonal H with its
+    entries 1e16 apart, the larger one first or second; ``power+2`` and
+    ``power-2``: H = diag(s^2, s^-2) or diag(s^-2, s^2), s the distance to
+    sigma = 1, on panels [1 + 2d, 1 + d] with d from 1e-1 to 1e-7, every
+    second one mirrored left of sigma.
+    """
+    n = cp.DEGREE + 1
+    if kind.startswith("power"):
+        d = np.logspace(-1.0, -7.0, n_panels)
+        side = np.where(np.arange(n_panels) % 2 == 0, 1.0, -1.0)
+        a, b = 1.0 + 2.0 * side * d, 1.0 + side * d
+        s = np.abs(cp.nodes_between(a, b) - 1.0)
+        e = 2.0 if kind == "power+2" else -2.0
+        hm = np.zeros((n_panels, n, 2, 2))
+        hm[..., 0, 0], hm[..., 1, 1] = s ** e, s ** -e
+        return a, b, hm
+    rng = np.random.default_rng(n_panels)
+    a = np.sort(rng.uniform(0.0, 1.0, n_panels))
+    b = a + rng.uniform(0.05, 0.3, n_panels)
+    x = rng.normal(size=(n_panels, n, 2, 2))
+    hm = x + x.transpose(0, 1, 3, 2)
+    if kind == "coupled":
+        return a, b, hm
+    diag = np.arange(n_panels) % 2 == 0 if kind == "mixed" else slice(None)
+    hm[diag, :, 0, 1] = hm[diag, :, 1, 0] = 0.0
+    if kind.startswith("large"):
+        big = 0 if kind == "large-h00" else 1
+        hm[..., big, big] *= 1e8
+        hm[..., 1 - big, 1 - big] *= 1e-8
+    return a, b, hm
+
+
+_ZS = [0.0, 2.5, -1.3 + 4.1j]
+_COLLOCATION_CASES = (
+    [pytest.param("coupled", z, n, id=f"{z}-{n}")
+     for n in (1, 5, 23) for z in _ZS]
+    + [pytest.param(kind, z, n, id=f"{kind}-{z}-{n}")
+       for kind in ("diagonal", "large-h00", "large-h11", "power+2",
+                    "power-2", "mixed")
+       for n in ((5, 23) if kind == "mixed" else (1, 5, 23)) for z in _ZS])
+
+
 class TestCollocation:
-    @pytest.mark.parametrize("n_panels", [1, 5, 23])
-    @pytest.mark.parametrize("z", [0.0, 2.5, -1.3 + 4.1j])
-    def test_block_layout_matches_interleaved_reference(self, n_panels, z):
-        # a non-zero off-diagonal fills all four blocks (J H)_cd
-        rng = np.random.default_rng(n_panels)
-        a = np.sort(rng.uniform(0.0, 1.0, n_panels))
-        b = a + rng.uniform(0.05, 0.3, n_panels)
-        x = rng.normal(size=(n_panels, cp.DEGREE + 1, 2, 2))
-        hm = x + x.transpose(0, 1, 3, 2)
-        assert np.abs(hm[..., 0, 1]).min() > 0.0
-        phi, f = (x.transpose(0, 2, 1, 3)  # to (P, n, 2, 2)
-                  for x in sv._panel_bases(complex(z), a, b, hm))
+    @pytest.mark.parametrize("kind, z, n_panels", _COLLOCATION_CASES)
+    def test_block_layout_matches_interleaved_reference(self, kind, z,
+                                                        n_panels):
+        # a non-zero off-diagonal fills all four blocks (J H)_cd; a zero one
+        # takes the Schur complement, on panels of every kind and scale
+        a, b, hm = _collocation_panels(kind, n_panels)
+        coupled = np.abs(hm[..., 0, 1]).min(axis=1) > 0.0
+        assert coupled.all() if kind == "coupled" else not coupled.all()
+        bases = sv._panel_bases(complex(z), a, b, hm)
+        phi, f = (x.transpose(0, 2, 1, 3) for x in bases)  # to (P, n, 2, 2)
         phi_ref, f_ref = _panel_bases_interleaved(complex(z), a, b, hm)
         assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
         assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
+        # each path solves a panel by itself: solved alone, a panel of the
+        # batch gives the same bits (of a mixed batch: a diagonal panel at
+        # 5 panels, a coupled one at 23)
+        k = n_panels // 2
+        alone = sv._panel_bases(complex(z), a[k:k + 1], b[k:k + 1], hm[k:k + 1])
+        assert all(np.array_equal(x[0], y[k]) for x, y in zip(alone, bases))
+
+    @staticmethod
+    def solved_shapes(monkeypatch):
+        shapes = []
+        solve = np.linalg.solve
+
+        def recorded(m, rhs):
+            shapes.append(m.shape)
+            return solve(m, rhs)
+
+        monkeypatch.setattr(sv.np.linalg, "solve", recorded)
+        return shapes
+
+    def test_diagonal_example_solves_only_schur_systems(self, monkeypatch):
+        shapes = self.solved_shapes(monkeypatch)
+        cs.monodromy_matrix(cs.example_problem(), 1.3 + 0.4j)
+        n = cp.DEGREE + 1
+        assert shapes and all(s[1:] == (n, n) for s in shapes), shapes
+
+    def test_coupled_hamiltonian_solves_full_systems(self, monkeypatch):
+        shapes = self.solved_shapes(monkeypatch)
+        h = cs.hamiltonian_from_spec(
+            {"kind": "piecewise", "pieces": [{
+                "interval": [0.0, 1.0],
+                "h1": {"type": "const", "value": 2.0},
+                "h2": {"type": "const", "value": 1.0},
+                "h3": {"type": "const", "value": 0.7}}]}, (0.0, 1.0))
+        cs.fundamental(h, 3.0 + 2.0j)
+        n = 2 * (cp.DEGREE + 1)
+        assert shapes and all(s[1:] == (n, n) for s in shapes), shapes
 
     def test_constant_coupled_hamiltonian_against_expm(self):
         hc = np.array([[2.0, 0.7], [0.7, 1.0]])
