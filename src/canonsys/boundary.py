@@ -12,14 +12,17 @@ tableau on the geometric nodes x_k = sigma -+ eps0 * 2^-k, Ridders-style:
 the tableau entry with the smallest self-consistency error wins and that
 error is reported.
 
-Runs are taken in batches (``_runs``): the runs of a batch are integrated
-in one ``solver.integrate_dense`` call, S' is formed and integrated at the
-nodes of all their chains in one pass, y2 and S at every run's
-extrapolation nodes take one evaluation, and the limits take two tableau
-calls, one on y2 of every column of every run and one on the corrected S,
-each column keeping its own nodes and winning entry.  A caller that reads
-both sides of a z asks for both bases at once (``side_bases``); one that
-reads one side builds only that side, a batch of one.
+Runs are taken in batches (``_runs``), each run at its own z: the runs of
+a batch are integrated in one ``solver.integrate_dense`` call, S' is formed
+and integrated at the nodes of all their chains in one pass, y2 and S at
+every run's extrapolation nodes take one evaluation, and the limits take
+two tableau calls, one on y2 of every column of every run and one on the
+corrected S, each column keeping its own z, nodes and winning entry.  A run's
+powers of z are Python numbers spread over its nodes, so its pairs are the
+same bits alone or in any batch (see :mod:`canonsys.solver`).  A caller that
+reads both sides of a z asks for both bases at once (``side_bases``); one
+that reads one side builds only that side; one that reads many z warms their
+bases first (``warm_bases``), at most ``hamiltonian.PER_Z_BATCH`` z per batch.
 
 On an indivisible side, H = h xi_phi xi_phi^T of rank one with a fixed
 angle phi, no limit is taken: the boundary pair of a solution is its value
@@ -44,9 +47,11 @@ cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
 ``side_basis``, the fundamental solution Phi anchored to the identity at the
 regular endpoint, integrated out to the last extrapolation node, together
 with the boundary pairs of its two rows (the rows of the boundary matrix U);
-``side_bases`` builds the missing ones of several sides in one batch.
+``side_bases`` builds the missing ones of several sides and z in batches.
 The cache keeps at most ``hamiltonian.PER_Z_CAP`` such entries (32 z on both
-sides), least recently used evicted first.
+sides), least recently used evicted first.  A batch that fails is built
+again z by z, so one z that cannot be integrated leaves the others cached
+and raises its own error where it is read.
 
 The boundary map is linear and the solutions of a side are y = Phi^T c, so
 every pair is read off that basis: ``SideBasis.pair(c)`` is U^T c, with
@@ -61,6 +66,7 @@ from a given anchor, an independent check of the cached pairs.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -70,8 +76,9 @@ import numpy as np
 from . import _chebpanels as cp
 from . import solver as sv
 from . import wpoly as wp
-from .errors import ConditioningError, DomainError, LimitError
-from .hamiltonian import PER_Z_KIND, IndefHamiltonianA, Side, build_R
+from .errors import CanonsysError, ConditioningError, DomainError, LimitError
+from .hamiltonian import (PER_Z_BATCH, PER_Z_KIND, IndefHamiltonianA, Side,
+                          build_R)
 
 EPS0_FRAC = 0.1      # first extrapolation node distance, relative to side length
 K_NODES = 20         # geometric halvings of the node distance
@@ -276,12 +283,13 @@ def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
 
 
 class _Limited(NamedTuple):
-    """A run whose boundary pairs are limits at sigma: its anchor and
-    anchored columns, its side's w-family, its chain, the side plan the
-    chain started from (None from any other anchor), and the distances
-    ``hs`` of its extrapolation nodes ``xs`` to sigma."""
+    """A run whose boundary pairs are limits at sigma: its side and z, its
+    anchor and anchored columns, its side's w-family, its chain, the side
+    plan the chain started from (None from any other anchor), and the
+    distances ``hs`` of its extrapolation nodes ``xs`` to sigma."""
 
     side: Side
+    z: complex
     t_anchor: float
     y_cols: np.ndarray
     w_funcs: list
@@ -291,18 +299,19 @@ class _Limited(NamedTuple):
     xs: np.ndarray
 
 
-def _functional(ih: IndefHamiltonianA, z: complex, runs):
+def _functional(ih: IndefHamiltonianA, runs):
     """S of the solutions of every run: per run S at the anchor, one entry
     per anchored column, and the Chebyshev coefficients of S's change from
     the anchor on every panel of the run's chain.  A plan gives w at the
     anchor and w_Delta^T H on the panels it holds; only split panels
     evaluate w_Delta.  S' = -z^(Delta+1) w_Delta^T H y is formed at the
-    nodes of all chains and integrated panel by panel in one pass."""
+    nodes of all chains, each run's -z^(Delta+1) a Python number spread
+    over its nodes, and integrated panel by panel in one pass."""
     delta = ih.delta
     n = cp.DEGREE + 1
     s0s, whs = [], []
     for run in runs:
-        chain, plan, y_cols = run.chain, run.plan, run.y_cols
+        chain, plan, y_cols, z = run.chain, run.plan, run.y_cols, run.z
         # S at the anchor per column: sum_n z^n w_n^T J y
         w_anchor = (plan.w_reg if plan is not None
                     else [f(run.t_anchor) for f in run.w_funcs[:delta + 1]])
@@ -325,19 +334,21 @@ def _functional(ih: IndefHamiltonianA, z: complex, runs):
     y = np.concatenate([run.chain.ys for run in runs]).view(np.float64)
     y = y.reshape(len(wh), -1, 2, 2)
     ds = wh[:, :, 0] * y[:, :, 0] + wh[:, :, 1] * y[:, :, 1]
-    ds = -z ** (delta + 1) * ds.view(np.complex128)[..., 0]
+    scale = np.repeat(np.array([-run.z ** (delta + 1) for run in runs]),
+                      [len(run.chain.ys) for run in runs])
+    ds = scale[:, None] * ds.view(np.complex128)[..., 0]
     return s0s, cp.cumulative_coefs(ds, [run.chain.breaks for run in runs])
 
 
-def _limit_pairs(ih: IndefHamiltonianA, z: complex, runs):
-    """Boundary pairs of every column of every run: the Neville limits of
-    y2 and of the corrected S, one list per run.
+def _limit_pairs(ih: IndefHamiltonianA, runs):
+    """Boundary pairs of every column of every run, each at its own z: the
+    Neville limits of y2 and of the corrected S, one list per run.
 
     y2 and S at the extrapolation nodes of all runs come from one
     evaluation on the chains' panels, the state's second components and
     S's coefficients side by side; the limits of y2 of all columns take one
     tableau, and those of S one more."""
-    s0s, s_coefs = _functional(ih, z, runs)
+    s0s, s_coefs = _functional(ih, runs)
     rows, lo, hi, corr = [], [], [], []
     for run, sc in zip(runs, s_coefs):
         k = run.chain.locate(run.xs)
@@ -345,7 +356,8 @@ def _limit_pairs(ih: IndefHamiltonianA, z: complex, runs):
                                    axis=-1))
         lo.append(run.chain.breaks[k])
         hi.append(run.chain.breaks[k + 1])
-        corr.append(_correction_values(ih, run.side, z, run.w_funcs, run.xs))
+        corr.append(_correction_values(ih, run.side, run.z, run.w_funcs,
+                                       run.xs))
     m = s_coefs[0].shape[-1]
     both = cp.series_values(np.concatenate(rows), np.concatenate(lo),
                             np.concatenate(hi),
@@ -371,22 +383,22 @@ def _limit_pairs(ih: IndefHamiltonianA, z: complex, runs):
             if not np.isfinite(err) or err > TOL_LIMIT * scale:
                 raise LimitError(
                     f"boundary limit did not converge on side {run.side} at "
-                    f"z={z} (err_est={err:.3e})",
+                    f"z={run.z} (err_est={err:.3e})",
                     samples=list(zip(run.xs, y2, g_vals)), err_est=err)
             pairs.append(RegularisedBoundary(
-                run.side, z, complex(gs), complex(gr), float(err),
+                run.side, run.z, complex(gs), complex(gr), float(err),
                 tuple(zip(run.xs.tolist(), y2, g_vals))))
         out.append(pairs)
     return out
 
 
-def _runs(ih: IndefHamiltonianA, z: complex, requests):
-    """For each (side, t_anchor, y_cols) of ``requests``: the solutions
-    anchored by the columns of ``y_cols`` at ``t_anchor``, integrated to
-    the side's last extrapolation node, and their boundary pairs.  All
+def _runs(ih: IndefHamiltonianA, requests):
+    """For each (side, z, t_anchor, y_cols) of ``requests``: the solutions
+    at z anchored by the columns of ``y_cols`` at ``t_anchor``, integrated
+    to the side's last extrapolation node, and their boundary pairs.  All
     runs are integrated in one batch (``solver.integrate_dense``), and the
     limits of all runs on sides that are not indivisible are taken together
-    (``_limit_pairs``).
+    (``_limit_pairs``).  The columns of all requests must have one size.
 
     On an indivisible side the pairs are the values at the regular endpoint,
     to which the run also integrates from an interior anchor; on any other
@@ -395,7 +407,7 @@ def _runs(ih: IndefHamiltonianA, z: complex, requests):
     (dense solution, one RegularisedBoundary per column).
     """
     runs, grids = [], []
-    for side, t_anchor, y_cols in requests:
+    for side, z, t_anchor, y_cols in requests:
         h, sing = ih.side(side), ih.sigma
         reg = h.regular_endpoint(side)
         lo, hi = h.interval
@@ -413,12 +425,12 @@ def _runs(ih: IndefHamiltonianA, z: complex, requests):
             targets.append(reg)
         start = (functools.partial(_side_plan, ih, side) if t_anchor == reg
                  else sv.first_round)
-        runs.append(sv.Run(h, t_anchor, y_cols.T.reshape(-1), targets,
+        runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), targets,
                            sing, start))
         grids.append((indivisible, reg, hs, xs))
-    denses = sv.integrate_dense(z, runs)
+    denses = sv.integrate_dense(runs)
     pairs, limited = [], []
-    for (side, t_anchor, y_cols), dense, (indivisible, reg, hs, xs) in zip(
+    for (side, z, t_anchor, y_cols), dense, (indivisible, reg, hs, xs) in zip(
             requests, denses, grids):
         if indivisible:
             pairs.append([RegularisedBoundary(side, z, complex(gs),
@@ -426,13 +438,13 @@ def _runs(ih: IndefHamiltonianA, z: complex, requests):
                           for gs, gr in dense.eval_state(reg).reshape(-1, 2)])
             continue
         chain = dense.segments[0]
-        limited.append(_Limited(side, t_anchor, y_cols,
+        limited.append(_Limited(side, z, t_anchor, y_cols,
                                 wp.w_family_for(ih, side), chain,
                                 chain.first if t_anchor == reg else None, hs,
                                 xs))
         pairs.append(None)
     if limited:
-        found = iter(_limit_pairs(ih, z, limited))
+        found = iter(_limit_pairs(ih, limited))
         pairs = [next(found) if p is None else p for p in pairs]
     return list(zip(denses, pairs))
 
@@ -446,9 +458,19 @@ def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
     ``t_anchor``; all m are solved together.  Returns a list of m
     RegularisedBoundary objects.
     """
-    z = sv.finite_z(z)
-    y_cols = np.asarray(y_cols, dtype=np.complex128).reshape(2, -1)
-    return _runs(ih, z, [(side, t_anchor, y_cols)])[0][1]
+    return gamma_columns_batch(ih, [(side, z, t_anchor, y_cols)])[0]
+
+
+def gamma_columns_batch(ih: IndefHamiltonianA, requests) -> list:
+    """``gamma_columns`` of every (side, z, t_anchor, y_cols) of
+    ``requests``, integrated in one batch (``_runs``); each request's
+    columns give the same pairs as alone.  All ``y_cols`` must have as
+    many columns.  Returns one list of RegularisedBoundary per request.
+    """
+    reqs = [(side, sv.finite_z(z), t_anchor,
+             np.asarray(y_cols, dtype=np.complex128).reshape(2, -1))
+            for side, z, t_anchor, y_cols in requests]
+    return [pairs for _, pairs in _runs(ih, reqs)]
 
 
 def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
@@ -499,40 +521,97 @@ class SideBasis:
             float(abs(c0) * p0.err_est + abs(c1) * p1.err_est), samples)
 
 
-def side_bases(ih: IndefHamiltonianA, z: complex,
-               sides=("minus", "plus")) -> tuple:
-    """The bases of ``sides`` at z, each cached on the problem per
-    (side, z).  The first side found missing is built in one batch
-    (``_runs``) with every other side asked for that is not cached yet.
+def _build_bases(ih: IndefHamiltonianA, todo) -> dict:
+    """The bases of the (side, z) pairs of ``todo``, integrated in one batch
+    (``_runs``) and stored in the problem's cache; per pair the value the
+    cache holds, the first one stored.
 
     One integration gives each basis: the solution is the dense output of
     the pairs' run, from the regular endpoint to the last extrapolation
-    node.  A caller that reads both sides asks for both at once.
+    node.
     """
-    z = sv.finite_z(z)
-    keys = {side: (PER_Z_KIND, side, z) for side in sides}
-    built = {}
+    eye = np.eye(2, dtype=np.complex128)
+    regs = [ih.side(side).regular_endpoint(side) for side, _ in todo]
+    runs = _runs(ih, [(side, z, reg, eye)
+                      for (side, z), reg in zip(todo, regs)])
+    return {(side, z): ih.cache.store(
+                (PER_Z_KIND, side, z),
+                SideBasis(sv.MatrixSolution(dense, eye, reg), tuple(pairs)))
+            for (side, z), reg, (dense, pairs) in zip(todo, regs, runs)}
 
-    def build(side):
-        if side not in built:
-            todo = [s for s in sides if s not in built
-                    and (s == side or keys[s] not in ih.cache)]
-            eye = np.eye(2, dtype=np.complex128)
-            regs = [ih.side(s).regular_endpoint(s) for s in todo]
-            runs = _runs(ih, z, [(s, reg, eye) for s, reg in zip(todo, regs)])
-            for s, reg, (dense, pairs) in zip(todo, regs, runs):
-                built[s] = SideBasis(sv.MatrixSolution(dense, eye, reg),
-                                     tuple(pairs))
-        return built[side]
 
-    return tuple(ih.memo(keys[side], functools.partial(build, side))
-                 for side in sides)
+def warm_bases(ih: IndefHamiltonianA, zs, sides=("minus", "plus")) -> dict:
+    """Build the bases of ``sides`` at every z of ``zs`` that the problem's
+    cache lacks, in batches of at most ``PER_Z_BATCH`` z, and cache them.
+
+    A batch that raises is built again z by z, so one z that cannot be
+    integrated costs the others nothing: they are cached, and it is left
+    out, for its read to raise its own error as without warming.  A z that
+    is not finite is left to its read as well.  Returns, per z that failed
+    alone, its error.  More z than the cache holds (``PER_Z_CAP`` bases)
+    evict the first before the last are built: warm them in chunks, each
+    read before the next (``side_bases``).
+    """
+    todo = {}
+    for z in zs:
+        z = complex(z)
+        if cmath.isfinite(z) and z not in todo:
+            todo[z] = [(side, z) for side in sides
+                       if (PER_Z_KIND, side, z) not in ih.cache]
+    batch = [(z, pairs) for z, pairs in todo.items() if pairs]
+    errors = {}
+    for lo in range(0, len(batch), PER_Z_BATCH):
+        chunk = batch[lo:lo + PER_Z_BATCH]
+        try:
+            _build_bases(ih, [pair for _, pairs in chunk for pair in pairs])
+        except CanonsysError as exc:  # each z then raises its own, or none
+            if len(chunk) == 1:
+                errors[chunk[0][0]] = exc
+                continue
+            for z, pairs in chunk:
+                try:
+                    _build_bases(ih, pairs)
+                except CanonsysError as exc_z:
+                    errors[z] = exc_z
+    return errors
+
+
+def side_bases(ih: IndefHamiltonianA, zs, sides=("minus", "plus")) -> list:
+    """The bases of ``sides`` at every z of ``zs``, one tuple per z, each
+    cached on the problem per (side, z).
+
+    The missing ones are built in batches (``warm_bases``): ``zs`` is taken
+    in chunks of ``PER_Z_BATCH`` z, each read before the next is built, so
+    no basis is evicted before it is read.  A single z is a batch of one,
+    built at its read with the sides of it not cached yet.  A z that fails
+    raises its own error, the one it raises built alone, when it is read;
+    the z before it and the others of its chunk stay cached.
+    """
+    zs = [sv.finite_z(z) for z in zs]
+    out = []
+    for lo in range(0, len(zs), PER_Z_BATCH):
+        chunk = zs[lo:lo + PER_Z_BATCH]
+        errors = warm_bases(ih, chunk, sides) if len(chunk) > 1 else {}
+
+        def build(side, z):
+            # missing at its read: a single z, one that failed in the
+            # batch, or one a thread evicted since
+            if z in errors:
+                raise errors.pop(z)
+            todo = [(s, z) for s in sides
+                    if s == side or (PER_Z_KIND, s, z) not in ih.cache]
+            return _build_bases(ih, todo)[side, z]
+
+        out += [tuple(ih.memo((PER_Z_KIND, side, z),
+                              functools.partial(build, side, z))
+                      for side in sides) for z in chunk]
+    return out
 
 
 def side_basis(ih: IndefHamiltonianA, side: Side, z: complex) -> SideBasis:
     """The basis of one side, cached on the problem per (side, z); only
     that side is integrated when it is missing (``side_bases``)."""
-    return side_bases(ih, z, (side,))[0]
+    return side_bases(ih, [z], (side,))[0][0]
 
 
 def solve_from_gamma(ih: IndefHamiltonianA, side: Side, z: complex, c):

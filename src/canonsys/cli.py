@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 computation error, 2 configuration error.  Output is
 deterministic for a fixed config and seed: CSV prints IEEE doubles with 17
 significant digits, JSON is emitted with sorted keys, and z-grid work items
-are dispatched to a bounded thread pool but collected in input order.
+are dispatched to a bounded thread pool but collected in input order.  The
+``monodromy``, ``regbv`` and ``kernel-signature`` grids are taken in chunks
+of ``hamiltonian.PER_Z_BATCH`` z: the bases of a chunk are integrated in one
+batch (``boundary.warm_bases``) and read before the next chunk is built.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from . import monodromy as mo
 from . import solver as sv
 from . import wpoly as wp
 from .errors import CanonsysError, ConfigError
-from .hamiltonian import (IndefHamiltonianA, _number, check_HS, check_I,
-                          check_psd, problem_from_dict)
+from .hamiltonian import (PER_Z_BATCH, IndefHamiltonianA, _number, check_HS,
+                          check_I, check_psd, problem_from_dict)
 
 _RUN_KEYS = {"problem", "z_grid", "t_grid", "output"}
 
@@ -179,6 +182,20 @@ def _map_ordered(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
+def _map_grid(ih, zs, fn, jobs, sides=("minus", "plus")):
+    """``fn`` of every z of ``zs``, in input order, reading the bases of
+    ``sides``: per chunk of ``PER_Z_BATCH`` z they are integrated in one
+    batch, then read, so however long the grid, no basis is evicted from
+    the cache before it is read.  A z that fails raises its own error in
+    ``fn``, as without the batch."""
+    out = []
+    for lo in range(0, len(zs), PER_Z_BATCH):
+        chunk = zs[lo:lo + PER_Z_BATCH]
+        bd.warm_bases(ih, chunk, sides)
+        out += _map_ordered(fn, chunk, jobs)
+    return out
+
+
 def _emit(args, text: str):
     path = getattr(args, "output", None)
     if path:
@@ -268,7 +285,7 @@ def _cmd_regbv(args):
                                 for x, v, g in rb.samples]
         return entry
 
-    _emit_json(args, _map_ordered(work, zs, args.jobs))
+    _emit_json(args, _map_grid(ih, zs, work, args.jobs, (side,)))
     return 0
 
 
@@ -283,7 +300,8 @@ def _cmd_monodromy(args):
     def work(z):
         return z, mo.assemble_W(ih, z, t)
 
-    results = _map_ordered(work, zs, args.jobs)
+    sides = ("minus",) if t < ih.sigma else ("minus", "plus")
+    results = _map_grid(ih, zs, work, args.jobs, sides)
     if (args.emit or "csv") == "json":
         with np.errstate(over="ignore", invalid="ignore"):  # inf when W overflows
             dets = [np.linalg.det(w) for _, w in results]
@@ -312,7 +330,9 @@ def _cmd_kernel_signature(args):
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         pts = list(rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 2.5, n))
-    sig = mo.kernel_gram(lambda z: mo.monodromy_matrix(ih, z), pts)
+    pts = [complex(p) for p in pts]
+    ws = _map_grid(ih, pts, lambda z: mo.monodromy_matrix(ih, z), 1)
+    sig = mo.kernel_gram(dict(zip(pts, ws)).__getitem__, pts)
     _emit_json(args, {
         "points": [[p.real, p.imag] for p in sig.grid],
         "neg_count": sig.neg_count,

@@ -24,8 +24,8 @@ from . import boundary as bd
 from . import monodromy as mo
 from . import wpoly as wp
 from .errors import PoleError
-from .hamiltonian import (IndefHamiltonianA, build_R, hamiltonian_from_spec,
-                          indef_hamiltonian)
+from .hamiltonian import (PER_Z_CAP, IndefHamiltonianA, build_R,
+                          hamiltonian_from_spec, indef_hamiltonian)
 
 SIGMA = 1.0
 S_MINUS = 0.0
@@ -202,9 +202,14 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
             "comparison_matrix", "w_1", "interface", "det_minus_one",
             "z_zero_identity")}
     observed = {"q_sigma": {}, "neg_count": None}
+    rng = np.random.default_rng(20260808)
+    pts = rng.uniform(-3, 3, 8) + 1j * rng.uniform(0.2, 2.5, 8)
+    # the bases read below, both sides of each z, in batches of z, as many
+    # z as the cache holds (the rest are built where they are read); a z
+    # that fails raises its own error where it is read
+    bd.warm_bases(ih, (zs + [0.0] + list(pts))[:PER_Z_CAP // 2])
 
     for z in zs:
-        bd.side_bases(ih, z)  # both sides in one batch, read below
         for t in ts:
             got = mo.assemble_W(ih, z, t)
             want = reference_W(cfg, t, z)
@@ -227,15 +232,15 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
         # R Gamma_minus of its rows left of it.  Both sides are integrated
         # afresh from their midpoints, on panels the cached bases do not
         # share; read off those bases, the residual would be the identity
-        # prefactor U_plus = U_minus R^T.
+        # prefactor U_plus = U_minus R^T.  Both runs go in one batch.
         fac = mo.factorisation(ih, z)
         wm = bd.side_basis(ih, "minus", z).solution
-        gam = {}
-        for side, w_at in (("minus", wm.eval), ("plus", fac.w)):
-            mid = 0.5 * sum(ih.side(side).interval)
-            pairs = bd.gamma_columns(ih, side, z, mid, w_at(mid).T)
-            gam[side] = np.array([p.vec for p in pairs])
-        res = gam["plus"] - gam["minus"] @ build_R(ih, z).T
+        mids = [0.5 * sum(ih.side(side).interval) for side in ("minus", "plus")]
+        gam_m, gam_p = (np.array([p.vec for p in pairs]) for pairs in
+                        bd.gamma_columns_batch(ih, [
+                            ("minus", z, mids[0], wm.eval(mids[0]).T),
+                            ("plus", z, mids[1], fac.w(mids[1]).T)]))
+        res = gam_p - gam_m @ build_R(ih, z).T
         err["interface"] = max(err["interface"], float(np.abs(res).max()))
         if z.imag != 0.0:
             q = mo.weyl_intermediate(ih, z)
@@ -251,8 +256,6 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
     err["z_zero_identity"] = float(
         np.abs(mo.monodromy_matrix(ih, 0.0) - np.eye(2)).max())
 
-    rng = np.random.default_rng(20260808)
-    pts = rng.uniform(-3, 3, 8) + 1j * rng.uniform(0.2, 2.5, 8)
     sig = mo.kernel_gram(lambda z: mo.monodromy_matrix(ih, z), pts)
     observed["neg_count"] = sig.neg_count
 

@@ -43,6 +43,9 @@ PARAM_WIDTH = 8
 # 32 z on both sides (see ProblemCache).
 PER_Z_KIND = "basis"
 PER_Z_CAP = 32 * 2
+# z whose bases are integrated in one batch (boundary.warm_bases), at most
+# PER_Z_CAP / 2, so a batch never evicts its own bases; measured in CHANGES.md
+PER_Z_BATCH = 4
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -455,7 +458,11 @@ class ProblemCache:
             if key in self._per_z:
                 self._per_z.move_to_end(key)
                 return self._per_z[key]
-        value = build()
+        return self.store(key, build())
+
+    def store(self, key, value):
+        """Store ``value`` under the per-z ``key`` unless a value is stored
+        there already; returns the stored value, the one every caller gets."""
         with self._lock:
             value = self._per_z.setdefault(key, value)
             self._per_z.move_to_end(key)

@@ -26,7 +26,10 @@ integration, cached on the problem under ``("basis", side, z)``
 entries, least recently used evicted first).  ``factorisation``, and with
 it the assembly right of sigma and ``monodromy_matrix``, reads both sides
 and asks for both bases at once (``boundary.side_bases``), so a fresh z
-integrates them in one batch; the readers of one side build only it.  W
+integrates them in one batch; the readers of one side build only it.  A
+caller that reads many z, such as the kernel points of ``kernel_gram``,
+warms their bases first (``boundary.warm_bases``), which integrates up to
+``hamiltonian.PER_Z_BATCH`` z in one batch, and then reads them here.  W
 left of sigma and the default V are those fundamental solutions; U_minus,
 U_plus and the entry limits behind M(z) are read off those boundary pairs,
 and the Weyl coefficient off the left one at the extrapolation nodes.  For
@@ -108,7 +111,7 @@ def factorisation(ih: IndefHamiltonianA, z: complex,
                   v: Optional[sv.MatrixSolution] = None
                   ) -> MonodromyFactorisation:
     z = sv.finite_z(z)
-    bd.side_bases(ih, z)  # the sides not cached yet, in one batch
+    bd.side_bases(ih, [z])  # the sides not cached yet, in one batch
     vv = default_v(ih, z) if v is None else v
     um = u_minus(ih, z)
     up = bd.check_det(u_plus(ih, z, vv), vv.det_init, "U^+")

@@ -1,4 +1,4 @@
-"""Integration of the canonical system at fixed complex z.
+"""Integration of the canonical system at complex z.
 
 The vector equation is y' = z J H(t) y; the matrix form is solved for
 Y = W^T column-wise (the transposes of the rows of W solve the vector
@@ -26,14 +26,21 @@ A chain starts from its first round (``FirstRound``): the panels of
 (``Run.start``) that returns a kept one; :mod:`canonsys.boundary` keeps one
 per side of a problem, so a fresh z evaluates H only on the panels split off
 in later rounds.
-``integrate_dense`` is the one entry for every integration.  It takes one z
-and a sequence of runs (``Run``: Hamiltonian, anchor, start state, targets,
-singular endpoint, first-round lookup) and collocates the chains of all
-runs as one batch: each round solves and tests the pending panels of every
-chain in one ``_panel_bases`` and one ``_resolved`` call, and one loop
-chains the 2x2 propagators of all.  Each chain keeps its own first round,
-splits and chain, and every batched step treats a panel alike whatever else
-is in the batch, so a run's arrays are the same bits alone or with others.
+``integrate_dense`` is the one entry for every integration.  It takes a
+sequence of runs (``Run``: z, Hamiltonian, anchor, start state, targets,
+singular endpoint, first-round lookup), at one z or at many, and collocates
+the chains of all runs as one batch: each round solves and tests the
+pending panels of every chain in one ``_panel_bases`` and one ``_resolved``
+call, each panel with its chain's z, and one loop chains the 2x2
+propagators of all.  Each chain keeps its own z, first round, splits and
+chain, and every batched step treats a panel alike whatever else is in the
+batch, so a run's arrays are the same bits alone or with others.  That
+holds across z because a chain's z and z*z are Python numbers, spread over
+its panels when the batch holds several z: numpy's complex product of two
+arrays may round z*z differently from Python's (a fused multiply-add),
+while its product of an array with a spread value rounds as with the
+number.  Panels are solved in blocks of at most ``SOLVE_BLOCK``, which
+bounds the memory of a batch of many z.
 Node values and slopes of the states take one batched matmul each, their
 Chebyshev coefficients one more.
 Dense output is the start state itself at the anchor, exactly, and each
@@ -64,6 +71,7 @@ EPS_CUT_FRAC = 1e-6   # default cutoff distance to sigma, relative to length
 MAX_SPLITS = 2000     # panel splits per integration before IntegrationError
 TAIL_COEFS = 3        # trailing Chebyshev coefficients in the resolution test
 SINGULAR_DET = 1e-12  # relative |det| of a singular start matrix, at most
+SOLVE_BLOCK = 64      # panels per batched collocation solve (peak memory)
 
 _EPS = np.finfo(np.float64).eps
 _TOL_FLOOR = 64.0 * _EPS     # below this rtol is rounding noise
@@ -330,9 +338,10 @@ def first_round(h: Hamiltonian, t0: float, t1: float,
     return FirstRound(a, b, hm)
 
 
-def _coupled_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
+def _coupled_bases(z, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
     """``phi`` of panels with half-widths ``hw`` from the full 2n x 2n
-    system I - z hw Q (J H), (P, 2, n, 2).
+    system I - z hw Q (J H), (P, 2, n, 2); ``z`` as ``_panel_bases`` takes
+    it.
 
     The unknowns are ordered by component, then node, so the matrix is four
     contiguous n x n blocks: block (c, d) is delta_cd I - z hw Q diag((J H)_cd
@@ -341,7 +350,7 @@ def _coupled_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
     with the sign folded in: (J H)_0d = -H_1d and (J H)_1d = H_0d.
     """
     p, n = len(hw), cp.DEGREE + 1
-    zq = (-z * hw)[:, None, None] * cp.CUMINT
+    zq = (-z * hw[:, None, None]) * cp.CUMINT
     m = np.empty((p, 2, n, 2, n), dtype=np.complex128)
     for c, sign in ((0, -1.0), (1, 1.0)):
         for d in range(2):
@@ -352,9 +361,10 @@ def _coupled_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
                            _UNIT_STARTS).reshape(p, 2, n, 2)
 
 
-def _diagonal_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
+def _diagonal_bases(z, zz, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
     """``phi`` of panels whose H is diagonal at every node, from an n x n
-    Schur complement, (P, 2, n, 2).
+    Schur complement, (P, 2, n, 2); ``z`` and ``zz`` = z*z as
+    ``_panel_bases`` takes them.
 
     With A_c = hw Q diag(H_cc) (real), the system is [[I, z A_1],
     [-z A_0, I]] (y0, y1) = (r0, r1).  Eliminating y0 leaves
@@ -366,10 +376,10 @@ def _diagonal_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
     p, n = len(hw), cp.DEGREE + 1
     a0 = cp.CUMINT * (hw[:, None] * hm[:, :, 0, 0])[:, None, :]
     a1 = cp.CUMINT * (hw[:, None] * hm[:, :, 1, 1])[:, None, :]
-    m = (z * z) * (a0 @ a1)
+    m = zz * (a0 @ a1)
     m.reshape(p, -1)[:, ::n + 1] += 1.0
     rhs = np.empty((p, n, 2), dtype=np.complex128)
-    rhs[:, :, 0] = z * a0.sum(axis=2)
+    rhs[:, :, :1] = z * a0.sum(axis=2, keepdims=True)
     rhs[:, :, 1] = 1.0
     y1 = np.linalg.solve(m, rhs)
     phi = np.empty((p, 2, n, 2), dtype=np.complex128)
@@ -380,32 +390,46 @@ def _diagonal_bases(z: complex, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
     return phi
 
 
-def _panel_bases(z: complex, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
+def _take(x, k):
+    """Panels ``k`` of a value per panel; a Python number is every panel's."""
+    return x if np.ndim(x) == 0 else x[k]
+
+
+def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
     """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
 
-    ``hm`` is H at the panels' nodes, (P, n, 2, 2).  Returns the propagator
-    basis ``phi``, the node values for start values e1, e2 as columns, and
-    the integrand ``z J H phi`` at the nodes, both laid out (P, 2, n, 2):
-    component, node, column.
+    ``z`` and ``zz`` are the panels' z and z*z, the square formed by Python
+    (``_collocate``): Python numbers when all panels share one z, else one
+    per panel, (P, 1, 1).  ``hm`` is H at the panels' nodes, (P, n, 2, 2).
+    Returns the propagator basis ``phi``, the node values for start values
+    e1, e2 as columns, and the integrand ``z J H phi`` at the nodes, both
+    laid out (P, 2, n, 2): component, node, column.
 
     A panel whose H has zero off-diagonal entries at all of its nodes is
     solved through the n x n Schur complement of its system
     (``_diagonal_bases``); any other panel through the full 2n x 2n system
-    (``_coupled_bases``).  Each solve treats a panel alone, so its ``phi``
-    and ``f`` are the same bits whatever else is in the batch.
+    (``_coupled_bases``), at most ``SOLVE_BLOCK`` panels per call, which
+    bounds the n x n temporaries of a batch of many z.  Each solve treats a
+    panel alone, so its ``phi`` and ``f`` are the same bits whatever else is
+    in the batch.
     """
     hw = 0.5 * (b - a)
     diag = ~(hm[:, :, 0, 1].any(axis=1) | hm[:, :, 1, 0].any(axis=1))
+    phi = np.empty((len(a), 2, cp.DEGREE + 1, 2), dtype=np.complex128)
     with np.errstate(all="ignore"):
-        if diag.all():
-            phi = _diagonal_bases(z, hw, hm)
-        elif not diag.any():
-            phi = _coupled_bases(z, hw, hm)
-        else:
-            phi = np.empty((len(a), 2, cp.DEGREE + 1, 2), dtype=np.complex128)
-            phi[diag] = _diagonal_bases(z, hw[diag], hm[diag])
-            phi[~diag] = _coupled_bases(z, hw[~diag], hm[~diag])
-        zh = z * hm
+        for lo in range(0, len(a), SOLVE_BLOCK):
+            k = slice(lo, lo + SOLVE_BLOCK)
+            zk, zzk, d = _take(z, k), _take(zz, k), diag[k]
+            if d.all():
+                phi[k] = _diagonal_bases(zk, zzk, hw[k], hm[k])
+            elif not d.any():
+                phi[k] = _coupled_bases(zk, hw[k], hm[k])
+            else:
+                dk, ck = np.flatnonzero(d) + lo, np.flatnonzero(~d) + lo
+                phi[dk] = _diagonal_bases(_take(z, dk), _take(zz, dk), hw[dk],
+                                          hm[dk])
+                phi[ck] = _coupled_bases(_take(z, ck), hw[ck], hm[ck])
+        zh = np.reshape(z, (-1, 1, 1, 1)) * hm
         f = np.empty_like(phi)
         for c in range(2):
             np.multiply(zh[:, :, 1 - c, 0, None], phi[:, 0], out=f[:, c])
@@ -432,12 +456,13 @@ def _resolved(a, b, phi, rtol, atol):
 
 
 class _Chain:
-    """One chain of a batch while it is collocated: the panels of its
-    pending round (``a``, ``b``, their index in the first round and H at
-    their nodes), the arrays of its resolved panels per round, and the
-    error that ended it, if any."""
+    """One chain of a batch while it is collocated: its z and z*z (Python
+    numbers), the panels of its pending round (``a``, ``b``, their index in
+    the first round and H at their nodes), the arrays of its resolved panels
+    per round, and the error that ended it, if any."""
 
-    def __init__(self, h, z, first: FirstRound, state0):
+    def __init__(self, z: complex, h, first: FirstRound, state0):
+        self.z, self.zz = z, z * z
         self.h, self.first, self.state0 = h, first, state0
         t0, t1 = float(first.a[0]), float(first.b[-1])
         self.context = f"integration on [{t0}, {t1}] at z={z}"
@@ -505,15 +530,16 @@ def _cat(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _collocate(z, starts, rtol, atol):
-    """The PanelChain of every (h, first round, start state) of ``starts``,
-    collocated as one batch: each round solves and tests the pending panels
-    of all chains at once, and one loop chains the propagators of all.
-    Only panels split off in later rounds evaluate H.  Every step treats a
+def _collocate(starts, rtol, atol):
+    """The PanelChain of every (z, h, first round, start state) of
+    ``starts``, collocated as one batch: each round solves and tests the
+    pending panels of all chains at once, each panel with its chain's z and
+    z*z spread over it, and one loop chains the propagators of all.  Only
+    panels split off in later rounds evaluate H.  Every step treats a
     chain's panels alike whatever else is in the batch, so a chain's arrays
     do not depend on it.  When chains fail, the error of the first, in the
     order of ``starts``, is raised."""
-    chains = [_Chain(h, z, first, state0) for h, first, state0 in starts]
+    chains = [_Chain(*start) for start in starts]
     pending = chains
     while pending:
         for c in pending:
@@ -524,7 +550,15 @@ def _collocate(z, starts, rtol, atol):
         if not pending:
             break
         a, b = _cat([c.a for c in pending]), _cat([c.b for c in pending])
-        phi, f = _panel_bases(z, a, b, _cat([c.hm for c in pending]))
+        # one z as Python numbers: numpy multiplies an array by a number
+        # faster than by an array, and to the same bits
+        if all(c.z == pending[0].z for c in pending):
+            z, zz = pending[0].z, pending[0].zz
+        else:
+            sizes = [len(c.a) for c in pending]
+            z, zz = (np.repeat(np.array(v), sizes)[:, None, None] for v in
+                     ([c.z for c in pending], [c.zz for c in pending]))
+        phi, f = _panel_bases(z, zz, a, b, _cat([c.hm for c in pending]))
         ok = _resolved(a, b, phi, rtol, atol)
         bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
         nxt, lo = [], 0
@@ -619,6 +653,7 @@ class Run:
     sing)`` gives the first round of the chain toward t1; a caller that
     keeps that z-independent round passes its own lookup."""
 
+    z: complex
     h: Hamiltonian
     t0: float
     state0: object
@@ -638,16 +673,15 @@ class Integration(tuple):
         return [seg for dense in self for seg in dense.segments]
 
 
-def integrate_dense(z: complex, runs: Sequence[Run], rtol=RK_RTOL,
+def integrate_dense(runs: Sequence[Run], rtol=RK_RTOL,
                     atol=RK_ATOL) -> Integration:
-    """Solve every run at one z in one batch (``_collocate``): the chains
-    of all runs go through each collocation round and the chaining loop
-    together, each keeping its own first round, splits and chain, so a
-    run's arrays are the same bits alone or with others.  The start states
-    of the runs must have one size.
+    """Solve every run, each at its own z, in one batch (``_collocate``):
+    the chains of all runs go through each collocation round and the
+    chaining loop together, each keeping its own z, first round, splits and
+    chain, so a run's arrays are the same bits alone or with others.  The
+    start states of the runs must have one size.
     """
     check_tolerances(rtol, atol)
-    z = complex(z)
     jobs = []
     for run in runs:
         state0 = np.array(run.state0, dtype=np.complex128)  # the anchor state
@@ -655,16 +689,17 @@ def integrate_dense(z: complex, runs: Sequence[Run], rtol=RK_RTOL,
         if not ends:
             raise DomainError(f"no target other than t0={run.t0} to "
                               f"integrate to")
-        jobs.append((run, state0, ends))
-    if len({state0.shape for _, state0, _ in jobs}) > 1:
+        jobs.append((run, complex(run.z), state0, ends))
+    if len({state0.shape for _, _, state0, _ in jobs}) > 1:
         raise DomainError("the runs of one integration need start states "
                           "of one size")
-    chains = iter(_collocate(z, [
-        (run.h, run.start(run.h, float(run.t0), float(t1), run.sing), state0)
-        for run, state0, ends in jobs for t1 in ends], rtol, atol))
+    chains = iter(_collocate([
+        (z, run.h, run.start(run.h, float(run.t0), float(t1), run.sing),
+         state0)
+        for run, z, state0, ends in jobs for t1 in ends], rtol, atol))
     return Integration(
         DenseSolution([next(chains) for _ in ends], z, run.h, run.t0, state0)
-        for run, state0, ends in jobs)
+        for run, z, state0, ends in jobs)
 
 
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
@@ -703,7 +738,7 @@ def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
     z = finite_z(z)
     y0 = finite_start(y0, (2,), "y0")
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense, = integrate_dense(z, [Run(h, t0, y0, targets, sing)], rtol=rtol,
+    dense, = integrate_dense([Run(z, h, t0, y0, targets, sing)], rtol=rtol,
                              atol=atol)
     return SolutionSampler(dense, 0)
 
@@ -768,7 +803,7 @@ def fundamental(h: Hamiltonian, z: complex, init=None,
     check_nonsingular(init, "init")
     state0 = init.reshape(-1)  # row-major entries of W = column-stacked W^T
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense, = integrate_dense(z, [Run(h, t0, state0, targets, sing)],
+    dense, = integrate_dense([Run(z, h, t0, state0, targets, sing)],
                              rtol=rtol, atol=atol)
     return MatrixSolution(dense, init, t0)
 

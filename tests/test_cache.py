@@ -2,12 +2,14 @@
 one integration per z.
 
 Integrations are counted per run of ``solver.integrate_dense`` (one call may
-integrate several runs) and told apart by their target: a boundary
+integrate several runs, at one z or at several) and told apart by their
+target: a boundary
 integration stops at the last Neville node, about 9.5e-8 of the side's
 length from sigma, a fundamental one at the 1e-6 cutoff.
 """
 
 import gc
+import json
 import sys
 import threading
 import time
@@ -21,6 +23,7 @@ from canonsys import boundary as bd
 from canonsys import hamiltonian as hm_mod
 from canonsys import solver as sv
 from canonsys.cli import main
+from conftest import indivisible_problem_dict
 
 
 def _kind(run):
@@ -38,9 +41,9 @@ def batches(monkeypatch):
     calls = []
     orig = sv.integrate_dense
 
-    def counted(z, runs, **kwargs):
+    def counted(runs, **kwargs):
         calls.append([_kind(run) for run in runs])
-        return orig(z, runs, **kwargs)
+        return orig(runs, **kwargs)
 
     monkeypatch.setattr(sv, "integrate_dense", counted)
     return calls
@@ -52,9 +55,9 @@ def integrations(monkeypatch):
     calls = []
     orig = sv.integrate_dense
 
-    def counted(z, runs, **kwargs):
+    def counted(runs, **kwargs):
         calls.extend(_kind(run) for run in runs)
-        return orig(z, runs, **kwargs)
+        return orig(runs, **kwargs)
 
     monkeypatch.setattr(sv, "integrate_dense", counted)
     return calls
@@ -534,7 +537,7 @@ def test_joint_and_single_side_builds_give_identical_arrays():
     joint, single = cs.example_problem(), cs.example_problem()
     split = 0
     for i, z in enumerate(BATCH_ZS):
-        both = bd.side_bases(joint, z)
+        both, = bd.side_bases(joint, [z])
         sides = ("minus", "plus") if i % 2 else ("plus", "minus")
         alone = {side: bd.side_basis(single, side, z) for side in sides}
         for side, basis in zip(("minus", "plus"), both):
@@ -549,7 +552,7 @@ def test_threads_asking_for_one_or_both_sides_match_serial():
     z = 0.35 - 1.4j
     serial = cs.example_problem()
     want = {side: _basis_arrays(basis) for side, basis
-            in zip(("minus", "plus"), bd.side_bases(serial, z))}
+            in zip(("minus", "plus"), bd.side_bases(serial, [z])[0])}
     ih = cs.example_problem()
     cs.w_family_for(ih, "minus")
     cs.w_family_for(ih, "plus")
@@ -561,7 +564,7 @@ def test_threads_asking_for_one_or_both_sides_match_serial():
     def worker(i):
         try:
             barrier.wait()
-            got[i] = bd.side_bases(ih, z, asks[i])
+            got[i], = bd.side_bases(ih, [z], asks[i])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -609,6 +612,201 @@ def test_single_side_readers_integrate_only_their_side(call, batches):
     call(ih, 0.8 + 0.7j)
     assert len(batches) == 1 and len(batches[0]) == 1
     assert ih.cache.per_z_size() == 1
+
+
+# ---------------------------------------------------------------------------
+# many z in one batch: a basis is the same bits built in a batch of any size
+# as alone; a z that fails leaves the others of its batch cached
+
+def test_batch_bound_within_half_the_cache():
+    assert 1 <= hm_mod.PER_Z_BATCH <= hm_mod.PER_Z_CAP // 2
+
+
+def _coupled_problem():
+    # the example with a plus side c |t - 1|^-2 xi xi^T at angle 0.7: its
+    # panels have a non-zero off-diagonal and solve the 2n x 2n system, the
+    # minus side's the Schur complement
+    return cs.problem_from_dict(indivisible_problem_dict(0.7, "plus"))
+
+
+# the coupled side takes hundreds of panels at |z| ~ 4: smaller z, real and 0
+COUPLED_ZS = [0.3 + 0.4j, -0.5 - 0.2j, 0.0, 1.5, -0.8 + 1.1j]
+
+
+@pytest.mark.parametrize("make, zs", [(cs.example_problem, BATCH_ZS),
+                                      (_coupled_problem, COUPLED_ZS)],
+                         ids=["example", "coupled"])
+@pytest.mark.parametrize("per_batch", [2, None, len(BATCH_ZS)])
+def test_batched_and_single_builds_give_identical_arrays(make, zs, per_batch,
+                                                         monkeypatch):
+    ih, single = make(), make()
+    if per_batch is not None:
+        monkeypatch.setattr(bd, "PER_Z_BATCH", per_batch)
+    batched = bd.side_bases(ih, zs)
+    assert ih.cache.per_z_size() == 2 * len(zs)
+    if make is _coupled_problem:
+        chain = batched[0][1].solution._dense.segments[0]
+        assert (chain.hm[:, 0, 1] != 0.0).all()
+    for z, bases in zip(zs, batched):
+        for side, basis in zip(("minus", "plus"), bases):
+            _assert_same_bits(_basis_arrays(bd.side_basis(single, side, z)),
+                              _basis_arrays(basis))
+        assert bases[0].pairs[0].z == z
+
+
+def test_warmed_grid_integrates_each_basis_once_in_batches(batches):
+    ih = cs.example_problem()
+    zs = BATCH_ZS + BATCH_ZS[:3]  # repeats are built once
+    assert bd.warm_bases(ih, zs) == {}
+    n_z = len(BATCH_ZS)
+    assert [len(b) for b in batches] == [
+        2 * min(hm_mod.PER_Z_BATCH, n_z - lo)
+        for lo in range(0, n_z, hm_mod.PER_Z_BATCH)]
+    assert ih.cache.per_z_size() == 2 * n_z
+    del batches[:]
+    for z in zs:
+        cs.monodromy_matrix(ih, z)
+    assert batches == []
+    # cached sides are not built again; a missing one is, alone
+    bd.warm_bases(ih, [BATCH_ZS[0], 0.25j], ("plus",))
+    assert batches == [[("plus", "boundary")]]
+
+
+def test_validation_integrates_each_basis_once_in_few_calls(monkeypatch):
+    calls = []
+    orig = sv.integrate_dense
+
+    def counted(runs, **kwargs):
+        # (side, z, whether the run starts at the regular endpoint)
+        calls.append([(_kind(run)[0], complex(run.z), run.t0 in (0.0, 2.0))
+                      for run in runs])
+        return orig(runs, **kwargs)
+
+    monkeypatch.setattr(sv, "integrate_dense", counted)
+    assert cs.run_validation()["pass"]
+    assert len(calls) <= 10
+    bases = [(side, z) for runs in calls for side, z, basis in runs if basis]
+    assert len(bases) == len(set(bases)) == 2 * (6 + 1 + 8)
+    # the midpoint runs of each grid z: both sides in one call
+    mids = [runs for runs in calls if not any(basis for *_, basis in runs)]
+    assert len(mids) == 6
+    assert all(sorted(side for side, *_ in runs) == ["minus", "plus"]
+               and len({z for _, z, _ in runs}) == 1 for runs in mids)
+
+
+def test_threads_warming_overlapping_grids_match_serial():
+    zs = BATCH_ZS[:6]
+    serial = cs.example_problem()
+    want = {z: [_basis_arrays(b) for b in bases]
+            for z, bases in zip(zs, bd.side_bases(serial, zs))}
+    ih = cs.example_problem()
+    cs.w_family_for(ih, "minus")
+    cs.w_family_for(ih, "plus")
+    grids = [zs[i % 3:i % 3 + 4] for i in range(6)] + [zs[::-1], zs[1::2]]
+    got = [None] * len(grids)
+    errors = []
+    barrier = threading.Barrier(len(grids), timeout=60)
+
+    def worker(i):
+        try:
+            barrier.wait()
+            if i % 2:
+                bd.warm_bases(ih, grids[i])
+            got[i] = bd.side_bases(ih, grids[i])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(grids))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert not errors
+    for grid, bases in zip(grids, got):
+        for z, pair in zip(grid, bases):
+            for w, basis in zip(want[z], pair):
+                _assert_same_bits(w, _basis_arrays(basis))
+    assert ih.cache.per_z_size() == 2 * len(zs)
+
+
+# 700j overflows on the minus side: an integration failure
+FAILING_Z = 700j
+MIXED_GRID = [0.5 + 0.5j, FAILING_Z, -1.2 + 0.3j, 2.0]
+
+
+def _error_alone(z):
+    with pytest.raises(cs.CanonsysError) as exc:
+        cs.monodromy_matrix(cs.example_problem(), z)
+    return exc.value
+
+
+def test_failing_z_raises_its_own_error_and_leaves_the_others_cached():
+    want = _error_alone(FAILING_Z)
+    assert isinstance(want, cs.SingularityProximityError)
+    ih = cs.example_problem()
+    with pytest.raises(type(want)) as exc:
+        bd.side_bases(ih, MIXED_GRID)
+    assert str(exc.value) == str(want)
+    good = [z for z in MIXED_GRID if z != FAILING_Z]
+    assert ih.cache.per_z_size() == 2 * len(good)
+    single = cs.example_problem()
+    for z in good:
+        for side in ("minus", "plus"):
+            _assert_same_bits(_basis_arrays(bd.side_basis(single, side, z)),
+                              _basis_arrays(bd.side_basis(ih, side, z)))
+    # warmed: the error is returned for the read, which raises it again
+    ih = cs.example_problem()
+    errors = bd.warm_bases(ih, MIXED_GRID)
+    assert list(errors) == [FAILING_Z] and str(errors[FAILING_Z]) == str(want)
+    assert ih.cache.per_z_size() == 2 * len(good)
+    with pytest.raises(type(want)) as exc:
+        cs.monodromy_matrix(ih, FAILING_Z)
+    assert str(exc.value) == str(want)
+
+
+def test_cli_grid_with_a_failing_z_exits_with_its_message(capsys):
+    want = _error_alone(FAILING_Z)
+    grid = ",".join(repr(z) for z in MIXED_GRID)
+    assert main(["monodromy", "--z-grid", grid]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"computation error [{type(want).__name__}]: "
+                       f"{want}\n")
+    # a z before it that fails only when read (U^+ not finite at 400j)
+    # still reports first, as read one z at a time
+    first = _error_alone(400j)
+    assert isinstance(first, cs.ConditioningError)
+    assert main(["monodromy", "--z-grid", f"0.5j,400j,{FAILING_Z!r}"]) == 1
+    assert capsys.readouterr().err == (
+        f"computation error [ConditioningError]: {first}\n")
+
+
+def test_long_cli_grid_matches_per_z_output(batches, capsys):
+    # 40 z, more than the cache's 32: each chunk is read before the next is
+    # built, so no basis is integrated twice
+    rng = np.random.default_rng(4040)
+    zs = [complex(x, y) for x, y in zip(rng.uniform(-4, 4, 40),
+                                        rng.uniform(-3, 3, 40))]
+    grid = ",".join(repr(z) for z in zs)
+    assert main(["monodromy", "--z-grid", grid, "--emit", "json"]) == 0
+    serial = capsys.readouterr().out
+    assert len(batches) == -(-len(zs) // hm_mod.PER_Z_BATCH)
+    assert sum(len(b) for b in batches) == 2 * len(zs)
+    assert main(["--jobs", "2", "monodromy", "--z-grid", grid,
+                 "--emit", "json"]) == 0
+    assert capsys.readouterr().out == serial
+    rows = []
+    for z in zs:
+        assert main(["monodromy", "--z-grid", repr(z), "--emit", "json"]) == 0
+        rows += json.loads(capsys.readouterr().out)
+    assert serial == json.dumps(rows, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

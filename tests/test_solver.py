@@ -269,26 +269,59 @@ _COLLOCATION_CASES = (
        for n in ((5, 23) if kind == "mixed" else (1, 5, 23)) for z in _ZS])
 
 
+def _panel_zs(z, n_panels):
+    """A z per panel, (P, 1, 1), as a batch of several z has them: the
+    case's z, then z + 0.5 and z + 1 in turn; and their squares, formed by
+    Python."""
+    zs = complex(z) + 0.5 * (np.arange(n_panels) % 3)
+    zz = np.array([w * w for w in zs.tolist()])
+    return zs[:, None, None], zz[:, None, None]
+
+
 class TestCollocation:
     @pytest.mark.parametrize("kind, z, n_panels", _COLLOCATION_CASES)
     def test_block_layout_matches_interleaved_reference(self, kind, z,
                                                         n_panels):
         # a non-zero off-diagonal fills all four blocks (J H)_cd; a zero one
-        # takes the Schur complement, on panels of every kind and scale
+        # takes the Schur complement, on panels of every kind and scale,
+        # each panel at its own z
         a, b, hm = _collocation_panels(kind, n_panels)
         coupled = np.abs(hm[..., 0, 1]).min(axis=1) > 0.0
         assert coupled.all() if kind == "coupled" else not coupled.all()
-        bases = sv._panel_bases(complex(z), a, b, hm)
+        zs, zz = _panel_zs(z, n_panels)
+        bases = sv._panel_bases(zs, zz, a, b, hm)
         phi, f = (x.transpose(0, 2, 1, 3) for x in bases)  # to (P, n, 2, 2)
-        phi_ref, f_ref = _panel_bases_interleaved(complex(z), a, b, hm)
+        refs = [_panel_bases_interleaved(w, a[k:k + 1], b[k:k + 1],
+                                         hm[k:k + 1])
+                for k, w in enumerate(zs.ravel().tolist())]
+        phi_ref, f_ref = (np.concatenate(x) for x in zip(*refs))
         assert np.abs(phi - phi_ref).max() <= 1e-12 * np.abs(phi_ref).max()
         assert np.abs(f - f_ref).max() <= 1e-12 * np.abs(f_ref).max()
         # each path solves a panel by itself: solved alone, a panel of the
         # batch gives the same bits (of a mixed batch: a diagonal panel at
         # 5 panels, a coupled one at 23)
         k = n_panels // 2
-        alone = sv._panel_bases(complex(z), a[k:k + 1], b[k:k + 1], hm[k:k + 1])
+        alone = sv._panel_bases(zs[k:k + 1], zz[k:k + 1], a[k:k + 1],
+                                b[k:k + 1], hm[k:k + 1])
         assert all(np.array_equal(x[0], y[k]) for x, y in zip(alone, bases))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "coupled", "mixed"])
+    def test_blocks_and_one_z_as_a_number_give_the_same_bits(
+            self, kind, monkeypatch):
+        # a batch larger than SOLVE_BLOCK is solved in blocks, each panel
+        # as in one call; one z for all panels, passed as Python numbers,
+        # gives the bits of the same z spread over the panels
+        a, b, hm = _collocation_panels(kind, 23)
+        zs, zz = _panel_zs(-1.3 + 4.1j, 23)
+        whole = sv._panel_bases(zs, zz, a, b, hm)
+        z = complex(zs[1, 0, 0])
+        one = sv._panel_bases(z, z * z, a, b, hm)
+        monkeypatch.setattr(sv, "SOLVE_BLOCK", 4)
+        blocks = sv._panel_bases(zs, zz, a, b, hm)
+        assert all(np.array_equal(x, y) for x, y in zip(whole, blocks))
+        spread = sv._panel_bases(np.full_like(zs, z), np.full_like(zz, z * z),
+                                 a, b, hm)
+        assert all(np.array_equal(x, y) for x, y in zip(one, spread))
 
     @staticmethod
     def solved_shapes(monkeypatch):
@@ -367,62 +400,111 @@ def _chain_arrays(dense):
     return out
 
 
-class TestBatch:
-    """integrate_dense solves several runs at one z together; each run's
-    arrays are the same bits as when it is solved alone."""
+def _coupled_hamiltonian():
+    """A coupled H on [0, 1]: its panels solve the 2n x 2n system."""
+    return cs.hamiltonian_from_spec(
+        {"kind": "piecewise", "pieces": [{
+            "interval": [0.0, 1.0],
+            "h1": {"type": "const", "value": 2.0},
+            "h2": {"type": "poly", "coeffs": [1.0, 0.5]},
+            "h3": {"type": "const", "value": 0.7}}]}, (0.0, 1.0))
 
-    def runs(self, example_ih):
+
+class TestBatch:
+    """integrate_dense solves several runs together, each at its own z;
+    each run's arrays are the same bits as when it is solved alone."""
+
+    def runs(self, example_ih, z):
         hm, hp = example_ih.h_minus, example_ih.h_plus
         rng = np.random.default_rng(11)
         state = rng.normal(size=4) + 1j * rng.normal(size=4)
+        z = complex(z)
         return [
-            sv.Run(hm, 0.0, np.eye(2).reshape(-1), [1.0 - 1e-6], 1.0),
-            sv.Run(hp, 1.5, state, [2.0, 1.0 + 1e-7], 1.0),  # two chains
-            sv.Run(cs.identity_hamiltonian((0.0, 3.0)), 1.0, state,
+            sv.Run(z, hm, 0.0, np.eye(2).reshape(-1), [1.0 - 1e-6], 1.0),
+            sv.Run(z, hp, 1.5, state, [2.0, 1.0 + 1e-7], 1.0),  # two chains
+            sv.Run(z, cs.identity_hamiltonian((0.0, 3.0)), 1.0, state,
                    [0.0, 3.0]),
-            sv.Run(hp, 2.0, np.eye(2).reshape(-1), [1.0 + 1e-6], 1.0),
+            sv.Run(z, hp, 2.0, np.eye(2).reshape(-1), [1.0 + 1e-6], 1.0),
+            # the same solves at other z, and a coupled H: one batch mixes
+            # Schur and full systems
+            sv.Run(z.conjugate() + 0.6, hm, 0.0, np.eye(2).reshape(-1),
+                   [1.0 - 1e-6], 1.0),
+            sv.Run(-2.0 * z, hp, 2.0, np.eye(2).reshape(-1), [1.0 + 1e-6],
+                   1.0),
+            sv.Run(z, _coupled_hamiltonian(), 0.3, state, [0.0, 1.0]),
+            sv.Run(1.5 - 0.5 * z, _coupled_hamiltonian(), 0.0, state, [1.0]),
         ]
 
     @pytest.mark.parametrize("z", [0.0, 2.5, -1.3 + 4.1j, 3.7 - 2.2j])
     def test_runs_alone_and_together_are_identical(self, example_ih, z):
-        runs = self.runs(example_ih)
-        together = sv.integrate_dense(z, runs)
+        runs = self.runs(example_ih, z)
+        together = sv.integrate_dense(runs)
         assert len(together) == len(runs)
         assert together.segments == [seg for d in together
                                       for seg in d.segments]
-        assert [len(d.segments) for d in together] == [1, 2, 2, 1]
+        assert [len(d.segments) for d in together] == [1, 2, 2, 1, 1, 1, 2, 1]
+        assert [d.z for d in together] == [complex(r.z) for r in runs]
         for run, dense in zip(runs, together):
-            alone, = sv.integrate_dense(z, [run])
+            alone, = sv.integrate_dense([run])
             assert dense.anchor_t == alone.anchor_t == run.t0
             for a, b in zip(_chain_arrays(alone), _chain_arrays(dense)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-        # a run of the batch in another order and company: the same bits
-        again = sv.integrate_dense(z, runs[::-1][:2])
-        for a, b in zip(_chain_arrays(again[1]), _chain_arrays(together[2])):
-            assert np.array_equal(a, b)
+        # runs of the batch in another order and company: the same bits
+        again = sv.integrate_dense(runs[::-1][:6])
+        for k in range(6):
+            for a, b in zip(_chain_arrays(again[5 - k]),
+                            _chain_arrays(together[len(runs) - 6 + k])):
+                assert np.array_equal(a, b)
+
+    def test_panels_get_their_chains_z_and_its_python_square(
+            self, example_ih, monkeypatch):
+        # numpy's complex product of two arrays can round z*z differently
+        # from Python's (in about a quarter of z on an FMA host), which
+        # would make a batch differ from the scalar formulas in the last bit
+        seen = []
+        panel_bases = sv._panel_bases
+
+        def recorded(z, zz, a, b, hm):
+            # a Python number stands for every panel
+            seen.append(tuple(np.broadcast_to(np.ravel(x), len(a))
+                              for x in (z, zz)) + (len(a),))
+            return panel_bases(z, zz, a, b, hm)
+
+        monkeypatch.setattr(sv, "_panel_bases", recorded)
+        rng = np.random.default_rng(5)
+        zs = [complex(x, y) for x, y in rng.uniform(-4, 4, (8, 2))]
+        hm = example_ih.h_minus
+        dense = sv.integrate_dense([sv.Run(z, hm, 0.0, [1.0, 0.0], [0.9])
+                                    for z in zs])
+        assert set(seen[0][0].tolist()) == set(zs)  # one batch of all z
+        for z, zz, n in seen:
+            assert len(z) == len(zz) == n
+            assert zz.tolist() == [w * w for w in z.tolist()]
+        assert [d.z for d in dense] == zs
 
     def test_start_states_of_one_size(self, hm):
-        runs = [sv.Run(hm, 0.0, [1.0, 0.0], [0.5]),
-                sv.Run(hm, 0.0, np.eye(2).reshape(-1), [0.5])]
+        runs = [sv.Run(1j, hm, 0.0, [1.0, 0.0], [0.5]),
+                sv.Run(1j, hm, 0.0, np.eye(2).reshape(-1), [0.5])]
         with pytest.raises(cs.DomainError, match="one size"):
-            sv.integrate_dense(1j, runs)
+            sv.integrate_dense(runs)
         with pytest.raises(cs.DomainError, match="no target"):
-            sv.integrate_dense(1j, [sv.Run(hm, 0.5, [1.0, 0.0], [0.5])])
+            sv.integrate_dense([sv.Run(1j, hm, 0.5, [1.0, 0.0], [0.5])])
 
     def test_first_failing_run_raises(self, hm, hp):
-        # integrated up to sigma itself, each of these fails next to it
-        to_sigma_left = sv.Run(hm, 0.0, [1.0, 0.0], [1.0], 1.0)
-        to_sigma_right = sv.Run(hp, 2.0, [1.0, 0.0], [1.0], 1.0)
-        fine = sv.Run(hm, 0.0, [1.0, 0.0], [0.5], 1.0)
+        # integrated up to sigma itself, each of these fails next to it,
+        # whatever the z of the others
+        to_sigma_left = sv.Run(1.0, hm, 0.0, [1.0, 0.0], [1.0], 1.0)
+        to_sigma_right = sv.Run(1.0, hp, 2.0, [1.0, 0.0], [1.0], 1.0)
+        fine = sv.Run(2.0 - 1j, hm, 0.0, [1.0, 0.0], [0.5], 1.0)
         for runs, left in (([fine, to_sigma_left], True),
                            ([to_sigma_right, to_sigma_left], False),
                            ([to_sigma_left, fine, to_sigma_right], True)):
             with pytest.raises(cs.SingularityProximityError) as exc:
-                sv.integrate_dense(1.0, runs)
+                sv.integrate_dense(runs)
             assert (exc.value.t_reached < 1.0) == left
             alone = to_sigma_left if left else to_sigma_right
             with pytest.raises(cs.SingularityProximityError) as ref:
-                sv.integrate_dense(1.0, [alone])
+                sv.integrate_dense([alone])
             assert str(exc.value) == str(ref.value)
 
 
