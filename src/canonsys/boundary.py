@@ -15,9 +15,10 @@ error is reported.
 Runs are taken in batches (``_runs``), each run at its own z: the runs of
 a batch are integrated in one ``solver.integrate_dense`` call, S' is formed
 and integrated at the nodes of all their chains in one pass, y2 and S at
-every run's extrapolation nodes take one evaluation, and the limits take
-two tableau calls, one on y2 of every column of every run and one on the
-corrected S, each column keeping its own z, nodes and winning entry.  A run's
+every run's extrapolation nodes take one evaluation, and the limits of y2
+and S of every column of every run take one tableau call (two, y2 first,
+where S needs a correction by the limit of y2: Delta >= 2 or a side that
+is not diagonal), each column keeping its own z, nodes and winning entry.  A run's
 powers of z are Python numbers spread over its nodes, so its pairs are the
 same bits alone or in any batch (see :mod:`canonsys.solver`).  A caller that
 reads both sides of a z asks for both bases at once (``side_bases``); one
@@ -35,11 +36,15 @@ What of a run from the regular endpoint does not depend on z is computed
 once per side and kept in the problem's fixed store
 (``IndefHamiltonianA.memo``) under ``("plan", side)``, beside the
 w-families: the ``SidePlan`` holds the first round of the run's chain (its
-panels and H at their nodes), w_Delta^T H at those nodes and w_n at the
-regular endpoint for n <= Delta, all read-only.  The integrator starts from it (its ``start`` lookup, so H is
-still evaluated only inside the integrator), so a fresh z evaluates H and
-w_Delta only on the panels split off in later rounds.  Runs from any other
-anchor keep nothing.  y2 and S at the extrapolation nodes come from one
+panels, H at their nodes and their Schur factors), w_Delta^T H at those
+nodes and w_n at the regular endpoint for n <= Delta, all read-only, and a
+record of the halves of the panels that every fresh z so far has split,
+with the same per-panel arrays (``_record_splits``; the first z other than
+0 sets it, later ones only shrink it).  The integrator starts from it (its
+``start`` lookup, so H is still evaluated only inside the integrator), so a
+fresh z that splits the recorded panels, as every z on the example does,
+runs one collocation round and evaluates neither H nor w_Delta.  Runs from
+any other anchor keep nothing.  y2 and S at the extrapolation nodes come from one
 evaluation on the chain's panels.
 
 Per side and z, one integration is computed once and kept in the problem's
@@ -234,15 +239,18 @@ def node_distances(length: float, span: float) -> np.ndarray:
 
 
 def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
-                       w_funcs, xs: np.ndarray) -> np.ndarray:
-    """sum over n <= Delta-1, Delta+1 <= j <= 2 Delta - n of z^(n+j) w_n^T J w_j."""
+                       w_funcs, xs: np.ndarray) -> Optional[np.ndarray]:
+    """sum over n <= Delta-1, Delta+1 <= j <= 2 Delta - n of z^(n+j) w_n^T J w_j;
+    None when no pair contributes (Delta = 1 on a diagonal side)."""
     delta = ih.delta
-    out = np.zeros(len(xs), dtype=complex)
+    out = None
     diagonal = ih.side(side).is_diagonal
     for n in range(0, delta):
         for j in range(delta + 1, 2 * delta - n + 1):
             if diagonal and n % 2 == j % 2:
                 continue  # pairs of equal parity vanish identically
+            if out is None:
+                out = np.zeros(len(xs), dtype=complex)
             out += z ** (n + j) * w_funcs[n].j_pair(w_funcs[j], xs)
     return out
 
@@ -250,14 +258,29 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
 @dataclass(frozen=True)
 class SidePlan(sv.FirstRound):
     """The z-independent part of a side's run from its regular endpoint:
-    the first round of its chain (panels and H at their nodes), and, on a
-    side that is not indivisible, w_Delta^T H at those nodes,
-    (P, DEGREE + 1, 2), and w_n at the regular endpoint for n <= Delta,
-    (Delta + 1, 2).  Read-only, kept on the problem under
-    ``("plan", side)``."""
+    the first round of its chain (panels, H at their nodes and their Schur
+    factors, ``solver.kept_round``), and, on a side that is not
+    indivisible, w_Delta^T H at those nodes, (P, DEGREE + 1, 2), and w_n at
+    the regular endpoint for n <= Delta, (Delta + 1, 2).  Read-only, kept
+    on the problem under ``("plan", side)``.
 
-    wh: Optional[np.ndarray]
-    w_reg: Optional[np.ndarray]
+    It also records the halves of the first-round panels that every fresh
+    z so far has split (``solver.FirstRound.parent``), with H, the Schur
+    factors and w_Delta^T H at their nodes, so a z that splits the same
+    panels evaluates nothing on them and solves them with the first round
+    (``_record_splits``)."""
+
+    wh: Optional[np.ndarray] = None
+    w_reg: Optional[np.ndarray] = None
+
+
+def _wh(ih: IndefHamiltonianA, side: Side, a, b, hm) -> np.ndarray:
+    """w_Delta^T H at the nodes of the panels [a_k, b_k], H there ``hm``."""
+    if len(a) == 0:
+        return np.empty((0, cp.DEGREE + 1, 2))
+    t = cp.nodes_between(a, b)
+    w = wp.w_family_for(ih, side)[ih.delta]
+    return np.einsum("pja,pjab->pjb", w(t), hm)
 
 
 def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
@@ -268,18 +291,48 @@ def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
     key beyond the side; H is evaluated inside the integrator.
     """
     def build():
-        rnd = sv.first_round(h, t0, t1, sing)
+        rnd = sv.kept_round(sv.first_round(h, t0, t1, sing))
         if ih.indivisible(side).is_indivisible:
-            return SidePlan(rnd.a, rnd.b, rnd.hm, None, None)
+            return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur)
         w_funcs = wp.w_family_for(ih, side)
-        t = cp.nodes_between(rnd.a, rnd.b)
-        wh = np.einsum("pja,pjab->pjb", w_funcs[ih.delta](t), rnd.hm)
+        wh = _wh(ih, side, rnd.a, rnd.b, rnd.hm)
         w_reg = np.array([f(t0) for f in w_funcs[:ih.delta + 1]])
         for arr in (wh, w_reg):
             arr.setflags(write=False)
-        return SidePlan(rnd.a, rnd.b, rnd.hm, wh, w_reg)
+        return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur, None, wh, w_reg)
 
     return ih.memo(("plan", side), build)
+
+
+def _record_splits(ih: IndefHamiltonianA, side: Side,
+                   chain: sv.PanelChain) -> None:
+    """Update the side plan's record of split halves with the first-round
+    panels ``chain`` split at its z: the first z sets it, every later one
+    keeps only the halves it split too, so the record never grows.  The
+    plan is replaced under the problem's lock; a chain that started from an
+    older plan reads that one, whose arrays are unchanged."""
+    parents, hm = chain.split
+
+    def update(plan: SidePlan) -> SidePlan:
+        p = plan.size
+        if plan.parent is None:  # the first z sets the record
+            a, b = sv.halves(plan.a[parents], plan.b[parents])
+            kept, kept_hm = parents, hm
+            wh = None if plan.wh is None else _wh(ih, side, a, b, hm)
+        else:  # a later z keeps the recorded halves it split too
+            recorded = plan.parent[p::2]
+            if np.array_equal(recorded, parents):
+                return plan
+            keep = np.isin(recorded, parents)
+            if keep.all():
+                return plan
+            idx = p + np.flatnonzero(np.repeat(keep, 2))
+            kept, kept_hm = recorded[keep], plan.hm[idx]
+            wh = None if plan.wh is None else plan.wh[idx]
+        return sv.with_record(plan, kept, kept_hm,
+                              **({} if wh is None else {"wh": wh}))
+
+    ih.cache.replace(("plan", side), update)
 
 
 class _Limited(NamedTuple):
@@ -303,8 +356,8 @@ def _functional(ih: IndefHamiltonianA, runs):
     """S of the solutions of every run: per run S at the anchor, one entry
     per anchored column, and the Chebyshev coefficients of S's change from
     the anchor on every panel of the run's chain.  A plan gives w at the
-    anchor and w_Delta^T H on the panels it holds; only split panels
-    evaluate w_Delta.  S' = -z^(Delta+1) w_Delta^T H y is formed at the
+    anchor and w_Delta^T H on the panels it holds, recorded halves among
+    them; only split panels it lacks evaluate w_Delta.  S' = -z^(Delta+1) w_Delta^T H y is formed at the
     nodes of all chains, each run's -z^(Delta+1) a Python number spread
     over its nodes, and integrated panel by panel in one pass."""
     delta = ih.delta
@@ -346,18 +399,20 @@ def _limit_pairs(ih: IndefHamiltonianA, runs):
 
     y2 and S at the extrapolation nodes of all runs come from one
     evaluation on the chains' panels, the state's second components and
-    S's coefficients side by side; the limits of y2 of all columns take one
-    tableau, and those of S one more."""
+    S's coefficients side by side.  Where S needs no correction by the
+    limit of y2 (``_correction_values``), the limits of y2 and S of all
+    columns take one tableau; else those of y2 take one, and those of the
+    corrected S one more."""
     s0s, s_coefs = _functional(ih, runs)
-    rows, lo, hi, corr = [], [], [], []
+    rows, lo, hi, corrs = [], [], [], []
     for run, sc in zip(runs, s_coefs):
         k = run.chain.locate(run.xs)
         rows.append(np.concatenate([run.chain.coefs[k][..., 1::2], sc[k]],
                                    axis=-1))
         lo.append(run.chain.breaks[k])
         hi.append(run.chain.breaks[k + 1])
-        corr.append(_correction_values(ih, run.side, run.z, run.w_funcs,
-                                       run.xs))
+        corrs.append(_correction_values(ih, run.side, run.z, run.w_funcs,
+                                        run.xs))
     m = s_coefs[0].shape[-1]
     both = cp.series_values(np.concatenate(rows), np.concatenate(lo),
                             np.concatenate(hi),
@@ -368,9 +423,19 @@ def _limit_pairs(ih: IndefHamiltonianA, runs):
     s_vals = np.concatenate([s0 + b for s0, b in zip(s0s, both[..., m:])],
                             axis=1)
     hs = np.repeat(np.stack([run.hs for run in runs], axis=1), m, axis=1)
-    grs, errs_r = neville_limit(hs, y2s)
-    g_cols = s_vals - grs * np.repeat(np.stack(corr, axis=1), m, axis=1)
-    gss, errs_s = neville_limit(hs, g_cols)
+    if all(corr is None for corr in corrs):
+        # S needs no correction: one tableau takes the columns of y2 and S
+        # side by side, each as it would alone
+        lims, errs = neville_limit(np.concatenate([hs, hs], axis=1),
+                                   np.concatenate([y2s, s_vals], axis=1))
+        (grs, gss), (errs_r, errs_s) = np.split(lims, 2), np.split(errs, 2)
+        g_cols = s_vals
+    else:
+        grs, errs_r = neville_limit(hs, y2s)
+        corr = np.stack([np.zeros(len(run.xs), dtype=complex) if c is None
+                         else c for run, c in zip(runs, corrs)], axis=1)
+        g_cols = s_vals - grs * np.repeat(corr, m, axis=1)
+        gss, errs_s = neville_limit(hs, g_cols)
     grs, gss = grs.tolist(), gss.tolist()
     errs_r, errs_s = errs_r.tolist(), errs_s.tolist()
     out = []
@@ -432,6 +497,8 @@ def _runs(ih: IndefHamiltonianA, requests):
     pairs, limited = [], []
     for (side, z, t_anchor, y_cols), dense, (indivisible, reg, hs, xs) in zip(
             requests, denses, grids):
+        if t_anchor == reg and z != 0:  # at z = 0 no panel ever splits
+            _record_splits(ih, side, dense.segments[0])
         if indivisible:
             pairs.append([RegularisedBoundary(side, z, complex(gs),
                                               complex(gr), 0.0, ())

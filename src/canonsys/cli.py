@@ -362,8 +362,10 @@ def _cmd_validate_example(args):
     b = () if args.b is None else tuple(_parse_float_list(args.b, "--b"))
     cfg_obj = ex.ExampleConfig(s_plus=s_plus, d0=d0,
                                d1=_finite_float(args.d1, "--d1"), oe=len(b), b=b)
-    report = ex.run_validation(
-        cfg_obj, threshold=_finite_float(args.threshold, "--threshold"))
+    threshold = _finite_float(args.threshold, "--threshold")
+    if threshold < 0.0:
+        raise ConfigError(f"--threshold must be >= 0, got {args.threshold!r}")
+    report = ex.run_validation(cfg_obj, threshold=threshold)
     _emit_json(args, report)
     return 0 if report["pass"] else 1
 

@@ -23,8 +23,8 @@ import numpy as np
 from . import boundary as bd
 from . import monodromy as mo
 from . import wpoly as wp
-from .errors import PoleError
-from .hamiltonian import (PER_Z_CAP, IndefHamiltonianA, build_R,
+from .errors import DomainError, PoleError
+from .hamiltonian import (PER_Z_BATCH, PER_Z_CAP, IndefHamiltonianA, build_R,
                           hamiltonian_from_spec, indef_hamiltonian)
 
 SIGMA = 1.0
@@ -193,7 +193,16 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
                    z_grid=DEFAULT_Z_GRID, t_grid=DEFAULT_T_GRID,
                    threshold: float = 1e-6) -> dict:
     """Run the numeric pipeline on the built-in problem and diff every
-    artifact against its closed form; returns max abs errors per artifact."""
+    artifact against its closed form; returns max abs errors per artifact.
+    A ``threshold`` that is not a finite number >= 0 raises DomainError
+    before anything is integrated."""
+    try:
+        limit = float(threshold)
+    except (TypeError, ValueError):
+        limit = math.nan
+    if not (math.isfinite(limit) and limit >= 0.0):
+        raise DomainError(f"threshold={threshold!r} must be a finite "
+                          f"number >= 0")
     ih = example_problem(cfg)
     zs = [complex(z) for z in z_grid]
     ts = [float(t) for t in t_grid]
@@ -204,47 +213,61 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
     observed = {"q_sigma": {}, "neg_count": None}
     rng = np.random.default_rng(20260808)
     pts = rng.uniform(-3, 3, 8) + 1j * rng.uniform(0.2, 2.5, 8)
-    # the bases read below, both sides of each z, in batches of z, as many
-    # z as the cache holds (the rest are built where they are read); a z
-    # that fails raises its own error where it is read
-    bd.warm_bases(ih, (zs + [0.0] + list(pts))[:PER_Z_CAP // 2])
-
-    for z in zs:
-        for t in ts:
-            got = mo.assemble_W(ih, z, t)
-            want = reference_W(cfg, t, z)
-            key = "fundamental_left" if t < SIGMA else "assembled_W"
-            err[key] = max(err[key], float(np.abs(got - want).max()))
-        um = mo.u_minus(ih, z)
-        err["u_minus"] = max(err["u_minus"],
-                             float(np.abs(um - closed_Uminus(z)).max()))
-        # U_plus of the V anchored at the closed form at s_plus
-        up = closed_W(cfg.s_plus, z, cfg.s_plus) @ mo.u_plus(ih, z)
-        err["u_plus"] = max(err["u_plus"],
-                            float(np.abs(up - closed_Uplus(z, cfg.s_plus)).max()))
-        err["comparison_matrix"] = max(
-            err["comparison_matrix"],
-            float(np.abs(mo.m_matrix(ih, z) - closed_N(z)).max()))
-        wmono = mo.monodromy_matrix(ih, z)
-        err["det_minus_one"] = max(err["det_minus_one"],
-                                   abs(np.linalg.det(wmono) - 1.0))
-        # interface: Gamma_plus of the rows of W right of sigma against
-        # R Gamma_minus of its rows left of it.  Both sides are integrated
-        # afresh from their midpoints, on panels the cached bases do not
-        # share; read off those bases, the residual would be the identity
-        # prefactor U_plus = U_minus R^T.  Both runs go in one batch.
-        fac = mo.factorisation(ih, z)
-        wm = bd.side_basis(ih, "minus", z).solution
-        mids = [0.5 * sum(ih.side(side).interval) for side in ("minus", "plus")]
-        gam_m, gam_p = (np.array([p.vec for p in pairs]) for pairs in
-                        bd.gamma_columns_batch(ih, [
-                            ("minus", z, mids[0], wm.eval(mids[0]).T),
-                            ("plus", z, mids[1], fac.w(mids[1]).T)]))
-        res = gam_p - gam_m @ build_R(ih, z).T
-        err["interface"] = max(err["interface"], float(np.abs(res).max()))
-        if z.imag != 0.0:
-            q = mo.weyl_intermediate(ih, z)
-            observed["q_sigma"][str(z)] = [q.real, q.imag]
+    # the bases read below, both sides of each z, in batches of
+    # PER_Z_BATCH z, as many z as the cache holds (the rest are built where
+    # they are read); a z that fails raises its own error where it is read.
+    # The grid z of each batch are checked before the next batch is built,
+    # so their midpoint runs, a batch as large, add to no more cached bases
+    # than a batch of bases does
+    warm = (zs + [0.0] + list(pts))[:PER_Z_CAP // 2]
+    for lo in range(0, max(len(warm), len(zs)), PER_Z_BATCH):
+        bd.warm_bases(ih, warm[lo:lo + PER_Z_BATCH])
+        chunk = zs[lo:lo + PER_Z_BATCH]
+        interface = []  # the midpoint runs of the chunk, both sides per z
+        for z in chunk:
+            for t in ts:
+                got = mo.assemble_W(ih, z, t)
+                want = reference_W(cfg, t, z)
+                key = "fundamental_left" if t < SIGMA else "assembled_W"
+                err[key] = max(err[key], float(np.abs(got - want).max()))
+            um = mo.u_minus(ih, z)
+            err["u_minus"] = max(err["u_minus"],
+                                 float(np.abs(um - closed_Uminus(z)).max()))
+            # U_plus of the V anchored at the closed form at s_plus
+            up = closed_W(cfg.s_plus, z, cfg.s_plus) @ mo.u_plus(ih, z)
+            err["u_plus"] = max(err["u_plus"], float(np.abs(
+                up - closed_Uplus(z, cfg.s_plus)).max()))
+            err["comparison_matrix"] = max(
+                err["comparison_matrix"],
+                float(np.abs(mo.m_matrix(ih, z) - closed_N(z)).max()))
+            wmono = mo.monodromy_matrix(ih, z)
+            err["det_minus_one"] = max(err["det_minus_one"],
+                                       abs(np.linalg.det(wmono) - 1.0))
+            # interface: Gamma_plus of the rows of W right of sigma against
+            # R Gamma_minus of its rows left of it, integrated afresh from
+            # the sides' midpoints; read off the cached bases, the residual
+            # would be the identity prefactor U_plus = U_minus R^T
+            fac = mo.factorisation(ih, z)
+            wm = bd.side_basis(ih, "minus", z).solution
+            mids = [0.5 * sum(ih.side(side).interval)
+                    for side in ("minus", "plus")]
+            interface += [("minus", z, mids[0], wm.eval(mids[0]).T),
+                          ("plus", z, mids[1], fac.w(mids[1]).T)]
+            if z.imag != 0.0:
+                q = mo.weyl_intermediate(ih, z)
+                observed["q_sigma"][str(z)] = [q.real, q.imag]
+        if not chunk:
+            continue
+        # the midpoint runs of the chunk in one batch.  Each starts from
+        # its own state at its midpoint, on its own chain, whose first
+        # round's breaks are a subset of the side plan's, and takes its own
+        # limits: an independent check of the bases
+        found = bd.gamma_columns_batch(ih, interface)
+        for k, z in enumerate(chunk):
+            gam_m, gam_p = (np.array([p.vec for p in pairs])
+                            for pairs in found[2 * k:2 * k + 2])
+            res = gam_p - gam_m @ build_R(ih, z).T
+            err["interface"] = max(err["interface"], float(np.abs(res).max()))
 
     for side, s_end in (("minus", S_MINUS), ("plus", cfg.s_plus)):
         w1 = wp.w_n_diagonal(ih.side(side), side, 1)
@@ -262,8 +285,8 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
     return {
         "config": {"s_plus": cfg.s_plus, "d0": cfg.d0_value, "d1": cfg.d1,
                    "oe": cfg.oe, "b": list(cfg.b)},
-        "threshold": threshold,
+        "threshold": limit,
         "max_abs_err": err,
         "observed": observed,
-        "pass": bool(all(v <= threshold for v in err.values())),
+        "pass": bool(all(v <= limit for v in err.values())),
     }

@@ -24,8 +24,13 @@ A chain starts from its first round (``FirstRound``): the panels of
 ``_initial_breaks`` and H at their nodes, which do not depend on z.
 ``integrate_dense`` builds it per chain unless the run passes a lookup
 (``Run.start``) that returns a kept one; :mod:`canonsys.boundary` keeps one
-per side of a problem, so a fresh z evaluates H only on the panels split off
-in later rounds.
+per side of a problem.  A kept round holds the Schur factors of its panels
+(``kept_round``), so a panel's solve forms only the part of its system that
+depends on z, and a record of the halves of the panels that every z so far
+has split (``with_record``), which are solved with the first round: when
+all of a chain's failing first-round panels have recorded halves, those
+stand in for its second round.  A fresh z then evaluates H only on panels
+split off that the record lacks.
 ``integrate_dense`` is the one entry for every integration.  It takes a
 sequence of runs (``Run``: z, Hamiltonian, anchor, start state, targets,
 singular endpoint, first-round lookup), at one z or at many, and collocates
@@ -55,6 +60,8 @@ regularised boundary functional without evaluating H again.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -141,17 +148,21 @@ class PanelChain(cp.PanelFunction):
     the state and ``hm`` H at every collocation node, panel after panel, and
     ``coefs`` per panel the DEGREE + 2 Chebyshev coefficients of the state.
     ``first`` is the FirstRound the chain started from and ``origin`` per
-    panel its index there, -1 for a panel split off in a later round.
+    panel its index there (a recorded half's among them), -1 for a panel
+    split off in a later round.  ``split`` holds the indices of the
+    first-round panels the chain split, ascending, and H at the nodes of
+    their halves, in pairs.
     """
 
-    __slots__ = ("ys", "hm", "origin", "first", "lo", "hi")
+    __slots__ = ("ys", "hm", "origin", "first", "split", "lo", "hi")
 
-    def __init__(self, breaks, ys, hm, coefs, origin, first):
+    def __init__(self, breaks, ys, hm, coefs, origin, first, split):
         super().__init__(breaks, coefs)
         self.ys = ys
         self.hm = hm
         self.origin = origin
         self.first = first
+        self.split = split
         self.lo = float(min(breaks[0], breaks[-1]))
         self.hi = float(max(breaks[0], breaks[-1]))
 
@@ -313,12 +324,38 @@ def _initial_breaks(h: Hamiltonian, t0: float, t1: float,
 class FirstRound:
     """The z-independent start of one chain: the panels [a_k, b_k] of its
     first collocation round, in integration order, and H at their nodes,
-    (P, DEGREE + 1, 2, 2).  The arrays are read-only, so one round can be
-    kept and shared by every thread that integrates."""
+    (P, DEGREE + 1, 2, 2).
+
+    A round kept for many z (``kept_round``) also holds ``schur``, the
+    Schur factors of every panel (``_schur_factors``; None when no panel's
+    H is diagonal), and may hold a record of halves (``with_record``):
+    ``parent`` is None until one is set, then -1 for each panel of the first
+    round, which come first, and for each recorded half, which follow in
+    pairs, the index of the panel it halves.  The arrays are read-only, so
+    one round can be kept and shared by every thread that integrates."""
 
     a: np.ndarray
     b: np.ndarray
     hm: np.ndarray
+    schur: Optional[tuple] = None
+    parent: Optional[np.ndarray] = None
+
+    @functools.cached_property
+    def size(self) -> int:
+        """The number of first-round panels; recorded halves follow them."""
+        return len(self.a) if self.parent is None else int(
+            np.count_nonzero(self.parent < 0))
+
+    def recorded_halves(self, parents) -> Optional[np.ndarray]:
+        """The indices of the recorded halves of the first-round panels
+        ``parents`` (ascending), in pairs; None unless all are recorded."""
+        rec = None if self.parent is None else self.parent[self.size::2]
+        if rec is None or len(rec) == 0:
+            return None
+        j = np.minimum(np.searchsorted(rec, parents), len(rec) - 1)
+        if (rec[j] != parents).any():
+            return None
+        return self.size + np.stack([2 * j, 2 * j + 1], axis=1).ravel()
 
 
 def _h_at_nodes(h: Hamiltonian, a, b) -> np.ndarray:
@@ -327,15 +364,71 @@ def _h_at_nodes(h: Hamiltonian, a, b) -> np.ndarray:
     return h.matrix(t.ravel()).reshape(t.shape + (2, 2))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def first_round(h: Hamiltonian, t0: float, t1: float,
                 sing: Optional[float]) -> FirstRound:
     """The first round of the chain from t0 to t1 (``_initial_breaks``)."""
     breaks = _initial_breaks(h, t0, t1, sing)
     a, b = breaks[:-1].copy(), breaks[1:].copy()
-    hm = _h_at_nodes(h, a, b)
-    for arr in (a, b, hm):
-        arr.setflags(write=False)
-    return FirstRound(a, b, hm)
+    return FirstRound(_frozen(a), _frozen(b), _frozen(_h_at_nodes(h, a, b)))
+
+
+def _schur_factors(hw: np.ndarray, hm: np.ndarray):
+    """The real tables of ``_diagonal_bases`` for panels with half-widths
+    ``hw`` and H at their nodes ``hm``: A_1, G = A_0 A_1, (P, n, n), and
+    A_0's row sums, (P, n, 1), with A_c = hw Q diag(H_cc)."""
+    with np.errstate(all="ignore"):  # non-finite H fails its chain later
+        a0 = cp.CUMINT * (hw[:, None] * hm[:, :, 0, 0])[:, None, :]
+        a1 = cp.CUMINT * (hw[:, None] * hm[:, :, 1, 1])[:, None, :]
+        return a1, a0 @ a1, a0.sum(axis=2, keepdims=True)
+
+
+def _diagonal(hm: np.ndarray) -> np.ndarray:
+    """Per panel: is H diagonal at all of its nodes (``hm``)?"""
+    return ~(hm[:, :, 0, 1].any(axis=1) | hm[:, :, 1, 0].any(axis=1))
+
+
+def kept_round(rnd: FirstRound) -> FirstRound:
+    """``rnd`` with the Schur factors of its panels, for a round that is
+    kept and solved at many z: a panel's solve then forms only the part of
+    its system that depends on z.  None when no panel's H is diagonal, so
+    no factor would be read."""
+    schur = None
+    if _diagonal(rnd.hm).any():
+        schur = tuple(_frozen(t) for t in
+                      _schur_factors(0.5 * (rnd.b - rnd.a), rnd.hm))
+    return dataclasses.replace(rnd, schur=schur)
+
+
+def halves(a, b):
+    """The halves [a_k, m_k], [m_k, b_k] of the panels [a_k, b_k], in
+    pairs, as a split forms them."""
+    mid = 0.5 * (a + b)
+    return np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+
+
+def with_record(rnd: FirstRound, parents, hm, **fields) -> FirstRound:
+    """``rnd`` with its record replaced by the halves of its first-round
+    panels ``parents`` (ascending): H at the halves' nodes ``hm``, in pairs,
+    and, for a subclass, the halves' values of its further per-panel arrays
+    (``fields``).  The halves' Schur factors are formed when ``rnd`` keeps
+    factors."""
+    p = rnd.size
+    a, b = halves(rnd.a[parents], rnd.b[parents])
+    new = dict(fields, a=a, b=b, hm=hm)
+    out = {name: _frozen(np.concatenate([getattr(rnd, name)[:p], v]))
+           for name, v in new.items()}
+    if rnd.schur is not None:
+        out["schur"] = tuple(
+            _frozen(np.concatenate([t[:p], h])) for t, h in
+            zip(rnd.schur, _schur_factors(0.5 * (b - a), hm)))
+    out["parent"] = _frozen(np.concatenate(
+        [np.full(p, -1), np.repeat(np.asarray(parents, dtype=np.intp), 2)]))
+    return dataclasses.replace(rnd, **out)
 
 
 def _coupled_bases(z, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
@@ -361,10 +454,12 @@ def _coupled_bases(z, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
                            _UNIT_STARTS).reshape(p, 2, n, 2)
 
 
-def _diagonal_bases(z, zz, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
+def _diagonal_bases(z, zz, parts) -> np.ndarray:
     """``phi`` of panels whose H is diagonal at every node, from an n x n
     Schur complement, (P, 2, n, 2); ``z`` and ``zz`` = z*z as
-    ``_panel_bases`` takes them.
+    ``_panel_bases`` takes them.  ``parts`` covers the panels in order,
+    each (j, A_1, G, r0): a slice of the panels and their real tables
+    (``_schur_factors``).
 
     With A_c = hw Q diag(H_cc) (real), the system is [[I, z A_1],
     [-z A_0, I]] (y0, y1) = (r0, r1).  Eliminating y0 leaves
@@ -373,18 +468,19 @@ def _diagonal_bases(z, zz, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
     A_0's row sums.  The products of real tables stay real: only the n x n
     matrix and the right-hand side carry z.
     """
-    p, n = len(hw), cp.DEGREE + 1
-    a0 = cp.CUMINT * (hw[:, None] * hm[:, :, 0, 0])[:, None, :]
-    a1 = cp.CUMINT * (hw[:, None] * hm[:, :, 1, 1])[:, None, :]
-    m = zz * (a0 @ a1)
-    m.reshape(p, -1)[:, ::n + 1] += 1.0
+    p, n = parts[-1][0].stop, cp.DEGREE + 1
+    m = np.empty((p, n, n), dtype=np.complex128)
     rhs = np.empty((p, n, 2), dtype=np.complex128)
-    rhs[:, :, :1] = z * a0.sum(axis=2, keepdims=True)
+    for j, _, g, r0 in parts:
+        np.multiply(_take(zz, j), g, out=m[j])
+        rhs[j, :, :1] = _take(z, j) * r0
+    m.reshape(p, -1)[:, ::n + 1] += 1.0
     rhs[:, :, 1] = 1.0
     y1 = np.linalg.solve(m, rhs)
     phi = np.empty((p, 2, n, 2), dtype=np.complex128)
     phi[:, 1] = y1
-    phi[:, 0] = (a1 @ y1.view(np.float64)).view(np.complex128)
+    for j, a1, _, _ in parts:
+        phi[j, 0] = (a1 @ y1[j].view(np.float64)).view(np.complex128)
     phi[:, 0] *= -z
     phi[:, 0, :, 0] += 1.0
     return phi
@@ -395,7 +491,32 @@ def _take(x, k):
     return x if np.ndim(x) == 0 else x[k]
 
 
-def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
+def _parts(kept, lo: int, hi: int, hw, hm) -> list:
+    """The Schur factors of the panels lo..hi-1 of a batch, all diagonal,
+    as ``_diagonal_bases`` takes them (slices from lo): views of the tables
+    of a kept round where one covers panels (``kept``: the (start, stop,
+    tables) of the batch's chains that solve their kept first round), and
+    formed here elsewhere.  A panel's factors are the same bits either
+    way."""
+    parts, at = [], lo
+    for start, stop, tables in kept:
+        s, e = max(start, lo), min(stop, hi)
+        if s >= e:
+            continue
+        if s > at:
+            parts.append((slice(at - lo, s - lo),
+                          *_schur_factors(hw[at:s], hm[at:s])))
+        parts.append((slice(s - lo, e - lo),
+                      *(t[s - start:e - start] for t in tables)))
+        at = e
+    if at < hi:
+        parts.append((slice(at - lo, hi - lo),
+                      *_schur_factors(hw[at:hi], hm[at:hi])))
+    return parts
+
+
+def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray,
+                 kept=()):
     """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
 
     ``z`` and ``zz`` are the panels' z and z*z, the square formed by Python
@@ -407,27 +528,30 @@ def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray):
 
     A panel whose H has zero off-diagonal entries at all of its nodes is
     solved through the n x n Schur complement of its system
-    (``_diagonal_bases``); any other panel through the full 2n x 2n system
-    (``_coupled_bases``), at most ``SOLVE_BLOCK`` panels per call, which
-    bounds the n x n temporaries of a batch of many z.  Each solve treats a
-    panel alone, so its ``phi`` and ``f`` are the same bits whatever else is
-    in the batch.
+    (``_diagonal_bases``), with the factors of its kept round where
+    ``kept`` names one (``_parts``) or ones formed here; any other panel
+    through the full 2n x 2n system (``_coupled_bases``).  Panels go at
+    most ``SOLVE_BLOCK`` per call, which bounds the n x n temporaries of a
+    batch of many z.  Each solve treats a panel alone, so its ``phi`` and
+    ``f`` are the same bits whatever else is in the batch.
     """
     hw = 0.5 * (b - a)
-    diag = ~(hm[:, :, 0, 1].any(axis=1) | hm[:, :, 1, 0].any(axis=1))
+    diag = _diagonal(hm)
     phi = np.empty((len(a), 2, cp.DEGREE + 1, 2), dtype=np.complex128)
     with np.errstate(all="ignore"):
         for lo in range(0, len(a), SOLVE_BLOCK):
-            k = slice(lo, lo + SOLVE_BLOCK)
+            hi = min(lo + SOLVE_BLOCK, len(a))
+            k = slice(lo, hi)
             zk, zzk, d = _take(z, k), _take(zz, k), diag[k]
             if d.all():
-                phi[k] = _diagonal_bases(zk, zzk, hw[k], hm[k])
+                phi[k] = _diagonal_bases(zk, zzk, _parts(kept, lo, hi, hw, hm))
             elif not d.any():
                 phi[k] = _coupled_bases(zk, hw[k], hm[k])
             else:
                 dk, ck = np.flatnonzero(d) + lo, np.flatnonzero(~d) + lo
-                phi[dk] = _diagonal_bases(_take(z, dk), _take(zz, dk), hw[dk],
-                                          hm[dk])
+                phi[dk] = _diagonal_bases(
+                    _take(z, dk), _take(zz, dk),
+                    [(slice(0, len(dk)), *_schur_factors(hw[dk], hm[dk]))])
                 phi[ck] = _coupled_bases(_take(z, ck), hw[ck], hm[ck])
         zh = np.reshape(z, (-1, 1, 1, 1)) * hm
         f = np.empty_like(phi)
@@ -458,17 +582,22 @@ def _resolved(a, b, phi, rtol, atol):
 class _Chain:
     """One chain of a batch while it is collocated: its z and z*z (Python
     numbers), the panels of its pending round (``a``, ``b``, their index in
-    the first round and H at their nodes), the arrays of its resolved panels
-    per round, and the error that ended it, if any."""
+    the first round and H at their nodes; in the first round the recorded
+    halves, ``FirstRound.parent``, follow the ``npend`` pending panels), the
+    arrays of its resolved panels per round, the first-round panels it split
+    (``split``: their indices and H at their halves' nodes) and the error
+    that ended it, if any."""
 
     def __init__(self, z: complex, h, first: FirstRound, state0):
         self.z, self.zz = z, z * z
         self.h, self.first, self.state0 = h, first, state0
-        t0, t1 = float(first.a[0]), float(first.b[-1])
+        t0, t1 = float(first.a[0]), float(first.b[first.size - 1])
         self.context = f"integration on [{t0}, {t1}] at z={z}"
         self.direction = 1.0 if t1 > t0 else -1.0
         self.a, self.b, self.hm = first.a, first.b, first.hm
         self.origin = np.arange(len(first.a))
+        self.npend = first.size
+        self.split = (self.origin[:0], first.hm[:0])
         self.done = []
         self.splits = 0
         self.error = None
@@ -477,44 +606,71 @@ class _Chain:
     def fail_at(self, bad) -> None:
         """End the chain at the first pending panel, in its direction, that
         ``bad`` marks: its H or its propagator is not finite."""
-        a = self.a[bad]
+        a = self.a[:len(bad)][bad]
         t_bad = float(a[np.argmin(self.direction * a)])
         self.error = SingularityProximityError(
             f"{self.context}: non-finite Hamiltonian entries or propagator "
             f"on the panel from t={t_bad}", t_bad)
 
-    def settle(self, phi, f, ok) -> bool:
+    def settle(self, phi, f, ok, bad) -> bool:
         """Keep the panels of this round that ``ok`` marks resolved and
-        split the others; whether a next round is pending."""
-        a, b, origin, hm = self.a, self.b, self.origin, self.hm
-        if ok.all():
-            self.done.append((a, b, origin, hm, phi, f))
-            return False
-        self.done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok], f[ok]))
-        a, b = a[~ok], b[~ok]
-        # the first panel that is too narrow to split, or whose split
-        # exceeds MAX_SPLITS, ends the integration
-        narrow = np.abs(b - a) < 2.0 * _WIDTH_FLOOR * np.maximum(
-            1.0, np.maximum(np.abs(a), np.abs(b)))
-        k_narrow = int(np.argmax(narrow)) if narrow.any() else len(a)
-        k_over = MAX_SPLITS - self.splits
-        if k_narrow < len(a) and k_narrow <= k_over:
-            ak = float(a[k_narrow])
-            self.error = SingularityProximityError(
-                f"{self.context}: panel width underflow at t={ak}", ak)
-            return False
-        if k_over < len(a):
-            self.error = IntegrationError(
-                f"{self.context}: {MAX_SPLITS} panel splits did not resolve "
-                f"the solution near t={a[k_over]}")
-            return False
-        self.splits += len(a)
-        mid = 0.5 * (a + b)
-        self.a = np.stack([a, mid], axis=1).ravel()
-        self.b = np.stack([mid, b], axis=1).ravel()
-        self.origin = np.full(len(self.a), -1)
-        self.hm = _h_at_nodes(self.h, self.a, self.b)
-        return True
+        split the others, or end the chain at the first that ``bad`` marks
+        (its propagator is not finite); whether a next round is pending.
+
+        The recorded halves solved with the first round stand for the
+        halves of the first-round panels that fail, as a second round would
+        give them; the halves of other panels are dropped.  When every
+        failing panel has its halves recorded, they are settled here, so no
+        second round is solved."""
+        first = self.first
+        while True:
+            n = self.npend
+            extra = (phi[n:], f[n:], ok[n:], bad[n:])
+            phi, f, ok, bad = phi[:n], f[:n], ok[:n], bad[:n]
+            if bad.any():
+                self.fail_at(bad)
+                return False
+            a, b, origin, hm = (x[:n] for x in
+                                (self.a, self.b, self.origin, self.hm))
+            round1 = not self.done
+            if ok.all():
+                self.done.append((a, b, origin, hm, phi, f))
+                return False
+            self.done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok],
+                              f[ok]))
+            a, b, parents = a[~ok], b[~ok], origin[~ok]
+            # the first panel that is too narrow to split, or whose split
+            # exceeds MAX_SPLITS, ends the integration
+            narrow = np.abs(b - a) < 2.0 * _WIDTH_FLOOR * np.maximum(
+                1.0, np.maximum(np.abs(a), np.abs(b)))
+            k_narrow = int(np.argmax(narrow)) if narrow.any() else len(a)
+            k_over = MAX_SPLITS - self.splits
+            if k_narrow < len(a) and k_narrow <= k_over:
+                ak = float(a[k_narrow])
+                self.error = SingularityProximityError(
+                    f"{self.context}: panel width underflow at t={ak}", ak)
+                return False
+            if k_over < len(a):
+                self.error = IntegrationError(
+                    f"{self.context}: {MAX_SPLITS} panel splits did not "
+                    f"resolve the solution near t={a[k_over]}")
+                return False
+            self.splits += len(a)
+            self.a, self.b = halves(a, b)
+            self.npend = len(self.a)
+            rec = first.recorded_halves(parents) if round1 else None
+            if rec is None:
+                self.origin = np.full(len(self.a), -1)
+                self.hm = _h_at_nodes(self.h, self.a, self.b)
+            else:
+                self.origin, self.hm = rec, first.hm[rec]
+            if round1:
+                self.split = (parents, self.hm)
+            if rec is None:
+                return True
+            # the next round's results are those of the recorded halves,
+            # solved with the first round
+            phi, f, ok, bad = (x[rec - first.size] for x in extra)
 
     def panels(self):
         """(a, b, origin, hm, phi, f) of every resolved panel, in
@@ -530,20 +686,32 @@ def _cat(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
+def _kept(chains) -> list:
+    """(start, stop, Schur factors) of each chain of a batch, by its
+    panels' positions there, that solves its first round and whose round
+    keeps factors; their rows are its panels, in order."""
+    out, lo = [], 0
+    for c in chains:
+        if c.first.schur is not None and not c.done:
+            out.append((lo, lo + len(c.a), c.first.schur))
+        lo += len(c.a)
+    return out
+
+
 def _collocate(starts, rtol, atol):
     """The PanelChain of every (z, h, first round, start state) of
     ``starts``, collocated as one batch: each round solves and tests the
     pending panels of all chains at once, each panel with its chain's z and
     z*z spread over it, and one loop chains the propagators of all.  Only
-    panels split off in later rounds evaluate H.  Every step treats a
-    chain's panels alike whatever else is in the batch, so a chain's arrays
-    do not depend on it.  When chains fail, the error of the first, in the
-    order of ``starts``, is raised."""
+    panels split off in later rounds, and not recorded in the first round,
+    evaluate H.  Every step treats a chain's panels alike whatever else is
+    in the batch, so a chain's arrays do not depend on it.  When chains
+    fail, the error of the first, in the order of ``starts``, is raised."""
     chains = [_Chain(*start) for start in starts]
     pending = chains
     while pending:
         for c in pending:
-            bad = ~np.isfinite(c.hm).all(axis=(1, 2, 3))
+            bad = ~np.isfinite(c.hm[:c.npend]).all(axis=(1, 2, 3))
             if bad.any():
                 c.fail_at(bad)
         pending = [c for c in pending if c.error is None]
@@ -558,16 +726,15 @@ def _collocate(starts, rtol, atol):
             sizes = [len(c.a) for c in pending]
             z, zz = (np.repeat(np.array(v), sizes)[:, None, None] for v in
                      ([c.z for c in pending], [c.zz for c in pending]))
-        phi, f = _panel_bases(z, zz, a, b, _cat([c.hm for c in pending]))
+        phi, f = _panel_bases(z, zz, a, b, _cat([c.hm for c in pending]),
+                              _kept(pending))
         ok = _resolved(a, b, phi, rtol, atol)
         bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
         nxt, lo = [], 0
         for c in pending:
             sl = slice(lo, lo + len(c.a))
             lo = sl.stop
-            if bad[sl].any():
-                c.fail_at(bad[sl])
-            elif c.settle(phi[sl], f[sl], ok[sl]):
+            if c.settle(phi[sl], f[sl], ok[sl], bad[sl]):
                 nxt.append(c)
         pending = nxt
     live = [c for c in chains if c.error is None]
@@ -629,7 +796,7 @@ def _chain_all(chains) -> None:
         c.chain = PanelChain(np.append(a[sl], b[sl][-1]),
                              ys[sl].reshape(-1, 2 * ncols),
                              hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl],
-                             c.first)
+                             c.first, c.split)
 
 
 def check_tolerances(rtol, atol) -> None:

@@ -49,7 +49,11 @@ class TestNeville:
 
 
 def neville_reference(hs, vals):
-    """Entry-by-entry Neville tableau: the reference for ``neville_limit``."""
+    """Entry-by-entry Neville tableau: the reference for ``neville_limit``.
+
+    Each column's distances to the parents are taken with ``np.abs`` of
+    arrays, the routine the tableau uses, and the start's with the scalar
+    ``abs``, as there: the two can round the last bit differently."""
     hs = np.asarray(hs, dtype=np.float64)
     vals = [complex(v) for v in vals]
     n = len(vals)
@@ -58,13 +62,13 @@ def neville_reference(hs, vals):
     prev = list(vals)
     first_col = None
     for m in range(1, n):
-        cur = []
+        cur = [(hs[i] * prev[i + 1] - hs[i + m] * prev[i]) / (hs[i] - hs[i + m])
+               for i in range(n - m)]
+        col = np.array(cur)
+        errs = np.maximum(np.abs(col - np.array(prev[1:])),
+                          np.abs(col - np.array(prev[:-1])))
         row_best = np.inf
-        for i in range(n - m):
-            denom = hs[i] - hs[i + m]
-            val = (hs[i] * prev[i + 1] - hs[i + m] * prev[i]) / denom
-            err = max(abs(val - prev[i + 1]), abs(val - prev[i]))
-            cur.append(val)
+        for val, err in zip(cur, errs.tolist()):
             row_best = min(row_best, err)
             if err < best_err:
                 best_err = err
@@ -78,6 +82,31 @@ def neville_reference(hs, vals):
         tail = np.abs(np.diff(np.asarray(first_col[-4:])))
         best_err = max(best_err, 0.5 * float(np.median(tail)))
     return best, float(best_err)
+
+
+def _fuzz_cases(rng, trials):
+    """(hs, vals) of random tableaux: lengths 1-24, widths 1-4, shared or
+    per-column nodes, smooth and random sequences, NaN and inf samples."""
+    bad = [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
+           complex(np.nan, 1.0)]
+    for trial in range(trials):
+        n, k = int(rng.integers(1, 25)), int(rng.integers(1, 5))
+        if trial % 2:
+            hs = np.stack([np.sort(rng.uniform(1e-6, 1.0, n))[::-1]
+                           for _ in range(k)], axis=1)
+        else:
+            hs = 0.1 * 0.5 ** np.arange(n)
+        vals = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
+        if trial % 3 == 0:  # smooth sequences, where the search stops
+            h2 = hs if hs.ndim == 2 else hs[:, None]
+            vals = vals[0] + vals[-1] * h2 + 1e-9 * vals
+        for _ in range(int(rng.integers(0, 3))):
+            vals[rng.integers(n), rng.integers(k)] = bad[rng.integers(5)]
+        yield hs, vals
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
 
 
 class TestNevilleMatchesReference:
@@ -100,14 +129,51 @@ class TestNevilleMatchesReference:
         ih = cs.problem_from_dict(cs.example_problem_dict())
         for z in (0.7 + 0.2j, -2.5 + 1.5j):
             cs.monodromy_matrix(ih, z)
-        # per z: one call on y2 of both rows of both sides, one on their S
-        assert len(seen) == 4
+        # per z: one call on y2 and S of both rows of both sides (S needs
+        # no correction for Delta = 1 on diagonal sides)
+        assert len(seen) == 2
         for hs, vals in seen:
-            assert hs.shape == vals.shape == (len(hs), 4)
+            assert hs.shape == vals.shape == (len(hs), 8)
             got_vals, got_errs = original(hs, vals)
             for c in range(vals.shape[1]):
                 ref_val, ref_err = neville_reference(hs[:, c], vals[:, c])
                 assert got_vals[c] == ref_val and got_errs[c] == ref_err
+
+    def test_fuzz_is_exact(self, rng):
+        # 3000 random tableaux: values and error estimates bit for bit
+        for trial, (hs, vals) in enumerate(_fuzz_cases(rng, 3000)):
+            got_vals, got_errs = cs.neville_limit(hs, vals)
+            for c in range(vals.shape[1]):
+                h_c = hs[:, c] if hs.ndim == 2 else hs
+                with np.errstate(all="ignore"):  # the loop on inf samples
+                    val, err = neville_reference(h_c, vals[:, c])
+                assert _same(got_vals[c], val) and _same(got_errs[c], err), (
+                    trial, c)
+
+    def test_corrected_functional_takes_a_second_tableau(self, delta2_ih,
+                                                         monkeypatch):
+        # Delta = 2 on a diagonal side: S is corrected by the limit of y2
+        # times sum z^(n+j) w_n^T J w_j, so the limits of y2 go first and
+        # those of the corrected S follow in a second call
+        seen = []
+        original = boundary.neville_limit
+
+        def record(hs, vals):
+            seen.append(np.array(vals))
+            return original(hs, vals)
+
+        monkeypatch.setattr(boundary, "neville_limit", record)
+        z = 0.8 + 0.3j
+        pairs = cs.gamma_columns(delta2_ih, "plus", z, 1.5, np.eye(2))
+        assert len(seen) == 2
+        xs = np.array([x for x, _, _ in pairs[0].samples])
+        corr = boundary._correction_values(
+            delta2_ih, "plus", z, cs.w_family_for(delta2_ih, "plus"), xs)
+        assert np.abs(corr).min() > 0.0
+        for c, p in enumerate(pairs):
+            _, y2, g = (np.array(col) for col in zip(*p.samples))
+            assert np.array_equal(seen[0][:, c], y2)
+            assert np.array_equal(seen[1][:, c], g)
 
     def test_geometric_sequences_with_noise(self, rng):
         hs = boundary.node_distances(1.0, 1.0)
@@ -150,10 +216,6 @@ class TestNevilleLean:
     denominators, reused product buffers, the median of three without
     np.median) and its per-column nodes, against the reference loop."""
 
-    @staticmethod
-    def same(a, b):
-        return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
-
     def test_per_column_nodes_equal_one_dimensional_calls(self, rng):
         # sides of different length: one node sequence per column
         hs = np.stack([boundary.node_distances(length, length)
@@ -169,39 +231,21 @@ class TestNevilleLean:
         # shared nodes given once or per column: the same
         shared = np.repeat(hs[:, :1], k, axis=1)
         a, b = cs.neville_limit(hs[:, 0], vals), cs.neville_limit(shared, vals)
-        assert self.same(a[0], b[0]) and self.same(a[1], b[1])
+        assert _same(a[0], b[0]) and _same(a[1], b[1])
 
     def test_fuzz_against_reference(self, rng):
-        # lengths 1-24, widths 1-4, shared or per-column nodes, smooth and
-        # random sequences, NaN and inf samples
-        bad = [np.nan, np.inf, -np.inf, complex(1.0, np.inf),
-               complex(np.nan, 1.0)]
-        for trial in range(300):
-            n, k = int(rng.integers(1, 25)), int(rng.integers(1, 5))
-            if trial % 2:
-                hs = np.stack([np.sort(rng.uniform(1e-6, 1.0, n))[::-1]
-                               for _ in range(k)], axis=1)
-            else:
-                hs = 0.1 * 0.5 ** np.arange(n)
-            vals = (rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)))
-            if trial % 3 == 0:  # smooth sequences, where the search stops
-                h2 = hs if hs.ndim == 2 else hs[:, None]
-                vals = vals[0] + vals[-1] * h2 + 1e-9 * vals
-            for _ in range(int(rng.integers(0, 3))):
-                vals[rng.integers(n), rng.integers(k)] = bad[rng.integers(5)]
+        # every column equals its call alone and the reference loop
+        for trial, (hs, vals) in enumerate(_fuzz_cases(rng, 300)):
             got_vals, got_errs = cs.neville_limit(hs, vals)
-            for c in range(k):
+            for c in range(vals.shape[1]):
                 h_c = hs[:, c] if hs.ndim == 2 else hs
                 with np.errstate(all="ignore"):  # the loop on inf samples
                     val, err = neville_reference(h_c, vals[:, c])
-                assert self.same(got_vals[c], val), (trial, c)
-                # the loop takes |.| of scalars (hypot), the tableau of
-                # arrays, which can round the last bit differently
-                assert (self.same(got_errs[c], err) or abs(got_errs[c] - err)
-                        <= np.spacing(err)), (trial, c)
+                assert _same(got_vals[c], val), (trial, c)
+                assert _same(got_errs[c], err), (trial, c)
                 one_val, one_err = cs.neville_limit(h_c, vals[:, c])
-                assert self.same(got_vals[c], one_val)
-                assert self.same(got_errs[c], one_err)
+                assert _same(got_vals[c], one_val)
+                assert _same(got_errs[c], one_err)
 
 
 class TestGammaR:

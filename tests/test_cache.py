@@ -166,9 +166,9 @@ def test_monodromy_evaluates_no_chain_at_the_anchor(monkeypatch):
     monkeypatch.setattr(cp, "series_values", counted)
     z = 0.7 + 0.3j
     cs.monodromy_matrix(ih, z)
-    # the limits at both sides' extrapolation nodes, and one side's
-    # functional, which spans a panel split off in a second round
-    assert len(calls) == 2
+    # only the limits, at both sides' extrapolation nodes: the halves the
+    # plus side splits are recorded with w_Delta^T H at their nodes
+    assert calls == [2 * (bd.K_NODES + 1)]
     del calls[:]
     cs.monodromy_matrix(ih, z)
     assert calls == []
@@ -332,10 +332,19 @@ def _plan(ih, side):
     return ih.memo(("plan", side), lambda: pytest.fail("plan not kept"))
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_fresh_z_evaluates_h_only_on_split_panels(monkeypatch):
     ih = cs.example_problem()
-    cs.monodromy_matrix(ih, 0.3 - 1.1j)
-    sizes = []
+    sizes, calls = [], []
     matrix = cs.Hamiltonian.matrix
 
     def counted(self, ts):
@@ -343,9 +352,132 @@ def test_fresh_z_evaluates_h_only_on_split_panels(monkeypatch):
         return matrix(self, ts)
 
     monkeypatch.setattr(cs.Hamiltonian, "matrix", counted)
+    _count_calls(monkeypatch, sv, "_panel_bases", calls)
+    _count_calls(monkeypatch, bd, "neville_limit", calls)
+    n = cp.DEGREE + 1
+    cs.monodromy_matrix(ih, 0.3 - 1.1j)
+    # the first z: H on both plans' panels, and on the 48 nodes of the
+    # halves of the one plus-side panel it splits, in a second round; the
+    # limits of y2 and S of both sides take one tableau
+    plans = [_plan(ih, side) for side in ("minus", "plus")]
+    assert sizes == [n * plans[0].size, n * plans[1].size, 2 * n]
+    assert calls == ["_panel_bases", "_panel_bases", "neville_limit"]
+    # the plus plan records those halves; a second z splits the same panel
+    # and solves them with the first round
+    assert plans[0].parent.tolist() == [-1] * plans[0].size
+    assert plans[1].parent.tolist() == [-1] * plans[1].size + [19, 19]
+    del sizes[:], calls[:]
     cs.monodromy_matrix(ih, -1.7 + 0.8j)
-    # the plus side splits one first-round panel in two
-    assert sizes == [2 * (cp.DEGREE + 1)]
+    assert sizes == []
+    assert calls == ["_panel_bases", "neville_limit"]
+
+
+def _recorded(ih, side):
+    """The first-round panels whose halves the side's plan records, None
+    before any z set the record."""
+    plan = _plan(ih, side)
+    return None if plan.parent is None else plan.parent[plan.size::2].tolist()
+
+
+RECORD_FAR_Z = 28.0 + 28.0j  # splits panel 0 of both sides besides the usual
+RECORD_NEAR_ZS = [0.5 + 0.5j, -1.2 + 2.0j, 3.0 - 0.4j, 1.75]
+
+
+@pytest.mark.parametrize("far_first", [True, False])
+def test_record_shrinks_and_leaves_every_array_unchanged(far_first):
+    # set by a far z, the record shrinks to the panel a near z splits; set
+    # by a near z, it stays while a far z splits panels it lacks in a
+    # second round.  Each z's bases are those of a fresh problem.
+    zs = ([RECORD_FAR_Z] + RECORD_NEAR_ZS if far_first
+          else RECORD_NEAR_ZS + [RECORD_FAR_Z])
+    ih = cs.example_problem()
+    records = []
+    for z in zs:
+        got = bd.side_bases(ih, [z])[0]
+        want = bd.side_bases(cs.example_problem(), [z])[0]
+        for g, w in zip(got, want):
+            _assert_same_bits(_basis_arrays(w), _basis_arrays(g))
+        np.testing.assert_array_equal(
+            cs.monodromy_matrix(ih, z),
+            cs.monodromy_matrix(cs.example_problem(), z))
+        records.append((_recorded(ih, "minus"), _recorded(ih, "plus")))
+    near = ([], [19])
+    if far_first:
+        assert records == [([0], [0, 19])] + [near] * len(RECORD_NEAR_ZS)
+    else:
+        assert records == [near] * len(zs)
+
+
+def _outcome(ih, side, z):
+    """A side's basis arrays at z, or the type and text of its error."""
+    try:
+        return _basis_arrays(bd.side_basis(ih, side, z))
+    except cs.CanonsysError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("max_splits", [0, 1, 2])
+def test_split_limit_errors_match_a_fresh_problem(monkeypatch, max_splits):
+    # the record is read only after the split checks of the first round,
+    # so a bounded split count ends a chain as on a fresh problem
+    ih = cs.example_problem()
+    bd.side_bases(ih, [RECORD_FAR_Z])
+    assert _recorded(ih, "plus") == [0, 19]
+    monkeypatch.setattr(sv, "MAX_SPLITS", max_splits)
+    for z in (0.5 + 0.5j, 29.0 + 27.0j):
+        for side in ("minus", "plus"):
+            got = _outcome(ih, side, z)
+            want = _outcome(cs.example_problem(), side, z)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                _assert_same_bits(want, got)
+
+
+def test_threads_setting_and_shrinking_the_record_match_serial():
+    # whichever z sets the record, every later one keeps only the panels
+    # it split too: the record ends as the intersection of all z's splits
+    zs = [RECORD_FAR_Z, 40j] + RECORD_NEAR_ZS + [0.0, -2.5 - 1.5j]
+    want = [cs.monodromy_matrix(cs.example_problem(), z) for z in zs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(3):
+            ih = cs.example_problem()
+            got, errors = [None] * len(zs), []
+            barrier = threading.Barrier(len(zs), timeout=60)
+
+            def worker(k):
+                try:
+                    barrier.wait()
+                    got[k] = cs.monodromy_matrix(ih, zs[k])
+                except Exception as exc:  # reported by the assertion below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(len(zs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            assert (_recorded(ih, "minus"), _recorded(ih, "plus")) == (
+                [], [19]), trial
+    finally:
+        sys.setswitchinterval(old)
+
+
+def test_z_zero_leaves_the_record_unset():
+    # at z = 0 the basis is constant and no panel splits, which says
+    # nothing of other z
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, 0.0)
+    assert (_recorded(ih, "minus"), _recorded(ih, "plus")) == (None, None)
+    cs.monodromy_matrix(ih, 0.1j)
+    assert (_recorded(ih, "minus"), _recorded(ih, "plus")) == ([], [19])
 
 
 def test_plan_built_once_per_side(monkeypatch):
@@ -364,10 +496,15 @@ def test_plan_built_once_per_side(monkeypatch):
     for side in ("minus", "plus"):
         plan = _plan(ih, side)
         assert isinstance(plan, bd.SidePlan)
-        for z in (0.5, 1.0 - 2.0j, -3.0 + 0.5j):
+        for k, z in enumerate((0.5, 1.0 - 2.0j, -3.0 + 0.5j)):
             chain = bd.side_basis(ih, side, z).solution._dense.segments[0]
-            assert chain.first is plan
-        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg):
+            # the first z started from the plan before it set the record;
+            # the others split the same panels and keep it as it is
+            assert chain.first is plan if k else chain.first.parent is None
+            np.testing.assert_array_equal(chain.first.a[:chain.first.size],
+                                          plan.a[:plan.size])
+        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg, plan.parent,
+                    *plan.schur):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
 
@@ -515,11 +652,18 @@ BATCH_ZS = ([complex(x, y) for x, y in zip(_rng.uniform(-4, 4, 6),
             + [complex(x, y) for x in (-4, 4) for y in (-3, 3)])  # corners
 
 
+def _first_round_index(seg):
+    """Per panel of a chain its index in the first round, -1 for a half of
+    a first-round panel, recorded or not (the record depends on the z a
+    problem saw before)."""
+    return np.where(seg.origin < seg.first.size, seg.origin, -1)
+
+
 def _basis_arrays(basis):
     """Every array a cached basis holds: its chains and its pairs."""
     out = []
     for seg in basis.solution._dense.segments:
-        out += [seg.breaks, seg.ys, seg.hm, seg.coefs, seg.origin]
+        out += [seg.breaks, seg.ys, seg.hm, seg.coefs, _first_round_index(seg)]
     for p in basis.pairs:
         out += [np.array([p.gamma_s, p.gamma_r, p.err_est]),
                 np.array(p.samples, dtype=complex).reshape(-1)]
@@ -542,9 +686,12 @@ def test_joint_and_single_side_builds_give_identical_arrays():
         alone = {side: bd.side_basis(single, side, z) for side in sides}
         for side, basis in zip(("minus", "plus"), both):
             _assert_same_bits(_basis_arrays(alone[side]), _basis_arrays(basis))
-        split += int((both[1].solution._dense.segments[0].origin < 0).any())
+        split += int((_first_round_index(
+            both[1].solution._dense.segments[0]) < 0).any())
     # the plus side's panel next to its deepest extrapolation node is split
-    # at every z but 0, where the basis is constant: second rounds are covered
+    # at every z but 0, where the basis is constant: split halves are
+    # covered, in a second round at a problem's first z and from the side
+    # plan's record at the others
     assert split == len(BATCH_ZS) - 1
 
 
@@ -684,14 +831,17 @@ def test_validation_integrates_each_basis_once_in_few_calls(monkeypatch):
 
     monkeypatch.setattr(sv, "integrate_dense", counted)
     assert cs.run_validation()["pass"]
-    assert len(calls) <= 10
+    assert len(calls) <= 6
     bases = [(side, z) for runs in calls for side, z, basis in runs if basis]
     assert len(bases) == len(set(bases)) == 2 * (6 + 1 + 8)
-    # the midpoint runs of each grid z: both sides in one call
+    # the midpoint runs of the 6 grid z, PER_Z_BATCH z per call, each call
+    # holding both sides of every z in it
     mids = [runs for runs in calls if not any(basis for *_, basis in runs)]
-    assert len(mids) == 6
-    assert all(sorted(side for side, *_ in runs) == ["minus", "plus"]
-               and len({z for _, z, _ in runs}) == 1 for runs in mids)
+    assert [len(runs) for runs in mids] == [2 * hm_mod.PER_Z_BATCH, 4]
+    for runs in mids:
+        zs = {z for _, z, _ in runs}
+        assert sorted((z.real, z.imag, side) for side, z, _ in runs) == sorted(
+            (z.real, z.imag, side) for z in zs for side in ("minus", "plus"))
 
 
 def test_threads_warming_overlapping_grids_match_serial():

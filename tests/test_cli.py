@@ -74,6 +74,10 @@ class TestInputValidation:
         (["validate-example", "--s-plus", "nan"], "--s-plus"),
         (["validate-example", "--d0", "nan"], "--d0"),
         (["validate-example", "--threshold", "nan"], "--threshold"),
+        # a negative threshold no error can pass: refused before integrating
+        (["validate-example", "--threshold", "-1"], "--threshold"),
+        (["validate-example", "--threshold", "-1e-300"], "--threshold"),
+        (["validate-example", "--threshold", "-inf"], "--threshold"),
         (["kernel-signature", "--random-grid", "-1"], "--random-grid"),
         (["kernel-signature", "--random-grid", "0"], "--random-grid"),
         (["kernel-signature", "--seed", "-1"], "--seed"),

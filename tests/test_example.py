@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import canonsys as cs
+from canonsys import solver as sv
 
 
 class TestClosedW:
@@ -123,6 +124,17 @@ class TestRunValidation:
         assert report["pass"], report["max_abs_err"]
         assert report["observed"]["neg_count"] >= 1
         assert all(v < 1e-6 for v in report["max_abs_err"].values())
+
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-300, np.nan, np.inf,
+                                           "x", None])
+    def test_bad_threshold_rejected_before_integrating(self, threshold,
+                                                       monkeypatch):
+        # no error can pass a negative threshold, so the gate would fail
+        # after the whole pipeline ran
+        monkeypatch.setattr(sv, "integrate_dense",
+                            lambda *args, **kwargs: pytest.fail("integrated"))
+        with pytest.raises(cs.DomainError, match="threshold"):
+            cs.run_validation(threshold=threshold)
 
     def test_perturbed_d0_passes(self):
         report = cs.run_validation(cs.ExampleConfig(d0=-1.0),

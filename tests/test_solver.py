@@ -335,6 +335,43 @@ class TestCollocation:
         monkeypatch.setattr(sv.np.linalg, "solve", recorded)
         return shapes
 
+    @pytest.mark.parametrize("kind", ["diagonal", "power-2", "mixed",
+                                      "coupled"])
+    def test_kept_factors_give_the_bits_of_formed_ones(self, kind,
+                                                       monkeypatch):
+        # a kept round's Schur factors, read by the panels it covers in any
+        # block of a batch, give what factors formed in the solve give
+        a, b, hm = _collocation_panels(kind, 23)
+        zs, zz = _panel_zs(0.7 - 2.2j, 23)
+        want = sv._panel_bases(zs, zz, a, b, hm)
+        kept = sv.kept_round(sv.FirstRound(a[5:17], b[5:17], hm[5:17]))
+        assert (kept.schur is None) == (kind == "coupled")
+        tables = [] if kept.schur is None else [(5, 17, kept.schur)]
+        for block in (64, 4, 5):
+            monkeypatch.setattr(sv, "SOLVE_BLOCK", block)
+            got = sv._panel_bases(zs, zz, a, b, hm, tables)
+            assert all(np.array_equal(x, y) for x, y in zip(want, got))
+
+    def test_factors_of_non_finite_h_raise_no_warning(self):
+        # warnings are errors in this suite: a kept round with non-finite H
+        # forms its factors quietly and fails its chain as an unkept one
+        h = cs.identity_hamiltonian((0.0, 1.0))
+        rnd = sv.first_round(h, 0.0, 1.0, None)
+        hm = rnd.hm.copy()
+        hm[0, 3, 0, 0], hm[0, 5, 1, 1] = np.inf, np.nan
+        bad = sv.FirstRound(rnd.a, rnd.b, hm)
+        kept = sv.kept_round(bad)
+        assert not np.isfinite(kept.schur[1]).all()
+        sv.with_record(kept, [0], hm[[0, 0]])
+        errors = []
+        for start in (bad, kept):
+            run = sv.Run(1.5j, h, 0.0, [1.0, 0.0], [1.0], None,
+                         lambda *args, start=start: start)
+            with pytest.raises(cs.SingularityProximityError) as info:
+                sv.integrate_dense([run])
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
     def test_diagonal_example_solves_only_schur_systems(self, monkeypatch):
         shapes = self.solved_shapes(monkeypatch)
         cs.monodromy_matrix(cs.example_problem(), 1.3 + 0.4j)
@@ -464,11 +501,11 @@ class TestBatch:
         seen = []
         panel_bases = sv._panel_bases
 
-        def recorded(z, zz, a, b, hm):
+        def recorded(z, zz, a, b, hm, *kept):
             # a Python number stands for every panel
             seen.append(tuple(np.broadcast_to(np.ravel(x), len(a))
                               for x in (z, zz)) + (len(a),))
-            return panel_bases(z, zz, a, b, hm)
+            return panel_bases(z, zz, a, b, hm, *kept)
 
         monkeypatch.setattr(sv, "_panel_bases", recorded)
         rng = np.random.default_rng(5)
