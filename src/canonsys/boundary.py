@@ -36,16 +36,17 @@ What of a run from the regular endpoint does not depend on z is computed
 once per side and kept in the problem's fixed store
 (``IndefHamiltonianA.memo``) under ``("plan", side)``, beside the
 w-families: the ``SidePlan`` holds the first round of the run's chain (its
-panels, H at their nodes and their Schur factors), w_Delta^T H at those
-nodes and w_n at the regular endpoint for n <= Delta, all read-only, and a
-record of the halves of the panels that every fresh z so far has split,
-with the same per-panel arrays (``_record_splits``; the first z other than
-0 sets it, later ones only shrink it).  The integrator starts from it (its
-``start`` lookup, so H is still evaluated only inside the integrator), so a
-fresh z that splits the recorded panels, as every z on the example does,
-runs one collocation round and evaluates neither H nor w_Delta.  Runs from
-any other anchor keep nothing.  y2 and S at the extrapolation nodes come from one
-evaluation on the chain's panels.
+panels, refined once at the solver's fixed probe z, ``solver.PROBE_Z``, H
+at their nodes and their Schur factors), w_Delta^T H at those nodes and
+w_n at the regular endpoint for n <= Delta, all read-only, and never
+changes after it is built.  The integrator starts from it (its ``start``
+lookup), so a fresh z that splits no panel beyond the plan's runs one
+collocation round and evaluates neither H nor w_Delta; on the example no z
+with |Re z| <= 8 and |Im z| <= 5 splits one.  Such a z counts no split
+toward ``solver.MAX_SPLITS``, and at z = 0 the basis keeps the probe's
+halves, where one panel would do.  Runs from any other anchor keep
+nothing.  y2 and S at the extrapolation nodes come from one evaluation on
+the chain's panels.
 
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
@@ -258,29 +259,16 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
 @dataclass(frozen=True)
 class SidePlan(sv.FirstRound):
     """The z-independent part of a side's run from its regular endpoint:
-    the first round of its chain (panels, H at their nodes and their Schur
-    factors, ``solver.kept_round``), and, on a side that is not
-    indivisible, w_Delta^T H at those nodes, (P, DEGREE + 1, 2), and w_n at
-    the regular endpoint for n <= Delta, (Delta + 1, 2).  Read-only, kept
-    on the problem under ``("plan", side)``.
-
-    It also records the halves of the first-round panels that every fresh
-    z so far has split (``solver.FirstRound.parent``), with H, the Schur
-    factors and w_Delta^T H at their nodes, so a z that splits the same
-    panels evaluates nothing on them and solves them with the first round
-    (``_record_splits``)."""
+    the first round of its chain, refined once at ``solver.PROBE_Z``
+    (panels, H at their nodes and their Schur factors,
+    ``solver.refined_round`` and ``solver.kept_round``), and, on a side
+    that is not indivisible, w_Delta^T H at those nodes,
+    (P, DEGREE + 1, 2), and w_n at the regular endpoint for n <= Delta,
+    (Delta + 1, 2).  Built once, read-only and kept on the problem under
+    ``("plan", side)`` for its life."""
 
     wh: Optional[np.ndarray] = None
     w_reg: Optional[np.ndarray] = None
-
-
-def _wh(ih: IndefHamiltonianA, side: Side, a, b, hm) -> np.ndarray:
-    """w_Delta^T H at the nodes of the panels [a_k, b_k], H there ``hm``."""
-    if len(a) == 0:
-        return np.empty((0, cp.DEGREE + 1, 2))
-    t = cp.nodes_between(a, b)
-    w = wp.w_family_for(ih, side)[ih.delta]
-    return np.einsum("pja,pjab->pjb", w(t), hm)
 
 
 def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
@@ -288,51 +276,22 @@ def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
 
     Passed to the integrator as ``start`` by runs from the regular endpoint,
     which all end at the same last extrapolation node, so the plan needs no
-    key beyond the side; H is evaluated inside the integrator.
+    key beyond the side.
     """
     def build():
-        rnd = sv.kept_round(sv.first_round(h, t0, t1, sing))
+        rnd = sv.kept_round(sv.refined_round(
+            h, sv.first_round(h, t0, t1, sing)))
         if ih.indivisible(side).is_indivisible:
             return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur)
         w_funcs = wp.w_family_for(ih, side)
-        wh = _wh(ih, side, rnd.a, rnd.b, rnd.hm)
+        t = cp.nodes_between(rnd.a, rnd.b)
+        wh = np.einsum("pja,pjab->pjb", w_funcs[ih.delta](t), rnd.hm)
         w_reg = np.array([f(t0) for f in w_funcs[:ih.delta + 1]])
         for arr in (wh, w_reg):
             arr.setflags(write=False)
-        return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur, None, wh, w_reg)
+        return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur, wh, w_reg)
 
     return ih.memo(("plan", side), build)
-
-
-def _record_splits(ih: IndefHamiltonianA, side: Side,
-                   chain: sv.PanelChain) -> None:
-    """Update the side plan's record of split halves with the first-round
-    panels ``chain`` split at its z: the first z sets it, every later one
-    keeps only the halves it split too, so the record never grows.  The
-    plan is replaced under the problem's lock; a chain that started from an
-    older plan reads that one, whose arrays are unchanged."""
-    parents, hm = chain.split
-
-    def update(plan: SidePlan) -> SidePlan:
-        p = plan.size
-        if plan.parent is None:  # the first z sets the record
-            a, b = sv.halves(plan.a[parents], plan.b[parents])
-            kept, kept_hm = parents, hm
-            wh = None if plan.wh is None else _wh(ih, side, a, b, hm)
-        else:  # a later z keeps the recorded halves it split too
-            recorded = plan.parent[p::2]
-            if np.array_equal(recorded, parents):
-                return plan
-            keep = np.isin(recorded, parents)
-            if keep.all():
-                return plan
-            idx = p + np.flatnonzero(np.repeat(keep, 2))
-            kept, kept_hm = recorded[keep], plan.hm[idx]
-            wh = None if plan.wh is None else plan.wh[idx]
-        return sv.with_record(plan, kept, kept_hm,
-                              **({} if wh is None else {"wh": wh}))
-
-    ih.cache.replace(("plan", side), update)
 
 
 class _Limited(NamedTuple):
@@ -356,10 +315,10 @@ def _functional(ih: IndefHamiltonianA, runs):
     """S of the solutions of every run: per run S at the anchor, one entry
     per anchored column, and the Chebyshev coefficients of S's change from
     the anchor on every panel of the run's chain.  A plan gives w at the
-    anchor and w_Delta^T H on the panels it holds, recorded halves among
-    them; only split panels it lacks evaluate w_Delta.  S' = -z^(Delta+1) w_Delta^T H y is formed at the
-    nodes of all chains, each run's -z^(Delta+1) a Python number spread
-    over its nodes, and integrated panel by panel in one pass."""
+    anchor and w_Delta^T H on the panels it holds; only panels split off
+    beyond it evaluate w_Delta.  S' = -z^(Delta+1) w_Delta^T H y is formed
+    at the nodes of all chains, each run's -z^(Delta+1) a Python number
+    spread over its nodes, and integrated panel by panel in one pass."""
     delta = ih.delta
     n = cp.DEGREE + 1
     s0s, whs = [], []
@@ -497,8 +456,6 @@ def _runs(ih: IndefHamiltonianA, requests):
     pairs, limited = [], []
     for (side, z, t_anchor, y_cols), dense, (indivisible, reg, hs, xs) in zip(
             requests, denses, grids):
-        if t_anchor == reg and z != 0:  # at z = 0 no panel ever splits
-            _record_splits(ih, side, dense.segments[0])
         if indivisible:
             pairs.append([RegularisedBoundary(side, z, complex(gs),
                                               complex(gr), 0.0, ())

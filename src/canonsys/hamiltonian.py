@@ -14,6 +14,7 @@ unitriangular interface matrix R(z) = [[1, p(z)], [0, 1]].
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -217,8 +218,9 @@ class Hamiltonian:
     def length(self) -> float:
         return self.interval[1] - self.interval[0]
 
-    @property
+    @functools.cached_property
     def is_diagonal(self) -> bool:
+        """Whether h3 is zero everywhere; checked once per Hamiltonian."""
         return self.h3.is_zero
 
     def matrix(self, ts):
@@ -439,10 +441,10 @@ class ProblemCache:
     Every other key (the z-independent w-families and side plans,
     ``boundary.SidePlan``) is kept for the life of the problem and built
     once, under the lock that guards both stores (reentrant: a plan's build
-    looks up its w-family); ``replace`` updates one under that lock (a
-    plan's record of split halves).  A per-z ``build`` runs outside it, so an
-    integration never blocks other lookups; when two threads build the same
-    per-z key, the first result stored is the one every caller gets.
+    looks up its w-family), and never replaced.  A per-z ``build`` runs
+    outside it, so an integration never blocks other lookups; when two
+    threads build the same per-z key, the first result stored is the one
+    every caller gets.
     """
 
     def __init__(self):
@@ -470,13 +472,6 @@ class ProblemCache:
             while len(self._per_z) > PER_Z_CAP:
                 self._per_z.popitem(last=False)
         return value
-
-    def replace(self, key, update) -> None:
-        """Replace the value kept under the fixed ``key`` by
-        ``update(value)``, under the lock, so concurrent updates apply one
-        after the other, each to the last one's result."""
-        with self._lock:
-            self._fixed[key] = update(self._fixed[key])
 
     def __contains__(self, key) -> bool:
         """Whether a value is stored under ``key``; no entry is touched."""

@@ -24,13 +24,15 @@ A chain starts from its first round (``FirstRound``): the panels of
 ``_initial_breaks`` and H at their nodes, which do not depend on z.
 ``integrate_dense`` builds it per chain unless the run passes a lookup
 (``Run.start``) that returns a kept one; :mod:`canonsys.boundary` keeps one
-per side of a problem.  A kept round holds the Schur factors of its panels
-(``kept_round``), so a panel's solve forms only the part of its system that
-depends on z, and a record of the halves of the panels that every z so far
-has split (``with_record``), which are solved with the first round: when
-all of a chain's failing first-round panels have recorded halves, those
-stand in for its second round.  A fresh z then evaluates H only on panels
-split off that the record lacks.
+per side of a problem.  A kept round is refined once, when it is built
+(``refined_round``): every panel that fails the resolution test at the
+fixed probe ``PROBE_Z`` stands in it as its two halves, so a z that splits
+the same panels, as most z do, solves the halves in its first round and
+evaluates no H.  It also holds the Schur factors of its panels
+(``kept_round``), so a panel's solve forms only the part of its system
+that depends on z.  A kept round never changes after it is built; only
+panels split off in later rounds evaluate H, and only those count toward
+``MAX_SPLITS``.
 ``integrate_dense`` is the one entry for every integration.  It takes a
 sequence of runs (``Run``: z, Hamiltonian, anchor, start state, targets,
 singular endpoint, first-round lookup), at one z or at many, and collocates
@@ -61,7 +63,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -79,6 +80,7 @@ MAX_SPLITS = 2000     # panel splits per integration before IntegrationError
 TAIL_COEFS = 3        # trailing Chebyshev coefficients in the resolution test
 SINGULAR_DET = 1e-12  # relative |det| of a singular start matrix, at most
 SOLVE_BLOCK = 64      # panels per batched collocation solve (peak memory)
+PROBE_Z = 1j          # the z at which a kept first round is refined once
 
 _EPS = np.finfo(np.float64).eps
 _TOL_FLOOR = 64.0 * _EPS     # below this rtol is rounding noise
@@ -148,21 +150,17 @@ class PanelChain(cp.PanelFunction):
     the state and ``hm`` H at every collocation node, panel after panel, and
     ``coefs`` per panel the DEGREE + 2 Chebyshev coefficients of the state.
     ``first`` is the FirstRound the chain started from and ``origin`` per
-    panel its index there (a recorded half's among them), -1 for a panel
-    split off in a later round.  ``split`` holds the indices of the
-    first-round panels the chain split, ascending, and H at the nodes of
-    their halves, in pairs.
+    panel its index there, -1 for a panel split off in a later round.
     """
 
-    __slots__ = ("ys", "hm", "origin", "first", "split", "lo", "hi")
+    __slots__ = ("ys", "hm", "origin", "first", "lo", "hi")
 
-    def __init__(self, breaks, ys, hm, coefs, origin, first, split):
+    def __init__(self, breaks, ys, hm, coefs, origin, first):
         super().__init__(breaks, coefs)
         self.ys = ys
         self.hm = hm
         self.origin = origin
         self.first = first
-        self.split = split
         self.lo = float(min(breaks[0], breaks[-1]))
         self.hi = float(max(breaks[0], breaks[-1]))
 
@@ -326,36 +324,15 @@ class FirstRound:
     first collocation round, in integration order, and H at their nodes,
     (P, DEGREE + 1, 2, 2).
 
-    A round kept for many z (``kept_round``) also holds ``schur``, the
-    Schur factors of every panel (``_schur_factors``; None when no panel's
-    H is diagonal), and may hold a record of halves (``with_record``):
-    ``parent`` is None until one is set, then -1 for each panel of the first
-    round, which come first, and for each recorded half, which follow in
-    pairs, the index of the panel it halves.  The arrays are read-only, so
-    one round can be kept and shared by every thread that integrates."""
+    A round kept for many z is refined once (``refined_round``) and holds
+    ``schur``, the Schur factors of every panel (``kept_round``; None when
+    no panel's H is diagonal).  The arrays are read-only, so one round can
+    be kept and shared by every thread that integrates."""
 
     a: np.ndarray
     b: np.ndarray
     hm: np.ndarray
     schur: Optional[tuple] = None
-    parent: Optional[np.ndarray] = None
-
-    @functools.cached_property
-    def size(self) -> int:
-        """The number of first-round panels; recorded halves follow them."""
-        return len(self.a) if self.parent is None else int(
-            np.count_nonzero(self.parent < 0))
-
-    def recorded_halves(self, parents) -> Optional[np.ndarray]:
-        """The indices of the recorded halves of the first-round panels
-        ``parents`` (ascending), in pairs; None unless all are recorded."""
-        rec = None if self.parent is None else self.parent[self.size::2]
-        if rec is None or len(rec) == 0:
-            return None
-        j = np.minimum(np.searchsorted(rec, parents), len(rec) - 1)
-        if (rec[j] != parents).any():
-            return None
-        return self.size + np.stack([2 * j, 2 * j + 1], axis=1).ravel()
 
 
 def _h_at_nodes(h: Hamiltonian, a, b) -> np.ndarray:
@@ -409,26 +386,6 @@ def halves(a, b):
     pairs, as a split forms them."""
     mid = 0.5 * (a + b)
     return np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
-
-
-def with_record(rnd: FirstRound, parents, hm, **fields) -> FirstRound:
-    """``rnd`` with its record replaced by the halves of its first-round
-    panels ``parents`` (ascending): H at the halves' nodes ``hm``, in pairs,
-    and, for a subclass, the halves' values of its further per-panel arrays
-    (``fields``).  The halves' Schur factors are formed when ``rnd`` keeps
-    factors."""
-    p = rnd.size
-    a, b = halves(rnd.a[parents], rnd.b[parents])
-    new = dict(fields, a=a, b=b, hm=hm)
-    out = {name: _frozen(np.concatenate([getattr(rnd, name)[:p], v]))
-           for name, v in new.items()}
-    if rnd.schur is not None:
-        out["schur"] = tuple(
-            _frozen(np.concatenate([t[:p], h])) for t, h in
-            zip(rnd.schur, _schur_factors(0.5 * (b - a), hm)))
-    out["parent"] = _frozen(np.concatenate(
-        [np.full(p, -1), np.repeat(np.asarray(parents, dtype=np.intp), 2)]))
-    return dataclasses.replace(rnd, **out)
 
 
 def _coupled_bases(z, hw: np.ndarray, hm: np.ndarray) -> np.ndarray:
@@ -579,25 +536,50 @@ def _resolved(a, b, phi, rtol, atol):
         return tail <= np.maximum(max(rtol, _TOL_FLOOR), noise) * scale + atol
 
 
+def _too_narrow(a, b):
+    """Per panel [a_k, b_k]: is it too narrow to split?"""
+    return np.abs(b - a) < 2.0 * _WIDTH_FLOOR * np.maximum(
+        1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def refined_round(h: Hamiltonian, rnd: FirstRound) -> FirstRound:
+    """``rnd`` with every panel that fails the resolution test at
+    ``PROBE_Z`` (``_resolved`` at the default tolerances) replaced by its
+    halves, H evaluated at their nodes, for a round kept for many z: a z
+    that splits the same panels solves their halves in its first round.  A
+    panel whose basis is not finite at the probe, or that is too narrow to
+    split, stays whole, so refining raises nothing: its chain fails or
+    splits it as it would in an unrefined round."""
+    z = PROBE_Z
+    phi, _ = _panel_bases(z, z * z, rnd.a, rnd.b, rnd.hm)
+    split = (~_resolved(rnd.a, rnd.b, phi, RK_RTOL, RK_ATOL)
+             & np.isfinite(phi).all(axis=(1, 2, 3))
+             & ~_too_narrow(rnd.a, rnd.b))
+    if not split.any():
+        return rnd
+    # each split panel's place holds its two halves, in integration order
+    idx = np.repeat(np.arange(len(rnd.a)), np.where(split, 2, 1))
+    at = np.flatnonzero(split[idx])
+    a, b, hm = rnd.a[idx], rnd.b[idx], rnd.hm[idx]
+    a[at], b[at] = halves(rnd.a[split], rnd.b[split])
+    hm[at] = _h_at_nodes(h, a[at], b[at])
+    return FirstRound(_frozen(a), _frozen(b), _frozen(hm))
+
+
 class _Chain:
     """One chain of a batch while it is collocated: its z and z*z (Python
     numbers), the panels of its pending round (``a``, ``b``, their index in
-    the first round and H at their nodes; in the first round the recorded
-    halves, ``FirstRound.parent``, follow the ``npend`` pending panels), the
-    arrays of its resolved panels per round, the first-round panels it split
-    (``split``: their indices and H at their halves' nodes) and the error
-    that ended it, if any."""
+    the first round and H at their nodes), the arrays of its resolved panels
+    per round, and the error that ended it, if any."""
 
     def __init__(self, z: complex, h, first: FirstRound, state0):
         self.z, self.zz = z, z * z
         self.h, self.first, self.state0 = h, first, state0
-        t0, t1 = float(first.a[0]), float(first.b[first.size - 1])
+        t0, t1 = float(first.a[0]), float(first.b[-1])
         self.context = f"integration on [{t0}, {t1}] at z={z}"
         self.direction = 1.0 if t1 > t0 else -1.0
         self.a, self.b, self.hm = first.a, first.b, first.hm
         self.origin = np.arange(len(first.a))
-        self.npend = first.size
-        self.split = (self.origin[:0], first.hm[:0])
         self.done = []
         self.splits = 0
         self.error = None
@@ -606,7 +588,7 @@ class _Chain:
     def fail_at(self, bad) -> None:
         """End the chain at the first pending panel, in its direction, that
         ``bad`` marks: its H or its propagator is not finite."""
-        a = self.a[:len(bad)][bad]
+        a = self.a[bad]
         t_bad = float(a[np.argmin(self.direction * a)])
         self.error = SingularityProximityError(
             f"{self.context}: non-finite Hamiltonian entries or propagator "
@@ -615,62 +597,36 @@ class _Chain:
     def settle(self, phi, f, ok, bad) -> bool:
         """Keep the panels of this round that ``ok`` marks resolved and
         split the others, or end the chain at the first that ``bad`` marks
-        (its propagator is not finite); whether a next round is pending.
-
-        The recorded halves solved with the first round stand for the
-        halves of the first-round panels that fail, as a second round would
-        give them; the halves of other panels are dropped.  When every
-        failing panel has its halves recorded, they are settled here, so no
-        second round is solved."""
-        first = self.first
-        while True:
-            n = self.npend
-            extra = (phi[n:], f[n:], ok[n:], bad[n:])
-            phi, f, ok, bad = phi[:n], f[:n], ok[:n], bad[:n]
-            if bad.any():
-                self.fail_at(bad)
-                return False
-            a, b, origin, hm = (x[:n] for x in
-                                (self.a, self.b, self.origin, self.hm))
-            round1 = not self.done
-            if ok.all():
-                self.done.append((a, b, origin, hm, phi, f))
-                return False
-            self.done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok],
-                              f[ok]))
-            a, b, parents = a[~ok], b[~ok], origin[~ok]
-            # the first panel that is too narrow to split, or whose split
-            # exceeds MAX_SPLITS, ends the integration
-            narrow = np.abs(b - a) < 2.0 * _WIDTH_FLOOR * np.maximum(
-                1.0, np.maximum(np.abs(a), np.abs(b)))
-            k_narrow = int(np.argmax(narrow)) if narrow.any() else len(a)
-            k_over = MAX_SPLITS - self.splits
-            if k_narrow < len(a) and k_narrow <= k_over:
-                ak = float(a[k_narrow])
-                self.error = SingularityProximityError(
-                    f"{self.context}: panel width underflow at t={ak}", ak)
-                return False
-            if k_over < len(a):
-                self.error = IntegrationError(
-                    f"{self.context}: {MAX_SPLITS} panel splits did not "
-                    f"resolve the solution near t={a[k_over]}")
-                return False
-            self.splits += len(a)
-            self.a, self.b = halves(a, b)
-            self.npend = len(self.a)
-            rec = first.recorded_halves(parents) if round1 else None
-            if rec is None:
-                self.origin = np.full(len(self.a), -1)
-                self.hm = _h_at_nodes(self.h, self.a, self.b)
-            else:
-                self.origin, self.hm = rec, first.hm[rec]
-            if round1:
-                self.split = (parents, self.hm)
-            if rec is None:
-                return True
-            # the next round's results are those of the recorded halves,
-            # solved with the first round
-            phi, f, ok, bad = (x[rec - first.size] for x in extra)
+        (its propagator is not finite); whether a next round is pending."""
+        if bad.any():
+            self.fail_at(bad)
+            return False
+        a, b, origin, hm = self.a, self.b, self.origin, self.hm
+        if ok.all():
+            self.done.append((a, b, origin, hm, phi, f))
+            return False
+        self.done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok], f[ok]))
+        a, b = a[~ok], b[~ok]
+        # the first panel that is too narrow to split, or whose split
+        # exceeds MAX_SPLITS, ends the integration
+        narrow = _too_narrow(a, b)
+        k_narrow = int(np.argmax(narrow)) if narrow.any() else len(a)
+        k_over = MAX_SPLITS - self.splits
+        if k_narrow < len(a) and k_narrow <= k_over:
+            ak = float(a[k_narrow])
+            self.error = SingularityProximityError(
+                f"{self.context}: panel width underflow at t={ak}", ak)
+            return False
+        if k_over < len(a):
+            self.error = IntegrationError(
+                f"{self.context}: {MAX_SPLITS} panel splits did not "
+                f"resolve the solution near t={a[k_over]}")
+            return False
+        self.splits += len(a)
+        self.a, self.b = halves(a, b)
+        self.origin = np.full(len(self.a), -1)
+        self.hm = _h_at_nodes(self.h, self.a, self.b)
+        return True
 
     def panels(self):
         """(a, b, origin, hm, phi, f) of every resolved panel, in
@@ -703,15 +659,14 @@ def _collocate(starts, rtol, atol):
     ``starts``, collocated as one batch: each round solves and tests the
     pending panels of all chains at once, each panel with its chain's z and
     z*z spread over it, and one loop chains the propagators of all.  Only
-    panels split off in later rounds, and not recorded in the first round,
-    evaluate H.  Every step treats a chain's panels alike whatever else is
+    panels split off after the first round evaluate H.  Every step treats a chain's panels alike whatever else is
     in the batch, so a chain's arrays do not depend on it.  When chains
     fail, the error of the first, in the order of ``starts``, is raised."""
     chains = [_Chain(*start) for start in starts]
     pending = chains
     while pending:
         for c in pending:
-            bad = ~np.isfinite(c.hm[:c.npend]).all(axis=(1, 2, 3))
+            bad = ~np.isfinite(c.hm).all(axis=(1, 2, 3))
             if bad.any():
                 c.fail_at(bad)
         pending = [c for c in pending if c.error is None]
@@ -796,7 +751,7 @@ def _chain_all(chains) -> None:
         c.chain = PanelChain(np.append(a[sl], b[sl][-1]),
                              ys[sl].reshape(-1, 2 * ncols),
                              hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl],
-                             c.first, c.split)
+                             c.first)
 
 
 def check_tolerances(rtol, atol) -> None:

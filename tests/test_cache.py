@@ -167,7 +167,7 @@ def test_monodromy_evaluates_no_chain_at_the_anchor(monkeypatch):
     z = 0.7 + 0.3j
     cs.monodromy_matrix(ih, z)
     # only the limits, at both sides' extrapolation nodes: the halves the
-    # plus side splits are recorded with w_Delta^T H at their nodes
+    # plus side splits are in its plan, with w_Delta^T H at their nodes
     assert calls == [2 * (bd.K_NODES + 1)]
     del calls[:]
     cs.monodromy_matrix(ih, z)
@@ -342,6 +342,10 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
+FAR_Z = 28.0 + 28.0j  # splits panel 0 of both sides beyond the plans
+NEAR_Z = 0.5 + 0.5j   # splits no panel beyond them
+
+
 def test_fresh_z_evaluates_h_only_on_split_panels(monkeypatch):
     ih = cs.example_problem()
     sizes, calls = [], []
@@ -356,56 +360,33 @@ def test_fresh_z_evaluates_h_only_on_split_panels(monkeypatch):
     _count_calls(monkeypatch, bd, "neville_limit", calls)
     n = cp.DEGREE + 1
     cs.monodromy_matrix(ih, 0.3 - 1.1j)
-    # the first z: H on both plans' panels, and on the 48 nodes of the
-    # halves of the one plus-side panel it splits, in a second round; the
-    # limits of y2 and S of both sides take one tableau
+    # the first z builds both plans: H on the first round's panels, one
+    # probe solve per side, and H on the 48 nodes of the halves of the one
+    # plus-side panel the probe splits; then one round and one tableau
     plans = [_plan(ih, side) for side in ("minus", "plus")]
-    assert sizes == [n * plans[0].size, n * plans[1].size, 2 * n]
-    assert calls == ["_panel_bases", "_panel_bases", "neville_limit"]
-    # the plus plan records those halves; a second z splits the same panel
-    # and solves them with the first round
-    assert plans[0].parent.tolist() == [-1] * plans[0].size
-    assert plans[1].parent.tolist() == [-1] * plans[1].size + [19, 19]
-    del sizes[:], calls[:]
-    cs.monodromy_matrix(ih, -1.7 + 0.8j)
-    assert sizes == []
-    assert calls == ["_panel_bases", "neville_limit"]
+    assert sizes == [n * len(plans[0].a), n * (len(plans[1].a) - 1), 2 * n]
+    assert calls == ["_panel_bases"] * 3 + ["neville_limit"]
+    # every later fresh z, whatever came before, solves the plans' panels
+    # in one round and evaluates no H; only a far z splits beyond them
+    for z in (-1.7 + 0.8j, 0.0, FAR_Z, 1e-4, 10j, 2.2 - 3.0j):
+        del sizes[:], calls[:]
+        cs.monodromy_matrix(ih, z)
+        if z == FAR_Z:
+            assert sizes and len(calls) > 2
+        else:
+            assert sizes == [], z
+            assert calls == ["_panel_bases", "neville_limit"], z
 
 
-def _recorded(ih, side):
-    """The first-round panels whose halves the side's plan records, None
-    before any z set the record."""
-    plan = _plan(ih, side)
-    return None if plan.parent is None else plan.parent[plan.size::2].tolist()
-
-
-RECORD_FAR_Z = 28.0 + 28.0j  # splits panel 0 of both sides besides the usual
-RECORD_NEAR_ZS = [0.5 + 0.5j, -1.2 + 2.0j, 3.0 - 0.4j, 1.75]
-
-
-@pytest.mark.parametrize("far_first", [True, False])
-def test_record_shrinks_and_leaves_every_array_unchanged(far_first):
-    # set by a far z, the record shrinks to the panel a near z splits; set
-    # by a near z, it stays while a far z splits panels it lacks in a
-    # second round.  Each z's bases are those of a fresh problem.
-    zs = ([RECORD_FAR_Z] + RECORD_NEAR_ZS if far_first
-          else RECORD_NEAR_ZS + [RECORD_FAR_Z])
+def test_diagonality_checked_once_per_side(monkeypatch):
+    calls = []
+    is_zero = hm_mod.PackedEntry.is_zero
+    monkeypatch.setattr(hm_mod.PackedEntry, "is_zero", property(
+        lambda entry: calls.append(entry) or is_zero.fget(entry)))
     ih = cs.example_problem()
-    records = []
-    for z in zs:
-        got = bd.side_bases(ih, [z])[0]
-        want = bd.side_bases(cs.example_problem(), [z])[0]
-        for g, w in zip(got, want):
-            _assert_same_bits(_basis_arrays(w), _basis_arrays(g))
-        np.testing.assert_array_equal(
-            cs.monodromy_matrix(ih, z),
-            cs.monodromy_matrix(cs.example_problem(), z))
-        records.append((_recorded(ih, "minus"), _recorded(ih, "plus")))
-    near = ([], [19])
-    if far_first:
-        assert records == [([0], [0, 19])] + [near] * len(RECORD_NEAR_ZS)
-    else:
-        assert records == [near] * len(zs)
+    for z in (0.3 - 1.1j, 0.5j, 2.0 + 1.0j, -1.5 + 0.2j):
+        cs.monodromy_matrix(ih, z)
+    assert len(calls) <= 2
 
 
 def _outcome(ih, side, z):
@@ -416,15 +397,30 @@ def _outcome(ih, side, z):
         return f"{type(exc).__name__}: {exc}"
 
 
+def test_split_limit_counts_only_splits_beyond_the_plan(monkeypatch):
+    # the plans hold the halves most z split, so with no split allowed a
+    # near z still succeeds, and a far z ends as on a fresh problem
+    ih = cs.example_problem()
+    want = [_outcome(cs.example_problem(), side, NEAR_Z)
+            for side in ("minus", "plus")]
+    cs.monodromy_matrix(ih, 0.3 - 1.1j)
+    monkeypatch.setattr(sv, "MAX_SPLITS", 0)
+    for side, w in zip(("minus", "plus"), want):
+        _assert_same_bits(w, _outcome(ih, side, NEAR_Z))
+        got = _outcome(ih, side, FAR_Z)
+        assert got.startswith("IntegrationError: ")
+        assert got == _outcome(cs.example_problem(), side, FAR_Z)
+
+
 @pytest.mark.parametrize("max_splits", [0, 1, 2])
 def test_split_limit_errors_match_a_fresh_problem(monkeypatch, max_splits):
-    # the record is read only after the split checks of the first round,
-    # so a bounded split count ends a chain as on a fresh problem
+    # the plan does not depend on the z a problem served before, so a
+    # bounded split count ends a chain as on a fresh problem
     ih = cs.example_problem()
-    bd.side_bases(ih, [RECORD_FAR_Z])
-    assert _recorded(ih, "plus") == [0, 19]
+    bd.side_bases(ih, [FAR_Z])
+    plans = tuple(_plan(ih, side) for side in ("minus", "plus"))
     monkeypatch.setattr(sv, "MAX_SPLITS", max_splits)
-    for z in (0.5 + 0.5j, 29.0 + 27.0j):
+    for z in (NEAR_Z, 29.0 + 27.0j):
         for side in ("minus", "plus"):
             got = _outcome(ih, side, z)
             want = _outcome(cs.example_problem(), side, z)
@@ -432,52 +428,59 @@ def test_split_limit_errors_match_a_fresh_problem(monkeypatch, max_splits):
                 assert got == want
             else:
                 _assert_same_bits(want, got)
+    assert all(_plan(ih, side) is plan
+               for side, plan in zip(("minus", "plus"), plans))
 
 
-def test_threads_setting_and_shrinking_the_record_match_serial():
-    # whichever z sets the record, every later one keeps only the panels
-    # it split too: the record ends as the intersection of all z's splits
-    zs = [RECORD_FAR_Z, 40j] + RECORD_NEAR_ZS + [0.0, -2.5 - 1.5j]
-    want = [cs.monodromy_matrix(cs.example_problem(), z) for z in zs]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(3):
-            ih = cs.example_problem()
-            got, errors = [None] * len(zs), []
-            barrier = threading.Barrier(len(zs), timeout=60)
+@pytest.mark.parametrize("order", ["far first", "far last", "threads"])
+def test_plan_is_fixed_whatever_z_come_first(order):
+    zs = [FAR_Z, NEAR_Z, 0.0]
+    if order == "far last":
+        zs.reverse()
+    want = {z: [_basis_arrays(b)
+                for b in bd.side_bases(cs.example_problem(), [z])[0]]
+            for z in zs}
+    ih = cs.example_problem()
+    got, plans, errors = {}, [], []
 
-            def worker(k):
-                try:
-                    barrier.wait()
-                    got[k] = cs.monodromy_matrix(ih, zs[k])
-                except Exception as exc:  # reported by the assertion below
-                    errors.append(exc)
+    def ask(z):
+        got[z] = [_basis_arrays(b) for b in bd.side_bases(ih, [z])[0]]
+        plans.append(tuple(_plan(ih, side) for side in ("minus", "plus")))
 
-            threads = [threading.Thread(target=worker, args=(k,))
-                       for k in range(len(zs))]
+    if order == "threads":
+        barrier = threading.Barrier(len(zs), timeout=60)
+
+        def worker(z):
+            try:
+                barrier.wait()
+                ask(z)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(z,)) for z in zs]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
-            assert not errors
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
-            assert (_recorded(ih, "minus"), _recorded(ih, "plus")) == (
-                [], [19]), trial
-    finally:
-        sys.setswitchinterval(old)
-
-
-def test_z_zero_leaves_the_record_unset():
-    # at z = 0 the basis is constant and no panel splits, which says
-    # nothing of other z
-    ih = cs.example_problem()
-    cs.monodromy_matrix(ih, 0.0)
-    assert (_recorded(ih, "minus"), _recorded(ih, "plus")) == (None, None)
-    cs.monodromy_matrix(ih, 0.1j)
-    assert (_recorded(ih, "minus"), _recorded(ih, "plus")) == ([], [19])
+        finally:
+            sys.setswitchinterval(old)
+    else:
+        for z in zs:
+            ask(z)
+    assert not errors
+    for z in zs:
+        for w, g in zip(want[z], got[z]):
+            _assert_same_bits(w, g)
+    # one plan per side, the same object after every z, and read-only
+    assert all(p[0] is plans[0][0] and p[1] is plans[0][1] for p in plans)
+    for plan in plans[0]:
+        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg,
+                    *plan.schur):
+            assert not arr.flags.writeable
 
 
 def test_plan_built_once_per_side(monkeypatch):
@@ -496,14 +499,10 @@ def test_plan_built_once_per_side(monkeypatch):
     for side in ("minus", "plus"):
         plan = _plan(ih, side)
         assert isinstance(plan, bd.SidePlan)
-        for k, z in enumerate((0.5, 1.0 - 2.0j, -3.0 + 0.5j)):
+        for z in (0.5, 1.0 - 2.0j, -3.0 + 0.5j):
             chain = bd.side_basis(ih, side, z).solution._dense.segments[0]
-            # the first z started from the plan before it set the record;
-            # the others split the same panels and keep it as it is
-            assert chain.first is plan if k else chain.first.parent is None
-            np.testing.assert_array_equal(chain.first.a[:chain.first.size],
-                                          plan.a[:plan.size])
-        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg, plan.parent,
+            assert chain.first is plan
+        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg,
                     *plan.schur):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -652,18 +651,11 @@ BATCH_ZS = ([complex(x, y) for x, y in zip(_rng.uniform(-4, 4, 6),
             + [complex(x, y) for x in (-4, 4) for y in (-3, 3)])  # corners
 
 
-def _first_round_index(seg):
-    """Per panel of a chain its index in the first round, -1 for a half of
-    a first-round panel, recorded or not (the record depends on the z a
-    problem saw before)."""
-    return np.where(seg.origin < seg.first.size, seg.origin, -1)
-
-
 def _basis_arrays(basis):
     """Every array a cached basis holds: its chains and its pairs."""
     out = []
     for seg in basis.solution._dense.segments:
-        out += [seg.breaks, seg.ys, seg.hm, seg.coefs, _first_round_index(seg)]
+        out += [seg.breaks, seg.ys, seg.hm, seg.coefs, seg.origin]
     for p in basis.pairs:
         out += [np.array([p.gamma_s, p.gamma_r, p.err_est]),
                 np.array(p.samples, dtype=complex).reshape(-1)]
@@ -679,20 +671,17 @@ def _assert_same_bits(want, have):
 
 def test_joint_and_single_side_builds_give_identical_arrays():
     joint, single = cs.example_problem(), cs.example_problem()
-    split = 0
     for i, z in enumerate(BATCH_ZS):
         both, = bd.side_bases(joint, [z])
         sides = ("minus", "plus") if i % 2 else ("plus", "minus")
         alone = {side: bd.side_basis(single, side, z) for side in sides}
         for side, basis in zip(("minus", "plus"), both):
             _assert_same_bits(_basis_arrays(alone[side]), _basis_arrays(basis))
-        split += int((_first_round_index(
-            both[1].solution._dense.segments[0]) < 0).any())
-    # the plus side's panel next to its deepest extrapolation node is split
-    # at every z but 0, where the basis is constant: split halves are
-    # covered, in a second round at a problem's first z and from the side
-    # plan's record at the others
-    assert split == len(BATCH_ZS) - 1
+            # the plus side's panel next to its deepest extrapolation node,
+            # which every z but 0 splits, stands in the plan as its halves,
+            # so every chain holds exactly the plan's panels
+            seg = basis.solution._dense.segments[0]
+            assert seg.origin.tolist() == list(range(len(seg.first.a)))
 
 
 def test_threads_asking_for_one_or_both_sides_match_serial():

@@ -362,7 +362,7 @@ class TestCollocation:
         bad = sv.FirstRound(rnd.a, rnd.b, hm)
         kept = sv.kept_round(bad)
         assert not np.isfinite(kept.schur[1]).all()
-        sv.with_record(kept, [0], hm[[0, 0]])
+        assert sv.refined_round(h, bad) is bad  # its panel stays whole
         errors = []
         for start in (bad, kept):
             run = sv.Run(1.5j, h, 0.0, [1.0, 0.0], [1.0], None,

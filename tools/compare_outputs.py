@@ -8,8 +8,9 @@ each in its own interpreter:
 - ``monodromy_matrix`` of the example at 306 seeded z (real, imaginary and
   complex, 0 among them), each fresh on one problem, or the error it raises;
 - the bases of both sides at 40 seeded z: each chain's breaks, node states,
-  H at the nodes and Chebyshev coefficients, and each boundary pair with its
-  error estimate and samples;
+  H at the nodes and Chebyshev coefficients, the solution's values at
+  ``N_POINTS`` evenly spaced points of its range, and each boundary pair with
+  its error estimate and samples;
 - the stdout bytes and exit code of ``validate-example``, of ``monodromy
   --emit json`` over 40 z with ``--jobs 1`` and ``--jobs 2``, and of
   ``regbv --side plus --verbose`` over those z.
@@ -18,7 +19,10 @@ With ``--far-first`` every problem first computes ``monodromy_matrix`` at a
 far z (|z| about 40), and the CLI grids start with that z, so the runs that
 follow start from what that z left on the problem.  Arrays are compared as
 bytes, so a zero of another sign or another NaN counts as a difference.
-Prints each difference and exits 1 if there is one, else 0.
+Prints each difference, with the largest difference of its entries or, when
+the shapes differ (a basis split into other panels), both shapes; a basis
+whose chain differs also gets a line for its values, which keep one shape.
+Exits 1 if an output differs, else 0.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 
 FAR_Z = 28.0 + 28.0j
 SEED = 20261020
+N_POINTS = 41
 
 
 def _grid(n: int, seed: int) -> list:
@@ -76,9 +81,10 @@ def _cli(argv) -> tuple:
     return code, out.getvalue().encode()
 
 
-def _pair(p) -> tuple:
-    return (p.side, p.z, p.gamma_s, p.gamma_r, p.err_est,
-            np.array([[x, y, g] for x, y, g in p.samples], dtype=complex))
+def _pair(p) -> np.ndarray:
+    """gamma_s, gamma_r, err_est and the samples of a boundary pair."""
+    return np.concatenate([[p.gamma_s, p.gamma_r, p.err_est],
+                           np.array(p.samples, dtype=complex).ravel()])
 
 
 def dump(far: bool) -> dict:
@@ -101,6 +107,8 @@ def dump(far: bool) -> dict:
             for c, seg in enumerate(basis.solution._dense.segments):
                 for name in ("breaks", "ys", "hm", "coefs"):
                     out[f"{key} chain {c} {name}"] = getattr(seg, name)
+            out[f"{key} values"] = basis.solution.eval(
+                np.linspace(*basis.solution.interval, N_POINTS))
             for r, p in enumerate(basis.pairs):
                 out[f"{key} pair {r}"] = _pair(p)
     grid = _grid(40, SEED + 2)
@@ -128,17 +136,33 @@ def _as_bytes(value):
     return value
 
 
-def compare(mine: dict, theirs: dict) -> list:
-    diffs = [f"only in one: {key}" for key in sorted(set(mine) ^ set(theirs))]
+def _gap(a, b) -> str:
+    """How two outputs differ: for two arrays both shapes when those
+    differ, else the largest difference of their entries; else both
+    texts."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        if a.shape != b.shape:
+            return f"shape {a.shape} != {b.shape}"
+        return f"max |difference| {float(np.max(np.abs(a - b))):.3e}"
+    return f"{str(a)[:200]!r} != {str(b)[:200]!r}"
+
+
+def compare(mine: dict, theirs: dict) -> tuple:
+    """(lines, count): a line per output whose bytes differ, and the number
+    of those.  A basis whose chain differs also gets a line for its values
+    at fixed points, the same bits or not, so a change of its panels is
+    sized."""
+    diffs = {key: "only in one" for key in set(mine) ^ set(theirs)}
     for key in mine:
         if key in theirs and _as_bytes(mine[key]) != _as_bytes(theirs[key]):
-            a, b = mine[key], theirs[key]
-            try:
-                gap = float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-                diffs.append(f"{key}: max |difference| {gap:.3e}")
-            except (TypeError, ValueError):
-                diffs.append(f"{key}: {str(a)[:200]!r} != {str(b)[:200]!r}")
-    return diffs
+            diffs[key] = _gap(mine[key], theirs[key])
+    count = len(diffs)
+    for key in [k for k in diffs if " chain " in k]:
+        values = key.split(" chain ")[0] + " values"
+        if values in mine and values in theirs and values not in diffs:
+            diffs[values] = (_gap(mine[values], theirs[values])
+                             + " (the same bits)")
+    return [f"{key}: {diffs[key]}" for key in sorted(diffs)], count
 
 
 def _dump_in(checkout: str, far: bool, path: str) -> dict:
@@ -169,11 +193,11 @@ def main(argv=None) -> int:
         mine = _dump_in(here, args.far_first, os.path.join(tmp, "mine.pkl"))
         theirs = _dump_in(os.path.abspath(args.other), args.far_first,
                           os.path.join(tmp, "theirs.pkl"))
-    diffs = compare(mine, theirs)
-    for line in diffs:
+    lines, count = compare(mine, theirs)
+    for line in lines:
         print(line)
-    print(f"{len(mine)} outputs compared, {len(diffs)} differ")
-    return 1 if diffs else 0
+    print(f"{len(mine)} outputs compared, {count} differ")
+    return 1 if count else 0
 
 
 if __name__ == "__main__":
