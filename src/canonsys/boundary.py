@@ -22,8 +22,8 @@ is not diagonal), each column keeping its own z, nodes and winning entry.  A run
 powers of z are Python numbers spread over its nodes, so its pairs are the
 same bits alone or in any batch (see :mod:`canonsys.solver`).  A caller that
 reads both sides of a z asks for both bases at once (``side_bases``); one
-that reads one side builds only that side; one that reads many z warms their
-bases first (``warm_bases``), at most ``hamiltonian.PER_Z_BATCH`` z per batch.
+that reads one side builds only that side; one that reads many z takes them
+in chunks (``z_chunks``), the bases of each built in one batch.
 
 On an indivisible side, H = h xi_phi xi_phi^T of rank one with a fixed
 angle phi, no limit is taken: the boundary pair of a solution is its value
@@ -53,11 +53,9 @@ cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
 ``side_basis``, the fundamental solution Phi anchored to the identity at the
 regular endpoint, integrated out to the last extrapolation node, together
 with the boundary pairs of its two rows (the rows of the boundary matrix U);
-``side_bases`` builds the missing ones of several sides and z in batches.
-The cache keeps at most ``hamiltonian.PER_Z_CAP`` such entries (32 z on both
-sides), least recently used evicted first.  A batch that fails is built
-again z by z, so one z that cannot be integrated leaves the others cached
-and raises its own error where it is read.
+``side_bases`` reads several sides and z.  The cache keeps at most
+``hamiltonian.PER_Z_CAP`` such entries (32 z on both sides), least recently
+used evicted first.
 
 The boundary map is linear and the solutions of a side are y = Phi^T c, so
 every pair is read off that basis: ``SideBasis.pair(c)`` is U^T c, with
@@ -73,6 +71,7 @@ from a given anchor, an independent check of the cached pairs.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -564,72 +563,52 @@ def _build_bases(ih: IndefHamiltonianA, todo) -> dict:
             for (side, z), reg, (dense, pairs) in zip(todo, regs, runs)}
 
 
-def warm_bases(ih: IndefHamiltonianA, zs, sides=("minus", "plus")) -> dict:
-    """Build the bases of ``sides`` at every z of ``zs`` that the problem's
-    cache lacks, in batches of at most ``PER_Z_BATCH`` z, and cache them.
-
-    A batch that raises is built again z by z, so one z that cannot be
-    integrated costs the others nothing: they are cached, and it is left
-    out, for its read to raise its own error as without warming.  A z that
-    is not finite is left to its read as well.  Returns, per z that failed
-    alone, its error.  More z than the cache holds (``PER_Z_CAP`` bases)
-    evict the first before the last are built: warm them in chunks, each
-    read before the next (``side_bases``).
-    """
-    todo = {}
-    for z in zs:
-        z = complex(z)
-        if cmath.isfinite(z) and z not in todo:
-            todo[z] = [(side, z) for side in sides
-                       if (PER_Z_KIND, side, z) not in ih.cache]
-    batch = [(z, pairs) for z, pairs in todo.items() if pairs]
-    errors = {}
-    for lo in range(0, len(batch), PER_Z_BATCH):
-        chunk = batch[lo:lo + PER_Z_BATCH]
-        try:
-            _build_bases(ih, [pair for _, pairs in chunk for pair in pairs])
-        except CanonsysError as exc:  # each z then raises its own, or none
-            if len(chunk) == 1:
-                errors[chunk[0][0]] = exc
-                continue
-            for z, pairs in chunk:
-                try:
-                    _build_bases(ih, pairs)
-                except CanonsysError as exc_z:
-                    errors[z] = exc_z
-    return errors
+def z_chunks(ih: IndefHamiltonianA, zs, sides=("minus", "plus")):
+    """``zs`` in order, at most ``PER_Z_BATCH`` z per chunk: the one place
+    a z grid is cut into batches.  Before a chunk of two or more z is
+    yielded, the bases of ``sides`` its finite z lack are built in one
+    batch; a batch that raises is built again z by z, and a z that fails
+    alone is left to its read, which raises its own error.  Read each chunk
+    before asking for the next, or a grid longer than the cache
+    (``PER_Z_CAP`` bases) evicts its first bases before they are read."""
+    zs = list(zs)
+    for lo in range(0, len(zs), PER_Z_BATCH):
+        chunk = zs[lo:lo + PER_Z_BATCH]
+        if len(chunk) > 1:
+            todo = {z: [(side, z) for side in sides
+                        if (PER_Z_KIND, side, z) not in ih.cache]
+                    for z in map(complex, chunk) if cmath.isfinite(z)}
+            todo = [pairs for pairs in todo.values() if pairs]
+            try:
+                if todo:
+                    _build_bases(ih, [pair for pairs in todo for pair in pairs])
+            except CanonsysError:  # each z again alone
+                for pairs in todo:
+                    with contextlib.suppress(CanonsysError):
+                        _build_bases(ih, pairs)
+        yield chunk
 
 
 def side_bases(ih: IndefHamiltonianA, zs, sides=("minus", "plus")) -> list:
     """The bases of ``sides`` at every z of ``zs``, one tuple per z, each
-    cached on the problem per (side, z).
-
-    The missing ones are built in batches (``warm_bases``): ``zs`` is taken
-    in chunks of ``PER_Z_BATCH`` z, each read before the next is built, so
-    no basis is evicted before it is read.  A single z is a batch of one,
-    built at its read with the sides of it not cached yet.  A z that fails
-    raises its own error, the one it raises built alone, when it is read;
-    the z before it and the others of its chunk stay cached.
+    cached on the problem per (side, z) and read chunk by chunk
+    (``z_chunks``).  A z missing at its read (a single z, or one that
+    failed in its chunk) is built then, with its sides not cached yet; a z
+    that fails raises its own error, the one it raises built alone.
     """
     zs = [sv.finite_z(z) for z in zs]
-    out = []
-    for lo in range(0, len(zs), PER_Z_BATCH):
-        chunk = zs[lo:lo + PER_Z_BATCH]
-        errors = warm_bases(ih, chunk, sides) if len(chunk) > 1 else {}
 
-        def build(side, z):
-            # missing at its read: a single z, one that failed in the
-            # batch, or one a thread evicted since
-            if z in errors:
-                raise errors.pop(z)
-            todo = [(s, z) for s in sides
-                    if s == side or (PER_Z_KIND, s, z) not in ih.cache]
-            return _build_bases(ih, todo)[side, z]
+    def build(side, z):
+        # missing at its read: a single z, one that failed in its chunk, or
+        # one a thread evicted since
+        todo = [(s, z) for s in sides
+                if s == side or (PER_Z_KIND, s, z) not in ih.cache]
+        return _build_bases(ih, todo)[side, z]
 
-        out += [tuple(ih.memo((PER_Z_KIND, side, z),
-                              functools.partial(build, side, z))
-                      for side in sides) for z in chunk]
-    return out
+    return [tuple(ih.memo((PER_Z_KIND, side, z),
+                          functools.partial(build, side, z))
+                  for side in sides)
+            for chunk in z_chunks(ih, zs, sides) for z in chunk]
 
 
 def side_basis(ih: IndefHamiltonianA, side: Side, z: complex) -> SideBasis:

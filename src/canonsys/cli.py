@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 computation error, 2 configuration error.  Output is
 deterministic for a fixed config and seed: CSV prints IEEE doubles with 17
 significant digits, JSON is emitted with sorted keys, and z-grid work items
 are dispatched to a bounded thread pool but collected in input order.  The
-``monodromy``, ``regbv`` and ``kernel-signature`` grids are taken in chunks
-of ``hamiltonian.PER_Z_BATCH`` z: the bases of a chunk are integrated in one
-batch (``boundary.warm_bases``) and read before the next chunk is built.
+``monodromy``, ``regbv``, ``kernel-signature`` and ``weyl`` grids are taken
+in chunks (``boundary.z_chunks``): the bases of a chunk are integrated in
+one batch and read before the next chunk is built.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from . import monodromy as mo
 from . import solver as sv
 from . import wpoly as wp
 from .errors import CanonsysError, ConfigError
-from .hamiltonian import (PER_Z_BATCH, IndefHamiltonianA, _number, check_HS,
-                          check_I, check_psd, problem_from_dict)
+from .hamiltonian import (IndefHamiltonianA, _number, check_HS, check_I,
+                          check_psd, problem_from_dict)
 
 _RUN_KEYS = {"problem", "z_grid", "t_grid", "output"}
 
@@ -184,16 +184,11 @@ def _map_ordered(fn, items, jobs):
 
 def _map_grid(ih, zs, fn, jobs, sides=("minus", "plus")):
     """``fn`` of every z of ``zs``, in input order, reading the bases of
-    ``sides``: per chunk of ``PER_Z_BATCH`` z they are integrated in one
-    batch, then read, so however long the grid, no basis is evicted from
-    the cache before it is read.  A z that fails raises its own error in
-    ``fn``, as without the batch."""
-    out = []
-    for lo in range(0, len(zs), PER_Z_BATCH):
-        chunk = zs[lo:lo + PER_Z_BATCH]
-        bd.warm_bases(ih, chunk, sides)
-        out += _map_ordered(fn, chunk, jobs)
-    return out
+    ``sides`` chunk by chunk (``boundary.z_chunks``), so however long the
+    grid, no basis is evicted from the cache before it is read.  A z that
+    fails raises its own error in ``fn``, as without the batch."""
+    return [out for chunk in bd.z_chunks(ih, zs, sides)
+            for out in _map_ordered(fn, chunk, jobs)]
 
 
 def _emit(args, text: str):
@@ -345,11 +340,9 @@ def _cmd_kernel_signature(args):
 def _cmd_weyl(args):
     _, ih = _setup(args)
     zs = _parse_complex_list(args.z, "--z")
-    out = []
-    for z in zs:
-        q = mo.weyl_intermediate(ih, z)
-        out.append({"z": [z.real, z.imag], "q_sigma": [q.real, q.imag]})
-    _emit_json(args, out)
+    qs = _map_grid(ih, zs, lambda z: mo.weyl_intermediate(ih, z), 1, ("minus",))
+    _emit_json(args, [{"z": [z.real, z.imag], "q_sigma": [q.real, q.imag]}
+                      for z, q in zip(zs, qs)])
     return 0
 
 

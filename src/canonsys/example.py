@@ -24,8 +24,8 @@ from . import boundary as bd
 from . import monodromy as mo
 from . import wpoly as wp
 from .errors import DomainError, PoleError
-from .hamiltonian import (PER_Z_BATCH, PER_Z_CAP, IndefHamiltonianA, build_R,
-                          hamiltonian_from_spec, indef_hamiltonian)
+from .hamiltonian import (IndefHamiltonianA, build_R, hamiltonian_from_spec,
+                          indef_hamiltonian)
 
 SIGMA = 1.0
 S_MINUS = 0.0
@@ -213,16 +213,13 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
     observed = {"q_sigma": {}, "neg_count": None}
     rng = np.random.default_rng(20260808)
     pts = rng.uniform(-3, 3, 8) + 1j * rng.uniform(0.2, 2.5, 8)
-    # the bases read below, both sides of each z, in batches of
-    # PER_Z_BATCH z, as many z as the cache holds (the rest are built where
-    # they are read); a z that fails raises its own error where it is read.
-    # The grid z of each batch are checked before the next batch is built,
-    # so their midpoint runs, a batch as large, add to no more cached bases
-    # than a batch of bases does
-    warm = (zs + [0.0] + list(pts))[:PER_Z_CAP // 2]
-    for lo in range(0, max(len(warm), len(zs)), PER_Z_BATCH):
-        bd.warm_bases(ih, warm[lo:lo + PER_Z_BATCH])
-        chunk = zs[lo:lo + PER_Z_BATCH]
+    # the bases read below, chunk by chunk; the grid z of a chunk are
+    # checked before the next chunk is built, so their midpoint runs, a
+    # batch as large, add to no more cached bases than a batch of bases does
+    lo = 0
+    for warm in bd.z_chunks(ih, zs + [0.0] + list(pts)):
+        chunk = zs[lo:lo + len(warm)]  # the grid z among them
+        lo += len(warm)
         interface = []  # the midpoint runs of the chunk, both sides per z
         for z in chunk:
             for t in ts:

@@ -44,7 +44,7 @@ PARAM_WIDTH = 8
 # 32 z on both sides (see ProblemCache).
 PER_Z_KIND = "basis"
 PER_Z_CAP = 32 * 2
-# z whose bases are integrated in one batch (boundary.warm_bases), at most
+# z whose bases are integrated in one batch (boundary.z_chunks), at most
 # PER_Z_CAP / 2, so a batch never evicts its own bases; measured in CHANGES.md
 PER_Z_BATCH = 4
 

@@ -28,13 +28,12 @@ it the assembly right of sigma and ``monodromy_matrix``, reads both sides
 and asks for both bases at once (``boundary.side_bases``), so a fresh z
 integrates them in one batch; the readers of one side build only it.  A
 caller that reads many z, such as the kernel points of ``kernel_gram``,
-warms their bases first (``boundary.warm_bases``), which integrates up to
-``hamiltonian.PER_Z_BATCH`` z in one batch, and then reads them here.  W
-left of sigma and the default V are those fundamental solutions; U_minus,
-U_plus and the entry limits behind M(z) are read off those boundary pairs,
-and the Weyl coefficient off the left one at the extrapolation nodes.  For
-a V
-with another anchor, U_plus(V) = V.init adj(Phi(V.t0)) U_plus by linearity
+takes them in chunks (``boundary.z_chunks``), the bases of each chunk
+integrated in one batch, and reads them here.  W left of sigma and the
+default V are those fundamental solutions; U_minus, U_plus and the entry
+limits behind M(z) are read off those boundary pairs, and the Weyl
+coefficient off the left one at the extrapolation nodes.  For a V with
+another anchor, U_plus(V) = V.init adj(Phi(V.t0)) U_plus by linearity
 (Phi the cached basis, det Phi = 1); an anchor outside the basis's range
 raises DomainError, and nothing integrates boundary pairs of its own.
 """

@@ -873,8 +873,8 @@ class MatrixSolution:
         self.z = dense.z
         self.h = dense.h
         self.t0 = t0
-        self.init = np.asarray(init, dtype=np.complex128)
-        self.det_init = complex(np.linalg.det(self.init))
+        self.init = m = np.asarray(init, dtype=np.complex128)
+        self.det_init = complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         self.interval = (dense.lo, dense.hi)
 
     def eval(self, ts):

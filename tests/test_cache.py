@@ -196,16 +196,16 @@ def test_per_z_entries_bounded_and_w_family_kept():
     fam = cs.w_family_for(ih, "minus")
     built = []
     for k in range(hm_mod.PER_Z_CAP + 10):
-        key = (hm_mod.PER_Z_KIND, "minus", complex(k), 1e-12, 1e-12)
+        key = (hm_mod.PER_Z_KIND, "minus", complex(k))
         ih.memo(key, lambda: built.append(1) or object())
     assert len(built) == hm_mod.PER_Z_CAP + 10
     assert ih.cache.per_z_size() == hm_mod.PER_Z_CAP
     assert cs.w_family_for(ih, "minus") is fam
     # the oldest entry was evicted, the newest is still there
-    ih.memo((hm_mod.PER_Z_KIND, "minus", complex(hm_mod.PER_Z_CAP + 9), 1e-12, 1e-12),
+    ih.memo((hm_mod.PER_Z_KIND, "minus", complex(hm_mod.PER_Z_CAP + 9)),
             lambda: built.append(1) or object())
     assert len(built) == hm_mod.PER_Z_CAP + 10
-    ih.memo((hm_mod.PER_Z_KIND, "minus", 0j, 1e-12, 1e-12),
+    ih.memo((hm_mod.PER_Z_KIND, "minus", 0j),
             lambda: built.append(1) or object())
     assert len(built) == hm_mod.PER_Z_CAP + 11
     assert ih.cache.per_z_size() == hm_mod.PER_Z_CAP
@@ -214,7 +214,7 @@ def test_per_z_entries_bounded_and_w_family_kept():
 def test_concurrent_lookups_agree_and_stay_bounded():
     ih = cs.example_problem()
     n_threads = 8
-    shared = [(hm_mod.PER_Z_KIND, "plus", complex(k), 1e-12, 1e-12) for k in range(40)]
+    shared = [(hm_mod.PER_Z_KIND, "plus", complex(k)) for k in range(40)]
     seen = [dict() for _ in range(n_threads)]
     errors = []
     barrier = threading.Barrier(n_threads, timeout=60)
@@ -231,8 +231,7 @@ def test_concurrent_lookups_agree_and_stay_bounded():
             barrier.wait()
             # then overflow the cap from every thread at once
             for k in range(hm_mod.PER_Z_CAP):
-                ih.memo((hm_mod.PER_Z_KIND, "minus", complex(i, k), 1e-12, 1e-12),
-                        object)
+                ih.memo((hm_mod.PER_Z_KIND, "minus", complex(i, k)), object)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
 
@@ -793,7 +792,8 @@ def test_batched_and_single_builds_give_identical_arrays(make, zs, per_batch,
 def test_warmed_grid_integrates_each_basis_once_in_batches(batches):
     ih = cs.example_problem()
     zs = BATCH_ZS + BATCH_ZS[:3]  # repeats are built once
-    assert bd.warm_bases(ih, zs) == {}
+    bd.side_bases(ih, zs)
+    # chunks of 4 z: the last holds one missing z and three cached ones
     n_z = len(BATCH_ZS)
     assert [len(b) for b in batches] == [
         2 * min(hm_mod.PER_Z_BATCH, n_z - lo)
@@ -803,9 +803,12 @@ def test_warmed_grid_integrates_each_basis_once_in_batches(batches):
     for z in zs:
         cs.monodromy_matrix(ih, z)
     assert batches == []
-    # cached sides are not built again; a missing one is, alone
-    bd.warm_bases(ih, [BATCH_ZS[0], 0.25j], ("plus",))
+    # cached sides are not built again; a missing one is, alone, before its
+    # chunk is yielded
+    chunks = bd.z_chunks(ih, [BATCH_ZS[0], 0.25j], ("plus",))
+    assert next(chunks) == [BATCH_ZS[0], 0.25j]
     assert batches == [[("plus", "boundary")]]
+    assert list(chunks) == []
 
 
 def test_validation_integrates_each_basis_once_in_few_calls(monkeypatch):
@@ -849,8 +852,8 @@ def test_threads_warming_overlapping_grids_match_serial():
     def worker(i):
         try:
             barrier.wait()
-            if i % 2:
-                bd.warm_bases(ih, grids[i])
+            if i % 2:  # every chunk built before any is read
+                list(bd.z_chunks(ih, grids[i]))
             got[i] = bd.side_bases(ih, grids[i])
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -886,7 +889,7 @@ def _error_alone(z):
     return exc.value
 
 
-def test_failing_z_raises_its_own_error_and_leaves_the_others_cached():
+def test_failing_z_raises_its_own_error_and_leaves_the_others_cached(batches):
     want = _error_alone(FAILING_Z)
     assert isinstance(want, cs.SingularityProximityError)
     ih = cs.example_problem()
@@ -900,14 +903,21 @@ def test_failing_z_raises_its_own_error_and_leaves_the_others_cached():
         for side in ("minus", "plus"):
             _assert_same_bits(_basis_arrays(bd.side_basis(single, side, z)),
                               _basis_arrays(bd.side_basis(ih, side, z)))
-    # warmed: the error is returned for the read, which raises it again
+    # chunked: the failed batch is built again z by z, the failing z is left
+    # uncached and integrated once more at its read, which raises its error
     ih = cs.example_problem()
-    errors = bd.warm_bases(ih, MIXED_GRID)
-    assert list(errors) == [FAILING_Z] and str(errors[FAILING_Z]) == str(want)
+    del batches[:]
+    assert list(bd.z_chunks(ih, MIXED_GRID)) == [MIXED_GRID]
+    assert [len(b) for b in batches] == [2 * len(MIXED_GRID)] + [2] * len(
+        MIXED_GRID)
     assert ih.cache.per_z_size() == 2 * len(good)
+    assert all((hm_mod.PER_Z_KIND, side, FAILING_Z) not in ih.cache
+               for side in ("minus", "plus"))
+    del batches[:]
     with pytest.raises(type(want)) as exc:
         cs.monodromy_matrix(ih, FAILING_Z)
     assert str(exc.value) == str(want)
+    assert [len(b) for b in batches] == [2]
 
 
 def test_cli_grid_with_a_failing_z_exits_with_its_message(capsys):
@@ -946,6 +956,25 @@ def test_long_cli_grid_matches_per_z_output(batches, capsys):
         assert main(["monodromy", "--z-grid", repr(z), "--emit", "json"]) == 0
         rows += json.loads(capsys.readouterr().out)
     assert serial == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+
+
+def test_weyl_grid_reads_left_bases_in_chunks(batches, capsys):
+    zs = [z for z in BATCH_ZS if z.imag != 0.0][:6]
+    grid = ",".join(repr(z) for z in zs)
+    assert main(["weyl", "--z", grid]) == 0
+    out = capsys.readouterr().out
+    # the left side only, 4 z and then 2 per integration
+    assert batches == [[("minus", "boundary")] * 4, [("minus", "boundary")] * 2]
+    rows = []
+    for z in zs:
+        assert main(["weyl", "--z", repr(z)]) == 0
+        rows += json.loads(capsys.readouterr().out)
+    assert out == json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    # a real z exits 1 with its DomainError and prints nothing
+    assert main(["weyl", "--z", f"{grid},2.0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("computation error [DomainError]: ")
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,23 @@ class TestIndivisible:
         assert not rep.is_indivisible
         assert rep.residual > 1e-3
 
+    @pytest.mark.parametrize("alpha", [2.0, 3.5] + [
+        pytest.param(a, marks=pytest.mark.xfail(
+            strict=True, reason="samples below 1e-14 of the peak norm are "
+                                "dropped, which leaves s^-alpha alone"))
+        for a in (4.0, 6.0)])
+    def test_power_law_side_not_indivisible(self, alpha):
+        # diag(s^alpha, s^-alpha), s = t - 1, has rank two everywhere; the
+        # example's sides are alpha = 2
+        spec = {"kind": "piecewise", "pieces": [{
+            "interval": [1.0, 2.0],
+            "h1": {"type": "power", "c": 1.0, "center": 1.0, "exponent": alpha},
+            "h2": {"type": "power", "c": 1.0, "center": 1.0,
+                   "exponent": -alpha}}]}
+        h = cs.hamiltonian_from_spec(spec, (1.0, 2.0), singular=1.0)
+        rep = cs.indivisible_type(h, 1.0, 2.0)
+        assert not rep.is_indivisible and rep.phi is None
+
     def test_rank_one_diagonal_angle(self):
         spec = {"kind": "piecewise", "pieces": [{
             "interval": [0.0, 1.0],

@@ -11,9 +11,12 @@ each in its own interpreter:
   H at the nodes and Chebyshev coefficients, the solution's values at
   ``N_POINTS`` evenly spaced points of its range, and each boundary pair with
   its error estimate and samples;
-- the stdout bytes and exit code of ``validate-example``, of ``monodromy
-  --emit json`` over 40 z with ``--jobs 1`` and ``--jobs 2``, and of
-  ``regbv --side plus --verbose`` over those z.
+- the exit code and the stdout and stderr bytes of ``validate-example``,
+  of ``monodromy --emit json`` over 40 z with ``--jobs 1`` and ``--jobs
+  2``, of ``regbv --side plus --verbose`` and of ``weyl --z`` over those z
+  (``weyl`` over the non-real ones, and once over all of them, which exits
+  1 at the first real z), and of ``kernel-signature --random-grid 8 --seed
+  0``.
 
 With ``--far-first`` every problem first computes ``monodromy_matrix`` at a
 far z (|z| about 40), and the CLI grids start with that z, so the runs that
@@ -74,11 +77,10 @@ def _attempt(fn):
 
 def _cli(argv) -> tuple:
     from canonsys import cli
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue().encode()
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def _pair(p) -> np.ndarray:
@@ -114,12 +116,17 @@ def dump(far: bool) -> dict:
     grid = _grid(40, SEED + 2)
     if far:
         grid = [FAR_Z] + grid
-    zs = ",".join(f"{z.real!r}{z.imag:+}j" for z in grid)
+    zs, non_real = (",".join(f"{z.real!r}{z.imag:+}j" for z in g)
+                    for g in (grid, [z for z in grid if z.imag != 0.0]))
     runs = {"validate-example": ["validate-example"],
             "monodromy jobs 1": ["monodromy", "--emit", "json", "--z-grid", zs],
             "monodromy jobs 2": ["--jobs", "2", "monodromy", "--emit", "json",
                                  "--z-grid", zs],
-            "regbv": ["regbv", "--side", "plus", "--verbose", "--z-grid", zs]}
+            "regbv": ["regbv", "--side", "plus", "--verbose", "--z-grid", zs],
+            "weyl": ["weyl", "--z", non_real],
+            "weyl with real z": ["weyl", "--z", zs],
+            "kernel-signature": ["kernel-signature", "--random-grid", "8",
+                                 "--seed", "0"]}
     for name, argv in runs.items():
         out[f"cli {name}"] = _cli(argv)
     return out
