@@ -37,11 +37,13 @@ once per side and kept in the problem's fixed store
 (``IndefHamiltonianA.memo``) under ``("plan", side)``, beside the
 w-families: the ``SidePlan`` holds the first round of the run's chain (its
 panels, refined once at the solver's fixed probe z, ``solver.PROBE_Z``, H
-at their nodes and their Schur factors), w_Delta^T H at those nodes and
-w_n at the regular endpoint for n <= Delta, all read-only, and never
-changes after it is built.  The integrator starts from it (its ``start``
-lookup), so a fresh z that splits no panel beyond the plan's runs one
-collocation round and evaluates neither H nor w_Delta; on the example no z
+at their nodes and the Schur tables of the diagonal ones), w_Delta^T H at
+those nodes and w_n at the regular endpoint for n <= Delta, all read-only,
+and never changes after it is built.  ``_runs`` passes it to the
+integrator as the run's first round (``solver.Run.first``) and reads its
+w-values back for the limits, so a fresh z that splits no panel beyond the
+plan's runs one collocation round and evaluates neither H, nor w_Delta,
+nor a Schur table of a plan's panel; on the example no z
 with |Re z| <= 8 and |Im z| <= 5 splits one.  Such a z counts no split
 toward ``solver.MAX_SPLITS``, and at z = 0 the basis keeps the probe's
 halves, where one panel would do.  Runs from any other anchor keep
@@ -259,12 +261,11 @@ def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
 class SidePlan(sv.FirstRound):
     """The z-independent part of a side's run from its regular endpoint:
     the first round of its chain, refined once at ``solver.PROBE_Z``
-    (panels, H at their nodes and their Schur factors,
-    ``solver.refined_round`` and ``solver.kept_round``), and, on a side
-    that is not indivisible, w_Delta^T H at those nodes,
-    (P, DEGREE + 1, 2), and w_n at the regular endpoint for n <= Delta,
-    (Delta + 1, 2).  Built once, read-only and kept on the problem under
-    ``("plan", side)`` for its life."""
+    (panels, H at their nodes and the Schur tables of the diagonal ones,
+    ``solver.refined_round``), and, on a side that is not indivisible,
+    w_Delta^T H at those nodes, (P, DEGREE + 1, 2), and w_n at the regular
+    endpoint for n <= Delta, (Delta + 1, 2).  Built once, read-only and
+    kept on the problem under ``("plan", side)`` for its life."""
 
     wh: Optional[np.ndarray] = None
     w_reg: Optional[np.ndarray] = None
@@ -273,13 +274,12 @@ class SidePlan(sv.FirstRound):
 def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
     """The side's plan, built from the chain t0 -> t1 on first use.
 
-    Passed to the integrator as ``start`` by runs from the regular endpoint,
-    which all end at the same last extrapolation node, so the plan needs no
-    key beyond the side.
+    Passed to the integrator as the first round (``solver.Run.first``) of
+    runs from the regular endpoint, which all end at the same last
+    extrapolation node, so the plan needs no key beyond the side.
     """
     def build():
-        rnd = sv.kept_round(sv.refined_round(
-            h, sv.first_round(h, t0, t1, sing)))
+        rnd = sv.refined_round(h, sv.first_round(h, t0, t1, sing))
         if ih.indivisible(side).is_indivisible:
             return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur)
         w_funcs = wp.w_family_for(ih, side)
@@ -446,25 +446,24 @@ def _runs(ih: IndefHamiltonianA, requests):
         targets = [float(xs[-1])]
         if indivisible and t_anchor != reg:
             targets.append(reg)
-        start = (functools.partial(_side_plan, ih, side) if t_anchor == reg
-                 else sv.first_round)
+        plan = (_side_plan(ih, side, h, reg, targets[0], sing)
+                if t_anchor == reg else None)
         runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), targets,
-                           sing, start))
-        grids.append((indivisible, reg, hs, xs))
+                           sing, plan))
+        grids.append((indivisible, reg, hs, xs, plan))
     denses = sv.integrate_dense(runs)
     pairs, limited = [], []
-    for (side, z, t_anchor, y_cols), dense, (indivisible, reg, hs, xs) in zip(
-            requests, denses, grids):
+    for request, dense, grid in zip(requests, denses, grids):
+        side, z, t_anchor, y_cols = request
+        indivisible, reg, hs, xs, plan = grid
         if indivisible:
             pairs.append([RegularisedBoundary(side, z, complex(gs),
                                               complex(gr), 0.0, ())
                           for gs, gr in dense.eval_state(reg).reshape(-1, 2)])
             continue
-        chain = dense.segments[0]
         limited.append(_Limited(side, z, t_anchor, y_cols,
-                                wp.w_family_for(ih, side), chain,
-                                chain.first if t_anchor == reg else None, hs,
-                                xs))
+                                wp.w_family_for(ih, side), dense.segments[0],
+                                plan, hs, xs))
         pairs.append(None)
     if limited:
         found = iter(_limit_pairs(ih, limited))

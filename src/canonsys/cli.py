@@ -121,17 +121,28 @@ def _z_grid_from(args, cfg):
     return [_finite_complex(z, "z_grid") for z in zg]
 
 
-def _t_grid_from(args, cfg, default):
-    if getattr(args, "t_grid", None) is not None:
-        return _parse_float_list(args.t_grid, "--t-grid")
-    tg = cfg.get("t_grid")
+def _t_grid_from(args, cfg, default, lo, hi, sigma=None):
+    """The points of ``--t-grid``, else of the config's ``t_grid``, else
+    ``default``; ConfigError naming the flag or key when a given point lies
+    outside [lo, hi] or at ``sigma``, before any work."""
+    what, tg = "--t-grid", getattr(args, "t_grid", None)
     if tg is not None:
+        ts = _parse_float_list(tg, what)
+    else:
+        what, tg = "t_grid", cfg.get("t_grid")
+        if tg is None:
+            return list(default)
         if not isinstance(tg, list):
             raise ConfigError("t_grid must be a list of numbers")
         if not tg:
             raise ConfigError("empty t_grid")
-        return [_number(t, "t_grid") for t in tg]
-    return list(default)
+        ts = [_number(t, what) for t in tg]
+    for t in ts:
+        if not lo <= t <= hi or t == sigma:
+            at = "" if sigma is None else f" and differ from sigma = {sigma}"
+            raise ConfigError(f"{what} point {t!r} must lie in [{lo}, {hi}]"
+                              f"{at}")
+    return ts
 
 
 def _load_config(args) -> dict:
@@ -230,10 +241,14 @@ def _cmd_fundamental(args):
     zs = _z_grid_from(args, cfg)
     side = args.side
     h = ih.side(side)
-    ts = _t_grid_from(args, cfg, np.linspace(*h.interval, 9)[1:-1])
+    # the solution's range: from the regular endpoint to the default cutoff
+    reg, sing = h.regular_endpoint(side), h.singular_endpoint(side)
+    stop = sing - math.copysign(sv.EPS_CUT_FRAC * h.length, sing - reg)
+    ts = _t_grid_from(args, cfg, np.linspace(*h.interval, 9)[1:-1],
+                      min(reg, stop), max(reg, stop))
 
     def work(z):
-        w = sv.fundamental(h, z, side=side, t0=h.regular_endpoint(side))
+        w = sv.fundamental(h, z, side=side, t0=reg)
         return [_w_row(t, z, w.eval(t), w.det_error()) for t in ts]
 
     rows = [r for chunk in _map_ordered(work, zs, args.jobs) for r in chunk]
@@ -250,7 +265,8 @@ def _cmd_wpoly(args):
     w = wp.w_family_for(ih, side, max(args.n, 1))[args.n]
     lo, hi = h.interval
     pad = 1e-3 * (hi - lo)
-    ts = _t_grid_from(args, cfg, np.linspace(lo + pad, hi - pad, 33))
+    ts = _t_grid_from(args, cfg, np.linspace(lo + pad, hi - pad, 33), lo, hi,
+                      ih.sigma)
     vals = w(np.asarray(ts))
     rows = [[float(t), float(v[0]), 0.0, float(v[1]), 0.0]
             for t, v in zip(ts, vals)]
@@ -416,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run config (problem, grids, output)")
     p.add_argument("--output", help="write output to this file instead of stdout")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for z grids (default 1)")
+                   help="worker threads for the z grids of fundamental, "
+                        "regbv and monodromy (default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("fundamental", help="fundamental solution on one side")

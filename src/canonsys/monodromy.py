@@ -224,7 +224,9 @@ def kernel_gram(w_fun: Callable[[complex], np.ndarray],
     ``points`` must be pairwise distinct with no point equal to another's
     conjugate (this excludes real points, where the kernel needs the
     difference-quotient limit).  neg_count is a lower bound for the number
-    of negative squares of the kernel.
+    of negative squares of the kernel.  DomainError names the first point
+    whose W is not finite, or, when the Gram matrix overflows, the point
+    whose W is largest.
     """
     pts = [complex(p) for p in points]
     fault = kernel_grid_fault(pts)
@@ -232,12 +234,22 @@ def kernel_gram(w_fun: Callable[[complex], np.ndarray],
         raise DomainError(fault)
     m = len(pts)
     ws = [np.asarray(w_fun(p), dtype=complex) for p in pts]
+    for p, w in zip(pts, ws):
+        if not np.isfinite(w).all():
+            raise DomainError(f"W at z={p} is not finite: {w.tolist()}")
     gram = np.empty((2 * m, 2 * m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            block = (ws[i] @ _J @ ws[j].conj().T - _J) / (pts[i] - np.conj(pts[j]))
-            gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
-    gram = 0.5 * (gram + gram.conj().T)
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        for i in range(m):
+            for j in range(m):
+                block = ((ws[i] @ _J @ ws[j].conj().T - _J)
+                         / (pts[i] - np.conj(pts[j])))
+                gram[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
+        gram = 0.5 * (gram + gram.conj().T)
+    if not np.isfinite(gram).all():
+        size = [float(np.abs(w).max()) for w in ws]
+        i = int(np.argmax(size))
+        raise DomainError(f"the kernel Gram matrix overflows: |W| reaches "
+                          f"{size[i]:.3e} at z={pts[i]}")
     eig = np.linalg.eigvalsh(gram)
     scale = float(np.abs(eig).max())
     neg = int(np.sum(eig < -TOL_EIG_REL * max(scale, 1e-300)))

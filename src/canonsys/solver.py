@@ -22,20 +22,21 @@ floor of its float nodes, times the basis's overall size; the number of
 splits is bounded (``MAX_SPLITS``).
 A chain starts from its first round (``FirstRound``): the panels of
 ``_initial_breaks`` and H at their nodes, which do not depend on z.
-``integrate_dense`` builds it per chain unless the run passes a lookup
-(``Run.start``) that returns a kept one; :mod:`canonsys.boundary` keeps one
-per side of a problem.  A kept round is refined once, when it is built
-(``refined_round``): every panel that fails the resolution test at the
-fixed probe ``PROBE_Z`` stands in it as its two halves, so a z that splits
-the same panels, as most z do, solves the halves in its first round and
-evaluates no H.  It also holds the Schur factors of its panels
-(``kept_round``), so a panel's solve forms only the part of its system
-that depends on z.  A kept round never changes after it is built; only
-panels split off in later rounds evaluate H, and only those count toward
+``integrate_dense`` builds it per chain unless the run passes a kept one
+(``Run.first``); :mod:`canonsys.boundary` keeps one per side of a problem.
+A kept round is built once (``refined_round``): every panel that fails the
+resolution test at the fixed probe ``PROBE_Z`` stands in it as its two
+halves, so a z that splits the same panels, as most z do, solves the
+halves in its first round and evaluates no H; and it holds the Schur tables
+of its diagonal panels, the real products that do not depend on z.  A
+chain carries the tables of its pending round, its kept round's in round 1
+and none after a split, and a solve forms only the tables that no chain
+carries.  A kept round never changes after it is built; only panels split
+off in later rounds evaluate H, and only those count toward
 ``MAX_SPLITS``.
 ``integrate_dense`` is the one entry for every integration.  It takes a
 sequence of runs (``Run``: z, Hamiltonian, anchor, start state, targets,
-singular endpoint, first-round lookup), at one z or at many, and collocates
+singular endpoint, kept first round), at one z or at many, and collocates
 the chains of all runs as one batch: each round solves and tests the
 pending panels of every chain in one ``_panel_bases`` and one ``_resolved``
 call, each panel with its chain's z, and one loop chains the 2x2
@@ -46,8 +47,9 @@ holds across z because a chain's z and z*z are Python numbers, spread over
 its panels when the batch holds several z: numpy's complex product of two
 arrays may round z*z differently from Python's (a fused multiply-add),
 while its product of an array with a spread value rounds as with the
-number.  Panels are solved in blocks of at most ``SOLVE_BLOCK``, which
-bounds the memory of a batch of many z.
+number.  The panels of each kind, diagonal or coupled, are solved in
+blocks of at most ``SOLVE_BLOCK``, which bounds the memory of a batch of
+many z.
 Node values and slopes of the states take one batched matmul each, their
 Chebyshev coefficients one more.
 Dense output is the start state itself at the anchor, exactly, and each
@@ -62,10 +64,9 @@ regularised boundary functional without evaluating H again.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,18 +150,17 @@ class PanelChain(cp.PanelFunction):
     ``ts`` (``breaks``) holds the panel breaks in integration order, ``ys``
     the state and ``hm`` H at every collocation node, panel after panel, and
     ``coefs`` per panel the DEGREE + 2 Chebyshev coefficients of the state.
-    ``first`` is the FirstRound the chain started from and ``origin`` per
-    panel its index there, -1 for a panel split off in a later round.
+    ``origin`` holds per panel its index in the chain's first round, -1 for
+    a panel split off in a later round.
     """
 
-    __slots__ = ("ys", "hm", "origin", "first", "lo", "hi")
+    __slots__ = ("ys", "hm", "origin", "lo", "hi")
 
-    def __init__(self, breaks, ys, hm, coefs, origin, first):
+    def __init__(self, breaks, ys, hm, coefs, origin):
         super().__init__(breaks, coefs)
         self.ys = ys
         self.hm = hm
         self.origin = origin
-        self.first = first
         self.lo = float(min(breaks[0], breaks[-1]))
         self.hi = float(max(breaks[0], breaks[-1]))
 
@@ -325,9 +325,10 @@ class FirstRound:
     (P, DEGREE + 1, 2, 2).
 
     A round kept for many z is refined once (``refined_round``) and holds
-    ``schur``, the Schur factors of every panel (``kept_round``; None when
-    no panel's H is diagonal).  The arrays are read-only, so one round can
-    be kept and shared by every thread that integrates."""
+    ``schur``, the Schur tables of its diagonal panels in order (A_1, G
+    and A_0's row sums of ``_schur_factors``); None in a round that is not
+    kept.  The arrays are read-only, so one round can be kept and shared by
+    every thread that integrates."""
 
     a: np.ndarray
     b: np.ndarray
@@ -367,18 +368,6 @@ def _schur_factors(hw: np.ndarray, hm: np.ndarray):
 def _diagonal(hm: np.ndarray) -> np.ndarray:
     """Per panel: is H diagonal at all of its nodes (``hm``)?"""
     return ~(hm[:, :, 0, 1].any(axis=1) | hm[:, :, 1, 0].any(axis=1))
-
-
-def kept_round(rnd: FirstRound) -> FirstRound:
-    """``rnd`` with the Schur factors of its panels, for a round that is
-    kept and solved at many z: a panel's solve then forms only the part of
-    its system that depends on z.  None when no panel's H is diagonal, so
-    no factor would be read."""
-    schur = None
-    if _diagonal(rnd.hm).any():
-        schur = tuple(_frozen(t) for t in
-                      _schur_factors(0.5 * (rnd.b - rnd.a), rnd.hm))
-    return dataclasses.replace(rnd, schur=schur)
 
 
 def halves(a, b):
@@ -448,32 +437,31 @@ def _take(x, k):
     return x if np.ndim(x) == 0 else x[k]
 
 
-def _parts(kept, lo: int, hi: int, hw, hm) -> list:
-    """The Schur factors of the panels lo..hi-1 of a batch, all diagonal,
-    as ``_diagonal_bases`` takes them (slices from lo): views of the tables
-    of a kept round where one covers panels (``kept``: the (start, stop,
-    tables) of the batch's chains that solve their kept first round), and
-    formed here elsewhere.  A panel's factors are the same bits either
-    way."""
+def _parts(kept, lo: int, hi: int, dk, hw, hm) -> list:
+    """The Schur tables of the diagonal panels ``dk[lo:hi]`` of a batch as
+    ``_diagonal_bases`` takes them (slices from lo): views of a chain's
+    tables where ``kept`` holds them (the (start, stop, tables) of each
+    chain that carries tables, by its diagonal panels' positions in
+    ``dk``), and formed here elsewhere.  A panel's tables are the same bits
+    either way."""
     parts, at = [], lo
-    for start, stop, tables in kept:
+    for start, stop, tables in [*kept, (hi, hi, None)]:
         s, e = max(start, lo), min(stop, hi)
-        if s >= e:
+        if s > e:
             continue
         if s > at:
+            k = dk[at:s]
             parts.append((slice(at - lo, s - lo),
-                          *_schur_factors(hw[at:s], hm[at:s])))
-        parts.append((slice(s - lo, e - lo),
-                      *(t[s - start:e - start] for t in tables)))
+                          *_schur_factors(hw[k], hm[k])))
+        if e > s:
+            parts.append((slice(s - lo, e - lo),
+                          *(t[s - start:e - start] for t in tables)))
         at = e
-    if at < hi:
-        parts.append((slice(at - lo, hi - lo),
-                      *_schur_factors(hw[at:hi], hm[at:hi])))
     return parts
 
 
 def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray,
-                 kept=()):
+                 chains=()):
     """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
 
     ``z`` and ``zz`` are the panels' z and z*z, the square formed by Python
@@ -483,33 +471,36 @@ def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray,
     e1, e2 as columns, and the integrand ``z J H phi`` at the nodes, both
     laid out (P, 2, n, 2): component, node, column.
 
-    A panel whose H has zero off-diagonal entries at all of its nodes is
-    solved through the n x n Schur complement of its system
-    (``_diagonal_bases``), with the factors of its kept round where
-    ``kept`` names one (``_parts``) or ones formed here; any other panel
-    through the full 2n x 2n system (``_coupled_bases``).  Panels go at
-    most ``SOLVE_BLOCK`` per call, which bounds the n x n temporaries of a
-    batch of many z.  Each solve treats a panel alone, so its ``phi`` and
-    ``f`` are the same bits whatever else is in the batch.
+    The panels whose H has zero off-diagonal entries at all of their nodes
+    are solved through the n x n Schur complement of their systems
+    (``_diagonal_bases``), every other panel through the full 2n x 2n
+    system (``_coupled_bases``), each kind at most ``SOLVE_BLOCK`` panels
+    per call, which bounds the temporaries of a batch of many z.
+    ``chains`` lists the batch's chains in order as (panels, tables): the
+    Schur tables of the chain's diagonal panels (``FirstRound.schur``), or
+    None, where a block forms them (``_parts``).  Each solve treats a panel
+    alone, so its ``phi`` and ``f`` are the same bits whatever else is in
+    the batch.
     """
     hw = 0.5 * (b - a)
     diag = _diagonal(hm)
+    dk, ck = np.flatnonzero(diag), np.flatnonzero(~diag)
+    kept, lo, d = [], 0, 0
+    for panels, tables in chains:
+        nd = int(np.count_nonzero(diag[lo:lo + panels]))
+        if tables is not None:
+            kept.append((d, d + nd, tables))
+        lo, d = lo + panels, d + nd
     phi = np.empty((len(a), 2, cp.DEGREE + 1, 2), dtype=np.complex128)
     with np.errstate(all="ignore"):
-        for lo in range(0, len(a), SOLVE_BLOCK):
-            hi = min(lo + SOLVE_BLOCK, len(a))
-            k = slice(lo, hi)
-            zk, zzk, d = _take(z, k), _take(zz, k), diag[k]
-            if d.all():
-                phi[k] = _diagonal_bases(zk, zzk, _parts(kept, lo, hi, hw, hm))
-            elif not d.any():
-                phi[k] = _coupled_bases(zk, hw[k], hm[k])
-            else:
-                dk, ck = np.flatnonzero(d) + lo, np.flatnonzero(~d) + lo
-                phi[dk] = _diagonal_bases(
-                    _take(z, dk), _take(zz, dk),
-                    [(slice(0, len(dk)), *_schur_factors(hw[dk], hm[dk]))])
-                phi[ck] = _coupled_bases(_take(z, ck), hw[ck], hm[ck])
+        for lo in range(0, len(dk), SOLVE_BLOCK):
+            hi = min(lo + SOLVE_BLOCK, len(dk))
+            k = dk[lo:hi]
+            phi[k] = _diagonal_bases(_take(z, k), _take(zz, k),
+                                     _parts(kept, lo, hi, dk, hw, hm))
+        for lo in range(0, len(ck), SOLVE_BLOCK):
+            k = ck[lo:lo + SOLVE_BLOCK]
+            phi[k] = _coupled_bases(_take(z, k), hw[k], hm[k])
         zh = np.reshape(z, (-1, 1, 1, 1)) * hm
         f = np.empty_like(phi)
         for c in range(2):
@@ -543,10 +534,12 @@ def _too_narrow(a, b):
 
 
 def refined_round(h: Hamiltonian, rnd: FirstRound) -> FirstRound:
-    """``rnd`` with every panel that fails the resolution test at
-    ``PROBE_Z`` (``_resolved`` at the default tolerances) replaced by its
-    halves, H evaluated at their nodes, for a round kept for many z: a z
-    that splits the same panels solves their halves in its first round.  A
+    """``rnd`` refined for a round kept for many z: every panel that fails
+    the resolution test at ``PROBE_Z`` (``_resolved`` at the default
+    tolerances) replaced by its halves, H evaluated at their nodes, so a z
+    that splits the same panels solves their halves in its first round;
+    and ``schur``, the Schur tables of its diagonal panels
+    (``_schur_factors``), so their solves form only what depends on z.  A
     panel whose basis is not finite at the probe, or that is too narrow to
     split, stays whole, so refining raises nothing: its chain fails or
     splits it as it would in an unrefined round."""
@@ -555,30 +548,34 @@ def refined_round(h: Hamiltonian, rnd: FirstRound) -> FirstRound:
     split = (~_resolved(rnd.a, rnd.b, phi, RK_RTOL, RK_ATOL)
              & np.isfinite(phi).all(axis=(1, 2, 3))
              & ~_too_narrow(rnd.a, rnd.b))
-    if not split.any():
-        return rnd
-    # each split panel's place holds its two halves, in integration order
-    idx = np.repeat(np.arange(len(rnd.a)), np.where(split, 2, 1))
-    at = np.flatnonzero(split[idx])
-    a, b, hm = rnd.a[idx], rnd.b[idx], rnd.hm[idx]
-    a[at], b[at] = halves(rnd.a[split], rnd.b[split])
-    hm[at] = _h_at_nodes(h, a[at], b[at])
-    return FirstRound(_frozen(a), _frozen(b), _frozen(hm))
+    a, b, hm = rnd.a, rnd.b, rnd.hm
+    if split.any():
+        # each split panel's place holds its two halves, in integration order
+        idx = np.repeat(np.arange(len(a)), np.where(split, 2, 1))
+        at = np.flatnonzero(split[idx])
+        a, b, hm = a[idx], b[idx], hm[idx]
+        a[at], b[at] = halves(rnd.a[split], rnd.b[split])
+        hm[at] = _h_at_nodes(h, a[at], b[at])
+    d = _diagonal(hm)
+    schur = tuple(map(_frozen, _schur_factors(0.5 * (b[d] - a[d]), hm[d])))
+    return FirstRound(_frozen(a), _frozen(b), _frozen(hm), schur)
 
 
 class _Chain:
     """One chain of a batch while it is collocated: its z and z*z (Python
     numbers), the panels of its pending round (``a``, ``b``, their index in
-    the first round and H at their nodes), the arrays of its resolved panels
-    per round, and the error that ended it, if any."""
+    the first round, H at their nodes and the Schur tables of the diagonal
+    ones: the first round's, None after a split), the arrays of its resolved
+    panels per round, and the error that ended it, if any."""
 
     def __init__(self, z: complex, h, first: FirstRound, state0):
         self.z, self.zz = z, z * z
-        self.h, self.first, self.state0 = h, first, state0
+        self.h, self.state0 = h, state0
         t0, t1 = float(first.a[0]), float(first.b[-1])
         self.context = f"integration on [{t0}, {t1}] at z={z}"
         self.direction = 1.0 if t1 > t0 else -1.0
         self.a, self.b, self.hm = first.a, first.b, first.hm
+        self.schur = first.schur
         self.origin = np.arange(len(first.a))
         self.done = []
         self.splits = 0
@@ -626,6 +623,7 @@ class _Chain:
         self.a, self.b = halves(a, b)
         self.origin = np.full(len(self.a), -1)
         self.hm = _h_at_nodes(self.h, self.a, self.b)
+        self.schur = None
         return True
 
     def panels(self):
@@ -642,26 +640,15 @@ def _cat(parts):
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _kept(chains) -> list:
-    """(start, stop, Schur factors) of each chain of a batch, by its
-    panels' positions there, that solves its first round and whose round
-    keeps factors; their rows are its panels, in order."""
-    out, lo = [], 0
-    for c in chains:
-        if c.first.schur is not None and not c.done:
-            out.append((lo, lo + len(c.a), c.first.schur))
-        lo += len(c.a)
-    return out
-
-
 def _collocate(starts, rtol, atol):
     """The PanelChain of every (z, h, first round, start state) of
     ``starts``, collocated as one batch: each round solves and tests the
     pending panels of all chains at once, each panel with its chain's z and
     z*z spread over it, and one loop chains the propagators of all.  Only
-    panels split off after the first round evaluate H.  Every step treats a chain's panels alike whatever else is
-    in the batch, so a chain's arrays do not depend on it.  When chains
-    fail, the error of the first, in the order of ``starts``, is raised."""
+    panels split off after the first round evaluate H.  Every step treats a
+    chain's panels alike whatever else is in the batch, so a chain's arrays
+    do not depend on it.  When chains fail, the error of the first, in the
+    order of ``starts``, is raised."""
     chains = [_Chain(*start) for start in starts]
     pending = chains
     while pending:
@@ -682,7 +669,7 @@ def _collocate(starts, rtol, atol):
             z, zz = (np.repeat(np.array(v), sizes)[:, None, None] for v in
                      ([c.z for c in pending], [c.zz for c in pending]))
         phi, f = _panel_bases(z, zz, a, b, _cat([c.hm for c in pending]),
-                              _kept(pending))
+                              [(len(c.a), c.schur) for c in pending])
         ok = _resolved(a, b, phi, rtol, atol)
         bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
         nxt, lo = [], 0
@@ -750,8 +737,7 @@ def _chain_all(chains) -> None:
         sl = slice(offsets[i], offsets[i + 1])
         c.chain = PanelChain(np.append(a[sl], b[sl][-1]),
                              ys[sl].reshape(-1, 2 * ncols),
-                             hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl],
-                             c.first)
+                             hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl])
 
 
 def check_tolerances(rtol, atol) -> None:
@@ -771,9 +757,9 @@ class Run:
     """One solve of ``integrate_dense``: Y' = z J H Y from ``t0``, where
     ``state0`` stacks the start vectors of the solved columns, toward each
     target (at most one per direction).  ``sing`` is a singular endpoint a
-    target may approach; panels are refined toward it.  ``start(h, t0, t1,
-    sing)`` gives the first round of the chain toward t1; a caller that
-    keeps that z-independent round passes its own lookup."""
+    target may approach; panels are refined toward it.  ``first`` is the
+    first round of the chain toward a run's one target, for a caller that
+    keeps that z-independent round; None: ``first_round`` builds it."""
 
     z: complex
     h: Hamiltonian
@@ -781,7 +767,7 @@ class Run:
     state0: object
     targets: Sequence[float]
     sing: Optional[float] = None
-    start: Callable[..., FirstRound] = first_round
+    first: Optional[FirstRound] = None
 
 
 class Integration(tuple):
@@ -816,8 +802,8 @@ def integrate_dense(runs: Sequence[Run], rtol=RK_RTOL,
         raise DomainError("the runs of one integration need start states "
                           "of one size")
     chains = iter(_collocate([
-        (z, run.h, run.start(run.h, float(run.t0), float(t1), run.sing),
-         state0)
+        (z, run.h, run.first if run.first is not None
+         else first_round(run.h, float(run.t0), float(t1), run.sing), state0)
         for run, z, state0, ends in jobs for t1 in ends], rtol, atol))
     return Integration(
         DenseSolution([next(chains) for _ in ends], z, run.h, run.t0, state0)

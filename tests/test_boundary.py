@@ -622,24 +622,29 @@ class TestIndivisibleAngles:
 
 
 def test_side_basis_evaluates_h_only_inside_the_integrator(monkeypatch):
-    # the functional reads H at the chain's nodes from the chain itself
+    # the functional reads H at the chain's nodes from the chain itself:
+    # only the integrator and the side plan it starts from evaluate H
     ih = cs.example_problem()
     cs.w_family_for(ih, "minus")
     depth, outside, inside = [0], [0], [0]
-    integrate, matrix = solver.integrate_dense, cs.Hamiltonian.matrix
+    matrix = cs.Hamiltonian.matrix
 
-    def counted_integrate(*args, **kwargs):
-        depth[0] += 1
-        try:
-            return integrate(*args, **kwargs)
-        finally:
-            depth[0] -= 1
+    def counted(fn):
+        def call(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
 
     def counted_matrix(self, ts):
         (inside if depth[0] else outside)[0] += 1
         return matrix(self, ts)
 
-    monkeypatch.setattr(solver, "integrate_dense", counted_integrate)
+    for module, name in ((solver, "integrate_dense"),
+                         (boundary, "_side_plan")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     monkeypatch.setattr(cs.Hamiltonian, "matrix", counted_matrix)
     boundary.side_basis(ih, "minus", 1.3 - 0.4j)
     assert inside[0] > 0

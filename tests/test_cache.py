@@ -499,12 +499,42 @@ def test_plan_built_once_per_side(monkeypatch):
         plan = _plan(ih, side)
         assert isinstance(plan, bd.SidePlan)
         for z in (0.5, 1.0 - 2.0j, -3.0 + 0.5j):
+            # every panel the chain holds of its first round is the plan's
             chain = bd.side_basis(ih, side, z).solution._dense.segments[0]
-            assert chain.first is plan
+            kept = chain.origin[chain.origin >= 0]
+            assert len(kept) and np.array_equal(
+                chain.breaks[:-1][chain.origin >= 0], plan.a[kept])
         for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg,
                     *plan.schur):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
+
+
+def test_fresh_z_reads_the_plan_tables_beside_coupled_panels(monkeypatch):
+    # a fresh z solves both sides' plans in one round; the minus side's
+    # diagonal panels read its plan's Schur tables though the indivisible
+    # plus side's panels, in the same batch, are coupled
+    ih = cs.problem_from_dict(indivisible_problem_dict(0.7, "plus"))
+    cs.monodromy_matrix(ih, 0.5)
+    assert len(_plan(ih, "minus").schur[0]) == 23
+    assert len(_plan(ih, "plus").schur[0]) == 0
+    rounds, formed = [], []
+    panel_bases, schur = sv._panel_bases, sv._schur_factors
+
+    def counted_round(*args):
+        rounds.append(len(args[2]))
+        return panel_bases(*args)
+
+    def counted_schur(hw, hm):
+        formed.append((len(rounds), len(hw)))
+        return schur(hw, hm)
+
+    monkeypatch.setattr(sv, "_panel_bases", counted_round)
+    monkeypatch.setattr(sv, "_schur_factors", counted_schur)
+    cs.monodromy_matrix(ih, 1.1 - 0.7j)
+    plans = sum(len(_plan(ih, side).a) for side in ("minus", "plus"))
+    assert rounds[0] == plans
+    assert sum(n for r, n in formed if r == 1) == 0
 
 
 def test_threads_on_a_fresh_problem_build_each_plan_once(monkeypatch):
@@ -679,8 +709,8 @@ def test_joint_and_single_side_builds_give_identical_arrays():
             # the plus side's panel next to its deepest extrapolation node,
             # which every z but 0 splits, stands in the plan as its halves,
             # so every chain holds exactly the plan's panels
-            seg = basis.solution._dense.segments[0]
-            assert seg.origin.tolist() == list(range(len(seg.first.a)))
+            seg, plan = basis.solution._dense.segments[0], _plan(joint, side)
+            assert seg.origin.tolist() == list(range(len(plan.a)))
 
 
 def test_threads_asking_for_one_or_both_sides_match_serial():

@@ -56,6 +56,16 @@ class TestExitCodes:
         assert code == 1
         assert "DomainError" in err
 
+    @pytest.mark.parametrize("d1", ["1e200", "1e308"])
+    def test_overflowing_w_exits_one_quietly(self, d1, capsys):
+        # W near 1e200 overflows the kernel's Gram matrix; at 1e308 p(z)
+        # overflows.  Warnings are errors in this suite, so one would end
+        # the run with a traceback instead of the one error line
+        code, _, err = run_cli(["validate-example", "--d1", d1], capsys)
+        assert code == 1
+        assert err.startswith("computation error") and err.count("\n") == 1
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("argv, token", [
@@ -95,6 +105,17 @@ class TestInputValidation:
         (["kernel-signature", "--points", "1j,1j"], "--points"),
         (["kernel-signature", "--points", "1,2j"], "--points"),
         (["kernel-signature", "--points", "1j,-1j"], "--points"),
+        # off the side, at sigma where w_n has a pole, or past the cutoff
+        # where the fundamental solution ends
+        (["wpoly", "--side", "minus", "--n", "3", "--t-grid", "5,-3"],
+         "--t-grid"),
+        (["wpoly", "--n", "1", "--t-grid", "1.0"], "--t-grid"),
+        (["wpoly", "--side", "plus", "--t-grid", "1.5,0.5"], "--t-grid"),
+        (["fundamental", "--t-grid", "5"], "--t-grid"),
+        (["fundamental", "--z-grid", "1", "--t-grid", "0.9999999"],
+         "--t-grid"),
+        (["fundamental", "--side", "plus", "--z-grid", "1", "--t-grid",
+          "0.5"], "--t-grid"),
     ])
     def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -120,7 +141,7 @@ class TestInputValidation:
         assert token in err
 
     @pytest.mark.parametrize("t_grid", [["0.5", True], [0.5, True], [0.5, None],
-                                        []])
+                                        [], [0.5, 1.0], [-0.5]])
     def test_bad_config_t_grid_exits_two(self, t_grid, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"z_grid": [1.0], "t_grid": t_grid}))

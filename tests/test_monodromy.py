@@ -286,3 +286,16 @@ class TestKernelSignature:
             cs.kernel_gram(w, [2.0 + 0.0j, 1.0 + 1.0j])
         with pytest.raises(cs.DomainError):
             cs.kernel_gram(w, [])
+
+    @pytest.mark.parametrize("big, match", [
+        (np.inf, r"W at z=\(2\+1j\) is not finite"),
+        (1e200, r"overflows: \|W\| reaches 1\.000e\+200 at z=\(2\+1j\)")])
+    def test_overflowing_w_named(self, big, match):
+        # warnings are errors in this suite: the Gram products overflow
+        # quietly and the largest W is named
+        def w(z):
+            return (np.array([[big, big], [0.0, 1.0]]) if z == 2.0 + 1.0j
+                    else np.eye(2))
+
+        with pytest.raises(cs.DomainError, match=match):
+            cs.kernel_gram(w, [1.0 + 1.0j, 2.0 + 1.0j, 3.0 + 1.0j])

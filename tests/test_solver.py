@@ -339,34 +339,49 @@ class TestCollocation:
                                       "coupled"])
     def test_kept_factors_give_the_bits_of_formed_ones(self, kind,
                                                        monkeypatch):
-        # a kept round's Schur factors, read by the panels it covers in any
-        # block of a batch, give what factors formed in the solve give
+        # a chain that carries the Schur tables of its diagonal panels, in
+        # a batch between chains that carry none, gives in any block what
+        # tables formed in the solve give, and forms only the others' (of
+        # a mixed batch the blocks hold its panels between coupled ones)
         a, b, hm = _collocation_panels(kind, 23)
         zs, zz = _panel_zs(0.7 - 2.2j, 23)
         want = sv._panel_bases(zs, zz, a, b, hm)
-        kept = sv.kept_round(sv.FirstRound(a[5:17], b[5:17], hm[5:17]))
-        assert (kept.schur is None) == (kind == "coupled")
-        tables = [] if kept.schur is None else [(5, 17, kept.schur)]
+        diag = sv._diagonal(hm)
+        d = diag[5:17]
+        tables = sv._schur_factors(0.5 * (b[5:17] - a[5:17])[d],
+                                   hm[5:17][d])
+        chains = [(5, None), (12, tables), (6, None)]
+        formed = []
+        schur = sv._schur_factors
+
+        def counted(hw, hm):
+            formed.append(len(hw))
+            return schur(hw, hm)
+
+        monkeypatch.setattr(sv, "_schur_factors", counted)
         for block in (64, 4, 5):
             monkeypatch.setattr(sv, "SOLVE_BLOCK", block)
-            got = sv._panel_bases(zs, zz, a, b, hm, tables)
+            del formed[:]
+            got = sv._panel_bases(zs, zz, a, b, hm, chains)
             assert all(np.array_equal(x, y) for x, y in zip(want, got))
+            assert sum(formed) == diag.sum() - d.sum()
 
     def test_factors_of_non_finite_h_raise_no_warning(self):
         # warnings are errors in this suite: a kept round with non-finite H
-        # forms its factors quietly and fails its chain as an unkept one
+        # forms its tables quietly and fails its chain as one without
         h = cs.identity_hamiltonian((0.0, 1.0))
         rnd = sv.first_round(h, 0.0, 1.0, None)
         hm = rnd.hm.copy()
         hm[0, 3, 0, 0], hm[0, 5, 1, 1] = np.inf, np.nan
         bad = sv.FirstRound(rnd.a, rnd.b, hm)
-        kept = sv.kept_round(bad)
+        kept = sv.refined_round(h, bad)
         assert not np.isfinite(kept.schur[1]).all()
-        assert sv.refined_round(h, bad) is bad  # its panel stays whole
+        # its panel stays whole
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in
+                   zip((bad.a, bad.b, bad.hm), (kept.a, kept.b, kept.hm)))
         errors = []
-        for start in (bad, kept):
-            run = sv.Run(1.5j, h, 0.0, [1.0, 0.0], [1.0], None,
-                         lambda *args, start=start: start)
+        for first in (bad, kept):
+            run = sv.Run(1.5j, h, 0.0, [1.0, 0.0], [1.0], None, first)
             with pytest.raises(cs.SingularityProximityError) as info:
                 sv.integrate_dense([run])
             errors.append(str(info.value))

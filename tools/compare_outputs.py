@@ -7,6 +7,10 @@ each in its own interpreter:
 
 - ``monodromy_matrix`` of the example at 306 seeded z (real, imaginary and
   complex, 0 among them), each fresh on one problem, or the error it raises;
+- ``monodromy_matrix`` at 20 seeded z on the example with its plus side,
+  and then with its minus side, made indivisible of angle 0.7, or the
+  error it raises: a fresh z solves the diagonal panels of one side beside
+  the coupled ones of the other in one batch;
 - the bases of both sides at 40 seeded z: each chain's breaks, node states,
   H at the nodes and Chebyshev coefficients, the solution's values at
   ``N_POINTS`` evenly spaced points of its range, and each boundary pair with
@@ -15,13 +19,15 @@ each in its own interpreter:
   of ``monodromy --emit json`` over 40 z with ``--jobs 1`` and ``--jobs
   2``, of ``regbv --side plus --verbose`` and of ``weyl --z`` over those z
   (``weyl`` over the non-real ones, and once over all of them, which exits
-  1 at the first real z), and of ``kernel-signature --random-grid 8 --seed
-  0``.
+  1 at the first real z), of ``kernel-signature --random-grid 8 --seed
+  0``, and of ``fundamental`` and of ``wpoly --n 1`` and ``--n 2`` on each
+  side.
 
 With ``--far-first`` every problem first computes ``monodromy_matrix`` at a
-far z (|z| about 40), and the CLI grids start with that z, so the runs that
-follow start from what that z left on the problem.  Arrays are compared as
-bytes, so a zero of another sign or another NaN counts as a difference.
+far z (|z| about 40), and the CLI grids and those of the indivisible
+problems start with that z, so the runs that follow start from what that z
+left on the problem.  Arrays are compared as bytes, so a zero of another
+sign or another NaN counts as a difference.
 Prints each difference, with the largest difference of its entries or, when
 the shapes differ (a basis split into other panels), both shapes; a basis
 whose chain differs also gets a line for its values, which keep one shape.
@@ -65,6 +71,23 @@ def _fresh_problem(cs, far: bool):
     return ih
 
 
+def _indivisible_problem(cs, phi: float, side: str, c: float = 1.5) -> dict:
+    """The example with one side replaced by c |t - 1|^-2 xi xi^T,
+    xi = (cos phi, sin phi): indivisible of angle phi."""
+    def entry(v):
+        if abs(v) < 1e-12:
+            return {"type": "const", "value": 0.0}
+        return {"type": "power", "c": v, "center": 1.0, "exponent": -2}
+
+    co, si = np.cos(phi), np.sin(phi)
+    problem = cs.example_problem_dict()
+    problem["h_" + side] = {"kind": "piecewise", "pieces": [{
+        "interval": [0.0, 1.0] if side == "minus" else [1.0, 2.0],
+        "h1": entry(c * co * co), "h2": entry(c * si * si),
+        "h3": entry(c * co * si)}]}
+    return problem
+
+
 def _attempt(fn):
     """fn()'s value, or the type and message of the library error it
     raised."""
@@ -98,6 +121,11 @@ def dump(far: bool) -> dict:
     for k, z in enumerate(_grid(306, SEED)):
         out[f"monodromy[{k}] z={z}"] = _attempt(
             lambda: cs.monodromy_matrix(ih, z))
+    for side in ("plus", "minus"):
+        ih = cs.problem_from_dict(_indivisible_problem(cs, 0.7, side))
+        for k, z in enumerate(([FAR_Z] if far else []) + _grid(20, SEED + 3)):
+            out[f"indivisible {side} monodromy[{k}] z={z}"] = _attempt(
+                lambda: cs.monodromy_matrix(ih, z))
     ih = _fresh_problem(cs, far)
     for k, z in enumerate(_grid(40, SEED + 1)):
         for side in ("minus", "plus"):
@@ -127,6 +155,10 @@ def dump(far: bool) -> dict:
             "weyl with real z": ["weyl", "--z", zs],
             "kernel-signature": ["kernel-signature", "--random-grid", "8",
                                  "--seed", "0"]}
+    for side in ("minus", "plus"):
+        runs[f"fundamental {side}"] = ["fundamental", "--side", side]
+        for n in ("1", "2"):
+            runs[f"wpoly {side} n {n}"] = ["wpoly", "--side", side, "--n", n]
     for name, argv in runs.items():
         out[f"cli {name}"] = _cli(argv)
     return out
