@@ -2,11 +2,11 @@
 
 Exit codes: 0 success, 1 computation error, 2 configuration error.  Output is
 deterministic for a fixed config and seed: CSV prints IEEE doubles with 17
-significant digits, JSON is emitted with sorted keys, and z-grid work items
-are dispatched to a bounded thread pool but collected in input order.  The
-``monodromy``, ``regbv``, ``kernel-signature`` and ``weyl`` grids are taken
-in chunks (``boundary.z_chunks``): the bases of a chunk are integrated in
-one batch and read before the next chunk is built.
+significant digits, JSON is emitted with sorted keys, and z grids run
+serially, in input order.  The ``monodromy``, ``regbv``, ``kernel-signature``
+and ``weyl`` grids are taken in chunks (``boundary.z_chunks``): the bases of
+a chunk are integrated in one batch and read before the next chunk is
+built.  ``--jobs`` is validated and has no effect.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import cmath
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,6 +29,10 @@ from .hamiltonian import (IndefHamiltonianA, _number, check_HS, check_I,
                           check_psd, problem_from_dict)
 
 _RUN_KEYS = {"problem", "z_grid", "t_grid", "output"}
+# bounds on the point counts, checked before anything is allocated:
+# kernel_gram forms a (2m)^2 complex Gram matrix, 64 MB at m = 1000
+MAX_RECT_Z = 10_000
+MAX_KERNEL_POINTS = 1_000
 
 
 def _fmt(x: float) -> str:
@@ -65,10 +68,12 @@ def _finite_float(value, what: str) -> float:
     return x
 
 
-def _count(value, what: str) -> int:
+def _count(value, what: str, most: float = math.inf) -> int:
     n = _number(value, what, integer=True)
     if n < 1:
         raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    if n > most:
+        raise ConfigError(f"{what} must be at most {most}, got {value!r}")
     return n
 
 
@@ -86,16 +91,17 @@ def _parse_float_list(text: str, what: str):
     return out
 
 
-def _rect_grid(spec):
+def _rect_grid(spec, what):
     try:
         a, b, n = spec["re"]
         c, d, m = spec["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError('rectangle z_grid needs {"re": [a,b,n], "im": [c,d,m]}') from exc
-    re = np.linspace(_number(a, "z_grid re"), _number(b, "z_grid re"),
-                     _count(n, "z_grid re count"))
-    im = np.linspace(_number(c, "z_grid im"), _number(d, "z_grid im"),
-                     _count(m, "z_grid im count"))
+    n, m = _count(n, "z_grid re count"), _count(m, "z_grid im count")
+    if n * m > MAX_RECT_Z:
+        raise ConfigError(f"rectangle {what} holds more than {MAX_RECT_Z} z")
+    re = np.linspace(_number(a, "z_grid re"), _number(b, "z_grid re"), n)
+    im = np.linspace(_number(c, "z_grid im"), _number(d, "z_grid im"), m)
     return [complex(r, i) for i in im for r in re]
 
 
@@ -107,13 +113,13 @@ def _z_grid_from(args, cfg):
                 spec = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"malformed rectangle --z-grid: {exc.msg}") from exc
-            return _rect_grid(spec)
+            return _rect_grid(spec, "--z-grid")
         return _parse_complex_list(text, "--z-grid")
     zg = cfg.get("z_grid")
     if zg is None:
         return [complex(z) for z in ex.DEFAULT_Z_GRID]
     if isinstance(zg, dict):
-        return _rect_grid(zg)
+        return _rect_grid(zg, "z_grid")
     if not isinstance(zg, list):
         raise ConfigError("z_grid must be a list or a rectangle object")
     if not zg:
@@ -186,20 +192,12 @@ def _setup(args):
     return cfg, ih
 
 
-def _map_ordered(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _map_grid(ih, zs, fn, jobs, sides=("minus", "plus")):
+def _map_grid(ih, zs, fn, sides=("minus", "plus")):
     """``fn`` of every z of ``zs``, in input order, reading the bases of
     ``sides`` chunk by chunk (``boundary.z_chunks``), so however long the
     grid, no basis is evicted from the cache before it is read.  A z that
     fails raises its own error in ``fn``, as without the batch."""
-    return [out for chunk in bd.z_chunks(ih, zs, sides)
-            for out in _map_ordered(fn, chunk, jobs)]
+    return [fn(z) for chunk in bd.z_chunks(ih, zs, sides) for z in chunk]
 
 
 def _emit(args, text: str):
@@ -247,11 +245,10 @@ def _cmd_fundamental(args):
     ts = _t_grid_from(args, cfg, np.linspace(*h.interval, 9)[1:-1],
                       min(reg, stop), max(reg, stop))
 
-    def work(z):
+    rows = []
+    for z in zs:
         w = sv.fundamental(h, z, side=side, t0=reg)
-        return [_w_row(t, z, w.eval(t), w.det_error()) for t in ts]
-
-    rows = [r for chunk in _map_ordered(work, zs, args.jobs) for r in chunk]
+        rows += [_w_row(t, z, w.eval(t), w.det_error()) for t in ts]
     _emit(args, _csv(rows, _W_HEADER))
     return 0
 
@@ -296,7 +293,7 @@ def _cmd_regbv(args):
                                 for x, v, g in rb.samples]
         return entry
 
-    _emit_json(args, _map_grid(ih, zs, work, args.jobs, (side,)))
+    _emit_json(args, _map_grid(ih, zs, work, (side,)))
     return 0
 
 
@@ -312,7 +309,7 @@ def _cmd_monodromy(args):
         return z, mo.assemble_W(ih, z, t)
 
     sides = ("minus",) if t < ih.sigma else ("minus", "plus")
-    results = _map_grid(ih, zs, work, args.jobs, sides)
+    results = _map_grid(ih, zs, work, sides)
     if (args.emit or "csv") == "json":
         with np.errstate(over="ignore", invalid="ignore"):  # inf when W overflows
             dets = [np.linalg.det(w) for _, w in results]
@@ -332,17 +329,18 @@ def _cmd_kernel_signature(args):
     _, ih = _setup(args)
     if args.points is not None:
         pts = _parse_complex_list(args.points, "--points")
+        _count(len(pts), "--points", MAX_KERNEL_POINTS)
         fault = mo.kernel_grid_fault(pts)
         if fault is not None:
             raise ConfigError(f"--points: {fault}")
     else:
-        n = _count(args.random_grid, "--random-grid")
+        n = _count(args.random_grid, "--random-grid", MAX_KERNEL_POINTS)
         if args.seed < 0:
             raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         pts = list(rng.uniform(-3, 3, n) + 1j * rng.uniform(0.2, 2.5, n))
     pts = [complex(p) for p in pts]
-    ws = _map_grid(ih, pts, lambda z: mo.monodromy_matrix(ih, z), 1)
+    ws = _map_grid(ih, pts, lambda z: mo.monodromy_matrix(ih, z))
     sig = mo.kernel_gram(dict(zip(pts, ws)).__getitem__, pts)
     _emit_json(args, {
         "points": [[p.real, p.imag] for p in sig.grid],
@@ -356,7 +354,7 @@ def _cmd_kernel_signature(args):
 def _cmd_weyl(args):
     _, ih = _setup(args)
     zs = _parse_complex_list(args.z, "--z")
-    qs = _map_grid(ih, zs, lambda z: mo.weyl_intermediate(ih, z), 1, ("minus",))
+    qs = _map_grid(ih, zs, lambda z: mo.weyl_intermediate(ih, z), ("minus",))
     _emit_json(args, [{"z": [z.real, z.imag], "q_sigma": [q.real, q.imag]}
                       for z, q in zip(zs, qs)])
     return 0
@@ -432,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON run config (problem, grids, output)")
     p.add_argument("--output", help="write output to this file instead of stdout")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for the z grids of fundamental, "
-                        "regbv and monodromy (default 1)")
+                   help="accepted for compatibility, no effect: every z "
+                        "grid runs serially (default 1)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("fundamental", help="fundamental solution on one side")

@@ -268,7 +268,7 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
             err["interface"] = max(err["interface"], float(np.abs(res).max()))
 
     for side, s_end in (("minus", S_MINUS), ("plus", cfg.s_plus)):
-        w1 = wp.w_n_diagonal(ih.side(side), side, 1)
+        w1 = wp.w_family_for(ih, side)[1]  # the family the pipeline reads
         lo, hi = ih.side(side).interval
         samp = np.linspace(lo, hi, 41)[1:-1]
         err["w_1"] = max(err["w_1"], float(np.abs(

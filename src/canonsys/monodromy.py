@@ -113,7 +113,7 @@ def factorisation(ih: IndefHamiltonianA, z: complex,
     bd.side_bases(ih, [z])  # the sides not cached yet, in one batch
     vv = default_v(ih, z) if v is None else v
     um = u_minus(ih, z)
-    up = bd.check_det(u_plus(ih, z, vv), vv.det_init, "U^+")
+    up = bd.check_det(u_plus(ih, z, v), vv.det_init, "U^+")
     r = build_R(ih, z)
     pre = um @ r.T @ bd.adj(up) / vv.det_init
     return MonodromyFactorisation(z, um, up, r, vv, pre)

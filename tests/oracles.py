@@ -1,7 +1,8 @@
 """Exact oracles beyond the example's exponent 2, for the tests.
 
 ``reparametrised_problem_dict`` maps the example through a piecewise-affine
-change of variable, whose closed forms are the example's; ``bessel_w`` is
+change of variable, whose closed forms are the example's at the points
+``phi_inverse`` gives; ``bessel_w`` is
 the fundamental solution on a side of diag(s^alpha, s^-alpha), s = |t - 1|,
 from Bessel functions.
 """
@@ -14,6 +15,23 @@ import canonsys as cs
 
 def _power(c, center, exponent):
     return {"type": "power", "c": c, "center": center, "exponent": exponent}
+
+
+def _s_breaks(breaks, slopes) -> list:
+    """The s-breaks of phi's pieces, from 0."""
+    s = [0.0]
+    for t0, t1, m in zip(breaks, breaks[1:], slopes):
+        s.append(s[-1] + (t1 - t0) / m)
+    return s
+
+
+def phi_inverse(breaks, slopes, t: float) -> float:
+    """s = phi^-1(t) for the phi of ``reparametrised_problem_dict``; at
+    t = 2 exactly the problem's right end."""
+    breaks, slopes = [float(b) for b in breaks], [float(m) for m in slopes]
+    k = min(int(np.searchsorted(breaks, t, side="right")) - 1,
+            len(slopes) - 1)
+    return _s_breaks(breaks, slopes)[k] + (t - breaks[k]) / slopes[k]
 
 
 def reparametrised_problem_dict(breaks, slopes) -> dict:
@@ -31,9 +49,7 @@ def reparametrised_problem_dict(breaks, slopes) -> dict:
     """
     breaks, slopes = [float(t) for t in breaks], [float(m) for m in slopes]
     assert breaks[0] == 0.0 and breaks[-1] == 2.0 and 1.0 in breaks
-    s = [0.0]
-    for t0, t1, m in zip(breaks, breaks[1:], slopes):
-        s.append(s[-1] + (t1 - t0) / m)
+    s = _s_breaks(breaks, slopes)
     sigma = s[breaks.index(1.0)]
     sides = {"h_minus": [], "h_plus": []}
     for k, m in enumerate(slopes):

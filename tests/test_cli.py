@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -116,6 +117,13 @@ class TestInputValidation:
          "--t-grid"),
         (["fundamental", "--side", "plus", "--z-grid", "1", "--t-grid",
           "0.5"], "--t-grid"),
+        # too many points to allocate: refused before anything is built
+        (["kernel-signature", "--random-grid", "100000000000"],
+         "--random-grid"),
+        (["kernel-signature", "--points",
+          ",".join(f"{k}j" for k in range(1, 1002))], "--points"),
+        (["monodromy", "--z-grid",
+          '{"re": [0, 1, 100000000000], "im": [0, 1, 1]}'], "--z-grid"),
     ])
     def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
         code, _, err = run_cli(argv, capsys)
@@ -132,6 +140,7 @@ class TestInputValidation:
         ({"re": ["0", 1, 2], "im": [0, 1, 2]}, "z_grid re"),
         ({"re": [0, 1, 2], "im": [0, False, 2]}, "z_grid im"),
         ([], "empty z_grid"),
+        ({"re": [0, 1, 101], "im": [1, 2, 100]}, "rectangle z_grid"),
     ])
     def test_bad_config_z_grid_exits_two(self, z_grid, token, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -484,6 +493,21 @@ class TestDeterminism:
         assert main(["--output", str(b), "--jobs", "3", "fundamental",
                      "--z-grid", "1,2j,1+1j", "--t-grid", "0.5"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["fundamental", "--t-grid", "0.5"], ["regbv"], ["monodromy"]])
+    def test_jobs_start_no_thread(self, command, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        assert run_quiet(["--jobs", "4", *command,
+                          "--z-grid", "1,2j,1+1j"]) == 0
+        assert started == []
 
     def test_seeded_kernel_signature_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

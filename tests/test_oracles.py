@@ -5,13 +5,18 @@ sides diag(s^alpha, s^-alpha) at exponents other than 2 against Bessel
 functions.  Tolerances are the acceptance criteria's.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import canonsys as cs
-from oracles import bessel_w, power_law_side, reparametrised_problem_dict
+from canonsys.cli import main
+from oracles import (bessel_w, phi_inverse, power_law_side,
+                     reparametrised_problem_dict)
 
 Z_ORACLE = (1.0, -1.0, 1.0j, np.pi, 2.0 + 3.0j, 5.0j)
+T_ORACLE = (0.25, 0.5, 1.5, 2.0)  # points t of the example, both sides
 
 
 def _random_phi(seed):
@@ -47,6 +52,28 @@ def test_reparametrised_example_matches_its_closed_forms(breaks, slopes):
         m_err = np.abs(cs.m_matrix(ih, z) - cs.closed_N(z)).max()
         assert max(w_err, um_err, up_err) <= 1e-6, (z, w_err, um_err, up_err)
         assert m_err <= 1e-8, (z, m_err)
+        for t in T_ORACLE:
+            s = phi_inverse(breaks, slopes, t)
+            err = np.abs(cs.assemble_W(ih, z, s) - cs.closed_W(t, z)).max()
+            assert err <= 1e-6, (z, t, err)
+
+
+def test_reparametrised_example_through_the_cli(tmp_path):
+    breaks, slopes = _random_phi(1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": reparametrised_problem_dict(breaks, slopes),
+        "z_grid": [[z.real, z.imag] for z in map(complex, Z_ORACLE)]}))
+    out = tmp_path / "out.json"
+    assert main(["--config", str(cfg), "--output", str(out), "monodromy",
+                 "--emit", "json"]) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == len(Z_ORACLE)
+    for row in rows:
+        z = complex(*row["z"])
+        w = np.array([[complex(*e) for e in r] for r in row["W"]])
+        err = np.abs(w - cs.closed_W(2.0, z)).max()
+        assert err <= 1e-6, (z, err)
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])

@@ -20,8 +20,8 @@ each in its own interpreter:
   2``, of ``regbv --side plus --verbose`` and of ``weyl --z`` over those z
   (``weyl`` over the non-real ones, and once over all of them, which exits
   1 at the first real z), of ``kernel-signature --random-grid 8 --seed
-  0``, and of ``fundamental`` and of ``wpoly --n 1`` and ``--n 2`` on each
-  side.
+  0``, and of ``fundamental``, of ``--jobs 2 fundamental`` over those z and
+  of ``wpoly --n 1`` and ``--n 2`` on each side.
 
 With ``--far-first`` every problem first computes ``monodromy_matrix`` at a
 far z (|z| about 40), and the CLI grids and those of the indivisible
@@ -157,6 +157,8 @@ def dump(far: bool) -> dict:
                                  "--seed", "0"]}
     for side in ("minus", "plus"):
         runs[f"fundamental {side}"] = ["fundamental", "--side", side]
+        runs[f"fundamental {side} jobs 2"] = ["--jobs", "2", "fundamental",
+                                              "--side", side, "--z-grid", zs]
         for n in ("1", "2"):
             runs[f"wpoly {side} n {n}"] = ["wpoly", "--side", side, "--n", n]
     for name, argv in runs.items():
