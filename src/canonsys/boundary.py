@@ -46,9 +46,14 @@ plan's runs one collocation round and evaluates neither H, nor w_Delta,
 nor a Schur table of a plan's panel; on the example no z
 with |Re z| <= 8 and |Im z| <= 5 splits one.  Such a z counts no split
 toward ``solver.MAX_SPLITS``, and at z = 0 the basis keeps the probe's
-halves, where one panel would do.  Runs from any other anchor keep
-nothing.  y2 and S at the extrapolation nodes come from one evaluation on
-the chain's panels.
+halves, where one panel would do.  A run from an interior anchor that is
+one of the plan's breaks, far enough from sigma to end at the plan's last
+node (every side's midpoint is), on a side that is not indivisible, starts
+from the plan's tail (``_plan_tail``): views of the plan from that break
+on, with w_n at the anchor, so it evaluates neither H, nor w_Delta, nor a
+Schur table of those panels either.  Runs from any other anchor build
+their own first round, and nothing is kept per anchor.  y2 and S at the
+extrapolation nodes come from one evaluation on the chain's panels.
 
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
@@ -240,6 +245,13 @@ def node_distances(length: float, span: float) -> np.ndarray:
     return min(EPS0_FRAC * length, 0.5 * span) * 0.5 ** np.arange(K_NODES + 1)
 
 
+def _extrapolation_nodes(h, sing: float, t_anchor: float):
+    """(distances to sigma, nodes) of the extrapolation nodes of a run from
+    ``t_anchor``, largest distance first (``node_distances``)."""
+    hs = node_distances(h.length, abs(t_anchor - sing))
+    return hs, sing - np.sign(sing - t_anchor) * hs
+
+
 def _correction_values(ih: IndefHamiltonianA, side: Side, z: complex,
                        w_funcs, xs: np.ndarray) -> Optional[np.ndarray]:
     """sum over n <= Delta-1, Delta+1 <= j <= 2 Delta - n of z^(n+j) w_n^T J w_j;
@@ -263,9 +275,11 @@ class SidePlan(sv.FirstRound):
     the first round of its chain, refined once at ``solver.PROBE_Z``
     (panels, H at their nodes and the Schur tables of the diagonal ones,
     ``solver.refined_round``), and, on a side that is not indivisible,
-    w_Delta^T H at those nodes, (P, DEGREE + 1, 2), and w_n at the regular
-    endpoint for n <= Delta, (Delta + 1, 2).  Built once, read-only and
-    kept on the problem under ``("plan", side)`` for its life."""
+    w_Delta^T H at those nodes, (P, DEGREE + 1, 2), and w_n at the chain's
+    start for n <= Delta, (Delta + 1, 2): the regular endpoint, or the
+    anchor of a tail (``_plan_tail``).  Built once, read-only and kept on
+    the problem under ``("plan", side)`` for its life; a tail is not
+    kept."""
 
     wh: Optional[np.ndarray] = None
     w_reg: Optional[np.ndarray] = None
@@ -293,11 +307,46 @@ def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
     return ih.memo(("plan", side), build)
 
 
+def _plan_tail(ih: IndefHamiltonianA, side: Side, t: float,
+               end: float) -> Optional[SidePlan]:
+    """The side plan from its break ``t`` on, as the first round of a run
+    from the interior anchor ``t`` to ``end``; None when it does not serve.
+
+    It serves when the run's own first round (``solver._initial_breaks``)
+    is the end of the plan's before refining: the same last node, and the
+    same breaks from t on.  The tail's panels, H, Schur tables and
+    w_Delta^T H are then the bits the run would form itself, except that a
+    panel the probe halved stands as its halves, as in a run from the
+    regular endpoint.  The tail is views of the plan, with w_n at t in
+    place of w_n at the regular endpoint.  The test reads breaks alone, so
+    no plan is built for an anchor that is no break, and nothing is kept
+    per anchor.  A run ends at the plan's last node when |t - sigma| is at
+    least 2 EPS0_FRAC times the side's length (``node_distances``), and a
+    side's midpoint is its plan's first geometric break.
+    """
+    h, sing = ih.side(side), ih.sigma
+    reg = h.regular_endpoint(side)
+    if end != float(_extrapolation_nodes(h, sing, reg)[1][-1]):
+        return None
+    full = sv._initial_breaks(h, reg, end, sing)
+    own = sv._initial_breaks(h, t, end, sing)
+    if not np.array_equal(own, full[len(full) - len(own):]):
+        return None
+    plan = _side_plan(ih, side, h, reg, end, sing)
+    k = int(np.flatnonzero(plan.a == t)[0])  # a probe halves no break
+    d = int(np.count_nonzero(sv._diagonal(plan.hm[:k])))
+    w_t = np.array([f(t) for f in wp.w_family_for(ih, side)[:ih.delta + 1]])
+    w_t.setflags(write=False)
+    return SidePlan(plan.a[k:], plan.b[k:], plan.hm[k:],
+                    tuple(tab[d:] for tab in plan.schur), plan.wh[k:], w_t)
+
+
 class _Limited(NamedTuple):
     """A run whose boundary pairs are limits at sigma: its side and z, its
     anchor and anchored columns, its side's w-family, its chain, the side
-    plan the chain started from (None from any other anchor), and the
-    distances ``hs`` of its extrapolation nodes ``xs`` to sigma."""
+    plan or plan tail the chain started from (None: a first round of its
+    own), and the distances ``hs`` of its extrapolation nodes ``xs`` to
+    sigma."""
 
     side: Side
     z: complex
@@ -426,8 +475,9 @@ def _runs(ih: IndefHamiltonianA, requests):
     On an indivisible side the pairs are the values at the regular endpoint,
     to which the run also integrates from an interior anchor; on any other
     side they are the limits at sigma.  A run from the regular endpoint
-    starts from the side's plan (``_side_plan``).  Returns per request
-    (dense solution, one RegularisedBoundary per column).
+    starts from the side's plan (``_side_plan``), one from an interior
+    anchor where it serves from the plan's tail (``_plan_tail``).  Returns
+    per request (dense solution, one RegularisedBoundary per column).
     """
     runs, grids = [], []
     for side, z, t_anchor, y_cols in requests:
@@ -437,17 +487,20 @@ def _runs(ih: IndefHamiltonianA, requests):
         if not (lo <= t_anchor <= hi):  # NaN fails too
             raise DomainError(f"anchor t={t_anchor} outside side {side}'s "
                               f"interval [{lo}, {hi}]")
-        span = abs(t_anchor - sing)
-        if span <= 0:
+        if t_anchor == sing:
             raise DomainError("anchor coincides with the singularity")
-        hs = node_distances(h.length, span)
-        xs = sing - np.sign(sing - t_anchor) * hs
+        hs, xs = _extrapolation_nodes(h, sing, t_anchor)
         indivisible = ih.indivisible(side).is_indivisible
         targets = [float(xs[-1])]
-        if indivisible and t_anchor != reg:
+        if t_anchor == reg:
+            plan = _side_plan(ih, side, h, reg, targets[0], sing)
+        elif indivisible:
+            # the run also integrates back to the regular endpoint, a
+            # second chain that no first round of one chain serves
+            plan = None
             targets.append(reg)
-        plan = (_side_plan(ih, side, h, reg, targets[0], sing)
-                if t_anchor == reg else None)
+        else:
+            plan = _plan_tail(ih, side, t_anchor, targets[0])
         runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), targets,
                            sing, plan))
         grids.append((indivisible, reg, hs, xs, plan))

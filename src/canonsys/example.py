@@ -258,8 +258,9 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
             continue
         # the midpoint runs of the chunk in one batch.  Each starts from
         # its own state at its midpoint, on its own chain, whose first
-        # round's breaks are a subset of the side plan's, and takes its own
-        # limits: an independent check of the bases
+        # round is the side plan's tail from the midpoint on (a break of
+        # the plan), and takes its own limits: an independent check of the
+        # bases
         found = bd.gamma_columns_batch(ih, interface)
         for k, z in enumerate(chunk):
             gam_m, gam_p = (np.array([p.vec for p in pairs])

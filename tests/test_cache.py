@@ -577,11 +577,134 @@ def test_threads_on_a_fresh_problem_build_each_plan_once(monkeypatch):
 
 def test_runs_from_other_anchors_keep_no_plan():
     ih = cs.example_problem()
-    cs.gamma_columns(ih, "minus", 0.5j, 0.5, np.eye(2))
+    cs.gamma_columns(ih, "minus", 0.5j, 0.3, np.eye(2))  # 0.3: no break
     cs.fundamental(ih.h_plus, 0.5j, side="plus")
     cs.solve_row(ih.h_minus, 0.5j, 0.0, [1.0, 0.0], side="minus")
     for side in ("minus", "plus"):
         assert ih.memo(("plan", side), lambda: None) is None
+
+
+@pytest.fixture()
+def firsts(monkeypatch):
+    """List of (anchor, first round passed) of every integrated run."""
+    calls = []
+    orig = sv.integrate_dense
+
+    def counted(runs, **kwargs):
+        calls.extend((run.t0, run.first) for run in runs)
+        return orig(runs, **kwargs)
+
+    monkeypatch.setattr(sv, "integrate_dense", counted)
+    return calls
+
+
+def _midpoints(ih):
+    return [(side, 0.5 * sum(ih.side(side).interval))
+            for side in ("minus", "plus")]
+
+
+def _anchored_pairs(ih, zs, anchors):
+    """gamma_s, gamma_r, err_est and the samples of every pair of runs from
+    every (side, t) of ``anchors`` at every z, each anchored at the side
+    basis's value at t, integrated in one batch."""
+    reqs = [(side, z, t, bd.side_basis(ih, side, z).solution.eval(t).T)
+            for z in zs for side, t in anchors]
+    return [np.concatenate([[p.gamma_s, p.gamma_r, p.err_est],
+                            np.array(p.samples, dtype=complex).ravel()])
+            for pairs in bd.gamma_columns_batch(ih, reqs) for p in pairs]
+
+
+def _tail_off(monkeypatch):
+    monkeypatch.setattr(bd, "_plan_tail", lambda *args: None)
+
+
+_rng_mid = np.random.default_rng(20261021)
+MID_ZS = ([complex(x, y) for x, y in zip(_rng_mid.uniform(-8, 8, 8),
+                                         _rng_mid.uniform(-5, 5, 8))]
+          + [0.0, 1.0, 1j, 20.0 + 15.0j])
+
+
+def test_midpoint_runs_start_from_the_plan_tail(monkeypatch, firsts):
+    ih = cs.example_problem()
+    got = _anchored_pairs(ih, MID_ZS, _midpoints(ih))
+    for side, t in _midpoints(ih):
+        plan = _plan(ih, side)
+        tails = [first for t0, first in firsts if t0 == t]
+        assert len(tails) == len(MID_ZS)
+        for first in tails:
+            # views of the plan from its break t on
+            k = int(np.flatnonzero(plan.a == t)[0])
+            assert first.a.base is plan.a and first.a[0] == t
+            assert first.wh.base is plan.wh and len(first.wh) == len(plan.a) - k
+            assert len(first.schur[0]) < len(plan.schur[0])
+            assert all(tab.base is full for tab, full
+                       in zip(first.schur, plan.schur))
+    _tail_off(monkeypatch)
+    want = _anchored_pairs(cs.example_problem(), MID_ZS, _midpoints(ih))
+    _assert_same_bits(want, got)
+
+
+def test_midpoint_run_evaluates_no_h_and_forms_no_table(monkeypatch):
+    ih = cs.example_problem()
+    bd.side_bases(ih, [1j])
+    calls = []
+    _count_calls(monkeypatch, sv, "_schur_factors", calls)
+    matrix = cs.Hamiltonian.matrix
+    monkeypatch.setattr(cs.Hamiltonian, "matrix",
+                        lambda self, ts: calls.append("matrix")
+                        or matrix(self, ts))
+    _anchored_pairs(ih, [1j], _midpoints(ih))
+    assert calls == []
+
+
+@pytest.mark.parametrize("side, t, is_break", [("minus", 0.875, True),
+                                               ("plus", 1.125, True),
+                                               ("minus", 0.3, False)])
+def test_near_breaks_and_other_anchors_keep_their_own_round(side, t, is_break,
+                                                            monkeypatch,
+                                                            firsts):
+    # 0.875 and 1.125 are plan breaks, but closer to sigma than 0.2 of the
+    # side's length, so their runs end at another last node
+    z = 0.7 - 1.3j
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, z)
+    assert (t in _plan(ih, side).a) == is_break
+    got = _anchored_pairs(ih, [z], [(side, t)])
+    assert [first for t0, first in firsts if t0 == t] == [None]
+    _tail_off(monkeypatch)
+    _assert_same_bits(_anchored_pairs(cs.example_problem(), [z], [(side, t)]),
+                      got)
+
+
+def test_indivisible_side_interior_run_keeps_its_own_chains(monkeypatch,
+                                                            firsts):
+    # the indivisible plus side's run from its midpoint also integrates
+    # back to the regular endpoint; the minus side's takes the plan's tail
+    z = 0.5 + 0.5j
+    ih = cs.problem_from_dict(indivisible_problem_dict(0.7, "plus"))
+    got = _anchored_pairs(ih, [z], _midpoints(ih))
+    (_, t_minus), (_, t_plus) = _midpoints(ih)
+    assert [first for t0, first in firsts if t0 == t_plus] == [None]
+    assert all(first is not None for t0, first in firsts if t0 == t_minus)
+    # anchored at the basis's value, the plus pairs are its values at the
+    # regular endpoint: the identity's rows
+    np.testing.assert_allclose(np.array([g[:2] for g in got[2:]]),
+                               np.eye(2), atol=1e-9)
+    _tail_off(monkeypatch)
+    ih = cs.problem_from_dict(indivisible_problem_dict(0.7, "plus"))
+    _assert_same_bits(_anchored_pairs(ih, [z], _midpoints(ih)), got)
+
+
+def test_runs_from_many_anchors_add_no_fixed_key():
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, 0.5j)
+    fixed, per_z = set(ih.cache._fixed), ih.cache.per_z_size()
+    anchors = [("minus", t) for t in np.linspace(0.01, 0.49, 25)]
+    anchors += [("plus", t) for t in np.linspace(1.51, 1.99, 25)]
+    for side, t in anchors:
+        cs.gamma_columns(ih, side, 0.5j, float(t), np.eye(2))
+    assert set(ih.cache._fixed) == fixed
+    assert ih.cache.per_z_size() == per_z
 
 
 def _scaled_problem_dict():

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import canonsys as cs
+from canonsys import cli
 from canonsys.boundary import det_residual
 from canonsys.cli import check_conditions, main
 from conftest import indivisible_problem_dict
@@ -50,6 +51,36 @@ class TestExitCodes:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_reused_parser_answers_as_a_fresh_one(self, monkeypatch):
+        runs = [["monodromy", "--z-grid", "1j", "--emit", "json"],
+                ["wpoly", "--n", "x"],  # argparse's own error, exit 2
+                ["fundamental", "--side", "plus", "--z-grid", "1",
+                 "--t-grid", "1.5"],
+                ["--jobs", "0", "wpoly"],
+                ["regbv", "--help"],
+                ["weyl", "--z", "2.0"],
+                ["wpoly", "--side", "plus", "--n", "2"]]
+
+        def answers():
+            out = []
+            for argv in runs:
+                o, e = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(o), \
+                        contextlib.redirect_stderr(e):
+                    code = main(argv)
+                out.append((code, o.getvalue(), e.getvalue()))
+            return out
+
+        builds, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        reused = answers()
+        assert len(builds) == 1
+        monkeypatch.setattr(cli, "_parser", build)
+        assert reused == answers()
+        assert [code for code, _, _ in reused] == [0, 2, 0, 2, 0, 1, 0]
 
     def test_computation_error_maps_to_one(self, capsys):
         # weyl coefficient at real z violates its precondition
@@ -124,6 +155,7 @@ class TestInputValidation:
           ",".join(f"{k}j" for k in range(1, 1002))], "--points"),
         (["monodromy", "--z-grid",
           '{"re": [0, 1, 100000000000], "im": [0, 1, 1]}'], "--z-grid"),
+        (["wpoly", "--n", "1001"], "--n"),
     ])
     def test_bad_flag_exits_two_naming_token(self, argv, token, capsys):
         code, _, err = run_cli(argv, capsys)

@@ -15,6 +15,10 @@ each in its own interpreter:
   H at the nodes and Chebyshev coefficients, the solution's values at
   ``N_POINTS`` evenly spaced points of its range, and each boundary pair with
   its error estimate and samples;
+- at those 40 z, the boundary pairs (with error estimates and samples) of
+  ``gamma_columns_batch`` runs anchored at the identity at ``ANCHORS``:
+  each side's midpoint, the breaks 0.875 and 1.125 of the side plans, and
+  0.3, all of one z in one batch;
 - the exit code and the stdout and stderr bytes of ``validate-example``,
   of ``monodromy --emit json`` over 40 z with ``--jobs 1`` and ``--jobs
   2``, of ``regbv --side plus --verbose`` and of ``weyl --z`` over those z
@@ -50,6 +54,10 @@ import numpy as np
 FAR_Z = 28.0 + 28.0j
 SEED = 20261020
 N_POINTS = 41
+# interior anchors of gamma_columns: the sides' midpoints (None), which
+# start from their plans' tails, and three that do not
+ANCHORS = (("minus", None), ("plus", None), ("minus", 0.875), ("plus", 1.125),
+           ("minus", 0.3))
 
 
 def _grid(n: int, seed: int) -> list:
@@ -141,6 +149,17 @@ def dump(far: bool) -> dict:
                 np.linspace(*basis.solution.interval, N_POINTS))
             for r, p in enumerate(basis.pairs):
                 out[f"{key} pair {r}"] = _pair(p)
+        anchors = [(side, 0.5 * sum(ih.side(side).interval) if t is None
+                    else t) for side, t in ANCHORS]
+        found = _attempt(lambda: bd.gamma_columns_batch(
+            ih, [(side, z, t, np.eye(2)) for side, t in anchors]))
+        if isinstance(found, str):
+            out[f"gamma_columns[{k}] z={z}"] = found
+            continue
+        for (side, t), pairs in zip(anchors, found):
+            for c, p in enumerate(pairs):
+                out[f"gamma_columns[{k}] {side} t={t} z={z} column {c}"] = (
+                    _pair(p))
     grid = _grid(40, SEED + 2)
     if far:
         grid = [FAR_Z] + grid
