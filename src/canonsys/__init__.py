@@ -26,8 +26,8 @@ from .monodromy import (KernelSignature, MonodromyFactorisation, assemble_W,
                         compare_discrete, default_v, factorisation,
                         kernel_gram, m_matrix, monodromy_matrix, u_minus,
                         u_plus, weyl_intermediate)
-from .solver import (ClosedFormSampler, CombinedSampler, MatrixSolution,
-                     SolutionSampler, fundamental, greens_residual, solve_row)
+from .solver import (CombinedSampler, Solution, fundamental, greens_residual,
+                     solve_row)
 from .wpoly import (DeltaReport, WFunction, build_w_family, delta_diagnostic,
                     omega_sequence, volterra_transform, w_family_for,
                     w_n_diagonal, w_n_general)
@@ -62,8 +62,8 @@ __all__ = [
     "compare_discrete", "default_v", "factorisation", "kernel_gram",
     "m_matrix", "monodromy_matrix", "u_minus", "u_plus", "weyl_intermediate",
     # solver
-    "ClosedFormSampler", "CombinedSampler", "MatrixSolution",
-    "SolutionSampler", "fundamental", "greens_residual", "solve_row",
+    "CombinedSampler", "Solution", "fundamental", "greens_residual",
+    "solve_row",
     # wpoly
     "DeltaReport", "WFunction", "build_w_family", "delta_diagnostic",
     "omega_sequence", "volterra_transform", "w_family_for", "w_n_diagonal",

@@ -477,7 +477,7 @@ def _runs(ih: IndefHamiltonianA, requests):
     side they are the limits at sigma.  A run from the regular endpoint
     starts from the side's plan (``_side_plan``), one from an interior
     anchor where it serves from the plan's tail (``_plan_tail``).  Returns
-    per request (dense solution, one RegularisedBoundary per column).
+    per request (``solver.Solution``, one RegularisedBoundary per column).
     """
     runs, grids = [], []
     for side, z, t_anchor, y_cols in requests:
@@ -504,24 +504,24 @@ def _runs(ih: IndefHamiltonianA, requests):
         runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), targets,
                            sing, plan))
         grids.append((indivisible, reg, hs, xs, plan))
-    denses = sv.integrate_dense(runs)
+    sols = sv.integrate_dense(runs)
     pairs, limited = [], []
-    for request, dense, grid in zip(requests, denses, grids):
+    for request, sol, grid in zip(requests, sols, grids):
         side, z, t_anchor, y_cols = request
         indivisible, reg, hs, xs, plan = grid
         if indivisible:
             pairs.append([RegularisedBoundary(side, z, complex(gs),
                                               complex(gr), 0.0, ())
-                          for gs, gr in dense.eval_state(reg).reshape(-1, 2)])
+                          for gs, gr in sol.eval_state(reg).reshape(-1, 2)])
             continue
         limited.append(_Limited(side, z, t_anchor, y_cols,
-                                wp.w_family_for(ih, side), dense.segments[0],
+                                wp.w_family_for(ih, side), sol.segments[0],
                                 plan, hs, xs))
         pairs.append(None)
     if limited:
         found = iter(_limit_pairs(ih, limited))
         pairs = [next(found) if p is None else p for p in pairs]
-    return list(zip(denses, pairs))
+    return list(zip(sols, pairs))
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -548,14 +548,6 @@ def gamma_columns_batch(ih: IndefHamiltonianA, requests) -> list:
     return [pairs for _, pairs in _runs(ih, reqs)]
 
 
-def _anchor_of(fhat, ih: IndefHamiltonianA, side: Side):
-    """(t, y(t)) of a sampler: the regular endpoint when the sampler covers
-    it, else the sampler's own anchor."""
-    reg = ih.side(side).regular_endpoint(side)
-    t_a = reg if sv.in_range(reg, *fhat.interval) else float(fhat.anchor_t)
-    return t_a, np.asarray(fhat.eval(t_a), dtype=np.complex128)
-
-
 def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
     """Stacked boundary pair (gamma_s, gamma_r) of one solution sampler.
 
@@ -563,7 +555,9 @@ def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
     sampler's value at the regular endpoint, or at its anchor when it does
     not reach that endpoint (DomainError outside the basis's range).
     """
-    t_a, y_a = _anchor_of(fhat, ih, side)
+    reg = ih.side(side).regular_endpoint(side)
+    t_a = reg if sv.in_range(reg, *fhat.interval) else float(fhat.anchor_t)
+    y_a = np.asarray(fhat.eval(t_a), dtype=np.complex128)
     basis = side_basis(ih, side, fhat.z)
     return basis.pair(adj(basis.solution.eval(t_a)).T @ y_a)
 
@@ -574,7 +568,7 @@ class SideBasis:
     endpoint, and the boundary pairs of its two rows (rows of the boundary
     matrix U)."""
 
-    solution: sv.MatrixSolution
+    solution: sv.Solution
     pairs: tuple
 
     @property
@@ -606,13 +600,11 @@ def _build_bases(ih: IndefHamiltonianA, todo) -> dict:
     node.
     """
     eye = np.eye(2, dtype=np.complex128)
-    regs = [ih.side(side).regular_endpoint(side) for side, _ in todo]
-    runs = _runs(ih, [(side, z, reg, eye)
-                      for (side, z), reg in zip(todo, regs)])
-    return {(side, z): ih.cache.store(
-                (PER_Z_KIND, side, z),
-                SideBasis(sv.MatrixSolution(dense, eye, reg), tuple(pairs)))
-            for (side, z), reg, (dense, pairs) in zip(todo, regs, runs)}
+    runs = _runs(ih, [(side, z, ih.side(side).regular_endpoint(side), eye)
+                      for side, z in todo])
+    return {(side, z): ih.cache.store((PER_Z_KIND, side, z),
+                                      SideBasis(sol, tuple(pairs)))
+            for (side, z), (sol, pairs) in zip(todo, runs)}
 
 
 def z_chunks(ih: IndefHamiltonianA, zs, sides=("minus", "plus")):

@@ -23,7 +23,7 @@ import numpy as np
 from . import boundary as bd
 from . import monodromy as mo
 from . import wpoly as wp
-from .errors import DomainError, PoleError
+from .errors import ConfigError, DomainError, PoleError
 from .hamiltonian import (IndefHamiltonianA, build_R, hamiltonian_from_spec,
                           indef_hamiltonian)
 
@@ -66,6 +66,8 @@ class ExampleConfig:
     def __post_init__(self):
         if not self.s_plus > 1.0:
             raise ValueError("s_plus must exceed 1")
+        if self.oe < 0 or len(self.b) != self.oe:
+            raise ConfigError("b must have length oe")
 
     @property
     def d0_value(self) -> float:

@@ -33,7 +33,7 @@ integrated in one batch, and reads them here.  W left of sigma and the
 default V are those fundamental solutions; U_minus, U_plus and the entry
 limits behind M(z) are read off those boundary pairs, and the Weyl
 coefficient off the left one at the extrapolation nodes.  For a V with
-another anchor, U_plus(V) = V.init adj(Phi(V.t0)) U_plus by linearity
+another anchor, U_plus(V) = V.init adj(Phi(V.anchor_t)) U_plus by linearity
 (Phi the cached basis, det Phi = 1); an anchor outside the basis's range
 raises DomainError, and nothing integrates boundary pairs of its own.
 """
@@ -63,7 +63,7 @@ class MonodromyFactorisation:
     u_minus: np.ndarray
     u_plus: np.ndarray
     r: np.ndarray
-    v: sv.MatrixSolution
+    v: sv.Solution
     prefactor: np.ndarray        # U^- R^T adj(U^+) / det V.init
 
     def w(self, t: float) -> np.ndarray:
@@ -83,19 +83,19 @@ def u_minus(ih: IndefHamiltonianA, z: complex) -> np.ndarray:
     return bd.side_basis(ih, "minus", z).matrix
 
 
-def default_v(ih: IndefHamiltonianA, z: complex) -> sv.MatrixSolution:
+def default_v(ih: IndefHamiltonianA, z: complex) -> sv.Solution:
     """Matrix solution on the right piece anchored to I at s_plus."""
     return bd.side_basis(ih, "plus", z).solution
 
 
 def u_plus(ih: IndefHamiltonianA, z: complex,
-           v: Optional[sv.MatrixSolution] = None) -> np.ndarray:
+           v: Optional[sv.Solution] = None) -> np.ndarray:
     """Boundary-value matrix of V on the right piece (det = det V).
 
     The boundary pairs depend on V only through its anchor: the rows of V
-    are V.init Phi(V.t0)^(-1) times the rows of the cached basis Phi, so
-    U_plus(V) = V.init adj(Phi(V.t0)) U_plus (DomainError for a V.t0
-    outside the basis's range).
+    are V.init Phi(V.anchor_t)^(-1) times the rows of the cached basis Phi,
+    so U_plus(V) = V.init adj(Phi(V.anchor_t)) U_plus (DomainError for a
+    V.anchor_t outside the basis's range).
     """
     z = sv.finite_z(z)
     if v is not None:
@@ -103,11 +103,11 @@ def u_plus(ih: IndefHamiltonianA, z: complex,
     basis = bd.side_basis(ih, "plus", z)
     if v is None:
         return basis.matrix
-    return v.init @ bd.adj(basis.solution.eval(v.t0)) @ basis.matrix
+    return v.init @ bd.adj(basis.solution.eval(v.anchor_t)) @ basis.matrix
 
 
 def factorisation(ih: IndefHamiltonianA, z: complex,
-                  v: Optional[sv.MatrixSolution] = None
+                  v: Optional[sv.Solution] = None
                   ) -> MonodromyFactorisation:
     z = sv.finite_z(z)
     bd.side_bases(ih, [z])  # the sides not cached yet, in one batch

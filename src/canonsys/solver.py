@@ -52,9 +52,11 @@ blocks of at most ``SOLVE_BLOCK``, which bounds the memory of a batch of
 many z.
 Node values and slopes of the states take one batched matmul each, their
 Chebyshev coefficients one more.
-Dense output is the start state itself at the anchor, exactly, and each
-panel's Chebyshev series elsewhere (``in_range`` decides, here and for the
-callers, whether a point lies in a solution's range); each chain also keeps
+Dense output (``Solution``) is the start state itself at the anchor,
+exactly, and each panel's Chebyshev series elsewhere (``in_range`` decides,
+here and for the callers, whether a point lies in a solution's range); a
+row of a matrix solution is a view of the same state, and a combination of
+rows (``CombinedSampler``) evaluates that state once.  Each chain also keeps
 the state at its nodes (``PanelChain.ys``), the H values the collocation
 used there (``PanelChain.hm``) and per panel its index in the first round
 (``PanelChain.origin``), from which :mod:`canonsys.boundary` forms the
@@ -176,9 +178,16 @@ def in_range(t, lo: float, hi: float):
     return (t >= lo - pad) & (t <= hi + pad)
 
 
-class DenseSolution:
-    """Dense output over one or two segments from the anchor, where
-    ``eval_state`` returns ``state0`` exactly and evaluates no chain."""
+class Solution:
+    """A solution of Y' = z J H Y at fixed z, dense over one or two chains
+    (``segments``) from the anchor, where ``eval_state`` returns ``state0``,
+    the stacked start vectors of the solved columns, exactly.
+
+    ``eval`` returns a 2-vector for one column, else one row per column: W
+    for a matrix solution, whose rows' transposes solve the vector system.
+    ``row_sampler(i)`` views row i: it shares the chains and range of its
+    ``base`` solution and takes its slice of the same state.
+    """
 
     def __init__(self, segments, z, h, anchor_t, state0):
         self.segments = list(segments)
@@ -186,8 +195,10 @@ class DenseSolution:
         self.h = h
         self.anchor_t = anchor_t
         self.state0 = state0
-        self.lo = min(s.lo for s in self.segments)
-        self.hi = max(s.hi for s in self.segments)
+        self.interval = (min(s.lo for s in self.segments),
+                         max(s.hi for s in self.segments))
+        self.base = self
+        self.row = None
 
     def eval_state(self, ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=np.float64))
@@ -200,41 +211,67 @@ class DenseSolution:
                 out[m] = seg(np.clip(ts[m], seg.lo, seg.hi))
                 done[m] = True
         if not np.all(done):
-            raise DomainError(f"t={float(ts[~done][0])} outside the integrated "
-                              f"range [{self.lo}, {self.hi}]")
+            raise DomainError(
+                f"t={float(ts[~done][0])} outside the integrated range "
+                f"[{self.interval[0]}, {self.interval[1]}]")
         return out
 
-
-class SolutionSampler:
-    """Evaluable solution t -> C^2 of the canonical system at fixed z."""
-
-    def __init__(self, dense: DenseSolution, column: int = 0):
-        self._dense = dense
-        self._col = column
-        self.z = dense.z
-        self.h = dense.h
-        self.anchor_t = dense.anchor_t
-        self.interval = (dense.lo, dense.hi)
-
     def _pick(self, st, ts):
-        """This sampler's column of the dense state ``st`` at ``ts``."""
-        out = st[..., 2 * self._col:2 * self._col + 2]
-        return out[0] if np.ndim(ts) == 0 else out
+        """This solution's value in the dense state ``st`` at ``ts``: its
+        row's slice for a row view, else the state, one row per column."""
+        if self.row is not None:
+            st = st[..., 2 * self.row:2 * self.row + 2]
+        elif st.shape[-1] > 2:
+            st = st.reshape(st.shape[:-1] + (-1, 2))
+        return st[0] if np.ndim(ts) == 0 else st
 
     def eval(self, ts):
-        return self._pick(self._dense.eval_state(ts), ts)
+        return self._pick(self.eval_state(ts), ts)
 
     __call__ = eval
+
+    def row_sampler(self, i: int) -> "Solution":
+        """The transposed i-th row as a vector solution: a view sharing this
+        solution's chains and range."""
+        view = object.__new__(Solution)
+        view.__dict__.update(vars(self.base), row=i)
+        return view
+
+    @property
+    def init(self) -> np.ndarray:
+        """W at the anchor, of a matrix solution."""
+        return self.state0.reshape(2, 2)
+
+    @property
+    def det_init(self) -> complex:
+        m = self.init
+        return complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+    def det_error(self) -> float:
+        """max |det W - det init| over the collocation nodes, of a matrix
+        solution.
+
+        Near a singular endpoint the entries grow like the inverse distance
+        and the determinant's two products cancel below what float64 can
+        resolve; nodes whose deviation sits inside that representation floor
+        (16 eps times the product magnitudes) are reported as zero, so the
+        result measures genuine integrator drift.
+        """
+        y = np.concatenate([seg.ys for seg in self.segments]).reshape(-1, 2, 2)
+        p, q = y[:, 0, 0] * y[:, 1, 1], y[:, 0, 1] * y[:, 1, 0]
+        err = np.abs(p - q - self.det_init)
+        floor = 16.0 * _EPS * (np.abs(p) + np.abs(q))
+        return float(np.where(err <= floor, 0.0, err).max())
 
 
 class CombinedSampler:
     """Linear combination of samplers solving the same system at the same z.
 
-    ``eval`` evaluates each distinct dense solution among the
-    ``SolutionSampler`` terms once per call and takes every such term's
-    column from that one state; other samplers (closed-form, nested
-    combinations) are evaluated as they are.  The terms c_i * value_i are
-    summed in the order of ``samplers``.
+    ``eval`` evaluates each distinct ``Solution`` that the terms view
+    (``Solution.base``) once per call and takes every such term's value
+    from that one state; other samplers (nested combinations, say) are
+    evaluated as they are.  The terms c_i * value_i are summed in the
+    order of ``samplers``.
     """
 
     def __init__(self, coeffs, samplers):
@@ -264,34 +301,15 @@ class CombinedSampler:
         states = {}
         acc = None
         for c, s in zip(self.coeffs, self.samplers):
-            if isinstance(s, SolutionSampler):
-                st = states.get(s._dense)
+            if isinstance(s, Solution):
+                st = states.get(s.base)
                 if st is None:
-                    st = states[s._dense] = s._dense.eval_state(ts)
+                    st = states[s.base] = s.base.eval_state(ts)
                 term = c * s._pick(st, ts)
             else:
                 term = c * s.eval(ts)
             acc = term if acc is None else acc + term
         return acc
-
-    __call__ = eval
-
-
-class ClosedFormSampler:
-    """Wrap an explicit solution formula in the sampler interface."""
-
-    def __init__(self, fn, z, h, interval, anchor_t):
-        self._fn = fn
-        self.z = z
-        self.h = h
-        self.interval = interval
-        self.anchor_t = anchor_t
-
-    def eval(self, ts):
-        ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
-        out = np.stack([np.asarray(self._fn(t), dtype=np.complex128)
-                        for t in ts_arr])
-        return out[0] if np.ndim(ts) == 0 else out
 
     __call__ = eval
 
@@ -771,7 +789,7 @@ class Run:
 
 
 class Integration(tuple):
-    """The DenseSolution of every run of one ``integrate_dense`` call, in
+    """The Solution of every run of one ``integrate_dense`` call, in
     the order of the runs; ``segments`` lists the chains of all."""
 
     __slots__ = ()
@@ -806,7 +824,7 @@ def integrate_dense(runs: Sequence[Run], rtol=RK_RTOL,
          else first_round(run.h, float(run.t0), float(t1), run.sing), state0)
         for run, z, state0, ends in jobs for t1 in ends], rtol, atol))
     return Integration(
-        DenseSolution([next(chains) for _ in ends], z, run.h, run.t0, state0)
+        Solution([next(chains) for _ in ends], z, run.h, run.t0, state0)
         for run, z, state0, ends in jobs)
 
 
@@ -835,7 +853,7 @@ def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],
 
 def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
               side: Optional[Side] = None, cutoff: Optional[float] = None,
-              rtol: float = RK_RTOL, atol: float = RK_ATOL) -> SolutionSampler:
+              rtol: float = RK_RTOL, atol: float = RK_ATOL) -> Solution:
     """Solution of y' = z J H y with y(t0) = y0, dense over the side.
 
     ``side`` marks which endpoint is singular ("minus": the right one,
@@ -846,61 +864,15 @@ def solve_row(h: Hamiltonian, z: complex, t0: float, y0,
     z = finite_z(z)
     y0 = finite_start(y0, (2,), "y0")
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense, = integrate_dense([Run(z, h, t0, y0, targets, sing)], rtol=rtol,
-                             atol=atol)
-    return SolutionSampler(dense, 0)
-
-
-class MatrixSolution:
-    """W(t, z) with the transposes of its rows solving the vector system."""
-
-    def __init__(self, dense: DenseSolution, init, t0):
-        self._dense = dense
-        self.z = dense.z
-        self.h = dense.h
-        self.t0 = t0
-        self.init = m = np.asarray(init, dtype=np.complex128)
-        self.det_init = complex(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        self.interval = (dense.lo, dense.hi)
-
-    def eval(self, ts):
-        st = self._dense.eval_state(ts)
-        # state is Y = W^T column-stacked, i.e. the row-major entries of W
-        w = st.reshape(st.shape[:-1] + (2, 2))
-        return w[0] if np.ndim(ts) == 0 else w
-
-    __call__ = eval
-
-    def row_sampler(self, i: int) -> SolutionSampler:
-        """Transposed i-th row of W as a vector solution sampler."""
-        return SolutionSampler(self._dense, i)
-
-    def det_error(self) -> float:
-        """max |det W - det init| over the collocation nodes.
-
-        Near a singular endpoint the entries grow like the inverse distance
-        and the determinant's two products cancel below what float64 can
-        resolve; nodes whose deviation sits inside that representation floor
-        (16 eps times the product magnitudes) are reported as zero, so the
-        result measures genuine integrator drift.
-        """
-        eps = np.finfo(np.float64).eps
-        worst = 0.0
-        for seg in self._dense.segments:
-            y = seg.ys.reshape(-1, 2, 2)
-            det = y[:, 0, 0] * y[:, 1, 1] - y[:, 0, 1] * y[:, 1, 0]
-            err = np.abs(det - self.det_init)
-            floor = 16.0 * eps * (np.abs(y[:, 0, 0] * y[:, 1, 1])
-                                  + np.abs(y[:, 0, 1] * y[:, 1, 0]))
-            err = np.where(err <= floor, 0.0, err)
-            worst = max(worst, float(err.max()))
-        return worst
+    sol, = integrate_dense([Run(z, h, t0, y0, targets, sing)], rtol=rtol,
+                           atol=atol)
+    return sol
 
 
 def fundamental(h: Hamiltonian, z: complex, init=None,
                 t0: Optional[float] = None, side: Optional[Side] = None,
                 cutoff: Optional[float] = None, rtol: float = RK_RTOL,
-                atol: float = RK_ATOL) -> MatrixSolution:
+                atol: float = RK_ATOL) -> Solution:
     """Matrix solution with W(t0) = init (identity at the left endpoint by
     default)."""
     z = finite_z(z)
@@ -911,9 +883,9 @@ def fundamental(h: Hamiltonian, z: complex, init=None,
     check_nonsingular(init, "init")
     state0 = init.reshape(-1)  # row-major entries of W = column-stacked W^T
     targets, sing = _targets_for(h, t0, side, cutoff)
-    dense, = integrate_dense([Run(z, h, t0, state0, targets, sing)],
-                             rtol=rtol, atol=atol)
-    return MatrixSolution(dense, init, t0)
+    sol, = integrate_dense([Run(z, h, t0, state0, targets, sing)],
+                           rtol=rtol, atol=atol)
+    return sol
 
 
 def greens_residual(u, f, x1: float, x2: float) -> complex:

@@ -4,7 +4,8 @@
 change of variable, whose closed forms are the example's at the points
 ``phi_inverse`` gives; ``bessel_w`` is
 the fundamental solution on a side of diag(s^alpha, s^-alpha), s = |t - 1|,
-from Bessel functions.
+from Bessel functions.  ``ClosedFormSampler`` puts an explicit solution
+formula behind the sampler interface of ``canonsys.Solution``.
 """
 
 import numpy as np
@@ -102,3 +103,22 @@ def bessel_w(alpha: float, side: str, z: complex, t: float) -> np.ndarray:
     b = _bessel_basis(alpha, side, complex(z), abs(t - 1.0))
     b0 = _bessel_basis(alpha, side, complex(z), abs(t0 - 1.0))
     return (b @ np.linalg.inv(b0)).T
+
+
+class ClosedFormSampler:
+    """Wrap an explicit solution formula in the sampler interface."""
+
+    def __init__(self, fn, z, h, interval, anchor_t):
+        self._fn = fn
+        self.z = z
+        self.h = h
+        self.interval = interval
+        self.anchor_t = anchor_t
+
+    def eval(self, ts):
+        ts_arr = np.atleast_1d(np.asarray(ts, dtype=np.float64))
+        out = np.stack([np.asarray(self._fn(t), dtype=np.complex128)
+                        for t in ts_arr])
+        return out[0] if np.ndim(ts) == 0 else out
+
+    __call__ = eval

@@ -6,6 +6,7 @@ import pytest
 import canonsys as cs
 from canonsys import boundary, solver
 from conftest import indivisible_problem_dict
+from oracles import ClosedFormSampler
 
 
 def closed_row_sampler(i, z, ih, side):
@@ -13,7 +14,7 @@ def closed_row_sampler(i, z, ih, side):
     h = ih.side(side)
     reg = h.regular_endpoint(side)
     fn = lambda t: cs.closed_W(t, z, ih.s_plus)[i, :]
-    return cs.ClosedFormSampler(fn, z, h, h.interval, reg)
+    return ClosedFormSampler(fn, z, h, h.interval, reg)
 
 
 class TestNeville:
@@ -386,13 +387,13 @@ class TestCombinedSampler:
 
     def count_dense_evals(self, monkeypatch):
         calls = []
-        original = solver.DenseSolution.eval_state
+        original = solver.Solution.eval_state
 
-        def counted(dense, ts):
+        def counted(sol, ts):
             calls.append(ts)
-            return original(dense, ts)
+            return original(sol, ts)
 
-        monkeypatch.setattr(solver.DenseSolution, "eval_state", counted)
+        monkeypatch.setattr(solver.Solution, "eval_state", counted)
         return calls
 
     def test_one_dense_evaluation_per_call(self, example_ih, monkeypatch):
@@ -537,7 +538,7 @@ class TestLinearPairs:
         h = example_ih.h_minus
         for i in (0, 1):
             fn = lambda t, i=i: cs.closed_W(t, z)[i, :]
-            f = cs.ClosedFormSampler(fn, z, h, (0.3, 0.9), 0.6)
+            f = ClosedFormSampler(fn, z, h, (0.3, 0.9), 0.6)
             got = cs.gamma_vec(f, example_ih, "minus").vec
             np.testing.assert_allclose(got, cs.closed_Uminus(z)[i, :],
                                        atol=1e-9)
@@ -682,8 +683,8 @@ def test_gamma_vec_past_the_basis_rejected_before_integrating(example_ih,
     z = 0.4 + 0.8j
     lo, hi = boundary.side_basis(example_ih, "minus", z).solution.interval
     t_a = 1.0 - 5e-8
-    f = cs.ClosedFormSampler(lambda t: cs.closed_W(t, z)[0, :], z,
-                             example_ih.h_minus, (0.5, t_a), t_a)
+    f = ClosedFormSampler(lambda t: cs.closed_W(t, z)[0, :], z,
+                          example_ih.h_minus, (0.5, t_a), t_a)
 
     def integrate(*args, **kwargs):
         raise AssertionError("integrated from an anchor past the basis")

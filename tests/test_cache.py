@@ -109,7 +109,7 @@ def test_round_trips_share_one_basis(integrations, side):
 
 
 def test_u_plus_of_any_v_reads_the_basis(integrations):
-    # U_plus(V) = V.init adj(Phi(V.t0)) U_plus for V anchored anywhere
+    # U_plus(V) = V.init adj(Phi(V.anchor_t)) U_plus for V anchored anywhere
     ih = cs.example_problem()
     z = 1.0 + 2.0j
     cs.monodromy_matrix(ih, z)
@@ -145,7 +145,7 @@ def test_cached_basis_matches_fundamental(side):
 def test_cached_basis_holds_only_solution_columns(side):
     # the functionals are formed in boundary and not kept with the solution
     basis = bd.side_basis(cs.example_problem(), side, 0.4 + 0.9j)
-    for chain in basis.solution._dense.segments:
+    for chain in basis.solution.segments:
         assert chain.ys.shape[1:] == (4,)
         assert chain.coefs.shape[2:] == (4,)
 
@@ -500,7 +500,7 @@ def test_plan_built_once_per_side(monkeypatch):
         assert isinstance(plan, bd.SidePlan)
         for z in (0.5, 1.0 - 2.0j, -3.0 + 0.5j):
             # every panel the chain holds of its first round is the plan's
-            chain = bd.side_basis(ih, side, z).solution._dense.segments[0]
+            chain = bd.side_basis(ih, side, z).solution.segments[0]
             kept = chain.origin[chain.origin >= 0]
             assert len(kept) and np.array_equal(
                 chain.breaks[:-1][chain.origin >= 0], plan.a[kept])
@@ -806,7 +806,7 @@ BATCH_ZS = ([complex(x, y) for x, y in zip(_rng.uniform(-4, 4, 6),
 def _basis_arrays(basis):
     """Every array a cached basis holds: its chains and its pairs."""
     out = []
-    for seg in basis.solution._dense.segments:
+    for seg in basis.solution.segments:
         out += [seg.breaks, seg.ys, seg.hm, seg.coefs, seg.origin]
     for p in basis.pairs:
         out += [np.array([p.gamma_s, p.gamma_r, p.err_est]),
@@ -832,7 +832,7 @@ def test_joint_and_single_side_builds_give_identical_arrays():
             # the plus side's panel next to its deepest extrapolation node,
             # which every z but 0 splits, stands in the plan as its halves,
             # so every chain holds exactly the plan's panels
-            seg, plan = basis.solution._dense.segments[0], _plan(joint, side)
+            seg, plan = basis.solution.segments[0], _plan(joint, side)
             assert seg.origin.tolist() == list(range(len(plan.a)))
 
 
@@ -933,7 +933,7 @@ def test_batched_and_single_builds_give_identical_arrays(make, zs, per_batch,
     batched = bd.side_bases(ih, zs)
     assert ih.cache.per_z_size() == 2 * len(zs)
     if make is _coupled_problem:
-        chain = batched[0][1].solution._dense.segments[0]
+        chain = batched[0][1].solution.segments[0]
         assert (chain.hm[:, 0, 1] != 0.0).all()
     for z, bases in zip(zs, batched):
         for side, basis in zip(("minus", "plus"), bases):

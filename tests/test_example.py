@@ -110,6 +110,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             cs.ExampleConfig(s_plus=1.0)
 
+    @pytest.mark.parametrize("kwargs", [{"b": (0.5,)}, {"oe": -1}])
+    def test_b_length_validated(self, kwargs):
+        # rejected when the config is made, as the problem would reject it
+        with pytest.raises(cs.ConfigError, match="b must have length oe"):
+            cs.ExampleConfig(**kwargs)
+
     def test_closed_p(self):
         cfg = cs.ExampleConfig()  # d0 = -2
         assert cs.closed_p(cfg, 1.0) == pytest.approx(2.0)

@@ -68,7 +68,8 @@ class TestUPlus:
             raise AssertionError("integrated from an anchor past the basis")
 
         monkeypatch.setattr(sv, "integrate_dense", integrate)
-        with pytest.raises(cs.DomainError, match=re.escape(f"t={v.t0}") + ".*"
+        with pytest.raises(cs.DomainError,
+                           match=re.escape(f"t={v.anchor_t}") + ".*"
                            + re.escape(f"[{lo}, {hi}]")):
             cs.u_plus(example_ih, z, v)
 
@@ -94,9 +95,9 @@ class TestUPlus:
     def test_ill_conditioned_v_rejected(self, example_ih):
         # |det V.init| = 10, but it cancels to 5e-14 of its products
         z = 0.9 - 0.6j
-        dense = cs.fundamental(example_ih.h_plus, z, t0=2.0,
-                               side="plus")._dense
-        v = sv.MatrixSolution(dense, [[1e7, 1e7], [1e7, 1e7 + 1e-6]], 2.0)
+        w = cs.fundamental(example_ih.h_plus, z, t0=2.0, side="plus")
+        v = cs.Solution(w.segments, z, w.h, 2.0, np.array(
+            [1e7, 1e7, 1e7, 1e7 + 1e-6], dtype=np.complex128))
         with pytest.raises(cs.DomainError, match="V on the right piece must "
                            "be non-singular"):
             cs.u_plus(example_ih, z, v)

@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 import canonsys as cs
 from canonsys import _chebpanels as cp
+from canonsys import boundary as bd
 from canonsys import solver as sv
 from conftest import random_piecewise_psd
 
@@ -110,6 +111,23 @@ class TestFundamental:
         row0 = w.row_sampler(0)
         np.testing.assert_allclose(row0.eval(0.7), w.eval(0.7)[0, :], atol=1e-13)
 
+    @pytest.mark.parametrize("source", ["minus", "plus", "fundamental"])
+    def test_row_view_is_a_slice_of_the_state(self, example_ih, source):
+        # a side's cached basis or a fundamental result: each row view
+        # shares the solution's chains and takes its row of the same state
+        z = 0.7 - 1.2j
+        if source == "fundamental":
+            w = cs.fundamental(example_ih.h_minus, z, side="minus")
+        else:
+            w = bd.side_basis(example_ih, source, z).solution
+        lo, hi = w.interval
+        for i in (0, 1):
+            row = w.row_sampler(i)
+            assert row.base is w and row.segments is w.segments
+            assert row.interval == w.interval
+            for ts in (lo + 0.3 * (hi - lo), np.linspace(lo, hi, 7)):
+                assert np.array_equal(row.eval(ts), w.eval(ts)[..., i, :])
+
     @pytest.mark.parametrize("side, t0", [
         ("minus", 0.0), ("minus", 0.5), ("plus", 2.0), ("plus", 1.5)])
     def test_value_at_the_anchor_is_init(self, example_ih, side, t0):
@@ -190,7 +208,7 @@ class TestFundamental:
 
 
 def _panels(w):
-    return sum(len(seg.ts) - 1 for seg in w._dense.segments)
+    return sum(len(seg.ts) - 1 for seg in w.segments)
 
 
 def _panel_bases_interleaved(z, a, b, hm):

@@ -13,8 +13,11 @@ each in its own interpreter:
   the coupled ones of the other in one batch;
 - the bases of both sides at 40 seeded z: each chain's breaks, node states,
   H at the nodes and Chebyshev coefficients, the solution's values at
-  ``N_POINTS`` evenly spaced points of its range, and each boundary pair with
-  its error estimate and samples;
+  ``N_POINTS`` evenly spaced points of its range, the values of each of its
+  rows (``row_sampler``) and of the shot ``solve_from_gamma`` at one seeded
+  c there, and each boundary pair with its error estimate and samples;
+- at those 40 z, ``fundamental`` on the minus side at ``N_POINTS`` points of
+  its range, and its ``det_error``;
 - at those 40 z, the boundary pairs (with error estimates and samples) of
   ``gamma_columns_batch`` runs anchored at the identity at ``ANCHORS``:
   each side's midpoint, the breaks 0.875 and 1.125 of the side plans, and
@@ -135,6 +138,7 @@ def dump(far: bool) -> dict:
             out[f"indivisible {side} monodromy[{k}] z={z}"] = _attempt(
                 lambda: cs.monodromy_matrix(ih, z))
     ih = _fresh_problem(cs, far)
+    shot_c = np.random.default_rng(SEED + 4).normal(size=(2, 2)) @ [1.0, 1.0j]
     for k, z in enumerate(_grid(40, SEED + 1)):
         for side in ("minus", "plus"):
             basis = _attempt(lambda: bd.side_basis(ih, side, z))
@@ -142,13 +146,25 @@ def dump(far: bool) -> dict:
             if isinstance(basis, str):
                 out[key] = basis
                 continue
-            for c, seg in enumerate(basis.solution._dense.segments):
+            sol = basis.solution
+            # an older checkout keeps the chains behind a private wrapper
+            for c, seg in enumerate(getattr(sol, "_dense", sol).segments):
                 for name in ("breaks", "ys", "hm", "coefs"):
                     out[f"{key} chain {c} {name}"] = getattr(seg, name)
-            out[f"{key} values"] = basis.solution.eval(
-                np.linspace(*basis.solution.interval, N_POINTS))
+            ts = np.linspace(*sol.interval, N_POINTS)
+            out[f"{key} values"] = sol.eval(ts)
             for r, p in enumerate(basis.pairs):
                 out[f"{key} pair {r}"] = _pair(p)
+                out[f"{key} row {r} values"] = sol.row_sampler(r).eval(ts)
+            out[f"{key} shot values"] = _attempt(
+                lambda: cs.solve_from_gamma(ih, side, z, shot_c).eval(ts))
+        w = _attempt(lambda: cs.fundamental(ih.h_minus, z, side="minus"))
+        key = f"fundamental[{k}] minus z={z}"
+        if isinstance(w, str):
+            out[key] = w
+        else:
+            out[f"{key} values"] = w.eval(np.linspace(*w.interval, N_POINTS))
+            out[f"{key} det_error"] = w.det_error()
         anchors = [(side, 0.5 * sum(ih.side(side).interval) if t is None
                     else t) for side, t in ANCHORS]
         found = _attempt(lambda: bd.gamma_columns_batch(
