@@ -6,7 +6,8 @@ significant digits, JSON is emitted with sorted keys, and z grids run
 serially, in input order.  The ``monodromy``, ``regbv``, ``kernel-signature``
 and ``weyl`` grids are taken in chunks (``boundary.z_chunks``): the bases of
 a chunk are integrated in one batch and read before the next chunk is
-built.  ``--jobs`` is validated and has no effect.
+built; ``fundamental`` integrates the fundamental solutions of each chunk
+in one batch.  ``--jobs`` is validated and has no effect.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def _finite_complex(value, what: str) -> complex:
         return complex(_number(value[0], what), _number(value[1], what))
     if not isinstance(value, str):
         return complex(_number(value, what))
+    text = value.strip()  # only a trailing i is the unit: "inf" keeps its i
     try:
-        z = complex(value.strip().replace("i", "j"))
+        z = complex(text[:-1] + "j" if text.endswith("i") else text)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse complex number {value!r} in {what}") from exc
     if not cmath.isfinite(z):
@@ -243,15 +245,20 @@ def _cmd_fundamental(args):
     side = args.side
     h = ih.side(side)
     # the solution's range: from the regular endpoint to the default cutoff
-    reg, sing = h.regular_endpoint(side), h.singular_endpoint(side)
-    stop = sing - math.copysign(sv.EPS_CUT_FRAC * h.length, sing - reg)
+    reg = h.regular_endpoint(side)
+    (stop,), sing = sv._targets_for(h, reg, side, None)
     ts = _t_grid_from(args, cfg, np.linspace(*h.interval, 9)[1:-1],
                       min(reg, stop), max(reg, stop))
 
     rows = []
-    for z in zs:
-        w = sv.fundamental(h, z, side=side, t0=reg)
-        rows += [_w_row(t, z, w.eval(t), w.det_error()) for t in ts]
+    # sv.fundamental(h, z, side=side, t0=reg) of a chunk's z in one batch
+    for chunk in bd.z_chunks(ih, zs, ()):
+        runs = [sv.Run(z, h, reg, np.eye(2).ravel(), [stop], sing)
+                for z in chunk]
+        for z, w in zip(chunk, sv.integrate_dense(runs)):
+            det_err = w.det_error()
+            rows += [_w_row(t, z, wt, det_err)
+                     for t, wt in zip(ts, w.eval(ts))]
     _emit(args, _csv(rows, _W_HEADER))
     return 0
 

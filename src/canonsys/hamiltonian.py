@@ -102,20 +102,25 @@ class PackedEntry:
         t = np.asarray(t, dtype=np.float64)
         if t.ndim == 0:
             return float(self(t[None])[0])
-        idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1,
-                      0, len(self.kinds) - 1)
-        out = np.empty_like(t)
         # |t-a|^p is inf at the singular point for p < 0, and large
         # parameters overflow; callers treat non-finite entries as errors
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if len(self.kinds) == 1:  # no piece to search for
+                return self._piece(0, t)
+            idx = np.clip(np.searchsorted(self.breaks, t, side="right") - 1,
+                          0, len(self.kinds) - 1)
+            out = np.empty_like(t)
             for k in np.unique(idx):
                 m = idx == k
-                if self.kinds[k] == KIND_POWER:
-                    c, a, p = self.params[k, :3]
-                    out[m] = 0.0 if c == 0.0 else c * np.abs(t[m] - a) ** p
-                else:
-                    out[m] = _poly.polyval(t[m], self.params[k])
+                out[m] = self._piece(k, t[m])
         return out
+
+    def _piece(self, k: int, t: np.ndarray) -> np.ndarray:
+        """Piece ``k``'s formula at every point of ``t``."""
+        if self.kinds[k] == KIND_POWER:
+            c, a, p = self.params[k, :3]
+            return np.zeros_like(t) if c == 0.0 else c * np.abs(t - a) ** p
+        return _poly.polyval(t, self.params[k])
 
     @property
     def is_zero(self) -> bool:
@@ -222,6 +227,15 @@ class Hamiltonian:
     def is_diagonal(self) -> bool:
         """Whether h3 is zero everywhere; checked once per Hamiltonian."""
         return self.h3.is_zero
+
+    @functools.cached_property
+    def samples(self):
+        """(ts, H(ts)) at the ``_interior_samples`` of the whole interval,
+        read-only: the structural checks' points, evaluated once."""
+        ts, ms = _sampled(self, *self.interval)
+        ts.setflags(write=False)
+        ms.setflags(write=False)
+        return ts, ms
 
     def matrix(self, ts):
         """H at an array of points, shape (len(ts), 2, 2); no domain check."""
@@ -339,11 +353,15 @@ def _interior_samples(a: float, b: float) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * x
 
 
+def _sampled(h: Hamiltonian, a: float, b: float):
+    ts = _interior_samples(a, b)
+    return ts, h.matrix(ts)
+
+
 def check_psd(h: Hamiltonian):
     """Max relative negative eigenvalue over sampled points; ConfigError
     above ``TOL_PSD``."""
-    ts = _interior_samples(*h.interval)
-    ms = h.matrix(ts)
+    ts, ms = h.samples
     if not np.all(np.isfinite(ms)):
         bad = ts[~np.all(np.isfinite(ms.reshape(len(ts), 4)), axis=1)]
         raise EvaluationError(f"non-finite Hamiltonian entries near t={bad[:3]}")
@@ -370,8 +388,7 @@ def indivisible_type(h: Hamiltonian, a: float, b: float) -> IndivisibleReport:
     lo, hi = h.interval
     if not (lo <= a < b <= hi):
         raise DomainError(f"need {lo} <= a < b <= {hi}, got ({a}, {b})")
-    ts = _interior_samples(a, b)
-    ms = h.matrix(ts)
+    ts, ms = h.samples if (a, b) == h.interval else _sampled(h, a, b)
     peak = np.abs(ms).max()
     if peak <= 1e-300:
         raise IndeterminateError(

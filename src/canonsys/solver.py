@@ -561,22 +561,28 @@ def refined_round(h: Hamiltonian, rnd: FirstRound) -> FirstRound:
     panel whose basis is not finite at the probe, or that is too narrow to
     split, stays whole, so refining raises nothing: its chain fails or
     splits it as it would in an unrefined round."""
-    z = PROBE_Z
-    phi, _ = _panel_bases(z, z * z, rnd.a, rnd.b, rnd.hm)
-    split = (~_resolved(rnd.a, rnd.b, phi, RK_RTOL, RK_ATOL)
-             & np.isfinite(phi).all(axis=(1, 2, 3))
-             & ~_too_narrow(rnd.a, rnd.b))
-    a, b, hm = rnd.a, rnd.b, rnd.hm
+    z, a, b, hm = PROBE_Z, rnd.a, rnd.b, rnd.hm
+    d = _diagonal(hm)
+    schur = _schur_factors(0.5 * (b[d] - a[d]), hm[d])
+    phi, _ = _panel_bases(z, z * z, a, b, hm, [(len(a), schur)])
+    split = (~_resolved(a, b, phi, RK_RTOL, RK_ATOL)
+             & np.isfinite(phi).all(axis=(1, 2, 3)) & ~_too_narrow(a, b))
     if split.any():
-        # each split panel's place holds its two halves, in integration order
+        # each split panel's place holds its two halves, in integration
+        # order; only the halves' tables are formed
         idx = np.repeat(np.arange(len(a)), np.where(split, 2, 1))
         at = np.flatnonzero(split[idx])
         a, b, hm = a[idx], b[idx], hm[idx]
         a[at], b[at] = halves(rnd.a[split], rnd.b[split])
         hm[at] = _h_at_nodes(h, a[at], b[at])
-    d = _diagonal(hm)
-    schur = tuple(map(_frozen, _schur_factors(0.5 * (b[d] - a[d]), hm[d])))
-    return FirstRound(_frozen(a), _frozen(b), _frozen(hm), schur)
+        row = (np.cumsum(d) - 1)[idx]  # a whole panel's row of the tables
+        d = _diagonal(hm)
+        half = split[idx][d]
+        fresh = _schur_factors(0.5 * (b[d][half] - a[d][half]), hm[d][half])
+        pick = np.where(half, len(schur[0]) + np.cumsum(half) - 1, row[d])
+        schur = [np.concatenate(t)[pick] for t in zip(schur, fresh)]
+    return FirstRound(_frozen(a), _frozen(b), _frozen(hm),
+                      tuple(map(_frozen, schur)))
 
 
 class _Chain:

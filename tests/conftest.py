@@ -88,3 +88,17 @@ def indivisible_problem_dict(phi, side, c=1.5):
     problem = cs.example_problem_dict()
     problem["h_" + side] = indiv
     return problem
+
+
+def count_calls(monkeypatch, module, name, calls, sizes=None):
+    """Wrap ``module.name``: each call appends ``name`` to ``calls`` and,
+    when ``sizes`` is given, the length of its first argument to it."""
+    orig = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        if sizes is not None:
+            sizes.append(len(args[0]))
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, counted)

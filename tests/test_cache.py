@@ -23,7 +23,7 @@ from canonsys import boundary as bd
 from canonsys import hamiltonian as hm_mod
 from canonsys import solver as sv
 from canonsys.cli import main
-from conftest import indivisible_problem_dict
+from conftest import count_calls, indivisible_problem_dict
 
 
 def _kind(run):
@@ -331,16 +331,6 @@ def _plan(ih, side):
     return ih.memo(("plan", side), lambda: pytest.fail("plan not kept"))
 
 
-def _count_calls(monkeypatch, module, name, calls):
-    orig = getattr(module, name)
-
-    def counted(*args):
-        calls.append(name)
-        return orig(*args)
-
-    monkeypatch.setattr(module, name, counted)
-
-
 FAR_Z = 28.0 + 28.0j  # splits panel 0 of both sides beyond the plans
 NEAR_Z = 0.5 + 0.5j   # splits no panel beyond them
 
@@ -355,8 +345,8 @@ def test_fresh_z_evaluates_h_only_on_split_panels(monkeypatch):
         return matrix(self, ts)
 
     monkeypatch.setattr(cs.Hamiltonian, "matrix", counted)
-    _count_calls(monkeypatch, sv, "_panel_bases", calls)
-    _count_calls(monkeypatch, bd, "neville_limit", calls)
+    count_calls(monkeypatch, sv, "_panel_bases", calls)
+    count_calls(monkeypatch, bd, "neville_limit", calls)
     n = cp.DEGREE + 1
     cs.monodromy_matrix(ih, 0.3 - 1.1j)
     # the first z builds both plans: H on the first round's panels, one
@@ -648,7 +638,7 @@ def test_midpoint_run_evaluates_no_h_and_forms_no_table(monkeypatch):
     ih = cs.example_problem()
     bd.side_bases(ih, [1j])
     calls = []
-    _count_calls(monkeypatch, sv, "_schur_factors", calls)
+    count_calls(monkeypatch, sv, "_schur_factors", calls)
     matrix = cs.Hamiltonian.matrix
     monkeypatch.setattr(cs.Hamiltonian, "matrix",
                         lambda self, ts: calls.append("matrix")

@@ -162,6 +162,22 @@ class TestInputValidation:
         assert code == 2
         assert token in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["inf", "1+infi", "infj"])
+    @pytest.mark.parametrize("argv", [["weyl", "--z", "1j,{}"],
+                                      ["monodromy", "--z-grid", "1,{}"],
+                                      ["kernel-signature", "--points",
+                                       "1j,{}"]])
+    def test_infinite_z_is_non_finite(self, argv, value, capsys):
+        # only a trailing imaginary unit i is read as j: "inf" was "jnf"
+        argv = argv[:-1] + [argv[-1].format(value)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert f"non-finite complex number {value!r} in {argv[-2]}" in err
+
+    def test_trailing_i_is_the_imaginary_unit(self):
+        for text, z in (("1+2i", 1 + 2j), (" 2.5i ", 2.5j), ("-i", -1j)):
+            assert cli._finite_complex(text, "--z") == z
+
     @pytest.mark.parametrize("z_grid, token", [
         ([[1.0, float("nan")]], "nan"),
         (["1+1j", "x"], "'x'"),
@@ -359,6 +375,22 @@ class TestSubcommands:
             "t", "z_re", "z_im", "W11_re", "W11_im", "W12_re", "W12_im",
             "W21_re", "W21_im", "W22_re", "W22_im", "det_err"]
         assert len(lines) == 1 + 4
+
+    def test_fundamental_grid_is_fundamental_z_by_z(self, capsys):
+        # 5 z: two batches; each row the bits of the API's own solution
+        zs, ts = [1 + 1j, 2j, 0.5, 3 - 1j, 1j], [0.125, 0.5, 0.875]
+        code, out, _ = run_cli(["fundamental", "--z-grid",
+                                ",".join(map(repr, zs)), "--t-grid",
+                                ",".join(map(repr, ts))], capsys)
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.strip().splitlines()[1:]]
+        ih = cs.example_problem()
+        want = []
+        for z in zs:
+            w = cs.fundamental(ih.h_minus, z, side="minus", t0=0.0)
+            want += [cli._w_row(t, z, w.eval(t), w.det_error()) for t in ts]
+        assert rows == want
 
     def test_wpoly_csv(self, capsys):
         code, out, _ = run_cli(["wpoly", "--side", "minus", "--n", "1",

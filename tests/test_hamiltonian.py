@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canonsys as cs
+from canonsys.hamiltonian import PackedEntry
 from conftest import random_piecewise_psd
 
 
@@ -51,6 +53,41 @@ class TestEvalH:
             eig = np.linalg.eigvalsh(h.matrix(ts))
             scale = np.maximum(np.abs(eig).max(axis=1), 1e-300)
             assert (eig[:, 0] / scale).min() >= -1e-10
+
+
+class TestPackedEntry:
+    @staticmethod
+    def entry(e, cuts):
+        """h1 of a piecewise spec on [0, 1] with the entry ``e`` on each
+        piece between ``cuts``."""
+        pieces = [{"interval": [a, b], "h1": e}
+                  for a, b in zip(cuts[:-1], cuts[1:])]
+        return cs.hamiltonian_from_spec({"kind": "piecewise",
+                                         "pieces": pieces}, (0.0, 1.0)).h1
+
+    @pytest.mark.parametrize("e", [
+        {"type": "power", "c": 1.5, "center": 0.5, "exponent": -2},
+        {"type": "power", "c": 0.7, "center": 0.25, "exponent": 0.5},
+        {"type": "power", "c": 0.0, "center": 0.5, "exponent": -2},
+        {"type": "poly", "coeffs": [0.3, -1.0, 2.0]},
+        {"type": "const", "value": 4.0}])
+    def test_one_piece_gives_the_bits_of_searched_pieces(self, e):
+        # one piece skips the piece search; the same piece on both halves
+        # goes through it.  Points outside the breaks, the break 0.5, NaN,
+        # and 0.5 the centre of the negative power, inf without a warning
+        one, two = self.entry(e, [0.0, 1.0]), self.entry(e, [0.0, 0.5, 1.0])
+        t = np.array([-0.5, 0.0, 0.1, 0.25, 0.5, 0.7, 1.0, 1.5, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = one(t), two(t)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        if e.get("exponent") == -2:
+            assert got[4] == (np.inf if e["c"] else 0.0)
+        if e.get("c") == 0.0:  # +0.0 everywhere, NaN included
+            assert not np.signbit(got).any() and not got.any()
+        for x in (0.25, 0.5):  # a scalar t gives a Python float
+            assert type(one(x)) is float and type(two(x)) is float
+            assert np.float64(one(x)).tobytes() == got[t == x].tobytes()
 
 
 class TestIndivisible:
@@ -118,6 +155,30 @@ class TestIndivisible:
         h = cs.hamiltonian_from_spec(spec, (0.0, 1.0))
         with pytest.raises(cs.IndeterminateError):
             cs.indivisible_type(h, 0.0, 1.0)
+
+    def test_structural_samples_taken_once(self):
+        # a problem's PSD and indivisibility checks read each side's H at
+        # the 241 samples of one evaluation; a sub-interval samples itself
+        sizes = []
+
+        class Counted(PackedEntry):
+            def __call__(self, t):
+                sizes.append(np.size(t))
+                return super().__call__(t)
+
+        ex = cs.example_problem()
+        h_minus, h_plus = (cs.Hamiltonian(h.interval, *(
+            Counted(e.breaks, e.kinds, e.params) for e in (h.h1, h.h2, h.h3)))
+            for h in (ex.h_minus, ex.h_plus))
+        ih = cs.indef_hamiltonian(h_minus, h_plus, ex.delta, ex.d)
+        assert sizes == [241] * 6  # h1, h2, h3 of each side
+        for h, h0, rep in ((h_minus, ex.h_minus, ih.indiv_minus),
+                           (h_plus, ex.h_plus, ih.indiv_plus)):
+            assert cs.check_psd(h) == cs.check_psd(h0)
+            assert cs.indivisible_type(h, *h.interval) == rep
+        assert sizes == [241] * 6
+        cs.indivisible_type(h_plus, 1.0, 1.5)
+        assert sizes == [241] * 9
 
 
 class TestConditions:

@@ -6,7 +6,8 @@ import canonsys as cs
 from canonsys import _chebpanels as cp
 from canonsys import boundary as bd
 from canonsys import solver as sv
-from conftest import random_piecewise_psd
+from conftest import (count_calls, indivisible_problem_dict,
+                      random_piecewise_psd)
 
 J = cs.symplectic_j()
 
@@ -404,6 +405,53 @@ class TestCollocation:
                 sv.integrate_dense([run])
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+    @staticmethod
+    def plan_round(problem, side):
+        """The side plan's unrefined first round, rebuilt from its span."""
+        cs.monodromy_matrix(problem, 1j)
+        plan = problem.memo(("plan", side), lambda: pytest.fail("no plan"))
+        h = problem.side(side)
+        rnd = sv.first_round(h, float(plan.a[0]), float(plan.b[-1]),
+                             h.singular_endpoint(side))
+        return h, rnd, plan
+
+    @pytest.mark.parametrize("case", ["example-plus", "indivisible-minus",
+                                      "indivisible-plus", "non-finite"])
+    def test_kept_tables_are_fresh_ones_formed_once(self, case, monkeypatch):
+        plan = None
+        if case == "non-finite":  # the round of the test above
+            h = cs.identity_hamiltonian((0.0, 1.0))
+            rnd = sv.first_round(h, 0.0, 1.0, None)
+            hm = rnd.hm.copy()
+            hm[0, 3, 0, 0], hm[0, 5, 1, 1] = np.inf, np.nan
+            rnd = sv.FirstRound(rnd.a, rnd.b, hm)
+        elif case == "example-plus":
+            h, rnd, plan = self.plan_round(cs.example_problem(), "plus")
+        else:
+            problem = cs.problem_from_dict(indivisible_problem_dict(0.7,
+                                                                    "plus"))
+            h, rnd, plan = self.plan_round(problem, case.split("-")[1])
+        schur, formed = sv._schur_factors, []
+        count_calls(monkeypatch, sv, "_schur_factors", [], formed)
+        kept = sv.refined_round(h, rnd)
+        if plan is not None:  # the round the problem keeps
+            assert all(x.tobytes() == y.tobytes() for x, y in
+                       zip((kept.a, kept.b, kept.hm, *kept.schur),
+                           (plan.a, plan.b, plan.hm, *plan.schur)))
+        d = sv._diagonal(kept.hm)
+        fresh = schur(0.5 * (kept.b[d] - kept.a[d]), kept.hm[d])
+        assert all(x.shape == y.shape and x.tobytes() == y.tobytes()
+                   for x, y in zip(kept.schur, fresh))
+        # each panel's tables formed once: the round's diagonal panels
+        # before the probe, then the diagonal halves of the split ones
+        whole = np.isin(kept.a, rnd.a) & np.isin(kept.b, rnd.b)
+        want = [int(sv._diagonal(rnd.hm).sum())]
+        if not whole.all():
+            want.append(int((d & ~whole).sum()))
+        assert formed == want
+        if case == "example-plus":  # the probe halves one panel
+            assert len(kept.a) == len(rnd.a) + 1 and formed == [23, 2]
 
     def test_diagonal_example_solves_only_schur_systems(self, monkeypatch):
         shapes = self.solved_shapes(monkeypatch)
