@@ -51,18 +51,24 @@ one of the plan's breaks, far enough from sigma to end at the plan's last
 node (every side's midpoint is), on a side that is not indivisible, starts
 from the plan's tail (``_plan_tail``): views of the plan from that break
 on, with w_n at the anchor, so it evaluates neither H, nor w_Delta, nor a
-Schur table of those panels either.  Runs from any other anchor build
-their own first round, and nothing is kept per anchor.  y2 and S at the
-extrapolation nodes come from one evaluation on the chain's panels.
+Schur table of those panels either; a tail is kept per serving break
+(``("tail", side, t, end)``).  Runs from any other anchor build their own
+first round, and nothing is kept for them.  y2 and S at the extrapolation
+nodes come from one evaluation on the chain's panels.
 
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
 ``side_basis``, the fundamental solution Phi anchored to the identity at the
 regular endpoint, integrated out to the last extrapolation node, together
-with the boundary pairs of its two rows (the rows of the boundary matrix U);
-``side_bases`` reads several sides and z.  The cache keeps at most
-``hamiltonian.PER_Z_CAP`` such entries (32 z on both sides), least recently
-used evicted first.
+with the boundary pairs of its two rows (the rows of the boundary matrix U)
+and the propagators of its chain's panels; ``side_bases`` reads several
+sides and z.  The cache keeps at most ``hamiltonian.PER_Z_CAP`` such
+entries (32 z on both sides), least recently used evicted first.  A run
+from a plan tail at a z whose basis is cached takes the basis's resolved
+panels from the tail's break on (``_basis_tail``) and solves no
+collocation system: a run from a break of the plan resolves the same
+panels as the basis, to the same bits.  Without a cached basis it
+collocates from the tail; no basis is built for it.
 
 The boundary map is linear and the solutions of a side are y = Phi^T c, so
 every pair is read off that basis: ``SideBasis.pair(c)`` is U^T c, with
@@ -277,12 +283,14 @@ class SidePlan(sv.FirstRound):
     ``solver.refined_round``), and, on a side that is not indivisible,
     w_Delta^T H at those nodes, (P, DEGREE + 1, 2), and w_n at the chain's
     start for n <= Delta, (Delta + 1, 2): the regular endpoint, or the
-    anchor of a tail (``_plan_tail``).  Built once, read-only and kept on
-    the problem under ``("plan", side)`` for its life; a tail is not
-    kept."""
+    anchor of a tail (``_plan_tail``), and ``start``, the index in the
+    plan of the chain's first panel (0 for the plan itself).  Built once,
+    read-only and kept on the problem under ``("plan", side)`` for its
+    life; a tail is kept per serving break (``_plan_tail``)."""
 
     wh: Optional[np.ndarray] = None
     w_reg: Optional[np.ndarray] = None
+    start: int = 0
 
 
 def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
@@ -318,12 +326,19 @@ def _plan_tail(ih: IndefHamiltonianA, side: Side, t: float,
     w_Delta^T H are then the bits the run would form itself, except that a
     panel the probe halved stands as its halves, as in a run from the
     regular endpoint.  The tail is views of the plan, with w_n at t in
-    place of w_n at the regular endpoint.  The test reads breaks alone, so
-    no plan is built for an anchor that is no break, and nothing is kept
-    per anchor.  A run ends at the plan's last node when |t - sigma| is at
-    least 2 EPS0_FRAC times the side's length (``node_distances``), and a
-    side's midpoint is its plan's first geometric break.
+    place of w_n at the regular endpoint, and is kept in the problem's
+    fixed store under ``("tail", side, t, end)``: a tail is kept per serving
+    break, so its test and w_n at t run once per problem.  The test reads
+    breaks alone, so no plan is built and nothing is kept for an anchor
+    that does not serve.  A run ends at the plan's last node when
+    |t - sigma| is at least 2 EPS0_FRAC times the side's length
+    (``node_distances``), and a side's midpoint is its plan's first
+    geometric break.
     """
+    key = ("tail", side, t, end)
+    tail = ih.cache.get(key)
+    if tail is not None:
+        return tail
     h, sing = ih.side(side), ih.sigma
     reg = h.regular_endpoint(side)
     if end != float(_extrapolation_nodes(h, sing, reg)[1][-1]):
@@ -332,13 +347,45 @@ def _plan_tail(ih: IndefHamiltonianA, side: Side, t: float,
     own = sv._initial_breaks(h, t, end, sing)
     if not np.array_equal(own, full[len(full) - len(own):]):
         return None
-    plan = _side_plan(ih, side, h, reg, end, sing)
-    k = int(np.flatnonzero(plan.a == t)[0])  # a probe halves no break
-    d = int(np.count_nonzero(sv._diagonal(plan.hm[:k])))
-    w_t = np.array([f(t) for f in wp.w_family_for(ih, side)[:ih.delta + 1]])
-    w_t.setflags(write=False)
-    return SidePlan(plan.a[k:], plan.b[k:], plan.hm[k:],
-                    tuple(tab[d:] for tab in plan.schur), plan.wh[k:], w_t)
+
+    def build():
+        plan = _side_plan(ih, side, h, reg, end, sing)
+        k = int(np.flatnonzero(plan.a == t)[0])  # a probe halves no break
+        d = int(np.count_nonzero(sv._diagonal(plan.hm[:k])))
+        w_t = np.array([f(t) for f in
+                        wp.w_family_for(ih, side)[:ih.delta + 1]])
+        w_t.setflags(write=False)
+        return SidePlan(plan.a[k:], plan.b[k:], plan.hm[k:],
+                        tuple(tab[d:] for tab in plan.schur), plan.wh[k:],
+                        w_t, k)
+
+    return ih.memo(key, build)
+
+
+def _basis_tail(ih: IndefHamiltonianA, side: Side, z: complex,
+                tail: SidePlan) -> Optional[tuple]:
+    """The resolved panels of the side's cached basis at ``z`` from the
+    first break of the plan tail ``tail`` on, as ``solver.Run.solved``
+    takes them for a run that starts from that tail; None when no basis at
+    this z is cached (never built, or evicted), which is not built here.
+
+    A run from a break of the plan solves the panels of the tail, splits
+    them and resolves their halves exactly as the basis, which starts from
+    the plan, did at the same z: every step treats a panel alike whatever
+    else is in its chain or batch.  So its breaks, H at the nodes and
+    propagators ``phi`` are the basis's from that break on, and their index
+    in the first round (``origin``) is the basis's shifted to the tail."""
+    basis = ih.cache.get((PER_Z_KIND, side, z))
+    # a zero of another sign is the same cache key, but not the same bits
+    if basis is None or repr(basis.solution.z) != repr(z):
+        return None
+    chain = basis.solution.segments[0]
+    j = int(np.flatnonzero(chain.breaks == tail.a[0])[0])
+    origin = chain.origin[j:]
+    return (chain.breaks[j:-1], chain.breaks[j + 1:],
+            np.where(origin < 0, -1, origin - tail.start),
+            chain.hm.reshape(-1, cp.DEGREE + 1, 2, 2)[j:],
+            basis.phi[j:])
 
 
 class _Limited(NamedTuple):
@@ -476,8 +523,11 @@ def _runs(ih: IndefHamiltonianA, requests):
     to which the run also integrates from an interior anchor; on any other
     side they are the limits at sigma.  A run from the regular endpoint
     starts from the side's plan (``_side_plan``), one from an interior
-    anchor where it serves from the plan's tail (``_plan_tail``).  Returns
-    per request (``solver.Solution``, one RegularisedBoundary per column).
+    anchor where it serves from the plan's tail (``_plan_tail``), and, when
+    the side's basis at its z is cached, from that basis's resolved panels
+    beyond the tail's break (``_basis_tail``), so it solves no panel.
+    Returns per request (``solver.Solution``, one RegularisedBoundary per
+    column, the propagators ``phi`` of its chains, ``Integration.phi``).
     """
     runs, grids = [], []
     for side, z, t_anchor, y_cols in requests:
@@ -492,6 +542,7 @@ def _runs(ih: IndefHamiltonianA, requests):
         hs, xs = _extrapolation_nodes(h, sing, t_anchor)
         indivisible = ih.indivisible(side).is_indivisible
         targets = [float(xs[-1])]
+        solved = None
         if t_anchor == reg:
             plan = _side_plan(ih, side, h, reg, targets[0], sing)
         elif indivisible:
@@ -501,8 +552,10 @@ def _runs(ih: IndefHamiltonianA, requests):
             targets.append(reg)
         else:
             plan = _plan_tail(ih, side, t_anchor, targets[0])
+            if plan is not None:
+                solved = _basis_tail(ih, side, z, plan)
         runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), targets,
-                           sing, plan))
+                           sing, plan, solved))
         grids.append((indivisible, reg, hs, xs, plan))
     sols = sv.integrate_dense(runs)
     pairs, limited = [], []
@@ -521,7 +574,7 @@ def _runs(ih: IndefHamiltonianA, requests):
     if limited:
         found = iter(_limit_pairs(ih, limited))
         pairs = [next(found) if p is None else p for p in pairs]
-    return list(zip(sols, pairs))
+    return list(zip(sols, pairs, sols.phi))
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -545,7 +598,7 @@ def gamma_columns_batch(ih: IndefHamiltonianA, requests) -> list:
     reqs = [(side, sv.finite_z(z), t_anchor,
              np.asarray(y_cols, dtype=np.complex128).reshape(2, -1))
             for side, z, t_anchor, y_cols in requests]
-    return [pairs for _, pairs in _runs(ih, reqs)]
+    return [pairs for _, pairs, _ in _runs(ih, reqs)]
 
 
 def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
@@ -565,11 +618,15 @@ def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
 @dataclass(frozen=True)
 class SideBasis:
     """Fundamental solution Phi of one side, identity at its regular
-    endpoint, and the boundary pairs of its two rows (rows of the boundary
-    matrix U)."""
+    endpoint, the boundary pairs of its two rows (rows of the boundary
+    matrix U), and the propagators ``phi`` of its chain's panels
+    (read-only, ``solver.Integration.phi``), which a run from a break of
+    the side plan at the same z takes in place of solving those panels
+    (``_basis_tail``)."""
 
     solution: sv.Solution
     pairs: tuple
+    phi: np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
@@ -597,14 +654,14 @@ def _build_bases(ih: IndefHamiltonianA, todo) -> dict:
 
     One integration gives each basis: the solution is the dense output of
     the pairs' run, from the regular endpoint to the last extrapolation
-    node.
+    node, one chain, whose propagators the basis keeps.
     """
     eye = np.eye(2, dtype=np.complex128)
     runs = _runs(ih, [(side, z, ih.side(side).regular_endpoint(side), eye)
                       for side, z in todo])
     return {(side, z): ih.cache.store((PER_Z_KIND, side, z),
-                                      SideBasis(sol, tuple(pairs)))
-            for (side, z), (sol, pairs) in zip(todo, runs)}
+                                      SideBasis(sol, tuple(pairs), phi))
+            for (side, z), (sol, pairs, (phi,)) in zip(todo, runs)}
 
 
 def z_chunks(ih: IndefHamiltonianA, zs, sides=("minus", "plus")):

@@ -188,16 +188,42 @@ def reference_W(cfg: ExampleConfig, t: float, z: complex) -> np.ndarray:
 
 
 DEFAULT_Z_GRID = (1.0, -1.0, 1j, -1j, np.pi, 2.0 + 3.0j)
-DEFAULT_T_GRID = (0.25, 0.5, 1.5, 2.0)
+
+
+def default_t_grid(s_plus: float) -> tuple:
+    """The t grid of ``run_validation`` when none is given: 0.25 and 0.5
+    left of sigma, and right of it the midpoint of sigma and s_plus and
+    s_plus itself; (0.25, 0.5, 1.5, 2.0) at the default s_plus = 2."""
+    return (0.25, 0.5, 0.5 * (SIGMA + s_plus), s_plus)
+
+
+def _checked_t_grid(t_grid, s_plus: float) -> list:
+    """The points of ``t_grid`` as floats; DomainError naming ``t_grid``
+    and the point when one is not a finite number in [S_MINUS, s_plus]
+    other than sigma."""
+    ts = []
+    for t in t_grid:
+        try:
+            x = float(t)
+        except (TypeError, ValueError):
+            x = math.nan
+        if not (S_MINUS <= x <= s_plus and x != SIGMA):  # NaN fails too
+            raise DomainError(f"t_grid point {t!r} must be a finite number "
+                              f"in [{S_MINUS}, {s_plus}] other than sigma "
+                              f"= {SIGMA}")
+        ts.append(x)
+    return ts
 
 
 def run_validation(cfg: ExampleConfig = ExampleConfig(),
-                   z_grid=DEFAULT_Z_GRID, t_grid=DEFAULT_T_GRID,
+                   z_grid=DEFAULT_Z_GRID, t_grid=None,
                    threshold: float = 1e-6) -> dict:
     """Run the numeric pipeline on the built-in problem and diff every
     artifact against its closed form; returns max abs errors per artifact.
-    A ``threshold`` that is not a finite number >= 0 raises DomainError
-    before anything is integrated."""
+    ``t_grid`` defaults to ``default_t_grid(cfg.s_plus)``.  A ``threshold``
+    that is not a finite number >= 0, or a ``t_grid`` point that is not a
+    finite number on the problem's interval other than sigma, raises
+    DomainError before anything is integrated."""
     try:
         limit = float(threshold)
     except (TypeError, ValueError):
@@ -205,9 +231,10 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
     if not (math.isfinite(limit) and limit >= 0.0):
         raise DomainError(f"threshold={threshold!r} must be a finite "
                           f"number >= 0")
+    ts = _checked_t_grid(default_t_grid(cfg.s_plus) if t_grid is None
+                         else t_grid, cfg.s_plus)
     ih = example_problem(cfg)
     zs = [complex(z) for z in z_grid]
-    ts = [float(t) for t in t_grid]
     err = {k: 0.0 for k in
            ("fundamental_left", "assembled_W", "u_minus", "u_plus",
             "comparison_matrix", "w_1", "interface", "det_minus_one",

@@ -455,13 +455,13 @@ class ProblemCache:
     Keys whose first element is ``PER_Z_KIND`` are the per-z side bases
     (``boundary.side_bases``), ``(PER_Z_KIND, side, z)``; at most
     ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
-    Every other key (the z-independent w-families and side plans,
-    ``boundary.SidePlan``) is kept for the life of the problem and built
-    once, under the lock that guards both stores (reentrant: a plan's build
-    looks up its w-family), and never replaced.  A per-z ``build`` runs
-    outside it, so an integration never blocks other lookups; when two
-    threads build the same per-z key, the first result stored is the one
-    every caller gets.
+    Every other key (the z-independent w-families, side plans and their
+    tails at serving breaks, ``boundary.SidePlan``) is kept for the life of
+    the problem and built once, under the lock that guards both stores
+    (reentrant: a plan's build looks up its w-family), and never replaced.
+    A per-z ``build`` runs outside it, so an integration never blocks other
+    lookups; when two threads build the same per-z key, the first result
+    stored is the one every caller gets.
     """
 
     def __init__(self):
@@ -489,6 +489,12 @@ class ProblemCache:
             while len(self._per_z) > PER_Z_CAP:
                 self._per_z.popitem(last=False)
         return value
+
+    def get(self, key):
+        """The value stored under ``key``, or None; nothing is built and no
+        entry is touched."""
+        with self._lock:
+            return self._per_z.get(key, self._fixed.get(key))
 
     def __contains__(self, key) -> bool:
         """Whether a value is stored under ``key``; no entry is touched."""

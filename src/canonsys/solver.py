@@ -49,7 +49,12 @@ arrays may round z*z differently from Python's (a fused multiply-add),
 while its product of an array with a spread value rounds as with the
 number.  The panels of each kind, diagonal or coupled, are solved in
 blocks of at most ``SOLVE_BLOCK``, which bounds the memory of a batch of
-many z.
+many z.  An integration also returns the propagators of every chain's
+panels (``Integration.phi``); a caller that keeps them can hand a later
+run at the same z and tolerances whose chain starts from a break of that
+chain's first round the panels from that break on (``Run.solved``): that
+chain solves no panel, since it would resolve the same ones to the same
+bits, and is only chained from its own start state.
 Node values and slopes of the states take one batched matmul each, their
 Chebyshev coefficients one more.
 Dense output (``Solution``) is the start state itself at the anchor,
@@ -519,13 +524,22 @@ def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray,
         for lo in range(0, len(ck), SOLVE_BLOCK):
             k = ck[lo:lo + SOLVE_BLOCK]
             phi[k] = _coupled_bases(_take(z, k), hw[k], hm[k])
+    return phi, _slopes(z, hm, phi)
+
+
+def _slopes(z, hm: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The integrand ``z J H phi`` at the nodes of panels with H ``hm`` and
+    propagator basis ``phi`` there, laid out as ``phi``; ``z`` as
+    ``_panel_bases`` takes it.  Each panel's slopes are the same bits
+    whatever else is in the batch."""
+    with np.errstate(all="ignore"):
         zh = np.reshape(z, (-1, 1, 1, 1)) * hm
         f = np.empty_like(phi)
         for c in range(2):
             np.multiply(zh[:, :, 1 - c, 0, None], phi[:, 0], out=f[:, c])
             f[:, c] += zh[:, :, 1 - c, 1, None] * phi[:, 1]
         np.negative(f[:, 0], out=f[:, 0])
-        return phi, f
+    return f
 
 
 def _resolved(a, b, phi, rtol, atol):
@@ -590,9 +604,12 @@ class _Chain:
     numbers), the panels of its pending round (``a``, ``b``, their index in
     the first round, H at their nodes and the Schur tables of the diagonal
     ones: the first round's, None after a split), the arrays of its resolved
-    panels per round, and the error that ended it, if any."""
+    panels per round, and the error that ended it, if any.  A chain handed
+    its resolved panels (``Run.solved``) starts with them done and has no
+    pending round."""
 
-    def __init__(self, z: complex, h, first: FirstRound, state0):
+    def __init__(self, z: complex, h, first: FirstRound, state0,
+                 solved=None):
         self.z, self.zz = z, z * z
         self.h, self.state0 = h, state0
         t0, t1 = float(first.a[0]), float(first.b[-1])
@@ -602,9 +619,13 @@ class _Chain:
         self.schur = first.schur
         self.origin = np.arange(len(first.a))
         self.done = []
+        if solved is not None:
+            *_, hm, phi = solved
+            self.done.append((*solved, _slopes(z, hm, phi)))
         self.splits = 0
         self.error = None
         self.chain = None  # the PanelChain, once chained
+        self.phi = None    # and the propagators of its panels
 
     def fail_at(self, bad) -> None:
         """End the chain at the first pending panel, in its direction, that
@@ -665,16 +686,17 @@ def _cat(parts):
 
 
 def _collocate(starts, rtol, atol):
-    """The PanelChain of every (z, h, first round, start state) of
-    ``starts``, collocated as one batch: each round solves and tests the
-    pending panels of all chains at once, each panel with its chain's z and
-    z*z spread over it, and one loop chains the propagators of all.  Only
-    panels split off after the first round evaluate H.  Every step treats a
-    chain's panels alike whatever else is in the batch, so a chain's arrays
-    do not depend on it.  When chains fail, the error of the first, in the
-    order of ``starts``, is raised."""
+    """The chained ``_Chain`` of every (z, h, first round, start state,
+    resolved panels or None) of ``starts``, collocated as one batch: each
+    round solves and tests the pending panels of all chains at once, each
+    panel with its chain's z and z*z spread over it, and one loop chains the
+    propagators of all, those of a chain handed its resolved panels too.
+    Only panels split off after the first round evaluate H.  Every step
+    treats a chain's panels alike whatever else is in the batch, so a
+    chain's arrays do not depend on it.  When chains fail, the error of the
+    first, in the order of ``starts``, is raised."""
     chains = [_Chain(*start) for start in starts]
-    pending = chains
+    pending = [c for c in chains if not c.done]
     while pending:
         for c in pending:
             bad = ~np.isfinite(c.hm).all(axis=(1, 2, 3))
@@ -709,16 +731,18 @@ def _collocate(starts, rtol, atol):
     for c in chains:
         if c.error is not None:
             raise c.error
-    return [c.chain for c in chains]
+    return chains
 
 
 def _chain_all(chains) -> None:
-    """Set the PanelChain of every collocated chain, or its overflow error;
-    their start values have one size.  One loop chains the 2x2 propagators
-    of all, padded with the identity past a chain's end, and the node
-    values, slopes and coefficients take one batched product each."""
+    """Set the PanelChain of every collocated chain and the propagators
+    ``phi`` of its panels (read-only), or its overflow error; their start
+    values have one size.  One loop chains the 2x2 propagators of all,
+    padded with the identity past a chain's end, and the node values,
+    slopes and coefficients take one batched product each."""
     parts = [c.panels() for c in chains]
     a, b, origin, hm, phi, f = (_cat(list(col)) for col in zip(*parts))
+    phi = _frozen(phi)
     sizes = [len(part[0]) for part in parts]
     offsets = np.cumsum([0] + sizes)
     n, ncols = cp.DEGREE + 1, len(chains[0].state0) // 2
@@ -762,6 +786,7 @@ def _chain_all(chains) -> None:
         c.chain = PanelChain(np.append(a[sl], b[sl][-1]),
                              ys[sl].reshape(-1, 2 * ncols),
                              hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl])
+        c.phi = phi[sl]
 
 
 def check_tolerances(rtol, atol) -> None:
@@ -783,7 +808,13 @@ class Run:
     target (at most one per direction).  ``sing`` is a singular endpoint a
     target may approach; panels are refined toward it.  ``first`` is the
     first round of the chain toward a run's one target, for a caller that
-    keeps that z-independent round; None: ``first_round`` builds it."""
+    keeps that z-independent round; None: ``first_round`` builds it.
+    ``solved`` holds, for a run with one target, the resolved panels of
+    that chain at the run's z and tolerances, (a, b, origin, H at the
+    nodes, ``phi``), for a caller that keeps them from an earlier chain
+    (``Integration.phi``): the chain then solves no panel and only chains
+    them from ``state0``; None: collocated.
+    """
 
     z: complex
     h: Hamiltonian
@@ -792,13 +823,19 @@ class Run:
     targets: Sequence[float]
     sing: Optional[float] = None
     first: Optional[FirstRound] = None
+    solved: Optional[tuple] = None
 
 
 class Integration(tuple):
     """The Solution of every run of one ``integrate_dense`` call, in
-    the order of the runs; ``segments`` lists the chains of all."""
+    the order of the runs; ``segments`` lists the chains of all, and
+    ``phi`` per run the propagators ``phi`` of its chains' panels, chain by
+    chain (read-only), which a caller may keep for ``Run.solved``."""
 
-    __slots__ = ()
+    def __new__(cls, sols, phi):
+        self = super().__new__(cls, sols)
+        self.phi = phi
+        return self
 
     @property
     def segments(self):
@@ -827,11 +864,16 @@ def integrate_dense(runs: Sequence[Run], rtol=RK_RTOL,
                           "of one size")
     chains = iter(_collocate([
         (z, run.h, run.first if run.first is not None
-         else first_round(run.h, float(run.t0), float(t1), run.sing), state0)
+         else first_round(run.h, float(run.t0), float(t1), run.sing), state0,
+         run.solved)
         for run, z, state0, ends in jobs for t1 in ends], rtol, atol))
-    return Integration(
-        Solution([next(chains) for _ in ends], z, run.h, run.t0, state0)
-        for run, z, state0, ends in jobs)
+    sols, phi = [], []
+    for run, z, state0, ends in jobs:
+        done = [next(chains) for _ in ends]
+        sols.append(Solution([c.chain for c in done], z, run.h, run.t0,
+                             state0))
+        phi.append([c.phi for c in done])
+    return Integration(sols, phi)
 
 
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],

@@ -20,6 +20,7 @@ import pytest
 import canonsys as cs
 from canonsys import _chebpanels as cp
 from canonsys import boundary as bd
+from canonsys import example as ex
 from canonsys import hamiltonian as hm_mod
 from canonsys import solver as sv
 from canonsys.cli import main
@@ -599,9 +600,15 @@ def _anchored_pairs(ih, zs, anchors):
     basis's value at t, integrated in one batch."""
     reqs = [(side, z, t, bd.side_basis(ih, side, z).solution.eval(t).T)
             for z in zs for side, t in anchors]
+    return _pair_arrays(bd.gamma_columns_batch(ih, reqs))
+
+
+def _pair_arrays(found):
+    """gamma_s, gamma_r, err_est and the samples of every pair of every
+    request's list in ``found``."""
     return [np.concatenate([[p.gamma_s, p.gamma_r, p.err_est],
                             np.array(p.samples, dtype=complex).ravel()])
-            for pairs in bd.gamma_columns_batch(ih, reqs) for p in pairs]
+            for pairs in found for p in pairs]
 
 
 def _tail_off(monkeypatch):
@@ -695,6 +702,123 @@ def test_runs_from_many_anchors_add_no_fixed_key():
         cs.gamma_columns(ih, side, 0.5j, float(t), np.eye(2))
     assert set(ih.cache._fixed) == fixed
     assert ih.cache.per_z_size() == per_z
+
+
+# every break of a side plan from which a run ends at the plan's last
+# node: the midpoints and the breaks next to them toward sigma
+SERVING = [("minus", 0.5), ("minus", 0.75), ("plus", 1.5), ("plus", 1.25)]
+
+
+def _reuse_off(monkeypatch):
+    monkeypatch.setattr(bd, "_basis_tail", lambda *args: None)
+
+
+def _interface_pairs(monkeypatch):
+    """The arrays of every pair of ``run_validation``'s interface runs."""
+    found = []
+    orig = bd.gamma_columns_batch
+
+    def kept(ih, requests):
+        out = orig(ih, requests)
+        found.extend(_pair_arrays(out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(bd, "gamma_columns_batch", kept)
+        assert cs.run_validation()["pass"]
+    return found
+
+
+def test_runs_at_a_cached_z_reuse_the_basis_to_the_same_bits(monkeypatch):
+    got = _anchored_pairs(cs.example_problem(), MID_ZS, SERVING)
+    validation = _interface_pairs(monkeypatch)
+    assert len(validation) == 2 * 2 * len(ex.DEFAULT_Z_GRID)
+    _reuse_off(monkeypatch)
+    _assert_same_bits(_anchored_pairs(cs.example_problem(), MID_ZS, SERVING),
+                      got)
+    _assert_same_bits(_interface_pairs(monkeypatch), validation)
+
+
+def _panel_rows(monkeypatch):
+    """List of the number of panels of each ``_panel_bases`` call."""
+    rows = []
+    orig = sv._panel_bases
+
+    def counted(z, zz, a, *args):
+        rows.append(len(a))
+        return orig(z, zz, a, *args)
+
+    monkeypatch.setattr(sv, "_panel_bases", counted)
+    return rows
+
+
+def test_runs_at_a_cached_z_solve_no_panel(monkeypatch):
+    ih = cs.example_problem()
+    bd.side_bases(ih, MID_ZS)
+    rows = _panel_rows(monkeypatch)
+    _anchored_pairs(ih, MID_ZS, SERVING)
+    assert rows == []
+    # with the reuse off, the same runs collocate their tails
+    _reuse_off(monkeypatch)
+    _anchored_pairs(ih, MID_ZS[:1], SERVING)
+    assert sum(rows) > 0
+
+
+def test_runs_without_a_cached_basis_collocate_to_the_same_bits(monkeypatch):
+    z = MID_ZS[0]
+    ih = cs.example_problem()
+    reqs = [(side, z, t, bd.side_basis(ih, side, z).solution.eval(t).T)
+            for side, t in SERVING]
+    want = _pair_arrays(bd.gamma_columns_batch(ih, reqs))
+    rows = _panel_rows(monkeypatch)
+    # never built: a fresh problem builds no basis for the runs
+    fresh = cs.example_problem()
+    _assert_same_bits(want, _pair_arrays(bd.gamma_columns_batch(fresh, reqs)))
+    assert sum(rows) > 0
+    assert fresh.cache.per_z_size() == 0
+    # evicted by the bases of PER_Z_CAP / 2 other z
+    bd.side_bases(ih, [z + k + 1 for k in range(hm_mod.PER_Z_CAP // 2)])
+    assert all((hm_mod.PER_Z_KIND, side, z) not in ih.cache
+               for side in ("minus", "plus"))
+    rows.clear()
+    _assert_same_bits(want, _pair_arrays(bd.gamma_columns_batch(ih, reqs)))
+    assert sum(rows) > 0
+    assert all((hm_mod.PER_Z_KIND, side, z) not in ih.cache
+               for side in ("minus", "plus"))
+
+
+@pytest.mark.parametrize("side", ["minus", "plus"])
+def test_kept_propagators_are_read_only_and_the_chains(side):
+    z = 0.7 - 1.3j
+    basis = bd.side_basis(cs.example_problem(), side, z)
+    seg, = basis.solution.segments
+    a, b = seg.breaks[:-1], seg.breaks[1:]
+    assert basis.phi.shape == (len(a), 2, cp.DEGREE + 1, 2)
+    assert not basis.phi.flags.writeable
+    with pytest.raises(ValueError):
+        basis.phi[0, 0, 0, 0] = 0.0
+    # the propagators the chain was formed from, solved afresh
+    phi, _ = sv._panel_bases(z, z * z, a, b,
+                             seg.hm.reshape(len(a), cp.DEGREE + 1, 2, 2))
+    _assert_same_bits([phi], [basis.phi])
+
+
+def test_tails_kept_only_for_serving_breaks(monkeypatch):
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, 0.5j)
+    fixed = set(ih.cache._fixed)
+    anchors = SERVING + [("minus", 0.875), ("plus", 1.125), ("minus", 0.3),
+                         ("plus", 1.7)]
+    _anchored_pairs(ih, [0.5j], anchors)
+    tails = set(ih.cache._fixed) - fixed
+    assert sorted((key[0], key[1], key[2]) for key in tails) == sorted(
+        ("tail", side, t) for side, t in SERVING)
+    # the break test and w_n at the anchor run once per problem
+    calls = []
+    count_calls(monkeypatch, sv, "_initial_breaks", calls)
+    _anchored_pairs(ih, [0.5j, 1.0], SERVING)
+    assert calls == []
+    assert set(ih.cache._fixed) - fixed == tails
 
 
 def _scaled_problem_dict():

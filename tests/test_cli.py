@@ -365,6 +365,13 @@ class TestSubcommands:
         assert report["pass"]
         assert max(report["max_abs_err"].values()) < 1e-6
 
+    def test_validate_example_passes_below_the_default_s_plus(self, capsys):
+        # the default t grid ends at s_plus, not at 2
+        code, out, _ = run_cli(["validate-example", "--s-plus", "1.5"],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["pass"]
+
     def test_fundamental_csv_shape(self, capsys):
         code, out, _ = run_cli(["fundamental", "--side", "minus",
                                 "--z-grid", "1,1j", "--t-grid", "0.25,0.5"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import canonsys as cs
+from canonsys import example as ex
 from canonsys import solver as sv
 
 
@@ -141,6 +142,29 @@ class TestRunValidation:
                             lambda *args, **kwargs: pytest.fail("integrated"))
         with pytest.raises(cs.DomainError, match="threshold"):
             cs.run_validation(threshold=threshold)
+
+    @pytest.mark.parametrize("t_grid", [(1.0,), (np.nan,), (np.inf,),
+                                        (0.5, -0.25), (2.5,), ("x",),
+                                        (None,)])
+    def test_bad_t_grid_rejected_before_integrating(self, t_grid,
+                                                    monkeypatch):
+        # sigma, a non-finite point or one off [s_minus, s_plus] would fail
+        # only after the first chunk of bases was integrated
+        monkeypatch.setattr(sv, "integrate_dense",
+                            lambda *args, **kwargs: pytest.fail("integrated"))
+        bad = repr(t_grid[-1])
+        with pytest.raises(cs.DomainError, match="t_grid") as info:
+            cs.run_validation(t_grid=t_grid)
+        assert bad in str(info.value)
+
+    @pytest.mark.parametrize("s_plus", [1.2, 3.0])
+    def test_default_t_grid_follows_s_plus(self, s_plus):
+        assert ex.default_t_grid(2.0) == (0.25, 0.5, 1.5, 2.0)
+        assert ex.default_t_grid(s_plus) == (0.25, 0.5, 0.5 * (1.0 + s_plus),
+                                             s_plus)
+        report = cs.run_validation(cs.ExampleConfig(s_plus=s_plus),
+                                   z_grid=(1.0, 2.0 + 1.0j))
+        assert report["pass"], report["max_abs_err"]
 
     def test_perturbed_d0_passes(self):
         report = cs.run_validation(cs.ExampleConfig(d0=-1.0),

@@ -22,6 +22,11 @@ each in its own interpreter:
   ``gamma_columns_batch`` runs anchored at the identity at ``ANCHORS``:
   each side's midpoint, the breaks 0.875 and 1.125 of the side plans, and
   0.3, all of one z in one batch;
+- at those 40 z, the pairs of the interface runs as ``run_validation``
+  builds them: from each side's midpoint, the minus run anchored at the
+  minus basis's value there and the plus run at ``factorisation(ih,
+  z).w`` there (both states taken from a second problem), in one batch,
+  once before the z's bases exist on the problem and once after;
 - the exit code and the stdout and stderr bytes of ``validate-example``,
   of ``monodromy --emit json`` over 40 z with ``--jobs 1`` and ``--jobs
   2``, of ``regbv --side plus --verbose`` and of ``weyl --z`` over those z
@@ -123,6 +128,24 @@ def _pair(p) -> np.ndarray:
                            np.array(p.samples, dtype=complex).ravel()])
 
 
+def _interface(bd, ih, z, mids, starts, key: str, out: dict) -> None:
+    """Into ``out``: the pairs of the interface runs at z from the sides'
+    midpoints ``mids``, anchored at ``starts`` (minus, plus), or the error
+    they raise."""
+    if isinstance(starts, str):
+        out[key] = starts
+        return
+    found = _attempt(lambda: bd.gamma_columns_batch(
+        ih, [(side, z, t, y) for side, t, y
+             in zip(("minus", "plus"), mids, starts)]))
+    if isinstance(found, str):
+        out[key] = found
+        return
+    for side, pairs in zip(("minus", "plus"), found):
+        for c, p in enumerate(pairs):
+            out[f"{key} {side} column {c}"] = _pair(p)
+
+
 def dump(far: bool) -> dict:
     import canonsys as cs
     from canonsys import boundary as bd
@@ -137,9 +160,15 @@ def dump(far: bool) -> dict:
         for k, z in enumerate(([FAR_Z] if far else []) + _grid(20, SEED + 3)):
             out[f"indivisible {side} monodromy[{k}] z={z}"] = _attempt(
                 lambda: cs.monodromy_matrix(ih, z))
-    ih = _fresh_problem(cs, far)
+    ih, ref = _fresh_problem(cs, far), _fresh_problem(cs, far)
+    mids = [0.5 * sum(ih.side(side).interval) for side in ("minus", "plus")]
     shot_c = np.random.default_rng(SEED + 4).normal(size=(2, 2)) @ [1.0, 1.0j]
     for k, z in enumerate(_grid(40, SEED + 1)):
+        starts = _attempt(lambda: [
+            bd.side_basis(ref, "minus", z).solution.eval(mids[0]).T,
+            cs.factorisation(ref, z).w(mids[1]).T])
+        _interface(bd, ih, z, mids, starts,
+                   f"interface[{k}] before the bases z={z}", out)
         for side in ("minus", "plus"):
             basis = _attempt(lambda: bd.side_basis(ih, side, z))
             key = f"basis[{k}] {side} z={z}"
@@ -165,6 +194,8 @@ def dump(far: bool) -> dict:
         else:
             out[f"{key} values"] = w.eval(np.linspace(*w.interval, N_POINTS))
             out[f"{key} det_error"] = w.det_error()
+        _interface(bd, ih, z, mids, starts,
+                   f"interface[{k}] after the bases z={z}", out)
         anchors = [(side, 0.5 * sum(ih.side(side).interval) if t is None
                     else t) for side, t in ANCHORS]
         found = _attempt(lambda: bd.gamma_columns_batch(
