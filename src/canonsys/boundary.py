@@ -27,10 +27,11 @@ in chunks (``z_chunks``), the bases of each built in one batch.
 
 On an indivisible side, H = h xi_phi xi_phi^T of rank one with a fixed
 angle phi, no limit is taken: the boundary pair of a solution is its value
-at the regular endpoint, for every phi.  The same run (``_run``) serves all
-sides: it integrates the anchored solutions out to the last extrapolation
-node and, on an indivisible side with an interior anchor, also back to the
-regular endpoint, where it reads the pairs (``err_est`` 0, no samples).
+at the regular endpoint, for every phi.  The same run (``_runs``) serves
+all sides: it integrates the anchored solutions out to the last
+extrapolation node, or, on an indivisible side with an interior anchor,
+only back to the regular endpoint, where it reads the pairs (``err_est``
+0, no samples).
 
 What of a run from the regular endpoint does not depend on z is computed
 once per side and kept in the problem's fixed store
@@ -60,15 +61,16 @@ Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
 ``side_basis``, the fundamental solution Phi anchored to the identity at the
 regular endpoint, integrated out to the last extrapolation node, together
-with the boundary pairs of its two rows (the rows of the boundary matrix U)
-and the propagators of its chain's panels; ``side_bases`` reads several
-sides and z.  The cache keeps at most ``hamiltonian.PER_Z_CAP`` such
-entries (32 z on both sides), least recently used evicted first.  A run
-from a plan tail at a z whose basis is cached takes the basis's resolved
-panels from the tail's break on (``_basis_tail``) and solves no
-collocation system: a run from a break of the plan resolves the same
-panels as the basis, to the same bits.  Without a cached basis it
-collocates from the tail; no basis is built for it.
+with the boundary pairs of its two rows (the rows of the boundary matrix U);
+its chain keeps the propagators of its panels (``solver.PanelChain.phi``).
+``side_bases`` reads several sides and z.  The cache keeps at most
+``hamiltonian.PER_Z_CAP`` such entries (32 z on both sides), least
+recently used evicted first.  A run from a plan tail at a z whose basis
+is cached takes the basis's resolved panels from the tail's break on
+(``_basis_tail``) and solves no collocation system: a run from a break of
+the plan resolves the same panels as the basis, to the same bits.
+Without a cached basis it collocates from the tail; no basis is built for
+it.
 
 The boundary map is linear and the solutions of a side are y = Phi^T c, so
 every pair is read off that basis: ``SideBasis.pair(c)`` is U^T c, with
@@ -77,8 +79,12 @@ basis's range (det Phi = 1).  Shooting (``solve_from_gamma``), ``gamma_vec``
 and the assembly in :mod:`canonsys.monodromy` read it there and integrate
 nothing of their own; a point outside the basis's range (within about 9.5e-8
 of the side's length from sigma, or off the side) raises DomainError, as any
-evaluation there does.  ``gamma_columns`` is the one path that integrates
-from a given anchor, an independent check of the cached pairs.
+evaluation there does.  ``gamma_columns`` takes its pairs from a given
+anchor and start state instead: the run's own are that state, S anchored
+at the anchor and the Neville tableau of its limits; from a serving plan
+break at a cached z it shares the basis's propagators and solves no panel,
+and from any other anchor, or without a cached basis, it collocates its
+own chain.
 """
 
 from __future__ import annotations
@@ -384,8 +390,7 @@ def _basis_tail(ih: IndefHamiltonianA, side: Side, z: complex,
     origin = chain.origin[j:]
     return (chain.breaks[j:-1], chain.breaks[j + 1:],
             np.where(origin < 0, -1, origin - tail.start),
-            chain.hm.reshape(-1, cp.DEGREE + 1, 2, 2)[j:],
-            basis.phi[j:])
+            chain.hm.reshape(-1, cp.DEGREE + 1, 2, 2)[j:], chain.phi[j:])
 
 
 class _Limited(NamedTuple):
@@ -520,14 +525,14 @@ def _runs(ih: IndefHamiltonianA, requests):
     (``_limit_pairs``).  The columns of all requests must have one size.
 
     On an indivisible side the pairs are the values at the regular endpoint,
-    to which the run also integrates from an interior anchor; on any other
+    to which alone a run from an interior anchor integrates; on any other
     side they are the limits at sigma.  A run from the regular endpoint
     starts from the side's plan (``_side_plan``), one from an interior
     anchor where it serves from the plan's tail (``_plan_tail``), and, when
     the side's basis at its z is cached, from that basis's resolved panels
     beyond the tail's break (``_basis_tail``), so it solves no panel.
     Returns per request (``solver.Solution``, one RegularisedBoundary per
-    column, the propagators ``phi`` of its chains, ``Integration.phi``).
+    column).
     """
     runs, grids = [], []
     for side, z, t_anchor, y_cols in requests:
@@ -541,20 +546,16 @@ def _runs(ih: IndefHamiltonianA, requests):
             raise DomainError("anchor coincides with the singularity")
         hs, xs = _extrapolation_nodes(h, sing, t_anchor)
         indivisible = ih.indivisible(side).is_indivisible
-        targets = [float(xs[-1])]
-        solved = None
+        target, plan, solved = float(xs[-1]), None, None
         if t_anchor == reg:
-            plan = _side_plan(ih, side, h, reg, targets[0], sing)
+            plan = _side_plan(ih, side, h, reg, target, sing)
         elif indivisible:
-            # the run also integrates back to the regular endpoint, a
-            # second chain that no first round of one chain serves
-            plan = None
-            targets.append(reg)
+            target = reg  # where the pairs are read: no chain toward sigma
         else:
-            plan = _plan_tail(ih, side, t_anchor, targets[0])
+            plan = _plan_tail(ih, side, t_anchor, target)
             if plan is not None:
                 solved = _basis_tail(ih, side, z, plan)
-        runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), targets,
+        runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), [target],
                            sing, plan, solved))
         grids.append((indivisible, reg, hs, xs, plan))
     sols = sv.integrate_dense(runs)
@@ -574,7 +575,7 @@ def _runs(ih: IndefHamiltonianA, requests):
     if limited:
         found = iter(_limit_pairs(ih, limited))
         pairs = [next(found) if p is None else p for p in pairs]
-    return list(zip(sols, pairs, sols.phi))
+    return list(zip(sols, pairs))
 
 
 def gamma_columns(ih: IndefHamiltonianA, side: Side, z: complex,
@@ -598,7 +599,7 @@ def gamma_columns_batch(ih: IndefHamiltonianA, requests) -> list:
     reqs = [(side, sv.finite_z(z), t_anchor,
              np.asarray(y_cols, dtype=np.complex128).reshape(2, -1))
             for side, z, t_anchor, y_cols in requests]
-    return [pairs for _, pairs, _ in _runs(ih, reqs)]
+    return [pairs for _, pairs in _runs(ih, reqs)]
 
 
 def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
@@ -618,15 +619,13 @@ def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
 @dataclass(frozen=True)
 class SideBasis:
     """Fundamental solution Phi of one side, identity at its regular
-    endpoint, the boundary pairs of its two rows (rows of the boundary
-    matrix U), and the propagators ``phi`` of its chain's panels
-    (read-only, ``solver.Integration.phi``), which a run from a break of
-    the side plan at the same z takes in place of solving those panels
-    (``_basis_tail``)."""
+    endpoint, and the boundary pairs of its two rows (rows of the boundary
+    matrix U).  A run from a break of the side plan at the same z takes the
+    propagators of the solution's chain (``solver.PanelChain.phi``) in
+    place of solving those panels (``_basis_tail``)."""
 
     solution: sv.Solution
     pairs: tuple
-    phi: np.ndarray
 
     @property
     def matrix(self) -> np.ndarray:
@@ -654,14 +653,14 @@ def _build_bases(ih: IndefHamiltonianA, todo) -> dict:
 
     One integration gives each basis: the solution is the dense output of
     the pairs' run, from the regular endpoint to the last extrapolation
-    node, one chain, whose propagators the basis keeps.
+    node, one chain, which keeps the propagators of its panels.
     """
     eye = np.eye(2, dtype=np.complex128)
     runs = _runs(ih, [(side, z, ih.side(side).regular_endpoint(side), eye)
                       for side, z in todo])
     return {(side, z): ih.cache.store((PER_Z_KIND, side, z),
-                                      SideBasis(sol, tuple(pairs), phi))
-            for (side, z), (sol, pairs, (phi,)) in zip(todo, runs)}
+                                      SideBasis(sol, tuple(pairs)))
+            for (side, z), (sol, pairs) in zip(todo, runs)}
 
 
 def z_chunks(ih: IndefHamiltonianA, zs, sides=("minus", "plus")):
@@ -746,7 +745,7 @@ def interface_residual(ih: IndefHamiltonianA, fhat_minus, fhat_plus,
     Both pairs are read off the cached bases (``gamma_vec``); for samplers
     built from those bases the residual is then an algebraic identity and
     checks the assembly, not the extrapolation.  ``run_validation`` checks
-    the interface with pairs integrated from the sides' midpoints instead.
+    the interface with pairs of runs from the sides' midpoints instead.
     """
     gm = gamma_vec(fhat_minus, ih, "minus")
     gp = gamma_vec(fhat_plus, ih, "plus")

@@ -156,7 +156,10 @@ def _t_grid_from(args, cfg, default, lo, hi, sigma=None):
     return ts
 
 
-def _load_config(args) -> dict:
+def _load_config(args, keys=_RUN_KEYS) -> dict:
+    """The config of ``--config`` ({} without one), holding only ``keys``
+    and an ``output.format`` the subcommand writes; ConfigError naming
+    the bad key otherwise."""
     path = getattr(args, "config", None)
     if path is None:
         return {}
@@ -170,17 +173,21 @@ def _load_config(args) -> dict:
                           f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
-    unknown = set(cfg) - _RUN_KEYS
+    unknown = set(cfg) - keys
     if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys {sorted(unknown)} for "
+                          f"{args.command}")
     out = cfg.get("output", {})
     if not isinstance(out, dict):
         raise ConfigError("output must be an object")
     unknown = set(out) - {"format", "path"}
     if unknown:
         raise ConfigError(f"unknown output keys {sorted(unknown)}")
-    if out.get("format") not in (None, "csv", "json"):
-        raise ConfigError("output format must be csv or json")
+    writes = {"monodromy": ("csv", "json"), "fundamental": ("csv",),
+              "wpoly": ("csv",)}.get(args.command, ("json",))
+    if out.get("format") not in (None, *writes):
+        raise ConfigError(f"output.format must be {' or '.join(writes)} for "
+                          f"{args.command}, got {out['format']!r}")
     # config-level output settings are defaults; CLI flags win
     if out.get("path") and not getattr(args, "output", None):
         args.output = out["path"]
@@ -373,6 +380,7 @@ def _cmd_weyl(args):
 
 
 def _cmd_validate_example(args):
+    _load_config(args, {"output"})
     s_plus = _finite_float(args.s_plus, "--s-plus")
     if s_plus <= ex.SIGMA:
         raise ConfigError(f"--s-plus must exceed sigma = {ex.SIGMA}, "

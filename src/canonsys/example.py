@@ -65,7 +65,7 @@ class ExampleConfig:
 
     def __post_init__(self):
         if not self.s_plus > 1.0:
-            raise ValueError("s_plus must exceed 1")
+            raise ConfigError(f"s_plus must exceed 1, got {self.s_plus!r}")
         if self.oe < 0 or len(self.b) != self.oe:
             raise ConfigError("b must have length oe")
 
@@ -285,11 +285,11 @@ def run_validation(cfg: ExampleConfig = ExampleConfig(),
                 observed["q_sigma"][str(z)] = [q.real, q.imag]
         if not chunk:
             continue
-        # the midpoint runs of the chunk in one batch.  Each starts from
-        # its own state at its midpoint, on its own chain, whose first
-        # round is the side plan's tail from the midpoint on (a break of
-        # the plan), and takes its own limits: an independent check of the
-        # bases
+        # the midpoint runs of the chunk in one batch.  Each has its own
+        # start state at its midpoint, its own S anchored there and its
+        # own Neville tableau; the z is cached, so from the midpoint (a
+        # break of the side plan) on it shares the basis chain's
+        # propagators and solves no panel
         found = bd.gamma_columns_batch(ih, interface)
         for k, z in enumerate(chunk):
             gam_m, gam_p = (np.array([p.vec for p in pairs])

@@ -20,20 +20,20 @@ toward which the panels are halved geometrically.  A panel is split while
 the trailing Chebyshev coefficients of its basis exceed rtol, or the noise
 floor of its float nodes, times the basis's overall size; the number of
 splits is bounded (``MAX_SPLITS``).
-A chain starts from its first round (``FirstRound``): the panels of
-``_initial_breaks`` and H at their nodes, which do not depend on z.
-``integrate_dense`` builds it per chain unless the run passes a kept one
-(``Run.first``); :mod:`canonsys.boundary` keeps one per side of a problem.
-A kept round is built once (``refined_round``): every panel that fails the
-resolution test at the fixed probe ``PROBE_Z`` stands in it as its two
-halves, so a z that splits the same panels, as most z do, solves the
-halves in its first round and evaluates no H; and it holds the Schur tables
-of its diagonal panels, the real products that do not depend on z.  A
-chain carries the tables of its pending round, its kept round's in round 1
-and none after a split, and a solve forms only the tables that no chain
-carries.  A kept round never changes after it is built; only panels split
-off in later rounds evaluate H, and only those count toward
-``MAX_SPLITS``.
+Every collocation round of a chain (``FirstRound``) holds what of it does
+not depend on z: its panels, H at their nodes and the Schur tables of its
+diagonal panels, the real products of ``_schur_factors``.  One function
+makes every round (``_round``), the only one that evaluates H at nodes or
+forms a table; a solve takes the tables of each chain's pending round and
+forms none.  A chain starts from its first round, the panels of
+``_initial_breaks``; ``integrate_dense`` builds it per chain unless the run
+passes a kept one (``Run.first``), and :mod:`canonsys.boundary` keeps one
+per side of a problem.  A kept round is built once (``refined_round``):
+every panel that fails the resolution test at the fixed probe ``PROBE_Z``
+stands in it as its two halves, so a z that splits the same panels, as
+most z do, solves the halves in its first round and evaluates no H.  A
+kept round never changes after it is built; only the rounds of panels
+split off later evaluate H, and only those count toward ``MAX_SPLITS``.
 ``integrate_dense`` is the one entry for every integration.  It takes a
 sequence of runs (``Run``: z, Hamiltonian, anchor, start state, targets,
 singular endpoint, kept first round), at one z or at many, and collocates
@@ -49,8 +49,8 @@ arrays may round z*z differently from Python's (a fused multiply-add),
 while its product of an array with a spread value rounds as with the
 number.  The panels of each kind, diagonal or coupled, are solved in
 blocks of at most ``SOLVE_BLOCK``, which bounds the memory of a batch of
-many z.  An integration also returns the propagators of every chain's
-panels (``Integration.phi``); a caller that keeps them can hand a later
+many z.  Each chain keeps the propagators of its panels
+(``PanelChain.phi``); a caller that keeps a chain can hand a later
 run at the same z and tolerances whose chain starts from a break of that
 chain's first round the panels from that break on (``Run.solved``): that
 chain solves no panel, since it would resolve the same ones to the same
@@ -158,16 +158,19 @@ class PanelChain(cp.PanelFunction):
     the state and ``hm`` H at every collocation node, panel after panel, and
     ``coefs`` per panel the DEGREE + 2 Chebyshev coefficients of the state.
     ``origin`` holds per panel its index in the chain's first round, -1 for
-    a panel split off in a later round.
+    a panel split off in a later round, and ``phi`` per panel the
+    propagator basis of its collocation solve (read-only), (P, 2, DEGREE +
+    1, 2), which a caller may hand a later run (``Run.solved``).
     """
 
-    __slots__ = ("ys", "hm", "origin", "lo", "hi")
+    __slots__ = ("ys", "hm", "origin", "phi", "lo", "hi")
 
-    def __init__(self, breaks, ys, hm, coefs, origin):
+    def __init__(self, breaks, ys, hm, coefs, origin, phi):
         super().__init__(breaks, coefs)
         self.ys = ys
         self.hm = hm
         self.origin = origin
+        self.phi = phi
         self.lo = float(min(breaks[0], breaks[-1]))
         self.hi = float(max(breaks[0], breaks[-1]))
 
@@ -343,20 +346,18 @@ def _initial_breaks(h: Hamiltonian, t0: float, t1: float,
 
 @dataclass(frozen=True)
 class FirstRound:
-    """The z-independent start of one chain: the panels [a_k, b_k] of its
-    first collocation round, in integration order, and H at their nodes,
-    (P, DEGREE + 1, 2, 2).
-
-    A round kept for many z is refined once (``refined_round``) and holds
-    ``schur``, the Schur tables of its diagonal panels in order (A_1, G
-    and A_0's row sums of ``_schur_factors``); None in a round that is not
-    kept.  The arrays are read-only, so one round can be kept and shared by
-    every thread that integrates."""
+    """The z-independent part of one collocation round of a chain: its
+    panels [a_k, b_k], in integration order, H at their nodes, (P, DEGREE +
+    1, 2, 2), and ``schur``, the Schur tables of its diagonal panels in
+    order (A_1, G and A_0's row sums of ``_schur_factors``).  ``_round``
+    makes every round; a chain's first is its start, and a round kept for
+    many z is refined once (``refined_round``).  The arrays are read-only,
+    so one round can be kept and shared by every thread that integrates."""
 
     a: np.ndarray
     b: np.ndarray
     hm: np.ndarray
-    schur: Optional[tuple] = None
+    schur: tuple
 
 
 def _h_at_nodes(h: Hamiltonian, a, b) -> np.ndarray:
@@ -374,8 +375,7 @@ def first_round(h: Hamiltonian, t0: float, t1: float,
                 sing: Optional[float]) -> FirstRound:
     """The first round of the chain from t0 to t1 (``_initial_breaks``)."""
     breaks = _initial_breaks(h, t0, t1, sing)
-    a, b = breaks[:-1].copy(), breaks[1:].copy()
-    return FirstRound(_frozen(a), _frozen(b), _frozen(_h_at_nodes(h, a, b)))
+    return _round(h, breaks[:-1].copy(), breaks[1:].copy())
 
 
 def _schur_factors(hw: np.ndarray, hm: np.ndarray):
@@ -391,6 +391,16 @@ def _schur_factors(hw: np.ndarray, hm: np.ndarray):
 def _diagonal(hm: np.ndarray) -> np.ndarray:
     """Per panel: is H diagonal at all of its nodes (``hm``)?"""
     return ~(hm[:, :, 0, 1].any(axis=1) | hm[:, :, 1, 0].any(axis=1))
+
+
+def _round(h: Hamiltonian, a: np.ndarray, b: np.ndarray) -> FirstRound:
+    """The round of the panels [a_k, b_k]: H at their nodes and the Schur
+    tables of the diagonal ones, all read-only.  The one place either is
+    formed, for a first round, a probe's halves and a split's halves."""
+    hm = _h_at_nodes(h, a, b)
+    d = _diagonal(hm)
+    return FirstRound(_frozen(a), _frozen(b), _frozen(hm), tuple(
+        map(_frozen, _schur_factors(0.5 * (b[d] - a[d]), hm[d]))))
 
 
 def halves(a, b):
@@ -460,31 +470,23 @@ def _take(x, k):
     return x if np.ndim(x) == 0 else x[k]
 
 
-def _parts(kept, lo: int, hi: int, dk, hw, hm) -> list:
-    """The Schur tables of the diagonal panels ``dk[lo:hi]`` of a batch as
-    ``_diagonal_bases`` takes them (slices from lo): views of a chain's
-    tables where ``kept`` holds them (the (start, stop, tables) of each
-    chain that carries tables, by its diagonal panels' positions in
-    ``dk``), and formed here elsewhere.  A panel's tables are the same bits
-    either way."""
-    parts, at = [], lo
-    for start, stop, tables in [*kept, (hi, hi, None)]:
+def _parts(tables, lo: int, hi: int) -> list:
+    """The Schur tables of the diagonal panels lo:hi of a batch as
+    ``_diagonal_bases`` takes them (slices from lo): views of the tables
+    of the chains, ``tables`` in the batch's order, that hold them."""
+    parts, start = [], 0
+    for tab in tables:
+        stop = start + len(tab[0])
         s, e = max(start, lo), min(stop, hi)
-        if s > e:
-            continue
-        if s > at:
-            k = dk[at:s]
-            parts.append((slice(at - lo, s - lo),
-                          *_schur_factors(hw[k], hm[k])))
         if e > s:
             parts.append((slice(s - lo, e - lo),
-                          *(t[s - start:e - start] for t in tables)))
-        at = e
+                          *(t[s - start:e - start] for t in tab)))
+        start = stop
     return parts
 
 
 def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray,
-                 chains=()):
+                 tables):
     """Collocation solve of Y = y_a + z Q (J H Y) on every panel [a_k, b_k].
 
     ``z`` and ``zz`` are the panels' z and z*z, the square formed by Python
@@ -499,31 +501,22 @@ def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray,
     (``_diagonal_bases``), every other panel through the full 2n x 2n
     system (``_coupled_bases``), each kind at most ``SOLVE_BLOCK`` panels
     per call, which bounds the temporaries of a batch of many z.
-    ``chains`` lists the batch's chains in order as (panels, tables): the
-    Schur tables of the chain's diagonal panels (``FirstRound.schur``), or
-    None, where a block forms them (``_parts``).  Each solve treats a panel
-    alone, so its ``phi`` and ``f`` are the same bits whatever else is in
-    the batch.
+    ``tables`` lists, for the batch's chains in order, the Schur tables of
+    each chain's diagonal panels (``FirstRound.schur``); the solve forms
+    none.  Each solve treats a panel alone, so its ``phi`` and ``f`` are
+    the same bits whatever else is in the batch.
     """
-    hw = 0.5 * (b - a)
     diag = _diagonal(hm)
     dk, ck = np.flatnonzero(diag), np.flatnonzero(~diag)
-    kept, lo, d = [], 0, 0
-    for panels, tables in chains:
-        nd = int(np.count_nonzero(diag[lo:lo + panels]))
-        if tables is not None:
-            kept.append((d, d + nd, tables))
-        lo, d = lo + panels, d + nd
     phi = np.empty((len(a), 2, cp.DEGREE + 1, 2), dtype=np.complex128)
     with np.errstate(all="ignore"):
         for lo in range(0, len(dk), SOLVE_BLOCK):
-            hi = min(lo + SOLVE_BLOCK, len(dk))
-            k = dk[lo:hi]
+            k = dk[lo:lo + SOLVE_BLOCK]
             phi[k] = _diagonal_bases(_take(z, k), _take(zz, k),
-                                     _parts(kept, lo, hi, dk, hw, hm))
+                                     _parts(tables, lo, lo + len(k)))
         for lo in range(0, len(ck), SOLVE_BLOCK):
             k = ck[lo:lo + SOLVE_BLOCK]
-            phi[k] = _coupled_bases(_take(z, k), hw[k], hm[k])
+            phi[k] = _coupled_bases(_take(z, k), 0.5 * (b[k] - a[k]), hm[k])
     return phi, _slopes(z, hm, phi)
 
 
@@ -568,45 +561,38 @@ def _too_narrow(a, b):
 def refined_round(h: Hamiltonian, rnd: FirstRound) -> FirstRound:
     """``rnd`` refined for a round kept for many z: every panel that fails
     the resolution test at ``PROBE_Z`` (``_resolved`` at the default
-    tolerances) replaced by its halves, H evaluated at their nodes, so a z
-    that splits the same panels solves their halves in its first round;
-    and ``schur``, the Schur tables of its diagonal panels
-    (``_schur_factors``), so their solves form only what depends on z.  A
-    panel whose basis is not finite at the probe, or that is too narrow to
-    split, stays whole, so refining raises nothing: its chain fails or
-    splits it as it would in an unrefined round."""
-    z, a, b, hm = PROBE_Z, rnd.a, rnd.b, rnd.hm
-    d = _diagonal(hm)
-    schur = _schur_factors(0.5 * (b[d] - a[d]), hm[d])
-    phi, _ = _panel_bases(z, z * z, a, b, hm, [(len(a), schur)])
+    tolerances) replaced by its halves (``_round``), so a z that splits the
+    same panels solves their halves in its first round.  A panel whose
+    basis is not finite at the probe, or that is too narrow to split, stays
+    whole, so refining raises nothing: its chain fails or splits it as it
+    would in an unrefined round."""
+    z, a, b, hm, schur = PROBE_Z, rnd.a, rnd.b, rnd.hm, rnd.schur
+    phi, _ = _panel_bases(z, z * z, a, b, hm, [schur])
     split = (~_resolved(a, b, phi, RK_RTOL, RK_ATOL)
              & np.isfinite(phi).all(axis=(1, 2, 3)) & ~_too_narrow(a, b))
-    if split.any():
-        # each split panel's place holds its two halves, in integration
-        # order; only the halves' tables are formed
-        idx = np.repeat(np.arange(len(a)), np.where(split, 2, 1))
-        at = np.flatnonzero(split[idx])
-        a, b, hm = a[idx], b[idx], hm[idx]
-        a[at], b[at] = halves(rnd.a[split], rnd.b[split])
-        hm[at] = _h_at_nodes(h, a[at], b[at])
-        row = (np.cumsum(d) - 1)[idx]  # a whole panel's row of the tables
-        d = _diagonal(hm)
-        half = split[idx][d]
-        fresh = _schur_factors(0.5 * (b[d][half] - a[d][half]), hm[d][half])
-        pick = np.where(half, len(schur[0]) + np.cumsum(half) - 1, row[d])
-        schur = [np.concatenate(t)[pick] for t in zip(schur, fresh)]
-    return FirstRound(_frozen(a), _frozen(b), _frozen(hm),
-                      tuple(map(_frozen, schur)))
+    if not split.any():
+        return rnd
+    # each split panel's place holds its two halves, in integration order
+    fresh = _round(h, *halves(a[split], b[split]))
+    idx = np.repeat(np.arange(len(a)), np.where(split, 2, 1))
+    at = np.flatnonzero(split[idx])
+    row = (np.cumsum(_diagonal(hm)) - 1)[idx]  # a whole panel's table row
+    a, b, hm = a[idx], b[idx], hm[idx]
+    a[at], b[at], hm[at] = fresh.a, fresh.b, fresh.hm
+    d = _diagonal(hm)
+    half = split[idx][d]
+    pick = np.where(half, len(schur[0]) + np.cumsum(half) - 1, row[d])
+    return FirstRound(_frozen(a), _frozen(b), _frozen(hm), tuple(
+        _frozen(np.concatenate(t)[pick]) for t in zip(schur, fresh.schur)))
 
 
 class _Chain:
     """One chain of a batch while it is collocated: its z and z*z (Python
-    numbers), the panels of its pending round (``a``, ``b``, their index in
-    the first round, H at their nodes and the Schur tables of the diagonal
-    ones: the first round's, None after a split), the arrays of its resolved
-    panels per round, and the error that ended it, if any.  A chain handed
-    its resolved panels (``Run.solved``) starts with them done and has no
-    pending round."""
+    numbers), its pending round (``rnd``, the first round, then the halves
+    of each split) and the panels' index in the first round, the arrays of
+    its resolved panels per round, and the error that ended it, if any.  A
+    chain handed its resolved panels (``Run.solved``) starts with them done
+    and has no pending round."""
 
     def __init__(self, z: complex, h, first: FirstRound, state0,
                  solved=None):
@@ -615,8 +601,7 @@ class _Chain:
         t0, t1 = float(first.a[0]), float(first.b[-1])
         self.context = f"integration on [{t0}, {t1}] at z={z}"
         self.direction = 1.0 if t1 > t0 else -1.0
-        self.a, self.b, self.hm = first.a, first.b, first.hm
-        self.schur = first.schur
+        self.rnd = first
         self.origin = np.arange(len(first.a))
         self.done = []
         if solved is not None:
@@ -625,12 +610,11 @@ class _Chain:
         self.splits = 0
         self.error = None
         self.chain = None  # the PanelChain, once chained
-        self.phi = None    # and the propagators of its panels
 
     def fail_at(self, bad) -> None:
         """End the chain at the first pending panel, in its direction, that
         ``bad`` marks: its H or its propagator is not finite."""
-        a = self.a[bad]
+        a = self.rnd.a[bad]
         t_bad = float(a[np.argmin(self.direction * a)])
         self.error = SingularityProximityError(
             f"{self.context}: non-finite Hamiltonian entries or propagator "
@@ -643,7 +627,7 @@ class _Chain:
         if bad.any():
             self.fail_at(bad)
             return False
-        a, b, origin, hm = self.a, self.b, self.origin, self.hm
+        a, b, hm, origin = self.rnd.a, self.rnd.b, self.rnd.hm, self.origin
         if ok.all():
             self.done.append((a, b, origin, hm, phi, f))
             return False
@@ -665,10 +649,8 @@ class _Chain:
                 f"resolve the solution near t={a[k_over]}")
             return False
         self.splits += len(a)
-        self.a, self.b = halves(a, b)
-        self.origin = np.full(len(self.a), -1)
-        self.hm = _h_at_nodes(self.h, self.a, self.b)
-        self.schur = None
+        self.rnd = _round(self.h, *halves(a, b))
+        self.origin = np.full(len(self.rnd.a), -1)
         return True
 
     def panels(self):
@@ -699,28 +681,29 @@ def _collocate(starts, rtol, atol):
     pending = [c for c in chains if not c.done]
     while pending:
         for c in pending:
-            bad = ~np.isfinite(c.hm).all(axis=(1, 2, 3))
+            bad = ~np.isfinite(c.rnd.hm).all(axis=(1, 2, 3))
             if bad.any():
                 c.fail_at(bad)
         pending = [c for c in pending if c.error is None]
         if not pending:
             break
-        a, b = _cat([c.a for c in pending]), _cat([c.b for c in pending])
+        rounds = [c.rnd for c in pending]
+        a, b = _cat([r.a for r in rounds]), _cat([r.b for r in rounds])
         # one z as Python numbers: numpy multiplies an array by a number
         # faster than by an array, and to the same bits
         if all(c.z == pending[0].z for c in pending):
             z, zz = pending[0].z, pending[0].zz
         else:
-            sizes = [len(c.a) for c in pending]
+            sizes = [len(r.a) for r in rounds]
             z, zz = (np.repeat(np.array(v), sizes)[:, None, None] for v in
                      ([c.z for c in pending], [c.zz for c in pending]))
-        phi, f = _panel_bases(z, zz, a, b, _cat([c.hm for c in pending]),
-                              [(len(c.a), c.schur) for c in pending])
+        phi, f = _panel_bases(z, zz, a, b, _cat([r.hm for r in rounds]),
+                              [r.schur for r in rounds])
         ok = _resolved(a, b, phi, rtol, atol)
         bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
         nxt, lo = [], 0
         for c in pending:
-            sl = slice(lo, lo + len(c.a))
+            sl = slice(lo, lo + len(c.rnd.a))
             lo = sl.stop
             if c.settle(phi[sl], f[sl], ok[sl], bad[sl]):
                 nxt.append(c)
@@ -735,11 +718,11 @@ def _collocate(starts, rtol, atol):
 
 
 def _chain_all(chains) -> None:
-    """Set the PanelChain of every collocated chain and the propagators
-    ``phi`` of its panels (read-only), or its overflow error; their start
-    values have one size.  One loop chains the 2x2 propagators of all,
-    padded with the identity past a chain's end, and the node values,
-    slopes and coefficients take one batched product each."""
+    """Set the PanelChain of every collocated chain, or its overflow
+    error; their start values have one size.  One loop chains the 2x2
+    propagators of all, padded with the identity past a chain's end, and
+    the node values, slopes and coefficients take one batched product
+    each."""
     parts = [c.panels() for c in chains]
     a, b, origin, hm, phi, f = (_cat(list(col)) for col in zip(*parts))
     phi = _frozen(phi)
@@ -785,8 +768,8 @@ def _chain_all(chains) -> None:
         sl = slice(offsets[i], offsets[i + 1])
         c.chain = PanelChain(np.append(a[sl], b[sl][-1]),
                              ys[sl].reshape(-1, 2 * ncols),
-                             hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl])
-        c.phi = phi[sl]
+                             hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl],
+                             phi[sl])
 
 
 def check_tolerances(rtol, atol) -> None:
@@ -812,7 +795,7 @@ class Run:
     ``solved`` holds, for a run with one target, the resolved panels of
     that chain at the run's z and tolerances, (a, b, origin, H at the
     nodes, ``phi``), for a caller that keeps them from an earlier chain
-    (``Integration.phi``): the chain then solves no panel and only chains
+    (``PanelChain.phi``): the chain then solves no panel and only chains
     them from ``state0``; None: collocated.
     """
 
@@ -828,14 +811,7 @@ class Run:
 
 class Integration(tuple):
     """The Solution of every run of one ``integrate_dense`` call, in
-    the order of the runs; ``segments`` lists the chains of all, and
-    ``phi`` per run the propagators ``phi`` of its chains' panels, chain by
-    chain (read-only), which a caller may keep for ``Run.solved``."""
-
-    def __new__(cls, sols, phi):
-        self = super().__new__(cls, sols)
-        self.phi = phi
-        return self
+    the order of the runs; ``segments`` lists the chains of all."""
 
     @property
     def segments(self):
@@ -867,13 +843,9 @@ def integrate_dense(runs: Sequence[Run], rtol=RK_RTOL,
          else first_round(run.h, float(run.t0), float(t1), run.sing), state0,
          run.solved)
         for run, z, state0, ends in jobs for t1 in ends], rtol, atol))
-    sols, phi = [], []
-    for run, z, state0, ends in jobs:
-        done = [next(chains) for _ in ends]
-        sols.append(Solution([c.chain for c in done], z, run.h, run.t0,
-                             state0))
-        phi.append([c.phi for c in done])
-    return Integration(sols, phi)
+    return Integration(Solution([next(chains).chain for _ in ends], z, run.h,
+                                run.t0, state0)
+                       for run, z, state0, ends in jobs)
 
 
 def _targets_for(h: Hamiltonian, t0: float, side: Optional[Side],

@@ -611,6 +611,25 @@ class TestIndivisibleAngles:
              else cs.u_plus(ih, self.Z))
         np.testing.assert_array_equal(u, np.eye(2))
 
+    @pytest.mark.parametrize("side", ["minus", "plus"])
+    @pytest.mark.parametrize("z", [2.0 + 1.0j, 20.0 + 20.0j])
+    def test_midpoint_pairs_match_the_closed_form(self, side, z):
+        # from an interior anchor the run integrates only back to the
+        # regular endpoint: Y(reg) = I + z (A(reg) - A(t_a)) J xi xi^T, with
+        # A(t) = -1.5 / (t - 1) an antiderivative of h; a chain toward sigma
+        # would run out of splits at 20+20j
+        phi = 0.7
+        ih = cs.problem_from_dict(indivisible_problem_dict(phi, side))
+        h = ih.side(side)
+        reg, mid = h.regular_endpoint(side), 0.5 * sum(h.interval)
+        pairs = cs.gamma_columns(ih, side, z, mid, np.eye(2))
+        got = np.array([p.vec for p in pairs]).T  # column c: e_c's pair
+        xi = np.array([np.cos(phi), np.sin(phi)])
+        jxx = np.array([[0.0, -1.0], [1.0, 0.0]]) @ np.outer(xi, xi)
+        area = -1.5 / (reg - 1.0) + 1.5 / (mid - 1.0)
+        want = np.eye(2) + z * area * jxx
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_weyl_coefficient_at_the_vertical_angle(self):
         ih = cs.problem_from_dict(indivisible_problem_dict(np.pi / 2, "minus"))
         assert abs(cs.weyl_intermediate(ih, 0.5 + 1.0j)) <= 1e-12

@@ -548,6 +548,61 @@ class TestOutputBlock:
         assert code == 2
         assert "formt" in err
 
+    def test_validate_example_writes_to_the_config_path(self, tmp_path,
+                                                        capsys):
+        target = tmp_path / "report.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"output": {"format": "json", "path": str(target)}}))
+        code, out, _ = run_cli(["--config", str(cfg), "validate-example"],
+                               capsys)
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["pass"]
+
+    # validate-example reads only the output block of a config
+    @pytest.mark.parametrize("text, token", [
+        (None, "cannot read config"),
+        ('{"output": {', "malformed JSON"),
+        ('{"output": {"formt": "json"}}', "formt"),
+        ('{"problem": {}}', "['problem']"),
+        ('{"z_grid": [1], "output": {}}', "['z_grid']"),
+    ])
+    def test_validate_example_rejects_a_bad_config(self, text, token,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        monkeypatch.setattr(cli.ex, "run_validation",
+                            lambda *args, **kwargs: pytest.fail("validated"))
+        code, out, err = run_cli(["--config", str(cfg), "validate-example"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert token in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, fmt, code", [
+        (["fundamental", "--z-grid", "1j", "--t-grid", "0.5"], "json", 2),
+        (["wpoly", "--t-grid", "0.5"], "json", 2),
+        (["regbv", "--z-grid", "1j"], "csv", 2),
+        (["weyl", "--z", "1j"], "csv", 2),
+        (["validate-example"], "csv", 2),
+        (["monodromy", "--z-grid", "1j"], "xml", 2),
+        (["fundamental", "--z-grid", "1j", "--t-grid", "0.5"], "csv", 0),
+        (["regbv", "--z-grid", "1j"], "json", 0),
+    ])
+    def test_config_format_checked_per_subcommand(self, command, fmt,
+                                                        code, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": {"format": fmt}}))
+        got, out, err = run_cli(["--config", str(cfg), *command], capsys)
+        assert got == code
+        if code == 2:
+            assert out == "" and "output.format" in err
+            assert "Traceback" not in err
+        else:
+            assert out.startswith("t,z_re" if fmt == "csv" else "[")
+
 
 class TestDeterminism:
     def test_byte_identical_csv(self, tmp_path):

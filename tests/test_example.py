@@ -108,8 +108,10 @@ class TestConfig:
         assert cfg.d0_value == pytest.approx(-1.5)
 
     def test_s_plus_validated(self):
-        with pytest.raises(ValueError):
-            cs.ExampleConfig(s_plus=1.0)
+        # a library error, as every error the package raises
+        for s_plus in (1.0, 0.5, float("nan")):
+            with pytest.raises(cs.ConfigError, match="s_plus must exceed 1"):
+                cs.ExampleConfig(s_plus=s_plus)
 
     @pytest.mark.parametrize("kwargs", [{"b": (0.5,)}, {"oe": -1}])
     def test_b_length_validated(self, kwargs):
@@ -164,6 +166,15 @@ class TestRunValidation:
                                              s_plus)
         report = cs.run_validation(cs.ExampleConfig(s_plus=s_plus),
                                    z_grid=(1.0, 2.0 + 1.0j))
+        assert report["pass"], report["max_abs_err"]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "open question: at s_plus = 4 the gate's raw |det W - 1| reads "
+        "1.24e-6 at z = 2+3j, where |W| reaches 2.3e5, while the normalised "
+        "det_residual there is 1e-16; whether the gate or the integration "
+        "is at fault is undecided"))
+    def test_s_plus_four_passes(self):
+        report = cs.run_validation(cs.ExampleConfig(s_plus=4.0))
         assert report["pass"], report["max_abs_err"]
 
     def test_perturbed_d0_passes(self):

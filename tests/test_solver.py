@@ -297,6 +297,26 @@ def _panel_zs(z, n_panels):
     return zs[:, None, None], zz[:, None, None]
 
 
+def _bases(z, zz, a, b, hm):
+    """``sv._panel_bases`` of the panels as one chain, with the Schur
+    tables of its diagonal panels formed for them."""
+    d = sv._diagonal(hm)
+    tables = sv._schur_factors(0.5 * (b[d] - a[d]), hm[d])
+    return sv._panel_bases(z, zz, a, b, hm, [tables])
+
+
+class _AtNodes:
+    """A stand-in Hamiltonian for ``sv._round``: its values at the nodes
+    of the round's panels are ``hm``."""
+
+    def __init__(self, hm):
+        self.hm = hm
+
+    def matrix(self, t):
+        assert t.shape == (self.hm.shape[0] * self.hm.shape[1],)
+        return self.hm.reshape(-1, 2, 2)
+
+
 class TestCollocation:
     @pytest.mark.parametrize("kind, z, n_panels", _COLLOCATION_CASES)
     def test_block_layout_matches_interleaved_reference(self, kind, z,
@@ -308,7 +328,7 @@ class TestCollocation:
         coupled = np.abs(hm[..., 0, 1]).min(axis=1) > 0.0
         assert coupled.all() if kind == "coupled" else not coupled.all()
         zs, zz = _panel_zs(z, n_panels)
-        bases = sv._panel_bases(zs, zz, a, b, hm)
+        bases = _bases(zs, zz, a, b, hm)
         phi, f = (x.transpose(0, 2, 1, 3) for x in bases)  # to (P, n, 2, 2)
         refs = [_panel_bases_interleaved(w, a[k:k + 1], b[k:k + 1],
                                          hm[k:k + 1])
@@ -320,8 +340,8 @@ class TestCollocation:
         # batch gives the same bits (of a mixed batch: a diagonal panel at
         # 5 panels, a coupled one at 23)
         k = n_panels // 2
-        alone = sv._panel_bases(zs[k:k + 1], zz[k:k + 1], a[k:k + 1],
-                                b[k:k + 1], hm[k:k + 1])
+        alone = _bases(zs[k:k + 1], zz[k:k + 1], a[k:k + 1], b[k:k + 1],
+                       hm[k:k + 1])
         assert all(np.array_equal(x[0], y[k]) for x, y in zip(alone, bases))
 
     @pytest.mark.parametrize("kind", ["diagonal", "coupled", "mixed"])
@@ -332,14 +352,14 @@ class TestCollocation:
         # gives the bits of the same z spread over the panels
         a, b, hm = _collocation_panels(kind, 23)
         zs, zz = _panel_zs(-1.3 + 4.1j, 23)
-        whole = sv._panel_bases(zs, zz, a, b, hm)
+        whole = _bases(zs, zz, a, b, hm)
         z = complex(zs[1, 0, 0])
-        one = sv._panel_bases(z, z * z, a, b, hm)
+        one = _bases(z, z * z, a, b, hm)
         monkeypatch.setattr(sv, "SOLVE_BLOCK", 4)
-        blocks = sv._panel_bases(zs, zz, a, b, hm)
+        blocks = _bases(zs, zz, a, b, hm)
         assert all(np.array_equal(x, y) for x, y in zip(whole, blocks))
-        spread = sv._panel_bases(np.full_like(zs, z), np.full_like(zz, z * z),
-                                 a, b, hm)
+        spread = _bases(np.full_like(zs, z), np.full_like(zz, z * z), a, b,
+                        hm)
         assert all(np.array_equal(x, y) for x, y in zip(one, spread))
 
     @staticmethod
@@ -358,46 +378,49 @@ class TestCollocation:
                                       "coupled"])
     def test_kept_factors_give_the_bits_of_formed_ones(self, kind,
                                                        monkeypatch):
-        # a chain that carries the Schur tables of its diagonal panels, in
-        # a batch between chains that carry none, gives in any block what
-        # tables formed in the solve give, and forms only the others' (of
-        # a mixed batch the blocks hold its panels between coupled ones)
+        # three chains, each with the tables its round formed for its own
+        # diagonal panels alone, give in any block the bits of one chain
+        # with tables formed for all, and the solve forms none (of a mixed
+        # batch the blocks hold a chain's panels between coupled ones)
         a, b, hm = _collocation_panels(kind, 23)
         zs, zz = _panel_zs(0.7 - 2.2j, 23)
-        want = sv._panel_bases(zs, zz, a, b, hm)
-        diag = sv._diagonal(hm)
-        d = diag[5:17]
-        tables = sv._schur_factors(0.5 * (b[5:17] - a[5:17])[d],
-                                   hm[5:17][d])
-        chains = [(5, None), (12, tables), (6, None)]
-        formed = []
-        schur = sv._schur_factors
-
-        def counted(hw, hm):
-            formed.append(len(hw))
-            return schur(hw, hm)
-
-        monkeypatch.setattr(sv, "_schur_factors", counted)
+        want = _bases(zs, zz, a, b, hm)
+        rounds = []
+        for k in (slice(0, 5), slice(5, 17), slice(17, 23)):
+            rnd = sv._round(_AtNodes(hm[k]), a[k].copy(), b[k].copy())
+            d = sv._diagonal(hm[k])
+            fresh = sv._schur_factors(0.5 * (b[k][d] - a[k][d]), hm[k][d])
+            assert all(x.shape == y.shape and x.tobytes() == y.tobytes()
+                       for x, y in zip(rnd.schur, fresh))
+            rounds.append(rnd)
+        monkeypatch.setattr(sv, "_schur_factors",
+                            lambda *args: pytest.fail("a solve formed tables"))
         for block in (64, 4, 5):
             monkeypatch.setattr(sv, "SOLVE_BLOCK", block)
-            del formed[:]
-            got = sv._panel_bases(zs, zz, a, b, hm, chains)
+            got = sv._panel_bases(zs, zz, a, b, hm, [r.schur for r in rounds])
             assert all(np.array_equal(x, y) for x, y in zip(want, got))
-            assert sum(formed) == diag.sum() - d.sum()
 
-    def test_factors_of_non_finite_h_raise_no_warning(self):
-        # warnings are errors in this suite: a kept round with non-finite H
-        # forms its tables quietly and fails its chain as one without
-        h = cs.identity_hamiltonian((0.0, 1.0))
-        rnd = sv.first_round(h, 0.0, 1.0, None)
-        hm = rnd.hm.copy()
+    @staticmethod
+    def non_finite_round(h, monkeypatch):
+        """The first round of ``h`` on [0, 1], one panel, with H made
+        non-finite at two of its nodes."""
+        hm = sv._h_at_nodes(h, np.array([0.0]), np.array([1.0]))
         hm[0, 3, 0, 0], hm[0, 5, 1, 1] = np.inf, np.nan
-        bad = sv.FirstRound(rnd.a, rnd.b, hm)
+        with monkeypatch.context() as m:
+            m.setattr(sv, "_h_at_nodes", lambda h, a, b: hm)
+            return sv.first_round(h, 0.0, 1.0, None)
+
+    def test_factors_of_non_finite_h_raise_no_warning(self, monkeypatch):
+        # warnings are errors in this suite: a round with non-finite H
+        # forms its tables quietly, and kept, fails its chain as unkept
+        h = cs.identity_hamiltonian((0.0, 1.0))
+        bad = self.non_finite_round(h, monkeypatch)
+        assert not np.isfinite(bad.schur[1]).all()
         kept = sv.refined_round(h, bad)
-        assert not np.isfinite(kept.schur[1]).all()
         # its panel stays whole
         assert all(np.array_equal(x, y, equal_nan=True) for x, y in
-                   zip((bad.a, bad.b, bad.hm), (kept.a, kept.b, kept.hm)))
+                   zip((bad.a, bad.b, bad.hm, *bad.schur),
+                       (kept.a, kept.b, kept.hm, *kept.schur)))
         errors = []
         for first in (bad, kept):
             run = sv.Run(1.5j, h, 0.0, [1.0, 0.0], [1.0], None, first)
@@ -407,14 +430,13 @@ class TestCollocation:
         assert errors[0] == errors[1]
 
     @staticmethod
-    def plan_round(problem, side):
-        """The side plan's unrefined first round, rebuilt from its span."""
+    def plan_span(problem, side):
+        """The side plan and the span of its chain, (t0, t1, sigma)."""
         cs.monodromy_matrix(problem, 1j)
         plan = problem.memo(("plan", side), lambda: pytest.fail("no plan"))
         h = problem.side(side)
-        rnd = sv.first_round(h, float(plan.a[0]), float(plan.b[-1]),
-                             h.singular_endpoint(side))
-        return h, rnd, plan
+        return h, (float(plan.a[0]), float(plan.b[-1]),
+                   h.singular_endpoint(side)), plan
 
     @pytest.mark.parametrize("case", ["example-plus", "indivisible-minus",
                                       "indivisible-plus", "non-finite"])
@@ -422,18 +444,16 @@ class TestCollocation:
         plan = None
         if case == "non-finite":  # the round of the test above
             h = cs.identity_hamiltonian((0.0, 1.0))
-            rnd = sv.first_round(h, 0.0, 1.0, None)
-            hm = rnd.hm.copy()
-            hm[0, 3, 0, 0], hm[0, 5, 1, 1] = np.inf, np.nan
-            rnd = sv.FirstRound(rnd.a, rnd.b, hm)
         elif case == "example-plus":
-            h, rnd, plan = self.plan_round(cs.example_problem(), "plus")
+            h, span, plan = self.plan_span(cs.example_problem(), "plus")
         else:
             problem = cs.problem_from_dict(indivisible_problem_dict(0.7,
                                                                     "plus"))
-            h, rnd, plan = self.plan_round(problem, case.split("-")[1])
+            h, span, plan = self.plan_span(problem, case.split("-")[1])
         schur, formed = sv._schur_factors, []
         count_calls(monkeypatch, sv, "_schur_factors", [], formed)
+        rnd = (self.non_finite_round(h, monkeypatch) if plan is None
+               else sv.first_round(h, *span))
         kept = sv.refined_round(h, rnd)
         if plan is not None:  # the round the problem keeps
             assert all(x.tobytes() == y.tobytes() for x, y in
@@ -443,8 +463,8 @@ class TestCollocation:
         fresh = schur(0.5 * (kept.b[d] - kept.a[d]), kept.hm[d])
         assert all(x.shape == y.shape and x.tobytes() == y.tobytes()
                    for x, y in zip(kept.schur, fresh))
-        # each panel's tables formed once: the round's diagonal panels
-        # before the probe, then the diagonal halves of the split ones
+        # each panel's tables formed once: the first round's diagonal
+        # panels, then the probe's diagonal halves
         whole = np.isin(kept.a, rnd.a) & np.isin(kept.b, rnd.b)
         want = [int(sv._diagonal(rnd.hm).sum())]
         if not whole.all():

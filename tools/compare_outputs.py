@@ -10,7 +10,9 @@ each in its own interpreter:
 - ``monodromy_matrix`` at 20 seeded z on the example with its plus side,
   and then with its minus side, made indivisible of angle 0.7, or the
   error it raises: a fresh z solves the diagonal panels of one side beside
-  the coupled ones of the other in one batch;
+  the coupled ones of the other in one batch; and at those z the pairs of
+  ``gamma_columns`` anchored at the identity at the indivisible side's
+  midpoint, which are its values at the regular endpoint;
 - the bases of both sides at 40 seeded z: each chain's breaks, node states,
   H at the nodes and Chebyshev coefficients, the solution's values at
   ``N_POINTS`` evenly spaced points of its range, the values of each of its
@@ -157,9 +159,20 @@ def dump(far: bool) -> dict:
             lambda: cs.monodromy_matrix(ih, z))
     for side in ("plus", "minus"):
         ih = cs.problem_from_dict(_indivisible_problem(cs, 0.7, side))
+        mid = 0.5 * sum(ih.side(side).interval)
         for k, z in enumerate(([FAR_Z] if far else []) + _grid(20, SEED + 3)):
             out[f"indivisible {side} monodromy[{k}] z={z}"] = _attempt(
                 lambda: cs.monodromy_matrix(ih, z))
+            if z == FAR_Z:  # older checkouts run out of splits there
+                continue
+            key = f"indivisible {side} midpoint[{k}] z={z}"
+            found = _attempt(lambda: bd.gamma_columns(ih, side, z, mid,
+                                                      np.eye(2)))
+            if isinstance(found, str):
+                out[key] = found
+                continue
+            for c, p in enumerate(found):
+                out[f"{key} column {c}"] = _pair(p)
     ih, ref = _fresh_problem(cs, far), _fresh_problem(cs, far)
     mids = [0.5 * sum(ih.side(side).interval) for side in ("minus", "plus")]
     shot_c = np.random.default_rng(SEED + 4).normal(size=(2, 2)) @ [1.0, 1.0j]
