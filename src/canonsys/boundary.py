@@ -38,24 +38,16 @@ once per side and kept in the problem's fixed store
 (``IndefHamiltonianA.memo``) under ``("plan", side)``, beside the
 w-families: the ``SidePlan`` holds the first round of the run's chain (its
 panels, refined once at the solver's fixed probe z, ``solver.PROBE_Z``, H
-at their nodes and the Schur tables of the diagonal ones), w_Delta^T H at
-those nodes and w_n at the regular endpoint for n <= Delta, all read-only,
-and never changes after it is built.  ``_runs`` passes it to the
-integrator as the run's first round (``solver.Run.first``) and reads its
-w-values back for the limits, so a fresh z that splits no panel beyond the
-plan's runs one collocation round and evaluates neither H, nor w_Delta,
-nor a Schur table of a plan's panel; on the example no z
-with |Re z| <= 8 and |Im z| <= 5 splits one.  Such a z counts no split
-toward ``solver.MAX_SPLITS``, and at z = 0 the basis keeps the probe's
-halves, where one panel would do.  A run from an interior anchor that is
-one of the plan's breaks, far enough from sigma to end at the plan's last
-node (every side's midpoint is), on a side that is not indivisible, starts
-from the plan's tail (``_plan_tail``): views of the plan from that break
-on, with w_n at the anchor, so it evaluates neither H, nor w_Delta, nor a
-Schur table of those panels either; a tail is kept per serving break
-(``("tail", side, t, end)``).  Runs from any other anchor build their own
-first round, and nothing is kept for them.  y2 and S at the extrapolation
-nodes come from one evaluation on the chain's panels.
+at their nodes and the Schur tables of the diagonal ones) and w_Delta^T H
+at those nodes, all read-only, and never changes after it is built.
+``_runs`` passes it to the integrator as the run's first round
+(``solver.Run.first``) and reads its w-values back for the limits, so a
+fresh z that splits no panel beyond the plan's runs one collocation round
+and evaluates neither H, nor w_Delta, nor a Schur table of a plan's panel;
+on the example no z with |Re z| <= 8 and |Im z| <= 5 splits one.  Such a
+z counts no split toward ``solver.MAX_SPLITS``, and at z = 0 the basis
+keeps the probe's halves, where one panel would do.  y2 and S at the
+extrapolation nodes come from one evaluation on the chain's panels.
 
 Per side and z, one integration is computed once and kept in the problem's
 cache (``IndefHamiltonianA.memo``) under ``("basis", side, z)``:
@@ -65,12 +57,7 @@ with the boundary pairs of its two rows (the rows of the boundary matrix U);
 its chain keeps the propagators of its panels (``solver.PanelChain.phi``).
 ``side_bases`` reads several sides and z.  The cache keeps at most
 ``hamiltonian.PER_Z_CAP`` such entries (32 z on both sides), least
-recently used evicted first.  A run from a plan tail at a z whose basis
-is cached takes the basis's resolved panels from the tail's break on
-(``_basis_tail``) and solves no collocation system: a run from a break of
-the plan resolves the same panels as the basis, to the same bits.
-Without a cached basis it collocates from the tail; no basis is built for
-it.
+recently used evicted first.
 
 The boundary map is linear and the solutions of a side are y = Phi^T c, so
 every pair is read off that basis: ``SideBasis.pair(c)`` is U^T c, with
@@ -81,10 +68,16 @@ nothing of their own; a point outside the basis's range (within about 9.5e-8
 of the side's length from sigma, or off the side) raises DomainError, as any
 evaluation there does.  ``gamma_columns`` takes its pairs from a given
 anchor and start state instead: the run's own are that state, S anchored
-at the anchor and the Neville tableau of its limits; from a serving plan
-break at a cached z it shares the basis's propagators and solves no panel,
-and from any other anchor, or without a cached basis, it collocates its
-own chain.
+at the anchor and the Neville tableau of its limits.  From an interior
+anchor that is a plan break far enough from sigma to end at the plan's
+last node (every side's midpoint is), on a side that is not indivisible,
+it reads the side's basis at its z, built first when it is missing: it
+takes the basis's resolved panels from that break on (``_basis_panels``)
+and solves no collocation system, since a run from a break of the plan
+resolves the same panels as the basis, to the same bits.  w_n at the
+anchor is kept per such break and at the regular endpoint
+(``_anchor_w``).  From any other anchor it collocates its own chain from a
+first round of its own, and nothing is kept for it.
 """
 
 from __future__ import annotations
@@ -287,16 +280,10 @@ class SidePlan(sv.FirstRound):
     the first round of its chain, refined once at ``solver.PROBE_Z``
     (panels, H at their nodes and the Schur tables of the diagonal ones,
     ``solver.refined_round``), and, on a side that is not indivisible,
-    w_Delta^T H at those nodes, (P, DEGREE + 1, 2), and w_n at the chain's
-    start for n <= Delta, (Delta + 1, 2): the regular endpoint, or the
-    anchor of a tail (``_plan_tail``), and ``start``, the index in the
-    plan of the chain's first panel (0 for the plan itself).  Built once,
-    read-only and kept on the problem under ``("plan", side)`` for its
-    life; a tail is kept per serving break (``_plan_tail``)."""
+    w_Delta^T H at those nodes, (P, DEGREE + 1, 2).  Built once, read-only
+    and kept on the problem under ``("plan", side)`` for its life."""
 
     wh: Optional[np.ndarray] = None
-    w_reg: Optional[np.ndarray] = None
-    start: int = 0
 
 
 def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
@@ -310,101 +297,83 @@ def _side_plan(ih: IndefHamiltonianA, side: Side, h, t0, t1, sing) -> SidePlan:
         rnd = sv.refined_round(h, sv.first_round(h, t0, t1, sing))
         if ih.indivisible(side).is_indivisible:
             return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur)
-        w_funcs = wp.w_family_for(ih, side)
         t = cp.nodes_between(rnd.a, rnd.b)
-        wh = np.einsum("pja,pjab->pjb", w_funcs[ih.delta](t), rnd.hm)
-        w_reg = np.array([f(t0) for f in w_funcs[:ih.delta + 1]])
-        for arr in (wh, w_reg):
-            arr.setflags(write=False)
-        return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur, wh, w_reg)
+        wh = np.einsum("pja,pjab->pjb", wp.w_family_for(ih, side)[ih.delta](t),
+                       rnd.hm)
+        wh.setflags(write=False)
+        return SidePlan(rnd.a, rnd.b, rnd.hm, rnd.schur, wh)
 
     return ih.memo(("plan", side), build)
 
 
-def _plan_tail(ih: IndefHamiltonianA, side: Side, t: float,
-               end: float) -> Optional[SidePlan]:
-    """The side plan from its break ``t`` on, as the first round of a run
-    from the interior anchor ``t`` to ``end``; None when it does not serve.
+def _w_at(ih: IndefHamiltonianA, side: Side, t: float) -> np.ndarray:
+    """w_n at t for n <= Delta, (Delta + 1, 2)."""
+    return np.array([f(t) for f in wp.w_family_for(ih, side)[:ih.delta + 1]])
 
-    It serves when the run's own first round (``solver._initial_breaks``)
-    is the end of the plan's before refining: the same last node, and the
-    same breaks from t on.  The tail's panels, H, Schur tables and
-    w_Delta^T H are then the bits the run would form itself, except that a
-    panel the probe halved stands as its halves, as in a run from the
-    regular endpoint.  The tail is views of the plan, with w_n at t in
-    place of w_n at the regular endpoint, and is kept in the problem's
-    fixed store under ``("tail", side, t, end)``: a tail is kept per serving
-    break, so its test and w_n at t run once per problem.  The test reads
-    breaks alone, so no plan is built and nothing is kept for an anchor
-    that does not serve.  A run ends at the plan's last node when
-    |t - sigma| is at least 2 EPS0_FRAC times the side's length
+
+def _anchor_w(ih: IndefHamiltonianA, side: Side, t: float,
+              end: float) -> tuple:
+    """(w_n at the anchor ``t`` for n <= Delta, whether a run from t to
+    ``end`` reads the side's plan).  When it does, w_n is read-only and
+    kept under ``("anchor", side, t)``; else nothing is kept.
+
+    A run from the regular endpoint starts from the plan.  One from an
+    interior anchor reads the side's basis when its own first round
+    (``solver._initial_breaks``) is the end of the plan's before refining:
+    the same last node, and the same breaks from t on.  It then solves the
+    plan's panels from t on, splits them and resolves their halves exactly
+    as the basis did at the same z, since every step treats a panel alike
+    whatever else is in its chain or batch.  The test reads breaks alone
+    and runs once per serving break.  A run ends at the plan's last node
+    when |t - sigma| is at least 2 EPS0_FRAC times the side's length
     (``node_distances``), and a side's midpoint is its plan's first
     geometric break.
     """
-    key = ("tail", side, t, end)
-    tail = ih.cache.get(key)
-    if tail is not None:
-        return tail
+    key = ("anchor", side, t)
+    w = ih.cache.get(key)
+    if w is not None:
+        return w, True
     h, sing = ih.side(side), ih.sigma
     reg = h.regular_endpoint(side)
-    if end != float(_extrapolation_nodes(h, sing, reg)[1][-1]):
-        return None
-    full = sv._initial_breaks(h, reg, end, sing)
-    own = sv._initial_breaks(h, t, end, sing)
-    if not np.array_equal(own, full[len(full) - len(own):]):
-        return None
+    if t != reg:
+        if end != float(_extrapolation_nodes(h, sing, reg)[1][-1]):
+            return _w_at(ih, side, t), False
+        full = sv._initial_breaks(h, reg, end, sing)
+        own = sv._initial_breaks(h, t, end, sing)
+        if not np.array_equal(own, full[len(full) - len(own):]):
+            return _w_at(ih, side, t), False
 
     def build():
-        plan = _side_plan(ih, side, h, reg, end, sing)
-        k = int(np.flatnonzero(plan.a == t)[0])  # a probe halves no break
-        d = int(np.count_nonzero(sv._diagonal(plan.hm[:k])))
-        w_t = np.array([f(t) for f in
-                        wp.w_family_for(ih, side)[:ih.delta + 1]])
-        w_t.setflags(write=False)
-        return SidePlan(plan.a[k:], plan.b[k:], plan.hm[k:],
-                        tuple(tab[d:] for tab in plan.schur), plan.wh[k:],
-                        w_t, k)
+        w = _w_at(ih, side, t)
+        w.setflags(write=False)
+        return w
 
-    return ih.memo(key, build)
+    return ih.memo(key, build), True
 
 
-def _basis_tail(ih: IndefHamiltonianA, side: Side, z: complex,
-                tail: SidePlan) -> Optional[tuple]:
-    """The resolved panels of the side's cached basis at ``z`` from the
-    first break of the plan tail ``tail`` on, as ``solver.Run.solved``
-    takes them for a run that starts from that tail; None when no basis at
-    this z is cached (never built, or evicted), which is not built here.
-
-    A run from a break of the plan solves the panels of the tail, splits
-    them and resolves their halves exactly as the basis, which starts from
-    the plan, did at the same z: every step treats a panel alike whatever
-    else is in its chain or batch.  So its breaks, H at the nodes and
-    propagators ``phi`` are the basis's from that break on, and their index
-    in the first round (``origin``) is the basis's shifted to the tail."""
-    basis = ih.cache.get((PER_Z_KIND, side, z))
-    # a zero of another sign is the same cache key, but not the same bits
-    if basis is None or repr(basis.solution.z) != repr(z):
-        return None
+def _basis_panels(basis: "SideBasis", t: float) -> tuple:
+    """The resolved panels of the basis's chain from its break ``t`` on, as
+    ``solver.Run.solved`` takes them: breaks, index in the side plan
+    (``origin``), H at the nodes and propagators ``phi``."""
     chain = basis.solution.segments[0]
-    j = int(np.flatnonzero(chain.breaks == tail.a[0])[0])
-    origin = chain.origin[j:]
-    return (chain.breaks[j:-1], chain.breaks[j + 1:],
-            np.where(origin < 0, -1, origin - tail.start),
+    j = int(np.flatnonzero(chain.breaks == t)[0])
+    return (chain.breaks[j:-1], chain.breaks[j + 1:], chain.origin[j:],
             chain.hm.reshape(-1, cp.DEGREE + 1, 2, 2)[j:], chain.phi[j:])
 
 
 class _Limited(NamedTuple):
     """A run whose boundary pairs are limits at sigma: its side and z, its
-    anchor and anchored columns, its side's w-family, its chain, the side
-    plan or plan tail the chain started from (None: a first round of its
-    own), and the distances ``hs`` of its extrapolation nodes ``xs`` to
-    sigma."""
+    anchor and anchored columns, its side's w-family and w_n at the anchor
+    for n <= Delta, its chain, the side plan its panels' ``origin`` indexes
+    (None: a first round of its own), and the distances ``hs`` of its
+    extrapolation nodes ``xs`` to sigma."""
 
     side: Side
     z: complex
     t_anchor: float
     y_cols: np.ndarray
     w_funcs: list
+    w_anchor: np.ndarray
     chain: sv.PanelChain
     plan: Optional[SidePlan]
     hs: np.ndarray
@@ -425,10 +394,8 @@ def _functional(ih: IndefHamiltonianA, runs):
     for run in runs:
         chain, plan, y_cols, z = run.chain, run.plan, run.y_cols, run.z
         # S at the anchor per column: sum_n z^n w_n^T J y
-        w_anchor = (plan.w_reg if plan is not None
-                    else [f(run.t_anchor) for f in run.w_funcs[:delta + 1]])
         s0s.append(sum(z ** k * (w[0] * (-y_cols[1, :]) + w[1] * y_cols[0, :])
-                       for k, w in enumerate(w_anchor)))
+                       for k, w in enumerate(run.w_anchor)))
         a, b = chain.breaks[:-1], chain.breaks[1:]
         wh = np.empty((len(a), n, 2))
         if plan is None:
@@ -527,14 +494,17 @@ def _runs(ih: IndefHamiltonianA, requests):
     On an indivisible side the pairs are the values at the regular endpoint,
     to which alone a run from an interior anchor integrates; on any other
     side they are the limits at sigma.  A run from the regular endpoint
-    starts from the side's plan (``_side_plan``), one from an interior
-    anchor where it serves from the plan's tail (``_plan_tail``), and, when
-    the side's basis at its z is cached, from that basis's resolved panels
-    beyond the tail's break (``_basis_tail``), so it solves no panel.
+    starts from the side's plan (``_side_plan``).  One from an interior
+    anchor where the plan serves (``_anchor_w``) reads the side's basis at
+    its z: it takes the basis's resolved panels from the anchor on
+    (``_basis_panels``) and solves no panel.  The bases of those runs that
+    are not cached are built first, all in one batch (``_build_bases``).  A
+    basis cached under a zero of another sign is not the same bits, and
+    such a run, like one from any other anchor, collocates its own chain.
     Returns per request (``solver.Solution``, one RegularisedBoundary per
     column).
     """
-    runs, grids = [], []
+    starts, bases = [], {}
     for side, z, t_anchor, y_cols in requests:
         h, sing = ih.side(side), ih.sigma
         reg = h.regular_endpoint(side)
@@ -545,32 +515,45 @@ def _runs(ih: IndefHamiltonianA, requests):
         if t_anchor == sing:
             raise DomainError("anchor coincides with the singularity")
         hs, xs = _extrapolation_nodes(h, sing, t_anchor)
-        indivisible = ih.indivisible(side).is_indivisible
-        target, plan, solved = float(xs[-1]), None, None
-        if t_anchor == reg:
-            plan = _side_plan(ih, side, h, reg, target, sing)
-        elif indivisible:
-            target = reg  # where the pairs are read: no chain toward sigma
+        target, w_anchor, key = float(xs[-1]), None, None
+        if ih.indivisible(side).is_indivisible:
+            if t_anchor != reg:
+                target = reg  # where the pairs are read: no chain toward sigma
         else:
-            plan = _plan_tail(ih, side, t_anchor, target)
-            if plan is not None:
-                solved = _basis_tail(ih, side, z, plan)
+            w_anchor, kept = _anchor_w(ih, side, t_anchor, target)
+            if kept and t_anchor != reg:
+                key = (side, z)
+                bases[key] = ih.cache.get((PER_Z_KIND, side, z))
+        starts.append((reg, target, hs, xs, w_anchor, key))
+    todo = [key for key, basis in bases.items() if basis is None]
+    if todo:
+        bases.update(_build_bases(ih, todo))
+    runs, plans = [], []
+    for (side, z, t_anchor, y_cols), start in zip(requests, starts):
+        h, sing = ih.side(side), ih.sigma
+        reg, target, *_, key = start
+        basis = bases.get(key)
+        if basis is not None and repr(basis.solution.z) != repr(z):
+            basis = None  # a zero of another sign: not the same bits
+        plan = (_side_plan(ih, side, h, reg, target, sing)
+                if t_anchor == reg or basis is not None else None)
+        solved = None if basis is None else _basis_panels(basis, t_anchor)
         runs.append(sv.Run(z, h, t_anchor, y_cols.T.reshape(-1), [target],
-                           sing, plan, solved))
-        grids.append((indivisible, reg, hs, xs, plan))
+                           sing, plan if solved is None else None, solved))
+        plans.append(plan)
     sols = sv.integrate_dense(runs)
     pairs, limited = [], []
-    for request, sol, grid in zip(requests, sols, grids):
+    for request, sol, start, plan in zip(requests, sols, starts, plans):
         side, z, t_anchor, y_cols = request
-        indivisible, reg, hs, xs, plan = grid
-        if indivisible:
+        reg, _, hs, xs, w_anchor, _ = start
+        if w_anchor is None:  # an indivisible side
             pairs.append([RegularisedBoundary(side, z, complex(gs),
                                               complex(gr), 0.0, ())
                           for gs, gr in sol.eval_state(reg).reshape(-1, 2)])
             continue
         limited.append(_Limited(side, z, t_anchor, y_cols,
-                                wp.w_family_for(ih, side), sol.segments[0],
-                                plan, hs, xs))
+                                wp.w_family_for(ih, side), w_anchor,
+                                sol.segments[0], plan, hs, xs))
         pairs.append(None)
     if limited:
         found = iter(_limit_pairs(ih, limited))
@@ -620,9 +603,10 @@ def gamma_vec(fhat, ih: IndefHamiltonianA, side: Side) -> RegularisedBoundary:
 class SideBasis:
     """Fundamental solution Phi of one side, identity at its regular
     endpoint, and the boundary pairs of its two rows (rows of the boundary
-    matrix U).  A run from a break of the side plan at the same z takes the
-    propagators of the solution's chain (``solver.PanelChain.phi``) in
-    place of solving those panels (``_basis_tail``)."""
+    matrix U).  A run from a serving break of the side plan at the same z
+    takes the propagators of the solution's chain
+    (``solver.PanelChain.phi``) in place of solving those panels
+    (``_basis_panels``)."""
 
     solution: sv.Solution
     pairs: tuple

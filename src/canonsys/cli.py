@@ -30,7 +30,6 @@ from .errors import CanonsysError, ConfigError
 from .hamiltonian import (IndefHamiltonianA, _number, check_HS, check_I,
                           check_psd, problem_from_dict)
 
-_RUN_KEYS = {"problem", "z_grid", "t_grid", "output"}
 # bounds on the point counts, checked before anything is allocated:
 # kernel_gram forms a (2m)^2 complex Gram matrix, 64 MB at m = 1000
 MAX_RECT_Z = 10_000
@@ -156,10 +155,10 @@ def _t_grid_from(args, cfg, default, lo, hi, sigma=None):
     return ts
 
 
-def _load_config(args, keys=_RUN_KEYS) -> dict:
-    """The config of ``--config`` ({} without one), holding only ``keys``
-    and an ``output.format`` the subcommand writes; ConfigError naming
-    the bad key otherwise."""
+def _load_config(args, keys) -> dict:
+    """The config of ``--config`` ({} without one), holding only ``keys``,
+    the ones the subcommand reads, and an ``output.format`` it writes;
+    ConfigError naming the bad key and the subcommand otherwise."""
     path = getattr(args, "config", None)
     if path is None:
         return {}
@@ -196,9 +195,10 @@ def _load_config(args, keys=_RUN_KEYS) -> dict:
     return cfg
 
 
-def _setup(args):
-    """Config and problem (the example by default)."""
-    cfg = _load_config(args)
+def _setup(args, *grids):
+    """Config and problem (the example by default); the config may hold
+    ``problem``, ``output`` and the ``grids`` keys the subcommand reads."""
+    cfg = _load_config(args, {"problem", "output", *grids})
     problem = cfg.get("problem")
     ih = ex.example_problem() if problem is None else problem_from_dict(problem)
     return cfg, ih
@@ -247,7 +247,7 @@ def _csv(rows, header) -> str:
 # subcommands
 
 def _cmd_fundamental(args):
-    cfg, ih = _setup(args)
+    cfg, ih = _setup(args, "z_grid", "t_grid")
     zs = _z_grid_from(args, cfg)
     side = args.side
     h = ih.side(side)
@@ -271,7 +271,7 @@ def _cmd_fundamental(args):
 
 
 def _cmd_wpoly(args):
-    cfg, ih = _setup(args)
+    cfg, ih = _setup(args, "t_grid")
     if args.n < 0:
         raise ConfigError(f"--n must be a non-negative integer, got {args.n}")
     if args.n > MAX_WPOLY_N:
@@ -291,7 +291,7 @@ def _cmd_wpoly(args):
 
 
 def _cmd_regbv(args):
-    cfg, ih = _setup(args)
+    cfg, ih = _setup(args, "z_grid")
     zs = _z_grid_from(args, cfg)
     side = args.side
     y0 = _parse_complex_list(args.init, "--init")
@@ -317,7 +317,7 @@ def _cmd_regbv(args):
 
 
 def _cmd_monodromy(args):
-    cfg, ih = _setup(args)
+    cfg, ih = _setup(args, "z_grid")
     zs = _z_grid_from(args, cfg)
     t = ih.s_plus if args.t is None else _finite_float(args.t, "--t")
     if not ih.s_minus <= t <= ih.s_plus or t == ih.sigma:

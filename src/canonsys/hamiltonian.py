@@ -455,8 +455,9 @@ class ProblemCache:
     Keys whose first element is ``PER_Z_KIND`` are the per-z side bases
     (``boundary.side_bases``), ``(PER_Z_KIND, side, z)``; at most
     ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
-    Every other key (the z-independent w-families, side plans and their
-    tails at serving breaks, ``boundary.SidePlan``) is kept for the life of
+    Every other key (the z-independent w-families, side plans,
+    ``boundary.SidePlan``, and w_n at the anchors that read a plan or a
+    basis) is kept for the life of
     the problem and built once, under the lock that guards both stores
     (reentrant: a plan's build looks up its w-family), and never replaced.
     A per-z ``build`` runs outside it, so an integration never blocks other

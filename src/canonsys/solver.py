@@ -52,9 +52,10 @@ blocks of at most ``SOLVE_BLOCK``, which bounds the memory of a batch of
 many z.  Each chain keeps the propagators of its panels
 (``PanelChain.phi``); a caller that keeps a chain can hand a later
 run at the same z and tolerances whose chain starts from a break of that
-chain's first round the panels from that break on (``Run.solved``): that
-chain solves no panel, since it would resolve the same ones to the same
-bits, and is only chained from its own start state.
+chain's first round the panels from that break on (``Run.solved``) in
+place of a first round: that chain solves no panel, since it would resolve
+the same ones to the same bits, and is only chained from its own start
+state.
 Node values and slopes of the states take one batched matmul each, their
 Chebyshev coefficients one more.
 Dense output (``Solution``) is the start state itself at the anchor,
@@ -588,25 +589,27 @@ def refined_round(h: Hamiltonian, rnd: FirstRound) -> FirstRound:
 
 class _Chain:
     """One chain of a batch while it is collocated: its z and z*z (Python
-    numbers), its pending round (``rnd``, the first round, then the halves
-    of each split) and the panels' index in the first round, the arrays of
+    numbers), its pending round (``rnd``: the run's first round, kept
+    (``Run.first``) or built, then the halves of each split) and the
+    panels' index in the first round, the arrays of
     its resolved panels per round, and the error that ended it, if any.  A
-    chain handed its resolved panels (``Run.solved``) starts with them done
-    and has no pending round."""
+    chain handed its resolved panels (``Run.solved``) in place of a first
+    round starts with them done and has no pending round."""
 
-    def __init__(self, z: complex, h, first: FirstRound, state0,
-                 solved=None):
+    def __init__(self, z: complex, run: "Run", t1: float, state0):
         self.z, self.zz = z, z * z
-        self.h, self.state0 = h, state0
-        t0, t1 = float(first.a[0]), float(first.b[-1])
+        self.h, self.state0 = run.h, state0
+        t0 = float(run.t0)
         self.context = f"integration on [{t0}, {t1}] at z={z}"
         self.direction = 1.0 if t1 > t0 else -1.0
-        self.rnd = first
-        self.origin = np.arange(len(first.a))
         self.done = []
-        if solved is not None:
-            *_, hm, phi = solved
-            self.done.append((*solved, _slopes(z, hm, phi)))
+        if run.solved is None:
+            self.rnd = (run.first if run.first is not None
+                        else first_round(run.h, t0, t1, run.sing))
+            self.origin = np.arange(len(self.rnd.a))
+        else:
+            *_, hm, phi = run.solved
+            self.done.append((*run.solved, _slopes(z, hm, phi)))
         self.splits = 0
         self.error = None
         self.chain = None  # the PanelChain, once chained
@@ -668,9 +671,9 @@ def _cat(parts):
 
 
 def _collocate(starts, rtol, atol):
-    """The chained ``_Chain`` of every (z, h, first round, start state,
-    resolved panels or None) of ``starts``, collocated as one batch: each
-    round solves and tests the pending panels of all chains at once, each
+    """The chained ``_Chain`` of every (z, run, target, start state) of
+    ``starts``, collocated as one batch: each round solves and tests the
+    pending panels of all chains at once, each
     panel with its chain's z and z*z spread over it, and one loop chains the
     propagators of all, those of a chain handed its resolved panels too.
     Only panels split off after the first round evaluate H.  Every step
@@ -791,12 +794,13 @@ class Run:
     target (at most one per direction).  ``sing`` is a singular endpoint a
     target may approach; panels are refined toward it.  ``first`` is the
     first round of the chain toward a run's one target, for a caller that
-    keeps that z-independent round; None: ``first_round`` builds it.
-    ``solved`` holds, for a run with one target, the resolved panels of
-    that chain at the run's z and tolerances, (a, b, origin, H at the
-    nodes, ``phi``), for a caller that keeps them from an earlier chain
-    (``PanelChain.phi``): the chain then solves no panel and only chains
-    them from ``state0``; None: collocated.
+    keeps that z-independent round; None: ``first_round`` builds it,
+    unless the run is handed its solved panels.  ``solved`` holds, for a
+    run with one target, the resolved panels of that chain at the run's z
+    and tolerances, (a, b, origin, H at the nodes, ``phi``), for a caller
+    that keeps them from an earlier chain (``PanelChain.phi``), whose
+    ``origin`` it keeps: the chain then has no first round, solves no
+    panel and only chains them from ``state0``; None: collocated.
     """
 
     z: complex
@@ -838,11 +842,9 @@ def integrate_dense(runs: Sequence[Run], rtol=RK_RTOL,
     if len({state0.shape for _, _, state0, _ in jobs}) > 1:
         raise DomainError("the runs of one integration need start states "
                           "of one size")
-    chains = iter(_collocate([
-        (z, run.h, run.first if run.first is not None
-         else first_round(run.h, float(run.t0), float(t1), run.sing), state0,
-         run.solved)
-        for run, z, state0, ends in jobs for t1 in ends], rtol, atol))
+    chains = iter(_collocate([(z, run, float(t1), state0)
+                              for run, z, state0, ends in jobs for t1 in ends],
+                             rtol, atol))
     return Integration(Solution([next(chains).chain for _ in ends], z, run.h,
                                 run.t0, state0)
                        for run, z, state0, ends in jobs)

@@ -155,7 +155,10 @@ class TestNevilleMatchesReference:
                                                          monkeypatch):
         # Delta = 2 on a diagonal side: S is corrected by the limit of y2
         # times sum z^(n+j) w_n^T J w_j, so the limits of y2 go first and
-        # those of the corrected S follow in a second call
+        # those of the corrected S follow in a second call; the run from
+        # the midpoint reads the side's basis, built before recording
+        z = 0.8 + 0.3j
+        boundary.side_basis(delta2_ih, "plus", z)
         seen = []
         original = boundary.neville_limit
 
@@ -164,7 +167,6 @@ class TestNevilleMatchesReference:
             return original(hs, vals)
 
         monkeypatch.setattr(boundary, "neville_limit", record)
-        z = 0.8 + 0.3j
         pairs = cs.gamma_columns(delta2_ih, "plus", z, 1.5, np.eye(2))
         assert len(seen) == 2
         xs = np.array([x for x, _, _ in pairs[0].samples])

@@ -332,6 +332,12 @@ def _plan(ih, side):
     return ih.memo(("plan", side), lambda: pytest.fail("plan not kept"))
 
 
+def _w_reg(ih, side):
+    """w_n at the side's regular endpoint, as its runs read it."""
+    key = ("anchor", side, ih.side(side).regular_endpoint(side))
+    return ih.memo(key, lambda: pytest.fail("w_n not kept"))
+
+
 FAR_Z = 28.0 + 28.0j  # splits panel 0 of both sides beyond the plans
 NEAR_Z = 0.5 + 0.5j   # splits no panel beyond them
 
@@ -465,10 +471,11 @@ def test_plan_is_fixed_whatever_z_come_first(order):
     for z in zs:
         for w, g in zip(want[z], got[z]):
             _assert_same_bits(w, g)
-    # one plan per side, the same object after every z, and read-only
+    # one plan per side, the same object after every z, and read-only, as
+    # is w_n at the regular endpoint
     assert all(p[0] is plans[0][0] and p[1] is plans[0][1] for p in plans)
-    for plan in plans[0]:
-        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg,
+    for side, plan in zip(("minus", "plus"), plans[0]):
+        for arr in (plan.a, plan.b, plan.hm, plan.wh, _w_reg(ih, side),
                     *plan.schur):
             assert not arr.flags.writeable
 
@@ -495,7 +502,7 @@ def test_plan_built_once_per_side(monkeypatch):
             kept = chain.origin[chain.origin >= 0]
             assert len(kept) and np.array_equal(
                 chain.breaks[:-1][chain.origin >= 0], plan.a[kept])
-        for arr in (plan.a, plan.b, plan.hm, plan.wh, plan.w_reg,
+        for arr in (plan.a, plan.b, plan.hm, plan.wh, _w_reg(ih, side),
                     *plan.schur):
             with pytest.raises(ValueError):
                 arr.flat[0] = 0.0
@@ -577,12 +584,13 @@ def test_runs_from_other_anchors_keep_no_plan():
 
 @pytest.fixture()
 def firsts(monkeypatch):
-    """List of (anchor, first round passed) of every integrated run."""
+    """List of (anchor, first round passed, solved panels passed) of every
+    integrated run."""
     calls = []
     orig = sv.integrate_dense
 
     def counted(runs, **kwargs):
-        calls.extend((run.t0, run.first) for run in runs)
+        calls.extend((run.t0, run.first, run.solved) for run in runs)
         return orig(runs, **kwargs)
 
     monkeypatch.setattr(sv, "integrate_dense", counted)
@@ -594,13 +602,19 @@ def _midpoints(ih):
             for side in ("minus", "plus")]
 
 
+def _anchored_requests(ih, zs, anchors):
+    """A request per (side, t) of ``anchors`` and z of ``zs``, anchored at
+    the side basis's value at t."""
+    return [(side, z, t, bd.side_basis(ih, side, z).solution.eval(t).T)
+            for z in zs for side, t in anchors]
+
+
 def _anchored_pairs(ih, zs, anchors):
     """gamma_s, gamma_r, err_est and the samples of every pair of runs from
     every (side, t) of ``anchors`` at every z, each anchored at the side
     basis's value at t, integrated in one batch."""
-    reqs = [(side, z, t, bd.side_basis(ih, side, z).solution.eval(t).T)
-            for z in zs for side, t in anchors]
-    return _pair_arrays(bd.gamma_columns_batch(ih, reqs))
+    return _pair_arrays(bd.gamma_columns_batch(
+        ih, _anchored_requests(ih, zs, anchors)))
 
 
 def _pair_arrays(found):
@@ -611,8 +625,36 @@ def _pair_arrays(found):
             for pairs in found for p in pairs]
 
 
-def _tail_off(monkeypatch):
-    monkeypatch.setattr(bd, "_plan_tail", lambda *args: None)
+def _collocated_pairs(ih, requests, tail):
+    """The pair arrays of ``requests`` (side, z, t, y_cols) on sides that
+    are not indivisible, each run collocating its chain in one
+    ``solver.integrate_dense`` call: from views of the side plan from its
+    break t on, with their part of w_Delta^T H, when ``tail``, else from
+    its own first round.  The limits are taken as for any run."""
+    runs, limited = [], []
+    for side, z, t, y_cols in requests:
+        h, sing = ih.side(side), ih.sigma
+        hs, xs = bd._extrapolation_nodes(h, sing, t)
+        y_cols = np.asarray(y_cols, dtype=complex).reshape(2, -1)
+        first = None
+        if tail:
+            plan = _plan(ih, side)
+            k = int(np.flatnonzero(plan.a == t)[0])
+            d = int(np.count_nonzero(sv._diagonal(plan.hm[:k])))
+            first = bd.SidePlan(plan.a[k:], plan.b[k:], plan.hm[k:],
+                                tuple(tab[d:] for tab in plan.schur),
+                                plan.wh[k:])
+        runs.append(sv.Run(z, h, t, y_cols.T.reshape(-1), [float(xs[-1])],
+                           sing, first))
+        limited.append((side, z, t, y_cols, first, hs, xs))
+    sols = sv.integrate_dense(runs)
+    found = []
+    for (side, z, t, y_cols, first, hs, xs), sol in zip(limited, sols):
+        w_funcs = cs.w_family_for(ih, side)
+        w_t = np.array([f(t) for f in w_funcs[:ih.delta + 1]])
+        found.append(bd._Limited(side, z, t, y_cols, w_funcs, w_t,
+                                 sol.segments[0], first, hs, xs))
+    return _pair_arrays(bd._limit_pairs(ih, found))
 
 
 _rng_mid = np.random.default_rng(20261021)
@@ -621,24 +663,24 @@ MID_ZS = ([complex(x, y) for x, y in zip(_rng_mid.uniform(-8, 8, 8),
           + [0.0, 1.0, 1j, 20.0 + 15.0j])
 
 
-def test_midpoint_runs_start_from_the_plan_tail(monkeypatch, firsts):
+def test_midpoint_runs_start_from_the_plan_tail(firsts):
+    # a run from a side's midpoint reads the basis's panels from there on,
+    # their origin indexing the plan, and collocates none
     ih = cs.example_problem()
-    got = _anchored_pairs(ih, MID_ZS, _midpoints(ih))
+    reqs = _anchored_requests(ih, MID_ZS, _midpoints(ih))
+    del firsts[:]
+    got = _pair_arrays(bd.gamma_columns_batch(ih, reqs))
     for side, t in _midpoints(ih):
         plan = _plan(ih, side)
-        tails = [first for t0, first in firsts if t0 == t]
-        assert len(tails) == len(MID_ZS)
-        for first in tails:
-            # views of the plan from its break t on
-            k = int(np.flatnonzero(plan.a == t)[0])
-            assert first.a.base is plan.a and first.a[0] == t
-            assert first.wh.base is plan.wh and len(first.wh) == len(plan.a) - k
-            assert len(first.schur[0]) < len(plan.schur[0])
-            assert all(tab.base is full for tab, full
-                       in zip(first.schur, plan.schur))
-    _tail_off(monkeypatch)
-    want = _anchored_pairs(cs.example_problem(), MID_ZS, _midpoints(ih))
-    _assert_same_bits(want, got)
+        solved = [(first, panels) for t0, first, panels in firsts if t0 == t]
+        assert len(solved) == len(MID_ZS)
+        for (first, (a, _, origin, _, phi)), z in zip(solved, MID_ZS):
+            chain, = bd.side_basis(ih, side, z).solution.segments
+            assert first is None and a[0] == t
+            assert np.shares_memory(phi, chain.phi)
+            kept = origin >= 0
+            assert kept.any() and np.array_equal(a[kept], plan.a[origin[kept]])
+    _assert_same_bits(_collocated_pairs(ih, reqs, tail=True), got)
 
 
 def test_midpoint_run_evaluates_no_h_and_forms_no_table(monkeypatch):
@@ -658,7 +700,6 @@ def test_midpoint_run_evaluates_no_h_and_forms_no_table(monkeypatch):
                                                ("plus", 1.125, True),
                                                ("minus", 0.3, False)])
 def test_near_breaks_and_other_anchors_keep_their_own_round(side, t, is_break,
-                                                            monkeypatch,
                                                             firsts):
     # 0.875 and 1.125 are plan breaks, but closer to sigma than 0.2 of the
     # side's length, so their runs end at another last node
@@ -666,30 +707,34 @@ def test_near_breaks_and_other_anchors_keep_their_own_round(side, t, is_break,
     ih = cs.example_problem()
     cs.monodromy_matrix(ih, z)
     assert (t in _plan(ih, side).a) == is_break
-    got = _anchored_pairs(ih, [z], [(side, t)])
-    assert [first for t0, first in firsts if t0 == t] == [None]
-    _tail_off(monkeypatch)
-    _assert_same_bits(_anchored_pairs(cs.example_problem(), [z], [(side, t)]),
-                      got)
+    reqs = _anchored_requests(ih, [z], [(side, t)])
+    got = _pair_arrays(bd.gamma_columns_batch(ih, reqs))
+    assert [(first, solved) for t0, first, solved in firsts
+            if t0 == t] == [(None, None)]
+    _assert_same_bits(_collocated_pairs(ih, reqs, tail=False), got)
 
 
-def test_indivisible_side_interior_run_keeps_its_own_chains(monkeypatch,
-                                                            firsts):
+def test_indivisible_side_interior_run_keeps_its_own_chains(firsts):
     # the indivisible plus side's run from its midpoint integrates only
-    # back to the regular endpoint; the minus side's takes the plan's tail
+    # back to the regular endpoint; the minus side's reads its basis
     z = 0.5 + 0.5j
     ih = cs.problem_from_dict(indivisible_problem_dict(0.7, "plus"))
     got = _anchored_pairs(ih, [z], _midpoints(ih))
     (_, t_minus), (_, t_plus) = _midpoints(ih)
-    assert [first for t0, first in firsts if t0 == t_plus] == [None]
-    assert all(first is not None for t0, first in firsts if t0 == t_minus)
+    assert [(first, solved) for t0, first, solved in firsts
+            if t0 == t_plus] == [(None, None)]
+    assert all(first is None and solved is not None
+               for t0, first, solved in firsts if t0 == t_minus)
     # anchored at the basis's value, the plus pairs are its values at the
     # regular endpoint: the identity's rows
     np.testing.assert_allclose(np.array([g[:2] for g in got[2:]]),
                                np.eye(2), atol=1e-9)
-    _tail_off(monkeypatch)
+    minus, plus = _anchored_requests(ih, [z], _midpoints(ih))
     ih = cs.problem_from_dict(indivisible_problem_dict(0.7, "plus"))
-    _assert_same_bits(_anchored_pairs(ih, [z], _midpoints(ih)), got)
+    bd.side_basis(ih, "minus", z)
+    want = (_collocated_pairs(ih, [minus], tail=True)
+            + _pair_arrays(bd.gamma_columns_batch(ih, [plus])))
+    _assert_same_bits(want, got)
 
 
 def test_runs_from_many_anchors_add_no_fixed_key():
@@ -709,34 +754,33 @@ def test_runs_from_many_anchors_add_no_fixed_key():
 SERVING = [("minus", 0.5), ("minus", 0.75), ("plus", 1.5), ("plus", 1.25)]
 
 
-def _reuse_off(monkeypatch):
-    monkeypatch.setattr(bd, "_basis_tail", lambda *args: None)
-
-
-def _interface_pairs(monkeypatch):
-    """The arrays of every pair of ``run_validation``'s interface runs."""
-    found = []
+def _interface_runs(monkeypatch):
+    """The requests of ``run_validation``'s interface runs and the arrays
+    of their pairs."""
+    requests, found = [], []
     orig = bd.gamma_columns_batch
 
-    def kept(ih, requests):
-        out = orig(ih, requests)
+    def kept(ih, reqs):
+        out = orig(ih, reqs)
+        requests.extend(reqs)
         found.extend(_pair_arrays(out))
         return out
 
     with monkeypatch.context() as m:
         m.setattr(bd, "gamma_columns_batch", kept)
         assert cs.run_validation()["pass"]
-    return found
+    return requests, found
 
 
 def test_runs_at_a_cached_z_reuse_the_basis_to_the_same_bits(monkeypatch):
-    got = _anchored_pairs(cs.example_problem(), MID_ZS, SERVING)
-    validation = _interface_pairs(monkeypatch)
+    ih = cs.example_problem()
+    reqs = _anchored_requests(ih, MID_ZS, SERVING)
+    got = _pair_arrays(bd.gamma_columns_batch(ih, reqs))
+    interface, validation = _interface_runs(monkeypatch)
     assert len(validation) == 2 * 2 * len(ex.DEFAULT_Z_GRID)
-    _reuse_off(monkeypatch)
-    _assert_same_bits(_anchored_pairs(cs.example_problem(), MID_ZS, SERVING),
-                      got)
-    _assert_same_bits(_interface_pairs(monkeypatch), validation)
+    _assert_same_bits(_collocated_pairs(ih, reqs, tail=True), got)
+    _assert_same_bits(_collocated_pairs(ih, interface, tail=True),
+                      validation)
 
 
 def _panel_rows(monkeypatch):
@@ -758,10 +802,14 @@ def test_runs_at_a_cached_z_solve_no_panel(monkeypatch):
     rows = _panel_rows(monkeypatch)
     _anchored_pairs(ih, MID_ZS, SERVING)
     assert rows == []
-    # with the reuse off, the same runs collocate their tails
-    _reuse_off(monkeypatch)
-    _anchored_pairs(ih, MID_ZS[:1], SERVING)
-    assert sum(rows) > 0
+    # without the bases, the same runs solve the panels of their build
+    z = MID_ZS[0]
+    bd.side_bases(cs.example_problem(), [z])
+    built = rows[:]
+    rows.clear()
+    bd.gamma_columns_batch(cs.example_problem(),
+                           [(side, z, t, np.eye(2)) for side, t in SERVING])
+    assert rows == built and sum(rows) > 0
 
 
 def test_runs_without_a_cached_basis_collocate_to_the_same_bits(monkeypatch):
@@ -770,21 +818,58 @@ def test_runs_without_a_cached_basis_collocate_to_the_same_bits(monkeypatch):
     reqs = [(side, z, t, bd.side_basis(ih, side, z).solution.eval(t).T)
             for side, t in SERVING]
     want = _pair_arrays(bd.gamma_columns_batch(ih, reqs))
-    rows = _panel_rows(monkeypatch)
-    # never built: a fresh problem builds no basis for the runs
+    # never built: a fresh problem builds each side's basis once and
+    # caches it
     fresh = cs.example_problem()
     _assert_same_bits(want, _pair_arrays(bd.gamma_columns_batch(fresh, reqs)))
-    assert sum(rows) > 0
-    assert fresh.cache.per_z_size() == 0
-    # evicted by the bases of PER_Z_CAP / 2 other z
+    assert fresh.cache.per_z_size() == 2
+    bases = [fresh.cache.get((hm_mod.PER_Z_KIND, side, z))
+             for side in ("minus", "plus")]
+    rows = _panel_rows(monkeypatch)
+    _assert_same_bits(want, _pair_arrays(bd.gamma_columns_batch(fresh, reqs)))
+    assert rows == []
+    assert all(fresh.cache.get((hm_mod.PER_Z_KIND, side, z)) is basis
+               for side, basis in zip(("minus", "plus"), bases))
+    # evicted by the bases of PER_Z_CAP / 2 other z: built again
     bd.side_bases(ih, [z + k + 1 for k in range(hm_mod.PER_Z_CAP // 2)])
     assert all((hm_mod.PER_Z_KIND, side, z) not in ih.cache
                for side in ("minus", "plus"))
     rows.clear()
     _assert_same_bits(want, _pair_arrays(bd.gamma_columns_batch(ih, reqs)))
     assert sum(rows) > 0
-    assert all((hm_mod.PER_Z_KIND, side, z) not in ih.cache
+    assert all((hm_mod.PER_Z_KIND, side, z) in ih.cache
                for side in ("minus", "plus"))
+
+
+def test_serving_runs_at_uncached_z_build_their_bases_in_one_batch(
+        monkeypatch, batches):
+    zs = MID_ZS[:3]
+    ih = cs.example_problem()
+    rows = _panel_rows(monkeypatch)
+    reqs = [(side, z, t, np.eye(2)) for z in zs for side, t in SERVING]
+    bd.gamma_columns_batch(ih, reqs)
+    # the bases of every z and side in one call, then the runs, which
+    # solve no panel
+    assert len(batches) == 2
+    assert sorted(batches[0]) == sorted(
+        [(side, "boundary") for side in ("minus", "plus")] * len(zs))
+    assert len(batches[1]) == len(reqs)
+    solved = len(rows)
+    bd.gamma_columns_batch(ih, reqs)
+    assert len(rows) == solved and len(batches) == 3
+    assert ih.cache.per_z_size() == 2 * len(zs)
+
+
+@pytest.mark.parametrize("side, t", [("minus", 0.875), ("plus", 1.125),
+                                     ("minus", 0.3)])
+def test_runs_from_anchors_that_do_not_serve_keep_nothing(side, t):
+    ih = cs.example_problem()
+    cs.monodromy_matrix(ih, 0.5j)
+    fixed, per_z = set(ih.cache._fixed), ih.cache.per_z_size()
+    bd.gamma_columns_batch(ih, [(side, z, t, np.eye(2))
+                                for z in (0.5j, 1.0, 2.0 - 1.0j)])
+    assert set(ih.cache._fixed) == fixed
+    assert ih.cache.per_z_size() == per_z
 
 
 @pytest.mark.parametrize("side", ["minus", "plus"])
@@ -812,15 +897,14 @@ def test_tails_kept_only_for_serving_breaks(monkeypatch):
     anchors = SERVING + [("minus", 0.875), ("plus", 1.125), ("minus", 0.3),
                          ("plus", 1.7)]
     _anchored_pairs(ih, [0.5j], anchors)
-    tails = set(ih.cache._fixed) - fixed
-    assert sorted((key[0], key[1], key[2]) for key in tails) == sorted(
-        ("tail", side, t) for side, t in SERVING)
+    kept = set(ih.cache._fixed) - fixed
+    assert sorted(kept) == sorted(("anchor", side, t) for side, t in SERVING)
     # the break test and w_n at the anchor run once per problem
     calls = []
     count_calls(monkeypatch, sv, "_initial_breaks", calls)
     _anchored_pairs(ih, [0.5j, 1.0], SERVING)
     assert calls == []
-    assert set(ih.cache._fixed) - fixed == tails
+    assert set(ih.cache._fixed) - fixed == kept
 
 
 def _scaled_problem_dict():

@@ -580,6 +580,28 @@ class TestOutputBlock:
         assert code == 2 and out == ""
         assert token in err and "Traceback" not in err
 
+    # every subcommand takes only the config keys it reads
+    @pytest.mark.parametrize("command, key", [
+        (["weyl", "--z", "1j"], "z_grid"),
+        (["weyl", "--z", "1j"], "t_grid"),
+        (["kernel-signature", "--random-grid", "2"], "z_grid"),
+        (["kernel-signature", "--random-grid", "2"], "t_grid"),
+        (["check-conditions"], "z_grid"),
+        (["check-conditions"], "t_grid"),
+        (["regbv", "--z-grid", "1j"], "t_grid"),
+        (["monodromy", "--z-grid", "1j"], "t_grid"),
+        (["wpoly"], "z_grid"),
+        (["fundamental"], "grids"),
+    ])
+    def test_unread_config_keys_exit_two(self, command, key, tmp_path,
+                                         capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: [0.3]}))
+        code, out, err = run_cli(["--config", str(cfg), *command], capsys)
+        assert code == 2 and out == ""
+        assert f"['{key}'] for {command[0]}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command, fmt, code", [
         (["fundamental", "--z-grid", "1j", "--t-grid", "0.5"], "json", 2),
         (["wpoly", "--t-grid", "0.5"], "json", 2),

@@ -29,6 +29,12 @@ each in its own interpreter:
   minus basis's value there and the plus run at ``factorisation(ih,
   z).w`` there (both states taken from a second problem), in one batch,
   once before the z's bases exist on the problem and once after;
+- on the example with its minus side split into two identical ``power``
+  pieces at t = 0.3, at 20 seeded z, the pairs of ``gamma_columns_batch``
+  runs anchored at the identity at 0.3 (a plan break from which a run's
+  own first round is not the end of the plan's) and at the midpoint
+  (where it is), once before the minus basis exists and once after, so
+  the edge of that test is pinned;
 - the exit code and the stdout and stderr bytes of ``validate-example``,
   of ``monodromy --emit json`` over 40 z with ``--jobs 1`` and ``--jobs
   2``, of ``regbv --side plus --verbose`` and of ``weyl --z`` over those z
@@ -103,6 +109,22 @@ def _indivisible_problem(cs, phi: float, side: str, c: float = 1.5) -> dict:
         "interval": [0.0, 1.0] if side == "minus" else [1.0, 2.0],
         "h1": entry(c * co * co), "h2": entry(c * si * si),
         "h3": entry(c * co * si)}]}
+    return problem
+
+
+def _split_problem(cs) -> dict:
+    """The example with its minus side as two identical ``power`` pieces
+    split at t = 0.3, which makes 0.3 a break of the side plan."""
+    def piece(interval):
+        return {"interval": interval,
+                "h1": {"type": "power", "c": 1.0, "center": 1.0,
+                       "exponent": 2},
+                "h2": {"type": "power", "c": 1.0, "center": 1.0,
+                       "exponent": -2}}
+
+    problem = cs.example_problem_dict()
+    problem["h_minus"] = {"kind": "piecewise",
+                          "pieces": [piece([0.0, 0.3]), piece([0.3, 1.0])]}
     return problem
 
 
@@ -220,6 +242,22 @@ def dump(far: bool) -> dict:
             for c, p in enumerate(pairs):
                 out[f"gamma_columns[{k}] {side} t={t} z={z} column {c}"] = (
                     _pair(p))
+    ih = cs.problem_from_dict(_split_problem(cs))
+    if far:
+        cs.monodromy_matrix(ih, FAR_Z)
+    for k, z in enumerate(_grid(20, SEED + 5)):
+        for when in ("before", "after"):
+            if when == "after":
+                _attempt(lambda: bd.side_basis(ih, "minus", z))
+            key = f"split minus[{k}] {when} the basis z={z}"
+            found = _attempt(lambda: bd.gamma_columns_batch(
+                ih, [("minus", z, t, np.eye(2)) for t in (0.3, 0.5)]))
+            if isinstance(found, str):
+                out[key] = found
+                continue
+            for t, pairs in zip((0.3, 0.5), found):
+                for c, p in enumerate(pairs):
+                    out[f"{key} t={t} column {c}"] = _pair(p)
     grid = _grid(40, SEED + 2)
     if far:
         grid = [FAR_Z] + grid
