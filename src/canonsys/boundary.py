@@ -14,16 +14,19 @@ error is reported.
 
 Runs are taken in batches (``_runs``), each run at its own z: the runs of
 a batch are integrated in one ``solver.integrate_dense`` call, S' is formed
-and integrated at the nodes of all their chains in one pass, y2 and S at
-every run's extrapolation nodes take one evaluation, and the limits of y2
-and S of every column of every run take one tableau call (two, y2 first,
-where S needs a correction by the limit of y2: Delta >= 2 or a side that
-is not diagonal), each column keeping its own z, nodes and winning entry.  A run's
-powers of z are Python numbers spread over its nodes, so its pairs are the
-same bits alone or in any batch (see :mod:`canonsys.solver`).  A caller that
-reads both sides of a z asks for both bases at once (``side_bases``); one
-that reads one side builds only that side; one that reads many z takes them
-in chunks (``z_chunks``), the bases of each built in one batch.
+and integrated at the nodes of their chains, and y2 and S evaluated at
+their extrapolation nodes, one pass per group of runs (``solver.groups``,
+at most ``solver.GROUP`` panels), and the limits of y2 and S of every
+column of every run take one tableau call (two, y2 first, where S needs a
+correction by the limit of y2: Delta >= 2 or a side that is not diagonal),
+each column keeping its own z, nodes and winning entry, the columns in
+blocks cut by the same helper.  A run's powers of z are Python numbers
+spread over its nodes, so its pairs are the same bits alone or in any
+batch (see :mod:`canonsys.solver`).  A caller that reads both sides of a z
+asks for both bases at once (``side_bases``); one that reads one side
+builds only that side; one that reads many z takes them in chunks of at
+most ``PER_Z_CAP // 2`` z (``z_chunks``), the bases of each built in one
+batch.
 
 On an indivisible side, H = h xi_phi xi_phi^T of rank one with a fixed
 angle phi, no limit is taken: the boundary pair of a solution is its value
@@ -94,7 +97,7 @@ from . import _chebpanels as cp
 from . import solver as sv
 from . import wpoly as wp
 from .errors import CanonsysError, ConditioningError, DomainError, LimitError
-from .hamiltonian import (PER_Z_BATCH, PER_Z_KIND, IndefHamiltonianA, Side,
+from .hamiltonian import (PER_Z_CAP, PER_Z_KIND, IndefHamiltonianA, Side,
                           build_R)
 
 EPS0_FRAC = 0.1      # first extrapolation node distance, relative to side length
@@ -137,7 +140,8 @@ def neville_limit(hs, vals):
     arrays of length k.  Their nodes are the 1-D ``hs``, shared, or the
     columns of an (n, k) ``hs``, one per sequence (sides of different
     length).  Column c is exactly ``neville_limit(hs[:, c], vals[:, c])``
-    (``hs`` itself when shared).
+    (``hs`` itself when shared), so the sequences are taken in blocks of
+    columns (``solver.groups``), which bounds the tableau's memory.
     """
     hs = np.asarray(hs, dtype=np.float64)
     vals = np.asarray(vals, dtype=np.complex128)
@@ -151,13 +155,23 @@ def neville_limit(hs, vals):
     n = len(vals)
     k = vals.size // n
     h = hs.reshape(n, -1)  # (n, 1) shared or (n, k)
-    # diff[i, j] = h_i - h_j, as complex, the type the tableau divides in;
-    # the denominators h_i - h_(i+m) of column m are its diagonal m, rows
-    # i (n + 1) + m of the flat ``dens``
-    diff = (h[:, None] - h[None, :]).astype(np.complex128)
-    if np.count_nonzero(diff) != diff.size - h.size:
+    if not np.diff(np.sort(h, axis=0), axis=0).all():
         raise DomainError(f"nodes must be pairwise distinct, got {hs!r}")
-    dens = diff.reshape(n * n, -1)
+    seqs = vals.reshape(n, k)
+    best = np.empty(k, dtype=np.complex128)
+    best_err = np.empty(k)
+    for g in sv.groups([1] * k):
+        best[g], best_err[g] = _neville_block(
+            h if h.shape[1] == 1 else h[:, g], seqs[:, g])
+    if vals.ndim == 1:
+        return complex(best[0]), float(best_err[0])
+    return best, best_err
+
+
+def _neville_block(h, vals):
+    """``neville_limit`` of the k sequences ``vals``, (n, k), on the nodes
+    ``h``, (n, 1) shared or (n, k), checked: (values, errs)."""
+    n, k = vals.shape
     cols = np.arange(k)
     idx = np.arange(n)
     # h as complex, one copy per sequence: the products below would cast
@@ -168,7 +182,7 @@ def neville_limit(hs, vals):
         # tableau column m in tab[m, :n - m]; the NaN beyond gives errors
         # that never win
         tab = np.full((n, n, k), np.nan, dtype=np.complex128)
-        tab[0] = vals.reshape(n, k)
+        tab[0] = vals
         left = np.empty((n, k), dtype=np.complex128)
         for m in range(1, n):
             prev = tab[m - 1, :n - m + 1]
@@ -176,13 +190,16 @@ def neville_limit(hs, vals):
             np.multiply(hc[:n - m], prev[1:], out=left[:n - m])
             np.multiply(hc[m:], prev[:-1], out=cur)
             np.subtract(left[:n - m], cur, out=cur)
-            cur /= dens[m::n + 1][:n - m]
+            # the denominators h_i - h_(i+m), divided in as complex
+            cur /= h[:n - m] - h[m:]
         # every entry's distance to its two parents, all columns at once
         err = np.empty((n, n, k))
         err[0] = err[:, n - 1] = np.inf
         cur, prev = tab[1:, :n - 1], tab[:-1]
-        np.maximum(np.abs(cur - prev[:, 1:]), np.abs(cur - prev[:, :-1]),
-                   out=err[1:, :n - 1])
+        gap = cur - prev[:, 1:]
+        np.abs(gap, out=err[1:, :n - 1])
+        np.subtract(cur, prev[:, :-1], out=gap)
+        np.maximum(err[1:, :n - 1], np.abs(gap), out=err[1:, :n - 1])
         err[np.isnan(err)] = np.inf  # a NaN entry never wins
         win = err.argmin(axis=1)  # first smallest error per column
         # cand[m]: the smallest error of column m; cand[0] that of the start
@@ -213,8 +230,6 @@ def neville_limit(hs, vals):
             floor = 0.5 * mid
             # max(best_err, floor) as Python takes it: a NaN best_err stays
             best_err = np.where(floor > best_err, floor, best_err)
-    if vals.ndim == 1:
-        return complex(best[0]), float(best_err[0])
     return best, best_err
 
 
@@ -235,10 +250,22 @@ def check_det(m: np.ndarray, d: complex, what: str) -> np.ndarray:
     """``m`` itself when its entries are finite and det m = d up to rounding.
 
     Above ``DET_RESIDUAL_TOL`` the normalised residual (``det_residual``)
-    says the factor cannot be trusted and ConditioningError is raised.
+    says the factor cannot be trusted and ConditioningError is raised.  A
+    factor whose entries are not finite, or so large that the products of
+    its determinant are not, has overflowed, and the error says so.
     """
+    if not np.isfinite(m).all():
+        raise ConditioningError(f"{what}: entries not finite (overflowed)",
+                                matrix=m)
+    with np.errstate(all="ignore"):
+        prods = abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0])
+    if not np.isfinite(prods):
+        raise ConditioningError(
+            f"{what}: entries overflowed: the products of its determinant "
+            f"exceed float64 (largest |entry| {np.abs(m).max():.3e})",
+            matrix=m)
     res = det_residual(m, d)
-    if not (np.isfinite(m).all() and res <= DET_RESIDUAL_TOL):
+    if not res <= DET_RESIDUAL_TOL:
         raise ConditioningError(
             f"{what}: det residual {res:.3e} against det {complex(d):.6g} "
             f"(tolerance {DET_RESIDUAL_TOL:.0e})", matrix=m)
@@ -387,7 +414,8 @@ def _functional(ih: IndefHamiltonianA, runs):
     anchor and w_Delta^T H on the panels it holds; only panels split off
     beyond it evaluate w_Delta.  S' = -z^(Delta+1) w_Delta^T H y is formed
     at the nodes of all chains, each run's -z^(Delta+1) a Python number
-    spread over its nodes, and integrated panel by panel in one pass."""
+    spread over its nodes, and integrated panel by panel in one pass; a
+    caller with many runs takes them in groups (``solver.groups``)."""
     delta = ih.delta
     n = cp.DEGREE + 1
     s0s, whs = [], []
@@ -423,27 +451,31 @@ def _limit_pairs(ih: IndefHamiltonianA, runs):
     """Boundary pairs of every column of every run, each at its own z: the
     Neville limits of y2 and of the corrected S, one list per run.
 
-    y2 and S at the extrapolation nodes of all runs come from one
+    S is formed and integrated per group of runs (``solver.groups``), and
+    y2 and S at the extrapolation nodes of a group's runs come from one
     evaluation on the chains' panels, the state's second components and
     S's coefficients side by side.  Where S needs no correction by the
     limit of y2 (``_correction_values``), the limits of y2 and S of all
     columns take one tableau; else those of y2 take one, and those of the
     corrected S one more."""
-    s0s, s_coefs = _functional(ih, runs)
-    rows, lo, hi, corrs = [], [], [], []
-    for run, sc in zip(runs, s_coefs):
-        k = run.chain.locate(run.xs)
-        rows.append(np.concatenate([run.chain.coefs[k][..., 1::2], sc[k]],
-                                   axis=-1))
-        lo.append(run.chain.breaks[k])
-        hi.append(run.chain.breaks[k + 1])
-        corrs.append(_correction_values(ih, run.side, run.z, run.w_funcs,
-                                        run.xs))
-    m = s_coefs[0].shape[-1]
-    both = cp.series_values(np.concatenate(rows), np.concatenate(lo),
-                            np.concatenate(hi),
-                            np.concatenate([run.xs for run in runs]))
-    both = both.reshape(len(runs), -1, 2 * m)
+    m = runs[0].y_cols.shape[1]
+    s0s, both = [], []
+    for g in sv.groups([len(run.chain.breaks) - 1 for run in runs]):
+        s0, s_coefs = _functional(ih, runs[g])
+        s0s += s0
+        rows, lo, hi = [], [], []
+        for run, sc in zip(runs[g], s_coefs):
+            k = run.chain.locate(run.xs)
+            rows.append(np.concatenate([run.chain.coefs[k][..., 1::2], sc[k]],
+                                       axis=-1))
+            lo.append(run.chain.breaks[k])
+            hi.append(run.chain.breaks[k + 1])
+        both.append(cp.series_values(
+            np.concatenate(rows), np.concatenate(lo), np.concatenate(hi),
+            np.concatenate([run.xs for run in runs[g]])))
+    both = np.concatenate(both).reshape(len(runs), -1, 2 * m)
+    corrs = [_correction_values(ih, run.side, run.z, run.w_funcs, run.xs)
+             for run in runs]
     # one column per solution, run after run: (nodes, runs * m)
     y2s = np.concatenate(list(both[..., :m]), axis=1)
     s_vals = np.concatenate([s0 + b for s0, b in zip(s0s, both[..., m:])],
@@ -648,16 +680,18 @@ def _build_bases(ih: IndefHamiltonianA, todo) -> dict:
 
 
 def z_chunks(ih: IndefHamiltonianA, zs, sides=("minus", "plus")):
-    """``zs`` in order, at most ``PER_Z_BATCH`` z per chunk: the one place
-    a z grid is cut into batches.  Before a chunk of two or more z is
-    yielded, the bases of ``sides`` its finite z lack are built in one
+    """``zs`` in order, at most ``PER_Z_CAP // 2`` z per chunk (32), the
+    largest chunk whose bases on both sides cannot evict each other: the
+    one place a z grid is cut into batches.  Before a chunk of two or more
+    z is yielded, the bases of ``sides`` its finite z lack are built in one
     batch; a batch that raises is built again z by z, and a z that fails
     alone is left to its read, which raises its own error.  Read each chunk
     before asking for the next, or a grid longer than the cache
     (``PER_Z_CAP`` bases) evicts its first bases before they are read."""
     zs = list(zs)
-    for lo in range(0, len(zs), PER_Z_BATCH):
-        chunk = zs[lo:lo + PER_Z_BATCH]
+    step = PER_Z_CAP // 2
+    for lo in range(0, len(zs), step):
+        chunk = zs[lo:lo + step]
         if len(chunk) > 1:
             todo = {z: [(side, z) for side in sides
                         if (PER_Z_KIND, side, z) not in ih.cache]

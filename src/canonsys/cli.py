@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 computation error, 2 configuration error.  Output is
 deterministic for a fixed config and seed: CSV prints IEEE doubles with 17
 significant digits, JSON is emitted with sorted keys, and z grids run
 serially, in input order.  The ``monodromy``, ``regbv``, ``kernel-signature``
-and ``weyl`` grids are taken in chunks (``boundary.z_chunks``): the bases of
+and ``weyl`` grids are taken in chunks of at most
+``hamiltonian.PER_Z_CAP // 2`` = 32 z (``boundary.z_chunks``): the bases of
 a chunk are integrated in one batch and read before the next chunk is
 built; ``fundamental`` integrates the fundamental solutions of each chunk
-in one batch.  ``--jobs`` is validated and has no effect.
+in one batch.  The stages after a batch's solve run in groups of at most
+``solver.GROUP`` panels (``solver.groups``).  ``--jobs`` is validated and has no effect.
 """
 
 from __future__ import annotations

@@ -41,12 +41,11 @@ KIND_POLY = 1   # c0 + c1 t + ... + c7 t^7  (padded with zeros)
 PARAM_WIDTH = 8
 
 # Per-z results a problem keeps, least recently used evicted first: room for
-# 32 z on both sides (see ProblemCache).
+# 32 z on both sides (see ProblemCache).  boundary.z_chunks cuts a z grid at
+# PER_Z_CAP // 2 z, the largest chunk whose bases cannot evict each other,
+# and integrates each chunk's bases in one batch.
 PER_Z_KIND = "basis"
 PER_Z_CAP = 32 * 2
-# z whose bases are integrated in one batch (boundary.z_chunks), at most
-# PER_Z_CAP / 2, so a batch never evicts its own bases; measured in CHANGES.md
-PER_Z_BATCH = 4
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -455,11 +454,11 @@ class ProblemCache:
     Keys whose first element is ``PER_Z_KIND`` are the per-z side bases
     (``boundary.side_bases``), ``(PER_Z_KIND, side, z)``; at most
     ``PER_Z_CAP`` of them are kept, the least recently used evicted first.
-    Every other key (the z-independent w-families, side plans,
-    ``boundary.SidePlan``, and w_n at the anchors that read a plan or a
-    basis) is kept for the life of
-    the problem and built once, under the lock that guards both stores
-    (reentrant: a plan's build looks up its w-family), and never replaced.
+    Every other key (the z-independent w-families, one per side, side
+    plans, ``boundary.SidePlan``, and w_n at the anchors that read a plan
+    or a basis) is kept for the life of the problem and built once, under
+    the lock that guards both stores (reentrant: a plan's build looks up its
+    w-family), and never replaced, except by its continuation (``grow``).
     A per-z ``build`` runs outside it, so an integration never blocks other
     lookups; when two threads build the same per-z key, the first result
     stored is the one every caller gets.
@@ -490,6 +489,15 @@ class ProblemCache:
             while len(self._per_z) > PER_Z_CAP:
                 self._per_z.popitem(last=False)
         return value
+
+    def grow(self, key, extend):
+        """The value ``extend`` returns for the one stored under the fixed
+        ``key``, stored in its place under the lock: it must hold the old
+        value's items unchanged and may add more, so every caller of the old
+        one reads the same items (a w-family continued to a larger n)."""
+        with self._lock:
+            value = self._fixed[key] = extend(self._fixed[key])
+            return value
 
     def get(self, key):
         """The value stored under ``key``, or None; nothing is built and no

@@ -56,8 +56,14 @@ chain's first round the panels from that break on (``Run.solved``) in
 place of a first round: that chain solves no panel, since it would resolve
 the same ones to the same bits, and is only chained from its own start
 state.
-Node values and slopes of the states take one batched matmul each, their
-Chebyshev coefficients one more.
+The chaining loop takes the propagators of all chains at once; the node
+values and slopes of the states, one batched matmul per chain, and their
+Chebyshev coefficients, one more, are formed per group of chains of at most
+``GROUP`` = 4 ``SOLVE_BLOCK`` panels (``groups``, the one grouping of every
+batched stage after a solve), which bounds their temporaries however many z
+a batch holds.  No panel array of a batch is copied whole: a chain resolved
+in its first round keeps that round's breaks and H (a kept round's by
+reference) and views of its solve.
 Dense output (``Solution``) is the start state itself at the anchor,
 exactly, and each panel's Chebyshev series elsewhere (``in_range`` decides,
 here and for the callers, whether a point lies in a solution's range); a
@@ -89,6 +95,7 @@ MAX_SPLITS = 2000     # panel splits per integration before IntegrationError
 TAIL_COEFS = 3        # trailing Chebyshev coefficients in the resolution test
 SINGULAR_DET = 1e-12  # relative |det| of a singular start matrix, at most
 SOLVE_BLOCK = 64      # panels per batched collocation solve (peak memory)
+GROUP = 4 * SOLVE_BLOCK  # panels per group of the stages after it (``groups``)
 PROBE_Z = 1j          # the z at which a kept first round is refined once
 
 _EPS = np.finfo(np.float64).eps
@@ -471,6 +478,24 @@ def _take(x, k):
     return x if np.ndim(x) == 0 else x[k]
 
 
+def groups(sizes) -> list:
+    """Consecutive slices of items of ``sizes`` panels (or columns) each,
+    in order, each holding at most ``GROUP`` of them, or one item that
+    holds more: the one grouping of every batched stage after a solve
+    (the chains' products here, S' in :mod:`canonsys.boundary` and the
+    columns of its Neville tableau).  It bounds their temporaries whatever
+    the size of the batch; each stage treats an item alike in any group."""
+    out, lo, total = [], 0, 0
+    for i, size in enumerate(sizes):
+        if i > lo and total + size > GROUP:
+            out.append(slice(lo, i))
+            lo, total = i, 0
+        total += size
+    if lo < len(sizes):
+        out.append(slice(lo, len(sizes)))
+    return out
+
+
 def _parts(tables, lo: int, hi: int) -> list:
     """The Schur tables of the diagonal panels lo:hi of a batch as
     ``_diagonal_bases`` takes them (slices from lo): views of the tables
@@ -519,6 +544,15 @@ def _panel_bases(z, zz, a: np.ndarray, b: np.ndarray, hm: np.ndarray,
             k = ck[lo:lo + SOLVE_BLOCK]
             phi[k] = _coupled_bases(_take(z, k), 0.5 * (b[k] - a[k]), hm[k])
     return phi, _slopes(z, hm, phi)
+
+
+def _props(a, b, f) -> np.ndarray:
+    """The 2x2 propagator of every panel [a_k, b_k] from its slopes ``f``
+    (laid out as ``_panel_bases`` returns them): I plus the half-width
+    times their integral over the panel (``END_WEIGHTS``), (P, 2, 2)."""
+    with np.errstate(all="ignore"):  # a non-finite panel fails its chain
+        ends = (cp.END_WEIGHTS @ f.view(np.float64)).view(np.complex128)
+        return np.eye(2) + (0.5 * (b - a))[:, None, None] * ends
 
 
 def _slopes(z, hm: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -591,10 +625,11 @@ class _Chain:
     """One chain of a batch while it is collocated: its z and z*z (Python
     numbers), its pending round (``rnd``: the run's first round, kept
     (``Run.first``) or built, then the halves of each split) and the
-    panels' index in the first round, the arrays of
-    its resolved panels per round, and the error that ended it, if any.  A
-    chain handed its resolved panels (``Run.solved``) in place of a first
-    round starts with them done and has no pending round."""
+    panels' index in the first round, the arrays of its resolved panels per
+    round (those of a round it resolves whole are that round's, and views
+    of its solve), and the error that ended it, if any.  A chain handed its
+    resolved panels (``Run.solved``) in place of a first round starts with
+    them done and has no pending round."""
 
     def __init__(self, z: complex, run: "Run", t1: float, state0):
         self.z, self.zz = z, z * z
@@ -608,8 +643,9 @@ class _Chain:
                         else first_round(run.h, t0, t1, run.sing))
             self.origin = np.arange(len(self.rnd.a))
         else:
-            *_, hm, phi = run.solved
-            self.done.append((*run.solved, _slopes(z, hm, phi)))
+            a, b, _, hm, phi = run.solved
+            f = _slopes(z, hm, phi)
+            self.done.append((*run.solved, f, _props(a, b, f)))
         self.splits = 0
         self.error = None
         self.chain = None  # the PanelChain, once chained
@@ -623,18 +659,20 @@ class _Chain:
             f"{self.context}: non-finite Hamiltonian entries or propagator "
             f"on the panel from t={t_bad}", t_bad)
 
-    def settle(self, phi, f, ok, bad) -> bool:
-        """Keep the panels of this round that ``ok`` marks resolved and
-        split the others, or end the chain at the first that ``bad`` marks
-        (its propagator is not finite); whether a next round is pending."""
+    def settle(self, phi, f, prop, ok, bad) -> bool:
+        """Keep the panels of this round that ``ok`` marks resolved, with
+        their propagator bases, slopes and propagators, and split the
+        others, or end the chain at the first that ``bad`` marks (its
+        propagator is not finite); whether a next round is pending."""
         if bad.any():
             self.fail_at(bad)
             return False
         a, b, hm, origin = self.rnd.a, self.rnd.b, self.rnd.hm, self.origin
         if ok.all():
-            self.done.append((a, b, origin, hm, phi, f))
+            self.done.append((a, b, origin, hm, phi, f, prop))
             return False
-        self.done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok], f[ok]))
+        self.done.append((a[ok], b[ok], origin[ok], hm[ok], phi[ok], f[ok],
+                          prop[ok]))
         a, b = a[~ok], b[~ok]
         # the first panel that is too narrow to split, or whose split
         # exceeds MAX_SPLITS, ends the integration
@@ -657,7 +695,7 @@ class _Chain:
         return True
 
     def panels(self):
-        """(a, b, origin, hm, phi, f) of every resolved panel, in
+        """(a, b, origin, hm, phi, f, prop) of every resolved panel, in
         integration order."""
         if len(self.done) == 1:
             return self.done[0]
@@ -704,11 +742,12 @@ def _collocate(starts, rtol, atol):
                               [r.schur for r in rounds])
         ok = _resolved(a, b, phi, rtol, atol)
         bad = ~np.isfinite(phi).all(axis=(1, 2, 3))
+        prop = _props(a, b, f)
         nxt, lo = [], 0
         for c in pending:
             sl = slice(lo, lo + len(c.rnd.a))
             lo = sl.stop
-            if c.settle(phi[sl], f[sl], ok[sl], bad[sl]):
+            if c.settle(phi[sl], f[sl], prop[sl], ok[sl], bad[sl]):
                 nxt.append(c)
         pending = nxt
     live = [c for c in chains if c.error is None]
@@ -723,18 +762,15 @@ def _collocate(starts, rtol, atol):
 def _chain_all(chains) -> None:
     """Set the PanelChain of every collocated chain, or its overflow
     error; their start values have one size.  One loop chains the 2x2
-    propagators of all, padded with the identity past a chain's end, and
-    the node values, slopes and coefficients take one batched product
-    each."""
+    propagators of all, padded with the identity past a chain's end; the
+    node values, slopes and coefficients are formed per group of chains
+    (``groups``), one batched product each.  A chain keeps its own panel
+    arrays, copied nowhere: a chain resolved in its first round keeps that
+    round's breaks and H (a kept round's by reference) and views of its
+    solve."""
     parts = [c.panels() for c in chains]
-    a, b, origin, hm, phi, f = (_cat(list(col)) for col in zip(*parts))
-    phi = _frozen(phi)
     sizes = [len(part[0]) for part in parts]
-    offsets = np.cumsum([0] + sizes)
     n, ncols = cp.DEGREE + 1, len(chains[0].state0) // 2
-    hw = 0.5 * (b - a)
-    ends = (cp.END_WEIGHTS @ f.view(np.float64)).view(np.complex128)
-    prop = np.eye(2) + hw[:, None, None] * ends
     # step k of every chain at once: props[k] and starts[k] hold one 2x2
     # block per chain, the identity past a chain's end
     props = np.zeros((max(sizes), len(chains), 2, 2), dtype=np.complex128)
@@ -742,7 +778,7 @@ def _chain_all(chains) -> None:
     starts = np.empty((max(sizes) + 1, len(chains), 2, ncols),
                       dtype=np.complex128)
     for i, c in enumerate(chains):
-        props[:sizes[i], i] = prop[offsets[i]:offsets[i + 1]]
+        props[:sizes[i], i] = parts[i][6]
         starts[0, i] = c.state0.reshape(ncols, 2).T
     with np.errstate(all="ignore"):  # an overflow is reported below
         for k in range(max(sizes)):
@@ -750,29 +786,39 @@ def _chain_all(chains) -> None:
     for i, c in enumerate(chains):
         finite = np.isfinite(starts[:sizes[i] + 1, i]).all(axis=(1, 2))
         if not finite.all():
-            k = offsets[i] + max(int(np.argmin(finite)) - 1, 0)
+            a = parts[i][0][max(int(np.argmin(finite)) - 1, 0)]
             c.error = SingularityProximityError(
                 f"{c.context}: solution overflow on the panel from "
-                f"t={a[k]}", float(a[k]))
+                f"t={a}", float(a))
     if any(c.error is not None for c in chains):
         return
-    s0 = _cat([starts[:sizes[i], i] for i in range(len(chains))])
-    # node values and slopes, (P, 2, n, ncols); the state's columns are
-    # stacked as in state0, so a node's row is (column, component)
-    p = len(a)
-    y = (phi.reshape(p, 2 * n, 2) @ s0).reshape(p, 2, n, ncols)
-    slopes = (f.reshape(p, 2 * n, 2) @ s0).reshape(p, 2, n, ncols)
-    coefs = (cp.CUMINT_COEFS @ slopes.view(np.float64)).view(np.complex128)
-    coefs *= hw[:, None, None, None]
-    coefs[:, :, 0] += s0
-    ys = y.transpose(0, 2, 3, 1).reshape(p, n, 2 * ncols)
-    coefs = coefs.transpose(0, 2, 3, 1).reshape(p, n + 1, 2 * ncols)
-    for i, c in enumerate(chains):
-        sl = slice(offsets[i], offsets[i + 1])
-        c.chain = PanelChain(np.append(a[sl], b[sl][-1]),
-                             ys[sl].reshape(-1, 2 * ncols),
-                             hm[sl].reshape(-1, 2, 2), coefs[sl], origin[sl],
-                             phi[sl])
+    for g in groups(sizes):
+        a, b = (_cat([part[j] for part in parts[g]]) for j in (0, 1))
+        s0 = _cat([starts[:sizes[i], i] for i in range(g.start, g.stop)])
+        ends = np.cumsum(sizes[g])
+        spans = [slice(hi - size, hi) for size, hi in zip(sizes[g], ends)]
+        # node values and slopes, (P, 2, n, ncols), each chain's from its
+        # own arrays; the state's columns are stacked as in state0, so a
+        # node's row is (column, component)
+        p = len(a)
+        y = np.empty((p, 2 * n, ncols), dtype=np.complex128)
+        slopes = np.empty_like(y)
+        for part, sl in zip(parts[g], spans):
+            np.matmul(part[4].reshape(-1, 2 * n, 2), s0[sl], out=y[sl])
+            np.matmul(part[5].reshape(-1, 2 * n, 2), s0[sl], out=slopes[sl])
+        y = y.reshape(p, 2, n, ncols)
+        slopes = slopes.reshape(p, 2, n, ncols)
+        coefs = (cp.CUMINT_COEFS @ slopes.view(np.float64)).view(np.complex128)
+        coefs *= (0.5 * (b - a))[:, None, None, None]
+        coefs[:, :, 0] += s0
+        ys = y.transpose(0, 2, 3, 1).reshape(p, n, 2 * ncols)
+        coefs = coefs.transpose(0, 2, 3, 1).reshape(p, n + 1, 2 * ncols)
+        for c, part, sl in zip(chains[g], parts[g], spans):
+            pa, pb, origin, hm, phi = part[:5]
+            c.chain = PanelChain(np.append(pa, pb[-1]),
+                                 ys[sl].reshape(-1, 2 * ncols),
+                                 hm.reshape(-1, 2, 2), coefs[sl], origin,
+                                 _frozen(phi))
 
 
 def check_tolerances(rtol, atol) -> None:

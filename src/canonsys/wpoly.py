@@ -97,11 +97,12 @@ def volterra_transform(h: Hamiltonian, f, side: Side):
 # ---------------------------------------------------------------------------
 # diagonal construction
 
-def _diagonal_scalars(h: Hamiltonian, side: Side, n_max: int):
-    """Scalar functions w_0..w_n_max of the diagonal recursion."""
+def _diagonal_scalars(h: Hamiltonian, side: Side, n_max: int, ws=()):
+    """Scalar functions w_0..w_n_max of the diagonal recursion, continuing
+    ``ws``, the first of them."""
     breaks = h.panels(side)
-    ws = [_Const(1.0)]
-    for n in range(1, n_max + 1):
+    ws = list(ws) or [_Const(1.0)]
+    for n in range(len(ws), n_max + 1):
         prev = ws[-1]
         if (n - 1) % 2 == 0:
             fn = (lambda ts, p=prev: -h.h2(ts) * np.asarray(p(ts)))
@@ -114,19 +115,27 @@ def _diagonal_scalars(h: Hamiltonian, side: Side, n_max: int):
 
 
 def build_w_family(h: Hamiltonian, side: Side, n_max: int,
-                   omegas: Optional[Sequence[float]] = None):
-    """w_0..w_n_max on one side, diagonal recursion or general construction."""
+                   omegas: Optional[Sequence[float]] = None, start=()):
+    """w_0..w_n_max on one side, diagonal recursion or general construction.
+
+    ``start`` holds the first functions of the same family, w_0..w_k, which
+    are kept and continued: each w_n depends only on those before it, so
+    the result is the same bits as a family built afresh.
+    """
+    out = list(start)
     if omegas is not None:
-        return [w_n_general(h, side, n, omegas) for n in range(n_max + 1)]
+        return out + [w_n_general(h, side, n, omegas)
+                      for n in range(len(out), n_max + 1)]
     if not h.is_diagonal:
         raise UnsupportedSpecError(
             "non-diagonal Hamiltonian: the coefficient sequence omega is not "
             "constructive here; supply it and use w_n_general")
-    scalars = _diagonal_scalars(h, side, n_max)
+    # the scalar of w_n is its second component for even n, else its first
+    scalars = _diagonal_scalars(h, side, n_max, [
+        w.comp1 if w.index % 2 else w.comp2 for w in out])
     reg = h.regular_endpoint(side)
-    out = []
     zero = _Const(0.0)
-    for n, w in enumerate(scalars):
+    for n, w in enumerate(scalars[len(out):], len(out)):
         if n % 2 == 0:
             omega = 1.0 if n == 0 else float(w(reg))
             out.append(WFunction(side, n, omega, zero, w))
@@ -195,7 +204,9 @@ def w_family_for(ih: IndefHamiltonianA, side: Side, n_max: Optional[int] = None)
 
     The default n_max is 2*delta for non-diagonal sides and 2*delta - 1 for
     diagonal ones (the top function pairs to zero with w_0 there and never
-    enters the boundary-value sums).
+    enters the boundary-value sums).  The problem keeps one family per side
+    (``("wfam", side)``), continued (``build_w_family``'s ``start``) when a
+    larger n_max is asked for; a smaller one reads a slice of it.
     """
     h = ih.side(side)
     if n_max is None:
@@ -204,8 +215,12 @@ def w_family_for(ih: IndefHamiltonianA, side: Side, n_max: Optional[int] = None)
     if user is None and not h.is_diagonal:
         raise ConfigError(
             f"side {side} is non-diagonal: supply omega_{side} in the problem")
-    return ih.memo(("wfam", side, n_max),
-                   lambda: build_w_family(h, side, n_max, omegas=user))
+    key = ("wfam", side)
+    fam = ih.memo(key, lambda: build_w_family(h, side, n_max, omegas=user))
+    if len(fam) <= n_max:
+        fam = ih.cache.grow(key, lambda fam: fam if len(fam) > n_max else
+                            build_w_family(h, side, n_max, user, fam))
+    return fam if len(fam) == n_max + 1 else fam[:n_max + 1]
 
 
 # ---------------------------------------------------------------------------

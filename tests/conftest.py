@@ -90,6 +90,34 @@ def indivisible_problem_dict(phi, side, c=1.5):
     return problem
 
 
+def _power(c, exponent):
+    return {"type": "power", "c": c, "center": 1.0, "exponent": exponent}
+
+
+def random_problem_dict(rng):
+    """A seeded random problem on the example's interval, Delta = 1: each
+    side diagonal in two pieces, c1 |t - 1|^2, c2 |t - 1|^-2 next to sigma
+    and a positive constant next to the regular endpoint, split at a random
+    t, and random d with d1 != 0 (oe = 0)."""
+    problem = cs.example_problem_dict()
+    for side, (lo, hi) in (("minus", (0.0, 1.0)), ("plus", (1.0, 2.0))):
+        cut = float(rng.uniform(lo + 0.2, hi - 0.2))
+        c1, c2, k1, k2 = (float(v) for v in rng.uniform(0.5, 2.0, 4))
+        near = {"h1": _power(c1, 2.0), "h2": _power(c2, -2.0)}
+        far = {"h1": {"type": "const", "value": k1},
+               "h2": {"type": "const", "value": k2}}
+        if side == "minus":
+            pieces = [dict(far, interval=[lo, cut]),
+                      dict(near, interval=[cut, hi])]
+        else:
+            pieces = [dict(near, interval=[lo, cut]),
+                      dict(far, interval=[cut, hi])]
+        problem["h_" + side] = {"kind": "piecewise", "pieces": pieces}
+    d1 = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+    problem["d"] = [float(rng.uniform(-2.0, 2.0)), d1]
+    return problem
+
+
 def count_calls(monkeypatch, module, name, calls, sizes=None):
     """Wrap ``module.name``: each call appends ``name`` to ``calls`` and,
     when ``sizes`` is given, the length of its first argument to it."""

@@ -570,6 +570,17 @@ class TestCheckDet:
         with pytest.raises(cs.ConditioningError):
             boundary.check_det(np.array(m, dtype=complex), d, "m")
 
+    @pytest.mark.parametrize("m, why", [
+        ([[1.0, np.nan], [0.0, 1.0]], "entries not finite (overflowed)"),
+        ([[np.inf, 0.0], [0.0, 1.0]], "entries not finite (overflowed)"),
+        ([[1e200, 0.0], [0.0, 1e200]], "entries overflowed: the products"),
+        ([[1e200, 1e200], [1e200, 2e200]], "entries overflowed: the products"),
+    ])
+    def test_overflow_is_named(self, m, why):
+        with pytest.raises(cs.ConditioningError) as exc:
+            boundary.check_det(np.array(m, dtype=complex), 1.0, "m")
+        assert str(exc.value).startswith(f"m: {why}")
+
 
 PHIS = (0.0, np.pi / 4, np.pi / 3, np.pi / 2)
 

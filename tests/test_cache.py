@@ -1107,7 +1107,13 @@ def test_single_side_readers_integrate_only_their_side(call, batches):
 # as alone; a z that fails leaves the others of its batch cached
 
 def test_batch_bound_within_half_the_cache():
-    assert 1 <= hm_mod.PER_Z_BATCH <= hm_mod.PER_Z_CAP // 2
+    # a grid is cut at half the cache: the largest chunk whose bases on
+    # both sides cannot evict each other
+    half = hm_mod.PER_Z_CAP // 2
+    zs = [complex(k) for k in range(2 * half + 1)]
+    chunks = list(bd.z_chunks(cs.example_problem(), zs, ()))
+    assert [len(c) for c in chunks] == [half, half, 1]
+    assert [z for c in chunks for z in c] == zs
 
 
 def _coupled_problem():
@@ -1125,12 +1131,12 @@ COUPLED_ZS = [0.3 + 0.4j, -0.5 - 0.2j, 0.0, 1.5, -0.8 + 1.1j]
                                       (_coupled_problem, COUPLED_ZS)],
                          ids=["example", "coupled"])
 @pytest.mark.parametrize("per_batch", [2, None, len(BATCH_ZS)])
-def test_batched_and_single_builds_give_identical_arrays(make, zs, per_batch,
-                                                         monkeypatch):
+def test_batched_and_single_builds_give_identical_arrays(make, zs, per_batch):
+    # the grid in calls of per_batch z each, or in one call (None)
     ih, single = make(), make()
-    if per_batch is not None:
-        monkeypatch.setattr(bd, "PER_Z_BATCH", per_batch)
-    batched = bd.side_bases(ih, zs)
+    step = len(zs) if per_batch is None else per_batch
+    batched = [bases for lo in range(0, len(zs), step)
+               for bases in bd.side_bases(ih, zs[lo:lo + step])]
     assert ih.cache.per_z_size() == 2 * len(zs)
     if make is _coupled_problem:
         chain = batched[0][1].solution.segments[0]
@@ -1146,11 +1152,10 @@ def test_warmed_grid_integrates_each_basis_once_in_batches(batches):
     ih = cs.example_problem()
     zs = BATCH_ZS + BATCH_ZS[:3]  # repeats are built once
     bd.side_bases(ih, zs)
-    # chunks of 4 z: the last holds one missing z and three cached ones
+    # one chunk of 16 z, 13 of them distinct: one batch of their bases
     n_z = len(BATCH_ZS)
-    assert [len(b) for b in batches] == [
-        2 * min(hm_mod.PER_Z_BATCH, n_z - lo)
-        for lo in range(0, n_z, hm_mod.PER_Z_BATCH)]
+    assert len(zs) <= hm_mod.PER_Z_CAP // 2
+    assert [len(b) for b in batches] == [2 * n_z]
     assert ih.cache.per_z_size() == 2 * n_z
     del batches[:]
     for z in zs:
@@ -1176,13 +1181,13 @@ def test_validation_integrates_each_basis_once_in_few_calls(monkeypatch):
 
     monkeypatch.setattr(sv, "integrate_dense", counted)
     assert cs.run_validation()["pass"]
-    assert len(calls) <= 6
+    # the 15 z are one chunk: their 30 bases in one call, then the
+    # midpoint runs of the 6 grid z, both sides of each, in a second
+    assert [len(runs) for runs in calls] == [2 * (6 + 1 + 8), 2 * 6]
     bases = [(side, z) for runs in calls for side, z, basis in runs if basis]
     assert len(bases) == len(set(bases)) == 2 * (6 + 1 + 8)
-    # the midpoint runs of the 6 grid z, PER_Z_BATCH z per call, each call
-    # holding both sides of every z in it
     mids = [runs for runs in calls if not any(basis for *_, basis in runs)]
-    assert [len(runs) for runs in mids] == [2 * hm_mod.PER_Z_BATCH, 4]
+    assert [len(runs) for runs in mids] == [2 * 6]
     for runs in mids:
         zs = {z for _, z, _ in runs}
         assert sorted((z.real, z.imag, side) for side, z, _ in runs) == sorted(
@@ -1299,7 +1304,7 @@ def test_long_cli_grid_matches_per_z_output(batches, capsys):
     grid = ",".join(repr(z) for z in zs)
     assert main(["monodromy", "--z-grid", grid, "--emit", "json"]) == 0
     serial = capsys.readouterr().out
-    assert len(batches) == -(-len(zs) // hm_mod.PER_Z_BATCH)
+    assert len(batches) == -(-len(zs) // (hm_mod.PER_Z_CAP // 2))
     assert sum(len(b) for b in batches) == 2 * len(zs)
     assert main(["--jobs", "2", "monodromy", "--z-grid", grid,
                  "--emit", "json"]) == 0
@@ -1316,8 +1321,8 @@ def test_weyl_grid_reads_left_bases_in_chunks(batches, capsys):
     grid = ",".join(repr(z) for z in zs)
     assert main(["weyl", "--z", grid]) == 0
     out = capsys.readouterr().out
-    # the left side only, 4 z and then 2 per integration
-    assert batches == [[("minus", "boundary")] * 4, [("minus", "boundary")] * 2]
+    # the left side only, all 6 z in one integration
+    assert batches == [[("minus", "boundary")] * 6]
     rows = []
     for z in zs:
         assert main(["weyl", "--z", repr(z)]) == 0

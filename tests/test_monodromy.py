@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import canonsys as cs
 from canonsys import boundary as bd
 from canonsys import solver as sv
+from conftest import random_problem_dict
 
 Z_SET = (1.0, -1.0, 1.0j, -1.0j, np.pi, 2.0 + 3.0j)
 
@@ -188,6 +190,65 @@ class TestMonodromyMatrix:
             a = cs.monodromy_matrix(example_ih, z)
             b = cs.monodromy_matrix(example_ih, np.conj(z))
             assert np.abs(b - np.conj(a)).max() < 2e-6 * max(1, np.abs(a).max())
+
+    def test_far_z_served_until_a_factor_overflows(self):
+        ih = cs.example_problem()
+        # 300i: entries near 1e260, still within 1e-6 of the closed form
+        got = cs.monodromy_matrix(ih, 300j)
+        want = cs.closed_W(2.0, 300j)
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+        # 400i: U^+ holds entries near 1e176, whose determinant's products
+        # exceed float64; the error names the factor and the overflow
+        with pytest.raises(cs.ConditioningError,
+                           match=r"^U\^\+: entries overflowed") as exc:
+            cs.monodromy_matrix(ih, 400j)
+        assert np.isfinite(exc.value.matrix).all()
+
+
+def _scaled(problem, c):
+    """``problem`` with H -> c H and d_k -> c^(k+1) d_k (oe = 0); a named
+    side is written as its power pieces first."""
+    out = copy.deepcopy(problem)
+    for side, interval in (("minus", [0.0, 1.0]), ("plus", [1.0, 2.0])):
+        spec = out["h_" + side]
+        if spec["kind"] == "named":
+            assert spec["name"] == "inverse-square"
+            spec = out["h_" + side] = {"kind": "piecewise", "pieces": [{
+                "interval": interval,
+                "h1": {"type": "power", "c": 1.0, "center": 1.0,
+                       "exponent": 2.0},
+                "h2": {"type": "power", "c": 1.0, "center": 1.0,
+                       "exponent": -2.0}}]}
+        for piece in spec["pieces"]:
+            for entry in (piece[k] for k in ("h1", "h2", "h3") if k in piece):
+                entry["c" if entry["type"] == "power" else "value"] *= c
+    out["d"] = [dk * c ** (k + 1) for k, dk in enumerate(out["d"])]
+    return out
+
+
+class TestScaleCovariance:
+    """W_{cH}(z) = W_H(cz) when d_k scales as c^(k+1) (oe = 0): y' = z J
+    (cH) y is y' = (cz) J H y, and R(z) of the scaled d is R(cz) of d.
+
+    This pins how d enters R(z) and how the pipeline treats a scaled H.  It
+    is not an accuracy oracle: the two problems sample their limits at the
+    same ladder nodes, so a limit error is shared and cancels here."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    def test_scaled_problem_is_w_at_scaled_z(self, seed):
+        problem = (cs.example_problem_dict() if seed is None
+                   else random_problem_dict(np.random.default_rng(seed)))
+        ih = cs.problem_from_dict(problem)
+        worst = 0.0
+        for c in (2.0, 0.5, 3.0, 0.7):
+            ih_c = cs.problem_from_dict(_scaled(problem, c))
+            for z in (0.5 + 0.2j, 2.0 + 3.0j, -1.5 + 0.7j, 1.0):
+                want = cs.monodromy_matrix(ih, c * z)
+                got = cs.monodromy_matrix(ih_c, z)
+                worst = max(worst, float(np.abs(got - want).max()
+                                         / np.abs(want).max()))
+        assert worst <= 1e-13
 
 
 class TestComparison:

@@ -155,3 +155,36 @@ class TestDeltaDiagnostic:
     def test_delta_two_case(self, delta2_ih):
         rep = cs.delta_diagnostic(delta2_ih.h_minus, "minus", 2)
         assert rep.consistent
+
+
+class TestFamilyStore:
+    def test_one_family_per_side_continued_to_the_same_bits(self):
+        ih = cs.example_problem()
+        for n in range(1, 41):
+            for side in ("minus", "plus"):
+                assert len(cs.w_family_for(ih, side, n)) == n + 1
+        kept = [key for key in ih.cache._fixed if key[0] == "wfam"]
+        assert sorted(kept) == [("wfam", "minus"), ("wfam", "plus")]
+        for side in ("minus", "plus"):
+            h = ih.side(side)
+            ts = np.linspace(*h.interval, 41)[1:-1]
+            fam = cs.w_family_for(ih, side, 40)
+            fresh = cs.build_w_family(h, side, 40)
+            for w, want in zip(fam, fresh):
+                assert (w.index, w.omega) == (want.index, want.omega)
+                assert np.array_equal(w(ts), want(ts))
+            # a smaller n reads the first functions of the same family
+            assert all(a is b for a, b in zip(cs.w_family_for(ih, side, 3),
+                                              fam[:4]))
+
+    def test_user_omegas_continued_to_the_same_bits(self, example_ih):
+        om = cs.omega_sequence(example_ih, "minus", 3)
+        h = example_ih.h_minus
+        ih = cs.indef_hamiltonian(h, example_ih.h_plus, delta=1,
+                                  d=(-2.0, 0.0), omega_minus=om)
+        first = cs.w_family_for(ih, "minus", 1)
+        fam = cs.w_family_for(ih, "minus", 3)
+        assert fam[:2] == first
+        ts = np.linspace(0.05, 0.95, 19)
+        for w, want in zip(fam, cs.build_w_family(h, "minus", 3, omegas=om)):
+            assert np.array_equal(w(ts), want(ts))

@@ -36,7 +36,10 @@ each in its own interpreter:
   (where it is), once before the minus basis exists and once after, so
   the edge of that test is pinned;
 - the exit code and the stdout and stderr bytes of ``validate-example``,
-  of ``monodromy --emit json`` over 40 z with ``--jobs 1`` and ``--jobs
+  of ``validate-example --s-plus 3``, of ``validate-example --config CFG
+  --b 1`` (oe = 1, b = [1]; CFG, written to a temporary directory, sends
+  the report to a file there, whose bytes are dumped too: a config of
+  ``validate-example`` holds only ``output``), of ``monodromy --emit json`` over 40 z with ``--jobs 1`` and ``--jobs
   2``, of ``regbv --side plus --verbose`` and of ``weyl --z`` over those z
   (``weyl`` over the non-real ones, and once over all of them, which exits
   1 at the first real z), of ``kernel-signature --random-grid 8 --seed
@@ -59,6 +62,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import pickle
 import subprocess
@@ -264,6 +268,7 @@ def dump(far: bool) -> dict:
     zs, non_real = (",".join(f"{z.real!r}{z.imag:+}j" for z in g)
                     for g in (grid, [z for z in grid if z.imag != 0.0]))
     runs = {"validate-example": ["validate-example"],
+            "validate-example s_plus 3": ["validate-example", "--s-plus", "3"],
             "monodromy jobs 1": ["monodromy", "--emit", "json", "--z-grid", zs],
             "monodromy jobs 2": ["--jobs", "2", "monodromy", "--emit", "json",
                                  "--z-grid", zs],
@@ -280,6 +285,15 @@ def dump(far: bool) -> dict:
             runs[f"wpoly {side} n {n}"] = ["wpoly", "--side", side, "--n", n]
     for name, argv in runs.items():
         out[f"cli {name}"] = _cli(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, report = (os.path.join(tmp, name)
+                       for name in ("config.json", "report.json"))
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"output": {"path": report}}, fh)
+        out["cli validate-example config oe 1"] = _cli(
+            ["--config", cfg, "validate-example", "--b", "1"])
+        with open(report, "rb") as fh:
+            out["cli validate-example config oe 1 report"] = fh.read()
     return out
 
 
